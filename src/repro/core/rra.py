@@ -26,9 +26,11 @@ comparable with HOTSAX and brute force (Table 1).
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from itertools import chain
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +49,7 @@ from repro.resilience.checkpoint import (
 )
 from repro.parallel.pool import MIN_PARALLEL_CANDIDATES, effective_workers
 from repro.timeseries import kernels
-from repro.timeseries.distance import DistanceCounter
+from repro.timeseries.distance import DistanceCounter, variable_length_distance
 from repro.timeseries.kernels import validate_backend
 from repro.timeseries.lowerbound import IntervalLowerBound
 
@@ -128,11 +130,12 @@ class _CandidateSet:
 
     Z-normalization of every interval comes from one O(m) pass of
     cumulative sums over the series (:class:`~repro.timeseries.kernels.
-    SeriesStats`) instead of a per-window ``znorm`` call, and the
-    quantities the batch distance kernels need — squared norms and
-    squared cumulative sums of the normalized values — are cached per
-    distinct interval.  One instance is shared across the ranks of an
-    iterative :func:`find_discords` extraction.
+    SeriesStats`) instead of a per-window ``znorm`` call.  Each distinct
+    interval gets one cached entry ``(values, sqnorm, sq_cumsum)``: the
+    normalized values, their squared norm, and their squared cumulative
+    sum (the window energies when the interval plays the "long" role of
+    an unequal-length comparison).  One instance is shared across the
+    ranks of an iterative :func:`find_discords` extraction.
     """
 
     def __init__(
@@ -147,9 +150,9 @@ class _CandidateSet:
         # A prebuilt SeriesStats lets pool workers rebuild the cache from
         # shared-memory cumulative sums instead of re-deriving them.
         self._stats = stats if stats is not None else kernels.SeriesStats(self.series)
-        self._values: dict[tuple[int, int], np.ndarray] = {}
-        self._sqnorms: dict[tuple[int, int], float] = {}
-        self._sq_cumsums: dict[tuple[int, int], np.ndarray] = {}
+        self._entries: dict[
+            tuple[int, int], tuple[np.ndarray, float, np.ndarray]
+        ] = {}
         # Pair distances are symmetric and depend only on the interval
         # positions, so each distinct unordered pair is computed once —
         # within a search and, when a SearchContext keeps this set
@@ -168,37 +171,18 @@ class _CandidateSet:
         """The cumulative-sum window statistics behind this cache."""
         return self._stats
 
+    def _entry(self, start: int, end: int) -> tuple[np.ndarray, float, np.ndarray]:
+        """``(values, sqnorm, sq_cumsum)`` of ``[start, end)`` (cached)."""
+        entry = self._entries.get((start, end))
+        if entry is None:
+            values = self._stats.znorm(start, end)
+            entry = (values, float(np.dot(values, values)), kernels.sq_cumsum(values))
+            self._entries[(start, end)] = entry
+        return entry
+
     def values(self, interval: RuleInterval) -> np.ndarray:
         """Z-normalized subsequence of *interval* (cached)."""
-        key = (interval.start, interval.end)
-        cached = self._values.get(key)
-        if cached is None:
-            cached = self._stats.znorm(interval.start, interval.end)
-            self._values[key] = cached
-        return cached
-
-    def sqnorm(self, interval: RuleInterval) -> float:
-        """Squared L2 norm of the normalized subsequence (cached)."""
-        key = (interval.start, interval.end)
-        cached = self._sqnorms.get(key)
-        if cached is None:
-            values = self.values(interval)
-            cached = float(np.dot(values, values))
-            self._sqnorms[key] = cached
-        return cached
-
-    def sq_cumsum(self, interval: RuleInterval) -> np.ndarray:
-        """Squared cumulative sum of the normalized subsequence (cached).
-
-        Feeds the sliding-alignment kernel when this interval plays the
-        "long" role of an unequal-length comparison.
-        """
-        key = (interval.start, interval.end)
-        cached = self._sq_cumsums.get(key)
-        if cached is None:
-            cached = kernels.sq_cumsum(self.values(interval))
-            self._sq_cumsums[key] = cached
-        return cached
+        return self._entry(interval.start, interval.end)[0]
 
     def _length_group(
         self, length: int
@@ -219,18 +203,42 @@ class _CandidateSet:
                     continue
                 seen.add(key)
                 keys.append(key)
-            stacked = []
-            for key in keys:
-                values = self._values.get(key)
-                if values is None:
-                    values = self._stats.znorm(*key)
-                    self._values[key] = values
-                stacked.append(values)
-            rows = np.stack(stacked)
+            rows = np.stack([self._entry(*key)[0] for key in keys])
             pos = {key: j for j, key in enumerate(keys)}
             group = (rows, kernels.row_sqnorms(rows), pos)
             self._length_groups[length] = group
         return group
+
+    def pair_distance(self, p: RuleInterval, q: RuleInterval) -> float:
+        """Vectorized Eq. 1 distance between two cached candidates.
+
+        Equal lengths use the dot-product identity with the cached squared
+        norms; unequal lengths take the minimum of the sliding-alignment
+        profile (:func:`~repro.timeseries.kernels.aligned_min_distance`).
+        The result is memoized per unordered pair (the distance is
+        symmetric by construction: the shorter interval always plays the
+        query role).
+        """
+        ps, pe, qs, qe = p.start, p.end, q.start, q.end
+        if ps < qs or (ps == qs and pe <= qe):
+            key = (ps, pe, qs, qe)
+        else:
+            key = (qs, qe, ps, pe)
+        distance = self._pair_distances.get(key)
+        if distance is not None:
+            return distance
+        a, a_sqnorm, a_cumsum = self._entry(ps, pe)
+        b, b_sqnorm, b_cumsum = self._entry(qs, qe)
+        n = pe - ps
+        if n == qe - qs:
+            sq = a_sqnorm + b_sqnorm - 2.0 * float(np.dot(a, b))
+            distance = math.sqrt(max(sq, 0.0) / n)
+        elif n < qe - qs:
+            distance = kernels.aligned_min_distance(a, a_sqnorm, b, b_cumsum)
+        else:
+            distance = kernels.aligned_min_distance(b, b_sqnorm, a, a_cumsum)
+        self._pair_distances[key] = distance
+        return distance
 
     def pair_distance_batch(self, p: RuleInterval, q: RuleInterval) -> float:
         """Eq. 1 distance via cached one-vs-group rows (batch backend).
@@ -242,53 +250,34 @@ class _CandidateSet:
         lengths fall back to the sliding-alignment kernel pair path.
         """
         if p.length != q.length:
-            return _kernel_pair_distance(self, p, q)
+            return self.pair_distance(p, q)
         key = (p.start, p.end)
         row = self._batch_rows.get(key)
         if row is None:
             rows, sqnorms, _ = self._length_group(p.length)
+            values, sqnorm, _ = self._entry(p.start, p.end)
             row = kernels.one_vs_all_sq_euclidean(
-                self.values(p), rows, query_sqnorm=self.sqnorm(p), sqnorms=sqnorms
+                values, rows, query_sqnorm=sqnorm, sqnorms=sqnorms
             )
             self._batch_rows[key] = row
         pos = self._length_groups[p.length][2]
         return float(np.sqrt(row[pos[(q.start, q.end)]] / p.length))
 
-
-def _kernel_pair_distance(
-    cache: _CandidateSet, p: RuleInterval, q: RuleInterval
-) -> float:
-    """Vectorized Eq. 1 distance between two cached candidates.
-
-    Equal lengths use the dot-product identity with the cached squared
-    norms; unequal lengths evaluate the full sliding-alignment profile
-    in one shot instead of the scalar per-offset loop.  The result is
-    memoized per unordered pair (the distance is symmetric by
-    construction: the shorter interval always plays the query role).
-    """
-    pk, qk = (p.start, p.end), (q.start, q.end)
-    key = pk + qk if pk <= qk else qk + pk
-    memoized = cache._pair_distances.get(key)
-    if memoized is not None:
-        return memoized
-    a = cache.values(p)
-    b = cache.values(q)
-    if a.size == b.size:
-        sq = cache.sqnorm(p) + cache.sqnorm(q) - 2.0 * float(np.dot(a, b))
-        distance = float(np.sqrt(max(sq, 0.0) / a.size))
-    else:
-        if a.size < b.size:
-            short_iv, long_iv, short, long_ = p, q, a, b
-        else:
-            short_iv, long_iv, short, long_ = q, p, b, a
-        distance = kernels.sliding_min_normalized_distance(
-            short,
-            long_,
-            short_sqnorm=cache.sqnorm(short_iv),
-            long_sq_cumsum=cache.sq_cumsum(long_iv),
+    def pair_distance_scalar(self, p: RuleInterval, q: RuleInterval) -> float:
+        """Eq. 1 distance through the per-offset scalar reference."""
+        return variable_length_distance(
+            self.values(p), self.values(q), normalize_inputs=False
         )
-    cache._pair_distances[key] = distance
-    return distance
+
+    def distance_fn(
+        self, backend: str
+    ) -> Callable[[RuleInterval, RuleInterval], float]:
+        """The pair-distance callable for *backend*, bound once per search."""
+        if backend == "scalar":
+            return self.pair_distance_scalar
+        if backend == "batch":
+            return self.pair_distance_batch
+        return self.pair_distance
 
 
 def _is_non_self_match(p: RuleInterval, q: RuleInterval) -> bool:
@@ -302,7 +291,7 @@ class _InnerOrdering:
     Built once per :func:`find_discord` invocation over the (exclusion-
     filtered) candidate list, so ordering a candidate's inner loop no
     longer rescans all candidates with a Python predicate per outer
-    iteration — it concatenates a cached bucket with a cached
+    iteration — it chains a cached bucket with a lazily permuted cached
     complement.
     """
 
@@ -336,7 +325,7 @@ class _InnerOrdering:
 
     def order(
         self, candidate: RuleInterval, rng: np.random.Generator
-    ) -> list[RuleInterval]:
+    ) -> Iterator[RuleInterval]:
         """Same-rule intervals first, then the rest shuffled.
 
         The shuffle is one ``Generator.permutation(len(rest))`` draw
@@ -344,12 +333,15 @@ class _InnerOrdering:
         Fisher–Yates): faster, and its RNG consumption depends only on
         the tail *length*, so the parallel layer can replay generator
         states to any outer boundary without touching the intervals.
+        The permutation is drawn here, on the call; the returned iterator
+        then maps indices to intervals lazily, since most candidates are
+        abandoned after the first pair or two.
         """
         key = candidate.rule_id if candidate.rule_id >= 0 else self._GAP
         rest = self._rest_for(candidate)
-        same_rule = self._same_rule[key] if key != self._GAP else []
+        same_rule = self._same_rule[key] if key != self._GAP else ()
         perm = rng.permutation(len(rest))
-        return same_rule + [rest[j] for j in perm]
+        return chain(same_rule, map(rest.__getitem__, perm))
 
 
 def find_discord(
@@ -463,8 +455,6 @@ def find_discord(
     if cache is None:
         cache = _CandidateSet(series, candidates)
     ordering = _InnerOrdering(candidates)
-    use_kernel = backend != "scalar"
-    use_batch = backend == "batch"
     lb = _lower_bound if prune else None
     if prune and lb is None:
         lb = IntervalLowerBound(cache)
@@ -535,6 +525,7 @@ def find_discord(
             counter,
         )
 
+    distance = cache.distance_fn(backend)
     try:
         for i in range(state.outer_index, len(outer)):
             # Record the boundary *before* consuming any randomness or
@@ -550,36 +541,39 @@ def find_discord(
             if _on_boundary is not None:
                 _on_boundary(state, outer)
             p = outer[i]
-            p_values = cache.values(p)
-            nearest = float("inf")
+            p_start = p.start
+            p_length = p.end - p_start
+            nearest = math.inf
             pruned = False
-            for q in ordering.order(p, rng):
-                if q is p or not _is_non_self_match(p, q):
-                    continue
-                if lb is not None and np.isfinite(nearest):
-                    counter.lb_batch(1)
-                    if lb.pair_exceeds(p, q, nearest):
-                        # dist >= LB >= nearest >= best_dist: the pair
-                        # can neither break nor lower nearest; skip the
-                        # kernel, keep the logical call.
-                        counter.pruned_batch(1)
+            # Pair visits are tallied locally and flushed once per
+            # candidate; the flush sits in ``finally`` so an interrupt
+            # mid-scan leaves the counter exactly where per-pair
+            # counting would have (the interrupted pair included).
+            kernel_calls = lb_calls = lb_pruned = 0
+            try:
+                for q in ordering.order(p, rng):
+                    # Paper line 7: skip p itself and trivial self matches.
+                    if abs(p_start - q.start) <= p_length:
                         continue
-                if use_kernel:
-                    counter.batch(1)
-                    dist = (
-                        cache.pair_distance_batch(p, q)
-                        if use_batch
-                        else _kernel_pair_distance(cache, p, q)
-                    )
-                else:
-                    dist = counter.variable_length(
-                        p_values, cache.values(q), normalize_inputs=False
-                    )
-                if dist < best_dist:
-                    pruned = True  # p cannot beat the current best discord
-                    break
-                if dist < nearest:
-                    nearest = dist
+                    if lb is not None and nearest < math.inf:
+                        lb_calls += 1
+                        if lb.pair_exceeds(p, q, nearest):
+                            # dist >= LB >= nearest >= best_dist: the pair
+                            # can neither break nor lower nearest; skip the
+                            # kernel, keep the logical call.
+                            lb_pruned += 1
+                            continue
+                    kernel_calls += 1
+                    dist = distance(p, q)
+                    if dist < best_dist:
+                        pruned = True  # p cannot beat the current best discord
+                        break
+                    if dist < nearest:
+                        nearest = dist
+            finally:
+                counter.lb_batch(lb_calls)
+                counter.pruned_batch(lb_pruned)
+                counter.batch(kernel_calls)
             if instrumented:
                 m_visited.inc()
                 if pruned:
@@ -589,7 +583,7 @@ def find_discord(
                     m_depth.observe(counter.calls - state.calls)
                 else:
                     m_survived.inc()
-            if not pruned and np.isfinite(nearest) and nearest > best_dist:
+            if not pruned and nearest < math.inf and nearest > best_dist:
                 best_dist = nearest
                 best_candidate = p
                 state.best_dist = nearest
@@ -1106,8 +1100,7 @@ def nearest_neighbor_distances(
         valid = np.abs(starts - p.start) > p.length
         counter.batch(int(np.count_nonzero(valid)))
         nearest = float("inf")
-        p_values = cache.values(p)
-        p_sqnorm = cache.sqnorm(p)
+        p_values, p_sqnorm, _ = cache._entry(p.start, p.end)
 
         same = group_index[p.length]
         keep = valid[same]
@@ -1129,7 +1122,7 @@ def nearest_neighbor_distances(
             for j in members:
                 if not valid[j]:
                     continue
-                dist = _kernel_pair_distance(cache, p, candidates[j])
+                dist = cache.pair_distance(p, candidates[j])
                 if dist < nearest:
                     nearest = dist
         results.append((p, nearest))

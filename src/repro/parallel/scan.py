@@ -46,12 +46,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from repro.core.rra import (
-    _CandidateSet,
-    _InnerOrdering,
-    _is_non_self_match,
-    _kernel_pair_distance,
-)
+from repro.core.rra import _CandidateSet, _InnerOrdering
 from repro.discord.search import _inner_sequence
 from repro.exceptions import DiscordSearchError
 from repro.grammar.intervals import RuleInterval
@@ -61,7 +56,6 @@ from repro.parallel.shared import attach
 from repro.resilience.budget import SearchBudget, SearchStatus
 from repro.resilience.checkpoint import restore_rng
 from repro.timeseries import kernels
-from repro.timeseries.distance import variable_length_distance
 from repro.timeseries.distance import euclidean_early_abandon
 
 __all__ = [
@@ -724,8 +718,7 @@ def scan_rra_positions(
         m_candidates = metrics.counter("worker.candidates")
         m_pairs = metrics.counter("worker.pairs")
         m_depth = metrics.histogram("worker.scan_depth")
-    use_kernel = backend != "scalar"
-    use_batch = backend == "batch"
+    distance = cache.distance_fn(backend)
     result = ShardResult()
     local_best = floor
     started = time.perf_counter()
@@ -737,7 +730,8 @@ def scan_rra_positions(
         if budget.interrupted(result.calls) is not None:
             result.status = budget.status.value
             break
-        p_values = cache.values(p)
+        p_start = p.start
+        p_length = p.end - p_start
         minima: list = []
         pruned_prefix: Optional[list] = [] if lb is not None else None
         nearest = float("inf")
@@ -746,7 +740,8 @@ def scan_rra_positions(
         lb_evals = 0
         complete = True
         for q in ordering.order(p, rng):
-            if q is p or not _is_non_self_match(p, q):
+            # Paper line 7: skip p itself and trivial self matches.
+            if abs(p_start - q.start) <= p_length:
                 continue
             if lb is not None and math.isfinite(nearest):
                 lb_evals += 1
@@ -754,16 +749,7 @@ def scan_rra_positions(
                     scanned += 1
                     pruned_cum += 1
                     continue
-            if use_kernel:
-                dist = (
-                    cache.pair_distance_batch(p, q)
-                    if use_batch
-                    else _kernel_pair_distance(cache, p, q)
-                )
-            else:
-                dist = variable_length_distance(
-                    p_values, cache.values(q), normalize_inputs=False
-                )
+            dist = distance(p, q)
             scanned += 1
             if dist < nearest:
                 nearest = dist

@@ -32,6 +32,7 @@ consumer via ``backend="scalar"``.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -56,6 +57,7 @@ __all__ = [
     "tile_plan",
     "early_abandon_filter",
     "sliding_alignment_sq_profile",
+    "aligned_min_distance",
     "sliding_min_normalized_distance",
     "variable_length_kernel",
     "first_below",
@@ -521,6 +523,27 @@ def first_below(values: np.ndarray, threshold: float) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _alignment_inputs(
+    short: np.ndarray,
+    long_: np.ndarray,
+    short_sqnorm: Optional[float],
+    long_sq_cumsum: Optional[np.ndarray],
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Validate an alignment pair and fill in the precomputable pieces."""
+    short = np.asarray(short, dtype=float)
+    long_ = np.asarray(long_, dtype=float)
+    if short.size == 0 or long_.size < short.size:
+        raise ParameterError(
+            f"alignment needs 0 < len(short) <= len(long), "
+            f"got {short.size} vs {long_.size}"
+        )
+    if short_sqnorm is None:
+        short_sqnorm = float(np.dot(short, short))
+    if long_sq_cumsum is None:
+        long_sq_cumsum = sq_cumsum(long_)
+    return short, short_sqnorm, long_, long_sq_cumsum
+
+
 def sliding_alignment_sq_profile(
     short: np.ndarray,
     long_: np.ndarray,
@@ -536,22 +559,44 @@ def sliding_alignment_sq_profile(
     squared cumulative sum.  Pass the precomputed pieces when scanning
     many pairs against the same sequences.
     """
-    short = np.asarray(short, dtype=float)
-    long_ = np.asarray(long_, dtype=float)
+    short, short_sqnorm, long_, long_sq_cumsum = _alignment_inputs(
+        short, long_, short_sqnorm, long_sq_cumsum
+    )
     n = short.size
-    if n == 0 or long_.size < n:
-        raise ParameterError(
-            f"alignment needs 0 < len(short) <= len(long), "
-            f"got {n} vs {long_.size}"
-        )
-    if short_sqnorm is None:
-        short_sqnorm = float(np.dot(short, short))
-    if long_sq_cumsum is None:
-        long_sq_cumsum = sq_cumsum(long_)
     window_energy = long_sq_cumsum[n:] - long_sq_cumsum[:-n]
     cross = np.correlate(long_, short, mode="valid")
     sq = short_sqnorm + window_energy - 2.0 * cross
     return np.clip(sq, 0.0, None)
+
+
+def aligned_min_distance(
+    short: np.ndarray,
+    short_sqnorm: float,
+    long_: np.ndarray,
+    long_sq_cumsum: np.ndarray,
+) -> float:
+    """Eq. 1 min-distance from precomputed pieces, with no argument checks.
+
+    The one definition of the sliding-alignment minimum, shared by
+    :func:`sliding_min_normalized_distance` and the RRA pair distance:
+    ``(short_sqnorm + window_energy) − 2·correlate(long_, short)``,
+    minimized over offsets, clamped at zero, then ``sqrt(· / n)``.
+    Clamping the minimum gives the same float as minimizing the clamped
+    :func:`sliding_alignment_sq_profile`.  Callers guarantee
+    ``0 < len(short) <= len(long_)`` and float64 contiguous inputs.
+
+    The cross terms stay on :func:`numpy.correlate`, which rounds like
+    ``np.dot`` (BLAS ``ddot``) offset by offset; a matrix-vector product
+    over a sliding-window view rounds differently and would move
+    discords on knife-edge ties.
+    """
+    n = short.size
+    window_energy = long_sq_cumsum[n:] - long_sq_cumsum[:-n]
+    sq = (short_sqnorm + window_energy) - 2.0 * np.correlate(long_, short)
+    best = float(sq.min())
+    if best < 0.0:
+        best = 0.0
+    return math.sqrt(best / n)
 
 
 def sliding_min_normalized_distance(
@@ -566,10 +611,9 @@ def sliding_min_normalized_distance(
     The kernel form of the paper's Eq. 1 distance for already-normalized
     inputs: ``min over offsets of sqrt(‖short − segment‖² / len(short))``.
     """
-    profile = sliding_alignment_sq_profile(
-        short, long_, short_sqnorm=short_sqnorm, long_sq_cumsum=long_sq_cumsum
+    return aligned_min_distance(
+        *_alignment_inputs(short, long_, short_sqnorm, long_sq_cumsum)
     )
-    return float(np.sqrt(profile.min() / short.size))
 
 
 def variable_length_kernel(p: np.ndarray, q: np.ndarray) -> float:

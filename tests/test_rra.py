@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.rra import (
     RRAResult,
+    _CandidateSet,
+    _InnerOrdering,
     _is_non_self_match,
     find_discord,
     find_discords,
@@ -14,6 +18,9 @@ from repro.core.rra import (
 )
 from repro.exceptions import DiscordSearchError
 from repro.grammar.intervals import RuleInterval
+from repro.resilience.budget import SearchBudget, SearchStatus
+from repro.resilience.checkpoint import load_checkpoint
+from repro.timeseries import kernels
 from repro.timeseries.distance import DistanceCounter
 
 
@@ -175,3 +182,166 @@ class TestNearestNeighborDistances:
         ]
         if frequent:
             assert min(frequent) < 0.5
+
+
+def _reference_pair_distance(values_p, values_q):
+    """Eq. 1 distance as the pre-fusion code computed it.
+
+    Equal lengths: the dot-product identity.  Unequal lengths: the
+    minimum of the clamped :func:`kernels.sliding_alignment_sq_profile`.
+    """
+    if values_p.size == values_q.size:
+        sq = (
+            float(np.dot(values_p, values_p))
+            + float(np.dot(values_q, values_q))
+            - 2.0 * float(np.dot(values_p, values_q))
+        )
+        return float(np.sqrt(max(sq, 0.0) / values_p.size))
+    short, long_ = (
+        (values_p, values_q) if values_p.size < values_q.size else (values_q, values_p)
+    )
+    profile = kernels.sliding_alignment_sq_profile(short, long_)
+    return float(np.sqrt(profile.min() / short.size))
+
+
+@st.composite
+def _series_and_intervals(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    length = draw(st.integers(40, 160))
+    rng = np.random.default_rng(seed)
+    series = np.cumsum(rng.normal(size=length))
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, length - 10))
+        series[lo : lo + 10] = series[lo]  # flat stretch: unscaled znorm
+    base_len = draw(st.integers(2, 20))
+    intervals = []
+    for rule_id in range(draw(st.integers(2, 10))):
+        # Equal, shorter and longer partners around a shared length.
+        n = max(2, base_len + draw(st.sampled_from([0, 0, -1, 1, -7, 9])))
+        start = draw(st.integers(0, length - n))
+        intervals.append(RuleInterval(rule_id, start, start + n, usage=1))
+    return series, intervals
+
+
+class TestFusedPairDistance:
+    @given(_series_and_intervals(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_reference_in_both_orders_and_from_memo(self, data, order_rng):
+        series, intervals = data
+        cache = _CandidateSet(series, intervals)
+        pairs = [(p, q) for p in intervals for q in intervals]
+        order_rng.shuffle(pairs)
+        for p, q in pairs:
+            expected = _reference_pair_distance(cache.values(p), cache.values(q))
+            # First call may compute or hit the memo (the reverse pair
+            # can come earlier); the repeat and the swap always hit it.
+            assert cache.pair_distance(p, q) == expected
+            assert cache.pair_distance(p, q) == expected
+            assert cache.pair_distance(q, p) == expected
+            fresh = _CandidateSet(series, intervals)
+            assert fresh.pair_distance(q, p) == expected
+
+    @given(_series_and_intervals())
+    @settings(max_examples=30, deadline=None)
+    def test_public_kernel_shares_the_definition(self, data):
+        series, intervals = data
+        cache = _CandidateSet(series, intervals)
+        for p in intervals:
+            for q in intervals:
+                a, b = cache.values(p), cache.values(q)
+                if a.size < b.size:
+                    assert kernels.sliding_min_normalized_distance(
+                        a, b
+                    ) == _reference_pair_distance(a, b)
+
+
+class TestLazyInnerOrdering:
+    @given(_series_and_intervals(), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_same_sequence_and_rng_state_as_list_form(self, data, seed, draws):
+        _, intervals = data
+        # Gaps (negative rule ids) and repeated rules exercise every bucket.
+        candidates = [
+            RuleInterval(iv.rule_id % 3 - 1, iv.start, iv.end, iv.usage)
+            for iv in intervals
+        ]
+        ordering = _InnerOrdering(candidates)
+        lazy_rng = np.random.default_rng(seed)
+        list_rng = np.random.default_rng(seed)
+        for p in candidates:
+            lazy = ordering.order(p, lazy_rng)
+            # The old list form: same-rule bucket, then the shuffled rest.
+            if p.rule_id >= 0:
+                same = [iv for iv in candidates if iv.rule_id == p.rule_id]
+                rest = [iv for iv in candidates if iv.rule_id != p.rule_id]
+            else:
+                same, rest = [], candidates
+            expected = same + [rest[j] for j in list_rng.permutation(len(rest))]
+            # The permutation is drawn on the call, not on iteration.
+            assert lazy_rng.bit_generator.state == list_rng.bit_generator.state
+            taken = draws.draw(st.integers(0, len(expected)))
+            got = [q for q, _ in zip(lazy, range(taken))]
+            assert [id(q) for q in got] == [id(q) for q in expected[:taken]]
+        assert lazy_rng.bit_generator.state == list_rng.bit_generator.state
+
+
+_DISTANCE_METHODS = {
+    "kernel": "pair_distance",
+    "batch": "pair_distance_batch",
+    "scalar": "pair_distance_scalar",
+}
+
+
+class TestInterruptedInnerLoopAccounting:
+    @pytest.mark.parametrize("backend", sorted(_DISTANCE_METHODS))
+    @pytest.mark.parametrize("interrupt_at", [1, 125, 540, 1000])
+    def test_interrupt_mid_scan_counts_like_per_pair_counting(
+        self, tmp_path, monkeypatch, backend, interrupt_at
+    ):
+        """A KeyboardInterrupt inside the inner loop counts every pair
+        visited so far — the interrupted one included — while the
+        checkpoint keeps the last outer boundary and resumes exactly."""
+        series = _blip_series(length=600)
+        candidates = _candidates_for(series)
+        reference = find_discords(
+            series, candidates, num_discords=2, backend=backend
+        )
+        method = _DISTANCE_METHODS[backend]
+        original = getattr(_CandidateSet, method)
+        seen = []  # the outer candidate p of every distance call
+
+        def interrupting(self, p, q):
+            seen.append(p)
+            if len(seen) == interrupt_at:
+                raise KeyboardInterrupt
+            return original(self, p, q)
+
+        monkeypatch.setattr(_CandidateSet, method, interrupting)
+        checkpoint = tmp_path / "ck.json"
+        counter = DistanceCounter()
+        result = find_discords(
+            series, candidates, num_discords=2, backend=backend,
+            counter=counter, budget=SearchBudget.unlimited(),
+            checkpoint_path=str(checkpoint),
+        )
+        monkeypatch.setattr(_CandidateSet, method, original)
+
+        assert result.status is SearchStatus.CANCELLED
+        assert counter.calls == counter.true_calls == interrupt_at
+        assert result.distance_calls == interrupt_at
+        # The boundary before the interrupted candidate: every call made
+        # for earlier candidates, none of the aborted one's.
+        boundary = len(seen) - 1
+        while boundary > 0 and seen[boundary - 1] is seen[-1]:
+            boundary -= 1
+        saved = load_checkpoint(str(checkpoint))
+        assert saved["distance_calls"] == boundary
+        assert saved["ledger"] == {
+            "calls": boundary, "true_calls": boundary, "lb_calls": 0, "pruned": 0,
+        }
+        resumed = find_discords(
+            series, candidates, num_discords=2, backend=backend,
+            resume_from=str(checkpoint),
+        )
+        assert resumed.discords == reference.discords
+        assert resumed.distance_calls == reference.distance_calls

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import norm
 
 from repro.exceptions import ParameterError
 from repro.sax.alphabet import (
@@ -17,6 +16,12 @@ from repro.sax.alphabet import (
     symbol_index,
     symbols_for_values,
 )
+
+
+@pytest.fixture
+def norm():
+    """SciPy's N(0,1), the reference the breakpoint table was written from."""
+    return pytest.importorskip("scipy.stats").norm
 
 
 class TestBreakpoints:
@@ -38,7 +43,13 @@ class TestBreakpoints:
             cuts = breakpoints(alpha)
             assert all(a < b for a, b in zip(cuts, cuts[1:]))
 
-    def test_equiprobable_regions(self):
+    def test_table_matches_scipy_bit_for_bit(self, norm):
+        for alpha in range(MIN_ALPHABET_SIZE, MAX_ALPHABET_SIZE + 1):
+            expected = norm.ppf(np.arange(1, alpha) / alpha)
+            got = np.asarray(breakpoints(alpha))
+            assert got.tobytes() == expected.tobytes(), alpha
+
+    def test_equiprobable_regions(self, norm):
         """Each region holds probability 1/alpha under N(0,1)."""
         for alpha in (3, 5, 8):
             cuts = (-np.inf,) + breakpoints(alpha) + (np.inf,)
