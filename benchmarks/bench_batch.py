@@ -10,10 +10,6 @@ times + speedups in ``BENCH_batch.json``:
   candidate scans every non-trivial match, the workload the tiling is
   built for.  Target >= 2x over the kernel backend at >= 400
   candidates.
-* **brute_force_pruned** — early abandoning + the admissible
-  lower-bound cascade, where tile-wise row dropping and closure have to
-  fight for work the kernel path already skips (no target; reported
-  for honesty).
 * **hotsax** — bucket-ordered scans, dominated by short early-abandoned
   inner loops (no target; the batch head phase keeps it competitive).
 
@@ -123,14 +119,6 @@ def run(quick: bool = False) -> dict:
         )
         return counter.ledger()
 
-    def run_brute_pruned(backend):
-        counter = DistanceCounter()
-        brute_force_discord(
-            nn.series, nn.window, counter=counter,
-            early_abandon=True, prune=True, backend=backend,
-        )
-        return counter.ledger()
-
     def run_hotsax(backend):
         counter = DistanceCounter()
         hotsax_discords(
@@ -159,9 +147,6 @@ def run(quick: bool = False) -> dict:
         },
         "benchmarks": {
             "nn_profile": _compare("nn_profile", run_nn, target=NN_TARGET),
-            "brute_force_pruned": _compare(
-                "brute_force_pruned", run_brute_pruned
-            ),
             "hotsax": _compare("hotsax", run_hotsax),
         },
     }

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.anomaly import Anomaly
 from repro.exceptions import ParameterError
-from repro.sax.alphabet import breakpoints_array
+from repro.sax.alphabet import letter_indices
 from repro.timeseries.paa import paa_batch
 from repro.timeseries.windows import sliding_windows
 from repro.timeseries.znorm import znorm_rows
@@ -42,8 +42,7 @@ def _discretize_whole(series: np.ndarray, window: int, paa_per_window: int, alph
     chunks = series[:usable].reshape(-1, window)
     normalized = znorm_rows(chunks)
     paa_values = paa_batch(normalized, paa_per_window)
-    cuts = breakpoints_array(alpha)
-    letters = np.searchsorted(cuts, paa_values, side="right").astype(np.uint8)
+    letters = letter_indices(paa_values, alpha).astype(np.uint8)
     return (letters + ord("a")).tobytes()
 
 

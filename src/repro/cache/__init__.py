@@ -7,15 +7,14 @@ invariant:
 * :class:`~repro.cache.store.ResultCache` — a persistent,
   content-addressed, on-disk store of *completed* search results keyed
   by the checkpoint layer's SHA-256 input fingerprint.  A hit returns
-  the stored discords and the stored split ledger
-  (``calls == true_calls + pruned``) flagged ``from_cache=True``,
-  byte-identical to a live run.
+  the stored discords and the stored call ledger flagged
+  ``from_cache=True``, byte-identical to a live run.
 * :class:`~repro.cache.context.SearchContext` — an in-process
   memoization context owning per-series shared artifacts (cumulative
-  sums, z-normalized window matrices, SAX/Haar discretizations,
-  MINDIST lower-bound tables) that the engines, the pipeline, and the
-  parameter-grid sweep thread through so the same intermediate is never
-  computed twice for one series.
+  sums, z-normalized window matrices, SAX/Haar discretizations) that
+  the engines, the pipeline, and the parameter-grid sweep thread
+  through so the same intermediate is never computed twice for one
+  series.
 
 Both are opt-in: every entry point defaults to ``cache=None`` /
 ``context=None`` and the disabled path is byte-identical to the

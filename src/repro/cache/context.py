@@ -3,9 +3,9 @@
 A :class:`SearchContext` owns every intermediate the engines, the
 pipeline, and the parameter-grid sweep would otherwise recompute for the
 same series — cumulative-sum statistics, z-normalized window matrices
-(with their row norms), SAX/Haar discretizations, MINDIST lower-bound
-tables, windowed-PAA coefficient matrices, and the z-normalized sample
-rows behind the sweep's approximation-distance axis.
+(with their row norms), SAX/Haar discretizations, windowed-PAA
+coefficient matrices, and the z-normalized sample rows behind the
+sweep's approximation-distance axis.
 
 Artifacts are keyed by series *content* (the memoized
 :func:`~repro.resilience.checkpoint.series_digest`) plus their shape
@@ -89,7 +89,7 @@ class SearchContext:
     # -- window-level artifacts -----------------------------------------
 
     def series_stats(self, series: np.ndarray) -> kernels.SeriesStats:
-        """Cumulative-sum statistics of *series* (shared by RRA + pruning)."""
+        """Cumulative-sum statistics of *series* (shared across engines)."""
         key = ("series_stats", self._series_key(series))
         return self.memo(key, lambda: kernels.SeriesStats(series))
 
@@ -111,26 +111,6 @@ class SearchContext:
             ),
         )
 
-    def window_lower_bound(self, series: np.ndarray, window: int):
-        """The default MINDIST/PAA pruner over *window*'s normalized rows.
-
-        Exactly ``WindowLowerBound.from_normalized_windows(normalized,
-        window)`` — what ``iterated_search`` and the brute-force engine
-        build when ``prune=True`` with no explicit bound.
-        """
-        windows = self.window_matrix(series, window)
-        if windows is None:
-            return None
-        from repro.timeseries.lowerbound import WindowLowerBound
-
-        key = ("window_lower_bound", self._series_key(series), int(window))
-        return self.memo(
-            key,
-            lambda: WindowLowerBound.from_normalized_windows(
-                windows.normalized, window
-            ),
-        )
-
     # -- SAX artifacts --------------------------------------------------
 
     def sax_discretization(
@@ -140,7 +120,7 @@ class SearchContext:
         paa_size: int,
         alphabet_size: int,
     ):
-        """HOTSAX's per-window SAX discretization (words + PAA + letters)."""
+        """HOTSAX's per-window SAX discretization (bucket words)."""
         from repro.discord.hotsax import SAXWindowDiscretization
 
         key = (
@@ -159,24 +139,6 @@ class SearchContext:
             )
 
         return self.memo(key, build)
-
-    def sax_lower_bound(
-        self,
-        series: np.ndarray,
-        window: int,
-        paa_size: int,
-        alphabet_size: int,
-    ):
-        """The MINDIST pruner over one SAX discretization, built once."""
-        key = (
-            "sax_lb",
-            self._series_key(series),
-            int(window),
-            int(paa_size),
-            int(alphabet_size),
-        )
-        disc = self.sax_discretization(series, window, paa_size, alphabet_size)
-        return self.memo(key, disc.lower_bound)
 
     # -- Haar artifacts -------------------------------------------------
 

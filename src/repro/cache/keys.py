@@ -34,7 +34,7 @@ __all__ = [
 
 #: Version of the key derivation + stored-payload schema.  Part of every
 #: key, so a bump silently invalidates (misses) all prior entries.
-CACHE_KEY_VERSION = 1
+CACHE_KEY_VERSION = 2
 
 
 def rng_fingerprint(rng: Optional[np.random.Generator]) -> str:
@@ -63,7 +63,7 @@ def discord_search_key(
     """Cache key for one complete discord search.
 
     *params* must contain everything that can change the discords or
-    the logical ledger (backend, prune, num_discords, window geometry,
+    the logical ledger (backend, num_discords, window geometry,
     ...) — but not ``n_workers`` (see module docstring).
     """
     merged = dict(params)

@@ -5,8 +5,8 @@ added to its :class:`~repro.timeseries.distance.DistanceCounter` — not
 the counter's absolute state, because callers routinely thread one
 counter through several searches (the sweep, the pipeline's fallback
 path).  Applying the delta on a hit reproduces exactly the increments
-the live search would have made, so downstream ledger arithmetic
-(``calls == true_calls + pruned``) is unchanged.
+the live search would have made, so downstream call accounting is
+unchanged.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ __all__ = [
     "discords_from_json",
 ]
 
-LEDGER_FIELDS = ("calls", "true_calls", "lb_calls", "pruned")
+LEDGER_FIELDS = ("calls",)
 
 
 def ledger_delta(before: dict, after: dict) -> dict:
@@ -38,9 +38,6 @@ def ledger_delta(before: dict, after: dict) -> dict:
 def apply_ledger_delta(counter: DistanceCounter, delta: dict) -> None:
     """Replay a stored ledger delta onto a live counter (cache hit)."""
     counter.calls += int(delta.get("calls", 0))
-    counter.true_calls += int(delta.get("true_calls", 0))
-    counter.lb_calls += int(delta.get("lb_calls", 0))
-    counter.pruned += int(delta.get("pruned", 0))
 
 
 def discords_to_json(discords: Iterable[Discord]) -> list:

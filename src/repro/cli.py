@@ -104,7 +104,6 @@ def _cmd_find(args: argparse.Namespace) -> int:
         budget=budget,
         checkpoint_path=args.checkpoint,
         resume_from=args.resume,
-        prune=args.prune,
         report_path=args.metrics_out,
     )
     anomalies.extend(rra.discords)
@@ -371,12 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="distance backend: kernel (vectorized blocks), batch "
              "(tiled GEMM scans), or scalar (per-pair reference); "
              "results and call counts are identical, only speed differs",
-    )
-    find.add_argument(
-        "--prune", action="store_true",
-        help="skip true distance kernels via admissible SAX/PAA lower "
-             "bounds (results and logical call counts are bit-identical; "
-             "see the counter's pruning ledger)",
     )
     find.add_argument(
         "--trace", action="store_true",

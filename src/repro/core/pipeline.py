@@ -127,10 +127,9 @@ class GrammarAnomalyDetector:
         bit-identical to a live run.  Disabled by default.
     context:
         Optional :class:`~repro.cache.SearchContext` memoizing
-        per-series artifacts (window matrices, discretizations,
-        lower-bound tables) across fits and queries.  Purely an
-        in-process optimization; results are bit-identical with or
-        without it.  Disabled by default.
+        per-series artifacts (window matrices, discretizations) across
+        fits and queries.  Purely an in-process optimization; results
+        are bit-identical with or without it.  Disabled by default.
 
     Examples
     --------
@@ -337,7 +336,6 @@ class GrammarAnomalyDetector:
         checkpoint_every: int = 32,
         resume_from: Optional[str] = None,
         n_workers: Optional[int] = None,
-        prune: bool = False,
         report_path: Optional[str] = None,
     ) -> RRAResult:
         """RRA variable-length discords (paper Section 4.2).
@@ -357,11 +355,6 @@ class GrammarAnomalyDetector:
         *n_workers* overrides the constructor's worker count for this
         query only (``None`` keeps the detector default); any value
         returns bit-identical discords and distance-call counts.
-
-        *prune* opts into the admissible lower-bound cascade (see
-        :func:`repro.core.rra.find_discords`): most true distance
-        kernels are skipped while discords, distances, ranks, and the
-        logical call counts stay bit-identical.
 
         When the detector was built with ``cache=``, a repeated
         identical query is answered from the store: the result carries
@@ -390,7 +383,6 @@ class GrammarAnomalyDetector:
             checkpoint_every=checkpoint_every,
             resume_from=resume_from,
             n_workers=self.n_workers if n_workers is None else n_workers,
-            prune=prune,
             metrics=metrics,
             cache=self.cache,
             context=self.context,
@@ -420,7 +412,6 @@ class GrammarAnomalyDetector:
                     "paa_size": self.paa_size,
                     "alphabet_size": self.alphabet_size,
                     "num_discords": num_discords,
-                    "prune": prune,
                     "seed": self.seed,
                     "backend": self.backend,
                     "distance_calls": rra.distance_calls,

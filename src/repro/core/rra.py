@@ -51,7 +51,6 @@ from repro.parallel.pool import MIN_PARALLEL_CANDIDATES, effective_workers
 from repro.timeseries import kernels
 from repro.timeseries.distance import DistanceCounter, variable_length_distance
 from repro.timeseries.kernels import validate_backend
-from repro.timeseries.lowerbound import IntervalLowerBound
 
 
 @dataclass
@@ -119,10 +118,6 @@ class _RankState:
     calls: int = 0
     rng_state: Optional[dict] = None
     complete: bool = False
-    #: Snapshot of the counter's split ledger at this boundary (pruned
-    #: runs); checkpoints persist it so a resumed run's pruning stats
-    #: carry on from where the interrupted run stopped.
-    ledger: Optional[dict] = None
 
 
 class _CandidateSet:
@@ -355,11 +350,9 @@ def find_discord(
     cache: Optional[_CandidateSet] = None,
     budget: Optional[SearchBudget] = None,
     n_workers: int = 1,
-    prune: bool = False,
     metrics=None,
     _state: Optional[_RankState] = None,
     _on_boundary: Optional[Callable[[_RankState, list[RuleInterval]], None]] = None,
-    _lower_bound: Optional[IntervalLowerBound] = None,
 ) -> tuple[Optional[Discord], DistanceCounter]:
     """Find the single best variable-length discord (paper Algorithm 1).
 
@@ -401,14 +394,6 @@ def find_discord(
         :mod:`repro.parallel`).  Results — discord, rank, distance-call
         count, checkpoint contents — are bit-identical to the serial
         run for any value; 1 (the default) keeps everything in-process.
-    prune:
-        Opt into the admissible lower-bound cascade
-        (:class:`~repro.timeseries.lowerbound.IntervalLowerBound`,
-        honouring the paper's Eq. 1 length normalization): candidate
-        pairs whose bound certifies ``dist >= nearest`` skip the true
-        distance kernel.  Discords, distances, ranks, and the logical
-        ``counter.calls`` are bit-identical; the counter's split ledger
-        reports how many kernels were avoided.
     metrics:
         Optional :class:`~repro.observability.metrics.MetricsRegistry`.
         When enabled, the search counts candidates visited / abandoned /
@@ -455,9 +440,6 @@ def find_discord(
     if cache is None:
         cache = _CandidateSet(series, candidates)
     ordering = _InnerOrdering(candidates)
-    lb = _lower_bound if prune else None
-    if prune and lb is None:
-        lb = IntervalLowerBound(cache)
 
     # Outer ordering: ascending rule usage (gaps first), deterministic
     # tie-break by position.
@@ -499,11 +481,6 @@ def find_discord(
             has_channel=has_channel,
             capture_rng=capture_rng,
             on_boundary=_on_boundary,
-            lb_config=(
-                {"segments": lb.segments, "alphabet_size": lb.alphabet_size}
-                if lb is not None
-                else None
-            ),
             metrics=metrics,
         )
         best_dist = state.best_dist
@@ -533,7 +510,6 @@ def find_discord(
             # point a checkpoint resumes from.
             state.outer_index = i
             state.calls = counter.calls
-            state.ledger = counter.ledger()
             if capture_rng:
                 state.rng_state = rng_state_to_json(rng)
             if budget.interrupted(counter.calls) is not None:
@@ -544,46 +520,37 @@ def find_discord(
             p_start = p.start
             p_length = p.end - p_start
             nearest = math.inf
-            pruned = False
+            abandoned = False
             # Pair visits are tallied locally and flushed once per
             # candidate; the flush sits in ``finally`` so an interrupt
             # mid-scan leaves the counter exactly where per-pair
             # counting would have (the interrupted pair included).
-            kernel_calls = lb_calls = lb_pruned = 0
+            kernel_calls = 0
             try:
                 for q in ordering.order(p, rng):
                     # Paper line 7: skip p itself and trivial self matches.
                     if abs(p_start - q.start) <= p_length:
                         continue
-                    if lb is not None and nearest < math.inf:
-                        lb_calls += 1
-                        if lb.pair_exceeds(p, q, nearest):
-                            # dist >= LB >= nearest >= best_dist: the pair
-                            # can neither break nor lower nearest; skip the
-                            # kernel, keep the logical call.
-                            lb_pruned += 1
-                            continue
                     kernel_calls += 1
                     dist = distance(p, q)
                     if dist < best_dist:
-                        pruned = True  # p cannot beat the current best discord
+                        # p cannot beat the current best discord.
+                        abandoned = True
                         break
                     if dist < nearest:
                         nearest = dist
             finally:
-                counter.lb_batch(lb_calls)
-                counter.pruned_batch(lb_pruned)
                 counter.batch(kernel_calls)
             if instrumented:
                 m_visited.inc()
-                if pruned:
+                if abandoned:
                     m_abandoned.inc()
                     # state.calls still holds the boundary value, so the
                     # delta is this candidate's inner-loop cost.
                     m_depth.observe(counter.calls - state.calls)
                 else:
                     m_survived.inc()
-            if not pruned and nearest < math.inf and nearest > best_dist:
+            if not abandoned and nearest < math.inf and nearest > best_dist:
                 best_dist = nearest
                 best_candidate = p
                 state.best_dist = nearest
@@ -593,7 +560,6 @@ def find_discord(
         else:
             state.outer_index = len(outer)
             state.calls = counter.calls
-            state.ledger = counter.ledger()
             if capture_rng:
                 state.rng_state = rng_state_to_json(rng)
             state.complete = True
@@ -655,7 +621,6 @@ def find_discords(
     checkpoint_every: int = 32,
     resume_from: Optional[str] = None,
     n_workers: int = 1,
-    prune: bool = False,
     metrics=None,
     cache=None,
     context=None,
@@ -698,13 +663,6 @@ def find_discords(
         counts, and checkpoints are bit-identical to the serial run for
         any value; checkpoints written by a serial run can be resumed by
         a parallel one and vice versa.
-    prune:
-        Opt into the admissible lower-bound cascade for every rank (see
-        :func:`find_discord`).  Results and logical call counts are
-        bit-identical; the pruning ledger is carried through
-        checkpoints, so interrupted pruned runs resume with their stats
-        intact.  Pruned and unpruned checkpoints are deliberately not
-        interchangeable (the fingerprint covers *prune*).
     metrics:
         Optional :class:`~repro.observability.metrics.MetricsRegistry`.
         Each rank becomes a ``search.rank`` span closed by a
@@ -715,8 +673,8 @@ def find_discords(
     cache:
         Optional :class:`~repro.cache.store.ResultCache`.  An identical
         previous search (same series, candidates, parameters, backend,
-        prune flag, and RNG state) is served from disk: same discords,
-        same split-ledger increments applied to *counter*, flagged
+        and RNG state) is served from disk: same discords, same
+        call-ledger increments applied to *counter*, flagged
         ``from_cache=True`` — and the hit short-circuits checkpointing
         entirely.  Only complete, untruncated results are ever stored;
         a resumed search that runs to completion populates the cache
@@ -744,7 +702,9 @@ def find_discords(
     metrics = ensure_metrics(metrics)
     budget.bind_metrics(metrics)
 
-    result = RRAResult(candidate_count=len(list(intervals)))
+    # Materialized once: an iterator would be used up by the count.
+    intervals = list(intervals)
+    result = RRAResult(candidate_count=len(intervals))
     valid = [
         iv for iv in intervals if iv.end <= series.size and iv.length >= 2
     ]
@@ -767,15 +727,14 @@ def find_discords(
             params={
                 "num_discords": int(num_discords),
                 "backend": backend,
-                "prune": bool(prune),
             },
             rng=rng,
         )
         entry = cache.get(result_cache_key)
         if entry is not None:
             # Hit: the stored discords and ledger increments, applied to
-            # the live counter — and no candidate set, no lower bound,
-            # no checkpoint writes.
+            # the live counter — and no candidate set, no checkpoint
+            # writes.
             apply_ledger_delta(counter, entry["ledger"])
             for item in entry["discords"]:
                 result.discords.append(_discord_from_json(item))
@@ -792,14 +751,13 @@ def find_discords(
         candidate_cache = context.rra_candidate_set(series, valid)
     else:
         candidate_cache = _CandidateSet(series, valid)
-    lower_bound = IntervalLowerBound(candidate_cache) if prune else None
 
     fingerprint: Optional[str] = None
     if checkpoint_path is not None or resume_from is not None:
         fingerprint = search_fingerprint(
             series,
             valid,
-            {"num_discords": num_discords, "backend": backend, "prune": prune},
+            {"num_discords": num_discords, "backend": backend},
         )
 
     def _store_complete() -> None:
@@ -833,11 +791,7 @@ def find_discords(
             result.discords.append(_discord_from_json(entry))
             result.rank_complete.append(True)
         exclusions = [tuple(pair) for pair in data.get("exclusions", [])]
-        if data.get("ledger") is not None:
-            counter.restore_ledger(data["ledger"])
-        else:
-            counter.calls = int(data["distance_calls"])
-            counter.true_calls = counter.calls
+        counter.restore_ledger(data["ledger"])
         if result_cache_key is not None:
             # restore_ledger is an absolute overwrite: the counter now
             # holds the prior partial run's full tally, so a zero
@@ -866,7 +820,6 @@ def find_discords(
             best_dist=float(data["best_dist"]),
             best_key=tuple(best_key) if best_key is not None else None,
             calls=counter.calls,
-            ledger=counter.ledger(),
         )
 
     # -- checkpoint plumbing -------------------------------------------
@@ -903,7 +856,7 @@ def find_discords(
                 "best_dist": state.best_dist,
                 "best_key": list(state.best_key) if state.best_key else None,
                 "distance_calls": state.calls,
-                "ledger": state.ledger,
+                "ledger": {"calls": state.calls},
                 "rng_state": state.rng_state,
                 "candidate_count": len(valid),
                 "done": done,
@@ -944,11 +897,9 @@ def find_discords(
                 cache=candidate_cache,
                 budget=budget,
                 n_workers=n_workers,
-                prune=prune,
                 metrics=metrics,
                 _state=state,
                 _on_boundary=on_boundary,
-                _lower_bound=lower_bound,
             )
         if metrics.enabled:
             emit_rank_event(
@@ -1006,11 +957,7 @@ def find_discords(
         if checkpoint_path is not None:
             current_rank[0] = rank + 1
             _write(
-                _RankState(
-                    calls=counter.calls,
-                    rng_state=rng_state_to_json(rng),
-                    ledger=counter.ledger(),
-                ),
+                _RankState(calls=counter.calls, rng_state=rng_state_to_json(rng)),
                 [],
                 done=(rank + 1 >= num_discords),
             )

@@ -12,28 +12,14 @@ serial trajectory is then *replayed* over the precomputed distances.
 The replay is the determinism core.  Per candidate it walks the exact
 block schedule of the kernel scans (8, x4 growth, 2048 cap) over the
 tile's precomputed values, applying the identical nearest-so-far /
-first-below / lower-bound logic — so discords, ranks, and the split
-call ledger (``calls == true_calls + pruned``) match the other
-backends, which the golden-count suite enforces.
+first-below logic — so discords, ranks, and the call count match the
+other backends, which the golden-count suite enforces.
 
-Tile-wise work avoidance, all provably trajectory-preserving:
-
-* **Early-abandon row drop** — a candidate whose first-block (head)
-  minimum is already below the tile-start threshold *floor* never needs
-  its tail distances: the serial threshold only grows, so the replay is
-  guaranteed to break inside the head.  Its GEMM row is skipped.
-* **Lower-bound row closure** (``prune`` only) — a candidate whose
-  stage-1 MINDIST bound certifies every tail pair against the
-  post-head nearest can skip the GEMM too: the replay's ``block_keep``
-  would discard every tail block wholesale.  This is deterministically
-  sound, not merely float-robust, because the closure test and the
-  replay compare the *same* stage-1 values — the tile MINDIST kernel
-  (:func:`repro.sax.mindist.mindist_sq_tile`) is bit-identical per
-  pair to the one-vs-block kernel, and the replay receives the tile's
-  values through ``block_keep(..., stage1_sq=...)``.
-* Stage-2 (PAA) pruning deliberately runs only inside the replay's
-  ``block_keep``, on stage-1 survivors, exactly as the kernel scan
-  does — never as a tile-wise physical mask.
+Tile-wise work avoidance is trajectory-preserving: a candidate whose
+first-block (head) minimum is already below the tile-start threshold
+*floor* never needs its tail distances — the serial threshold only
+grows, so the replay is guaranteed to break inside the head — and its
+GEMM row is skipped.
 
 Two drivers share the machinery: :func:`batch_serial_scan` for the
 engines' serial outer loops (updating the live counter/metrics), and
@@ -53,11 +39,9 @@ import numpy as np
 from repro.exceptions import DiscordSearchError
 from repro.observability.metrics import ensure_metrics
 from repro.resilience.budget import SearchBudget
-from repro.sax.mindist import mindist_sq_tile
 from repro.timeseries import kernels
 from repro.timeseries.array_api import ArrayNamespace
 from repro.timeseries.distance import DistanceCounter
-from repro.timeseries.lowerbound import WindowLowerBound
 
 __all__ = [
     "HEAD_BLOCK",
@@ -93,43 +77,35 @@ class RowScan:
     ``head`` always holds the first ``min(HEAD_BLOCK, len(order))``
     distances.  ``tail`` holds the remaining distances, or ``None``
     when the classifier proved they are unreachable (early-abandon
-    drop) or wholly prunable (``closed``).  ``stage1`` carries the
-    squared stage-1 MINDIST bounds for the tail (pruning runs only),
-    so the replay's ``block_keep`` reuses the exact classification
-    floats.
+    drop).
     """
 
     position: int
     order: np.ndarray
     head: np.ndarray
     tail: Optional[np.ndarray] = None
-    stage1: Optional[np.ndarray] = None
-    closed: bool = False
 
 
 class TileScanner:
     """Classifies tiles of candidates and precomputes their distances.
 
     Built once per search from the z-normalized window matrix and its
-    row norms (plus the active :class:`WindowLowerBound` when pruning).
-    :meth:`prepare` turns one tile of (position, inner order) pairs
-    into :class:`RowScan` rows ready for replay/recording.
+    row norms.  :meth:`prepare` turns one tile of (position, inner
+    order) pairs into :class:`RowScan` rows ready for replay/recording.
     """
 
-    __slots__ = ("normalized", "sqnorms", "lb", "xp", "tile_rows")
+    __slots__ = ("normalized", "sqnorms", "xp", "tile_rows")
 
     def __init__(
         self,
         normalized: np.ndarray,
         sqnorms: np.ndarray,
         *,
-        lb: Optional[WindowLowerBound] = None,
         xp: Optional[ArrayNamespace] = None,
         tile_rows: Optional[int] = None,
     ):
         self.normalized = normalized
         self.sqnorms = sqnorms
-        self.lb = lb
         self.xp = xp
         if tile_rows is None:
             tile_rows = DEFAULT_TILE_ROWS
@@ -192,27 +168,6 @@ class TileScanner:
                 continue  # dropped: the replay breaks inside the head
             open_rows.append(i)
 
-        if open_rows and self.lb is not None:
-            lb = self.lb
-            sel = positions[open_rows]
-            stage1_tile = mindist_sq_tile(
-                lb.letters[sel], lb.letters, lb.alphabet_size, lb.scale_sq
-            )
-            still_open: list[int] = []
-            for j, i in enumerate(open_rows):
-                row = rows[i]
-                stage1 = stage1_tile[j, row.order[HEAD_BLOCK:]]
-                nu = float(row.head.min())
-                if bool(np.all(stage1 >= nu * nu)):
-                    # Every tail block's block_keep (threshold nu**2,
-                    # unchanged while everything is pruned) discards the
-                    # whole block — no tail distance can ever be read.
-                    row.closed = True
-                else:
-                    row.stage1 = stage1
-                    still_open.append(i)
-            open_rows = still_open
-
         if open_rows:
             sel = positions[open_rows]
             tile_sq = kernels.all_pairs_sq_euclidean_tile(
@@ -228,95 +183,47 @@ class TileScanner:
         return rows
 
 
-def replay_row(
-    row: RowScan,
-    threshold: float,
-    lb: Optional[WindowLowerBound] = None,
-) -> tuple[float, int, int, int, bool]:
+def replay_row(row: RowScan, threshold: float) -> tuple[float, int, bool]:
     """Replay one candidate's serial inner scan over precomputed values.
 
-    Mirrors ``_kernel_inner_scan`` / ``_kernel_inner_scan_lb`` exactly
-    (block schedule, first-below stop, lower-bound cascade against the
-    running nearest at block start).  Returns
-    ``(nearest, consumed, true_count, lb_evals, stopped)`` with the
-    same meaning as the kernel scans: *consumed* is the logical pair
-    count, *true_count* how many pairs reached a distance evaluation.
+    Mirrors ``_kernel_inner_scan`` exactly (block schedule, first-below
+    stop).  Returns ``(nearest, consumed, stopped)`` with the same
+    meaning as the kernel scan: *consumed* is the logical pair count.
     """
     order = row.order
     n = order.size
     head_size = row.head.size
     nearest = float("inf")
     consumed = 0
-    true_count = 0
-    lb_evals = 0
     block = HEAD_BLOCK
     start = 0
     while start < n:
         size = min(block, n - start)
         if start == 0:
-            keep_positions = None
             dists = row.head[:size]
         else:
-            if lb is not None and math.isfinite(nearest):
-                lb_evals += size
-                if row.closed:
-                    consumed += size
-                    start += size
-                    block = min(block * 4, 2048)
-                    continue
-                keep = lb.block_keep(
-                    row.position,
-                    order[start : start + size],
-                    nearest,
-                    stage1_sq=row.stage1[start - head_size : start - head_size + size],
-                )
-                keep_positions = np.flatnonzero(keep)
-                if keep_positions.size == 0:
-                    consumed += size
-                    start += size
-                    block = min(block * 4, 2048)
-                    continue
-            else:
-                keep_positions = None
             if row.tail is None:
                 raise DiscordSearchError(_INCONSISTENT)
-            seg = row.tail[start - head_size : start - head_size + size]
-            dists = seg if keep_positions is None else seg[keep_positions]
+            dists = row.tail[start - head_size : start - head_size + size]
         hit = kernels.first_below(dists, threshold)
         if hit >= 0:
-            logical = (
-                int(hit) if keep_positions is None
-                else int(keep_positions[int(hit)])
-            )
-            return (
-                nearest,
-                consumed + logical + 1,
-                true_count + int(hit) + 1,
-                lb_evals,
-                True,
-            )
+            return nearest, consumed + int(hit) + 1, True
         consumed += size
-        true_count += int(dists.size)
         block_min = float(dists.min())
         if block_min < nearest:
             nearest = block_min
         start += size
         block = min(block * 4, 2048)
-    return nearest, consumed, true_count, lb_evals, False
+    return nearest, consumed, False
 
 
-def record_row(
-    row: RowScan,
-    threshold: float,
-    lb: Optional[WindowLowerBound] = None,
-):
+def record_row(row: RowScan, threshold: float):
     """Recording replay for the parallel workers.
 
     Produces the same record a kernel recording scan
     (``_record_kernel_blocks`` / ``_record_kernel_row``) would: the
-    logical scanned count, the strict running-minimum points, the
-    completion flag, and — with *lb* — the pruned prefix counts the
-    serial merge needs.  Returns a
+    logical scanned count, the strict running-minimum points, and the
+    completion flag.  Returns a
     :class:`repro.parallel.scan.CandidateScan` (imported lazily to keep
     this module independent of the parallel layer).
     """
@@ -326,46 +233,18 @@ def record_row(
     n = order.size
     head_size = row.head.size
     minima: list = []
-    pruned_prefix: Optional[list] = [] if lb is not None else None
     nearest = float("inf")
     scanned = 0
-    pruned_cum = 0
-    lb_evals = 0
     block = HEAD_BLOCK
     start = 0
     while start < n:
         size = min(block, n - start)
         if start == 0:
-            keep_positions = None
             dists = row.head[:size]
         else:
-            if lb is not None and math.isfinite(nearest):
-                lb_evals += size
-                if row.closed:
-                    scanned += size
-                    pruned_cum += size
-                    start += size
-                    block = min(block * 4, 2048)
-                    continue
-                keep = lb.block_keep(
-                    row.position,
-                    order[start : start + size],
-                    nearest,
-                    stage1_sq=row.stage1[start - head_size : start - head_size + size],
-                )
-                keep_positions = np.flatnonzero(keep)
-                if keep_positions.size == 0:
-                    scanned += size
-                    pruned_cum += size
-                    start += size
-                    block = min(block * 4, 2048)
-                    continue
-            else:
-                keep_positions = None
             if row.tail is None:
                 raise DiscordSearchError(_INCONSISTENT)
-            seg = row.tail[start - head_size : start - head_size + size]
-            dists = seg if keep_positions is None else seg[keep_positions]
+            dists = row.tail[start - head_size : start - head_size + size]
         hit = kernels.first_below(dists, threshold)
         limit = int(hit) + 1 if hit >= 0 else int(dists.size)
         if limit:
@@ -374,35 +253,14 @@ def record_row(
                 value = float(value)
                 if value < nearest:
                     nearest = value
-                    logical_j = (
-                        int(j) if keep_positions is None
-                        else int(keep_positions[int(j)])
-                    )
-                    minima.append((scanned + logical_j + 1, value))
-                    if pruned_prefix is not None:
-                        pruned_prefix.append(pruned_cum + (logical_j - int(j)))
+                    minima.append((scanned + int(j) + 1, value))
         if hit >= 0:
-            logical_hit = (
-                int(hit) if keep_positions is None
-                else int(keep_positions[int(hit)])
-            )
-            scanned += logical_hit + 1
-            pruned_cum += logical_hit - int(hit)
-            return CandidateScan(
-                row.position, scanned, minima, False,
-                pruned_prefix=pruned_prefix, pruned_total=pruned_cum,
-                lb_evals=lb_evals,
-            )
+            scanned += int(hit) + 1
+            return CandidateScan(row.position, scanned, minima, False)
         scanned += size
-        if keep_positions is not None:
-            pruned_cum += size - int(keep_positions.size)
         start += size
         block = min(block * 4, 2048)
-    return CandidateScan(
-        row.position, scanned, minima, True,
-        pruned_prefix=pruned_prefix, pruned_total=pruned_cum,
-        lb_evals=lb_evals,
-    )
+    return CandidateScan(row.position, scanned, minima, True)
 
 
 def batch_serial_scan(
@@ -413,7 +271,6 @@ def batch_serial_scan(
     abandon: bool,
     counter: DistanceCounter,
     budget: SearchBudget,
-    lb: Optional[WindowLowerBound] = None,
     metrics=None,
     init_best: float = -1.0,
     band: Optional[int] = None,
@@ -431,12 +288,12 @@ def batch_serial_scan(
 
     *band*, when given, declares that ``make_order(p)`` enumerates
     exactly the rows with ``|q - p| > band`` (brute force's trivial-match
-    exclusion).  With early abandoning and the lower bound both off that
-    makes the inner order irrelevant — every pair is evaluated and the
-    nearest neighbour is the set minimum — so the scan takes a dense
-    fast path: one GEMM per tile, a vectorized banded row minimum, and
-    an arithmetic ``consumed`` count, never materializing orders or
-    replaying block schedules.  The ledger is identical (``consumed ==
+    exclusion).  With early abandoning off that makes the inner order
+    irrelevant — every pair is evaluated and the nearest neighbour is
+    the set minimum — so the scan takes a dense fast path: one GEMM per
+    tile, a vectorized banded row minimum, and an arithmetic
+    ``consumed`` count, never materializing orders or replaying block
+    schedules.  The ledger is identical (``consumed ==
     order.size`` for a completed full scan) and ``sqrt`` is monotone, so
     the scores match the replay's bit for bit given the same squared
     distances.
@@ -453,7 +310,7 @@ def batch_serial_scan(
     best_pos: Optional[int] = None
     pos_list = [int(p) for p in positions]
     step = scanner.tile_rows
-    if band is not None and not abandon and lb is None:
+    if band is not None and not abandon:
         k = scanner.normalized.shape[0]
         for lo in range(0, len(pos_list), step):
             tile = pos_list[lo : lo + step]
@@ -494,15 +351,8 @@ def batch_serial_scan(
             if budget.interrupted(counter.calls) is not None:
                 return best, best_pos
             threshold = best if abandon else float("-inf")
-            nearest, consumed, true_count, lb_evals, stopped = replay_row(
-                row, threshold, lb
-            )
-            if lb is not None:
-                counter.batch(true_count)
-                counter.pruned_batch(consumed - true_count)
-                counter.lb_batch(lb_evals)
-            else:
-                counter.batch(consumed)
+            nearest, consumed, stopped = replay_row(row, threshold)
+            counter.batch(consumed)
             if instrumented:
                 m_visited.inc()
                 if stopped:

@@ -19,18 +19,13 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.core.anomaly import Discord
-from repro.discord.search import (
-    _kernel_inner_scan_lb,
-    emit_rank_event,
-    validate_backend,
-)
+from repro.discord.search import emit_rank_event, validate_backend
 from repro.exceptions import DiscordSearchError
 from repro.observability.metrics import ensure_metrics
 from repro.parallel.pool import MIN_PARALLEL_CANDIDATES, effective_workers
 from repro.resilience.budget import SearchBudget, SearchStatus
 from repro.timeseries import kernels
 from repro.timeseries.distance import DistanceCounter
-from repro.timeseries.lowerbound import WindowLowerBound
 from repro.timeseries.windows import num_windows
 
 
@@ -61,8 +56,6 @@ def brute_force_discord(
     backend: str = "kernel",
     budget: Optional[SearchBudget] = None,
     n_workers: int = 1,
-    prune: bool = False,
-    lower_bound: Optional[WindowLowerBound] = None,
     windows: Optional[kernels.WindowMatrix] = None,
     metrics=None,
 ) -> tuple[Optional[Discord], DistanceCounter]:
@@ -96,16 +89,6 @@ def brute_force_discord(
         Shard the outer loop across this many worker processes (see
         :mod:`repro.parallel`); results and call counts are
         bit-identical to the serial scan for any value.
-    prune:
-        Opt into the admissible lower-bound cascade
-        (:mod:`repro.timeseries.lowerbound`): a SAX/PAA discretization
-        of the windows lets most kernel invocations be skipped while
-        every pair still counts as one logical call — the paper's
-        brute-force accounting (with or without *early_abandon*) is
-        unchanged, as are the results.
-    lower_bound:
-        Prebuilt pruner to reuse across ranks; built on the fly when
-        *prune* is set without one.
     windows:
         Prebuilt :class:`~repro.timeseries.kernels.WindowMatrix` to
         reuse across ranks (one normalization + row-norm pass per
@@ -136,10 +119,6 @@ def brute_force_discord(
     normalized = windows.normalized
     sqnorms = windows.sqnorms if backend in ("kernel", "batch") else None
 
-    lb = lower_bound if prune else None
-    if prune and lb is None:
-        lb = WindowLowerBound.from_normalized_windows(normalized, window)
-
     best_dist = -1.0
     best_pos = None
     workers = effective_workers(n_workers)
@@ -154,13 +133,12 @@ def brute_force_discord(
             window=window,
             exclude=exclude,
             backend=backend,
-            prune=early_abandon,
+            abandon=early_abandon,
             counter=counter,
             rng=None,
             budget=budget,
             n_workers=workers,
             has_channel=has_channel,
-            lb=lb,
             metrics=metrics,
         )
     else:
@@ -168,7 +146,7 @@ def brute_force_discord(
             best_dist, best_pos = _brute_force_scan(
                 normalized, sqnorms, k, window, counter, budget,
                 early_abandon=early_abandon, exclude=exclude, backend=backend,
-                lb=lb, metrics=metrics,
+                metrics=metrics,
             )
         except KeyboardInterrupt:
             if not has_channel:
@@ -200,7 +178,6 @@ def _brute_force_scan(
     early_abandon: bool,
     exclude: tuple[tuple[int, int], ...],
     backend: str,
-    lb: Optional[WindowLowerBound] = None,
     metrics=None,
 ) -> tuple[float, Optional[int]]:
     """The exhaustive outer/inner loop; returns (best_dist, best_pos)."""
@@ -217,10 +194,10 @@ def _brute_force_scan(
         def make_order(p: int) -> np.ndarray:
             return arange[np.abs(arange - p) > window]
 
-        scanner = batch.TileScanner(normalized, sqnorms, lb=lb)
+        scanner = batch.TileScanner(normalized, sqnorms)
         return batch.batch_serial_scan(
             scanner, active, make_order,
-            abandon=early_abandon, counter=counter, budget=budget, lb=lb,
+            abandon=early_abandon, counter=counter, budget=budget,
             metrics=metrics, init_best=-1.0, band=window,
         )
     instrumented = metrics.enabled
@@ -240,28 +217,11 @@ def _brute_force_scan(
         if instrumented:
             calls_at_entry = counter.calls
         nearest = float("inf")
-        pruned = False
-        if backend == "kernel" and lb is not None:
-            # With the lower-bound cascade the full-row matvec would
-            # waste the pruning (the whole row is computed up front), so
-            # the candidate is scanned in the same ascending pair order
-            # via growing blocks — results identical, kernels skipped.
-            # A -inf threshold disables early abandoning exactly (the
-            # break fires strictly below the threshold).
-            order = (q for q in range(k) if abs(p - q) > window)
-            threshold = best_dist if early_abandon else float("-inf")
-            nearest, consumed, true_count, lb_evals, pruned = (
-                _kernel_inner_scan_lb(
-                    normalized, sqnorms, p, order, threshold, lb
-                )
-            )
-            counter.batch(true_count)
-            counter.pruned_batch(consumed - true_count)
-            counter.lb_batch(lb_evals)
-        elif backend == "kernel":
+        abandoned = False
+        if backend == "kernel":
             # One matrix-vector product yields the candidate's entire
-            # distance row; the scalar prune logic is replayed on it so
-            # the logical call count stays identical.
+            # distance row; the scalar early-abandon logic is replayed on
+            # it so the logical call count stays identical.
             sq_row = kernels.one_vs_all_sq_euclidean(
                 normalized[p], normalized, query_sqnorm=sqnorms[p], sqnorms=sqnorms
             )
@@ -272,8 +232,8 @@ def _brute_force_scan(
                 hit = kernels.first_below(dists, best_dist)
                 if hit >= 0:
                     counter.batch(hit + 1)
-                    pruned = True
-            if not pruned:
+                    abandoned = True
+            if not abandoned:
                 counter.batch(dists.size)
                 if dists.size:
                     nearest = float(dists.min())
@@ -281,14 +241,6 @@ def _brute_force_scan(
             for q in range(k):
                 if abs(p - q) <= window:
                     continue
-                if lb is not None and np.isfinite(nearest):
-                    counter.lb_batch(1)
-                    if lb.pair_exceeds(p, q, nearest):
-                        # dist >= LB >= nearest: cannot lower the
-                        # minimum, cannot beat best_dist — skip the
-                        # kernel, keep the logical call.
-                        counter.pruned_batch(1)
-                        continue
                 # Abandoning beyond `nearest` never loses information:
                 # while the candidate is alive, nearest >= best_dist, so
                 # an abandoned (inf) result can trigger neither branch
@@ -296,18 +248,18 @@ def _brute_force_scan(
                 cutoff = nearest if early_abandon else float("inf")
                 dist = counter.euclidean(normalized[p], normalized[q], cutoff=cutoff)
                 if early_abandon and dist < best_dist:
-                    pruned = True
+                    abandoned = True
                     break
                 if dist < nearest:
                     nearest = dist
         if instrumented:
             m_visited.inc()
-            if pruned:
+            if abandoned:
                 m_abandoned.inc()
                 m_depth.observe(counter.calls - calls_at_entry)
             else:
                 m_survived.inc()
-        if not pruned and np.isfinite(nearest) and nearest > best_dist:
+        if not abandoned and np.isfinite(nearest) and nearest > best_dist:
             best_dist = nearest
             best_pos = p
             if instrumented:
@@ -360,7 +312,6 @@ def brute_force_discords(
     backend: str = "kernel",
     budget: Optional[SearchBudget] = None,
     n_workers: int = 1,
-    prune: bool = False,
     metrics=None,
     cache=None,
     context=None,
@@ -368,8 +319,8 @@ def brute_force_discords(
     """Ranked top-k fixed-length discords by exhaustive search (anytime).
 
     *cache* serves an identical previous search from disk (discords +
-    split ledger, ``from_cache=True``); *context* shares the window
-    matrix and pruning tables across searches.  Both default to
+    call ledger, ``from_cache=True``); *context* shares the window
+    matrix across searches.  Both default to
     ``None`` — the unconfigured path is byte-identical to the pre-cache
     code.
     """
@@ -399,7 +350,6 @@ def brute_force_discords(
                 "num_discords": int(num_discords),
                 "early_abandon": bool(early_abandon),
                 "backend": backend,
-                "prune": bool(prune),
             },
         )
         entry = cache.get(cache_key)
@@ -419,9 +369,6 @@ def brute_force_discords(
     budget.bind_metrics(metrics)
     if context is not None:
         windows = context.window_matrix(series, window)
-        lower_bound = (
-            context.window_lower_bound(series, window) if prune else None
-        )
     else:
         # Deferred for degenerate inputs so brute_force_discord still
         # raises its own (tested) validation error.
@@ -430,11 +377,6 @@ def brute_force_discords(
             if num_windows(series.size, window) >= 2
             else None
         )
-        lower_bound = None
-        if prune and windows is not None:
-            lower_bound = WindowLowerBound.from_normalized_windows(
-                windows.normalized, window
-            )
     discords: list[Discord] = []
     rank_complete: list[bool] = []
     exclusions: list[tuple[int, int]] = []
@@ -450,8 +392,6 @@ def brute_force_discords(
                 backend=backend,
                 budget=budget,
                 n_workers=n_workers,
-                prune=prune,
-                lower_bound=lower_bound,
                 windows=windows,
                 metrics=metrics,
             )

@@ -149,15 +149,9 @@ def haar_discord(
     backend: str = "kernel",
     budget: Optional[SearchBudget] = None,
     n_workers: int = 1,
-    prune: bool = False,
     metrics=None,
 ) -> tuple[Optional[Discord], DistanceCounter]:
-    """Best fixed-length discord with Haar-word loop ordering (exact).
-
-    *prune* opts into the admissible SAX/PAA lower-bound cascade (a
-    pruning-only discretization of the windows; the Haar bucketing is
-    untouched).  Results and logical call counts are bit-identical.
-    """
+    """Best fixed-length discord with Haar-word loop ordering (exact)."""
     series = np.asarray(series, dtype=float)
     windows, bucket_fn = _shared_bucketing(series, window, num_coefficients)
     return ordered_discord_search(
@@ -171,7 +165,6 @@ def haar_discord(
         backend=backend,
         budget=budget,
         n_workers=n_workers,
-        prune=prune,
         windows=windows,
         metrics=metrics,
     )
@@ -188,7 +181,6 @@ def haar_discords(
     backend: str = "kernel",
     budget: Optional[SearchBudget] = None,
     n_workers: int = 1,
-    prune: bool = False,
     metrics=None,
     cache=None,
     context=None,
@@ -196,8 +188,8 @@ def haar_discords(
     """Ranked top-k discords with Haar-word loop ordering (anytime).
 
     *cache* serves an identical previous search from disk (discords +
-    split ledger, ``from_cache=True``); *context* shares the window
-    matrix, Haar words, and pruning tables across searches.  Both
+    call ledger, ``from_cache=True``); *context* shares the window
+    matrix and Haar words across searches.  Both
     default to ``None`` — the unconfigured path is byte-identical to
     the pre-cache code.
     """
@@ -228,7 +220,6 @@ def haar_discords(
                 "num_discords": int(num_discords),
                 "num_coefficients": int(num_coefficients),
                 "backend": backend,
-                "prune": bool(prune),
             },
             rng=rng,
         )
@@ -245,13 +236,10 @@ def haar_discords(
                 from_cache=True,
             )
         ledger_before = counter.ledger()
-    lower_bound = None
     if context is not None:
         windows, bucket_fn = context.haar_bucketing(
             series, window, num_coefficients
         )
-        if prune:
-            lower_bound = context.window_lower_bound(series, window)
     else:
         windows, bucket_fn = _shared_bucketing(series, window, num_coefficients)
     discords, counter, rank_complete = iterated_search(
@@ -265,8 +253,6 @@ def haar_discords(
         backend=backend,
         budget=budget,
         n_workers=n_workers,
-        prune=prune,
-        lower_bound=lower_bound,
         windows=windows,
         metrics=metrics,
     )

@@ -25,11 +25,9 @@ import numpy as np
 from repro.core.anomaly import Discord
 from repro.discord.search import iterated_search, ordered_discord_search
 from repro.resilience.budget import SearchBudget, SearchStatus
-from repro.sax.alphabet import alphabet_letters
-from repro.sax.mindist import letter_indices
+from repro.sax.alphabet import alphabet_letters, letter_indices
 from repro.timeseries import kernels
 from repro.timeseries.distance import DistanceCounter
-from repro.timeseries.lowerbound import WindowLowerBound
 from repro.timeseries.paa import paa_batch
 from repro.timeseries.windows import num_windows, sliding_windows
 from repro.timeseries.znorm import znorm_rows
@@ -63,14 +61,12 @@ class HOTSAXResult:
 class SAXWindowDiscretization:
     """One-shot SAX discretization of every sliding window, kept around.
 
-    The per-window PAA values, SAX letter indices, and joined words are
-    all computed in a single pass and cached on the search, so HOTSAX's
-    bucket ordering and the MINDIST pruning stage share them instead of
-    re-discretizing — once per search rather than once per rank and once
-    per consumer.
+    The per-window SAX words are computed in a single pass and cached on
+    the search, so HOTSAX's bucket ordering discretizes once per search
+    rather than once per rank.
     """
 
-    __slots__ = ("window", "paa_size", "alphabet_size", "paa_values", "letters", "words")
+    __slots__ = ("window", "paa_size", "alphabet_size", "words")
 
     def __init__(
         self,
@@ -86,16 +82,9 @@ class SAXWindowDiscretization:
         self.window = window
         self.paa_size = paa_size
         self.alphabet_size = alphabet_size
-        self.paa_values = paa_batch(normalized, paa_size)
-        self.letters = letter_indices(self.paa_values, alphabet_size)
+        letters = letter_indices(paa_batch(normalized, paa_size), alphabet_size)
         alphabet = alphabet_letters(alphabet_size)
-        self.words = ["".join(alphabet[i] for i in row) for row in self.letters]
-
-    def lower_bound(self) -> WindowLowerBound:
-        """A MINDIST/PAA pruner over this discretization (zero recompute)."""
-        return WindowLowerBound(
-            self.paa_values, self.window, self.alphabet_size, letters=self.letters
-        )
+        self.words = ["".join(alphabet[i] for i in row) for row in letters]
 
 
 def _sax_words_per_window(
@@ -103,61 +92,6 @@ def _sax_words_per_window(
 ) -> list[str]:
     """SAX word of every sliding window (no numerosity reduction)."""
     return SAXWindowDiscretization(series, window, paa_size, alphabet_size).words
-
-
-def _pruning_bound(
-    series: np.ndarray,
-    window: int,
-    disc: SAXWindowDiscretization,
-    prune_paa_size: Optional[int],
-    prune_alphabet_size: Optional[int],
-    *,
-    normalized: Optional[np.ndarray] = None,
-) -> WindowLowerBound:
-    """The pruner for a HOTSAX search: shared discretization by default.
-
-    With no explicit pruning parameters the bound reuses the search's
-    own SAX words (free); explicit *prune_paa_size* /
-    *prune_alphabet_size* build a finer discretization used only for
-    pruning — tighter bounds at one extra PAA pass, without disturbing
-    the bucket ordering (and hence the call count).
-    """
-    if prune_paa_size is None and prune_alphabet_size is None:
-        return disc.lower_bound()
-    from repro.timeseries.lowerbound import (
-        DEFAULT_PRUNE_ALPHABET_SIZE,
-        DEFAULT_PRUNE_PAA_SIZE,
-    )
-
-    paa = min(window, prune_paa_size or DEFAULT_PRUNE_PAA_SIZE)
-    alpha = prune_alphabet_size or DEFAULT_PRUNE_ALPHABET_SIZE
-    return SAXWindowDiscretization(
-        series, window, paa, alpha, normalized=normalized
-    ).lower_bound()
-
-
-def _context_pruning_bound(
-    context,
-    series: np.ndarray,
-    window: int,
-    paa_size: int,
-    alphabet_size: int,
-    prune_paa_size: Optional[int],
-    prune_alphabet_size: Optional[int],
-) -> WindowLowerBound:
-    """:func:`_pruning_bound` semantics via a shared
-    :class:`~repro.cache.context.SearchContext` — the same
-    discretization parameters resolve to the same memoized tables."""
-    if prune_paa_size is None and prune_alphabet_size is None:
-        return context.sax_lower_bound(series, window, paa_size, alphabet_size)
-    from repro.timeseries.lowerbound import (
-        DEFAULT_PRUNE_ALPHABET_SIZE,
-        DEFAULT_PRUNE_PAA_SIZE,
-    )
-
-    paa = min(window, prune_paa_size or DEFAULT_PRUNE_PAA_SIZE)
-    alpha = prune_alphabet_size or DEFAULT_PRUNE_ALPHABET_SIZE
-    return context.sax_lower_bound(series, window, paa, alpha)
 
 
 def hotsax_discord(
@@ -172,9 +106,6 @@ def hotsax_discord(
     backend: str = "kernel",
     budget: Optional[SearchBudget] = None,
     n_workers: int = 1,
-    prune: bool = False,
-    prune_paa_size: Optional[int] = None,
-    prune_alphabet_size: Optional[int] = None,
     metrics=None,
 ) -> tuple[Optional[Discord], DistanceCounter]:
     """Find the best fixed-length discord with the HOTSAX heuristics.
@@ -201,13 +132,6 @@ def hotsax_discord(
     budget:
         Optional anytime budget; on exhaustion or cancellation the
         best-so-far discord is returned (``budget.status`` says why).
-    prune:
-        Opt into the admissible MINDIST/PAA pruning cascade.  Discords,
-        distances, and ``counter.calls`` are bit-identical; only the
-        number of true kernel invocations drops (see the counter's
-        split ledger).  By default the cascade reuses this search's own
-        SAX discretization; *prune_paa_size* / *prune_alphabet_size*
-        request a finer pruning-only discretization.
     metrics:
         Optional :class:`~repro.observability.MetricsRegistry` recording
         search telemetry (see
@@ -224,14 +148,6 @@ def hotsax_discord(
     disc = SAXWindowDiscretization(
         series, window, paa_size, alphabet_size, normalized=normalized
     )
-    lower_bound = (
-        _pruning_bound(
-            series, window, disc, prune_paa_size, prune_alphabet_size,
-            normalized=normalized,
-        )
-        if prune
-        else None
-    )
     return ordered_discord_search(
         series,
         window,
@@ -243,8 +159,6 @@ def hotsax_discord(
         backend=backend,
         budget=budget,
         n_workers=n_workers,
-        prune=prune,
-        lower_bound=lower_bound,
         windows=windows,
         metrics=metrics,
     )
@@ -262,9 +176,6 @@ def hotsax_discords(
     backend: str = "kernel",
     budget: Optional[SearchBudget] = None,
     n_workers: int = 1,
-    prune: bool = False,
-    prune_paa_size: Optional[int] = None,
-    prune_alphabet_size: Optional[int] = None,
     metrics=None,
     cache=None,
     context=None,
@@ -273,15 +184,14 @@ def hotsax_discords(
 
     Anytime: with a *budget* the result may be truncated — check
     ``result.status`` and ``result.rank_complete``.  The SAX
-    discretization (and, with *prune*, the lower-bound tables derived
-    from it) is computed once and shared across all ranks.
+    discretization is computed once and shared across all ranks.
 
     *cache* (a :class:`~repro.cache.store.ResultCache`) serves an
-    identical previous search from disk — same discords, same split
+    identical previous search from disk — same discords, same call
     ledger applied to *counter*, flagged ``from_cache=True``; only
     complete, untruncated results are ever stored.  *context* (a
     :class:`~repro.cache.context.SearchContext`) shares the window
-    matrix, SAX discretization, and pruning tables across searches.
+    matrix and SAX discretization across searches.
     Both default to ``None`` — the unconfigured path is byte-identical
     to the pre-cache code.
     """
@@ -313,9 +223,6 @@ def hotsax_discords(
                 "paa_size": int(paa_size),
                 "alphabet_size": int(alphabet_size),
                 "backend": backend,
-                "prune": bool(prune),
-                "prune_paa_size": prune_paa_size,
-                "prune_alphabet_size": prune_alphabet_size,
             },
             rng=rng,
         )
@@ -337,14 +244,6 @@ def hotsax_discords(
         disc = context.sax_discretization(
             series, window, paa_size, alphabet_size
         )
-        lower_bound = (
-            _context_pruning_bound(
-                context, series, window, paa_size, alphabet_size,
-                prune_paa_size, prune_alphabet_size,
-            )
-            if prune
-            else None
-        )
     else:
         windows = (
             kernels.WindowMatrix(series, window)
@@ -354,14 +253,6 @@ def hotsax_discords(
         normalized = windows.normalized if windows is not None else None
         disc = SAXWindowDiscretization(
             series, window, paa_size, alphabet_size, normalized=normalized
-        )
-        lower_bound = (
-            _pruning_bound(
-                series, window, disc, prune_paa_size, prune_alphabet_size,
-                normalized=normalized,
-            )
-            if prune
-            else None
         )
     discords, counter, rank_complete = iterated_search(
         series,
@@ -374,8 +265,6 @@ def hotsax_discords(
         backend=backend,
         budget=budget,
         n_workers=n_workers,
-        prune=prune,
-        lower_bound=lower_bound,
         windows=windows,
         metrics=metrics,
     )

@@ -24,7 +24,6 @@ from repro.resilience.budget import SearchBudget, SearchStatus
 from repro.timeseries import kernels
 from repro.timeseries.distance import DistanceCounter
 from repro.timeseries.kernels import BACKENDS, validate_backend  # noqa: F401
-from repro.timeseries.lowerbound import WindowLowerBound
 from repro.timeseries.windows import num_windows
 
 #: A bucketing function: (series, window) -> one hashable key per window.
@@ -43,8 +42,6 @@ def ordered_discord_search(
     backend: str = "kernel",
     budget: Optional[SearchBudget] = None,
     n_workers: int = 1,
-    prune: bool = False,
-    lower_bound: Optional[WindowLowerBound] = None,
     windows: Optional[kernels.WindowMatrix] = None,
     metrics=None,
 ) -> tuple[Optional[Discord], DistanceCounter]:
@@ -77,20 +74,6 @@ def ordered_discord_search(
         Shard the outer loop across this many worker processes (see
         :mod:`repro.parallel`).  The discord and the distance-call
         count are bit-identical to the serial scan for any value.
-    prune:
-        Opt into the admissible lower-bound cascade
-        (:mod:`repro.timeseries.lowerbound`): candidate pairs whose
-        SAX/PAA lower bound already certifies ``dist >= nearest`` skip
-        the Euclidean kernel.  Results and the logical ``counter.calls``
-        are bit-identical either way; the counter's split ledger
-        (``true_calls`` / ``pruned``) records how many kernels were
-        avoided.  The default keeps paper-faithful accounting with zero
-        new work on the hot path.
-    lower_bound:
-        A prebuilt :class:`~repro.timeseries.lowerbound.WindowLowerBound`
-        over the same sliding windows (so a caller that already
-        discretized — HOTSAX — shares it).  Built on the fly from the
-        normalized windows when *prune* is set without one.
     windows:
         A prebuilt :class:`~repro.timeseries.kernels.WindowMatrix` over
         the same series/window, so repeated ranks (and callers that
@@ -136,10 +119,6 @@ def ordered_discord_search(
     normalized = windows.normalized
     sqnorms = windows.sqnorms if backend in ("kernel", "batch") else None
 
-    lb = lower_bound if prune else None
-    if prune and lb is None:
-        lb = WindowLowerBound.from_normalized_windows(normalized, window)
-
     outer = sorted(range(k), key=lambda p: (len(buckets[keys[p]]), p))
 
     best_dist = -1.0
@@ -164,13 +143,12 @@ def ordered_discord_search(
             window=window,
             exclude=exclude,
             backend=backend,
-            prune=True,
+            abandon=True,
             counter=counter,
             rng=rng,
             budget=budget,
             n_workers=workers,
             has_channel=has_channel,
-            lb=lb,
             metrics=metrics,
         )
         if best_pos is None:
@@ -227,10 +205,10 @@ def ordered_discord_search(
                 )
                 return order[np.abs(order - p) > window]
 
-            scanner = batch.TileScanner(normalized, sqnorms, lb=lb)
+            scanner = batch.TileScanner(normalized, sqnorms)
             best_dist, best_pos = batch.batch_serial_scan(
                 scanner, active, make_order,
-                abandon=True, counter=counter, budget=budget, lb=lb,
+                abandon=True, counter=counter, budget=budget,
                 metrics=metrics, init_best=best_dist,
             )
         else:
@@ -242,7 +220,7 @@ def ordered_discord_search(
                 if instrumented:
                     calls_at_entry = counter.calls
                 nearest = float("inf")
-                pruned = False
+                abandoned = False
                 same_bucket = [q for q in buckets[keys[p]] if q != p]
                 tail = rng.permutation(k)
                 if backend == "kernel":
@@ -251,31 +229,14 @@ def ordered_discord_search(
                         for q in _inner_sequence(same_bucket, tail, p)
                         if abs(p - q) > window
                     )
-                    if lb is None:
-                        nearest, consumed, pruned = _kernel_inner_scan(
-                            normalized, sqnorms, p, order, best_dist
-                        )
-                        counter.batch(consumed)
-                    else:
-                        nearest, consumed, true_count, lb_evals, pruned = (
-                            _kernel_inner_scan_lb(
-                                normalized, sqnorms, p, order, best_dist, lb
-                            )
-                        )
-                        counter.batch(true_count)
-                        counter.pruned_batch(consumed - true_count)
-                        counter.lb_batch(lb_evals)
+                    nearest, consumed, abandoned = _kernel_inner_scan(
+                        normalized, sqnorms, p, order, best_dist
+                    )
+                    counter.batch(consumed)
                 else:
                     for q in _inner_sequence(same_bucket, tail, p):
                         if abs(p - q) <= window:
                             continue
-                        if lb is not None and np.isfinite(nearest):
-                            counter.lb_batch(1)
-                            if lb.pair_exceeds(p, q, nearest):
-                                # dist >= LB >= nearest >= best_dist: this
-                                # pair can neither break nor lower nearest.
-                                counter.pruned_batch(1)
-                                continue
                         # Abandoning beyond `nearest` is lossless: while the
                         # candidate is alive, nearest >= best_dist (see
                         # hotsax.py).
@@ -283,18 +244,18 @@ def ordered_discord_search(
                             normalized[p], normalized[q], cutoff=nearest
                         )
                         if dist < best_dist:
-                            pruned = True
+                            abandoned = True
                             break
                         if dist < nearest:
                             nearest = dist
                 if instrumented:
                     m_visited.inc()
-                    if pruned:
+                    if abandoned:
                         m_abandoned.inc()
                         m_depth.observe(counter.calls - calls_at_entry)
                     else:
                         m_survived.inc()
-                if not pruned and np.isfinite(nearest) and nearest > best_dist:
+                if not abandoned and np.isfinite(nearest) and nearest > best_dist:
                     best_dist = nearest
                     best_pos = p
                     if instrumented:
@@ -329,12 +290,12 @@ def _kernel_inner_scan(
 
     Pulls candidate positions from the *order* iterator in geometrically
     growing blocks, evaluates each block's distances to window *p* with
-    one matrix-vector product, and applies the exact scalar prune logic
-    to the block results in sequence.  Returns
-    ``(nearest, consumed, pruned)`` where *consumed* is the number of
+    one matrix-vector product, and applies the exact scalar
+    early-abandon logic to the block results in sequence.  Returns
+    ``(nearest, consumed, abandoned)`` where *consumed* is the number of
     pairs the scalar loop would have visited — the logical call count.
 
-    Laziness matters as much as vectorization: a candidate pruned after
+    Laziness matters as much as vectorization: a candidate abandoned after
     a handful of same-bucket comparisons (the common HOTSAX case) must
     not pay for materializing its full O(k) inner ordering, so only the
     pairs actually scanned — plus bounded block speculation — are ever
@@ -363,76 +324,6 @@ def _kernel_inner_scan(
         block = min(block * 4, 2048)
 
 
-def _kernel_inner_scan_lb(
-    normalized: np.ndarray,
-    sqnorms: np.ndarray,
-    p: int,
-    order,
-    best_dist: float,
-    lb: WindowLowerBound,
-) -> tuple[float, int, int, int, bool]:
-    """``_kernel_inner_scan`` with the lower-bound cascade switched on.
-
-    Identical pair order and block schedule; within each block the
-    cascade (evaluated against ``nearest`` at block start) filters which
-    pairs reach the distance kernel.  Pruned pairs satisfy
-    ``dist >= nearest``, so they can neither be the break pair nor lower
-    the block minimum — the returned ``nearest``, logical *consumed*
-    count, and stop position are bit-identical to the unpruned scan.
-
-    Returns ``(nearest, consumed, true_count, lb_evals, stopped)`` where
-    *consumed* is the logical pair count (as before), *true_count* how
-    many of those actually hit the kernel, and *lb_evals* the physical
-    lower-bound evaluations.
-    """
-    nearest = float("inf")
-    consumed = 0
-    true_count = 0
-    lb_evals = 0
-    block = 8
-    p_row = normalized[p]
-    p_sq = sqnorms[p]
-    while True:
-        idx = np.fromiter(islice(order, block), dtype=np.intp)
-        if idx.size == 0:
-            return nearest, consumed, true_count, lb_evals, False
-        if np.isfinite(nearest):
-            lb_evals += idx.size
-            keep_positions = np.flatnonzero(lb.block_keep(p, idx, nearest))
-            survivors = idx[keep_positions]
-        else:
-            keep_positions = None
-            survivors = idx
-        if survivors.size:
-            sq = kernels.one_vs_all_sq_euclidean(
-                p_row,
-                normalized[survivors],
-                query_sqnorm=p_sq,
-                sqnorms=sqnorms[survivors],
-            )
-            dists = np.sqrt(sq)
-            hit = kernels.first_below(dists, best_dist)
-            if hit >= 0:
-                logical = (
-                    int(hit)
-                    if keep_positions is None
-                    else int(keep_positions[int(hit)])
-                )
-                return (
-                    nearest,
-                    consumed + logical + 1,
-                    true_count + int(hit) + 1,
-                    lb_evals,
-                    True,
-                )
-            block_min = float(dists.min())
-            if block_min < nearest:
-                nearest = block_min
-        consumed += idx.size
-        true_count += int(survivors.size)
-        block = min(block * 4, 2048)
-
-
 def _inner_sequence(same_bucket: list[int], tail: np.ndarray, p: int):
     """Same-bucket positions first, then the shuffled remainder."""
     seen = set(same_bucket)
@@ -457,8 +348,6 @@ def iterated_search(
     backend: str = "kernel",
     budget: Optional[SearchBudget] = None,
     n_workers: int = 1,
-    prune: bool = False,
-    lower_bound: Optional[WindowLowerBound] = None,
     windows: Optional[kernels.WindowMatrix] = None,
     metrics=None,
 ) -> tuple[list[Discord], DistanceCounter, list[bool]]:
@@ -467,11 +356,9 @@ def iterated_search(
     Returns ``(discords, counter, rank_complete)`` — the third element
     flags, per returned discord, whether its rank scanned every
     candidate (True) or was truncated by the *budget* and is only the
-    best seen so far (False).  *prune* / *lower_bound* opt every rank
-    into the lower-bound cascade (the bound is built once and shared
-    across ranks, since the windows never change).  The
-    :class:`~repro.timeseries.kernels.WindowMatrix` is likewise built
-    once (or adopted from *windows*) and shared across ranks, so the
+    best seen so far (False).  The
+    :class:`~repro.timeseries.kernels.WindowMatrix` is built once (or
+    adopted from *windows*) and shared across ranks, so the
     normalization and row-norm passes run once per search rather than
     once per rank.  *metrics* wraps every rank in a ``search.rank``
     span and emits one ``search.rank_complete`` event per rank carrying
@@ -493,10 +380,6 @@ def iterated_search(
         # Deferred for degenerate inputs so ordered_discord_search still
         # raises its own (tested) validation error.
         windows = kernels.WindowMatrix(series, window)
-    if prune and lower_bound is None and windows is not None:
-        lower_bound = WindowLowerBound.from_normalized_windows(
-            windows.normalized, window
-        )
     discords: list[Discord] = []
     rank_complete: list[bool] = []
     exclusions: list[tuple[int, int]] = []
@@ -507,8 +390,7 @@ def iterated_search(
                 series, window, bucket_fn,
                 source=source, counter=counter, rng=rng, exclude=tuple(exclusions),
                 backend=backend, budget=budget, n_workers=n_workers,
-                prune=prune, lower_bound=lower_bound, windows=windows,
-                metrics=metrics,
+                windows=windows, metrics=metrics,
             )
         truncated = budget.status is not SearchStatus.COMPLETE
         if metrics.enabled:
@@ -543,10 +425,9 @@ def emit_rank_event(
 ) -> None:
     """Emit one ``search.rank_complete`` event with the rank's ledger slice.
 
-    The attrs carry the per-rank delta of the split call ledger
-    (``calls`` / ``true_calls`` / ``pruned`` / ``lb_calls``) — the
-    paper's Table 1 metric broken down by rank — plus the discord the
-    rank produced.  Shared by all four engines so run reports have one
+    The attrs carry the per-rank delta of the call ledger (``calls``) —
+    the paper's Table 1 metric broken down by rank — plus the discord
+    the rank produced.  Shared by all four engines so run reports have one
     schema.
     """
     after = counter.ledger()

@@ -1,9 +1,9 @@
 """Observability: metrics, tracing spans, and JSONL run reports.
 
 The paper's efficiency argument rests on one number — distance-function
-calls (§6: "≥99% of runtime") — and four layers of machinery (vector
-kernels, anytime budgets, process pools, lower-bound pruning) now sit
-on top of that counter.  This package makes what a search *did* a
+calls (§6: "≥99% of runtime") — and several layers of machinery
+(vector kernels, anytime budgets, process pools, caches) now sit on
+top of that counter.  This package makes what a search *did* a
 first-class artifact:
 
 * :mod:`repro.observability.metrics` — a zero-dependency registry of

@@ -1,7 +1,7 @@
 """Zero-dependency metrics registry: counters, gauges, histograms, timers.
 
 The paper's single efficiency metric is the number of distance-function
-calls (Table 1); after the kernel, resilience, parallel, and pruning
+calls (Table 1); after the kernel, resilience, parallel, and cache
 layers there is a lot more to *see* about what a search did.  This
 module provides the registry those layers report into:
 

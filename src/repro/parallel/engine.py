@@ -112,34 +112,25 @@ def parallel_fixed_search(
     window: int,
     exclude: tuple,
     backend: str,
-    prune: bool,
+    abandon: bool,
     counter,
     rng: Optional[np.random.Generator],
     budget: SearchBudget,
     n_workers: int,
     has_channel: bool,
-    lb=None,
     metrics=None,
 ) -> tuple[Optional[int], float]:
     """Sharded outer loop for the fixed-length engines.
 
     *bucket_ids*/*outer* present → HOTSAX/Haar bucket semantics (with
     *rng* driving the shuffled inner tails); both None → brute force
-    (identity outer order, no randomness).  Returns ``(best_pos,
-    best_dist)`` exactly as the serial scan would have; the *counter* is
-    advanced by the serial call count and early termination is reported
-    through *budget* (KeyboardInterrupt is swallowed into CANCELLED only
-    when *has_channel*, mirroring the serial loops).
-
-    *lb* (a :class:`~repro.timeseries.lowerbound.WindowLowerBound`)
-    switches every shard to the lower-bound cascade.  The per-pair
-    prune/compute decision depends only on the candidate's running
-    nearest — a pure function of the pair order, not of any scan's stop
-    threshold — so workers make exactly the serial decisions over the
-    prefixes the replay keeps, and the merged ledger split
-    (``true_calls``/``pruned``) is identical to the serial pruned run.
-    Physical lower-bound evaluations (``lb_calls``) include worker
-    over-scan and are summed as a diagnostic.
+    (identity outer order, no randomness).  *abandon* turns early
+    abandoning on for brute force (the bucketed engines always
+    abandon).  Returns ``(best_pos, best_dist)`` exactly as the serial
+    scan would have; the *counter* is advanced by the serial call count
+    and early termination is reported through *budget*
+    (KeyboardInterrupt is swallowed into CANCELLED only when
+    *has_channel*, mirroring the serial loops).
 
     *metrics* asks every worker to keep a local registry; the parent
     merges the snapshots in serial replay order as shards are delivered
@@ -150,7 +141,7 @@ def parallel_fixed_search(
     k = normalized.shape[0]
     total = len(outer) if outer is not None else k
     uses_rng = bucket_ids is not None
-    replay = Replay(prune=prune, init_best=-1.0)
+    replay = Replay(abandon=abandon, init_best=-1.0)
     metrics = ensure_metrics(metrics)
     instrumented = metrics.enabled
     if instrumented:
@@ -161,8 +152,7 @@ def parallel_fixed_search(
         return int(outer[i]) if outer is not None else i
 
     def _account() -> None:
-        counter.batch(replay.calls - replay.pruned_calls)
-        counter.pruned_batch(replay.pruned_calls)
+        counter.batch(replay.calls)
 
     def _finish() -> tuple[Optional[int], float]:
         _account()
@@ -188,13 +178,11 @@ def parallel_fixed_search(
                 window=window,
                 exclude=exclude,
                 backend=backend,
-                prune=prune,
+                abandon=abandon,
                 floor=replay.best,
                 rng=rng,
-                lb=lb,
                 metrics=metrics,
             )
-            counter.lb_batch(shard.lb_calls)
             replay.feed(shard, 1)
             seed_end += 1
             if shard.records:
@@ -236,7 +224,6 @@ def parallel_fixed_search(
 
         def _merge(i: int, shard) -> None:
             shards[i] = shard
-            counter.lb_batch(shard.lb_calls)
             if instrumented:
                 m_chunks.inc()
                 m_worker_time.add(shard.elapsed)
@@ -253,14 +240,6 @@ def parallel_fixed_search(
                 if outer is not None
                 else None
             )
-            lb_spec = None
-            if lb is not None:
-                lb_spec = {
-                    "paa_values": arena.share(lb.paa_values),
-                    "letters": arena.share(lb.letters),
-                    "window": window,
-                    "alphabet_size": lb.alphabet_size,
-                }
             def _payload(bounds, state, spec):
                 # Resolved at submission time (run_tasks waves), so the
                 # floor reflects every chunk merged so far — always <=
@@ -276,11 +255,10 @@ def parallel_fixed_search(
                         "window": window,
                         "exclude": [list(pair) for pair in exclude],
                         "backend": backend,
-                        "prune": prune,
+                        "abandon": abandon,
                         "floor": replay.best,
                         "rng_state": state,
                         "budget": spec,
-                        "lb": lb_spec,
                         "metrics": instrumented,
                     }
 
@@ -322,18 +300,9 @@ def parallel_rra_rank(
     has_channel: bool,
     capture_rng: bool,
     on_boundary: Optional[Callable] = None,
-    lb_config: Optional[dict] = None,
     metrics=None,
 ) -> None:
     """One RRA rank sharded across the pool; mutates *state* and *counter*.
-
-    *lb_config* (``{"segments", "alphabet_size"}``) makes every worker
-    rebuild the serial run's :class:`IntervalLowerBound` and apply the
-    per-pair cascade.  As with the fixed engines, prune decisions are a
-    pure function of the pair order, so the replayed prefix carries the
-    exact serial true/pruned split; ``state.ledger`` is brought to every
-    merged wave boundary so mid-rank checkpoints of pruned runs resume
-    with their stats intact.
 
     Resumes from ``state.outer_index`` with ``state.best_dist`` /
     ``state.best_key`` (so checkpointed runs re-enter here exactly like
@@ -354,33 +323,19 @@ def parallel_rra_rank(
     warms its own floor up with its first completed candidate, in
     parallel, instead of the parent paying a full scan serially.
     """
-    replay = Replay(prune=True, init_best=state.best_dist)
+    replay = Replay(init_best=state.best_dist)
     metrics = ensure_metrics(metrics)
     instrumented = metrics.enabled
     if instrumented:
         m_chunks = metrics.counter("parallel.chunks")
         m_worker_time = metrics.timer("parallel.worker_seconds")
     base_calls = counter.calls
-    base_true = counter.true_calls
-    base_pruned = counter.pruned
     total = len(outer)
     index_of = {id(iv): i for i, iv in enumerate(candidates)}
     outer_indices = [index_of[id(iv)] for iv in outer]
 
-    def _ledger() -> dict:
-        # The counter itself is only advanced once the rank settles, so
-        # boundary ledgers are derived from the replay's logical split
-        # (lb_calls is physical and already accumulated per shard).
-        return {
-            "calls": base_calls + replay.calls,
-            "true_calls": base_true + replay.calls - replay.pruned_calls,
-            "lb_calls": counter.lb_calls,
-            "pruned": base_pruned + replay.pruned_calls,
-        }
-
     def _account() -> None:
-        counter.batch(replay.calls - replay.pruned_calls)
-        counter.pruned_batch(replay.pruned_calls)
+        counter.batch(replay.calls)
 
     def _sync_best() -> None:
         if replay.best_pos is not None:
@@ -395,7 +350,6 @@ def parallel_rra_rank(
         # boundary before its first candidate).
         start = state.outer_index
         state.calls = base_calls
-        state.ledger = _ledger()
         if capture_rng:
             state.rng_state = rng_state_to_json(rng)
         if budget.interrupted(state.calls) is not None:
@@ -441,7 +395,6 @@ def parallel_rra_rank(
 
             def _merge(i: int, shard) -> None:
                 shards[i] = shard
-                counter.lb_batch(shard.lb_calls)
                 if instrumented:
                     m_chunks.inc()
                     m_worker_time.add(shard.elapsed)
@@ -471,7 +424,6 @@ def parallel_rra_rank(
                 boundary = waves[w][1]
                 state.outer_index = boundary
                 state.calls = base_calls + replay.calls
-                state.ledger = _ledger()
                 if capture_rng:
                     state.rng_state = wave_states[w + 1]
                 _sync_best()
@@ -508,7 +460,6 @@ def parallel_rra_rank(
                             "floor": replay.best,
                             "rng_state": wave_states[w],
                             "budget": spec,
-                            "lb": lb_config,
                             "metrics": instrumented,
                         }
 
@@ -549,7 +500,6 @@ def parallel_rra_rank(
     if not truncated and replay.complete:
         state.outer_index = total
         state.calls = base_calls + replay.calls
-        state.ledger = counter.ledger()
         if capture_rng:
             state.rng_state = rng_state_to_json(rng)
         _sync_best()

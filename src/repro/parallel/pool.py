@@ -139,7 +139,7 @@ def strided_wave_plan(
 
     The ranks of each wave are dealt round-robin to its chunks (rank
     ``lo + c``, ``lo + c + n``, ... for chunk *c* of *n*): RRA's outer
-    order puts the rarest rules — the expensive, hard-to-prune scans —
+    order puts the rarest rules — the expensive, hard-to-abandon scans —
     first, so contiguous chunks would stack that work into the first
     chunk and the wave's critical path would equal the serial cost.
 

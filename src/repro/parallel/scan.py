@@ -78,8 +78,7 @@ class CandidateScan:
         The candidate's identity for the merge: the window start for
         fixed-length searches, the outer-order rank for RRA.
     scanned:
-        Number of pairs the local scan visited (logical count: pairs
-        discharged by a lower bound are included).
+        Number of pairs the local scan visited.
     minima:
         ``(count, value)`` pairs — after *count* visited pairs the
         running minimum strictly dropped to *value*.  Counts are
@@ -87,30 +86,12 @@ class CandidateScan:
     complete:
         True when every non-self-match pair was visited (the local
         threshold never fired).
-    pruned_prefix:
-        Lower-bound bookkeeping (None when pruning was off): entry *i*
-        is the number of pairs an admissible bound discharged among the
-        first ``minima[i][0]`` pairs.  Because the per-pair prune
-        decision depends only on the candidate's running nearest — a
-        pure function of the pair order, independent of the scan's stop
-        threshold — these prefix counts let the serial replay recover
-        the exact true/pruned split at whatever stop point the serial
-        best implies.
-    pruned_total:
-        Pairs discharged over the whole local scan (the complete-record
-        counterpart of :attr:`pruned_prefix`).
-    lb_evals:
-        Physical lower-bound evaluations this scan performed
-        (diagnostic; includes over-scanned pairs the replay discards).
     """
 
     position: int
     scanned: int
     minima: list
     complete: bool
-    pruned_prefix: Optional[list] = None
-    pruned_total: int = 0
-    lb_evals: int = 0
 
     @property
     def nearest(self) -> float:
@@ -127,8 +108,6 @@ class ShardResult:
     status: str = SearchStatus.COMPLETE.value
     calls: int = 0
     elapsed: float = 0.0
-    #: Physical lower-bound evaluations across the shard (diagnostic).
-    lb_calls: int = 0
     #: Snapshot of the worker-local metrics registry (None when the
     #: parent search runs without observability).  Merged by the parent
     #: in serial replay order; the merge is commutative, so totals are
@@ -147,17 +126,15 @@ class Replay:
     there, because later candidates' serial behaviour depends on state
     the truncated shard never produced — the merged result is then a
     best-so-far answer equal to some serial prefix of the search.
+    *abandon* False replays a scan without early abandoning (brute
+    force's exhaustive variant): every record is then a full scan.
     """
 
-    def __init__(self, *, prune: bool = True, init_best: float = -1.0):
-        self.prune = prune
+    def __init__(self, *, abandon: bool = True, init_best: float = -1.0):
+        self.abandon = abandon
         self.best = init_best
         self.best_pos: Optional[int] = None
         self.calls = 0
-        #: Of :attr:`calls`, how many were discharged by a lower bound
-        #: (derived from the records' pruned prefixes — the serial
-        #: logical split, not the workers' physical one).
-        self.pruned_calls = 0
         self.complete = True
         self.status = SearchStatus.COMPLETE.value
 
@@ -182,23 +159,20 @@ class Replay:
         return True
 
     def _one(self, record: CandidateScan) -> None:
-        if self.prune:
-            for i, (count, value) in enumerate(record.minima):
+        if self.abandon:
+            for count, value in record.minima:
                 if value < self.best:
-                    # The serial scan would have pruned this candidate
+                    # The serial scan would have abandoned this candidate
                     # after exactly `count` pairs.
                     self.calls += count
-                    if record.pruned_prefix is not None:
-                        self.pruned_calls += record.pruned_prefix[i]
                     return
         if not record.complete:
             raise DiscordSearchError(
-                "parallel scan inconsistency: a locally-pruned candidate "
+                "parallel scan inconsistency: a locally-abandoned candidate "
                 "survived the serial replay (local threshold exceeded the "
                 "serial best-so-far)"
             )
         self.calls += record.scanned
-        self.pruned_calls += record.pruned_total
         nearest = record.nearest
         if math.isfinite(nearest) and nearest > self.best:
             self.best = nearest
@@ -216,87 +190,33 @@ def _record_kernel_blocks(
     p: int,
     order: Iterator[int],
     threshold: float,
-    lb=None,
 ) -> CandidateScan:
-    """Block-vectorized recording scan (mirror of ``_kernel_inner_scan``).
-
-    With *lb* the lower-bound cascade filters each block against the
-    running nearest at block start before the distance kernel runs.
-    The prune decisions are a pure function of the pair order (the
-    nearest trajectory does not depend on *threshold*, which only sets
-    the stop point), so the recorded minima — and the pruned prefix
-    counts alongside them — are exactly what any serial-threshold
-    replay needs.
-    """
+    """Block-vectorized recording scan (mirror of ``_kernel_inner_scan``)."""
     minima: list = []
-    pruned_prefix: Optional[list] = [] if lb is not None else None
     nearest = float("inf")
     scanned = 0
-    pruned_cum = 0
-    lb_evals = 0
     block = 8
     p_row = normalized[p]
     p_sq = sqnorms[p]
     while True:
         idx = np.fromiter(islice(order, block), dtype=np.intp)
         if idx.size == 0:
-            return CandidateScan(
-                p, scanned, minima, True,
-                pruned_prefix=pruned_prefix, pruned_total=pruned_cum,
-                lb_evals=lb_evals,
-            )
-        if lb is not None and math.isfinite(nearest):
-            lb_evals += idx.size
-            keep_positions = np.flatnonzero(lb.block_keep(p, idx, nearest))
-            survivors = idx[keep_positions]
-        else:
-            keep_positions = None
-            survivors = idx
-        if survivors.size:
-            sq = kernels.one_vs_all_sq_euclidean(
-                p_row,
-                normalized[survivors],
-                query_sqnorm=p_sq,
-                sqnorms=sqnorms[survivors],
-            )
-            dists = np.sqrt(sq)
-            hit = kernels.first_below(dists, threshold)
-        else:
-            dists = None
-            hit = -1
-        limit = hit + 1 if hit >= 0 else int(survivors.size)
-        if limit:
-            points, values = kernels.running_min_points(dists[:limit])
-            for j, value in zip(points, values):
-                value = float(value)
-                if value < nearest:
-                    nearest = value
-                    logical_j = (
-                        int(j) if keep_positions is None
-                        else int(keep_positions[int(j)])
-                    )
-                    minima.append((scanned + logical_j + 1, value))
-                    if pruned_prefix is not None:
-                        # Pruned pairs among the first `logical_j + 1`
-                        # of this block = logical index - survivor index.
-                        pruned_prefix.append(
-                            pruned_cum + (logical_j - int(j))
-                        )
+            return CandidateScan(p, scanned, minima, True)
+        sq = kernels.one_vs_all_sq_euclidean(
+            p_row, normalized[idx], query_sqnorm=p_sq, sqnorms=sqnorms[idx]
+        )
+        dists = np.sqrt(sq)
+        hit = kernels.first_below(dists, threshold)
+        limit = hit + 1 if hit >= 0 else int(idx.size)
+        points, values = kernels.running_min_points(dists[:limit])
+        for j, value in zip(points, values):
+            value = float(value)
+            if value < nearest:
+                nearest = value
+                minima.append((scanned + int(j) + 1, value))
         if hit >= 0:
-            logical_hit = (
-                int(hit) if keep_positions is None
-                else int(keep_positions[int(hit)])
-            )
-            scanned += logical_hit + 1
-            pruned_cum += logical_hit - int(hit)
-            return CandidateScan(
-                p, scanned, minima, False,
-                pruned_prefix=pruned_prefix, pruned_total=pruned_cum,
-                lb_evals=lb_evals,
-            )
+            return CandidateScan(p, scanned + int(hit) + 1, minima, False)
         scanned += idx.size
-        if keep_positions is not None:
-            pruned_cum += int(idx.size - survivors.size)
         block = min(block * 4, 2048)
 
 
@@ -306,30 +226,17 @@ def _record_kernel_row(
     p: int,
     window: int,
     threshold: float,
-    prune: bool,
-    lb=None,
+    abandon: bool,
 ) -> CandidateScan:
-    """Full-row recording scan for brute force (one matvec per candidate).
-
-    With *lb* the full-row matvec would defeat the pruning, so the same
-    ascending pair order is scanned in growing blocks instead (records
-    are identical; a ``-inf`` threshold reproduces the non-abandoning
-    variant exactly, since the break is strictly below the threshold).
-    """
+    """Full-row recording scan for brute force (one matvec per candidate)."""
     k = normalized.shape[0]
-    if lb is not None:
-        order = (q for q in range(k) if abs(p - q) > window)
-        return _record_kernel_blocks(
-            normalized, sqnorms, p, order,
-            threshold if prune else float("-inf"), lb=lb,
-        )
     sq_row = kernels.one_vs_all_sq_euclidean(
         normalized[p], normalized, query_sqnorm=sqnorms[p], sqnorms=sqnorms
     )
     valid = np.ones(k, dtype=bool)
     valid[max(0, p - window) : p + window + 1] = False
     dists = np.sqrt(sq_row[valid])
-    hit = kernels.first_below(dists, threshold) if prune else -1
+    hit = kernels.first_below(dists, threshold) if abandon else -1
     limit = hit + 1 if hit >= 0 else dists.size
     points, values = kernels.running_min_points(dists[:limit])
     minima = [(int(j) + 1, float(v)) for j, v in zip(points, values)]
@@ -341,45 +248,23 @@ def _record_scalar_pairs(
     p: int,
     order: Iterable[int],
     threshold: float,
-    prune: bool,
-    lb=None,
+    abandon: bool,
 ) -> CandidateScan:
     """Per-pair recording scan on the scalar reference path."""
     minima: list = []
-    pruned_prefix: Optional[list] = [] if lb is not None else None
     nearest = float("inf")
     scanned = 0
-    pruned_cum = 0
-    lb_evals = 0
     p_row = normalized[p]
     for q in order:
-        if lb is not None and math.isfinite(nearest):
-            lb_evals += 1
-            if lb.pair_exceeds(p, q, nearest):
-                # dist >= LB >= nearest: cannot be a minimum, cannot
-                # stop the scan — one logical pair, no kernel.
-                scanned += 1
-                pruned_cum += 1
-                continue
-        cutoff = nearest if prune else float("inf")
+        cutoff = nearest if abandon else float("inf")
         dist = euclidean_early_abandon(p_row, normalized[q], cutoff)
         scanned += 1
         if dist < nearest:
             nearest = dist
             minima.append((scanned, float(dist)))
-            if pruned_prefix is not None:
-                pruned_prefix.append(pruned_cum)
-        if prune and dist < threshold:
-            return CandidateScan(
-                p, scanned, minima, False,
-                pruned_prefix=pruned_prefix, pruned_total=pruned_cum,
-                lb_evals=lb_evals,
-            )
-    return CandidateScan(
-        p, scanned, minima, True,
-        pruned_prefix=pruned_prefix, pruned_total=pruned_cum,
-        lb_evals=lb_evals,
-    )
+        if abandon and dist < threshold:
+            return CandidateScan(p, scanned, minima, False)
+    return CandidateScan(p, scanned, minima, True)
 
 
 def _scan_fixed_positions_batch(
@@ -390,11 +275,10 @@ def _scan_fixed_positions_batch(
     *,
     window: int,
     exclude: tuple,
-    prune: bool,
+    abandon: bool,
     floor: float,
     rng: Optional[np.random.Generator],
     budget: SearchBudget,
-    lb=None,
     metrics=None,
 ) -> ShardResult:
     """Tiled recording scan for ``backend='batch'`` shards.
@@ -425,8 +309,8 @@ def _scan_fixed_positions_batch(
         for pos, bucket in enumerate(bucket_ids):
             buckets[int(bucket)].append(pos)
     # Bucketed (HOTSAX/Haar) shards always early-abandon; brute-force
-    # shards only with *prune* — mirroring the serial engines.
-    abandon = True if buckets is not None else prune
+    # shards only with *abandon* — mirroring the serial engines.
+    abandon = abandon or buckets is not None
 
     # Split the shard into active candidates plus, for each, the number
     # of excluded positions immediately before it (those advance
@@ -462,7 +346,7 @@ def _scan_fixed_positions_batch(
         )
         return order[np.abs(order - p) > window]
 
-    scanner = batch.TileScanner(normalized, sqnorms, lb=lb)
+    scanner = batch.TileScanner(normalized, sqnorms)
     result = ShardResult()
     local_best = floor
     started = time.perf_counter()
@@ -479,9 +363,8 @@ def _scan_fixed_positions_batch(
                 interrupted = True
                 break
             threshold = local_best if abandon else float("-inf")
-            record = batch.record_row(row, threshold, lb)
+            record = batch.record_row(row, threshold)
             result.calls += record.scanned
-            result.lb_calls += record.lb_evals
             result.records.append(record)
             result.processed += 1
             if instrumented:
@@ -509,24 +392,22 @@ def scan_fixed_positions(
     window: int,
     exclude: tuple,
     backend: str,
-    prune: bool,
+    abandon: bool,
     floor: float,
     rng: Optional[np.random.Generator],
     budget: Optional[SearchBudget] = None,
-    lb=None,
     metrics=None,
 ) -> ShardResult:
     """Scan one shard of a fixed-length search's outer candidates.
 
     *bucket_ids* present → HOTSAX/Haar semantics (same-bucket pairs
-    first, shuffled tail, always pruning); absent → brute-force
-    semantics (ascending pair order, pruning only with *prune*).
+    first, shuffled tail, always early abandoning); absent → brute-force
+    semantics (ascending pair order, early abandoning only with
+    *abandon*).
     *floor* is the shard's starting threshold (τ0); the shard tightens
     it with its own completed candidates.  Runs in a worker process or
     inline in the parent (the τ0 seed scan) — identical behaviour.
-    *lb* (a :class:`~repro.timeseries.lowerbound.WindowLowerBound`)
-    switches the recording scans to the lower-bound cascade; records
-    then carry the pruned prefixes the replay needs.  *metrics* records
+    *metrics* records
     the shard's *physical* work (candidates, pairs, scan depths) —
     deterministic for a fixed seed because chunk floors are resolved at
     deterministic wave boundaries, but a worker's-eye view, not the
@@ -542,11 +423,10 @@ def scan_fixed_positions(
             positions,
             window=window,
             exclude=exclude,
-            prune=prune,
+            abandon=abandon,
             floor=floor,
             rng=rng,
             budget=budget,
-            lb=lb,
             metrics=metrics,
         )
     metrics = ensure_metrics(metrics)
@@ -581,23 +461,22 @@ def scan_fixed_positions(
             )
             if backend == "kernel":
                 record = _record_kernel_blocks(
-                    normalized, sqnorms, p, order, local_best, lb=lb
+                    normalized, sqnorms, p, order, local_best
                 )
             else:
                 record = _record_scalar_pairs(
-                    normalized, p, order, local_best, True, lb=lb
+                    normalized, p, order, local_best, True
                 )
         elif backend == "kernel":
             record = _record_kernel_row(
-                normalized, sqnorms, p, window, local_best, prune, lb=lb
+                normalized, sqnorms, p, window, local_best, abandon
             )
         else:
             order = (q for q in range(k) if abs(p - q) > window)
             record = _record_scalar_pairs(
-                normalized, p, order, local_best, prune, lb=lb
+                normalized, p, order, local_best, abandon
             )
         result.calls += record.scanned
-        result.lb_calls += record.lb_evals
         result.records.append(record)
         result.processed += 1
         if instrumented:
@@ -612,13 +491,13 @@ def scan_fixed_positions(
     return result
 
 
-#: One-entry worker memos of shard artifacts that are identical across
-#: every task of one parallel search.  Keys are built from the parent's
-#: shared-memory block names, which are unique per run, so a task from
-#: a new search simply displaces the previous run's entry.  Reuse is
-#: purely physical — the artifacts are deterministic functions of the
-#: shared arrays — so records, ledgers, and discords are unchanged.
-_FIXED_LB_MEMO: dict = {}
+#: One-entry worker memo of RRA shard artifacts that are identical
+#: across every task of one parallel search.  Keys are built from the
+#: parent's shared-memory block names, which are unique per run, so a
+#: task from a new search simply displaces the previous run's entry.
+#: Reuse is purely physical — the artifacts are deterministic functions
+#: of the shared arrays — so records, ledgers, and discords are
+#: unchanged.
 _RRA_SHARD_MEMO: dict = {}
 
 
@@ -635,27 +514,6 @@ def scan_fixed_shard(payload: dict) -> ShardResult:
         if payload.get("rng_state") is not None
         else None
     )
-    lb = None
-    lb_spec = payload.get("lb")
-    if lb_spec is not None:
-        from repro.timeseries.lowerbound import WindowLowerBound
-
-        lb_key = (
-            lb_spec["paa_values"].name,
-            lb_spec["letters"].name,
-            lb_spec["window"],
-            lb_spec["alphabet_size"],
-        )
-        lb = _FIXED_LB_MEMO.get(lb_key)
-        if lb is None:
-            _FIXED_LB_MEMO.clear()
-            lb = WindowLowerBound(
-                attach(lb_spec["paa_values"]),
-                lb_spec["window"],
-                lb_spec["alphabet_size"],
-                letters=attach(lb_spec["letters"]),
-            )
-            _FIXED_LB_MEMO[lb_key] = lb
     registry = MetricsRegistry() if payload.get("metrics") else None
     result = scan_fixed_positions(
         normalized,
@@ -665,11 +523,10 @@ def scan_fixed_shard(payload: dict) -> ShardResult:
         window=payload["window"],
         exclude=tuple(tuple(pair) for pair in payload["exclude"]),
         backend=payload["backend"],
-        prune=payload["prune"],
+        abandon=payload["abandon"],
         floor=payload["floor"],
         rng=rng,
         budget=budget_from_spec(payload.get("budget")),
-        lb=lb,
         metrics=registry,
     )
     if registry is not None:
@@ -695,7 +552,6 @@ def scan_rra_positions(
     budget: Optional[SearchBudget] = None,
     stride: int = 1,
     offset: int = 0,
-    lb=None,
     metrics=None,
 ) -> ShardResult:
     """Scan one shard of RRA outer candidates (records, not results).
@@ -733,39 +589,23 @@ def scan_rra_positions(
         p_start = p.start
         p_length = p.end - p_start
         minima: list = []
-        pruned_prefix: Optional[list] = [] if lb is not None else None
         nearest = float("inf")
         scanned = 0
-        pruned_cum = 0
-        lb_evals = 0
         complete = True
         for q in ordering.order(p, rng):
             # Paper line 7: skip p itself and trivial self matches.
             if abs(p_start - q.start) <= p_length:
                 continue
-            if lb is not None and math.isfinite(nearest):
-                lb_evals += 1
-                if lb.pair_exceeds(p, q, nearest):
-                    scanned += 1
-                    pruned_cum += 1
-                    continue
             dist = distance(p, q)
             scanned += 1
             if dist < nearest:
                 nearest = dist
                 minima.append((scanned, float(dist)))
-                if pruned_prefix is not None:
-                    pruned_prefix.append(pruned_cum)
             if dist < local_best:
                 complete = False
                 break
-        record = CandidateScan(
-            base + j, scanned, minima, complete,
-            pruned_prefix=pruned_prefix, pruned_total=pruned_cum,
-            lb_evals=lb_evals,
-        )
+        record = CandidateScan(base + j, scanned, minima, complete)
         result.calls += record.scanned
-        result.lb_calls += record.lb_evals
         result.records.append(record)
         result.processed += 1
         if instrumented:
@@ -783,18 +623,12 @@ def scan_rra_shard(payload: dict) -> ShardResult:
 
     A multi-wave RRA search sends the same worker many shards over the
     same series and candidate pool, so the rebuildable artifacts — the
-    candidate-set value cache, the inner-ordering table, and the
-    interval lower bound — are memoized per worker across tasks.
+    candidate-set value cache and the inner-ordering table — are
+    memoized per worker across tasks.
     """
-    lb_config = payload.get("lb")
     memo_key = (
         payload["series"].name,
         tuple(tuple(c) for c in payload["candidates"]),
-        (
-            (lb_config["segments"], lb_config["alphabet_size"])
-            if lb_config is not None
-            else None
-        ),
     )
     memo = _RRA_SHARD_MEMO.get(memo_key)
     if memo is None:
@@ -808,19 +642,10 @@ def scan_rra_shard(payload: dict) -> ShardResult:
         stats = kernels.SeriesStats.from_cumsums(series, cumsum, sq_cumsum)
         cache = _CandidateSet(series, candidates, stats=stats)
         ordering = _InnerOrdering(candidates)
-        lb = None
-        if lb_config is not None:
-            from repro.timeseries.lowerbound import IntervalLowerBound
-
-            lb = IntervalLowerBound(
-                cache,
-                segments=lb_config["segments"],
-                alphabet_size=lb_config["alphabet_size"],
-            )
         _RRA_SHARD_MEMO.clear()
-        _RRA_SHARD_MEMO[memo_key] = (cache, ordering, candidates, lb)
+        _RRA_SHARD_MEMO[memo_key] = (cache, ordering, candidates)
     else:
-        cache, ordering, candidates, lb = memo
+        cache, ordering, candidates = memo
     registry = MetricsRegistry() if payload.get("metrics") else None
     result = scan_rra_positions(
         cache,
@@ -834,7 +659,6 @@ def scan_rra_shard(payload: dict) -> ShardResult:
         budget=budget_from_spec(payload.get("budget")),
         stride=payload.get("stride", 1),
         offset=payload.get("offset", 0),
-        lb=lb,
         metrics=registry,
     )
     if registry is not None:

@@ -13,15 +13,11 @@ from repro.sax.alphabet import (
     alphabet_letters,
     breakpoints,
     breakpoints_array,
+    letter_indices,
     symbol_for_value,
     symbols_for_values,
 )
 from repro.sax.sax import sax_word, mindist, symbol_distance_matrix
-from repro.sax.mindist import (
-    letter_indices,
-    mindist_sq_one_vs_block,
-    sq_cell_table,
-)
 from repro.sax.discretize import (
     NumerosityReduction,
     SAXWord,
@@ -41,8 +37,6 @@ __all__ = [
     "mindist",
     "symbol_distance_matrix",
     "letter_indices",
-    "mindist_sq_one_vs_block",
-    "sq_cell_table",
     "NumerosityReduction",
     "SAXWord",
     "Discretization",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import DiscretizationError, ParameterError
-from repro.sax.alphabet import breakpoints_array
+from repro.sax.alphabet import breakpoints_array, letter_indices
 from repro.sax.sax import mindist
 from repro.timeseries.paa import paa_batch
 from repro.timeseries.preprocess import nonfinite_spans
@@ -257,7 +257,7 @@ def discretize(
             f"PAA size {paa_size} exceeds window length {window}"
         )
     # Validate alphabet early (breakpoints() raises ParameterError).
-    cuts = breakpoints_array(alphabet_size)
+    breakpoints_array(alphabet_size)
 
     if paa_values is None:
         paa_values = windowed_paa(
@@ -270,7 +270,7 @@ def discretize(
                 f"precomputed paa_values has shape {tuple(paa_values.shape)}, "
                 f"expected {expected} for window={window}, paa_size={paa_size}"
             )
-    letter_idx = np.searchsorted(cuts, paa_values, side="right")
+    letter_idx = letter_indices(paa_values, alphabet_size)
 
     kept = _kept_indices(letter_idx, strategy)
     kept_rows = letter_idx[kept]

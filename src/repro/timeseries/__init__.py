@@ -52,9 +52,6 @@ __all__ = [
     "euclidean_early_abandon",
     "normalized_euclidean",
     "variable_length_distance",
-    "IntervalLowerBound",
-    "WindowLowerBound",
-    "descending_partial_exceeds",
     "SeriesStats",
     "sliding_window_stats",
     "znorm_sliding_windows",
@@ -66,24 +63,4 @@ __all__ = [
     "downsample",
     "clip_outliers",
     "prepare",
-    "IntervalLowerBound",
-    "WindowLowerBound",
-    "descending_partial_exceeds",
 ]
-
-_LOWERBOUND_EXPORTS = (
-    "IntervalLowerBound",
-    "WindowLowerBound",
-    "descending_partial_exceeds",
-)
-
-
-def __getattr__(name: str):
-    # Lazy (PEP 562): lowerbound sits on top of repro.sax, which itself
-    # imports this package's submodules — an eager import here would be
-    # circular.
-    if name in _LOWERBOUND_EXPORTS:
-        from repro.timeseries import lowerbound
-
-        return getattr(lowerbound, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -123,41 +123,20 @@ class DistanceCounter:
     :attr:`calls` attribute afterwards holds the number reported in
     Table 1.  Early-abandoned computations still count as one call, same
     as in the paper's accounting (a call is a call, abandoned or not).
-
-    The lower-bound pruning layer (:mod:`repro.timeseries.lowerbound`)
-    splits the paper-faithful tally into a ledger:
-
-    * :attr:`calls` — logical pair visits; identical with pruning on or
-      off, so Table 1 accounting never shifts;
-    * :attr:`true_calls` — pairs that actually reached the Euclidean
-      kernel;
-    * :attr:`pruned` — pairs discharged by an admissible lower bound
-      before the kernel ran (``calls == true_calls + pruned`` always);
-    * :attr:`lb_calls` — lower-bound evaluations *performed* (physical,
-      diagnostic: parallel workers over-scan speculatively, so this may
-      exceed the logical pair count; the logical split above is derived
-      from the serial-order replay and is deterministic).
     """
 
-    __slots__ = ("calls", "true_calls", "lb_calls", "pruned")
+    __slots__ = ("calls",)
 
     def __init__(self) -> None:
         self.calls = 0
-        self.true_calls = 0
-        self.lb_calls = 0
-        self.pruned = 0
 
     def reset(self) -> None:
         """Zero the counter (reuse between runs)."""
         self.calls = 0
-        self.true_calls = 0
-        self.lb_calls = 0
-        self.pruned = 0
 
     def euclidean(self, a: np.ndarray, b: np.ndarray, cutoff: float = float("inf")) -> float:
         """Counted Euclidean distance with optional early abandoning."""
         self.calls += 1
-        self.true_calls += 1
         return euclidean_early_abandon(a, b, cutoff)
 
     def batch(self, count: int) -> None:
@@ -172,25 +151,6 @@ class DistanceCounter:
         if count < 0:
             raise ParameterError(f"batch count must be >= 0, got {count}")
         self.calls += int(count)
-        self.true_calls += int(count)
-
-    def pruned_batch(self, count: int) -> None:
-        """Record *count* pairs discharged by an admissible lower bound.
-
-        Each still counts as one logical call (:attr:`calls`) so the
-        paper-faithful tally is invariant under pruning; the split into
-        :attr:`pruned` records that the kernel never ran for them.
-        """
-        if count < 0:
-            raise ParameterError(f"pruned count must be >= 0, got {count}")
-        self.calls += int(count)
-        self.pruned += int(count)
-
-    def lb_batch(self, count: int) -> None:
-        """Record *count* physical lower-bound evaluations (diagnostic)."""
-        if count < 0:
-            raise ParameterError(f"lb count must be >= 0, got {count}")
-        self.lb_calls += int(count)
 
     def variable_length(
         self,
@@ -201,7 +161,6 @@ class DistanceCounter:
     ) -> float:
         """Counted variable-length (Eq. 1) distance."""
         self.calls += 1
-        self.true_calls += 1
         return variable_length_distance(p, q, normalize_inputs=normalize_inputs)
 
     def merge(self, other: "DistanceCounter") -> "DistanceCounter":
@@ -209,18 +168,13 @@ class DistanceCounter:
 
         The parallel execution layer gives every worker shard its own
         counter; the parent merges them so the aggregate matches the
-        serial run without reaching into private fields.  All four
-        ledger fields travel together — a merge can never drop the
-        pruning split.
+        serial run without reaching into private fields.
         """
         if not isinstance(other, DistanceCounter):
             raise ParameterError(
                 f"can only merge a DistanceCounter, got {type(other).__name__}"
             )
         self.calls += other.calls
-        self.true_calls += other.true_calls
-        self.lb_calls += other.lb_calls
-        self.pruned += other.pruned
         return self
 
     def __iadd__(self, other: "DistanceCounter") -> "DistanceCounter":
@@ -229,25 +183,12 @@ class DistanceCounter:
         return self.merge(other)
 
     def ledger(self) -> dict:
-        """The split ledger as a plain dict (checkpoints, benchmarks)."""
-        return {
-            "calls": self.calls,
-            "true_calls": self.true_calls,
-            "lb_calls": self.lb_calls,
-            "pruned": self.pruned,
-        }
+        """The tally as a plain dict (checkpoints, cache entries, events)."""
+        return {"calls": self.calls}
 
     def restore_ledger(self, data: dict) -> None:
         """Restore a ledger saved by :meth:`ledger` (checkpoint resume)."""
         self.calls = int(data["calls"])
-        self.true_calls = int(data.get("true_calls", data["calls"]))
-        self.lb_calls = int(data.get("lb_calls", 0))
-        self.pruned = int(data.get("pruned", 0))
 
     def __repr__(self) -> str:
-        if self.pruned or self.lb_calls:
-            return (
-                f"DistanceCounter(calls={self.calls}, true_calls={self.true_calls}, "
-                f"lb_calls={self.lb_calls}, pruned={self.pruned})"
-            )
         return f"DistanceCounter(calls={self.calls})"

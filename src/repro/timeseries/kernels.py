@@ -239,7 +239,7 @@ class WindowMatrix:
 
     Every fixed-length engine needs the same four artifacts — the raw
     window view, the z-normalized window matrix, the per-row squared
-    norms, and (for pruning/discretization consumers) the series'
+    norms, and (for discretization consumers) the series'
     cumulative-sum statistics.  Before this cache each rank of an
     iterated search recomputed all of them; building one
     :class:`WindowMatrix` per search and passing it down makes each a
@@ -511,8 +511,8 @@ def first_below(values: np.ndarray, threshold: float) -> int:
     """Index of the first entry strictly below *threshold*, or -1.
 
     The batched searches use this to replay the scalar inner loop's
-    prune decision: the pair that would have triggered the break is the
-    last one that logically "happened" (and is counted).
+    early-abandon decision: the pair that would have triggered the
+    break is the last one that logically "happened" (and is counted).
     """
     hits = np.nonzero(values < threshold)[0]
     return int(hits[0]) if hits.size else -1

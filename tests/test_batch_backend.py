@@ -4,15 +4,13 @@ Three layers are covered:
 
 * the tile kernels — :func:`~repro.timeseries.kernels.
   all_pairs_sq_euclidean_tile` against the one-vs-all kernel and the
-  scalar definition, :func:`~repro.timeseries.kernels.tile_plan`'s
-  partition invariants, and the batched MINDIST tile's bit-identity to
-  the one-vs-block kernel (the soundness anchor of tile-wise
-  lower-bound closure);
+  scalar definition, and :func:`~repro.timeseries.kernels.tile_plan`'s
+  partition invariants;
 * the window-matrix/statistics caches the engines thread through
   (``stats=`` reuse is bit-identical);
-* the engines — batch vs kernel equivalence of discords and the full
-  split ledger under Hypothesis-chosen tile boundaries, plus anytime
-  budget and checkpoint/resume interop.
+* the engines — batch vs kernel equivalence of discords and the call
+  count under Hypothesis-chosen tile boundaries, plus anytime budget
+  and checkpoint/resume interop.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from repro.discord import batch
 from repro.discord.hotsax import hotsax_discords
 from repro.exceptions import ParameterError
 from repro.resilience.budget import SearchBudget, SearchStatus
-from repro.sax.mindist import mindist_sq_one_vs_block, mindist_sq_tile
 from repro.timeseries import kernels
 from repro.timeseries.distance import DistanceCounter
 
@@ -117,43 +114,6 @@ def test_tile_plan_rejects_bad_arguments():
         kernels.tile_plan(10, 10, min_rows=8, max_rows=4)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=1, max_value=12),
-    st.integers(min_value=1, max_value=20),
-    st.integers(min_value=1, max_value=8),
-    st.integers(min_value=2, max_value=10),
-)
-def test_mindist_tile_bitwise_matches_one_vs_block(
-    seed, n_queries, n_block, word, alpha
-):
-    """Per-pair bit-identity — what makes tile-wise lb closure sound."""
-    rng = np.random.default_rng(seed)
-    queries = rng.integers(0, alpha, size=(n_queries, word))
-    block = rng.integers(0, alpha, size=(n_block, word))
-    scale_sq = float(rng.uniform(0.1, 5.0))
-    tile = mindist_sq_tile(queries, block, alpha, scale_sq)
-    assert tile.shape == (n_queries, n_block)
-    for i in range(n_queries):
-        row = mindist_sq_one_vs_block(queries[i], block, alpha, scale_sq)
-        np.testing.assert_array_equal(tile[i], row)
-
-
-def test_mindist_tile_broadcast_form():
-    """A per-query (c, b, w) block stack is accepted and matches 2-d."""
-    rng = np.random.default_rng(9)
-    queries = rng.integers(0, 4, size=(3, 5))
-    block = rng.integers(0, 4, size=(6, 5))
-    flat = mindist_sq_tile(queries, block, 4, 1.5)
-    stacked = mindist_sq_tile(
-        queries, np.broadcast_to(block, (3, 6, 5)), 4, 1.5
-    )
-    np.testing.assert_array_equal(flat, stacked)
-    with pytest.raises(ValueError):
-        mindist_sq_tile(queries, block[None, None], 4, 1.5)
-
-
 # ---------------------------------------------------------------------------
 # Window-matrix / statistics caches
 # ---------------------------------------------------------------------------
@@ -222,16 +182,16 @@ def _series(seed: int, length: int = 220) -> np.ndarray:
     return series
 
 
-def _run_hotsax(series, backend, *, prune, budget=None, n_workers=1):
+def _run_hotsax(series, backend, *, budget=None, n_workers=1):
     counter = DistanceCounter()
     result = hotsax_discords(
         series, 20, num_discords=2, counter=counter,
-        backend=backend, prune=prune, budget=budget, n_workers=n_workers,
+        backend=backend, budget=budget, n_workers=n_workers,
     )
     # Scores are rounded as in the golden suite: the GEMM and the
     # matvec kernels may differ in the last ulp (their dot products
     # associate differently), while the trajectory — and hence the
-    # ledger and the discord positions — is identical.
+    # call count and the discord positions — is identical.
     return (
         counter.ledger(),
         [(d.start, d.end, round(d.score, 10)) for d in result.discords],
@@ -243,34 +203,28 @@ def _run_hotsax(series, backend, *, prune, budget=None, n_workers=1):
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=1, max_value=96),
-    st.booleans(),
 )
-def test_batch_equals_kernel_under_any_tile_rows(seed, tile_rows, prune):
-    """Ledger + discords are invariant to where the tile boundaries fall."""
+def test_batch_equals_kernel_under_any_tile_rows(seed, tile_rows):
+    """Calls + discords are invariant to where the tile boundaries fall."""
     series = _series(seed)
-    expected = _run_hotsax(series, "kernel", prune=prune)
+    expected = _run_hotsax(series, "kernel")
     old = batch.DEFAULT_TILE_ROWS
     batch.DEFAULT_TILE_ROWS = tile_rows
     try:
-        got = _run_hotsax(series, "batch", prune=prune)
+        got = _run_hotsax(series, "batch")
     finally:
         batch.DEFAULT_TILE_ROWS = old
     assert got == expected
 
 
-@pytest.mark.parametrize("prune", [False, True])
-def test_batch_budget_trip_matches_kernel(prune):
+def test_batch_budget_trip_matches_kernel():
     """Anytime semantics: the same call budget stops both backends at the
     same boundary with the same best-so-far discords."""
     series = _series(17)
-    full_calls = _run_hotsax(series, "kernel", prune=prune)[0]["calls"]
+    full_calls = _run_hotsax(series, "kernel")[0]["calls"]
     cap = full_calls // 3
-    expected = _run_hotsax(
-        series, "kernel", prune=prune, budget=SearchBudget(max_calls=cap)
-    )
-    got = _run_hotsax(
-        series, "batch", prune=prune, budget=SearchBudget(max_calls=cap)
-    )
+    expected = _run_hotsax(series, "kernel", budget=SearchBudget(max_calls=cap))
+    got = _run_hotsax(series, "batch", budget=SearchBudget(max_calls=cap))
     assert got == expected
     assert got[2] is SearchStatus.BUDGET_EXHAUSTED
 
@@ -287,7 +241,7 @@ def test_batch_rra_checkpoint_resume_is_bit_identical(tmp_path):
     straight_counter = DistanceCounter()
     straight = find_discords(
         series, intervals, num_discords=2,
-        counter=straight_counter, backend="batch", prune=True,
+        counter=straight_counter, backend="batch",
     )
     assert straight.complete
 
@@ -296,7 +250,7 @@ def test_batch_rra_checkpoint_resume_is_bit_identical(tmp_path):
     first_counter = DistanceCounter()
     first = find_discords(
         series, intervals, num_discords=2, counter=first_counter,
-        backend="batch", prune=True,
+        backend="batch",
         budget=SearchBudget(max_calls=cap),
         checkpoint_path=path, checkpoint_every=4,
     )
@@ -305,7 +259,7 @@ def test_batch_rra_checkpoint_resume_is_bit_identical(tmp_path):
     resumed_counter = DistanceCounter()
     resumed = find_discords(
         series, intervals, num_discords=2, counter=resumed_counter,
-        backend="batch", prune=True,
+        backend="batch",
         checkpoint_path=path, resume_from=path, checkpoint_every=4,
     )
     assert resumed.complete
@@ -355,8 +309,8 @@ def test_pipeline_accepts_batch_backend():
     )
     kernel.fit(series)
     batched.fit(series)
-    expected = kernel.discords(num_discords=2, prune=True)
-    got = batched.discords(num_discords=2, prune=True)
+    expected = kernel.discords(num_discords=2)
+    got = batched.discords(num_discords=2)
     assert [(d.start, d.end, d.score) for d in got.discords] == [
         (d.start, d.end, d.score) for d in expected.discords
     ]

@@ -4,8 +4,8 @@ Three invariants rule this module:
 
 * **Warm equals cold, bitwise.**  A cache hit must return the exact
   discords (starts, ends, hex-identical scores, ranks) and replay the
-  exact logical ledger (``calls == true_calls + pruned``) of the run
-  that populated it — for every engine, backend, and prune setting.
+  exact logical call count of the run that populated it — for every
+  engine and backend.
 * **Corruption only ever costs a recompute.**  Truncated, garbled,
   version-mismatched, or mislabeled entries are discarded and reported
   as misses; they can never surface a wrong answer.
@@ -76,7 +76,6 @@ def run_engine(
     candidates,
     *,
     backend="kernel",
-    prune=False,
     cache=None,
     context=None,
     n_workers=1,
@@ -87,7 +86,6 @@ def run_engine(
         num_discords=2,
         counter=counter,
         backend=backend,
-        prune=prune,
         cache=cache,
         context=context,
         n_workers=n_workers,
@@ -107,17 +105,13 @@ def run_engine(
 
 
 def signature(result, counter):
-    """Bit-exact comparison payload: discords + logical ledger."""
-    ledger = counter.ledger()
-    assert ledger["calls"] == ledger["true_calls"] + ledger["pruned"]
+    """Bit-exact comparison payload: discords + logical call count."""
     return (
         [
             (d.start, d.end, float(d.score).hex(), d.rank, float(d.nn_distance).hex())
             for d in result.discords
         ],
-        ledger["calls"],
-        ledger["true_calls"],
-        ledger["pruned"],
+        counter.calls,
     )
 
 
@@ -128,12 +122,14 @@ def signature(result, counter):
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("prune", [False, True])
+@pytest.mark.parametrize("reopen", [False, True])
 def test_cache_hit_bit_identical(
-    series, rra_candidates, engine, backend, prune, tmp_path
+    series, rra_candidates, engine, backend, reopen, tmp_path
 ):
+    """With ``reopen`` the warm run reads the entry back from disk through
+    a freshly opened store and a fresh context, as a new process would."""
     plain = signature(
-        *run_engine(engine, series, rra_candidates, backend=backend, prune=prune)
+        *run_engine(engine, series, rra_candidates, backend=backend)
     )
     cache = ResultCache(tmp_path / "store")
     context = SearchContext()
@@ -142,25 +138,27 @@ def test_cache_hit_bit_identical(
         series,
         rra_candidates,
         backend=backend,
-        prune=prune,
         cache=cache,
         context=context,
     )
     assert not cold_result.from_cache
     assert signature(cold_result, cold_counter) == plain
+    assert cache.hits == 0 and cache.misses == 1
+    if reopen:
+        cache = ResultCache(tmp_path / "store")
+        context = SearchContext()
     warm_result, warm_counter = run_engine(
         engine,
         series,
         rra_candidates,
         backend=backend,
-        prune=prune,
         cache=cache,
         context=context,
     )
     assert warm_result.from_cache
     assert signature(warm_result, warm_counter) == plain
     assert all(warm_result.rank_complete)
-    assert cache.hits == 1 and cache.misses == 1
+    assert cache.hits == 1 and cache.misses == (0 if reopen else 1)
 
 
 @pytest.mark.slow
@@ -193,15 +191,13 @@ def test_context_alone_is_bit_identical(
     series, rra_candidates, engine
 ):
     """The memoization context never changes results, only work."""
-    plain = signature(
-        *run_engine(engine, series, rra_candidates, prune=True)
-    )
+    plain = signature(*run_engine(engine, series, rra_candidates))
     context = SearchContext()
     first = signature(
-        *run_engine(engine, series, rra_candidates, prune=True, context=context)
+        *run_engine(engine, series, rra_candidates, context=context)
     )
     again = signature(
-        *run_engine(engine, series, rra_candidates, prune=True, context=context)
+        *run_engine(engine, series, rra_candidates, context=context)
     )
     assert first == plain and again == plain
     assert context.hits > 0  # the second run reused artifacts
@@ -365,13 +361,13 @@ def test_series_digest_memoizes_by_identity():
 
 
 def test_discord_search_key_sensitivity(series):
-    base = dict(window=40, num_discords=2, backend="kernel", prune=False)
+    base = dict(window=40, num_discords=2, backend="kernel")
     key = discord_search_key(series, (), engine="hotsax", params=base)
     assert len(key) == 64 and set(key) <= set("0123456789abcdef")
     assert key == discord_search_key(series, (), engine="hotsax", params=dict(base))
     assert key != discord_search_key(series, (), engine="haar", params=base)
     assert key != discord_search_key(
-        series, (), engine="hotsax", params={**base, "prune": True}
+        series, (), engine="hotsax", params={**base, "num_discords": 3}
     )
     rng = np.random.default_rng(0)
     assert key != discord_search_key(
@@ -395,14 +391,51 @@ def test_grid_cell_key_distinguishes_cells(series):
 
 
 def test_ledger_delta_roundtrip():
-    before = {"calls": 10, "true_calls": 6, "lb_calls": 2, "pruned": 4}
-    after = {"calls": 25, "true_calls": 16, "lb_calls": 5, "pruned": 9}
+    before, after = {"calls": 10}, {"calls": 25}
     delta = ledger_delta(before, after)
+    assert delta == {"calls": 15}
     counter = DistanceCounter()
-    counter.calls, counter.true_calls = 10, 6
-    counter.lb_calls, counter.pruned = 2, 4
+    counter.calls = 10
     apply_ledger_delta(counter, delta)
     assert counter.ledger() == after
+
+
+def test_version_one_entries_are_misses(
+    series, rra_candidates, tmp_path, monkeypatch
+):
+    """Entries stored under key version 1 — whose ledgers carried four
+    fields and whose keys also carried ``prune`` — are never read back,
+    so a stale answer (here: no discords, one call) cannot surface."""
+    from repro.cache import keys
+
+    valid = [
+        iv for iv in rra_candidates if iv.end <= series.size and iv.length >= 2
+    ]
+    stale = {
+        "engine": "rra",
+        "discords": [],
+        "ledger": {"calls": 1},
+    }
+    cache = ResultCache(tmp_path / "store")
+    monkeypatch.setattr(keys, "CACHE_KEY_VERSION", 1)
+    for params in (
+        {"num_discords": 2, "backend": "kernel", "prune": False},
+        {"num_discords": 2, "backend": "kernel"},
+    ):
+        cache.put(
+            discord_search_key(
+                series, valid, engine="rra", params=params,
+                rng=np.random.default_rng(0),
+            ),
+            stale,
+        )
+    monkeypatch.undo()
+    result, counter = run_engine("rra", series, rra_candidates, cache=cache)
+    assert not result.from_cache
+    assert cache.hits == 0 and cache.misses == 1
+    assert signature(result, counter) == signature(
+        *run_engine("rra", series, rra_candidates)
+    )
 
 
 def test_discord_json_roundtrip():

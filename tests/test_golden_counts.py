@@ -1,20 +1,19 @@
 """Golden-count regression suite for the distance-call ledger.
 
 The paper's efficiency metric is the number of distance-function calls
-(Section 6: the distance function accounts for >= 99% of runtime).  Four
-layers of machinery sit on top of that counter — vectorized kernels,
-anytime budgets, the process-pool scan/replay engine, and the admissible
-lower-bound pruning ledger — and every one of them promises to preserve
-the *logical* call counts.  This suite pins the exact
-:class:`~repro.timeseries.distance.DistanceCounter` ledgers
-(``calls``/``true_calls``/``pruned``) and discord results for all four
-engines on two seeded bundled datasets against the checked-in
-``tests/golden/counts.json``, so a future perf layer cannot silently
-change logical work.
+(Section 6: the distance function accounts for >= 99% of runtime).
+Several layers of machinery sit on top of that counter — vectorized
+kernels, the batch backend, anytime budgets, the process-pool
+scan/replay engine, and the result cache — and every one of them
+promises to preserve the *logical* call counts.  This suite pins the
+exact :class:`~repro.timeseries.distance.DistanceCounter` ``calls`` and
+discord results for all four engines on two seeded bundled datasets
+against the checked-in ``tests/golden/counts.json``, so a future perf
+layer cannot silently change logical work.
 
-Each golden entry is keyed by ``dataset/engine/prune`` only: the serial
-run and the ``n_workers=2`` run must BOTH reproduce the same entry,
-which asserts the parallel bit-identity guarantee directly rather than
+Each golden entry is keyed by ``dataset/engine`` only: the serial run
+and the ``n_workers=2`` run must BOTH reproduce the same entry, which
+asserts the parallel bit-identity guarantee directly rather than
 pinning separate parallel numbers.
 
 Regenerate after an *intentional* change with::
@@ -40,11 +39,11 @@ from repro.discord.hotsax import hotsax_discords
 from repro.timeseries.distance import DistanceCounter
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "counts.json"
-GOLDEN_FORMAT = "repro-golden-counts/1"
+GOLDEN_FORMAT = "repro-golden-counts/2"
 
 # Two seeded bundled datasets, small enough that the full matrix stays
 # inside the tier-1 time budget but large enough that every engine does
-# non-trivial pruning and multi-chunk parallel work.
+# non-trivial early abandoning and multi-chunk parallel work.
 DATASETS = {
     "sine": dict(kind="sine", length=1200, period=100, seed=7),
     "ecg": dict(kind="ecg", num_beats=8, anomaly_beats=(5,), seed=3),
@@ -78,17 +77,11 @@ def _rra_intervals(dataset):
 
 
 def run_engine(
-    name: str, dataset, intervals, *, n_workers: int, prune: bool,
+    name: str, dataset, intervals, *, n_workers: int,
     backend: str = "kernel", cache=None,
 ):
-    """Run one engine; return its ledger + discord tuples as a golden entry.
-
-    ``lb_calls`` is deliberately excluded: it counts *physical*
-    lower-bound evaluations, which parallel workers perform
-    speculatively while over-scanning.  The logical triple
-    (``calls``/``true_calls``/``pruned``) is derived from the serial
-    replay order and is the invariant worth pinning.
-    """
+    """Run one engine; return its call count + discord tuples as a golden
+    entry."""
     counter = DistanceCounter()
     series = dataset.series
     if name == "rra":
@@ -98,7 +91,6 @@ def run_engine(
             num_discords=NUM_DISCORDS,
             counter=counter,
             n_workers=n_workers,
-            prune=prune,
             backend=backend,
             cache=cache,
         )
@@ -111,7 +103,6 @@ def run_engine(
             alphabet_size=dataset.alphabet_size,
             counter=counter,
             n_workers=n_workers,
-            prune=prune,
             backend=backend,
             cache=cache,
         )
@@ -122,7 +113,6 @@ def run_engine(
             num_discords=NUM_DISCORDS,
             counter=counter,
             n_workers=n_workers,
-            prune=prune,
             backend=backend,
             cache=cache,
         )
@@ -133,26 +123,27 @@ def run_engine(
             num_discords=NUM_DISCORDS,
             counter=counter,
             n_workers=n_workers,
-            prune=prune,
             backend=backend,
             cache=cache,
         )
     else:  # pragma: no cover - config error
         raise ValueError(name)
-    ledger = counter.ledger()
-    assert ledger["calls"] == ledger["true_calls"] + ledger["pruned"]
     return {
-        "calls": ledger["calls"],
-        "true_calls": ledger["true_calls"],
-        "pruned": ledger["pruned"],
+        "calls": counter.calls,
         "discords": [
             [d.start, d.end, float(np.round(d.score, 10))] for d in result.discords
         ],
     }
 
 
-def _entry_key(dataset: str, engine: str, prune: bool) -> str:
-    return f"{dataset}/{engine}/prune={'on' if prune else 'off'}"
+def _entry_key(dataset: str, engine: str) -> str:
+    return f"{dataset}/{engine}"
+
+
+def _case_id(dataset: str, engine: str) -> str:
+    # Case ids keep the ``/prune=off`` suffix of the format-1 keys so
+    # that the test names stay stable across the format change.
+    return f"{_entry_key(dataset, engine)}/prune=off"
 
 
 def _golden() -> dict:
@@ -162,12 +153,7 @@ def _golden() -> dict:
     return data
 
 
-CASES = [
-    (ds, engine, prune)
-    for ds in DATASETS
-    for engine in ENGINES
-    for prune in (False, True)
-]
+CASES = [(ds, engine) for ds in DATASETS for engine in ENGINES]
 
 
 @pytest.fixture(scope="module")
@@ -186,67 +172,64 @@ def rra_intervals(datasets):
 
 
 @pytest.mark.parametrize(
-    "dataset_name, engine, prune",
+    "dataset_name, engine",
     CASES,
-    ids=[_entry_key(*case) for case in CASES],
+    ids=[_case_id(*case) for case in CASES],
 )
 def test_serial_counts_match_golden(
-    golden, datasets, rra_intervals, dataset_name, engine, prune
+    golden, datasets, rra_intervals, dataset_name, engine
 ):
-    key = _entry_key(dataset_name, engine, prune)
+    key = _entry_key(dataset_name, engine)
     entry = run_engine(
         engine,
         datasets[dataset_name],
         rra_intervals[dataset_name],
         n_workers=1,
-        prune=prune,
     )
     assert entry == golden["entries"][key], key
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "dataset_name, engine, prune",
+    "dataset_name, engine",
     CASES,
-    ids=[_entry_key(*case) for case in CASES],
+    ids=[_case_id(*case) for case in CASES],
 )
 def test_parallel_counts_match_golden(
-    golden, datasets, rra_intervals, dataset_name, engine, prune
+    golden, datasets, rra_intervals, dataset_name, engine
 ):
     """n_workers=2 must reproduce the SAME golden entry as the serial run."""
-    key = _entry_key(dataset_name, engine, prune)
+    key = _entry_key(dataset_name, engine)
     entry = run_engine(
         engine,
         datasets[dataset_name],
         rra_intervals[dataset_name],
         n_workers=2,
-        prune=prune,
     )
     assert entry == golden["entries"][key], key
 
 
 @pytest.mark.parametrize(
-    "dataset_name, engine, prune",
+    "dataset_name, engine",
     CASES,
-    ids=[_entry_key(*case) for case in CASES],
+    ids=[_case_id(*case) for case in CASES],
 )
 def test_batch_serial_counts_match_golden(
-    golden, datasets, rra_intervals, dataset_name, engine, prune
+    golden, datasets, rra_intervals, dataset_name, engine
 ):
     """``backend='batch'`` must reproduce the SAME golden entry.
 
     The tiled GEMM scans replay the serial nearest-so-far trajectory
-    over precomputed distances, so the ledger triple and the discords
+    over precomputed distances, so the call count and the discords
     are pinned to the kernel backend's numbers — not to separate
     batch-specific goldens.
     """
-    key = _entry_key(dataset_name, engine, prune)
+    key = _entry_key(dataset_name, engine)
     entry = run_engine(
         engine,
         datasets[dataset_name],
         rra_intervals[dataset_name],
         n_workers=1,
-        prune=prune,
         backend="batch",
     )
     assert entry == golden["entries"][key], key
@@ -254,51 +237,49 @@ def test_batch_serial_counts_match_golden(
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "dataset_name, engine, prune",
+    "dataset_name, engine",
     CASES,
-    ids=[_entry_key(*case) for case in CASES],
+    ids=[_case_id(*case) for case in CASES],
 )
 def test_batch_parallel_counts_match_golden(
-    golden, datasets, rra_intervals, dataset_name, engine, prune
+    golden, datasets, rra_intervals, dataset_name, engine
 ):
     """``backend='batch'`` with n_workers=2: still the same entry."""
-    key = _entry_key(dataset_name, engine, prune)
+    key = _entry_key(dataset_name, engine)
     entry = run_engine(
         engine,
         datasets[dataset_name],
         rra_intervals[dataset_name],
         n_workers=2,
-        prune=prune,
         backend="batch",
     )
     assert entry == golden["entries"][key], key
 
 
 @pytest.mark.parametrize(
-    "dataset_name, engine, prune",
+    "dataset_name, engine",
     CASES,
-    ids=[_entry_key(*case) for case in CASES],
+    ids=[_case_id(*case) for case in CASES],
 )
 def test_cached_counts_match_golden(
-    golden, datasets, rra_intervals, dataset_name, engine, prune, tmp_path
+    golden, datasets, rra_intervals, dataset_name, engine, tmp_path
 ):
     """A warm result-cache hit must reproduce the SAME golden entry.
 
     The first run populates the store; the second is answered from it
     (asserted via the store's hit tally) and must replay the identical
-    logical ledger triple and discord list — cached results are pinned
+    logical call count and discord list — cached results are pinned
     against the live goldens, never separate cached numbers.
     """
     from repro.cache import ResultCache
 
-    key = _entry_key(dataset_name, engine, prune)
+    key = _entry_key(dataset_name, engine)
     cache = ResultCache(tmp_path / "store")
     cold = run_engine(
         engine,
         datasets[dataset_name],
         rra_intervals[dataset_name],
         n_workers=1,
-        prune=prune,
         cache=cache,
     )
     assert cold == golden["entries"][key], key
@@ -307,7 +288,6 @@ def test_cached_counts_match_golden(
         datasets[dataset_name],
         rra_intervals[dataset_name],
         n_workers=1,
-        prune=prune,
         cache=cache,
     )
     assert warm == golden["entries"][key], key
@@ -319,29 +299,15 @@ def test_golden_file_covers_every_case(golden):
     assert set(golden["entries"]) == expected
 
 
-def test_prune_preserves_logical_calls(golden):
-    """The pruning ledger promise: prune on/off never shifts ``calls``."""
-    for ds in DATASETS:
-        for engine in ENGINES:
-            off = golden["entries"][_entry_key(ds, engine, False)]
-            on = golden["entries"][_entry_key(ds, engine, True)]
-            assert on["calls"] == off["calls"], (ds, engine)
-            assert on["discords"] == off["discords"], (ds, engine)
-            assert off["pruned"] == 0, (ds, engine)
-
-
 def regenerate() -> None:  # pragma: no cover - maintenance entry point
     entries = {}
     for name in DATASETS:
         dataset = _load_dataset(name)
         intervals = _rra_intervals(dataset)
         for engine in ENGINES:
-            for prune in (False, True):
-                key = _entry_key(name, engine, prune)
-                entries[key] = run_engine(
-                    engine, dataset, intervals, n_workers=1, prune=prune
-                )
-                print(key, entries[key]["calls"], "calls")
+            key = _entry_key(name, engine)
+            entries[key] = run_engine(engine, dataset, intervals, n_workers=1)
+            print(key, entries[key]["calls"], "calls")
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "format": GOLDEN_FORMAT,

@@ -2,11 +2,9 @@
 
 The parallel engine folds per-worker counters into the parent with
 :meth:`DistanceCounter.merge` / ``+=`` and checkpoint resume rebuilds a
-counter from a pruned-prefix ledger via :meth:`restore_ledger`.  Both
-promise the same invariants regardless of how the work was sliced:
+counter from a prefix ledger via :meth:`restore_ledger`.  Both promise
+the same invariants regardless of how the work was sliced:
 
-* ``calls == true_calls + pruned`` is preserved by every operation that
-  starts from counters satisfying it;
 * merging is associative and commutative — any shard order, any
   grouping, same totals;
 * ``restore_ledger`` then merging the remaining shards equals merging
@@ -26,40 +24,19 @@ from repro.timeseries.distance import DistanceCounter
 
 
 def make_counter(ops):
-    """Build a counter from a list of (kind, count) recording operations."""
+    """Build a counter from a list of batch-recording counts."""
     counter = DistanceCounter()
-    for kind, count in ops:
-        if kind == "batch":
-            counter.batch(count)
-        elif kind == "pruned":
-            counter.pruned_batch(count)
-        else:
-            counter.lb_batch(count)
+    for count in ops:
+        counter.batch(count)
     return counter
 
 
-operation = st.tuples(
-    st.sampled_from(["batch", "pruned", "lb"]),
-    st.integers(min_value=0, max_value=10_000),
-)
-op_list = st.lists(operation, max_size=30)
+op_list = st.lists(st.integers(min_value=0, max_value=10_000), max_size=30)
 counter_strategy = op_list.map(make_counter)
 
 
 def ledgers_equal(a: DistanceCounter, b: DistanceCounter) -> bool:
     return a.ledger() == b.ledger()
-
-
-@given(op_list)
-def test_recording_preserves_split_invariant(ops):
-    counter = make_counter(ops)
-    assert counter.calls == counter.true_calls + counter.pruned
-
-
-@given(counter_strategy, counter_strategy)
-def test_merge_preserves_split_invariant(a, b):
-    a.merge(b)
-    assert a.calls == a.true_calls + a.pruned
 
 
 @given(st.lists(op_list, min_size=1, max_size=6), st.randoms(use_true_random=False))
@@ -103,7 +80,7 @@ def test_merge_is_associative(a, b, c):
 
 
 @given(op_list, st.integers(min_value=0, max_value=30))
-def test_pruned_prefix_reconstruction(ops, split_at):
+def test_prefix_ledger_reconstruction(ops, split_at):
     """Checkpoint-resume identity: restore a prefix ledger, replay the rest.
 
     A resumed search restores the ledger saved at the checkpoint
@@ -116,16 +93,10 @@ def test_pruned_prefix_reconstruction(ops, split_at):
     prefix = make_counter(ops[:split_at])
     resumed = DistanceCounter()
     resumed.restore_ledger(prefix.ledger())
-    for kind, count in ops[split_at:]:
-        if kind == "batch":
-            resumed.batch(count)
-        elif kind == "pruned":
-            resumed.pruned_batch(count)
-        else:
-            resumed.lb_batch(count)
+    for count in ops[split_at:]:
+        resumed.batch(count)
 
     assert ledgers_equal(full, resumed)
-    assert resumed.calls == resumed.true_calls + resumed.pruned
 
 
 @given(st.lists(op_list, min_size=2, max_size=5), st.data())
@@ -160,14 +131,13 @@ def test_ledger_roundtrip_is_lossless(counter):
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=1, max_value=48),
-    st.booleans(),
 )
-def test_batch_tile_partition_preserves_ledger(seed, tile_rows, prune):
+def test_batch_tile_partition_preserves_ledger(seed, tile_rows):
     """The batch backend's ledger is a pure function of the search, not
     of how its outer loop was partitioned into GEMM tiles.
 
     The serial replay inside each tile carries the exact kernel-scan
-    trajectory, so for ANY tile size the recorded split ledger — and the
+    trajectory, so for ANY tile size the recorded ledger — and the
     discords — must equal the kernel backend's, which is itself pinned
     by the golden-count suite.
     """
@@ -178,7 +148,7 @@ def test_batch_tile_partition_preserves_ledger(seed, tile_rows, prune):
     series = np.sin(np.linspace(0.0, 10.0, 150)) + 0.2 * rng.normal(size=150)
     kernel_counter = DistanceCounter()
     kernel = hotsax_discords(
-        series, 14, num_discords=2, counter=kernel_counter, prune=prune
+        series, 14, num_discords=2, counter=kernel_counter
     )
     old = batch.DEFAULT_TILE_ROWS
     batch.DEFAULT_TILE_ROWS = tile_rows
@@ -186,7 +156,7 @@ def test_batch_tile_partition_preserves_ledger(seed, tile_rows, prune):
         batch_counter = DistanceCounter()
         batched = hotsax_discords(
             series, 14, num_discords=2, counter=batch_counter,
-            prune=prune, backend="batch",
+            backend="batch",
         )
     finally:
         batch.DEFAULT_TILE_ROWS = old
@@ -194,17 +164,3 @@ def test_batch_tile_partition_preserves_ledger(seed, tile_rows, prune):
     assert [(d.start, d.end) for d in kernel.discords] == [
         (d.start, d.end) for d in batched.discords
     ]
-
-
-@given(op_list)
-def test_legacy_ledger_defaults(ops):
-    """Pre-pruning checkpoints carried only ``calls``; the split defaults
-    to all-true so ``calls == true_calls + pruned`` still holds."""
-    counter = make_counter(ops)
-    legacy = {"calls": counter.calls}
-    restored = DistanceCounter()
-    restored.restore_ledger(legacy)
-    assert restored.calls == counter.calls
-    assert restored.true_calls == counter.calls
-    assert restored.pruned == 0
-    assert restored.calls == restored.true_calls + restored.pruned

@@ -16,10 +16,14 @@ from repro.core.rra import (
     find_discords,
     nearest_neighbor_distances,
 )
-from repro.exceptions import DiscordSearchError
+from repro.exceptions import CheckpointError, DiscordSearchError
 from repro.grammar.intervals import RuleInterval
 from repro.resilience.budget import SearchBudget, SearchStatus
-from repro.resilience.checkpoint import load_checkpoint
+from repro.resilience.checkpoint import (
+    load_checkpoint,
+    save_checkpoint,
+    search_fingerprint,
+)
 from repro.timeseries import kernels
 from repro.timeseries.distance import DistanceCounter
 
@@ -154,6 +158,19 @@ class TestFindDiscords:
         result = find_discords(series, _candidates_for(series), num_discords=2)
         assert result.best is result.discords[0]
         assert RRAResult().best is None
+
+    def test_iterator_input_equals_list_input(self):
+        """*intervals* is read once, so an iterator gives the list result
+        instead of a used-up, empty candidate set."""
+        series = _blip_series()
+        candidates = _candidates_for(series)
+        from_list = find_discords(series, candidates, num_discords=2)
+        from_iter = find_discords(series, iter(candidates), num_discords=2)
+        assert from_list.discords
+        assert from_iter.discords == from_list.discords
+        assert from_iter.distance_calls == from_list.distance_calls
+        assert from_iter.candidate_count == from_list.candidate_count
+        assert from_iter.status is from_list.status
 
     def test_scores_non_increasing(self):
         series = _blip_series()
@@ -327,7 +344,7 @@ class TestInterruptedInnerLoopAccounting:
         monkeypatch.setattr(_CandidateSet, method, original)
 
         assert result.status is SearchStatus.CANCELLED
-        assert counter.calls == counter.true_calls == interrupt_at
+        assert counter.calls == interrupt_at
         assert result.distance_calls == interrupt_at
         # The boundary before the interrupted candidate: every call made
         # for earlier candidates, none of the aborted one's.
@@ -336,12 +353,37 @@ class TestInterruptedInnerLoopAccounting:
             boundary -= 1
         saved = load_checkpoint(str(checkpoint))
         assert saved["distance_calls"] == boundary
-        assert saved["ledger"] == {
-            "calls": boundary, "true_calls": boundary, "lb_calls": 0, "pruned": 0,
-        }
+        assert saved["ledger"] == {"calls": boundary}
         resumed = find_discords(
             series, candidates, num_discords=2, backend=backend,
             resume_from=str(checkpoint),
         )
         assert resumed.discords == reference.discords
         assert resumed.distance_calls == reference.distance_calls
+
+
+class TestCheckpointFingerprint:
+    def test_checkpoint_with_prune_in_fingerprint_is_rejected(self, tmp_path):
+        """Checkpoints from before the ledger held only ``calls`` were
+        fingerprinted with a ``prune`` parameter; resuming one fails with
+        a fingerprint mismatch instead of adopting its ledger."""
+        series = _blip_series(length=600)
+        candidates = _candidates_for(series)
+        path = str(tmp_path / "ck.json")
+        find_discords(
+            series, candidates, num_discords=2,
+            budget=SearchBudget(max_calls=50),
+            checkpoint_path=path, checkpoint_every=1,
+        )
+        data = load_checkpoint(path)
+        # The untouched checkpoint resumes: only the fingerprint matters.
+        find_discords(series, candidates, num_discords=2, resume_from=path)
+        valid = [
+            iv for iv in candidates if iv.end <= series.size and iv.length >= 2
+        ]
+        data["fingerprint"] = search_fingerprint(
+            series, valid, {"num_discords": 2, "backend": "kernel", "prune": False}
+        )
+        save_checkpoint(path, data)
+        with pytest.raises(CheckpointError):
+            find_discords(series, candidates, num_discords=2, resume_from=path)

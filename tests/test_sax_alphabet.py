@@ -11,7 +11,9 @@ from repro.exceptions import ParameterError
 from repro.sax.alphabet import (
     MAX_ALPHABET_SIZE,
     MIN_ALPHABET_SIZE,
+    alphabet_letters,
     breakpoints,
+    letter_indices,
     symbol_for_value,
     symbol_index,
     symbols_for_values,
@@ -102,6 +104,16 @@ class TestSymbolsForValues:
         values = rng.normal(size=20)
         word = symbols_for_values(values, 5)
         assert word == "".join(symbol_for_value(v, 5) for v in values)
+
+
+class TestLetterIndices:
+    def test_matches_scalar_symbols(self):
+        values = np.array([[-2.0, -0.1, 0.0, 0.4, 2.5]])
+        for alpha in (3, 5, 8):
+            letters = alphabet_letters(alpha)
+            idx = letter_indices(values, alpha)
+            expected = [letters.index(symbol_for_value(v, alpha)) for v in values[0]]
+            assert idx.tolist() == [expected]
 
 
 class TestSymbolIndex:
