@@ -174,32 +174,11 @@ class SearchContext:
 
     # -- discretization / sweep artifacts -------------------------------
 
-    def normalized_flat_windows(self, series: np.ndarray, window: int):
-        """The paa-independent front half of ``windowed_paa``.
-
-        Reuses the window matrix's z-normalized rows (identical
-        arithmetic: both run ``znorm_rows`` at the default flatness
-        threshold over the same sliding-window view) and applies the
-        flat-row zeroing on top.
-        """
-        from repro.sax.discretize import normalized_flat_windows
-
-        key = ("norm_flat", self._series_key(series), int(window))
-
-        def build():
-            windows = self.window_matrix(series, window)
-            normalized = windows.normalized if windows is not None else None
-            return normalized_flat_windows(
-                series, window, normalized=normalized
-            )
-
-        return self.memo(key, build)
-
     def windowed_paa(
         self, series: np.ndarray, window: int, paa_size: int
     ) -> np.ndarray:
-        """Per-window PAA coefficients, sharing the znorm pass across
-        every ``paa_size`` of the same ``window``."""
+        """Per-window PAA coefficients (a small k × P matrix), shared by
+        every ``alphabet_size`` of the same ``(window, paa_size)``."""
         from repro.sax.discretize import windowed_paa
 
         key = (
@@ -208,15 +187,7 @@ class SearchContext:
             int(window),
             int(paa_size),
         )
-        return self.memo(
-            key,
-            lambda: windowed_paa(
-                series,
-                window,
-                paa_size,
-                normalized_flat=self.normalized_flat_windows(series, window),
-            ),
-        )
+        return self.memo(key, lambda: windowed_paa(series, window, paa_size))
 
     # -- grammar front half ----------------------------------------------
 

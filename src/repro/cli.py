@@ -32,6 +32,7 @@ import numpy as np
 from repro.core.ensemble import AGGREGATIONS, NORMALIZATIONS
 from repro.core.pipeline import GrammarAnomalyDetector
 from repro.exceptions import ReproError
+from repro.io import read_series
 from repro.timeseries.kernels import BACKENDS
 
 
@@ -39,23 +40,7 @@ def _load_series(
     path: str, column: int, *, keep_nonfinite: bool = False
 ) -> np.ndarray:
     """Load a 1-d series from a text file (CSV or whitespace-separated)."""
-    try:
-        data = np.genfromtxt(path, delimiter=None, dtype=float)
-    except OSError as exc:
-        raise ReproError(f"cannot read {path}: {exc}") from exc
-    if data.ndim == 1:
-        series = data
-    else:
-        if column >= data.shape[1]:
-            raise ReproError(
-                f"column {column} requested but file has {data.shape[1]} columns"
-            )
-        series = data[:, column]
-    if not keep_nonfinite:
-        series = series[np.isfinite(series)]
-    if series.size == 0 or not np.isfinite(series).any():
-        raise ReproError(f"no numeric data found in {path}")
-    return series
+    return read_series(path, column=column, keep_nonfinite=keep_nonfinite)
 
 
 def _format_trace(metrics) -> str:
@@ -227,8 +212,9 @@ def _cmd_density(args: argparse.Namespace) -> int:
     series = _load_series(args.path, args.column)
     detector = GrammarAnomalyDetector(args.window, args.paa, args.alphabet)
     detector.fit(series)
-    for value in detector.density_curve():
-        print(int(value))
+    curve = detector.density_curve().astype(np.int64).tolist()
+    if curve:
+        sys.stdout.write("\n".join(map(str, curve)) + "\n")
     return 0
 
 

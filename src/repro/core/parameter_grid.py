@@ -315,8 +315,8 @@ class ParameterGridStudy:
         serially and as the unit of work one parallel sweep task
         executes.  They are also computed *lazily*: a pair whose cells
         all hit the result cache never discretizes at all.  With a
-        *context*, the z-normalization front half is additionally
-        shared across every ``paa_size`` of the same window.
+        *context*, the PAA coefficients are additionally shared with
+        every other consumer of the same series and pair.
         """
         if paa_size > window or window >= self.series.size:
             return []

@@ -3,7 +3,7 @@
 Pieces a downstream user needs around the algorithms:
 
 * :func:`load_series` / :func:`save_series` — plain one-column text
-  series (what the CLI consumes);
+  series (:func:`read_series` is the reader the CLI shares);
 * :func:`load_ucr` — the UCR time-series-archive format (one series per
   line, first column a label), the de-facto community interchange
   format;
@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
 from repro.core.anomaly import Anomaly, Discord
-from repro.datasets.base import Dataset
 from repro.exceptions import DatasetError, ReproError
+
+if TYPE_CHECKING:
+    from repro.datasets.base import Dataset
 
 PathLike = Union[str, pathlib.Path]
 
@@ -38,10 +40,26 @@ def load_series(path: PathLike, *, column: int = 0) -> np.ndarray:
     :func:`repro.timeseries.preprocess.fill_missing` when positions
     matter).
     """
-    try:
-        data = np.genfromtxt(path, delimiter=None, dtype=float)
-    except OSError as exc:
-        raise ReproError(f"cannot read {path}: {exc}") from exc
+    return read_series(path, column=column)
+
+
+def read_series(
+    path: PathLike, *, column: int = 0, keep_nonfinite: bool = False
+) -> np.ndarray:
+    """The shared text-series reader behind :func:`load_series` and the CLI.
+
+    A one-column file (or a single row, or a single value) is the
+    series; a table yields its *column*.  Non-finite entries are dropped
+    unless *keep_nonfinite* is set, for callers that route the raw
+    values through :func:`repro.timeseries.preprocess.quality_gate`.
+
+    Raises
+    ------
+    ReproError
+        If the file cannot be read or parsed (e.g. ragged rows), the
+        column does not exist, or no finite value remains.
+    """
+    data = _read_table(path)
     if data.ndim == 0:
         data = data.reshape(1)
     if data.ndim == 2:
@@ -50,10 +68,33 @@ def load_series(path: PathLike, *, column: int = 0) -> np.ndarray:
                 f"column {column} requested but file has {data.shape[1]} columns"
             )
         data = data[:, column]
-    series = data[np.isfinite(data)]
-    if series.size == 0:
+    if not keep_nonfinite:
+        data = data[np.isfinite(data)]
+    if data.size == 0 or not np.isfinite(data).any():
         raise ReproError(f"no numeric data found in {path}")
-    return series
+    return data
+
+
+def _read_table(path: PathLike) -> np.ndarray:
+    """Parse a numeric text table into a float array.
+
+    ``np.loadtxt`` is the fast path for clean files; anything it
+    rejects (missing, non-numeric or ragged cells) goes through
+    ``np.genfromtxt``, which turns unparsable cells into NaN and is the
+    arbiter of what a malformed file means.
+    """
+    try:
+        return np.loadtxt(path, dtype=float)
+    except OSError as exc:
+        raise ReproError(f"cannot read {path}: {exc}") from exc
+    except ValueError:
+        pass
+    try:
+        return np.genfromtxt(path, delimiter=None, dtype=float)
+    except OSError as exc:
+        raise ReproError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ReproError(f"cannot parse {path}: {exc}") from exc
 
 
 def save_series(path: PathLike, series: np.ndarray) -> None:
@@ -108,6 +149,8 @@ def ucr_to_series(
     that label become the ground-truth anomaly intervals — a common way
     to build anomaly benchmarks from classification archives.
     """
+    from repro.datasets.base import Dataset
+
     if not rows:
         raise DatasetError("no rows to concatenate")
     pieces = []
@@ -148,6 +191,8 @@ def save_dataset(path: PathLike, dataset: Dataset) -> None:
 
 def load_dataset(path: PathLike) -> Dataset:
     """Load a Dataset bundle written by :func:`save_dataset`."""
+    from repro.datasets.base import Dataset
+
     try:
         bundle = np.load(path, allow_pickle=False)
     except OSError as exc:

@@ -21,7 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import DiscretizationError, ParameterError
-from repro.sax.alphabet import breakpoints_array, letter_indices
+from repro.sax.alphabet import (
+    MAX_ALPHABET_SIZE,
+    MIN_ALPHABET_SIZE,
+    breakpoints,
+    breakpoints_array,
+    letter_indices,
+)
 from repro.sax.sax import mindist
 from repro.timeseries.paa import paa_batch
 from repro.timeseries.preprocess import nonfinite_spans
@@ -139,34 +145,39 @@ class Discretization:
         return 1.0 - len(self.words) / self.raw_word_count
 
 
-def normalized_flat_windows(
-    series: np.ndarray,
-    window: int,
-    *,
-    flatness_threshold: float = DEFAULT_FLATNESS_THRESHOLD,
-    normalized: np.ndarray = None,
-) -> np.ndarray:
-    """Z-normalized sliding windows with flat rows zeroed out.
+#: Every SAX breakpoint of every supported alphabet, sorted.  The
+#: near-decision guard of :func:`windowed_paa` checks PAA values against
+#: this union, so the PAA matrix stays alphabet-free and can be shared
+#: by every alphabet size.
+_ALL_BREAKPOINTS = np.array(
+    sorted(
+        {
+            cut
+            for a in range(MIN_ALPHABET_SIZE, MAX_ALPHABET_SIZE + 1)
+            for cut in breakpoints(a)
+        }
+    )
+)
 
-    The ``paa_size``- and alphabet-independent front half of
-    :func:`windowed_paa`: slide, z-normalize, zero out flat windows.
-    Flat windows carry no shape: discretizing them as exact zeros maps
-    them all to the same middle-letter word instead of flickering
-    across the central breakpoint on sub-threshold noise.
+#: The guard's prefilter grid: ``_GRID_CELLS`` cells of width
+#: ``_GRID_STEP`` (a power of two, so cell indices round only in the
+#: ``+ 2`` shift) tile [-2, 2], which holds every breakpoint.  A cell is
+#: flagged when it or a neighbour holds a breakpoint, so a value in an
+#: unflagged cell is at least one cell width from every breakpoint.
+_GRID_CELLS = 2**14
+_GRID_STEP = 4.0 / _GRID_CELLS
+_GRID_FLAGGED = np.zeros(_GRID_CELLS, dtype=bool)
+_GRID_FLAGGED[
+    np.clip(
+        np.floor((_ALL_BREAKPOINTS + 2.0) / _GRID_STEP).astype(np.intp)[:, None]
+        + np.array([-1, 0, 1]),
+        0,
+        _GRID_CELLS - 1,
+    )
+] = True
 
-    Pass *normalized* (a prebuilt ``znorm_rows`` of the same windows at
-    the same threshold, e.g. a
-    :class:`~repro.timeseries.kernels.WindowMatrix`'s ``normalized``)
-    to skip the normalization pass; the flat-row zeroing never mutates
-    it.
-    """
-    windows = sliding_windows(series, window)
-    if normalized is None:
-        normalized = znorm_rows(windows, flatness_threshold)
-    flat_rows = windows.std(axis=1) < flatness_threshold
-    if flat_rows.any():
-        normalized = np.where(flat_rows[:, None], 0.0, normalized)
-    return normalized
+#: Unit roundoff of float64.
+_U = np.finfo(float).eps / 2
 
 
 def windowed_paa(
@@ -175,23 +186,202 @@ def windowed_paa(
     paa_size: int,
     *,
     flatness_threshold: float = DEFAULT_FLATNESS_THRESHOLD,
-    normalized_flat: np.ndarray = None,
 ) -> np.ndarray:
     """Per-window PAA coefficients of the z-normalized sliding windows.
 
     The expensive front half of :func:`discretize` — everything that
     depends only on ``(window, paa_size)`` and not on the alphabet.
     Parameter sweeps compute this once per ``(window, paa_size)`` pair
-    and hand it to :func:`discretize` for each alphabet size; the
-    memoization context goes further and shares *normalized_flat* (the
-    output of :func:`normalized_flat_windows`) across every
-    ``paa_size`` of the same ``window``.
+    and hand it to :func:`discretize` for each alphabet size.
+
+    Works in O(n·P) from prefix sums of the centred series, never
+    building the (n − W + 1) × W window matrix: each window's mean and
+    standard deviation come from ``cumsum(x)`` and ``cumsum(x²)``, each
+    segment's raw mean from ``cumsum(x)`` (boundary samples weighted
+    fractionally when ``window % paa_size != 0``), and the coefficient
+    is ``(segment mean − window mean) / σ``.  Flat windows (σ below
+    *flatness_threshold*) are exact zeros: they carry no shape, and
+    discretizing them as zeros maps them all to the same middle-letter
+    word instead of flickering across the central breakpoint on
+    sub-threshold noise.
+
+    The letters are those of the two-pass window-matrix arithmetic
+    (slide, z-normalize, PAA): a *near-decision guard* recomputes, with
+    that arithmetic, every row whose σ is within its error estimate of
+    the flatness threshold or whose coefficients are within theirs of
+    any SAX breakpoint (see :func:`_near_decision_rows` and DESIGN.md
+    §15).
     """
-    if normalized_flat is None:
-        normalized_flat = normalized_flat_windows(
-            series, window, flatness_threshold=flatness_threshold
+    series = _checked_series(series)
+    if window < 2:
+        raise ParameterError(f"window must be at least 2, got {window}")
+    if paa_size < 1 or paa_size > window:
+        raise ParameterError(
+            f"PAA size must be in [1, {window}], got {paa_size}"
         )
-    return paa_batch(normalized_flat, paa_size)
+    if series.size < window:
+        raise DiscretizationError(
+            f"series of length {series.size} is shorter than window {window}"
+        )
+    k = series.size - window + 1
+    centre = series.mean()
+    x = series - centre
+    c = np.zeros(series.size + 1)
+    np.cumsum(x, out=c[1:])
+    c2 = np.zeros(series.size + 1)
+    np.cumsum(x * x, out=c2[1:])
+
+    mu = (c[window:] - c[:k]) / window
+    s2 = c2[window:] - c2[:k]
+    var = np.maximum(s2 / window - mu * mu, 0.0)
+    sigma = np.sqrt(var)
+    flat = ~(sigma >= flatness_threshold)  # NaN (overflow) counts as flat
+
+    # Segment j of window i covers [i + j·W/P, i + (j+1)·W/P).  With
+    # j·W/P = q_j + r_j/P, the fractional prefix sum F(t) = c[⌊t⌋] +
+    # (t − ⌊t⌋)·x[⌊t⌋] at the segment edges turns every segment sum into
+    # one difference.  Rows are segments here (shape (P, k)), so each
+    # step below is a contiguous vector operation.
+    q, r = np.divmod(np.arange(paa_size + 1) * window, paa_size)
+    edges = np.empty((paa_size + 1, k))
+    for j in range(paa_size + 1):
+        edges[j] = c[q[j] : q[j] + k]
+        if r[j]:
+            edges[j] += (r[j] / paa_size) * x[q[j] : q[j] + k]
+    coeffs = (edges[1:] - edges[:-1]) * (paa_size / window)
+    coeffs -= mu
+    shapeless = flat | (sigma == 0.0)
+    coeffs /= np.where(shapeless, 1.0, sigma)
+    coeffs[:, shapeless] = 0.0
+
+    stats = _WindowStats(
+        window, centre, mu, var, sigma, s2, c[:k], c2[window:]
+    )
+    rows = _near_decision_rows(coeffs, stats, flatness_threshold)
+    values = coeffs.T.copy()
+    if rows.size:
+        values[rows] = _two_pass_rows(
+            series, window, paa_size, rows, flatness_threshold
+        )
+    return values
+
+
+@dataclass(frozen=True)
+class _WindowStats:
+    """Per-window prefix-sum statistics the guard's error estimate uses.
+
+    ``c_start`` is the centred prefix sum at each window's first sample
+    and ``c2_end`` the prefix sum of squares at its end.
+    """
+
+    window: int
+    centre: float
+    mu: np.ndarray
+    var: np.ndarray
+    sigma: np.ndarray
+    s2: np.ndarray
+    c_start: np.ndarray
+    c2_end: np.ndarray
+
+
+def _near_decision_rows(
+    coeffs: np.ndarray, stats: _WindowStats, flatness_threshold: float
+) -> np.ndarray:
+    """Windows whose letters the prefix-sum arithmetic cannot vouch for.
+
+    *coeffs* is the (P, k) coefficient matrix.  A window is returned
+    when its σ² is within twice its variance error ``e_var`` of the
+    flatness threshold², or when one of its coefficients ``z`` lies
+    within ``2·(e_num/σ + |z|·(e_var/(2σ²) + u(W + 3)))`` of a SAX
+    breakpoint of any alphabet.  ``e_num`` bounds the error of a
+    coefficient's numerator and ``e_var`` that of the variance, each
+    summed over the prefix-sum and the two-pass arithmetic, to first
+    order in the unit roundoff ``u``; the factor 2 covers the dropped
+    second-order terms.  With ``M = √(Σ x_j²)`` over the window (≥ every
+    ``|x_j|`` in it), ``C = |c_i| + W·M`` (≥ every prefix sum the window
+    spans), ``R = |centre| + M`` (≥ every raw sample) and ``Q`` the
+    prefix sum of squares at the window's end::
+
+        e_num = 12u(C + M) + uW(R + 2M)
+        e_var = 4u(Q + |μ|C) + u(W + 3)σ² + (uWR)²
+
+    DESIGN.md §15 derives both.
+    """
+    u = _U
+    window = stats.window
+    m = np.sqrt(stats.s2)
+    c_max = np.abs(stats.c_start) + window * m
+    r_max = abs(stats.centre) + m
+    e_var = (
+        4 * u * (stats.c2_end + np.abs(stats.mu) * c_max)
+        + u * (window + 3) * stats.var
+        + (u * window * r_max) ** 2
+    )
+    near_flat = ~(np.abs(stats.var - flatness_threshold**2) > 2 * e_var)
+    near_flat |= stats.sigma == 0.0
+
+    e_num = 12 * u * (c_max + m) + u * window * (r_max + 2 * m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offset_tol = 2 * e_num / stats.sigma
+        slope_tol = 2 * (e_var / (2 * stats.var) + u * (window + 3))
+    checked = ~(stats.sigma < flatness_threshold) & ~near_flat
+    # Prefilter on the grid: a value in an unflagged cell is at least a
+    # cell from every breakpoint.  Unit-variance windows have |z| ≤ √P
+    # (Cauchy–Schwarz), so rows whose tolerance stays under half a cell
+    # at that bound need only their flagged values checked exactly.
+    wide = ~(offset_tol + slope_tol * np.sqrt(coeffs.shape[0]) < _GRID_STEP / 2)
+    cells = ((coeffs + 2.0) * (1.0 / _GRID_STEP)).astype(np.intp)
+    np.clip(cells, 0, _GRID_CELLS - 1, out=cells)
+    suspect = _GRID_FLAGGED[cells]
+    suspect |= wide
+    suspect &= checked
+    seg_idx, row_idx = np.nonzero(suspect)
+    z = coeffs[seg_idx, row_idx]
+    cuts = _ALL_BREAKPOINTS
+    idx = np.searchsorted(cuts, z)
+    gap = np.minimum(
+        np.abs(z - cuts[np.maximum(idx - 1, 0)]),
+        np.abs(cuts[np.minimum(idx, cuts.size - 1)] - z),
+    )
+    near_cut = np.zeros(coeffs.shape[1], dtype=bool)
+    tol = offset_tol[row_idx] + slope_tol[row_idx] * np.abs(z)
+    near_cut[row_idx[~(gap > tol)]] = True
+    return np.flatnonzero(near_flat | near_cut)
+
+
+def _two_pass_rows(
+    series: np.ndarray,
+    window: int,
+    paa_size: int,
+    rows: np.ndarray,
+    flatness_threshold: float,
+) -> np.ndarray:
+    """The window-matrix arithmetic, on the selected windows only.
+
+    Slide, z-normalize with :func:`znorm_rows`, zero flat rows (two-pass
+    ``std``), then :func:`paa_batch` — the same operations, in the same
+    order, that the full window matrix would run on these rows.
+    """
+    windows = sliding_windows(series, window)[rows]
+    normalized = znorm_rows(windows, flatness_threshold)
+    normalized[windows.std(axis=1) < flatness_threshold] = 0.0
+    return paa_batch(normalized, paa_size)
+
+
+def _checked_series(series: np.ndarray) -> np.ndarray:
+    """*series* as a finite 1-d float array, or a precise error."""
+    series = np.asarray(series, dtype=float)
+    if series.ndim != 1:
+        raise ParameterError(f"series must be 1-d, got shape {series.shape}")
+    if not np.isfinite(series).all():
+        spans = nonfinite_spans(series)
+        shown = ", ".join(f"[{s}, {e})" for s, e in spans[:5])
+        more = f" (+{len(spans) - 5} more)" if len(spans) > 5 else ""
+        raise DiscretizationError(
+            f"series contains non-finite values in spans {shown}{more}; "
+            f"clean it first (see repro.timeseries.preprocess.quality_gate)"
+        )
+    return series
 
 
 def discretize(
@@ -235,17 +425,7 @@ def discretize(
         whose window touches them — route dirty data through
         :func:`repro.timeseries.preprocess.quality_gate` first).
     """
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 1:
-        raise ParameterError(f"series must be 1-d, got shape {series.shape}")
-    if not np.isfinite(series).all():
-        spans = nonfinite_spans(series)
-        shown = ", ".join(f"[{s}, {e})" for s, e in spans[:5])
-        more = f" (+{len(spans) - 5} more)" if len(spans) > 5 else ""
-        raise DiscretizationError(
-            f"series contains non-finite values in spans {shown}{more}; "
-            f"clean it first (see repro.timeseries.preprocess.quality_gate)"
-        )
+    series = _checked_series(series)
     if window < 2:
         raise ParameterError(f"window must be at least 2, got {window}")
     if series.size < window:
@@ -273,9 +453,7 @@ def discretize(
     letter_idx = letter_indices(paa_values, alphabet_size)
 
     kept = _kept_indices(letter_idx, strategy)
-    kept_rows = letter_idx[kept]
-    uniq_rows, inverse = np.unique(kept_rows, axis=0, return_inverse=True)
-    token_ids = inverse.astype(np.int64, copy=False).ravel()
+    uniq_rows, token_ids = _unique_rows(letter_idx[kept], alphabet_size)
 
     # Word strings are built once per *distinct* surviving row — on real
     # streams that is orders of magnitude fewer joins than one per window.
@@ -298,6 +476,26 @@ def discretize(
         token_ids=token_ids,
         vocabulary=vocabulary,
     )
+
+
+def _unique_rows(
+    rows: np.ndarray, alphabet_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_inverse=True)`` for letter rows.
+
+    When a word fits in an int64 as a base-``alphabet_size`` number,
+    each row becomes one integer key whose order is the rows'
+    lexicographic order, and a 1-d ``np.unique`` replaces the much
+    slower row-wise one.  Returns the distinct rows (sorted) and each
+    row's dense id (``int64``).
+    """
+    if alphabet_size ** rows.shape[1] < 2**62:
+        place = alphabet_size ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+        keys = rows.astype(np.int64, copy=False) @ place
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        return rows[first], inverse.astype(np.int64, copy=False).ravel()
+    uniq_rows, inverse = np.unique(rows, axis=0, return_inverse=True)
+    return uniq_rows, inverse.astype(np.int64, copy=False).ravel()
 
 
 def _kept_indices(

@@ -12,6 +12,8 @@ weighted by the overlapped fraction, so all segments aggregate exactly
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.exceptions import ParameterError
@@ -66,34 +68,59 @@ def paa(values: np.ndarray, w: int) -> np.ndarray:
 
 def _fractional_paa(values: np.ndarray, w: int) -> np.ndarray:
     """PAA for the non-divisible case using fractional point weights."""
-    n = values.size
-    # Each point i is spread over the fractional segment grid: segment
-    # boundaries sit at multiples of n/w in "point mass" coordinates.
-    result = np.zeros(w, dtype=float)
+    return _fractional_paa_rows(values[None, :], w)[0]
+
+
+def _fractional_paa_rows(matrix: np.ndarray, w: int) -> np.ndarray:
+    """Row-wise fractional PAA, accumulating points in series order.
+
+    Each point is spread over the fractional segment grid (segment
+    boundaries sit at multiples of n/w in "point mass" coordinates) and
+    added to every segment it overlaps, weighted by the overlap; the
+    sums are divided by n/w at the end.  Every row's result depends on
+    that row alone, so a window computes to the same bits whether it is
+    PAA'd by itself or inside a batch of any size.
+    """
+    k, n = matrix.shape
+    result = np.zeros((k, w), dtype=float)
+    for i, s, overlap in _fractional_schedule(n, w):
+        if overlap is None:
+            result[:, s] += matrix[:, i]
+        else:
+            result[:, s] += matrix[:, i] * overlap
+    return result / (n / w)
+
+
+@lru_cache(maxsize=64)
+def _fractional_schedule(n: int, w: int) -> tuple:
+    """``(point, segment, overlap)`` additions of fractional PAA, in order.
+
+    ``overlap`` is None for a point wholly inside one segment (added
+    unweighted).
+    """
     seg = n / w
+    schedule = []
     for i in range(n):
         left = i
         right = i + 1.0
         first_seg = int(left / seg)
         last_seg = min(int((right - 1e-12) / seg), w - 1)
         if first_seg == last_seg:
-            result[first_seg] += values[i]
+            schedule.append((i, first_seg, None))
             continue
         for s in range(first_seg, last_seg + 1):
-            seg_lo = s * seg
-            seg_hi = (s + 1) * seg
-            overlap = min(right, seg_hi) - max(left, seg_lo)
+            overlap = min(right, (s + 1) * seg) - max(left, s * seg)
             if overlap > 0:
-                result[s] += values[i] * overlap
-    return result / seg
+                schedule.append((i, s, overlap))
+    return tuple(schedule)
 
 
 def paa_batch(matrix: np.ndarray, w: int) -> np.ndarray:
     """Row-wise PAA over a 2-d array of subsequences (k, n) -> (k, w).
 
-    Fast path used by the sliding-window discretizer: when ``n % w == 0``
-    this is a single vectorized reshape-mean, otherwise we fall back to a
-    per-row fractional PAA.
+    Row *i* of the result equals ``paa(matrix[i], w)`` bit for bit: when
+    ``n % w == 0`` this is a single vectorized reshape-mean, otherwise
+    the fractional PAA runs over all rows at once, one point at a time.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
@@ -107,19 +134,4 @@ def paa_batch(matrix: np.ndarray, w: int) -> np.ndarray:
         return matrix.copy()
     if n % w == 0:
         return matrix.reshape(k, w, n // w).mean(axis=2)
-    weights = _fractional_weights(n, w)
-    return matrix @ weights.T
-
-
-def _fractional_weights(n: int, w: int) -> np.ndarray:
-    """The (w, n) weight matrix implementing fractional PAA as a matmul."""
-    seg = n / w
-    weights = np.zeros((w, n), dtype=float)
-    for s in range(w):
-        seg_lo = s * seg
-        seg_hi = (s + 1) * seg
-        for i in range(int(seg_lo), min(int(np.ceil(seg_hi)), n)):
-            overlap = min(i + 1.0, seg_hi) - max(float(i), seg_lo)
-            if overlap > 0:
-                weights[s, i] = overlap / seg
-    return weights
+    return _fractional_paa_rows(matrix, w)

@@ -44,6 +44,39 @@ class TestLoadSeries:
         with pytest.raises(ReproError):
             _load_series(two_column_file, 5)
 
+    def test_single_value_file(self, tmp_path):
+        path = tmp_path / "one.txt"
+        path.write_text("42\n")
+        np.testing.assert_array_equal(_load_series(str(path), 0), [42.0])
+
+    def test_ragged_file_is_a_repro_error(self, tmp_path):
+        path = tmp_path / "ragged.txt"
+        path.write_text("1 2\n3\n")
+        with pytest.raises(ReproError, match="cannot parse"):
+            _load_series(str(path), 0)
+
+    def test_unparsable_cells_fall_back_to_genfromtxt(self, tmp_path):
+        """Cells ``np.loadtxt`` rejects become NaN via ``np.genfromtxt``
+        and are dropped, exactly as before the fast path existed."""
+        path = tmp_path / "dirty.txt"
+        path.write_text("1.5\nn/a\n2.5\n\n3e2\n")
+        np.testing.assert_array_equal(_load_series(str(path), 0), [1.5, 2.5, 300.0])
+        kept = _load_series(str(path), 0, keep_nonfinite=True)
+        assert kept.size == 4 and np.isnan(kept[1])
+
+    def test_fast_path_equals_genfromtxt(self, series_file, two_column_file):
+        for path, column in ((series_file, 0), (two_column_file, 1)):
+            data = np.genfromtxt(path, delimiter=None, dtype=float)
+            expected = data if data.ndim == 1 else data[:, column]
+            np.testing.assert_array_equal(_load_series(path, column), expected)
+
+    def test_shared_with_io_load_series(self, two_column_file):
+        from repro.io import load_series
+
+        np.testing.assert_array_equal(
+            load_series(two_column_file, column=1), _load_series(two_column_file, 1)
+        )
+
 
 class TestParser:
     def test_subcommands_exist(self):
@@ -73,6 +106,37 @@ class TestCommands:
         assert main(["density", series_file, "-w", "40"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1200
+
+    def test_density_output_is_one_int_per_line(self, series_file, capsys):
+        from repro.core.pipeline import GrammarAnomalyDetector
+
+        assert main(["density", series_file, "-w", "40"]) == 0
+        detector = GrammarAnomalyDetector(40, 4, 4)
+        detector.fit(_load_series(series_file, 0))
+        expected = "".join(f"{int(v)}\n" for v in detector.density_curve())
+        assert capsys.readouterr().out == expected
+
+    def test_density_empty_curve_prints_nothing(self, series_file, capsys, monkeypatch):
+        from repro.core.pipeline import GrammarAnomalyDetector
+
+        monkeypatch.setattr(
+            GrammarAnomalyDetector, "density_curve", lambda self: np.zeros(0, dtype=int)
+        )
+        assert main(["density", series_file, "-w", "40"]) == 0
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("42\n", "shorter than window"), ("1 2\n3\n", "cannot parse")],
+    )
+    def test_density_degenerate_files_exit_with_message(
+        self, tmp_path, capsys, text, message
+    ):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        assert main(["density", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
     def test_error_path_returns_1(self, capsys):
         assert main(["find", "/nonexistent.csv"]) == 1

@@ -2,19 +2,31 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sax.discretize  # noqa: F401 - the module, for monkeypatching
 from repro.exceptions import DiscretizationError, ParameterError
 from repro.sax.discretize import (
+    _ALL_BREAKPOINTS,
     Discretization,
     NumerosityReduction,
     SAXWord,
     discretize,
+    windowed_paa,
 )
 from repro.sax.sax import sax_word
+from repro.timeseries.paa import paa_batch
+from repro.timeseries.windows import sliding_windows
+from repro.timeseries.znorm import DEFAULT_FLATNESS_THRESHOLD, znorm_rows
+
+# ``repro.sax`` re-exports a *function* named ``discretize``, which
+# shadows the submodule on attribute access.
+discretize_mod = sys.modules["repro.sax.discretize"]
 
 
 def _sine(length=600, period=60, noise=0.0, seed=0):
@@ -150,3 +162,166 @@ class TestSAXWordType:
     def test_tokens_helper(self):
         disc = discretize(_sine(300), 50, 4, 4)
         assert disc.tokens() == [w.word for w in disc.words]
+
+
+# -- windowed PAA: prefix sums vs the window matrix ---------------------------
+
+
+def window_matrix_paa(series, window, paa_size, threshold=DEFAULT_FLATNESS_THRESHOLD):
+    """Oracle: the (n − W + 1) × W window-matrix arithmetic.
+
+    Slide, z-normalize every window, zero the flat ones (two-pass
+    ``std``), PAA — the discretization front half before it moved to
+    prefix sums.  Its letters are the ones :func:`windowed_paa` must
+    reproduce.
+    """
+    windows = sliding_windows(np.asarray(series, dtype=float), window)
+    normalized = znorm_rows(windows, threshold)
+    flat = windows.std(axis=1) < threshold
+    normalized = np.where(flat[:, None], 0.0, normalized)
+    return paa_batch(normalized, paa_size)
+
+
+def _regions(values):
+    """Region index against every breakpoint of every alphabet at once.
+
+    Equal regions mean equal letters for all alphabet sizes 2–26.
+    """
+    return np.searchsorted(_ALL_BREAKPOINTS, values, side="right")
+
+
+@st.composite
+def _windowed_cases(draw):
+    window = draw(st.integers(2, 48))
+    divisible = draw(st.booleans())
+    if divisible:
+        paa_size = draw(st.sampled_from([p for p in range(1, window + 1) if window % p == 0]))
+    else:
+        choices = [p for p in range(2, window) if window % p]
+        paa_size = draw(st.sampled_from(choices)) if choices else window
+    n = window + draw(st.integers(0, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.sampled_from([0.0, 1.0, -250.0, 1e3, 1e6, -1e6]))
+    scale = 10.0 ** draw(st.floats(-3, 3))
+    kind = draw(st.sampled_from(["noise", "walk", "near_flat", "symmetric", "steps"]))
+    if kind == "noise":
+        shape = rng.normal(size=n)
+    elif kind == "walk":
+        shape = np.cumsum(rng.normal(size=n))
+    elif kind == "near_flat":
+        # ±1 alternation has σ = 1 on every even-length window: scaled
+        # to the flatness threshold, σ sits on it.
+        shape = np.where(np.arange(n) % 2, 1.0, -1.0)
+        scale = DEFAULT_FLATNESS_THRESHOLD * draw(st.sampled_from([1.0, 1.0 + 1e-12, 1.0 - 1e-12]))
+    elif kind == "symmetric":
+        # Blocks mirrored with a sign flip: segments centred on a block
+        # boundary have an exact-zero mean, on the even-alphabet breakpoint.
+        half = rng.integers(-3, 4, size=draw(st.integers(1, 8))).astype(float)
+        block = np.concatenate([half, -half[::-1]])
+        shape = np.resize(block, n)
+    else:
+        shape = np.repeat(rng.integers(-2, 3, size=n), draw(st.integers(1, 6)))[:n].astype(float)
+    return offset + scale * shape, window, paa_size
+
+
+class TestWindowedPaa:
+    @given(_windowed_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_property_letters_equal_window_matrix_oracle(self, case):
+        series, window, paa_size = case
+        fast = windowed_paa(series, window, paa_size)
+        oracle = window_matrix_paa(series, window, paa_size)
+        assert fast.shape == oracle.shape
+        np.testing.assert_array_equal(_regions(fast), _regions(oracle))
+        # Flat windows are exact zeros on both paths.
+        np.testing.assert_array_equal(fast == 0.0, oracle == 0.0)
+
+    def test_values_agree_to_roundoff(self):
+        series = _sine(2000, period=97, noise=0.2, seed=5) * 40.0 + 1e4
+        fast = windowed_paa(series, 120, 7)
+        oracle = window_matrix_paa(series, 120, 7)
+        np.testing.assert_allclose(fast, oracle, rtol=0, atol=1e-9)
+
+    def test_guard_fires_and_recomputes_with_window_matrix_arithmetic(self, monkeypatch):
+        """Exact-zero segments sit on the 0.0 breakpoint: the guard must
+        send their windows to the two-pass arithmetic, whose rows match
+        the oracle bit for bit."""
+        block = np.array([3.0, -1.0, 2.0, -2.0, 1.0, -3.0])
+        series = np.resize(np.concatenate([block, -block[::-1]]), 400) + 1e3
+        window, paa_size = 36, 6
+        real = discretize_mod._two_pass_rows
+        recomputed = []
+
+        def spy(series_, window_, paa_size_, rows, threshold):
+            out = real(series_, window_, paa_size_, rows, threshold)
+            recomputed.append((rows.copy(), out.copy()))
+            return out
+
+        monkeypatch.setattr(discretize_mod, "_two_pass_rows", spy)
+        fast = windowed_paa(series, window, paa_size)
+        oracle = window_matrix_paa(series, window, paa_size)
+        assert len(recomputed) == 1
+        rows, values = recomputed[0]
+        assert rows.size > 0
+        np.testing.assert_array_equal(values, oracle[rows])
+        np.testing.assert_array_equal(fast[rows], oracle[rows])
+        np.testing.assert_array_equal(_regions(fast), _regions(oracle))
+
+    @pytest.mark.parametrize("window, paa_size", [(40, 5), (37, 5), (12, 12)])
+    def test_forced_guard_reproduces_oracle_bits(self, monkeypatch, window, paa_size):
+        """Sending every row through the guard yields the oracle exactly."""
+        monkeypatch.setattr(
+            discretize_mod,
+            "_near_decision_rows",
+            lambda coeffs, stats, threshold: np.arange(coeffs.shape[1]),
+        )
+        series = _sine(500, period=41, noise=0.3, seed=2) * 1e3 - 5e5
+        series[200:260] = 7.0  # a flat stretch
+        np.testing.assert_array_equal(
+            windowed_paa(series, window, paa_size),
+            window_matrix_paa(series, window, paa_size),
+        )
+
+    def test_near_flat_windows_are_guarded(self, monkeypatch):
+        series = np.where(np.arange(300) % 2, 1.0, -1.0) * DEFAULT_FLATNESS_THRESHOLD
+        real = discretize_mod._near_decision_rows
+        seen = []
+
+        def spy(coeffs, stats, threshold):
+            rows = real(coeffs, stats, threshold)
+            seen.append(rows)
+            return rows
+
+        monkeypatch.setattr(discretize_mod, "_near_decision_rows", spy)
+        fast = windowed_paa(series, 20, 4)
+        assert seen[0].size == fast.shape[0]
+        np.testing.assert_array_equal(fast, window_matrix_paa(series, 20, 4))
+
+    def test_rejects_non_finite_series(self):
+        series = _sine(200)
+        series[50] = np.nan
+        with pytest.raises(DiscretizationError, match="non-finite"):
+            windowed_paa(series, 20, 4)
+
+    @pytest.mark.parametrize("window, paa_size", [(1, 1), (20, 0), (20, 21)])
+    def test_rejects_bad_shapes(self, window, paa_size):
+        with pytest.raises(ParameterError):
+            windowed_paa(_sine(200), window, paa_size)
+
+    def test_rejects_short_series(self):
+        with pytest.raises(DiscretizationError):
+            windowed_paa(_sine(10), 20, 4)
+
+
+class TestUniqueRows:
+    @pytest.mark.parametrize("paa_size, alphabet_size", [(4, 4), (13, 26), (14, 26), (30, 3)])
+    def test_matches_row_wise_unique(self, rng, paa_size, alphabet_size):
+        """The packed-key path (and its fallback for words too long to
+        pack) equals ``np.unique(axis=0)``: same sorted rows, same ids."""
+        rows = rng.integers(0, alphabet_size, size=(500, paa_size))
+        rows[250:] = rows[:250]  # plenty of repeats
+        uniq, ids = discretize_mod._unique_rows(rows, alphabet_size)
+        expected, inverse = np.unique(rows, axis=0, return_inverse=True)
+        np.testing.assert_array_equal(uniq, expected)
+        np.testing.assert_array_equal(ids, inverse.ravel())
+        assert ids.dtype == np.int64

@@ -98,6 +98,17 @@ class TestPaaBatch:
         matrix = rng.normal(size=(3, 6))
         np.testing.assert_allclose(paa_batch(matrix, 6), matrix)
 
+    @pytest.mark.parametrize("n, w", [(12, 4), (13, 5), (122, 11), (300, 7)])
+    def test_rows_are_bit_identical_at_any_batch_size(self, rng, n, w):
+        """A row's PAA depends on that row alone: alone, in a subset, or
+        in the full batch it rounds the same (a GEMM would not)."""
+        matrix = rng.normal(size=(600, n)) * 1e3
+        full = paa_batch(matrix, w)
+        rows = rng.choice(600, size=9, replace=False)
+        np.testing.assert_array_equal(paa_batch(matrix[rows], w), full[rows])
+        for i in rows[:3]:
+            np.testing.assert_array_equal(paa(matrix[i], w), full[i])
+
     def test_rejects_1d(self):
         with pytest.raises(ParameterError):
             paa_batch(np.arange(6.0), 2)
