@@ -7,11 +7,11 @@ two cache-private entries folded into the params: the engine name and
 corrupts) every existing entry when the result schema or the search
 semantics change.
 
-``n_workers`` is deliberately **excluded** from every key: the parallel
-scan/replay engine guarantees bit-identical discords and logical
-ledgers across worker counts (pinned by the golden-count suite), so a
-result computed with 8 workers is exactly the result a serial run would
-produce — and may be served to one.
+There is no worker count in any key.  Discord searches always run in
+one process; the ensemble's member fan-out runs those same serial
+searches in pool workers, so a member computed there is exactly the
+member a serial run would produce — and may be served to one (pinned by
+the ensemble golden suite).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def discord_search_key(
 
     *params* must contain everything that can change the discords or
     the logical ledger (backend, num_discords, window geometry,
-    ...) — but not ``n_workers`` (see module docstring).
+    ...).
     """
     merged = dict(params)
     merged["__cache_engine__"] = engine
@@ -85,9 +85,10 @@ def ensemble_member_key(
     member: the member's raw evidence (density curve + discords) for one
     series and discretization triple.
 
-    Like every key here, ``n_workers`` is excluded; so is the distance
-    backend, because the engines guarantee bit-identical discords and
-    ledgers across backends (pinned by the golden-count suite).  The
+    Like every key here, it has no worker count (see module docstring).
+    It also leaves out the distance backend, because the engines
+    guarantee bit-identical discords and ledgers across backends
+    (pinned by the golden-count suite).  The
     *params* dict must carry everything else that shapes the stored
     payload (``num_discords``, ``seed``).
     """

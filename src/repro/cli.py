@@ -75,7 +75,6 @@ def _cmd_find(args: argparse.Namespace) -> int:
         args.alphabet,
         backend=args.backend,
         quality_policy=args.quality or "raise",
-        n_workers=args.workers,
         metrics=metrics,
         cache=args.cache_dir,
     )
@@ -347,9 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
              "the same inputs (bit-identical final result)",
     )
     find.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes for the discord search (results are "
-             "bit-identical for any value; default 1 = in-process)",
+        "--workers", type=int, choices=[1], default=1, metavar="N",
+        help="accepted for compatibility; only 1 is valid, because the "
+             "discord search always runs in one process (use "
+             "`repro ensemble --workers N` for parallel members)",
     )
     find.add_argument(
         "--backend", choices=list(BACKENDS), default="kernel",

@@ -17,7 +17,7 @@ The aggregate score curve and the ranked ensemble discords are
 state:
 
 * every member is evaluated by the unmodified single-parameterization
-  pipeline (itself bit-identical across workers/backends/caches);
+  pipeline (itself bit-identical across backends and caches);
 * members are combined in *canonical grid order* (the order of the
   grid list), never in completion order;
 * the ``mean`` aggregator sums each column in ascending value order,

@@ -387,7 +387,7 @@ class ParameterGridStudy:
         cell parameters; a repeated sweep — or any sweep whose grid
         overlaps an earlier one over the same series — returns the
         stored :class:`GridPoint` for every hit.  In a parallel sweep
-        the hits are resolved in the parent *before* sharding, so fully
+        the hits are resolved in the parent *before* dispatch, so fully
         cached pairs never reach the pool.  *context* memoizes
         per-series artifacts across cells (serial sweeps only; pool
         workers build their own per-process context).  Both options are
@@ -407,7 +407,7 @@ class ParameterGridStudy:
                 return parallel_grid_sweep(
                     self, windows, paa_sizes, alphabet_sizes, n_workers=workers
                 )
-            # Resolve cache hits up front; only the missing cells shard.
+            # Resolve cache hits up front; only the missing cells go to the pool.
             cells: dict[tuple, GridPoint] = {}
             keys: dict[tuple, str] = {}
             pending: list[tuple] = []

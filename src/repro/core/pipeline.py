@@ -29,7 +29,6 @@ from repro.grammar.repair import repair_grammar
 from repro.grammar.sequitur import induce_grammar_interned
 from repro.observability.metrics import MetricsRegistry, ensure_metrics
 from repro.observability.report import write_run_report
-from repro.parallel.pool import effective_workers
 from repro.resilience.budget import SearchBudget
 from repro.sax.discretize import Discretization, NumerosityReduction, discretize
 from repro.timeseries.kernels import validate_backend
@@ -105,11 +104,6 @@ class GrammarAnomalyDetector:
         repairs gaps linearly; ``"mask"`` repairs them but excludes any
         candidate interval overlapping a repaired span, so anomalies are
         never reported from invented data.
-    n_workers:
-        Default worker-process count for the discord search (see
-        :mod:`repro.parallel`); 1 keeps everything in-process.  Any
-        value yields bit-identical results — same discords, same
-        distance-call counts.
     metrics:
         Optional :class:`~repro.observability.MetricsRegistry`.  When
         given, every fit and query on this detector records structured
@@ -157,7 +151,6 @@ class GrammarAnomalyDetector:
         seed: int = 0,
         backend: str = "kernel",
         quality_policy: str = "raise",
-        n_workers: int = 1,
         metrics=None,
         cache=None,
         context: Optional[SearchContext] = None,
@@ -174,7 +167,6 @@ class GrammarAnomalyDetector:
             )
         validate_backend(backend)
         self.backend = backend
-        self.n_workers = effective_workers(n_workers)
         self.quality_policy = quality_policy
         self.window = window
         self.paa_size = paa_size
@@ -335,7 +327,6 @@ class GrammarAnomalyDetector:
         checkpoint_path: Optional[str] = None,
         checkpoint_every: int = 32,
         resume_from: Optional[str] = None,
-        n_workers: Optional[int] = None,
         report_path: Optional[str] = None,
     ) -> RRAResult:
         """RRA variable-length discords (paper Section 4.2).
@@ -351,10 +342,6 @@ class GrammarAnomalyDetector:
         ``fallback`` field holds ranked rule-density anomalies — the
         paper's cheap O(m) signal — so callers always get a usable
         ranked answer even from a starved search.
-
-        *n_workers* overrides the constructor's worker count for this
-        query only (``None`` keeps the detector default); any value
-        returns bit-identical discords and distance-call counts.
 
         When the detector was built with ``cache=``, a repeated
         identical query is answered from the store: the result carries
@@ -382,7 +369,6 @@ class GrammarAnomalyDetector:
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
             resume_from=resume_from,
-            n_workers=self.n_workers if n_workers is None else n_workers,
             metrics=metrics,
             cache=self.cache,
             context=self.context,

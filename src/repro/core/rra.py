@@ -47,7 +47,6 @@ from repro.resilience.checkpoint import (
     save_checkpoint,
     search_fingerprint,
 )
-from repro.parallel.pool import MIN_PARALLEL_CANDIDATES, effective_workers
 from repro.timeseries import kernels
 from repro.timeseries.distance import DistanceCounter, variable_length_distance
 from repro.timeseries.kernels import validate_backend
@@ -142,8 +141,8 @@ class _CandidateSet:
     ):
         self.series = np.ascontiguousarray(series, dtype=float)
         self.intervals = list(intervals)
-        # A prebuilt SeriesStats lets pool workers rebuild the cache from
-        # shared-memory cumulative sums instead of re-deriving them.
+        # A prebuilt SeriesStats (from a SearchContext) is reused instead
+        # of re-deriving the cumulative sums.
         self._stats = stats if stats is not None else kernels.SeriesStats(self.series)
         self._entries: dict[
             tuple[int, int], tuple[np.ndarray, float, np.ndarray]
@@ -312,12 +311,6 @@ class _InnerOrdering:
             self._rest[key] = rest
         return rest
 
-    def rest_size(self, candidate: RuleInterval) -> int:
-        """Length of the shuffled tail — the size of the one permutation
-        ``order`` draws, which is all a parallel parent needs to advance
-        its generator past a candidate without ordering it."""
-        return len(self._rest_for(candidate))
-
     def order(
         self, candidate: RuleInterval, rng: np.random.Generator
     ) -> Iterator[RuleInterval]:
@@ -326,8 +319,7 @@ class _InnerOrdering:
         The shuffle is one ``Generator.permutation(len(rest))`` draw
         (vectorized index permutation rather than an in-place Python-list
         Fisher–Yates): faster, and its RNG consumption depends only on
-        the tail *length*, so the parallel layer can replay generator
-        states to any outer boundary without touching the intervals.
+        the tail *length*.
         The permutation is drawn here, on the call; the returned iterator
         then maps indices to intervals lazily, since most candidates are
         abandoned after the first pair or two.
@@ -349,7 +341,6 @@ def find_discord(
     backend: str = "kernel",
     cache: Optional[_CandidateSet] = None,
     budget: Optional[SearchBudget] = None,
-    n_workers: int = 1,
     metrics=None,
     _state: Optional[_RankState] = None,
     _on_boundary: Optional[Callable[[_RankState, list[RuleInterval]], None]] = None,
@@ -389,11 +380,6 @@ def find_discord(
         budget the search behaves exactly as before (and a
         ``KeyboardInterrupt`` propagates, since there would be no way to
         report the truncation).
-    n_workers:
-        Shard the outer loop across this many worker processes (see
-        :mod:`repro.parallel`).  Results — discord, rank, distance-call
-        count, checkpoint contents — are bit-identical to the serial
-        run for any value; 1 (the default) keeps everything in-process.
     metrics:
         Optional :class:`~repro.observability.metrics.MetricsRegistry`.
         When enabled, the search counts candidates visited / abandoned /
@@ -459,48 +445,6 @@ def find_discord(
         m_survived = metrics.counter("search.candidates_survived")
         m_best = metrics.counter("search.best_updates")
         m_depth = metrics.histogram("search.abandon_depth")
-
-    workers = effective_workers(n_workers)
-    if (
-        workers > 1
-        and len(outer) - state.outer_index >= MIN_PARALLEL_CANDIDATES
-    ):
-        from repro.parallel.engine import parallel_rra_rank
-
-        parallel_rra_rank(
-            cache=cache,
-            ordering=ordering,
-            candidates=candidates,
-            outer=outer,
-            state=state,
-            counter=counter,
-            rng=rng,
-            budget=budget,
-            backend=backend,
-            n_workers=workers,
-            has_channel=has_channel,
-            capture_rng=capture_rng,
-            on_boundary=_on_boundary,
-            metrics=metrics,
-        )
-        best_dist = state.best_dist
-        best_candidate = (
-            by_key.get(state.best_key) if state.best_key is not None else None
-        )
-        if best_candidate is None:
-            return None, counter
-        return (
-            Discord(
-                start=best_candidate.start,
-                end=best_candidate.end,
-                score=best_dist,
-                rank=0,
-                nn_distance=best_dist,
-                rule_id=best_candidate.rule_id,
-                source="rra",
-            ),
-            counter,
-        )
 
     distance = cache.distance_fn(backend)
     try:
@@ -620,7 +564,6 @@ def find_discords(
     checkpoint_path: Optional[str] = None,
     checkpoint_every: int = 32,
     resume_from: Optional[str] = None,
-    n_workers: int = 1,
     metrics=None,
     cache=None,
     context=None,
@@ -657,12 +600,6 @@ def find_discords(
         uninterrupted run.  Raises
         :class:`~repro.exceptions.CheckpointError` on a fingerprint
         mismatch.
-    n_workers:
-        Shard every rank's outer loop across this many worker processes
-        (see :mod:`repro.parallel`).  Discords, ranks, distance-call
-        counts, and checkpoints are bit-identical to the serial run for
-        any value; checkpoints written by a serial run can be resumed by
-        a parallel one and vice versa.
     metrics:
         Optional :class:`~repro.observability.metrics.MetricsRegistry`.
         Each rank becomes a ``search.rank`` span closed by a
@@ -679,8 +616,7 @@ def find_discords(
         entirely.  Only complete, untruncated results are ever stored;
         a resumed search that runs to completion populates the cache
         with the full-run ledger, exactly as an uninterrupted run would
-        have.  ``n_workers`` is deliberately not part of the key (the
-        result is bit-identical across worker counts).
+        have.
     context:
         Optional :class:`~repro.cache.context.SearchContext` sharing the
         series' cumulative-sum statistics across searches.
@@ -896,7 +832,6 @@ def find_discords(
                 backend=backend,
                 cache=candidate_cache,
                 budget=budget,
-                n_workers=n_workers,
                 metrics=metrics,
                 _state=state,
                 _on_boundary=on_boundary,

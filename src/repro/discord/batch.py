@@ -21,11 +21,8 @@ first-block (head) minimum is already below the tile-start threshold
 grows, so the replay is guaranteed to break inside the head — and its
 GEMM row is skipped.
 
-Two drivers share the machinery: :func:`batch_serial_scan` for the
-engines' serial outer loops (updating the live counter/metrics), and
-:func:`record_row` for the parallel workers (producing the same
-records as the kernel recording scans, so the scan/replay merge layer
-needs no changes).
+:func:`batch_serial_scan` drives the machinery for the engines' outer
+loops, updating the live counter and metrics.
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ __all__ = [
     "RowScan",
     "TileScanner",
     "replay_row",
-    "record_row",
     "batch_serial_scan",
 ]
 
@@ -91,7 +87,7 @@ class TileScanner:
 
     Built once per search from the z-normalized window matrix and its
     row norms.  :meth:`prepare` turns one tile of (position, inner
-    order) pairs into :class:`RowScan` rows ready for replay/recording.
+    order) pairs into :class:`RowScan` rows ready for replay.
     """
 
     __slots__ = ("normalized", "sqnorms", "xp", "tile_rows")
@@ -217,52 +213,6 @@ def replay_row(row: RowScan, threshold: float) -> tuple[float, int, bool]:
     return nearest, consumed, False
 
 
-def record_row(row: RowScan, threshold: float):
-    """Recording replay for the parallel workers.
-
-    Produces the same record a kernel recording scan
-    (``_record_kernel_blocks`` / ``_record_kernel_row``) would: the
-    logical scanned count, the strict running-minimum points, and the
-    completion flag.  Returns a
-    :class:`repro.parallel.scan.CandidateScan` (imported lazily to keep
-    this module independent of the parallel layer).
-    """
-    from repro.parallel.scan import CandidateScan
-
-    order = row.order
-    n = order.size
-    head_size = row.head.size
-    minima: list = []
-    nearest = float("inf")
-    scanned = 0
-    block = HEAD_BLOCK
-    start = 0
-    while start < n:
-        size = min(block, n - start)
-        if start == 0:
-            dists = row.head[:size]
-        else:
-            if row.tail is None:
-                raise DiscordSearchError(_INCONSISTENT)
-            dists = row.tail[start - head_size : start - head_size + size]
-        hit = kernels.first_below(dists, threshold)
-        limit = int(hit) + 1 if hit >= 0 else int(dists.size)
-        if limit:
-            points, values = kernels.running_min_points(dists[:limit])
-            for j, value in zip(points, values):
-                value = float(value)
-                if value < nearest:
-                    nearest = value
-                    minima.append((scanned + int(j) + 1, value))
-        if hit >= 0:
-            scanned += int(hit) + 1
-            return CandidateScan(row.position, scanned, minima, False)
-        scanned += size
-        start += size
-        block = min(block * 4, 2048)
-    return CandidateScan(row.position, scanned, minima, True)
-
-
 def batch_serial_scan(
     scanner: TileScanner,
     positions: Iterable[int],
@@ -281,8 +231,7 @@ def batch_serial_scan(
     order; *make_order* produces each candidate's full inner ordering
     (consuming the search RNG in serial order — orders for a tile are
     drawn up front, so on a budget trip the RNG sits at the tile
-    boundary rather than the serial stop point, the same over-draw the
-    parallel engine's chunk pre-draws already perform).  Counter and
+    boundary rather than the serial stop point).  Counter and
     metrics updates replicate the serial kernel loops exactly, so the
     ledger and observability output are bit-identical.
 

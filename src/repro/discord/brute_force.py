@@ -22,7 +22,6 @@ from repro.core.anomaly import Discord
 from repro.discord.search import emit_rank_event, validate_backend
 from repro.exceptions import DiscordSearchError
 from repro.observability.metrics import ensure_metrics
-from repro.parallel.pool import MIN_PARALLEL_CANDIDATES, effective_workers
 from repro.resilience.budget import SearchBudget, SearchStatus
 from repro.timeseries import kernels
 from repro.timeseries.distance import DistanceCounter
@@ -55,7 +54,6 @@ def brute_force_discord(
     exclude: tuple[tuple[int, int], ...] = (),
     backend: str = "kernel",
     budget: Optional[SearchBudget] = None,
-    n_workers: int = 1,
     windows: Optional[kernels.WindowMatrix] = None,
     metrics=None,
 ) -> tuple[Optional[Discord], DistanceCounter]:
@@ -85,10 +83,6 @@ def brute_force_discord(
         Optional anytime budget, checked once per outer candidate.  On
         exhaustion (or ``KeyboardInterrupt`` while one was supplied) the
         best-so-far discord is returned and ``budget.status`` says why.
-    n_workers:
-        Shard the outer loop across this many worker processes (see
-        :mod:`repro.parallel`); results and call counts are
-        bit-identical to the serial scan for any value.
     windows:
         Prebuilt :class:`~repro.timeseries.kernels.WindowMatrix` to
         reuse across ranks (one normalization + row-norm pass per
@@ -121,37 +115,16 @@ def brute_force_discord(
 
     best_dist = -1.0
     best_pos = None
-    workers = effective_workers(n_workers)
-    if workers > 1 and k >= MIN_PARALLEL_CANDIDATES:
-        from repro.parallel.engine import parallel_fixed_search
-
-        best_pos, best_dist = parallel_fixed_search(
-            normalized=normalized,
-            sqnorms=sqnorms,
-            bucket_ids=None,
-            outer=None,
-            window=window,
-            exclude=exclude,
-            backend=backend,
-            abandon=early_abandon,
-            counter=counter,
-            rng=None,
-            budget=budget,
-            n_workers=workers,
-            has_channel=has_channel,
+    try:
+        best_dist, best_pos = _brute_force_scan(
+            normalized, sqnorms, k, window, counter, budget,
+            early_abandon=early_abandon, exclude=exclude, backend=backend,
             metrics=metrics,
         )
-    else:
-        try:
-            best_dist, best_pos = _brute_force_scan(
-                normalized, sqnorms, k, window, counter, budget,
-                early_abandon=early_abandon, exclude=exclude, backend=backend,
-                metrics=metrics,
-            )
-        except KeyboardInterrupt:
-            if not has_channel:
-                raise
-            budget.note_cancelled()
+    except KeyboardInterrupt:
+        if not has_channel:
+            raise
+        budget.note_cancelled()
 
     if best_pos is None:
         return None, counter
@@ -311,7 +284,6 @@ def brute_force_discords(
     early_abandon: bool = True,
     backend: str = "kernel",
     budget: Optional[SearchBudget] = None,
-    n_workers: int = 1,
     metrics=None,
     cache=None,
     context=None,
@@ -391,7 +363,6 @@ def brute_force_discords(
                 exclude=tuple(exclusions),
                 backend=backend,
                 budget=budget,
-                n_workers=n_workers,
                 windows=windows,
                 metrics=metrics,
             )

@@ -148,7 +148,6 @@ def haar_discord(
     exclude: tuple[tuple[int, int], ...] = (),
     backend: str = "kernel",
     budget: Optional[SearchBudget] = None,
-    n_workers: int = 1,
     metrics=None,
 ) -> tuple[Optional[Discord], DistanceCounter]:
     """Best fixed-length discord with Haar-word loop ordering (exact)."""
@@ -164,7 +163,6 @@ def haar_discord(
         exclude=exclude,
         backend=backend,
         budget=budget,
-        n_workers=n_workers,
         windows=windows,
         metrics=metrics,
     )
@@ -180,7 +178,6 @@ def haar_discords(
     rng: Optional[np.random.Generator] = None,
     backend: str = "kernel",
     budget: Optional[SearchBudget] = None,
-    n_workers: int = 1,
     metrics=None,
     cache=None,
     context=None,
@@ -252,7 +249,6 @@ def haar_discords(
         rng=rng,
         backend=backend,
         budget=budget,
-        n_workers=n_workers,
         windows=windows,
         metrics=metrics,
     )

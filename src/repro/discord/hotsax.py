@@ -105,7 +105,6 @@ def hotsax_discord(
     exclude: tuple[tuple[int, int], ...] = (),
     backend: str = "kernel",
     budget: Optional[SearchBudget] = None,
-    n_workers: int = 1,
     metrics=None,
 ) -> tuple[Optional[Discord], DistanceCounter]:
     """Find the best fixed-length discord with the HOTSAX heuristics.
@@ -158,7 +157,6 @@ def hotsax_discord(
         exclude=exclude,
         backend=backend,
         budget=budget,
-        n_workers=n_workers,
         windows=windows,
         metrics=metrics,
     )
@@ -175,7 +173,6 @@ def hotsax_discords(
     rng: Optional[np.random.Generator] = None,
     backend: str = "kernel",
     budget: Optional[SearchBudget] = None,
-    n_workers: int = 1,
     metrics=None,
     cache=None,
     context=None,
@@ -264,7 +261,6 @@ def hotsax_discords(
         rng=rng,
         backend=backend,
         budget=budget,
-        n_workers=n_workers,
         windows=windows,
         metrics=metrics,
     )

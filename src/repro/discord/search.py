@@ -19,7 +19,6 @@ import numpy as np
 from repro.core.anomaly import Discord
 from repro.exceptions import DiscordSearchError
 from repro.observability.metrics import ensure_metrics
-from repro.parallel.pool import MIN_PARALLEL_CANDIDATES, effective_workers
 from repro.resilience.budget import SearchBudget, SearchStatus
 from repro.timeseries import kernels
 from repro.timeseries.distance import DistanceCounter
@@ -41,7 +40,6 @@ def ordered_discord_search(
     exclude: tuple[tuple[int, int], ...] = (),
     backend: str = "kernel",
     budget: Optional[SearchBudget] = None,
-    n_workers: int = 1,
     windows: Optional[kernels.WindowMatrix] = None,
     metrics=None,
 ) -> tuple[Optional[Discord], DistanceCounter]:
@@ -70,10 +68,6 @@ def ordered_discord_search(
         ``KeyboardInterrupt`` arrives while one was supplied) the
         best-so-far discord is returned and ``budget.status`` reports
         why the scan stopped early.
-    n_workers:
-        Shard the outer loop across this many worker processes (see
-        :mod:`repro.parallel`).  The discord and the distance-call
-        count are bit-identical to the serial scan for any value.
     windows:
         A prebuilt :class:`~repro.timeseries.kernels.WindowMatrix` over
         the same series/window, so repeated ranks (and callers that
@@ -123,48 +117,6 @@ def ordered_discord_search(
 
     best_dist = -1.0
     best_pos = None
-    workers = effective_workers(n_workers)
-    if workers > 1 and len(outer) >= MIN_PARALLEL_CANDIDATES:
-        from repro.parallel.engine import parallel_fixed_search
-
-        # Bucket keys travel to workers as small integer ids (strings
-        # would bloat shared memory; the search only compares keys).
-        key_ids: dict = {}
-        bucket_ids = np.fromiter(
-            (key_ids.setdefault(key, len(key_ids)) for key in keys),
-            dtype=np.int64,
-            count=k,
-        )
-        best_pos, best_dist = parallel_fixed_search(
-            normalized=normalized,
-            sqnorms=sqnorms,
-            bucket_ids=bucket_ids,
-            outer=np.asarray(outer, dtype=np.intp),
-            window=window,
-            exclude=exclude,
-            backend=backend,
-            abandon=True,
-            counter=counter,
-            rng=rng,
-            budget=budget,
-            n_workers=workers,
-            has_channel=has_channel,
-            metrics=metrics,
-        )
-        if best_pos is None:
-            return None, counter
-        return (
-            Discord(
-                start=best_pos,
-                end=best_pos + window,
-                score=best_dist,
-                rank=0,
-                nn_distance=best_dist,
-                rule_id=None,
-                source=source,
-            ),
-            counter,
-        )
     # Metric handles are hoisted out of the loop; with the disabled
     # sink they are inert null objects and the `instrumented` guard
     # keeps the hot path free of even their method calls.
@@ -347,7 +299,6 @@ def iterated_search(
     rng: Optional[np.random.Generator] = None,
     backend: str = "kernel",
     budget: Optional[SearchBudget] = None,
-    n_workers: int = 1,
     windows: Optional[kernels.WindowMatrix] = None,
     metrics=None,
 ) -> tuple[list[Discord], DistanceCounter, list[bool]]:
@@ -389,7 +340,7 @@ def iterated_search(
             found, counter = ordered_discord_search(
                 series, window, bucket_fn,
                 source=source, counter=counter, rng=rng, exclude=tuple(exclusions),
-                backend=backend, budget=budget, n_workers=n_workers,
+                backend=backend, budget=budget,
                 windows=windows, metrics=metrics,
             )
         truncated = budget.status is not SearchStatus.COMPLETE

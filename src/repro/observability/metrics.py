@@ -134,7 +134,7 @@ class Timer:
         self.count += 1
 
     def add(self, seconds: float) -> None:
-        """Fold an externally measured duration in (worker shards)."""
+        """Fold an externally measured duration in."""
         self.seconds += float(seconds)
         self.count += 1
 
@@ -267,13 +267,11 @@ class MetricsRegistry:
         }
 
     def merge_snapshot(self, snap: Optional[dict]) -> "MetricsRegistry":
-        """Fold a snapshot (worker shard, resumed checkpoint) into this.
+        """Fold a snapshot (e.g. a resumed checkpoint's) into this.
 
         Counters, histogram buckets, and timer totals add; gauges are
-        last-write-wins.  Addition is commutative and associative, so a
-        parent merging per-worker snapshots in serial replay order gets
-        the same totals regardless of which worker finished first —
-        the metrics counterpart of ``DistanceCounter.merge``.
+        last-write-wins.  Addition is commutative and associative, so
+        the totals do not depend on the order snapshots are merged in.
         """
         if not snap:
             return self

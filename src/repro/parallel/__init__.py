@@ -1,45 +1,30 @@
-"""Multi-core execution layer for discord searches and grid sweeps.
+"""Multi-core execution layer for the coarse fan-outs.
 
-Shards the outer loop of every discord search (RRA, HOTSAX, Haar, brute
-force) and the parameter-grid sweep across a process pool while keeping
-results bit-identical to the serial run — same discords, same ranks,
-same aggregated distance-call counts, for any worker count.  See
-:mod:`repro.parallel.scan` for the determinism scheme and
-:mod:`repro.parallel.engine` for the orchestration.
+Every discord search (RRA, HOTSAX, Haar, brute force) runs in one
+process: RRA's pruning against the best-so-far distance makes its outer
+loop serial, and sharding it lost wall time (DESIGN.md §7).  The pool
+serves the two fan-outs one level up instead, where tasks are
+independent:
 
-Entry points are the ordinary search functions: pass ``n_workers=...``
-to :func:`repro.core.rra.find_discords`,
-:func:`repro.discord.hotsax.hotsax_discords`,
-:func:`repro.discord.haar.haar_discords`,
-:func:`repro.discord.brute_force.brute_force_discords`,
-:meth:`repro.core.parameter_grid.ParameterGridStudy.sweep`, or
-``GrammarAnomalyDetector(..., n_workers=...)`` — or ``--workers`` on the
-CLI.
+* ensemble members — ``EnsembleDetector(..., n_workers=...)`` or
+  ``repro ensemble --workers N``
+  (:func:`repro.parallel.engine.parallel_ensemble_members`);
+* parameter-grid pairs — ``ParameterGridStudy.sweep(..., n_workers=...)``
+  (:func:`repro.parallel.engine.parallel_grid_sweep`).
+
+Each task runs ordinary serial searches over a series shared once
+through :mod:`repro.parallel.shared`; results merge in canonical order,
+so a full run is bit-identical to the serial loop for any worker count.
+A caller's :class:`~repro.resilience.budget.CancellationToken` reaches
+the workers through the pool's shared event
+(:mod:`repro.parallel.pool`).
 """
 
-from repro.parallel.pool import (
-    CHUNKS_PER_WORKER,
-    MIN_PARALLEL_CANDIDATES,
-    RAMP_BASE_CHUNK,
-    RRA_WARMUP_WAVES,
-    SWEEP_CHUNKS_PER_WORKER,
-    effective_workers,
-    ramped_slices,
-    shard_slices,
-    strided_wave_plan,
-)
+from repro.parallel.pool import effective_workers
 from repro.parallel.shared import SharedArrays, SharedArraySpec, attach
 
 __all__ = [
-    "CHUNKS_PER_WORKER",
-    "MIN_PARALLEL_CANDIDATES",
-    "RAMP_BASE_CHUNK",
-    "RRA_WARMUP_WAVES",
-    "SWEEP_CHUNKS_PER_WORKER",
     "effective_workers",
-    "ramped_slices",
-    "shard_slices",
-    "strided_wave_plan",
     "SharedArrays",
     "SharedArraySpec",
     "attach",

@@ -1,12 +1,11 @@
 """Zero-copy array transport for the process-pool execution layer.
 
-Workers never receive pickled series data: the parent publishes each
-large array (the z-normalized window matrix, the raw series, the
-cumulative-sum window statistics) once into POSIX shared memory and
-ships only a tiny :class:`SharedArraySpec` (name, shape, dtype) inside
-the task payload.  Workers attach read-only views by name, so sharding a
-search across N processes costs one copy of the data total instead of
-N + 1.
+Workers never receive pickled series data: the parent publishes the
+series once into POSIX shared memory and ships only a tiny
+:class:`SharedArraySpec` (name, shape, dtype) inside each task payload.
+Workers attach read-only views by name, so fanning ensemble members or
+grid pairs out across N processes costs one copy of the data total
+instead of one per task.
 """
 
 from __future__ import annotations

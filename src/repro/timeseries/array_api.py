@@ -27,9 +27,9 @@ Design constraints, in order:
   express in those terms stays on the NumPy side of the seam.
 
 Engines never touch the seam directly: they hand NumPy arrays to the
-tile kernels and get NumPy arrays back, so the scan/replay machinery —
-and every bit-identity guarantee it carries — is unaware of the device
-the GEMM ran on.
+tile kernels and get NumPy arrays back, so the batch replay — and
+every bit-identity guarantee it carries — is unaware of the device the
+GEMM ran on.
 """
 
 from __future__ import annotations

@@ -163,25 +163,6 @@ class DistanceCounter:
         self.calls += 1
         return variable_length_distance(p, q, normalize_inputs=normalize_inputs)
 
-    def merge(self, other: "DistanceCounter") -> "DistanceCounter":
-        """Fold another counter's tally into this one (returns self).
-
-        The parallel execution layer gives every worker shard its own
-        counter; the parent merges them so the aggregate matches the
-        serial run without reaching into private fields.
-        """
-        if not isinstance(other, DistanceCounter):
-            raise ParameterError(
-                f"can only merge a DistanceCounter, got {type(other).__name__}"
-            )
-        self.calls += other.calls
-        return self
-
-    def __iadd__(self, other: "DistanceCounter") -> "DistanceCounter":
-        if not isinstance(other, DistanceCounter):
-            return NotImplemented
-        return self.merge(other)
-
     def ledger(self) -> dict:
         """The tally as a plain dict (checkpoints, cache entries, events)."""
         return {"calls": self.calls}

@@ -61,7 +61,6 @@ __all__ = [
     "sliding_min_normalized_distance",
     "variable_length_kernel",
     "first_below",
-    "running_min_points",
 ]
 
 
@@ -108,35 +107,9 @@ class SeriesStats:
         self._cumsum = np.concatenate(([0.0], np.cumsum(series)))
         self._sq_cumsum = np.concatenate(([0.0], np.cumsum(series * series)))
 
-    @classmethod
-    def from_cumsums(
-        cls, series: np.ndarray, cumsum: np.ndarray, sq_cumsum: np.ndarray
-    ) -> "SeriesStats":
-        """Adopt precomputed cumulative sums instead of recomputing them.
-
-        The parallel workers receive the series and both cumulative-sum
-        arrays through shared memory; this constructor wraps the shared
-        views without copying or re-summing.
-        """
-        series = np.asarray(series, dtype=float)
-        if series.ndim != 1:
-            raise ParameterError(
-                f"SeriesStats expects a 1-d series, got shape {series.shape}"
-            )
-        if cumsum.shape != (series.size + 1,) or sq_cumsum.shape != (series.size + 1,):
-            raise ParameterError(
-                f"cumulative sums must have length {series.size + 1}, got "
-                f"{cumsum.shape} and {sq_cumsum.shape}"
-            )
-        stats = object.__new__(cls)
-        stats.series = series
-        stats._cumsum = np.asarray(cumsum, dtype=float)
-        stats._sq_cumsum = np.asarray(sq_cumsum, dtype=float)
-        return stats
-
     @property
     def cumsums(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(cumsum, sq_cumsum)`` arrays (for sharing with workers)."""
+        """The ``(cumsum, sq_cumsum)`` arrays."""
         return self._cumsum, self._sq_cumsum
 
     def _check(self, start: int, end: int) -> None:
@@ -481,30 +454,6 @@ def early_abandon_filter(dists: np.ndarray, cutoff: float) -> np.ndarray:
     if not np.isfinite(cutoff):
         return dists
     return np.where(dists > cutoff, np.inf, dists)
-
-
-def running_min_points(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and values where the running minimum strictly decreases.
-
-    Entry *i* is kept when ``min(values[:i+1]) < min(values[:i])`` (with
-    the empty-prefix minimum taken as ``inf``, so a leading ``inf`` run
-    is never kept).  This is the vectorized form of the scalar inner
-    loop's ``if dist < nearest`` bookkeeping: the kept positions are
-    exactly the pairs where a serial scan would have updated its
-    nearest-so-far — everything the parallel replay needs to reconstruct
-    any prefix of the scan.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ParameterError(
-            f"running_min_points expects a 1-d array, got shape {values.shape}"
-        )
-    if values.size == 0:
-        return np.empty(0, dtype=np.intp), np.empty(0)
-    mins = np.minimum.accumulate(values)
-    prev = np.concatenate(([np.inf], mins[:-1]))
-    idx = np.nonzero(mins < prev)[0]
-    return idx, values[idx]
 
 
 def first_below(values: np.ndarray, threshold: float) -> int:

@@ -182,11 +182,11 @@ def _series(seed: int, length: int = 220) -> np.ndarray:
     return series
 
 
-def _run_hotsax(series, backend, *, budget=None, n_workers=1):
+def _run_hotsax(series, backend, *, budget=None):
     counter = DistanceCounter()
     result = hotsax_discords(
         series, 20, num_discords=2, counter=counter,
-        backend=backend, budget=budget, n_workers=n_workers,
+        backend=backend, budget=budget,
     )
     # Scores are rounded as in the golden suite: the GEMM and the
     # matvec kernels may differ in the last ulp (their dot products

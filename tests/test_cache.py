@@ -78,7 +78,6 @@ def run_engine(
     backend="kernel",
     cache=None,
     context=None,
-    n_workers=1,
     budget=None,
 ):
     counter = DistanceCounter()
@@ -88,7 +87,6 @@ def run_engine(
         backend=backend,
         cache=cache,
         context=context,
-        n_workers=n_workers,
         budget=budget,
     )
     if engine == "rra":
@@ -159,31 +157,6 @@ def test_cache_hit_bit_identical(
     assert signature(warm_result, warm_counter) == plain
     assert all(warm_result.rank_complete)
     assert cache.hits == 1 and cache.misses == (0 if reopen else 1)
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("engine", ENGINES)
-def test_cache_hit_across_worker_counts(
-    series, rra_candidates, engine, tmp_path
-):
-    """``n_workers`` is excluded from the key: a parallel run populates
-    the cache and a serial run is answered from it (and vice versa)."""
-    plain = signature(*run_engine(engine, series, rra_candidates))
-    cache = ResultCache(tmp_path / "store")
-    parallel = signature(
-        *run_engine(engine, series, rra_candidates, cache=cache, n_workers=2)
-    )
-    assert parallel == plain
-    warm_serial_result, warm_serial_counter = run_engine(
-        engine, series, rra_candidates, cache=cache
-    )
-    assert warm_serial_result.from_cache
-    assert signature(warm_serial_result, warm_serial_counter) == plain
-    warm_parallel_result, warm_parallel_counter = run_engine(
-        engine, series, rra_candidates, cache=cache, n_workers=2
-    )
-    assert warm_parallel_result.from_cache
-    assert signature(warm_parallel_result, warm_parallel_counter) == plain
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -147,6 +147,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "ECG 0606" in out
 
+    def test_find_accepts_workers_1(self, series_file, capsys):
+        argv = ["find", series_file, "-w", "40", "-p", "4", "-a", "4", "-k", "2"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--workers", "1"]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_find_rejects_workers_2(self, series_file, capsys):
+        """The discord search runs in one process: asking for more is an
+        argparse error, not a silent serial run."""
+        with pytest.raises(SystemExit) as exc:
+            main(["find", series_file, "-w", "40", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers: invalid choice: 2" in capsys.readouterr().err
+
     def test_motifs_command(self, series_file, capsys):
         assert main(["motifs", series_file, "-w", "40", "--top", "3"]) == 0
         out = capsys.readouterr().out

@@ -3,18 +3,17 @@
 The paper's efficiency metric is the number of distance-function calls
 (Section 6: the distance function accounts for >= 99% of runtime).
 Several layers of machinery sit on top of that counter — vectorized
-kernels, the batch backend, anytime budgets, the process-pool
-scan/replay engine, and the result cache — and every one of them
+kernels, the batch backend, anytime budgets, and the result cache —
+and every one of them
 promises to preserve the *logical* call counts.  This suite pins the
 exact :class:`~repro.timeseries.distance.DistanceCounter` ``calls`` and
 discord results for all four engines on two seeded bundled datasets
 against the checked-in ``tests/golden/counts.json``, so a future perf
 layer cannot silently change logical work.
 
-Each golden entry is keyed by ``dataset/engine`` only: the serial run
-and the ``n_workers=2`` run must BOTH reproduce the same entry, which
-asserts the parallel bit-identity guarantee directly rather than
-pinning separate parallel numbers.
+Each golden entry is keyed by ``dataset/engine`` only: the kernel,
+batch and cached runs must all reproduce the same entry, which asserts
+their bit-identity directly rather than pinning separate numbers.
 
 Regenerate after an *intentional* change with::
 
@@ -43,7 +42,7 @@ GOLDEN_FORMAT = "repro-golden-counts/2"
 
 # Two seeded bundled datasets, small enough that the full matrix stays
 # inside the tier-1 time budget but large enough that every engine does
-# non-trivial early abandoning and multi-chunk parallel work.
+# non-trivial early abandoning.
 DATASETS = {
     "sine": dict(kind="sine", length=1200, period=100, seed=7),
     "ecg": dict(kind="ecg", num_beats=8, anomaly_beats=(5,), seed=3),
@@ -77,8 +76,7 @@ def _rra_intervals(dataset):
 
 
 def run_engine(
-    name: str, dataset, intervals, *, n_workers: int,
-    backend: str = "kernel", cache=None,
+    name: str, dataset, intervals, *, backend: str = "kernel", cache=None,
 ):
     """Run one engine; return its call count + discord tuples as a golden
     entry."""
@@ -90,7 +88,6 @@ def run_engine(
             intervals,
             num_discords=NUM_DISCORDS,
             counter=counter,
-            n_workers=n_workers,
             backend=backend,
             cache=cache,
         )
@@ -102,7 +99,6 @@ def run_engine(
             paa_size=dataset.paa_size,
             alphabet_size=dataset.alphabet_size,
             counter=counter,
-            n_workers=n_workers,
             backend=backend,
             cache=cache,
         )
@@ -112,7 +108,6 @@ def run_engine(
             dataset.window,
             num_discords=NUM_DISCORDS,
             counter=counter,
-            n_workers=n_workers,
             backend=backend,
             cache=cache,
         )
@@ -122,7 +117,6 @@ def run_engine(
             dataset.window,
             num_discords=NUM_DISCORDS,
             counter=counter,
-            n_workers=n_workers,
             backend=backend,
             cache=cache,
         )
@@ -184,27 +178,6 @@ def test_serial_counts_match_golden(
         engine,
         datasets[dataset_name],
         rra_intervals[dataset_name],
-        n_workers=1,
-    )
-    assert entry == golden["entries"][key], key
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize(
-    "dataset_name, engine",
-    CASES,
-    ids=[_case_id(*case) for case in CASES],
-)
-def test_parallel_counts_match_golden(
-    golden, datasets, rra_intervals, dataset_name, engine
-):
-    """n_workers=2 must reproduce the SAME golden entry as the serial run."""
-    key = _entry_key(dataset_name, engine)
-    entry = run_engine(
-        engine,
-        datasets[dataset_name],
-        rra_intervals[dataset_name],
-        n_workers=2,
     )
     assert entry == golden["entries"][key], key
 
@@ -229,28 +202,6 @@ def test_batch_serial_counts_match_golden(
         engine,
         datasets[dataset_name],
         rra_intervals[dataset_name],
-        n_workers=1,
-        backend="batch",
-    )
-    assert entry == golden["entries"][key], key
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize(
-    "dataset_name, engine",
-    CASES,
-    ids=[_case_id(*case) for case in CASES],
-)
-def test_batch_parallel_counts_match_golden(
-    golden, datasets, rra_intervals, dataset_name, engine
-):
-    """``backend='batch'`` with n_workers=2: still the same entry."""
-    key = _entry_key(dataset_name, engine)
-    entry = run_engine(
-        engine,
-        datasets[dataset_name],
-        rra_intervals[dataset_name],
-        n_workers=2,
         backend="batch",
     )
     assert entry == golden["entries"][key], key
@@ -279,7 +230,6 @@ def test_cached_counts_match_golden(
         engine,
         datasets[dataset_name],
         rra_intervals[dataset_name],
-        n_workers=1,
         cache=cache,
     )
     assert cold == golden["entries"][key], key
@@ -287,7 +237,6 @@ def test_cached_counts_match_golden(
         engine,
         datasets[dataset_name],
         rra_intervals[dataset_name],
-        n_workers=1,
         cache=cache,
     )
     assert warm == golden["entries"][key], key
@@ -306,7 +255,7 @@ def regenerate() -> None:  # pragma: no cover - maintenance entry point
         intervals = _rra_intervals(dataset)
         for engine in ENGINES:
             key = _entry_key(name, engine)
-            entries[key] = run_engine(engine, dataset, intervals, n_workers=1)
+            entries[key] = run_engine(engine, dataset, intervals)
             print(key, entries[key]["calls"], "calls")
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     payload = {

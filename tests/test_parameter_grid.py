@@ -172,7 +172,7 @@ class TestSweepMemoization:
         plain = study.sweep(**grid)
         cache = ResultCache(tmp_path / "store")
         # Cold parallel sweep populates; warm parallel sweep is answered
-        # from the store without sharding any work.
+        # from the store without dispatching any work.
         cold = study.sweep(**grid, cache=cache, n_workers=2)
         assert cold == plain
         warm = study.sweep(**grid, cache=cache, n_workers=2)
