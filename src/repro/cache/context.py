@@ -295,7 +295,7 @@ class SearchContext:
         repeated :func:`~repro.core.rra.find_discords` over the same
         grammar — common in interactive sweeps — reuses every
         z-normalized candidate subsequence, squared norm, squared
-        cumulative sum, batch row, and memoized pair distance instead of
+        cumulative sum and memoized pair distance instead of
         rebuilding them.  Purely accelerative: every cached quantity is
         the exact float the uncontexted path computes.  This is the
         largest artifact family the context holds (one normalized copy
@@ -311,9 +311,7 @@ class SearchContext:
         )
         return self.memo(
             key,
-            lambda: _CandidateSet(
-                series, intervals, stats=self.series_stats(series)
-            ),
+            lambda: _CandidateSet(series, stats=self.series_stats(series)),
         )
 
     def approx_normalized_rows(

@@ -34,7 +34,7 @@ __all__ = [
 
 #: Version of the key derivation + stored-payload schema.  Part of every
 #: key, so a bump silently invalidates (misses) all prior entries.
-CACHE_KEY_VERSION = 2
+CACHE_KEY_VERSION = 3
 
 
 def rng_fingerprint(rng: Optional[np.random.Generator]) -> str:
@@ -63,8 +63,7 @@ def discord_search_key(
     """Cache key for one complete discord search.
 
     *params* must contain everything that can change the discords or
-    the logical ledger (backend, num_discords, window geometry,
-    ...).
+    the logical ledger (num_discords, window geometry, ...).
     """
     merged = dict(params)
     merged["__cache_engine__"] = engine
@@ -86,10 +85,7 @@ def ensemble_member_key(
     series and discretization triple.
 
     Like every key here, it has no worker count (see module docstring).
-    It also leaves out the distance backend, because the engines
-    guarantee bit-identical discords and ledgers across backends
-    (pinned by the golden-count suite).  The
-    *params* dict must carry everything else that shapes the stored
+    The *params* dict must carry everything else that shapes the stored
     payload (``num_discords``, ``seed``).
     """
     merged = dict(params or {})

@@ -33,7 +33,6 @@ from repro.core.ensemble import AGGREGATIONS, NORMALIZATIONS
 from repro.core.pipeline import GrammarAnomalyDetector
 from repro.exceptions import ReproError
 from repro.io import read_series
-from repro.timeseries.kernels import BACKENDS
 
 
 def _load_series(
@@ -73,7 +72,6 @@ def _cmd_find(args: argparse.Namespace) -> int:
         args.window,
         args.paa,
         args.alphabet,
-        backend=args.backend,
         quality_policy=args.quality or "raise",
         metrics=metrics,
         cache=args.cache_dir,
@@ -162,7 +160,6 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
         normalization=args.normalize,
         aggregation=args.aggregate,
         num_discords=args.discords,
-        backend=args.backend,
         n_workers=args.workers,
         metrics=metrics,
         cache=args.cache_dir,
@@ -352,10 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
              "`repro ensemble --workers N` for parallel members)",
     )
     find.add_argument(
-        "--backend", choices=list(BACKENDS), default="kernel",
-        help="distance backend: kernel (vectorized blocks), batch "
-             "(tiled GEMM scans), or scalar (per-pair reference); "
-             "results and call counts are identical, only speed differs",
+        "--backend", choices=["kernel"], default="kernel",
+        help="accepted for compatibility; only kernel is valid, because "
+             "every search has one distance path",
     )
     find.add_argument(
         "--trace", action="store_true",
@@ -411,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
              "discords are bit-identical for any value; default 1)",
     )
     ensemble.add_argument(
-        "--backend", choices=list(BACKENDS), default="kernel",
-        help="distance backend shared by every member",
+        "--backend", choices=["kernel"], default="kernel",
+        help="accepted for compatibility; only kernel is valid",
     )
     ensemble.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",

@@ -17,7 +17,7 @@ The aggregate score curve and the ranked ensemble discords are
 state:
 
 * every member is evaluated by the unmodified single-parameterization
-  pipeline (itself bit-identical across backends and caches);
+  pipeline (itself bit-identical across cache states);
 * members are combined in *canonical grid order* (the order of the
   grid list), never in completion order;
 * the ``mean`` aggregator sums each column in ascending value order,
@@ -60,7 +60,6 @@ from repro.exceptions import ParameterError, ReproError
 from repro.observability.metrics import ensure_metrics
 from repro.parallel.pool import effective_workers
 from repro.resilience.budget import SearchBudget
-from repro.timeseries.kernels import validate_backend
 
 __all__ = [
     "AGGREGATIONS",
@@ -319,7 +318,6 @@ def evaluate_member(
     member: EnsembleMember,
     *,
     num_discords: int,
-    backend: str = "kernel",
     seed: int = 0,
     context: Optional[SearchContext] = None,
     metrics=None,
@@ -340,7 +338,6 @@ def evaluate_member(
             member.window,
             member.paa_size,
             member.alphabet_size,
-            backend=backend,
             seed=seed,
             context=context,
             metrics=metrics,
@@ -497,7 +494,7 @@ class EnsembleDetector:
         Two member discords merge when they share at least this
         fraction of the shorter interval (0.5 by default, the Table-1
         overlap convention).
-    backend, seed:
+    seed:
         Forwarded to every member's pipeline.
     n_workers:
         Worker processes for the *member* fan-out (each member's inner
@@ -537,7 +534,6 @@ class EnsembleDetector:
         aggregation: str = "mean",
         num_discords: int = 3,
         merge_overlap: float = 0.5,
-        backend: str = "kernel",
         seed: int = 0,
         n_workers: int = 1,
         metrics=None,
@@ -562,13 +558,11 @@ class EnsembleDetector:
             raise ParameterError(
                 f"merge_overlap must be in (0, 1], got {merge_overlap}"
             )
-        validate_backend(backend)
         self.grid = None if grid is None else self._normalize_grid(grid)
         self.normalization = normalization
         self.aggregation = aggregation
         self.num_discords = num_discords
         self.merge_overlap = merge_overlap
-        self.backend = backend
         self.seed = seed
         self.n_workers = effective_workers(n_workers)
         self.metrics = ensure_metrics(metrics)
@@ -722,7 +716,6 @@ class EnsembleDetector:
                     series,
                     member,
                     num_discords=self.num_discords,
-                    backend=self.backend,
                     seed=self.seed,
                     context=context,
                     metrics=self.metrics,
@@ -744,7 +737,6 @@ class EnsembleDetector:
             series,
             pending,
             num_discords=self.num_discords,
-            backend=self.backend,
             seed=self.seed,
             budget=budget,
             n_workers=self.n_workers,

@@ -31,7 +31,6 @@ from repro.observability.metrics import MetricsRegistry, ensure_metrics
 from repro.observability.report import write_run_report
 from repro.resilience.budget import SearchBudget
 from repro.sax.discretize import Discretization, NumerosityReduction, discretize
-from repro.timeseries.kernels import validate_backend
 from repro.timeseries.preprocess import QUALITY_POLICIES, quality_gate
 
 
@@ -90,13 +89,6 @@ class GrammarAnomalyDetector:
         ``"sequitur"`` (the paper) or ``"repair"`` (ablation).
     seed:
         Seed for the RRA inner-loop shuffle; fixed for reproducibility.
-    backend:
-        Distance backend for the discord queries: ``"kernel"``
-        (vectorized block kernels, the default), ``"batch"`` (tiled
-        GEMM scans through the array-API seam — see
-        :mod:`repro.discord.batch`), or ``"scalar"`` (the per-pair
-        reference path).  Results and distance-call counts are
-        identical across all three; only wall time differs.
     quality_policy:
         How :meth:`fit` treats NaN/Inf values in the input series:
         ``"raise"`` (default) refuses dirty data with
@@ -149,7 +141,6 @@ class GrammarAnomalyDetector:
         numerosity_reduction: NumerosityReduction = NumerosityReduction.EXACT,
         grammar_algorithm: str = "sequitur",
         seed: int = 0,
-        backend: str = "kernel",
         quality_policy: str = "raise",
         metrics=None,
         cache=None,
@@ -165,8 +156,6 @@ class GrammarAnomalyDetector:
                 f"quality_policy must be one of {QUALITY_POLICIES}, "
                 f"got {quality_policy!r}"
             )
-        validate_backend(backend)
-        self.backend = backend
         self.quality_policy = quality_policy
         self.window = window
         self.paa_size = paa_size
@@ -364,7 +353,6 @@ class GrammarAnomalyDetector:
             result.candidates,
             num_discords=num_discords,
             rng=np.random.default_rng(self.seed),
-            backend=self.backend,
             budget=budget,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
@@ -399,7 +387,6 @@ class GrammarAnomalyDetector:
                     "alphabet_size": self.alphabet_size,
                     "num_discords": num_discords,
                     "seed": self.seed,
-                    "backend": self.backend,
                     "distance_calls": rra.distance_calls,
                     "status": rra.status.value,
                 },
@@ -409,9 +396,7 @@ class GrammarAnomalyDetector:
     def nn_distance_profile(self) -> list[tuple[RuleInterval, float]]:
         """Nearest-non-self-match distance per candidate (figure panels)."""
         result = self.result
-        return nearest_neighbor_distances(
-            result.series, result.candidates, backend=self.backend
-        )
+        return nearest_neighbor_distances(result.series, result.candidates)
 
     # -- summaries ------------------------------------------------------
 

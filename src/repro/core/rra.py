@@ -35,7 +35,8 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from repro.core.anomaly import Anomaly, Discord
-from repro.discord.search import emit_rank_event
+from repro.cache.results import discords_from_json, discords_to_json
+from repro.discord.search import SearchSession, emit_rank_event
 from repro.exceptions import CheckpointError, DiscordSearchError
 from repro.grammar.intervals import RuleInterval
 from repro.observability.metrics import ensure_metrics
@@ -48,8 +49,7 @@ from repro.resilience.checkpoint import (
     search_fingerprint,
 )
 from repro.timeseries import kernels
-from repro.timeseries.distance import DistanceCounter, variable_length_distance
-from repro.timeseries.kernels import validate_backend
+from repro.timeseries.distance import DistanceCounter
 
 
 @dataclass
@@ -135,12 +135,10 @@ class _CandidateSet:
     def __init__(
         self,
         series: np.ndarray,
-        intervals: Sequence[RuleInterval],
         *,
         stats: Optional[kernels.SeriesStats] = None,
     ):
         self.series = np.ascontiguousarray(series, dtype=float)
-        self.intervals = list(intervals)
         # A prebuilt SeriesStats (from a SearchContext) is reused instead
         # of re-deriving the cumulative sums.
         self._stats = stats if stats is not None else kernels.SeriesStats(self.series)
@@ -152,13 +150,6 @@ class _CandidateSet:
         # within a search and, when a SearchContext keeps this set
         # alive, across repeated searches over the same candidates.
         self._pair_distances: dict[tuple[int, int, int, int], float] = {}
-        # Batch-backend structures, built lazily on first use: per-length
-        # stacked matrices of every distinct same-length subsequence, and
-        # per-candidate one-vs-group squared-distance rows.
-        self._length_groups: dict[
-            int, tuple[np.ndarray, np.ndarray, dict[tuple[int, int], int]]
-        ] = {}
-        self._batch_rows: dict[tuple[int, int], np.ndarray] = {}
 
     @property
     def stats(self) -> kernels.SeriesStats:
@@ -177,31 +168,6 @@ class _CandidateSet:
     def values(self, interval: RuleInterval) -> np.ndarray:
         """Z-normalized subsequence of *interval* (cached)."""
         return self._entry(interval.start, interval.end)[0]
-
-    def _length_group(
-        self, length: int
-    ) -> tuple[np.ndarray, np.ndarray, dict[tuple[int, int], int]]:
-        """Stacked matrix of every distinct subsequence of *length*.
-
-        Returns ``(rows, sqnorms, pos)`` where ``pos`` maps a
-        ``(start, end)`` key to its row index.  Built once per length on
-        first batch-backend use.
-        """
-        group = self._length_groups.get(length)
-        if group is None:
-            keys: list[tuple[int, int]] = []
-            seen: set[tuple[int, int]] = set()
-            for iv in self.intervals:
-                key = (iv.start, iv.end)
-                if iv.length != length or key in seen:
-                    continue
-                seen.add(key)
-                keys.append(key)
-            rows = np.stack([self._entry(*key)[0] for key in keys])
-            pos = {key: j for j, key in enumerate(keys)}
-            group = (rows, kernels.row_sqnorms(rows), pos)
-            self._length_groups[length] = group
-        return group
 
     def pair_distance(self, p: RuleInterval, q: RuleInterval) -> float:
         """Vectorized Eq. 1 distance between two cached candidates.
@@ -233,50 +199,6 @@ class _CandidateSet:
             distance = kernels.aligned_min_distance(b, b_sqnorm, a, a_cumsum)
         self._pair_distances[key] = distance
         return distance
-
-    def pair_distance_batch(self, p: RuleInterval, q: RuleInterval) -> float:
-        """Eq. 1 distance via cached one-vs-group rows (batch backend).
-
-        Equal-length pairs read one entry of a per-candidate squared
-        distance row computed in a single matrix-vector product against
-        the candidate's whole length group — amortizing the kernel over
-        every same-length comparison the search will make.  Unequal
-        lengths fall back to the sliding-alignment kernel pair path.
-        """
-        if p.length != q.length:
-            return self.pair_distance(p, q)
-        key = (p.start, p.end)
-        row = self._batch_rows.get(key)
-        if row is None:
-            rows, sqnorms, _ = self._length_group(p.length)
-            values, sqnorm, _ = self._entry(p.start, p.end)
-            row = kernels.one_vs_all_sq_euclidean(
-                values, rows, query_sqnorm=sqnorm, sqnorms=sqnorms
-            )
-            self._batch_rows[key] = row
-        pos = self._length_groups[p.length][2]
-        return float(np.sqrt(row[pos[(q.start, q.end)]] / p.length))
-
-    def pair_distance_scalar(self, p: RuleInterval, q: RuleInterval) -> float:
-        """Eq. 1 distance through the per-offset scalar reference."""
-        return variable_length_distance(
-            self.values(p), self.values(q), normalize_inputs=False
-        )
-
-    def distance_fn(
-        self, backend: str
-    ) -> Callable[[RuleInterval, RuleInterval], float]:
-        """The pair-distance callable for *backend*, bound once per search."""
-        if backend == "scalar":
-            return self.pair_distance_scalar
-        if backend == "batch":
-            return self.pair_distance_batch
-        return self.pair_distance
-
-
-def _is_non_self_match(p: RuleInterval, q: RuleInterval) -> bool:
-    """Paper line 7: |p0 - q0| > Length(p), i.e. no trivial self match."""
-    return abs(p.start - q.start) > p.length
 
 
 class _InnerOrdering:
@@ -338,7 +260,6 @@ def find_discord(
     counter: Optional[DistanceCounter] = None,
     rng: Optional[np.random.Generator] = None,
     exclude: Sequence[tuple[int, int]] = (),
-    backend: str = "kernel",
     cache: Optional[_CandidateSet] = None,
     budget: Optional[SearchBudget] = None,
     metrics=None,
@@ -360,15 +281,8 @@ def find_discord(
     exclude:
         Half-open ``(start, end)`` ranges; candidates overlapping any of
         them are skipped (used for iterative multi-discord extraction).
-    backend:
-        ``"kernel"`` (default) draws every pair distance from the
-        vectorized kernels in :mod:`repro.timeseries.kernels`;
-        ``"batch"`` amortizes equal-length comparisons into cached
-        one-vs-group matrix products; ``"scalar"`` keeps the per-pair
-        reference path.  All visit the same pairs in the same order, so
-        call counts are identical.
     cache:
-        Prebuilt :class:`_CandidateSet` over *series* and *intervals*,
+        Prebuilt :class:`_CandidateSet` over *series*,
         reused across the ranks of an iterative extraction so the znorm
         and kernel-statistic caches are computed once.
     budget:
@@ -393,7 +307,6 @@ def find_discord(
     (discord or None, counter)
         None when no candidate has a non-self match (degenerate input).
     """
-    validate_backend(backend)
     series = np.asarray(series, dtype=float)
     if series.ndim != 1:
         raise DiscordSearchError(f"series must be 1-d, got shape {series.shape}")
@@ -424,7 +337,7 @@ def find_discord(
         return None, counter
 
     if cache is None:
-        cache = _CandidateSet(series, candidates)
+        cache = _CandidateSet(series)
     ordering = _InnerOrdering(candidates)
 
     # Outer ordering: ascending rule usage (gaps first), deterministic
@@ -446,7 +359,7 @@ def find_discord(
         m_best = metrics.counter("search.best_updates")
         m_depth = metrics.histogram("search.abandon_depth")
 
-    distance = cache.distance_fn(backend)
+    distance = cache.pair_distance
     try:
         for i in range(state.outer_index, len(outer)):
             # Record the boundary *before* consuming any randomness or
@@ -529,29 +442,6 @@ def find_discord(
     return discord, counter
 
 
-def _discord_to_json(discord: Discord) -> dict:
-    return {
-        "start": discord.start,
-        "end": discord.end,
-        "score": discord.score,
-        "rank": discord.rank,
-        "nn_distance": discord.nn_distance,
-        "rule_id": discord.rule_id,
-    }
-
-
-def _discord_from_json(data: dict) -> Discord:
-    return Discord(
-        start=int(data["start"]),
-        end=int(data["end"]),
-        score=float(data["score"]),
-        rank=int(data["rank"]),
-        nn_distance=float(data["nn_distance"]),
-        rule_id=data["rule_id"],
-        source="rra",
-    )
-
-
 def find_discords(
     series: np.ndarray,
     intervals: Sequence[RuleInterval],
@@ -559,7 +449,6 @@ def find_discords(
     num_discords: int = 1,
     counter: Optional[DistanceCounter] = None,
     rng: Optional[np.random.Generator] = None,
-    backend: str = "kernel",
     budget: Optional[SearchBudget] = None,
     checkpoint_path: Optional[str] = None,
     checkpoint_every: int = 32,
@@ -609,8 +498,8 @@ def find_discords(
         resumed run's report reads as one continuous stream.
     cache:
         Optional :class:`~repro.cache.store.ResultCache`.  An identical
-        previous search (same series, candidates, parameters, backend,
-        and RNG state) is served from disk: same discords, same
+        previous search (same series, candidates, parameters and RNG
+        state) is served from disk: same discords, same
         call-ledger increments applied to *counter*, flagged
         ``from_cache=True`` — and the hit short-circuits checkpointing
         entirely.  Only complete, untruncated results are ever stored;
@@ -621,22 +510,18 @@ def find_discords(
         Optional :class:`~repro.cache.context.SearchContext` sharing the
         series' cumulative-sum statistics across searches.
     """
-    validate_backend(backend)
-    series = np.asarray(series, dtype=float)
-    if counter is None:
-        counter = DistanceCounter()
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if num_discords < 1:
-        raise DiscordSearchError(f"num_discords must be >= 1, got {num_discords}")
+    session = SearchSession(
+        "rra", num_discords=num_discords, counter=counter,
+        budget=budget, metrics=metrics, cache=cache,
+    )
     if checkpoint_every < 1:
         raise DiscordSearchError(
             f"checkpoint_every must be >= 1, got {checkpoint_every}"
         )
-    if budget is None:
-        budget = SearchBudget.unlimited()
-    metrics = ensure_metrics(metrics)
-    budget.bind_metrics(metrics)
+    counter, budget, metrics = session.counter, session.budget, session.metrics
+    series = np.asarray(series, dtype=float)
+    if rng is None:
+        rng = np.random.default_rng(0)
 
     # Materialized once: an iterator would be used up by the count.
     intervals = list(intervals)
@@ -645,72 +530,30 @@ def find_discords(
         iv for iv in intervals if iv.end <= series.size and iv.length >= 2
     ]
 
-    result_cache_key: Optional[str] = None
-    ledger_before: Optional[dict] = None
-    if cache is not None:
-        from repro.cache.keys import discord_search_key
-        from repro.cache.results import (
-            LEDGER_FIELDS,
-            apply_ledger_delta,
-            discords_to_json,
-            ledger_delta,
-        )
-
-        result_cache_key = discord_search_key(
-            series,
-            valid,
-            engine="rra",
-            params={
-                "num_discords": int(num_discords),
-                "backend": backend,
-            },
-            rng=rng,
-        )
-        entry = cache.get(result_cache_key)
-        if entry is not None:
-            # Hit: the stored discords and ledger increments, applied to
-            # the live counter — and no candidate set, no checkpoint
-            # writes.
-            apply_ledger_delta(counter, entry["ledger"])
-            for item in entry["discords"]:
-                result.discords.append(_discord_from_json(item))
-                result.rank_complete.append(True)
-            result.distance_calls = counter.calls
-            result.from_cache = True
-            return result
-        ledger_before = counter.ledger()
+    cached = session.lookup(
+        series, valid, {"num_discords": int(num_discords)}, rng=rng
+    )
+    if cached is not None:
+        # Hit: the stored discords and ledger increments, applied to the
+        # live counter — and no candidate set, no checkpoint writes.
+        result.discords = cached
+        result.rank_complete = [True] * len(cached)
+        result.distance_calls = counter.calls
+        result.from_cache = True
+        return result
 
     if context is not None:
         # The context keeps the whole candidate set (normalized values,
-        # norms, batch rows, pair distances) alive across searches over
-        # the same grammar — a repeated search recomputes no distances.
+        # norms, pair distances) alive across searches over the same
+        # grammar — a repeated search recomputes no distances.
         candidate_cache = context.rra_candidate_set(series, valid)
     else:
-        candidate_cache = _CandidateSet(series, valid)
+        candidate_cache = _CandidateSet(series)
 
     fingerprint: Optional[str] = None
     if checkpoint_path is not None or resume_from is not None:
         fingerprint = search_fingerprint(
-            series,
-            valid,
-            {"num_discords": num_discords, "backend": backend},
-        )
-
-    def _store_complete() -> None:
-        """Populate the result cache with a complete, exact result."""
-        if (
-            result_cache_key is None
-            or result.status is not SearchStatus.COMPLETE
-            or not all(result.rank_complete)
-        ):
-            return
-        cache.put(
-            result_cache_key,
-            {
-                "engine": "rra",
-                "discords": discords_to_json(result.discords),
-                "ledger": ledger_delta(ledger_before, counter.ledger()),
-            },
+            series, valid, {"num_discords": num_discords}
         )
 
     exclusions: list[tuple[int, int]] = []
@@ -723,18 +566,13 @@ def find_discords(
                 f"checkpoint {resume_from} was written for different search "
                 f"inputs (series/candidates/parameters changed)"
             )
-        for entry in data.get("discords", []):
-            result.discords.append(_discord_from_json(entry))
-            result.rank_complete.append(True)
+        result.discords = discords_from_json(data.get("discords", []))
+        result.rank_complete = [True] * len(result.discords)
         exclusions = [tuple(pair) for pair in data.get("exclusions", [])]
+        # restore_ledger is an absolute overwrite: the counter now holds
+        # the prior partial run's full tally.
         counter.restore_ledger(data["ledger"])
-        if result_cache_key is not None:
-            # restore_ledger is an absolute overwrite: the counter now
-            # holds the prior partial run's full tally, so a zero
-            # baseline makes the stored delta equal the complete
-            # cold-run ledger — exactly what an uninterrupted search
-            # would have cached.
-            ledger_before = {field: 0 for field in LEDGER_FIELDS}
+        session.restart_ledger()
         start_rank = int(data["rank"])
         if data.get("rng_state") is not None:
             rng = restore_rng(data["rng_state"])
@@ -748,7 +586,7 @@ def find_discords(
             )
         if data.get("done"):
             result.distance_calls = counter.calls
-            _store_complete()
+            session.store(result.discords, result.rank_complete, result.status)
             return result
         best_key = data.get("best_key")
         resumed_state = _RankState(
@@ -777,12 +615,11 @@ def find_discords(
             {
                 "fingerprint": fingerprint,
                 "num_discords": num_discords,
-                "backend": backend,
-                "discords": [
-                    _discord_to_json(d)
+                "discords": discords_to_json(
+                    d
                     for d, ok in zip(result.discords, result.rank_complete)
                     if ok
-                ],
+                ),
                 "exclusions": [list(pair) for pair in exclusions],
                 "rank": current_rank[0],
                 "outer_index": state.outer_index,
@@ -829,7 +666,6 @@ def find_discords(
                 counter=counter,
                 rng=rng,
                 exclude=exclusions,
-                backend=backend,
                 cache=candidate_cache,
                 budget=budget,
                 metrics=metrics,
@@ -897,7 +733,7 @@ def find_discords(
                 done=(rank + 1 >= num_discords),
             )
     result.distance_calls = counter.calls
-    _store_complete()
+    session.store(result.discords, result.rank_complete, result.status)
     return result
 
 
@@ -906,7 +742,6 @@ def nearest_neighbor_distances(
     intervals: Sequence[RuleInterval],
     *,
     counter: Optional[DistanceCounter] = None,
-    backend: str = "kernel",
 ) -> list[tuple[RuleInterval, float]]:
     """Exact nearest-non-self-match distance for every candidate interval.
 
@@ -915,34 +750,17 @@ def nearest_neighbor_distances(
     distance to the interval's nearest non-self match.  O(k^2) distance
     calls — intended for analysis/visualization, not for search.
 
-    The kernel backend goes one-vs-all: candidates of the same length
-    are compared with a single matrix-vector product per query, the
-    rest through the vectorized sliding-alignment kernel.  Accounting
-    is unchanged — one logical call per non-self-match pair.
+    The scan goes one-vs-all: candidates of the same length are compared
+    with a single matrix-vector product per query, the rest through the
+    vectorized sliding-alignment kernel.  Accounting is one logical call
+    per non-self-match pair.
     """
-    validate_backend(backend)
     series = np.asarray(series, dtype=float)
     if counter is None:
         counter = DistanceCounter()
     candidates = [iv for iv in intervals if iv.end <= series.size and iv.length >= 2]
-    cache = _CandidateSet(series, candidates)
+    cache = _CandidateSet(series)
     results: list[tuple[RuleInterval, float]] = []
-
-    if backend == "scalar":
-        for p in candidates:
-            p_values = cache.values(p)
-            nearest = float("inf")
-            for q in candidates:
-                if q is p or not _is_non_self_match(p, q):
-                    continue
-                dist = counter.variable_length(
-                    p_values, cache.values(q), normalize_inputs=False
-                )
-                if dist < nearest:
-                    nearest = dist
-            results.append((p, nearest))
-        return results
-
     if not candidates:
         return results
     starts = np.asarray([iv.start for iv in candidates], dtype=np.intp)
@@ -958,25 +776,7 @@ def nearest_neighbor_distances(
         group_sqnorms[length] = kernels.row_sqnorms(rows)
         group_index[length] = np.asarray(members, dtype=np.intp)
 
-    # The batch backend turns the per-query matrix-vector products of a
-    # length group into a few tiled GEMMs over the whole group, computed
-    # up front.  Accounting and the visited pairs are unchanged.
-    group_sq: dict[int, np.ndarray] = {}
-    group_pos: dict[int, dict[int, int]] = {}
-    if backend == "batch":
-        for length, members in by_length.items():
-            rows = group_rows[length]
-            sqnorms = group_sqnorms[length]
-            sq = np.empty((rows.shape[0], rows.shape[0]), dtype=float)
-            for lo, hi in kernels.tile_plan(rows.shape[0], rows.shape[0]):
-                sq[lo:hi] = kernels.all_pairs_sq_euclidean_tile(
-                    rows[lo:hi], rows,
-                    query_sqnorms=sqnorms[lo:hi], sqnorms=sqnorms,
-                )
-            group_sq[length] = sq
-            group_pos[length] = {i: j for j, i in enumerate(members)}
-
-    for i, p in enumerate(candidates):
+    for p in candidates:
         # Paper line 7 as a mask: |p0 - q0| > Length(p).  This also
         # removes p itself, so every True entry is one logical call.
         valid = np.abs(starts - p.start) > p.length
@@ -987,15 +787,12 @@ def nearest_neighbor_distances(
         same = group_index[p.length]
         keep = valid[same]
         if keep.any():
-            if backend == "batch":
-                sq = group_sq[p.length][group_pos[p.length][i]][keep]
-            else:
-                sq = kernels.one_vs_all_sq_euclidean(
-                    p_values,
-                    group_rows[p.length][keep],
-                    query_sqnorm=p_sqnorm,
-                    sqnorms=group_sqnorms[p.length][keep],
-                )
+            sq = kernels.one_vs_all_sq_euclidean(
+                p_values,
+                group_rows[p.length][keep],
+                query_sqnorm=p_sqnorm,
+                sqnorms=group_sqnorms[p.length][keep],
+            )
             nearest = float(np.sqrt(sq.min() / p.length))
 
         for length, members in by_length.items():

@@ -13,43 +13,27 @@ well the Haar words group similar windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from repro.core.anomaly import Discord
-from repro.discord.search import iterated_search, ordered_discord_search
+from repro.discord.search import (
+    DiscordSearchResult,
+    bucket_ordered_search,
+    fixed_length_discords,
+    ordered_discord_search,
+    window_matrix_for,
+)
 from repro.exceptions import ParameterError
-from repro.resilience.budget import SearchBudget, SearchStatus
-from repro.timeseries import kernels
+from repro.resilience.budget import SearchBudget
 from repro.timeseries.distance import DistanceCounter
-from repro.timeseries.windows import num_windows, sliding_windows
+from repro.timeseries.windows import sliding_windows
 from repro.timeseries.znorm import znorm_rows
 
 
-@dataclass
-class HaarResult:
-    """Outcome of a Haar-ordered discord search.
-
-    ``status`` and ``rank_complete`` carry the anytime-truncation
-    flags, exactly as on :class:`repro.discord.hotsax.HOTSAXResult`.
-    """
-
-    discords: list[Discord] = field(default_factory=list)
-    distance_calls: int = 0
-    window: int = 0
-    status: SearchStatus = SearchStatus.COMPLETE
-    rank_complete: list[bool] = field(default_factory=list)
-    from_cache: bool = False
-
-    @property
-    def best(self) -> Optional[Discord]:
-        return self.discords[0] if self.discords else None
-
-    @property
-    def complete(self) -> bool:
-        return self.status is SearchStatus.COMPLETE
+#: The Haar result type; the name predates the shared result class.
+HaarResult = DiscordSearchResult
 
 
 def haar_transform(values: np.ndarray) -> np.ndarray:
@@ -118,19 +102,24 @@ def haar_words(
     return words
 
 
-def _shared_bucketing(series: np.ndarray, window: int, num_coefficients: int):
-    """One WindowMatrix + one Haar-word pass, shared across all ranks.
+def _shared_bucketing(
+    series: np.ndarray, window: int, num_coefficients: int, context=None
+):
+    """One WindowMatrix + one Haar-word pass, shared across all ranks
+    (and by searches through *context*).
 
     The words are a pure function of the (unchanging) windows, so
     computing them once per search instead of once per rank is
     result-identical; degenerate inputs fall back to the lazy path so
     the search's own validation error still fires first.
     """
-    if num_windows(series.size, window) < 2:
+    if context is not None:
+        return context.haar_bucketing(series, window, num_coefficients)
+    windows = window_matrix_for(series, window)
+    if windows is None:
         return None, (
             lambda s, w: haar_words(s, w, num_coefficients=num_coefficients)
         )
-    windows = kernels.WindowMatrix(series, window)
     words = haar_words(
         series, window,
         num_coefficients=num_coefficients, normalized=windows.normalized,
@@ -146,7 +135,6 @@ def haar_discord(
     counter: Optional[DistanceCounter] = None,
     rng: Optional[np.random.Generator] = None,
     exclude: tuple[tuple[int, int], ...] = (),
-    backend: str = "kernel",
     budget: Optional[SearchBudget] = None,
     metrics=None,
 ) -> tuple[Optional[Discord], DistanceCounter]:
@@ -161,7 +149,6 @@ def haar_discord(
         counter=counter,
         rng=rng,
         exclude=exclude,
-        backend=backend,
         budget=budget,
         windows=windows,
         metrics=metrics,
@@ -176,7 +163,6 @@ def haar_discords(
     num_coefficients: int = 4,
     counter: Optional[DistanceCounter] = None,
     rng: Optional[np.random.Generator] = None,
-    backend: str = "kernel",
     budget: Optional[SearchBudget] = None,
     metrics=None,
     cache=None,
@@ -190,85 +176,28 @@ def haar_discords(
     default to ``None`` — the unconfigured path is byte-identical to
     the pre-cache code.
     """
-    if budget is None:
-        budget = SearchBudget.unlimited()
     series = np.asarray(series, dtype=float)
-    cache_key = None
-    ledger_before = None
-    if cache is not None:
-        from repro.cache.keys import discord_search_key
-        from repro.cache.results import (
-            apply_ledger_delta,
-            discords_from_json,
-            discords_to_json,
-            ledger_delta,
+    if rng is None:
+        rng = np.random.default_rng(0)
+
+    def build_search(session):
+        windows, bucket_fn = _shared_bucketing(
+            series, window, num_coefficients, context
+        )
+        return bucket_ordered_search(
+            session, series, window, bucket_fn, rng=rng, windows=windows
         )
 
-        if counter is None:
-            counter = DistanceCounter()
-        if rng is None:
-            rng = np.random.default_rng(0)
-        cache_key = discord_search_key(
-            series,
-            (),
-            engine="haar",
-            params={
-                "window": int(window),
-                "num_discords": int(num_discords),
-                "num_coefficients": int(num_coefficients),
-                "backend": backend,
-            },
-            rng=rng,
-        )
-        entry = cache.get(cache_key)
-        if entry is not None:
-            apply_ledger_delta(counter, entry["ledger"])
-            discords = discords_from_json(entry["discords"])
-            return HaarResult(
-                discords=discords,
-                distance_calls=counter.calls,
-                window=window,
-                status=SearchStatus.COMPLETE,
-                rank_complete=[True] * len(discords),
-                from_cache=True,
-            )
-        ledger_before = counter.ledger()
-    if context is not None:
-        windows, bucket_fn = context.haar_bucketing(
-            series, window, num_coefficients
-        )
-    else:
-        windows, bucket_fn = _shared_bucketing(series, window, num_coefficients)
-    discords, counter, rank_complete = iterated_search(
+    return fixed_length_discords(
+        "haar",
         series,
         window,
-        bucket_fn,
-        source="haar",
+        build_search,
+        params={"num_coefficients": int(num_coefficients)},
         num_discords=num_discords,
         counter=counter,
         rng=rng,
-        backend=backend,
         budget=budget,
-        windows=windows,
         metrics=metrics,
-    )
-    if (
-        cache_key is not None
-        and budget.status is SearchStatus.COMPLETE
-        and all(rank_complete)
-    ):
-        cache.put(
-            cache_key,
-            {
-                "engine": "haar",
-                "discords": discords_to_json(discords),
-                "ledger": ledger_delta(ledger_before, counter.ledger()),
-            },
-        )
-    return HaarResult(
-        discords=discords,
-        distance_calls=counter.calls,
-        window=window,
-        status=budget.status,
-        rank_complete=rank_complete,
+        cache=cache,
     )

@@ -17,45 +17,28 @@ the SAX-word bucketing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from repro.core.anomaly import Discord
-from repro.discord.search import iterated_search, ordered_discord_search
-from repro.resilience.budget import SearchBudget, SearchStatus
+from repro.discord.search import (
+    DiscordSearchResult,
+    bucket_ordered_search,
+    fixed_length_discords,
+    ordered_discord_search,
+    window_matrix_for,
+)
+from repro.resilience.budget import SearchBudget
 from repro.sax.alphabet import alphabet_letters, letter_indices
-from repro.timeseries import kernels
 from repro.timeseries.distance import DistanceCounter
 from repro.timeseries.paa import paa_batch
-from repro.timeseries.windows import num_windows, sliding_windows
+from repro.timeseries.windows import sliding_windows
 from repro.timeseries.znorm import znorm_rows
 
 
-@dataclass
-class HOTSAXResult:
-    """Outcome of a HOTSAX search (discords + the Table 1 call count).
-
-    ``status`` and the per-rank ``rank_complete`` flags report anytime
-    truncation: with a tripped budget the discords are the best found
-    so far rather than the exact answer.
-    """
-
-    discords: list[Discord] = field(default_factory=list)
-    distance_calls: int = 0
-    window: int = 0
-    status: SearchStatus = SearchStatus.COMPLETE
-    rank_complete: list[bool] = field(default_factory=list)
-    from_cache: bool = False
-
-    @property
-    def best(self) -> Optional[Discord]:
-        return self.discords[0] if self.discords else None
-
-    @property
-    def complete(self) -> bool:
-        return self.status is SearchStatus.COMPLETE
+#: The HOTSAX result type; the name predates the shared result class.
+HOTSAXResult = DiscordSearchResult
 
 
 class SAXWindowDiscretization:
@@ -94,6 +77,20 @@ def _sax_words_per_window(
     return SAXWindowDiscretization(series, window, paa_size, alphabet_size).words
 
 
+def _sax_bucketing(series, window, paa_size, alphabet_size, context=None):
+    """The search's ``(windows, bucket_fn)``: one window matrix and one
+    SAX pass, shared by every rank (and by searches through *context*)."""
+    windows = window_matrix_for(series, window, context)
+    if context is not None:
+        disc = context.sax_discretization(series, window, paa_size, alphabet_size)
+    else:
+        disc = SAXWindowDiscretization(
+            series, window, paa_size, alphabet_size,
+            normalized=windows.normalized if windows is not None else None,
+        )
+    return windows, (lambda s, w: disc.words)
+
+
 def hotsax_discord(
     series: np.ndarray,
     window: int,
@@ -103,7 +100,6 @@ def hotsax_discord(
     counter: Optional[DistanceCounter] = None,
     rng: Optional[np.random.Generator] = None,
     exclude: tuple[tuple[int, int], ...] = (),
-    backend: str = "kernel",
     budget: Optional[SearchBudget] = None,
     metrics=None,
 ) -> tuple[Optional[Discord], DistanceCounter]:
@@ -125,9 +121,6 @@ def hotsax_discord(
     exclude:
         Candidate start positions inside these half-open ranges are
         skipped (multi-discord extraction).
-    backend:
-        ``"kernel"`` (default) or ``"scalar"`` — see
-        :func:`repro.discord.search.ordered_discord_search`.
     budget:
         Optional anytime budget; on exhaustion or cancellation the
         best-so-far discord is returned (``budget.status`` says why).
@@ -138,24 +131,15 @@ def hotsax_discord(
         by default; results are byte-identical either way.
     """
     series = np.asarray(series, dtype=float)
-    windows = (
-        kernels.WindowMatrix(series, window)
-        if num_windows(series.size, window) >= 2
-        else None
-    )
-    normalized = windows.normalized if windows is not None else None
-    disc = SAXWindowDiscretization(
-        series, window, paa_size, alphabet_size, normalized=normalized
-    )
+    windows, bucket_fn = _sax_bucketing(series, window, paa_size, alphabet_size)
     return ordered_discord_search(
         series,
         window,
-        lambda s, w: disc.words,
+        bucket_fn,
         source="hotsax",
         counter=counter,
         rng=rng,
         exclude=exclude,
-        backend=backend,
         budget=budget,
         windows=windows,
         metrics=metrics,
@@ -171,7 +155,6 @@ def hotsax_discords(
     alphabet_size: int = 3,
     counter: Optional[DistanceCounter] = None,
     rng: Optional[np.random.Generator] = None,
-    backend: str = "kernel",
     budget: Optional[SearchBudget] = None,
     metrics=None,
     cache=None,
@@ -192,95 +175,28 @@ def hotsax_discords(
     Both default to ``None`` — the unconfigured path is byte-identical
     to the pre-cache code.
     """
-    if budget is None:
-        budget = SearchBudget.unlimited()
     series = np.asarray(series, dtype=float)
-    cache_key = None
-    ledger_before = None
-    if cache is not None:
-        from repro.cache.keys import discord_search_key
-        from repro.cache.results import (
-            apply_ledger_delta,
-            discords_from_json,
-            discords_to_json,
-            ledger_delta,
+    if rng is None:
+        rng = np.random.default_rng(0)
+
+    def build_search(session):
+        windows, bucket_fn = _sax_bucketing(
+            series, window, paa_size, alphabet_size, context
+        )
+        return bucket_ordered_search(
+            session, series, window, bucket_fn, rng=rng, windows=windows
         )
 
-        if counter is None:
-            counter = DistanceCounter()
-        if rng is None:
-            rng = np.random.default_rng(0)
-        cache_key = discord_search_key(
-            series,
-            (),
-            engine="hotsax",
-            params={
-                "window": int(window),
-                "num_discords": int(num_discords),
-                "paa_size": int(paa_size),
-                "alphabet_size": int(alphabet_size),
-                "backend": backend,
-            },
-            rng=rng,
-        )
-        entry = cache.get(cache_key)
-        if entry is not None:
-            apply_ledger_delta(counter, entry["ledger"])
-            discords = discords_from_json(entry["discords"])
-            return HOTSAXResult(
-                discords=discords,
-                distance_calls=counter.calls,
-                window=window,
-                status=SearchStatus.COMPLETE,
-                rank_complete=[True] * len(discords),
-                from_cache=True,
-            )
-        ledger_before = counter.ledger()
-    if context is not None:
-        windows = context.window_matrix(series, window)
-        disc = context.sax_discretization(
-            series, window, paa_size, alphabet_size
-        )
-    else:
-        windows = (
-            kernels.WindowMatrix(series, window)
-            if num_windows(series.size, window) >= 2
-            else None
-        )
-        normalized = windows.normalized if windows is not None else None
-        disc = SAXWindowDiscretization(
-            series, window, paa_size, alphabet_size, normalized=normalized
-        )
-    discords, counter, rank_complete = iterated_search(
+    return fixed_length_discords(
+        "hotsax",
         series,
         window,
-        lambda s, w: disc.words,
-        source="hotsax",
+        build_search,
+        params={"paa_size": int(paa_size), "alphabet_size": int(alphabet_size)},
         num_discords=num_discords,
         counter=counter,
         rng=rng,
-        backend=backend,
         budget=budget,
-        windows=windows,
         metrics=metrics,
-    )
-    if (
-        cache_key is not None
-        and budget.status is SearchStatus.COMPLETE
-        and all(rank_complete)
-    ):
-        cache.put(
-            cache_key,
-            {
-                "engine": "hotsax",
-                "discords": discords_to_json(discords),
-                "ledger": ledger_delta(ledger_before, counter.ledger()),
-            },
-        )
-    return HOTSAXResult(
-        discords=discords,
-        distance_calls=counter.calls,
-        window=window,
-        status=budget.status,
-        rank_complete=rank_complete,
+        cache=cache,
     )

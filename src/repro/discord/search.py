@@ -1,4 +1,4 @@
-"""The shared bucket-ordered exact discord search engine.
+"""The shared discord-search driver.
 
 HOTSAX (SAX words) and the Haar-transform variant (paper related work:
 Fu et al. 2006, Bu et al. 2007) differ only in *how candidate windows
@@ -6,13 +6,26 @@ are grouped into buckets*; the search itself — outer loop over
 candidates in ascending bucket size, inner loop visiting same-bucket
 windows first with early abandoning — is identical.  This module hosts
 that engine so each baseline supplies only its bucketing function.
+
+It also holds what all four ``*_discords`` entry points (RRA, HOTSAX,
+Haar, brute force) share around their searches:
+
+* :class:`SearchSession` — ``num_discords`` validation, the counter and
+  budget defaults, metrics binding, and the result-cache lookup, ledger
+  replay and store;
+* :func:`iterated_search` — top-k extraction by repeated search with
+  window-sized exclusion, the rank loop of the three fixed-length
+  engines (RRA keeps its own, because it checkpoints between ranks);
+* :func:`fixed_length_discords` and :class:`DiscordSearchResult` — the
+  fixed-length engines' top-k driver and its result.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -22,11 +35,220 @@ from repro.observability.metrics import ensure_metrics
 from repro.resilience.budget import SearchBudget, SearchStatus
 from repro.timeseries import kernels
 from repro.timeseries.distance import DistanceCounter
-from repro.timeseries.kernels import BACKENDS, validate_backend  # noqa: F401
 from repro.timeseries.windows import num_windows
 
 #: A bucketing function: (series, window) -> one hashable key per window.
 BucketFn = Callable[[np.ndarray, int], Sequence[str]]
+
+#: One rank's search: excluded ``(start, end)`` ranges -> best discord.
+RankSearch = Callable[[tuple[tuple[int, int], ...]], Optional[Discord]]
+
+
+@dataclass
+class DiscordSearchResult:
+    """Outcome of a fixed-length discord search (HOTSAX, Haar, brute force).
+
+    ``status`` and the per-rank ``rank_complete`` flags report anytime
+    truncation: with a tripped budget the discords are the best found
+    so far rather than the exact answer.  Sequence-compatible with a
+    plain ``list[Discord]`` (``len`` / indexing / iteration delegate to
+    :attr:`discords`).
+    """
+
+    discords: list[Discord] = field(default_factory=list)
+    distance_calls: int = 0
+    window: int = 0
+    status: SearchStatus = SearchStatus.COMPLETE
+    rank_complete: list[bool] = field(default_factory=list)
+    from_cache: bool = False
+
+    @property
+    def best(self) -> Optional[Discord]:
+        return self.discords[0] if self.discords else None
+
+    @property
+    def complete(self) -> bool:
+        return self.status is SearchStatus.COMPLETE
+
+    def __len__(self) -> int:
+        return len(self.discords)
+
+    def __getitem__(self, index):
+        return self.discords[index]
+
+    def __iter__(self) -> Iterator[Discord]:
+        return iter(self.discords)
+
+
+class SearchSession:
+    """Set-up and result-cache bookkeeping around one ``*_discords`` call.
+
+    Validates *num_discords*, supplies the default counter and budget,
+    and binds *metrics* to the budget.  With a *cache* (a
+    :class:`~repro.cache.store.ResultCache`), :meth:`lookup` serves an
+    identical previous search — its discords, with the stored ledger
+    increments replayed onto :attr:`counter` — and :meth:`store` saves
+    a complete, untruncated result.  Without one, both are no-ops.
+    """
+
+    def __init__(
+        self,
+        engine: str,
+        *,
+        num_discords: int,
+        counter: Optional[DistanceCounter] = None,
+        budget: Optional[SearchBudget] = None,
+        metrics=None,
+        cache=None,
+    ):
+        if num_discords < 1:
+            raise DiscordSearchError(
+                f"num_discords must be >= 1, got {num_discords}"
+            )
+        self.engine = engine
+        self.num_discords = num_discords
+        self.counter = counter if counter is not None else DistanceCounter()
+        self.budget = budget if budget is not None else SearchBudget.unlimited()
+        self.metrics = ensure_metrics(metrics)
+        self.budget.bind_metrics(self.metrics)
+        self.cache = cache
+        self._key: Optional[str] = None
+        self._ledger_before: Optional[dict] = None
+
+    def lookup(
+        self,
+        series: np.ndarray,
+        intervals,
+        params: dict,
+        rng: Optional[np.random.Generator] = None,
+    ) -> Optional[list[Discord]]:
+        """The cached discords of this search, or ``None`` on a miss.
+
+        *params* must hold everything besides the series, *intervals*
+        and the *rng* state that can change the discords or the ledger.
+        """
+        if self.cache is None:
+            return None
+        # Imported here, and called through the module attribute, so the
+        # cache layer stays off the import path of uncached searches.
+        from repro.cache import keys
+        from repro.cache.results import apply_ledger_delta, discords_from_json
+
+        self._key = keys.discord_search_key(
+            series, intervals, engine=self.engine, params=params, rng=rng
+        )
+        entry = self.cache.get(self._key)
+        if entry is not None:
+            apply_ledger_delta(self.counter, entry["ledger"])
+            return discords_from_json(entry["discords"])
+        self._ledger_before = self.counter.ledger()
+        return None
+
+    def restart_ledger(self) -> None:
+        """Store the counter's whole tally, not its growth since lookup.
+
+        A resumed search restores the interrupted run's ledger into the
+        counter, so counting from zero makes the stored delta equal to
+        what an uninterrupted search would have cached.
+        """
+        if self._key is not None:
+            self._ledger_before = {name: 0 for name in self.counter.ledger()}
+
+    def store(
+        self,
+        discords: list[Discord],
+        rank_complete: list[bool],
+        status: SearchStatus,
+    ) -> None:
+        """Cache a complete result; truncated ones are never stored."""
+        if (
+            self._key is None
+            or status is not SearchStatus.COMPLETE
+            or not all(rank_complete)
+        ):
+            return
+        from repro.cache.results import discords_to_json, ledger_delta
+
+        self.cache.put(
+            self._key,
+            {
+                "engine": self.engine,
+                "discords": discords_to_json(discords),
+                "ledger": ledger_delta(self._ledger_before, self.counter.ledger()),
+            },
+        )
+
+
+def window_matrix_for(
+    series: np.ndarray, window: int, context=None
+) -> Optional[kernels.WindowMatrix]:
+    """The search's shared :class:`~repro.timeseries.kernels.WindowMatrix`.
+
+    Taken from *context* when one is given.  ``None`` for degenerate
+    inputs (< 2 windows), so the single-rank search still raises its own
+    validation error.
+    """
+    if context is not None:
+        return context.window_matrix(series, window)
+    if num_windows(series.size, window) < 2:
+        return None
+    return kernels.WindowMatrix(series, window)
+
+
+def fixed_length_discords(
+    engine: str,
+    series: np.ndarray,
+    window: int,
+    build_search: Callable[[SearchSession], RankSearch],
+    *,
+    params: dict,
+    num_discords: int,
+    counter: Optional[DistanceCounter] = None,
+    rng: Optional[np.random.Generator] = None,
+    budget: Optional[SearchBudget] = None,
+    metrics=None,
+    cache=None,
+) -> DiscordSearchResult:
+    """The driver behind ``hotsax_discords``, ``haar_discords`` and
+    ``brute_force_discords``.
+
+    Opens a :class:`SearchSession`, answers from *cache* when it can,
+    and otherwise runs :func:`iterated_search` over the one-rank search
+    that *build_search* returns for the session.  The cache key holds
+    *engine*, *window*, *num_discords*, the engine's *params* and the
+    *rng* state (engines that draw no random numbers pass none).
+    """
+    session = SearchSession(
+        engine, num_discords=num_discords, counter=counter,
+        budget=budget, metrics=metrics, cache=cache,
+    )
+    counter = session.counter
+    cached = session.lookup(
+        series,
+        (),
+        {"window": int(window), "num_discords": int(num_discords), **params},
+        rng=rng,
+    )
+    if cached is not None:
+        return DiscordSearchResult(
+            discords=cached,
+            distance_calls=counter.calls,
+            window=window,
+            rank_complete=[True] * len(cached),
+            from_cache=True,
+        )
+    discords, rank_complete = iterated_search(
+        session, build_search(session), window
+    )
+    status = session.budget.status
+    session.store(discords, rank_complete, status)
+    return DiscordSearchResult(
+        discords=discords,
+        distance_calls=counter.calls,
+        window=window,
+        status=status,
+        rank_complete=rank_complete,
+    )
 
 
 def ordered_discord_search(
@@ -38,12 +260,16 @@ def ordered_discord_search(
     counter: Optional[DistanceCounter] = None,
     rng: Optional[np.random.Generator] = None,
     exclude: tuple[tuple[int, int], ...] = (),
-    backend: str = "kernel",
     budget: Optional[SearchBudget] = None,
     windows: Optional[kernels.WindowMatrix] = None,
     metrics=None,
 ) -> tuple[Optional[Discord], DistanceCounter]:
     """Exact fixed-length discord via bucket-driven loop orderings.
+
+    The inner loop is evaluated in vectorized blocks via
+    :mod:`repro.timeseries.kernels`, replaying the per-pair
+    early-abandon decisions so the logical call count is that of the
+    pair-by-pair loop.
 
     Parameters
     ----------
@@ -57,11 +283,6 @@ def ordered_discord_search(
         Tag recorded on the returned :class:`Discord`.
     counter, rng, exclude:
         As in :func:`repro.discord.hotsax.hotsax_discord`.
-    backend:
-        ``"kernel"`` (default) evaluates the inner loop in vectorized
-        blocks via :mod:`repro.timeseries.kernels`; ``"scalar"`` keeps
-        the per-pair reference path.  Both visit the same pairs in the
-        same order, so results and call counts are identical.
     budget:
         Optional :class:`~repro.resilience.budget.SearchBudget` checked
         once per outer candidate; when it trips (or a
@@ -82,7 +303,6 @@ def ordered_discord_search(
         through the no-op sink: results and logical call counts are
         byte-identical either way.
     """
-    validate_backend(backend)
     series = np.asarray(series, dtype=float)
     k = num_windows(series.size, window)
     if k < 2:
@@ -111,7 +331,7 @@ def ordered_discord_search(
     if windows is None:
         windows = kernels.WindowMatrix(series, window)
     normalized = windows.normalized
-    sqnorms = windows.sqnorms if backend in ("kernel", "batch") else None
+    sqnorms = windows.sqnorms
 
     outer = sorted(range(k), key=lambda p: (len(buckets[keys[p]]), p))
 
@@ -128,90 +348,36 @@ def ordered_discord_search(
         m_best = metrics.counter("search.best_updates")
         m_depth = metrics.histogram("search.abandon_depth")
     try:
-        if backend == "batch":
-            from repro.discord import batch
-
-            # Exclusion filtering up front is equivalent: the serial
-            # loop never checks the budget for an excluded candidate.
-            active = [
-                p for p in outer
-                if not any(s <= p < e for s, e in exclude)
-            ]
-
-            def make_order(p: int) -> np.ndarray:
-                # Vectorized form of _inner_sequence + the window
-                # filter: same-bucket first, then the shuffled
-                # remainder, identical pair order and RNG consumption.
-                same_bucket = np.asarray(
-                    [q for q in buckets[keys[p]] if q != p], dtype=np.intp
-                )
-                tail = rng.permutation(k)
-                mask = np.ones(k, dtype=bool)
-                mask[same_bucket] = False
-                mask[p] = False
-                rest = tail[mask[tail]]
-                order = (
-                    np.concatenate((same_bucket, rest))
-                    if same_bucket.size
-                    else rest
-                )
-                return order[np.abs(order - p) > window]
-
-            scanner = batch.TileScanner(normalized, sqnorms)
-            best_dist, best_pos = batch.batch_serial_scan(
-                scanner, active, make_order,
-                abandon=True, counter=counter, budget=budget,
-                metrics=metrics, init_best=best_dist,
+        for p in outer:
+            if any(ex_start <= p < ex_end for ex_start, ex_end in exclude):
+                continue
+            if budget.interrupted(counter.calls) is not None:
+                break
+            if instrumented:
+                calls_at_entry = counter.calls
+            same_bucket = [q for q in buckets[keys[p]] if q != p]
+            tail = rng.permutation(k)
+            order = (
+                q
+                for q in _inner_sequence(same_bucket, tail, p)
+                if abs(p - q) > window
             )
-        else:
-            for p in outer:
-                if any(ex_start <= p < ex_end for ex_start, ex_end in exclude):
-                    continue
-                if budget.interrupted(counter.calls) is not None:
-                    break
-                if instrumented:
-                    calls_at_entry = counter.calls
-                nearest = float("inf")
-                abandoned = False
-                same_bucket = [q for q in buckets[keys[p]] if q != p]
-                tail = rng.permutation(k)
-                if backend == "kernel":
-                    order = (
-                        q
-                        for q in _inner_sequence(same_bucket, tail, p)
-                        if abs(p - q) > window
-                    )
-                    nearest, consumed, abandoned = _kernel_inner_scan(
-                        normalized, sqnorms, p, order, best_dist
-                    )
-                    counter.batch(consumed)
+            nearest, consumed, abandoned = _kernel_inner_scan(
+                normalized, sqnorms, p, order, best_dist
+            )
+            counter.batch(consumed)
+            if instrumented:
+                m_visited.inc()
+                if abandoned:
+                    m_abandoned.inc()
+                    m_depth.observe(counter.calls - calls_at_entry)
                 else:
-                    for q in _inner_sequence(same_bucket, tail, p):
-                        if abs(p - q) <= window:
-                            continue
-                        # Abandoning beyond `nearest` is lossless: while the
-                        # candidate is alive, nearest >= best_dist (see
-                        # hotsax.py).
-                        dist = counter.euclidean(
-                            normalized[p], normalized[q], cutoff=nearest
-                        )
-                        if dist < best_dist:
-                            abandoned = True
-                            break
-                        if dist < nearest:
-                            nearest = dist
+                    m_survived.inc()
+            if not abandoned and np.isfinite(nearest) and nearest > best_dist:
+                best_dist = nearest
+                best_pos = p
                 if instrumented:
-                    m_visited.inc()
-                    if abandoned:
-                        m_abandoned.inc()
-                        m_depth.observe(counter.calls - calls_at_entry)
-                    else:
-                        m_survived.inc()
-                if not abandoned and np.isfinite(nearest) and nearest > best_dist:
-                    best_dist = nearest
-                    best_pos = p
-                    if instrumented:
-                        m_best.inc()
+                    m_best.inc()
     except KeyboardInterrupt:
         if not has_channel:
             raise
@@ -238,14 +404,14 @@ def _kernel_inner_scan(
     order,
     best_dist: float,
 ) -> tuple[float, int, bool]:
-    """Replay the scalar inner loop over lazy *order* in vectorized blocks.
+    """Replay the per-pair inner loop over lazy *order* in vectorized blocks.
 
     Pulls candidate positions from the *order* iterator in geometrically
     growing blocks, evaluates each block's distances to window *p* with
-    one matrix-vector product, and applies the exact scalar
+    one matrix-vector product, and applies the exact per-pair
     early-abandon logic to the block results in sequence.  Returns
     ``(nearest, consumed, abandoned)`` where *consumed* is the number of
-    pairs the scalar loop would have visited — the logical call count.
+    pairs the per-pair loop would have visited — the logical call count.
 
     Laziness matters as much as vectorization: a candidate abandoned after
     a handful of same-bucket comparisons (the common HOTSAX case) must
@@ -289,60 +455,32 @@ def _inner_sequence(same_bucket: list[int], tail: np.ndarray, p: int):
 
 
 def iterated_search(
-    series: np.ndarray,
-    window: int,
-    bucket_fn: BucketFn,
-    *,
-    source: str,
-    num_discords: int,
-    counter: Optional[DistanceCounter] = None,
-    rng: Optional[np.random.Generator] = None,
-    backend: str = "kernel",
-    budget: Optional[SearchBudget] = None,
-    windows: Optional[kernels.WindowMatrix] = None,
-    metrics=None,
-) -> tuple[list[Discord], DistanceCounter, list[bool]]:
-    """Top-k discords by repeated search with window-sized exclusion.
+    session: SearchSession, search: RankSearch, window: int
+) -> tuple[list[Discord], list[bool]]:
+    """Top-k discords by repeated *search* with window-sized exclusion.
 
-    Returns ``(discords, counter, rank_complete)`` — the third element
-    flags, per returned discord, whether its rank scanned every
-    candidate (True) or was truncated by the *budget* and is only the
-    best seen so far (False).  The
-    :class:`~repro.timeseries.kernels.WindowMatrix` is built once (or
-    adopted from *windows*) and shared across ranks, so the
-    normalization and row-norm passes run once per search rather than
-    once per rank.  *metrics* wraps every rank in a ``search.rank``
-    span and emits one ``search.rank_complete`` event per rank carrying
-    that rank's slice of the call ledger (the paper's Table 1 number,
-    per rank).
+    The rank loop of the fixed-length engines: up to
+    ``session.num_discords`` ranks, tagged with ``session.engine``.
+    *search* runs one rank over the candidates outside the given
+    exclusions and must draw its distances through the session's
+    counter and check its budget.  Returns ``(discords, rank_complete)`` — the second list flags, per returned
+    discord, whether its rank scanned every candidate (True) or was
+    truncated by the *budget* and is only the best seen so far (False).
+    Each rank runs in a ``search.rank`` span and, with metrics
+    enabled, emits one ``search.rank_complete`` event carrying that
+    rank's slice of the call ledger (the paper's Table 1 number, per
+    rank).
     """
-    validate_backend(backend)
-    series = np.asarray(series, dtype=float)
-    if counter is None:
-        counter = DistanceCounter()
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if num_discords < 1:
-        raise DiscordSearchError(f"num_discords must be >= 1, got {num_discords}")
-    if budget is None:
-        budget = SearchBudget.unlimited()
-    metrics = ensure_metrics(metrics)
-    if windows is None and num_windows(series.size, window) >= 2:
-        # Deferred for degenerate inputs so ordered_discord_search still
-        # raises its own (tested) validation error.
-        windows = kernels.WindowMatrix(series, window)
+    source, counter, budget, metrics = (
+        session.engine, session.counter, session.budget, session.metrics
+    )
     discords: list[Discord] = []
     rank_complete: list[bool] = []
     exclusions: list[tuple[int, int]] = []
-    for rank in range(num_discords):
+    for rank in range(session.num_discords):
         rank_ledger = counter.ledger() if metrics.enabled else None
         with metrics.span("search.rank", source=source, rank=rank):
-            found, counter = ordered_discord_search(
-                series, window, bucket_fn,
-                source=source, counter=counter, rng=rng, exclude=tuple(exclusions),
-                backend=backend, budget=budget,
-                windows=windows, metrics=metrics,
-            )
+            found = search(tuple(exclusions))
         truncated = budget.status is not SearchStatus.COMPLETE
         if metrics.enabled:
             emit_rank_event(
@@ -360,8 +498,28 @@ def iterated_search(
             rank_complete.append(not truncated)
         if truncated or found is None:
             break
+        # Exclude a window-sized neighbourhood around the found discord
+        # so the next rank reports a genuinely different anomaly.
         exclusions.append((found.start - window + 1, found.start + window))
-    return discords, counter, rank_complete
+    return discords, rank_complete
+
+
+def bucket_ordered_search(
+    session: SearchSession,
+    series: np.ndarray,
+    window: int,
+    bucket_fn: BucketFn,
+    *,
+    rng: np.random.Generator,
+    windows: Optional[kernels.WindowMatrix],
+) -> RankSearch:
+    """One rank of :func:`ordered_discord_search`, bound to *session*."""
+    return lambda exclude: ordered_discord_search(
+        series, window, bucket_fn,
+        source=session.engine, counter=session.counter, rng=rng,
+        exclude=exclude, budget=session.budget,
+        windows=windows, metrics=session.metrics,
+    )[0]
 
 
 def emit_rank_event(

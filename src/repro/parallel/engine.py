@@ -145,7 +145,6 @@ def _ensemble_member_task(payload: dict) -> list:
             series,
             member,
             num_discords=payload["num_discords"],
-            backend=payload["backend"],
             seed=payload["seed"],
             context=context,
             budget=budget,
@@ -160,7 +159,6 @@ def parallel_ensemble_members(
     pending,
     *,
     num_discords: int,
-    backend: str,
     seed: int,
     budget,
     n_workers: int,
@@ -208,7 +206,6 @@ def parallel_ensemble_members(
                     for idx, m in items
                 ],
                 "num_discords": int(num_discords),
-                "backend": backend,
                 "seed": int(seed),
                 "budget": None,
             }

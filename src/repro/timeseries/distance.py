@@ -15,9 +15,9 @@ Two distance flavours are used:
   shorter sequence is slid along the longer one and the best (minimum)
   alignment is kept; see DESIGN.md §5.
 
-The functions here are the *scalar reference* path (``backend="scalar"``
-in the discord searches); the vectorized batch equivalents live in
-:mod:`repro.timeseries.kernels` and are the default backend.
+The functions here are the *scalar reference* definitions, which the
+test oracles use; the discord searches evaluate the vectorized
+equivalents in :mod:`repro.timeseries.kernels`.
 """
 
 from __future__ import annotations
@@ -142,11 +142,11 @@ class DistanceCounter:
     def batch(self, count: int) -> None:
         """Record *count* logical calls evaluated by a batched kernel.
 
-        The kernel backends (:mod:`repro.timeseries.kernels`) evaluate
-        many candidate pairs with one numpy operation but still account
-        one logical call per pair the scalar loop would have visited —
+        The discord searches evaluate many candidate pairs with one
+        :mod:`repro.timeseries.kernels` operation but still account one
+        logical call per pair a per-pair loop would have visited —
         including the pair that triggers an early-abandon break — so
-        Table 1 call counts are bit-identical across backends.
+        Table 1 call counts are those of the per-pair algorithms.
         """
         if count < 0:
             raise ParameterError(f"batch count must be >= 0, got {count}")

@@ -25,9 +25,9 @@ the *logical* call accounting bit-identical (see
 
 Every kernel is an exact (to floating-point roundoff) replacement for
 its scalar counterpart; ``tests/test_kernels.py`` asserts agreement to
-1e-9 on random inputs and identical ``DistanceCounter`` accounting on
-the discord-search fixtures.  The scalar path stays available in every
-consumer via ``backend="scalar"``.
+1e-9 on random inputs, and checks every discord engine against the
+per-pair reference searches in ``tests/oracles.py`` for identical
+discords, ranks and ``DistanceCounter`` accounting.
 """
 
 from __future__ import annotations
@@ -38,13 +38,10 @@ from typing import Optional
 import numpy as np
 
 from repro.exceptions import ParameterError
-from repro.timeseries.array_api import ArrayNamespace, resolve_namespace
 from repro.timeseries.windows import num_windows, sliding_windows
 from repro.timeseries.znorm import DEFAULT_FLATNESS_THRESHOLD, znorm_rows
 
 __all__ = [
-    "BACKENDS",
-    "validate_backend",
     "SeriesStats",
     "WindowMatrix",
     "sliding_window_stats",
@@ -53,8 +50,6 @@ __all__ = [
     "sq_cumsum",
     "one_vs_all_sq_euclidean",
     "one_vs_all_euclidean",
-    "all_pairs_sq_euclidean_tile",
-    "tile_plan",
     "early_abandon_filter",
     "sliding_alignment_sq_profile",
     "aligned_min_distance",
@@ -62,22 +57,6 @@ __all__ = [
     "variable_length_kernel",
     "first_below",
 ]
-
-
-#: Recognized distance backends for the discord searches.  ``kernel``
-#: is the block-vectorized default, ``scalar`` the per-pair reference
-#: path, and ``batch`` the tiled GEMM path behind the array-API seam
-#: (:mod:`repro.discord.batch`).  All three visit the same pairs in the
-#: same logical order, so results and call counts are identical.
-BACKENDS = ("kernel", "scalar", "batch")
-
-
-def validate_backend(backend: str) -> None:
-    """Raise :class:`ParameterError` unless *backend* is recognized."""
-    if backend not in BACKENDS:
-        raise ParameterError(
-            f"backend must be one of {BACKENDS}, got {backend!r}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -353,97 +332,6 @@ def one_vs_all_euclidean(
     return early_abandon_filter(dists, cutoff)
 
 
-def tile_plan(
-    n_rows: int,
-    n_cols: int,
-    *,
-    target_elems: int = 1 << 20,
-    min_rows: int = 1,
-    max_rows: int = 128,
-) -> list[tuple[int, int]]:
-    """Partition *n_rows* candidates into GEMM-sized row tiles.
-
-    Returns ``[(lo, hi), ...]`` half-open row slices whose tiles hold
-    roughly *target_elems* matrix elements each (``rows × n_cols``),
-    clamped to ``[min_rows, max_rows]`` rows per tile.  The default
-    targets ~8 MB float64 tiles — big enough to keep a BLAS GEMM out of
-    the per-call overhead regime, small enough to stay cache-friendly
-    and to bound the memory a single tile pins.
-    """
-    if n_rows < 0 or n_cols < 0:
-        raise ParameterError(
-            f"tile_plan needs non-negative dimensions, got {n_rows}x{n_cols}"
-        )
-    if min_rows < 1 or max_rows < min_rows:
-        raise ParameterError(
-            f"tile_plan needs 1 <= min_rows <= max_rows, "
-            f"got min_rows={min_rows}, max_rows={max_rows}"
-        )
-    if n_rows == 0:
-        return []
-    rows = target_elems // max(1, n_cols)
-    rows = max(min_rows, min(max_rows, rows))
-    return [(lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows)]
-
-
-def all_pairs_sq_euclidean_tile(
-    queries: np.ndarray,
-    matrix: np.ndarray,
-    *,
-    query_sqnorms: Optional[np.ndarray] = None,
-    sqnorms: Optional[np.ndarray] = None,
-    xp: Optional[ArrayNamespace] = None,
-) -> np.ndarray:
-    """Squared Euclidean distances from every query row to every matrix row.
-
-    The tile form of :func:`one_vs_all_sq_euclidean`, producing the
-    whole ``(q, k)`` distance tile, clipped at zero.  This is the batch
-    backend's workhorse.
-
-    On the default NumPy namespace the cross terms are computed one
-    query row at a time — the exact ``matrix @ query`` product
-    :func:`one_vs_all_sq_euclidean` uses — so every element is
-    bit-identical to the one-vs-all kernel no matter how the queries
-    are tiled.  A single multi-row GEMM is *not* equivalent: BLAS
-    rounds gemm and gemv accumulations differently (observably 1 ulp
-    apart for ≥ 3 query rows), and on a knife-edge score tie that ulp
-    flips a strict comparison in the search replay, changing discord
-    order and call ledgers with the tile shape.  Accelerator
-    namespaces (CuPy/torch) keep the single ``(q, w) @ (w, k)`` GEMM
-    through the array-API seam — a GPU GEMM never promised CPU-BLAS
-    bit-equality in the first place.
-    """
-    queries = np.asarray(queries, dtype=float)
-    matrix = np.asarray(matrix, dtype=float)
-    if queries.ndim != 2 or matrix.ndim != 2 or queries.shape[1] != matrix.shape[1]:
-        raise ParameterError(
-            f"shape mismatch: queries {queries.shape} vs matrix {matrix.shape}"
-        )
-    if query_sqnorms is None:
-        query_sqnorms = row_sqnorms(queries)
-    if sqnorms is None:
-        sqnorms = row_sqnorms(matrix)
-    if xp is None:
-        xp = resolve_namespace()
-    if xp.name == "numpy":
-        query_sqnorms = np.asarray(query_sqnorms, dtype=float)
-        sqnorms = np.asarray(sqnorms, dtype=float)
-        gram = np.empty((queries.shape[0], matrix.shape[0]))
-        for i in range(queries.shape[0]):
-            gram[i] = matrix @ queries[i]
-        sq = query_sqnorms[:, None] + sqnorms[None, :] - 2.0 * gram
-        return np.clip(sq, 0.0, None)
-    a = xp.asarray(queries)
-    b = xp.asarray(matrix)
-    gram = xp.matmul(a, xp.transpose(b))
-    sq = (
-        xp.asarray(query_sqnorms)[:, None]
-        + xp.asarray(sqnorms)[None, :]
-        - 2.0 * gram
-    )
-    return xp.to_numpy(xp.clip_min(sq, 0.0))
-
-
 def early_abandon_filter(dists: np.ndarray, cutoff: float) -> np.ndarray:
     """Map every distance strictly above *cutoff* to ``inf``.
 
@@ -459,7 +347,7 @@ def early_abandon_filter(dists: np.ndarray, cutoff: float) -> np.ndarray:
 def first_below(values: np.ndarray, threshold: float) -> int:
     """Index of the first entry strictly below *threshold*, or -1.
 
-    The batched searches use this to replay the scalar inner loop's
+    The batched searches use this to replay the per-pair inner loop's
     early-abandon decision: the pair that would have triggered the
     break is the last one that logically "happened" (and is counted).
     """

@@ -1,0 +1,279 @@
+"""Per-pair reference searches: the test oracles for the discord engines.
+
+The engines in ``src/`` evaluate their inner loops in vectorized blocks
+and replay the per-pair early-abandon decisions on the block results.
+The searches here are the plain loops those engines replay: one pair at
+a time, one logical distance call per visited pair, the abandoned pair
+included.  Tests run both on the same input and compare discords, ranks
+and call counts.
+
+Every oracle takes its pair distance as a parameter.  The default is the
+scalar reference in :mod:`repro.timeseries.distance`, which agrees with
+the kernels to about 1e-12; passing the kernels' own pair arithmetic
+makes the comparison bit-exact and checks the loop order alone.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import defaultdict
+from typing import Callable, Optional, Sequence
+
+import numpy as np
+
+from repro.core.anomaly import Discord
+from repro.grammar.intervals import RuleInterval
+from repro.timeseries import kernels
+from repro.timeseries.distance import euclidean, variable_length_distance
+
+#: Fixed-length pair distance over window positions ``(p, q)``.
+PositionDistance = Callable[[int, int], float]
+
+
+def scalar_position_distance(normalized: np.ndarray) -> PositionDistance:
+    """Plain Euclidean distance between two rows of *normalized*."""
+    return lambda p, q: euclidean(normalized[p], normalized[q])
+
+
+def kernel_position_distance(windows: kernels.WindowMatrix) -> PositionDistance:
+    """The fixed-length engines' arithmetic, one distance row per query.
+
+    Each row is the one matrix-vector product the brute-force engine
+    computes for that candidate, so its entries are the exact floats
+    every fixed-length engine sees for the pair.
+    """
+    normalized, sqnorms = windows.normalized, windows.sqnorms
+    rows: dict[int, np.ndarray] = {}
+
+    def distance(p: int, q: int) -> float:
+        row = rows.get(p)
+        if row is None:
+            row = np.sqrt(
+                kernels.one_vs_all_sq_euclidean(
+                    normalized[p], normalized,
+                    query_sqnorm=sqnorms[p], sqnorms=sqnorms,
+                )
+            )
+            rows[p] = row
+        return float(row[q])
+
+    return distance
+
+
+def _fixed_discord(pos: int, dist: float, window: int, rank: int, source: str):
+    return Discord(
+        start=pos, end=pos + window, score=dist, rank=rank,
+        nn_distance=dist, rule_id=None, source=source,
+    )
+
+
+def _fixed_rank_loop(search, window: int, num_discords: int, source: str):
+    """Top-k by repeated search with window-sized exclusion."""
+    discords: list[Discord] = []
+    calls = 0
+    exclude: list[tuple[int, int]] = []
+    for rank in range(num_discords):
+        best_dist, best_pos, rank_calls = search(exclude)
+        calls += rank_calls
+        if best_pos is None:
+            break
+        discords.append(_fixed_discord(best_pos, best_dist, window, rank, source))
+        exclude.append((best_pos - window + 1, best_pos + window))
+    return discords, calls
+
+
+def brute_force_oracle(
+    series: np.ndarray,
+    window: int,
+    *,
+    num_discords: int = 1,
+    early_abandon: bool = True,
+    distance: Optional[PositionDistance] = None,
+) -> tuple[list[Discord], int]:
+    """Exhaustive per-pair search; returns ``(discords, calls)``."""
+    windows = kernels.WindowMatrix(np.asarray(series, dtype=float), window)
+    if distance is None:
+        distance = scalar_position_distance(windows.normalized)
+    k = windows.normalized.shape[0]
+
+    def search(exclude):
+        best_dist, best_pos, calls = -1.0, None, 0
+        for p in range(k):
+            if any(lo <= p < hi for lo, hi in exclude):
+                continue
+            nearest = math.inf
+            abandoned = False
+            for q in range(k):
+                if abs(p - q) <= window:
+                    continue
+                calls += 1
+                dist = distance(p, q)
+                if early_abandon and dist < best_dist:
+                    abandoned = True
+                    break
+                nearest = min(nearest, dist)
+            if not abandoned and math.isfinite(nearest) and nearest > best_dist:
+                best_dist, best_pos = nearest, p
+        return best_dist, best_pos, calls
+
+    return _fixed_rank_loop(search, window, num_discords, "brute_force")
+
+
+def bucket_ordered_oracle(
+    series: np.ndarray,
+    window: int,
+    words: Sequence[str],
+    *,
+    num_discords: int = 1,
+    rng: np.random.Generator,
+    source: str,
+    distance: Optional[PositionDistance] = None,
+) -> tuple[list[Discord], int]:
+    """HOTSAX-style per-pair search over bucket keys *words*.
+
+    Outer loop: windows in ascending bucket size, then position.  Inner
+    loop: same-bucket windows first, then one ``rng.permutation(k)``
+    draw per candidate for the rest, always abandoning on a distance
+    below the best so far.  Returns ``(discords, calls)``.
+    """
+    windows = kernels.WindowMatrix(np.asarray(series, dtype=float), window)
+    if distance is None:
+        distance = scalar_position_distance(windows.normalized)
+    k = windows.normalized.shape[0]
+    buckets: dict[str, list[int]] = defaultdict(list)
+    for pos, word in enumerate(words):
+        buckets[word].append(pos)
+    outer = sorted(range(k), key=lambda p: (len(buckets[words[p]]), p))
+
+    def search(exclude):
+        best_dist, best_pos, calls = -1.0, None, 0
+        for p in outer:
+            if any(lo <= p < hi for lo, hi in exclude):
+                continue
+            same = [q for q in buckets[words[p]] if q != p]
+            tail = [int(q) for q in rng.permutation(k)]
+            seen = set(same) | {p}
+            order = same + [q for q in tail if q not in seen]
+            nearest = math.inf
+            abandoned = False
+            for q in order:
+                if abs(p - q) <= window:
+                    continue
+                calls += 1
+                dist = distance(p, q)
+                if dist < best_dist:
+                    abandoned = True
+                    break
+                nearest = min(nearest, dist)
+            if not abandoned and math.isfinite(nearest) and nearest > best_dist:
+                best_dist, best_pos = nearest, p
+        return best_dist, best_pos, calls
+
+    return _fixed_rank_loop(search, window, num_discords, source)
+
+
+#: Variable-length pair distance over candidate intervals.
+IntervalDistance = Callable[[RuleInterval, RuleInterval], float]
+
+
+def is_non_self_match(p: RuleInterval, q: RuleInterval) -> bool:
+    """Paper line 7: |p0 - q0| > Length(p), i.e. no trivial self match."""
+    return abs(p.start - q.start) > p.length
+
+
+def scalar_interval_distance(series: np.ndarray) -> IntervalDistance:
+    """Eq. 1 through the per-offset scalar reference."""
+    stats = kernels.SeriesStats(np.asarray(series, dtype=float))
+    return lambda p, q: variable_length_distance(
+        stats.znorm(p.start, p.end),
+        stats.znorm(q.start, q.end),
+        normalize_inputs=False,
+    )
+
+
+def rra_oracle(
+    series: np.ndarray,
+    intervals: Sequence[RuleInterval],
+    *,
+    num_discords: int = 1,
+    rng: np.random.Generator,
+    distance: Optional[IntervalDistance] = None,
+) -> tuple[list[Discord], int]:
+    """Per-pair RRA (paper Algorithm 1) with iterative extraction.
+
+    Outer loop: candidates by ascending rule usage, then position.
+    Inner loop: a rule candidate visits its own rule's occurrences
+    first, then every other-rule candidate and gap in the order of one
+    ``rng.permutation`` draw; a gap visits every candidate in that
+    order.  Returns ``(discords, calls)``.
+    """
+    series = np.asarray(series, dtype=float)
+    if distance is None:
+        distance = scalar_interval_distance(series)
+    valid = [iv for iv in intervals if iv.end <= series.size and iv.length >= 2]
+    discords: list[Discord] = []
+    calls = 0
+    exclude: list[tuple[int, int]] = []
+    for rank in range(num_discords):
+        candidates = [
+            iv for iv in valid
+            if not any(iv.start < hi and lo < iv.end for lo, hi in exclude)
+        ]
+        outer = sorted(candidates, key=lambda iv: (iv.usage, iv.start, iv.end))
+        best_dist, best = 0.0, None
+        for p in outer:
+            if p.rule_id >= 0:
+                same = [iv for iv in candidates if iv.rule_id == p.rule_id]
+                rest = [iv for iv in candidates if iv.rule_id != p.rule_id]
+            else:
+                same, rest = [], candidates
+            order = same + [rest[i] for i in rng.permutation(len(rest))]
+            nearest = math.inf
+            abandoned = False
+            for q in order:
+                if not is_non_self_match(p, q):
+                    continue
+                calls += 1
+                dist = distance(p, q)
+                if dist < best_dist:
+                    abandoned = True
+                    break
+                nearest = min(nearest, dist)
+            if not abandoned and nearest < math.inf and nearest > best_dist:
+                best_dist, best = nearest, p
+        if best is None:
+            break
+        discords.append(
+            Discord(
+                start=best.start, end=best.end, score=best_dist, rank=rank,
+                nn_distance=best_dist, rule_id=best.rule_id, source="rra",
+            )
+        )
+        exclude.append((best.start, best.end))
+    return discords, calls
+
+
+def nearest_neighbor_oracle(
+    series: np.ndarray,
+    intervals: Sequence[RuleInterval],
+    *,
+    distance: Optional[IntervalDistance] = None,
+) -> tuple[list[tuple[RuleInterval, float]], int]:
+    """Nearest non-self-match distance of every candidate, pair by pair."""
+    series = np.asarray(series, dtype=float)
+    if distance is None:
+        distance = scalar_interval_distance(series)
+    candidates = [
+        iv for iv in intervals if iv.end <= series.size and iv.length >= 2
+    ]
+    profile = []
+    calls = 0
+    for p in candidates:
+        nearest = math.inf
+        for q in candidates:
+            if not is_non_self_match(p, q):
+                continue
+            calls += 1
+            nearest = min(nearest, distance(p, q))
+        profile.append((p, nearest))
+    return profile, calls

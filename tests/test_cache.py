@@ -5,7 +5,7 @@ Three invariants rule this module:
 * **Warm equals cold, bitwise.**  A cache hit must return the exact
   discords (starts, ends, hex-identical scores, ranks) and replay the
   exact logical call count of the run that populated it — for every
-  engine and backend.
+  engine.
 * **Corruption only ever costs a recompute.**  Truncated, garbled,
   version-mismatched, or mislabeled entries are discarded and reported
   as misses; they can never surface a wrong answer.
@@ -50,7 +50,6 @@ from repro.timeseries.distance import DistanceCounter
 
 WINDOW = 40
 ENGINES = ("rra", "hotsax", "haar", "brute_force")
-BACKENDS = ("scalar", "kernel", "batch")
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +74,6 @@ def run_engine(
     series,
     candidates,
     *,
-    backend="kernel",
     cache=None,
     context=None,
     budget=None,
@@ -84,7 +82,6 @@ def run_engine(
     kwargs = dict(
         num_discords=2,
         counter=counter,
-        backend=backend,
         cache=cache,
         context=context,
         budget=budget,
@@ -119,23 +116,19 @@ def signature(result, counter):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("reopen", [False, True])
 def test_cache_hit_bit_identical(
-    series, rra_candidates, engine, backend, reopen, tmp_path
+    series, rra_candidates, engine, reopen, tmp_path
 ):
     """With ``reopen`` the warm run reads the entry back from disk through
     a freshly opened store and a fresh context, as a new process would."""
-    plain = signature(
-        *run_engine(engine, series, rra_candidates, backend=backend)
-    )
+    plain = signature(*run_engine(engine, series, rra_candidates))
     cache = ResultCache(tmp_path / "store")
     context = SearchContext()
     cold_result, cold_counter = run_engine(
         engine,
         series,
         rra_candidates,
-        backend=backend,
         cache=cache,
         context=context,
     )
@@ -149,7 +142,6 @@ def test_cache_hit_bit_identical(
         engine,
         series,
         rra_candidates,
-        backend=backend,
         cache=cache,
         context=context,
     )
@@ -334,7 +326,7 @@ def test_series_digest_memoizes_by_identity():
 
 
 def test_discord_search_key_sensitivity(series):
-    base = dict(window=40, num_discords=2, backend="kernel")
+    base = dict(window=40, num_discords=2)
     key = discord_search_key(series, (), engine="hotsax", params=base)
     assert len(key) == 64 and set(key) <= set("0123456789abcdef")
     assert key == discord_search_key(series, (), engine="hotsax", params=dict(base))
@@ -394,6 +386,40 @@ def test_version_one_entries_are_misses(
     for params in (
         {"num_discords": 2, "backend": "kernel", "prune": False},
         {"num_discords": 2, "backend": "kernel"},
+    ):
+        cache.put(
+            discord_search_key(
+                series, valid, engine="rra", params=params,
+                rng=np.random.default_rng(0),
+            ),
+            stale,
+        )
+    monkeypatch.undo()
+    result, counter = run_engine("rra", series, rra_candidates, cache=cache)
+    assert not result.from_cache
+    assert cache.hits == 0 and cache.misses == 1
+    assert signature(result, counter) == signature(
+        *run_engine("rra", series, rra_candidates)
+    )
+
+
+def test_version_two_entries_are_misses(
+    series, rra_candidates, tmp_path, monkeypatch
+):
+    """Entries stored under key version 2, whose keys also carried the
+    distance ``backend``, are never read back — not even one stored
+    under today's parameters."""
+    from repro.cache import keys
+
+    valid = [
+        iv for iv in rra_candidates if iv.end <= series.size and iv.length >= 2
+    ]
+    stale = {"engine": "rra", "discords": [], "ledger": {"calls": 1}}
+    cache = ResultCache(tmp_path / "store")
+    monkeypatch.setattr(keys, "CACHE_KEY_VERSION", 2)
+    for params in (
+        {"num_discords": 2, "backend": "kernel"},
+        {"num_discords": 2},
     ):
         cache.put(
             discord_search_key(

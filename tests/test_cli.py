@@ -162,6 +162,21 @@ class TestCommands:
         assert exc.value.code == 2
         assert "--workers: invalid choice: 2" in capsys.readouterr().err
 
+    def test_find_accepts_backend_kernel(self, series_file, capsys):
+        argv = ["find", series_file, "-w", "40", "-p", "4", "-a", "4", "-k", "2"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--backend", "kernel"]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_find_rejects_backend_batch(self, series_file, capsys):
+        """The kernel path is the only distance path: naming another is
+        an argparse error, not a silent kernel run."""
+        with pytest.raises(SystemExit) as exc:
+            main(["find", series_file, "-w", "40", "--backend", "batch"])
+        assert exc.value.code == 2
+        assert "--backend: invalid choice: 'batch'" in capsys.readouterr().err
+
     def test_motifs_command(self, series_file, capsys):
         assert main(["motifs", series_file, "-w", "40", "--top", "3"]) == 0
         out = capsys.readouterr().out

@@ -157,8 +157,8 @@ class TestCandidateEdgeCases:
         assert result.best.end <= 200
 
 
-def _fitted(series, window=40, paa=4, alphabet=4, backend="kernel"):
-    detector = GrammarAnomalyDetector(window, paa, alphabet, backend=backend)
+def _fitted(series, window=40, paa=4, alphabet=4):
+    detector = GrammarAnomalyDetector(window, paa, alphabet)
     fitted = detector.fit(series)
     return fitted.series, fitted.candidates
 
@@ -197,16 +197,13 @@ class _InterruptingBudget(SearchBudget):
 
 
 class TestSearchBudgets:
-    @pytest.mark.parametrize("backend", ["kernel", "scalar"])
-    def test_rra_budget_exhaustion_returns_best_so_far(self, sine_bump, backend):
-        series, candidates = _fitted(sine_bump.series, backend=backend)
-        reference = find_discords(
-            series, candidates, num_discords=2, backend=backend
-        )
+    def test_rra_budget_exhaustion_returns_best_so_far(self, sine_bump):
+        series, candidates = _fitted(sine_bump.series)
+        reference = find_discords(series, candidates, num_discords=2)
         assert reference.complete
         budget = SearchBudget(max_calls=max(1, reference.distance_calls // 3))
         starved = find_discords(
-            series, candidates, num_discords=2, backend=backend, budget=budget
+            series, candidates, num_discords=2, budget=budget
         )
         assert starved.status is SearchStatus.BUDGET_EXHAUSTED
         assert not starved.complete
@@ -217,13 +214,12 @@ class TestSearchBudgets:
         assert len(starved.rank_complete) == len(starved.discords)
         assert not all(starved.rank_complete) or len(starved.discords) < 2
 
-    @pytest.mark.parametrize("backend", ["kernel", "scalar"])
-    def test_unlimited_budget_is_bit_identical(self, sine_bump, backend):
+    def test_unlimited_budget_is_bit_identical(self, sine_bump):
         """An unlimited budget must not perturb results or call counts."""
-        series, candidates = _fitted(sine_bump.series, backend=backend)
-        plain = find_discords(series, candidates, num_discords=2, backend=backend)
+        series, candidates = _fitted(sine_bump.series)
+        plain = find_discords(series, candidates, num_discords=2)
         budgeted = find_discords(
-            series, candidates, num_discords=2, backend=backend,
+            series, candidates, num_discords=2,
             budget=SearchBudget.unlimited(),
         )
         assert budgeted.complete
@@ -305,26 +301,20 @@ class TestSearchBudgets:
 
 
 class TestCheckpointResume:
-    @pytest.mark.parametrize(
-        "backend",
-        ["kernel", pytest.param("scalar", marks=pytest.mark.slow)],
-    )
-    def test_resume_is_bit_identical(self, tmp_path, sine_bump, backend):
+    def test_resume_is_bit_identical(self, tmp_path, sine_bump):
         """Interrupt + resume must equal the uninterrupted run exactly —
         discords AND total distance-call count."""
-        series, candidates = _fitted(sine_bump.series, backend=backend)
-        reference = find_discords(
-            series, candidates, num_discords=3, backend=backend
-        )
+        series, candidates = _fitted(sine_bump.series)
+        reference = find_discords(series, candidates, num_discords=3)
         path = str(tmp_path / "ckpt.json")
         starved = find_discords(
-            series, candidates, num_discords=3, backend=backend,
+            series, candidates, num_discords=3,
             budget=SearchBudget(max_calls=max(1, reference.distance_calls // 3)),
             checkpoint_path=path, checkpoint_every=4,
         )
         assert not starved.complete
         resumed = find_discords(
-            series, candidates, num_discords=3, backend=backend,
+            series, candidates, num_discords=3,
             checkpoint_path=path, resume_from=path,
         )
         assert resumed.complete
@@ -377,27 +367,20 @@ class TestQualityPolicyMatrix:
         series[200:210] = np.nan  # gap far away from the planted anomaly
         return series
 
-    @pytest.mark.parametrize("backend", ["kernel", "scalar"])
-    def test_raise_policy(self, backend):
-        detector = GrammarAnomalyDetector(30, 4, 4, backend=backend)
+    def test_raise_policy(self):
+        detector = GrammarAnomalyDetector(30, 4, 4)
         with pytest.raises(DataQualityError, match=r"\[200, 210\)"):
             detector.fit(self._dirty_series())
 
-    @pytest.mark.parametrize("backend", ["kernel", "scalar"])
-    def test_interpolate_policy(self, backend):
-        detector = GrammarAnomalyDetector(
-            30, 4, 4, backend=backend, quality_policy="interpolate"
-        )
+    def test_interpolate_policy(self):
+        detector = GrammarAnomalyDetector(30, 4, 4, quality_policy="interpolate")
         fitted = detector.fit(self._dirty_series())
         assert np.isfinite(fitted.series).all()
         assert fitted.masked_spans == ()
         assert detector.discords(num_discords=1).complete
 
-    @pytest.mark.parametrize("backend", ["kernel", "scalar"])
-    def test_mask_policy_excludes_repaired_candidates(self, backend):
-        detector = GrammarAnomalyDetector(
-            30, 4, 4, backend=backend, quality_policy="mask"
-        )
+    def test_mask_policy_excludes_repaired_candidates(self):
+        detector = GrammarAnomalyDetector(30, 4, 4, quality_policy="mask")
         fitted = detector.fit(self._dirty_series())
         assert fitted.masked_spans == ((200, 210),)
         for iv in fitted.candidates:

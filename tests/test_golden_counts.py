@@ -3,17 +3,16 @@
 The paper's efficiency metric is the number of distance-function calls
 (Section 6: the distance function accounts for >= 99% of runtime).
 Several layers of machinery sit on top of that counter — vectorized
-kernels, the batch backend, anytime budgets, and the result cache —
-and every one of them
+kernels, anytime budgets, and the result cache — and every one of them
 promises to preserve the *logical* call counts.  This suite pins the
 exact :class:`~repro.timeseries.distance.DistanceCounter` ``calls`` and
 discord results for all four engines on two seeded bundled datasets
 against the checked-in ``tests/golden/counts.json``, so a future perf
 layer cannot silently change logical work.
 
-Each golden entry is keyed by ``dataset/engine`` only: the kernel,
-batch and cached runs must all reproduce the same entry, which asserts
-their bit-identity directly rather than pinning separate numbers.
+Each golden entry is keyed by ``dataset/engine`` only: the live and
+cached runs must both reproduce the same entry, which asserts their
+bit-identity directly rather than pinning separate numbers.
 
 Regenerate after an *intentional* change with::
 
@@ -75,9 +74,7 @@ def _rra_intervals(dataset):
     return detector.fit(dataset.series).candidates
 
 
-def run_engine(
-    name: str, dataset, intervals, *, backend: str = "kernel", cache=None,
-):
+def run_engine(name: str, dataset, intervals, *, cache=None):
     """Run one engine; return its call count + discord tuples as a golden
     entry."""
     counter = DistanceCounter()
@@ -88,7 +85,6 @@ def run_engine(
             intervals,
             num_discords=NUM_DISCORDS,
             counter=counter,
-            backend=backend,
             cache=cache,
         )
     elif name == "hotsax":
@@ -99,7 +95,6 @@ def run_engine(
             paa_size=dataset.paa_size,
             alphabet_size=dataset.alphabet_size,
             counter=counter,
-            backend=backend,
             cache=cache,
         )
     elif name == "haar":
@@ -108,7 +103,6 @@ def run_engine(
             dataset.window,
             num_discords=NUM_DISCORDS,
             counter=counter,
-            backend=backend,
             cache=cache,
         )
     elif name == "brute_force":
@@ -117,7 +111,6 @@ def run_engine(
             dataset.window,
             num_discords=NUM_DISCORDS,
             counter=counter,
-            backend=backend,
             cache=cache,
         )
     else:  # pragma: no cover - config error
@@ -178,31 +171,6 @@ def test_serial_counts_match_golden(
         engine,
         datasets[dataset_name],
         rra_intervals[dataset_name],
-    )
-    assert entry == golden["entries"][key], key
-
-
-@pytest.mark.parametrize(
-    "dataset_name, engine",
-    CASES,
-    ids=[_case_id(*case) for case in CASES],
-)
-def test_batch_serial_counts_match_golden(
-    golden, datasets, rra_intervals, dataset_name, engine
-):
-    """``backend='batch'`` must reproduce the SAME golden entry.
-
-    The tiled GEMM scans replay the serial nearest-so-far trajectory
-    over precomputed distances, so the call count and the discords
-    are pinned to the kernel backend's numbers — not to separate
-    batch-specific goldens.
-    """
-    key = _entry_key(dataset_name, engine)
-    entry = run_engine(
-        engine,
-        datasets[dataset_name],
-        rra_intervals[dataset_name],
-        backend="batch",
     )
     assert entry == golden["entries"][key], key
 

@@ -5,10 +5,12 @@ Two families of guarantees:
 * **Numeric equivalence** — every kernel in ``repro.timeseries.kernels``
   matches its scalar reference to 1e-9 on random inputs (property-style
   sweeps over shapes, offsets, and flat segments).
-* **Accounting equivalence** — the ``backend="kernel"`` search paths
-  report *bit-identical* ``DistanceCounter.calls`` (and the same
-  discords) as ``backend="scalar"`` for RRA, HOTSAX, Haar, and brute
-  force on the seed fixtures.
+* **Accounting equivalence** — RRA, HOTSAX, Haar and brute force
+  report the same discords, ranks and ``DistanceCounter.calls`` as the
+  per-pair reference searches in ``tests/oracles.py`` on the seed
+  fixtures: bit-exact (scores compared as float hex) when the oracle
+  uses the kernels' pair arithmetic, and to 1e-9 when it uses the
+  scalar reference distances.
 """
 
 from __future__ import annotations
@@ -16,10 +18,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.rra import find_discord, find_discords, nearest_neighbor_distances
-from repro.discord.brute_force import brute_force_discord
-from repro.discord.haar import haar_discords
-from repro.discord.hotsax import hotsax_discords
+from repro.core.rra import (
+    _CandidateSet,
+    find_discord,
+    find_discords,
+    nearest_neighbor_distances,
+)
+from repro.discord.brute_force import brute_force_discord, brute_force_discords
+from repro.discord.haar import haar_discord, haar_discords, haar_words
+from repro.discord.hotsax import (
+    _sax_words_per_window,
+    hotsax_discord,
+    hotsax_discords,
+)
 from repro.exceptions import ParameterError
 from repro.timeseries import kernels
 from repro.timeseries.distance import (
@@ -30,6 +41,7 @@ from repro.timeseries.distance import (
 )
 from repro.timeseries.windows import sliding_windows
 from repro.timeseries.znorm import znorm, znorm_rows
+from tests import oracles
 
 
 def _random_series(rng, length, *, offset=0.0, flat_span=None):
@@ -38,16 +50,6 @@ def _random_series(rng, length, *, offset=0.0, flat_span=None):
         lo, hi = flat_span
         series[lo:hi] = series[lo]  # exactly constant stretch
     return series
-
-
-class TestBackendValidation:
-    def test_known_backends(self):
-        kernels.validate_backend("kernel")
-        kernels.validate_backend("scalar")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ParameterError):
-            kernels.validate_backend("cuda")
 
 
 class TestWindowStats:
@@ -220,121 +222,142 @@ def _blip_series(length=800, period=50, blip_at=400, seed=0):
     return series
 
 
+def _signature(discords, calls):
+    """Calls plus every discord field, scores as float hex."""
+    return calls, [
+        (
+            d.start, d.end, d.rank, float(d.score).hex(),
+            float(d.nn_distance).hex(), d.rule_id, d.source,
+        )
+        for d in discords
+    ]
+
+
+def _assert_matches_oracle(discords, calls, oracle, kernel_distance):
+    """*discords*/*calls* equal the oracle's: bit-exact with the
+    kernels' pair arithmetic; scores within 1e-9 with the scalar one."""
+    assert _signature(discords, calls) == _signature(
+        *oracle(distance=kernel_distance)
+    )
+    reference, reference_calls = oracle()
+    assert reference_calls == calls
+    assert [(d.start, d.end, d.rank) for d in discords] == [
+        (d.start, d.end, d.rank) for d in reference
+    ]
+    assert [d.score for d in discords] == pytest.approx(
+        [d.score for d in reference], abs=1e-9
+    )
+
+
+def _rra_kernel_distance(series):
+    return _CandidateSet(series).pair_distance
+
+
 class TestBackendCallCountIdentity:
-    """`DistanceCounter.calls` must be identical across backends."""
+    """Each engine against its per-pair oracle (``tests/oracles.py``)."""
 
     def test_rra_find_discord(self):
         series = _blip_series()
         candidates = _candidates_for(series)
-        results = {}
-        for backend in kernels.BACKENDS:
-            counter = DistanceCounter()
-            discord, _ = find_discord(
-                series,
-                candidates,
-                counter=counter,
-                rng=np.random.default_rng(11),
-                backend=backend,
-            )
-            results[backend] = (counter.calls, discord.start, discord.end)
-        assert results["kernel"] == results["scalar"]
-        assert results["kernel"][0] > 0
+        counter = DistanceCounter()
+        discord, _ = find_discord(
+            series, candidates, counter=counter, rng=np.random.default_rng(11)
+        )
+        assert counter.calls > 0
+        _assert_matches_oracle(
+            [discord], counter.calls,
+            lambda **kw: oracles.rra_oracle(
+                series, candidates, rng=np.random.default_rng(11), **kw
+            ),
+            _rra_kernel_distance(series),
+        )
 
     def test_rra_find_discords_multi_rank(self):
         series = _blip_series()
         candidates = _candidates_for(series)
-        outcomes = {}
-        for backend in kernels.BACKENDS:
-            result = find_discords(
-                series,
-                candidates,
-                num_discords=3,
-                rng=np.random.default_rng(5),
-                backend=backend,
-            )
-            outcomes[backend] = (
-                result.distance_calls,
-                [(d.start, d.end, d.rank) for d in result.discords],
-            )
-        assert outcomes["kernel"] == outcomes["scalar"]
+        result = find_discords(
+            series, candidates, num_discords=3, rng=np.random.default_rng(5)
+        )
+        assert len(result.discords) == 3
+        _assert_matches_oracle(
+            result.discords, result.distance_calls,
+            lambda **kw: oracles.rra_oracle(
+                series, candidates, num_discords=3,
+                rng=np.random.default_rng(5), **kw
+            ),
+            _rra_kernel_distance(series),
+        )
 
     def test_rra_scores_match_across_backends(self):
+        """The fused Eq. 1 kernel scores agree with the scalar reference."""
         series = _blip_series(length=600)
         candidates = _candidates_for(series)
-        scores = {}
-        for backend in kernels.BACKENDS:
-            result = find_discords(
-                series,
-                candidates,
-                num_discords=2,
-                rng=np.random.default_rng(2),
-                backend=backend,
-            )
-            scores[backend] = [d.nn_distance for d in result.discords]
-        assert scores["kernel"] == pytest.approx(scores["scalar"], abs=1e-9)
+        result = find_discords(
+            series, candidates, num_discords=2, rng=np.random.default_rng(2)
+        )
+        reference, _ = oracles.rra_oracle(
+            series, candidates, num_discords=2, rng=np.random.default_rng(2)
+        )
+        assert [d.nn_distance for d in result.discords] == pytest.approx(
+            [d.nn_distance for d in reference], abs=1e-9
+        )
 
     def test_hotsax(self, sine_bump):
-        outcomes = {}
-        for backend in kernels.BACKENDS:
-            result = hotsax_discords(
-                sine_bump.series,
-                100,
-                num_discords=2,
-                rng=np.random.default_rng(0),
-                backend=backend,
-            )
-            outcomes[backend] = (
-                result.distance_calls,
-                [(d.start, d.end) for d in result.discords],
-            )
-        assert outcomes["kernel"] == outcomes["scalar"]
+        series = sine_bump.series
+        result = hotsax_discords(
+            series, 100, num_discords=2, rng=np.random.default_rng(0)
+        )
+        words = _sax_words_per_window(series, 100, 3, 3)
+        _assert_matches_oracle(
+            result.discords, result.distance_calls,
+            lambda **kw: oracles.bucket_ordered_oracle(
+                series, 100, words, num_discords=2,
+                rng=np.random.default_rng(0), source="hotsax", **kw
+            ),
+            oracles.kernel_position_distance(kernels.WindowMatrix(series, 100)),
+        )
 
     def test_haar(self, short_series):
-        outcomes = {}
-        for backend in kernels.BACKENDS:
-            result = haar_discords(
-                short_series,
-                40,
-                num_discords=1,
-                rng=np.random.default_rng(0),
-                backend=backend,
-            )
-            outcomes[backend] = (
-                result.distance_calls,
-                [(d.start, d.end) for d in result.discords],
-            )
-        assert outcomes["kernel"] == outcomes["scalar"]
+        result = haar_discords(
+            short_series, 40, num_discords=2, rng=np.random.default_rng(0)
+        )
+        words = haar_words(short_series, 40)
+        _assert_matches_oracle(
+            result.discords, result.distance_calls,
+            lambda **kw: oracles.bucket_ordered_oracle(
+                short_series, 40, words, num_discords=2,
+                rng=np.random.default_rng(0), source="haar", **kw
+            ),
+            oracles.kernel_position_distance(
+                kernels.WindowMatrix(short_series, 40)
+            ),
+        )
 
     @pytest.mark.parametrize("early_abandon", [False, True])
     def test_brute_force(self, short_series, early_abandon):
-        outcomes = {}
-        for backend in kernels.BACKENDS:
-            counter = DistanceCounter()
-            discord, _ = brute_force_discord(
-                short_series,
-                40,
-                counter=counter,
-                early_abandon=early_abandon,
-                backend=backend,
-            )
-            outcomes[backend] = (counter.calls, discord.start, discord.end)
-        assert outcomes["kernel"] == outcomes["scalar"]
+        result = brute_force_discords(
+            short_series, 40, num_discords=2, early_abandon=early_abandon
+        )
+        _assert_matches_oracle(
+            result.discords, result.distance_calls,
+            lambda **kw: oracles.brute_force_oracle(
+                short_series, 40, num_discords=2,
+                early_abandon=early_abandon, **kw
+            ),
+            oracles.kernel_position_distance(
+                kernels.WindowMatrix(short_series, 40)
+            ),
+        )
 
     def test_nearest_neighbor_distances(self):
         series = _blip_series(length=500)
         candidates = _candidates_for(series)
-        profiles = {}
-        for backend in kernels.BACKENDS:
-            counter = DistanceCounter()
-            profile = nearest_neighbor_distances(
-                series, candidates, counter=counter, backend=backend
-            )
-            profiles[backend] = (counter.calls, profile)
-        assert profiles["kernel"][0] == profiles["scalar"][0]
-        kernel_profile = profiles["kernel"][1]
-        scalar_profile = profiles["scalar"][1]
-        assert len(kernel_profile) == len(scalar_profile)
-        for (iv_k, d_k), (iv_s, d_s) in zip(kernel_profile, scalar_profile):
+        counter = DistanceCounter()
+        profile = nearest_neighbor_distances(series, candidates, counter=counter)
+        reference, calls = oracles.nearest_neighbor_oracle(series, candidates)
+        assert counter.calls == calls
+        assert len(profile) == len(reference)
+        for (iv_k, d_k), (iv_s, d_s) in zip(profile, reference):
             assert iv_k == iv_s
             if np.isinf(d_s):
                 assert np.isinf(d_k)
@@ -342,9 +365,65 @@ class TestBackendCallCountIdentity:
                 assert d_k == pytest.approx(d_s, abs=1e-9)
 
     def test_unknown_backend_rejected_everywhere(self, short_series):
-        with pytest.raises(ParameterError):
-            brute_force_discord(short_series, 40, backend="gpu")
-        with pytest.raises(ParameterError):
-            find_discord(short_series, [], backend="gpu")
-        with pytest.raises(ParameterError):
-            nearest_neighbor_distances(short_series, [], backend="gpu")
+        """No engine takes a ``backend`` keyword any more."""
+        engines = [
+            lambda **kw: brute_force_discord(short_series, 40, **kw),
+            lambda **kw: brute_force_discords(short_series, 40, **kw),
+            lambda **kw: hotsax_discord(short_series, 40, **kw),
+            lambda **kw: hotsax_discords(short_series, 40, **kw),
+            lambda **kw: haar_discord(short_series, 40, **kw),
+            lambda **kw: haar_discords(short_series, 40, **kw),
+            lambda **kw: find_discord(short_series, [], **kw),
+            lambda **kw: find_discords(short_series, [], **kw),
+            lambda **kw: nearest_neighbor_distances(short_series, [], **kw),
+        ]
+        for engine in engines:
+            with pytest.raises(TypeError):
+                engine(backend="kernel")
+
+
+def test_sliding_window_stats_reuses_prebuilt_stats():
+    rng = np.random.default_rng(5)
+    series = rng.normal(size=300)
+    stats = kernels.SeriesStats(series)
+    fresh = kernels.sliding_window_stats(series, 24)
+    reused = kernels.sliding_window_stats(series, 24, stats=stats)
+    np.testing.assert_array_equal(fresh[0], reused[0])
+    np.testing.assert_array_equal(fresh[1], reused[1])
+    np.testing.assert_array_equal(
+        kernels.znorm_sliding_windows(series, 24),
+        kernels.znorm_sliding_windows(series, 24, stats=stats),
+    )
+
+
+def test_sliding_window_stats_rejects_mismatched_stats():
+    series = np.arange(100, dtype=float)
+    stats = kernels.SeriesStats(np.arange(50, dtype=float))
+    with pytest.raises(ParameterError, match="length"):
+        kernels.sliding_window_stats(series, 10, stats=stats)
+
+
+def test_window_matrix_caches_all_artifacts():
+    rng = np.random.default_rng(6)
+    series = rng.normal(size=200)
+    wm = kernels.WindowMatrix(series, 16)
+    np.testing.assert_array_equal(wm.view, sliding_windows(series, 16))
+    np.testing.assert_array_equal(
+        wm.normalized, znorm_rows(sliding_windows(series, 16))
+    )
+    np.testing.assert_array_equal(
+        wm.sqnorms, kernels.row_sqnorms(wm.normalized)
+    )
+    assert wm.normalized is wm.normalized  # computed once
+    assert wm.sqnorms is wm.sqnorms
+    means, stds = wm.window_stats()
+    ref_means, ref_stds = kernels.sliding_window_stats(series, 16)
+    np.testing.assert_array_equal(means, ref_means)
+    np.testing.assert_array_equal(stds, ref_stds)
+
+
+def test_window_matrix_rejects_degenerate_input():
+    with pytest.raises(ParameterError):
+        kernels.WindowMatrix(np.arange(4, dtype=float), 10)
+    with pytest.raises(ParameterError):
+        kernels.WindowMatrix(np.zeros((3, 3)), 2)

@@ -128,7 +128,6 @@ def test_ensemble_member_task_honours_the_pool_event(monkeypatch):
         series,
         pending,
         num_discords=2,
-        backend="kernel",
         seed=0,
         budget=SearchBudget(token=CancellationToken()),
         n_workers=2,

@@ -97,7 +97,7 @@ class TestFingerprint:
     def test_sensitive_to_every_input(self):
         series = np.sin(np.arange(100.0))
         intervals = [self._Interval(1, 0, 10, 2)]
-        params = {"num_discords": 2, "backend": "kernel"}
+        params = {"num_discords": 2}
         base = search_fingerprint(series, intervals, params)
         assert search_fingerprint(series, intervals, params) == base
         assert search_fingerprint(series + 1e-9, intervals, params) != base
@@ -106,7 +106,7 @@ class TestFingerprint:
             != base
         )
         assert (
-            search_fingerprint(series, intervals, {**params, "backend": "scalar"})
+            search_fingerprint(series, intervals, {**params, "num_discords": 3})
             != base
         )
 

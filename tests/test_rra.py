@@ -11,7 +11,6 @@ from repro.core.rra import (
     RRAResult,
     _CandidateSet,
     _InnerOrdering,
-    _is_non_self_match,
     find_discord,
     find_discords,
     nearest_neighbor_distances,
@@ -26,6 +25,7 @@ from repro.resilience.checkpoint import (
 )
 from repro.timeseries import kernels
 from repro.timeseries.distance import DistanceCounter
+from tests.oracles import is_non_self_match
 
 
 def _blip_series(length=800, period=50, blip_at=400, seed=0):
@@ -50,18 +50,18 @@ class TestNonSelfMatch:
     def test_overlap_excluded(self):
         p = RuleInterval(1, 100, 150, usage=1)
         q = RuleInterval(2, 120, 170, usage=1)
-        assert not _is_non_self_match(p, q)
+        assert not is_non_self_match(p, q)
 
     def test_far_apart_allowed(self):
         p = RuleInterval(1, 100, 150, usage=1)
         q = RuleInterval(2, 200, 260, usage=1)
-        assert _is_non_self_match(p, q)
+        assert is_non_self_match(p, q)
 
     def test_paper_boundary(self):
         # |p0 - q0| must be STRICTLY greater than Length(p)
         p = RuleInterval(1, 100, 150, usage=1)  # length 50
-        assert not _is_non_self_match(p, RuleInterval(2, 150, 190, usage=1))
-        assert _is_non_self_match(p, RuleInterval(2, 151, 190, usage=1))
+        assert not is_non_self_match(p, RuleInterval(2, 150, 190, usage=1))
+        assert is_non_self_match(p, RuleInterval(2, 151, 190, usage=1))
 
 
 class TestFindDiscord:
@@ -245,7 +245,7 @@ class TestFusedPairDistance:
     @settings(max_examples=60, deadline=None)
     def test_equals_reference_in_both_orders_and_from_memo(self, data, order_rng):
         series, intervals = data
-        cache = _CandidateSet(series, intervals)
+        cache = _CandidateSet(series)
         pairs = [(p, q) for p in intervals for q in intervals]
         order_rng.shuffle(pairs)
         for p, q in pairs:
@@ -255,14 +255,14 @@ class TestFusedPairDistance:
             assert cache.pair_distance(p, q) == expected
             assert cache.pair_distance(p, q) == expected
             assert cache.pair_distance(q, p) == expected
-            fresh = _CandidateSet(series, intervals)
+            fresh = _CandidateSet(series)
             assert fresh.pair_distance(q, p) == expected
 
     @given(_series_and_intervals())
     @settings(max_examples=30, deadline=None)
     def test_public_kernel_shares_the_definition(self, data):
         series, intervals = data
-        cache = _CandidateSet(series, intervals)
+        cache = _CandidateSet(series)
         for p in intervals:
             for q in intervals:
                 a, b = cache.values(p), cache.values(q)
@@ -302,29 +302,18 @@ class TestLazyInnerOrdering:
         assert lazy_rng.bit_generator.state == list_rng.bit_generator.state
 
 
-_DISTANCE_METHODS = {
-    "kernel": "pair_distance",
-    "batch": "pair_distance_batch",
-    "scalar": "pair_distance_scalar",
-}
-
-
 class TestInterruptedInnerLoopAccounting:
-    @pytest.mark.parametrize("backend", sorted(_DISTANCE_METHODS))
     @pytest.mark.parametrize("interrupt_at", [1, 125, 540, 1000])
     def test_interrupt_mid_scan_counts_like_per_pair_counting(
-        self, tmp_path, monkeypatch, backend, interrupt_at
+        self, tmp_path, monkeypatch, interrupt_at
     ):
         """A KeyboardInterrupt inside the inner loop counts every pair
         visited so far — the interrupted one included — while the
         checkpoint keeps the last outer boundary and resumes exactly."""
         series = _blip_series(length=600)
         candidates = _candidates_for(series)
-        reference = find_discords(
-            series, candidates, num_discords=2, backend=backend
-        )
-        method = _DISTANCE_METHODS[backend]
-        original = getattr(_CandidateSet, method)
+        reference = find_discords(series, candidates, num_discords=2)
+        original = _CandidateSet.pair_distance
         seen = []  # the outer candidate p of every distance call
 
         def interrupting(self, p, q):
@@ -333,15 +322,15 @@ class TestInterruptedInnerLoopAccounting:
                 raise KeyboardInterrupt
             return original(self, p, q)
 
-        monkeypatch.setattr(_CandidateSet, method, interrupting)
+        monkeypatch.setattr(_CandidateSet, "pair_distance", interrupting)
         checkpoint = tmp_path / "ck.json"
         counter = DistanceCounter()
         result = find_discords(
-            series, candidates, num_discords=2, backend=backend,
+            series, candidates, num_discords=2,
             counter=counter, budget=SearchBudget.unlimited(),
             checkpoint_path=str(checkpoint),
         )
-        monkeypatch.setattr(_CandidateSet, method, original)
+        monkeypatch.setattr(_CandidateSet, "pair_distance", original)
 
         assert result.status is SearchStatus.CANCELLED
         assert counter.calls == interrupt_at
@@ -355,8 +344,7 @@ class TestInterruptedInnerLoopAccounting:
         assert saved["distance_calls"] == boundary
         assert saved["ledger"] == {"calls": boundary}
         resumed = find_discords(
-            series, candidates, num_discords=2, backend=backend,
-            resume_from=str(checkpoint),
+            series, candidates, num_discords=2, resume_from=str(checkpoint),
         )
         assert resumed.discords == reference.discords
         assert resumed.distance_calls == reference.distance_calls
@@ -384,6 +372,34 @@ class TestCheckpointFingerprint:
         data["fingerprint"] = search_fingerprint(
             series, valid, {"num_discords": 2, "backend": "kernel", "prune": False}
         )
+        save_checkpoint(path, data)
+        with pytest.raises(CheckpointError):
+            find_discords(series, candidates, num_discords=2, resume_from=path)
+
+    def test_checkpoint_with_backend_in_fingerprint_is_rejected(self, tmp_path):
+        """Checkpoints written while searches took a ``backend`` carry it
+        in their fingerprint and payload; resuming one fails with
+        :class:`CheckpointError` instead of being adopted."""
+        series = _blip_series(length=600)
+        candidates = _candidates_for(series)
+        path = str(tmp_path / "ck.json")
+        find_discords(
+            series, candidates, num_discords=2,
+            budget=SearchBudget(max_calls=400),
+            checkpoint_path=path, checkpoint_every=1,
+        )
+        data = load_checkpoint(path)
+        valid = [
+            iv for iv in candidates if iv.end <= series.size and iv.length >= 2
+        ]
+        # The old format: backend in the fingerprint and the payload, and
+        # discords encoded without their source tag.
+        data["fingerprint"] = search_fingerprint(
+            series, valid, {"num_discords": 2, "backend": "kernel"}
+        )
+        data["backend"] = "kernel"
+        for entry in data["discords"]:
+            entry.pop("source")
         save_checkpoint(path, data)
         with pytest.raises(CheckpointError):
             find_discords(series, candidates, num_discords=2, resume_from=path)

@@ -5,8 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.discord.brute_force import brute_force_discord
-from repro.discord.search import iterated_search, ordered_discord_search
+from repro.core.rra import find_discords
+from repro.discord.brute_force import brute_force_discord, brute_force_discords
+from repro.discord.haar import haar_discords
+from repro.discord.hotsax import hotsax_discords
+from repro.discord.search import (
+    SearchSession,
+    bucket_ordered_search,
+    iterated_search,
+    ordered_discord_search,
+    window_matrix_for,
+)
 from repro.exceptions import DiscordSearchError
 from repro.timeseries.distance import DistanceCounter
 
@@ -85,25 +94,49 @@ class TestOrderedDiscordSearch:
         assert found.source == "custom"
 
 
+def _iterated(series, window, num_discords):
+    """Top-k single-bucket search through the shared rank loop."""
+    session = SearchSession("t", num_discords=num_discords)
+    search = bucket_ordered_search(
+        session, series, window, _single_bucket,
+        rng=np.random.default_rng(0),
+        windows=window_matrix_for(series, window),
+    )
+    discords, rank_complete = iterated_search(session, search, window)
+    return discords, session.counter, rank_complete
+
+
 class TestIteratedSearch:
     def test_ranked_output(self):
-        series = _series()
-        discords, counter, rank_complete = iterated_search(
-            series, 30, _single_bucket, source="t", num_discords=3
-        )
+        discords, counter, rank_complete = _iterated(_series(), 30, 3)
         assert [d.rank for d in discords] == list(range(len(discords)))
         assert counter.calls > 0
         assert rank_complete == [True] * len(discords)
 
     def test_invalid_count(self):
         with pytest.raises(DiscordSearchError):
-            iterated_search(_series(), 30, _single_bucket, source="t",
-                            num_discords=0)
+            SearchSession("t", num_discords=0)
 
     def test_stops_when_exhausted(self):
         # a tiny series supports only a couple of non-overlapping discords
         series = _series(length=100, period=20, blip_at=50)
-        discords, _, _ = iterated_search(
-            series, 25, _single_bucket, source="t", num_discords=10
-        )
+        discords, _, _ = _iterated(series, 25, 10)
         assert 1 <= len(discords) < 10
+
+
+_TOP_K_ENGINES = {
+    "rra": lambda series, k: find_discords(series, [], num_discords=k),
+    "hotsax": lambda series, k: hotsax_discords(series, 30, num_discords=k),
+    "haar": lambda series, k: haar_discords(series, 30, num_discords=k),
+    "brute_force": lambda series, k: brute_force_discords(
+        series, 30, num_discords=k
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(_TOP_K_ENGINES))
+def test_zero_discords_rejected(engine):
+    """Asking any engine for no discords is an error, never an empty
+    COMPLETE result."""
+    with pytest.raises(DiscordSearchError, match="num_discords"):
+        _TOP_K_ENGINES[engine](_series(), 0)
