@@ -48,7 +48,7 @@ from repro.resilience.checkpoint import (
     save_checkpoint,
     search_fingerprint,
 )
-from repro.timeseries import kernels
+from repro.timeseries import eq1core, kernels
 from repro.timeseries.distance import DistanceCounter
 
 
@@ -137,6 +137,7 @@ class _CandidateSet:
         series: np.ndarray,
         *,
         stats: Optional[kernels.SeriesStats] = None,
+        core=True,
     ):
         self.series = np.ascontiguousarray(series, dtype=float)
         # A prebuilt SeriesStats (from a SearchContext) is reused instead
@@ -145,10 +146,17 @@ class _CandidateSet:
         self._entries: dict[
             tuple[int, int], tuple[np.ndarray, float, np.ndarray]
         ] = {}
+        # The C core's tables: ``core=True`` loads the core (None when it
+        # is unavailable), ``False`` keeps the set on the Python path, and
+        # a loaded library is used as given (the core's parity probe).
+        lib = eq1core.load() if core is True else (core or None)
+        self.tables = eq1core.Eq1Tables(lib) if lib is not None else None
+        self._ids: dict[tuple[int, int], int] = {}
         # Pair distances are symmetric and depend only on the interval
         # positions, so each distinct unordered pair is computed once —
         # within a search and, when a SearchContext keeps this set
-        # alive, across repeated searches over the same candidates.
+        # alive, across repeated searches over the same candidates.  With
+        # the core loaded the memo lives in its tables.
         self._pair_distances: dict[tuple[int, int, int, int], float] = {}
 
     @property
@@ -156,18 +164,48 @@ class _CandidateSet:
         """The cumulative-sum window statistics behind this cache."""
         return self._stats
 
-    def _entry(self, start: int, end: int) -> tuple[np.ndarray, float, np.ndarray]:
-        """``(values, sqnorm, sq_cumsum)`` of ``[start, end)`` (cached)."""
+    def _entry(
+        self, start: int, end: int, *, keep: bool = True
+    ) -> tuple[np.ndarray, float, np.ndarray]:
+        """``(values, sqnorm, sq_cumsum)`` of ``[start, end)``, cached
+        unless *keep* is False."""
         entry = self._entries.get((start, end))
         if entry is None:
             values = self._stats.znorm(start, end)
             entry = (values, float(np.dot(values, values)), kernels.sq_cumsum(values))
-            self._entries[(start, end)] = entry
+            if keep:
+                self._entries[(start, end)] = entry
         return entry
 
     def values(self, interval: RuleInterval) -> np.ndarray:
         """Z-normalized subsequence of *interval* (cached)."""
         return self._entry(interval.start, interval.end)[0]
+
+    def idents(self, intervals: Sequence[RuleInterval]) -> np.ndarray:
+        """The core's table ids of *intervals*' spans, as int64.
+
+        Spans seen for the first time are copied from their entries into
+        the core's tables, a few hundred per call.  The copy is the only
+        one kept: the core path never reads the Python entries again, and
+        :meth:`pair_distance` recomputes the same floats if it needs them.
+        """
+        ids = self._ids
+        new = [
+            span
+            for span in dict.fromkeys((iv.start, iv.end) for iv in intervals)
+            if span not in ids
+        ]
+        for lo in range(0, len(new), 256):
+            spans = new[lo : lo + 256]
+            first = self.tables.add_many(
+                [start for start, _ in spans],
+                [self._entry(*span, keep=False) for span in spans],
+            )
+            ids.update(zip(spans, range(first, first + len(spans))))
+        return np.fromiter(
+            (ids[iv.start, iv.end] for iv in intervals), dtype=np.int64,
+            count=len(intervals),
+        )
 
     def pair_distance(self, p: RuleInterval, q: RuleInterval) -> float:
         """Vectorized Eq. 1 distance between two cached candidates.
@@ -177,27 +215,36 @@ class _CandidateSet:
         profile (:func:`~repro.timeseries.kernels.aligned_min_distance`).
         The result is memoized per unordered pair (the distance is
         symmetric by construction: the shorter interval always plays the
-        query role).
+        query role).  This is the reference the C core reproduces bit
+        for bit; with the core loaded it reads and writes the core's memo.
         """
         ps, pe, qs, qe = p.start, p.end, q.start, q.end
-        if ps < qs or (ps == qs and pe <= qe):
-            key = (ps, pe, qs, qe)
+        tables = self.tables
+        if tables is not None:
+            a, b = self.idents([p, q]).tolist()
+            distance = tables.memo_get(a, b)
         else:
-            key = (qs, qe, ps, pe)
-        distance = self._pair_distances.get(key)
+            if ps < qs or (ps == qs and pe <= qe):
+                key = (ps, pe, qs, qe)
+            else:
+                key = (qs, qe, ps, pe)
+            distance = self._pair_distances.get(key)
         if distance is not None:
             return distance
-        a, a_sqnorm, a_cumsum = self._entry(ps, pe)
-        b, b_sqnorm, b_cumsum = self._entry(qs, qe)
+        a_values, a_sqnorm, a_cumsum = self._entry(ps, pe)
+        b_values, b_sqnorm, b_cumsum = self._entry(qs, qe)
         n = pe - ps
         if n == qe - qs:
-            sq = a_sqnorm + b_sqnorm - 2.0 * float(np.dot(a, b))
+            sq = a_sqnorm + b_sqnorm - 2.0 * float(np.dot(a_values, b_values))
             distance = math.sqrt(max(sq, 0.0) / n)
         elif n < qe - qs:
-            distance = kernels.aligned_min_distance(a, a_sqnorm, b, b_cumsum)
+            distance = kernels.aligned_min_distance(a_values, a_sqnorm, b_values, b_cumsum)
         else:
-            distance = kernels.aligned_min_distance(b, b_sqnorm, a, a_cumsum)
-        self._pair_distances[key] = distance
+            distance = kernels.aligned_min_distance(b_values, b_sqnorm, a_values, a_cumsum)
+        if tables is not None:
+            tables.memo_put(a, b, distance)
+        else:
+            self._pair_distances[key] = distance
         return distance
 
 
@@ -251,6 +298,62 @@ class _InnerOrdering:
         same_rule = self._same_rule[key] if key != self._GAP else ()
         perm = rng.permutation(len(rest))
         return chain(same_rule, map(rest.__getitem__, perm))
+
+
+class _CoreScan:
+    """:func:`find_discord`'s inner loop in the C core, one outer candidate
+    per call.
+
+    The same order as :class:`_InnerOrdering` — the same-rule bucket in
+    candidate order, then the rest permuted — but as table-id arrays
+    whose addresses are taken once per rule, so a call passes nothing it
+    has to compute.  The permutation is ``rng.permutation(len(rest))``
+    written into a per-rule buffer: that call is ``arange`` then
+    ``shuffle``, so resetting the buffer to ``arange`` and shuffling it
+    in place makes the same draws and the same permutation.
+    """
+
+    def __init__(self, cache: _CandidateSet, candidates: list[RuleInterval]):
+        self.tables = cache.tables
+        self._ids = cache.idents(candidates)
+        self._span_ids = cache._ids
+        self._rules = np.asarray([iv.rule_id for iv in candidates], dtype=np.int64)
+        self._buckets: dict[int, tuple] = {}
+
+    def _bucket(self, key: int) -> tuple:
+        if key == _InnerOrdering._GAP:
+            same, rest = self._ids[:0], self._ids
+        else:
+            same = self._ids[self._rules == key]
+            rest = self._ids[self._rules != key]
+        identity = np.arange(rest.size)
+        perm = identity.copy()
+        # The last field keeps the id arrays (and so their addresses) alive.
+        bucket = (
+            same.ctypes.data, same.size, rest.ctypes.data, rest.size,
+            identity, perm, perm.ctypes.data, (same, rest),
+        )
+        self._buckets[key] = bucket
+        return bucket
+
+    def __call__(
+        self, p: RuleInterval, rng: np.random.Generator, best_dist: float
+    ) -> tuple[bool, float]:
+        """``(abandoned, nearest)`` for outer candidate *p*.
+
+        The visited-pair count stays in ``tables.calls`` for the caller
+        to flush.
+        """
+        key = p.rule_id if p.rule_id >= 0 else _InnerOrdering._GAP
+        bucket = self._buckets.get(key) or self._bucket(key)
+        same, n_same, rest, n_rest, identity, perm, perm_ptr, _ = bucket
+        np.copyto(perm, identity)
+        rng.shuffle(perm)
+        abandoned = self.tables.scan(
+            self._span_ids[p.start, p.end], same, n_same, rest, perm_ptr,
+            n_rest, best_dist,
+        )
+        return abandoned, self.tables.nearest.value
 
 
 def find_discord(
@@ -338,7 +441,12 @@ def find_discord(
 
     if cache is None:
         cache = _CandidateSet(series)
-    ordering = _InnerOrdering(candidates)
+    if cache.tables is not None:
+        scan: Optional[_CoreScan] = _CoreScan(cache, candidates)
+    else:
+        scan = None
+        ordering = _InnerOrdering(candidates)
+        distance = cache.pair_distance
 
     # Outer ordering: ascending rule usage (gaps first), deterministic
     # tie-break by position.
@@ -359,7 +467,6 @@ def find_discord(
         m_best = metrics.counter("search.best_updates")
         m_depth = metrics.histogram("search.abandon_depth")
 
-    distance = cache.pair_distance
     try:
         for i in range(state.outer_index, len(outer)):
             # Record the boundary *before* consuming any randomness or
@@ -374,30 +481,36 @@ def find_discord(
             if _on_boundary is not None:
                 _on_boundary(state, outer)
             p = outer[i]
-            p_start = p.start
-            p_length = p.end - p_start
-            nearest = math.inf
-            abandoned = False
-            # Pair visits are tallied locally and flushed once per
-            # candidate; the flush sits in ``finally`` so an interrupt
-            # mid-scan leaves the counter exactly where per-pair
-            # counting would have (the interrupted pair included).
-            kernel_calls = 0
-            try:
-                for q in ordering.order(p, rng):
-                    # Paper line 7: skip p itself and trivial self matches.
-                    if abs(p_start - q.start) <= p_length:
-                        continue
-                    kernel_calls += 1
-                    dist = distance(p, q)
-                    if dist < best_dist:
-                        # p cannot beat the current best discord.
-                        abandoned = True
-                        break
-                    if dist < nearest:
-                        nearest = dist
-            finally:
-                counter.batch(kernel_calls)
+            # Pair visits are tallied per candidate and flushed once; the
+            # flush sits in ``finally`` so an interrupt mid-scan (or right
+            # after the core returns) leaves the counter exactly where
+            # per-pair counting would have, the interrupted pair included.
+            if scan is not None:
+                try:
+                    abandoned, nearest = scan(p, rng, best_dist)
+                finally:
+                    counter.batch(scan.tables.take_calls())
+            else:
+                p_start = p.start
+                p_length = p.end - p_start
+                nearest = math.inf
+                abandoned = False
+                kernel_calls = 0
+                try:
+                    for q in ordering.order(p, rng):
+                        # Paper line 7: skip p itself and trivial self matches.
+                        if abs(p_start - q.start) <= p_length:
+                            continue
+                        kernel_calls += 1
+                        dist = distance(p, q)
+                        if dist < best_dist:
+                            # p cannot beat the current best discord.
+                            abandoned = True
+                            break
+                        if dist < nearest:
+                            nearest = dist
+                finally:
+                    counter.batch(kernel_calls)
             if instrumented:
                 m_visited.inc()
                 if abandoned:
@@ -750,59 +863,39 @@ def nearest_neighbor_distances(
     distance to the interval's nearest non-self match.  O(k^2) distance
     calls — intended for analysis/visualization, not for search.
 
-    The scan goes one-vs-all: candidates of the same length are compared
-    with a single matrix-vector product per query, the rest through the
-    vectorized sliding-alignment kernel.  Accounting is one logical call
-    per non-self-match pair.
+    Every value is the minimum of :meth:`_CandidateSet.pair_distance`
+    over the candidate's non-self matches, so the profile at a discord's
+    interval equals the search's ``nn_distance``.  With the C core loaded
+    each candidate is one core scan with ``best_dist = 0.0``, which never
+    abandons.  Accounting is one logical call per non-self-match pair.
     """
     series = np.asarray(series, dtype=float)
     if counter is None:
         counter = DistanceCounter()
     candidates = [iv for iv in intervals if iv.end <= series.size and iv.length >= 2]
     cache = _CandidateSet(series)
+    tables = cache.tables
     results: list[tuple[RuleInterval, float]] = []
-    if not candidates:
+    if tables is not None:
+        ids = cache.idents(candidates)
+        for p, p_id in zip(candidates, ids.tolist()):
+            try:
+                tables.scan(p_id, None, 0, ids.ctypes.data, None, ids.size, 0.0)
+            finally:
+                counter.batch(tables.take_calls())
+            results.append((p, tables.nearest.value))
         return results
-    starts = np.asarray([iv.start for iv in candidates], dtype=np.intp)
-    by_length: dict[int, list[int]] = defaultdict(list)
-    for i, iv in enumerate(candidates):
-        by_length[iv.length].append(i)
-    group_rows: dict[int, np.ndarray] = {}
-    group_sqnorms: dict[int, np.ndarray] = {}
-    group_index: dict[int, np.ndarray] = {}
-    for length, members in by_length.items():
-        rows = np.stack([cache.values(candidates[i]) for i in members])
-        group_rows[length] = rows
-        group_sqnorms[length] = kernels.row_sqnorms(rows)
-        group_index[length] = np.asarray(members, dtype=np.intp)
-
     for p in candidates:
-        # Paper line 7 as a mask: |p0 - q0| > Length(p).  This also
-        # removes p itself, so every True entry is one logical call.
-        valid = np.abs(starts - p.start) > p.length
-        counter.batch(int(np.count_nonzero(valid)))
-        nearest = float("inf")
-        p_values, p_sqnorm, _ = cache._entry(p.start, p.end)
-
-        same = group_index[p.length]
-        keep = valid[same]
-        if keep.any():
-            sq = kernels.one_vs_all_sq_euclidean(
-                p_values,
-                group_rows[p.length][keep],
-                query_sqnorm=p_sqnorm,
-                sqnorms=group_sqnorms[p.length][keep],
-            )
-            nearest = float(np.sqrt(sq.min() / p.length))
-
-        for length, members in by_length.items():
-            if length == p.length:
+        nearest = math.inf
+        calls = 0
+        for q in candidates:
+            # Paper line 7: skip p itself and trivial self matches.
+            if abs(p.start - q.start) <= p.length:
                 continue
-            for j in members:
-                if not valid[j]:
-                    continue
-                dist = cache.pair_distance(p, candidates[j])
-                if dist < nearest:
-                    nearest = dist
+            calls += 1
+            dist = cache.pair_distance(p, q)
+            if dist < nearest:
+                nearest = dist
+        counter.batch(calls)
         results.append((p, nearest))
     return results

@@ -1,97 +1,27 @@
-"""Compile-on-first-use ctypes loader for the Sequitur C core.
+"""ctypes binding for the Sequitur C core.
 
 The fast induction path (:mod:`repro.grammar.sequitur`) runs the
 digram-uniqueness loop over interned integer tokens.  The inner loop is
 pure pointer chasing — parallel ``code/prv/nxt`` arrays plus an
 open-addressing digram hash map — which a few hundred lines of C execute
-an order of magnitude faster than CPython.  This module compiles
-``_sequitur_core.c`` with whatever C compiler the host already ships
-(``cc``/``gcc``/``clang``), caches the shared object keyed by the source
-digest, and exposes the raw bindings.
+an order of magnitude faster than CPython.  :mod:`repro._cbuild`
+compiles ``_sequitur_core.c`` on first use and caches the shared object;
+this module declares its signatures.
 
-The core is strictly optional: any failure (no compiler, read-only
-filesystem, unexpected platform) degrades to ``load() -> None`` and the
-callers fall back to the pure-Python fast path, which is bit-identical.
-
-Environment knobs
------------------
-``REPRO_SEQUITUR_CORE=off``
-    Never compile or load the C core (pure-Python fast path only).
-``REPRO_SEQUITUR_CORE=require``
-    Raise instead of silently falling back — used by the benchmark and
-    the CI equivalence job so a toolchain regression cannot masquerade
-    as a slow-but-green run.
-``REPRO_SEQUITUR_BUILD_DIR``
-    Override the build cache directory (default: ``_build/`` next to
-    this file, falling back to a per-user temp dir when that is not
-    writable).
+The core is strictly optional: ``load()`` returns None when it is
+unavailable (or ``REPRO_C_CORE=off``) and the callers fall back to the
+pure-Python fast path, which is bit-identical.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
-import threading
 from pathlib import Path
 from typing import Optional
 
+from repro._cbuild import CCore
+
 _SOURCE = Path(__file__).with_name("_sequitur_core.c")
-_ENV_GATE = "REPRO_SEQUITUR_CORE"
-_ENV_BUILD_DIR = "REPRO_SEQUITUR_BUILD_DIR"
-
-_lock = threading.Lock()
-_cached: Optional[ctypes.CDLL] = None
-_attempted = False
-
-
-class SequiturCoreUnavailable(RuntimeError):
-    """Raised when ``REPRO_SEQUITUR_CORE=require`` cannot be honoured."""
-
-
-def _find_compiler() -> Optional[str]:
-    for name in ("cc", "gcc", "clang"):
-        path = shutil.which(name)
-        if path:
-            return path
-    return None
-
-
-def _build_dirs() -> list[Path]:
-    """Candidate cache directories, most preferred first."""
-    dirs = []
-    override = os.environ.get(_ENV_BUILD_DIR)
-    if override:
-        dirs.append(Path(override))
-    dirs.append(_SOURCE.parent / "_build")
-    dirs.append(Path(tempfile.gettempdir()) / f"repro-seqcore-{os.getuid()}")
-    return dirs
-
-
-def _compile(compiler: str, source: Path) -> Optional[Path]:
-    digest = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
-    soname = f"seqcore-{digest}.so"
-    for build_dir in _build_dirs():
-        so_path = build_dir / soname
-        if so_path.exists():
-            return so_path
-        try:
-            build_dir.mkdir(parents=True, exist_ok=True)
-            tmp = so_path.with_name(f".{soname}.{os.getpid()}.tmp")
-            subprocess.run(
-                [compiler, "-O2", "-shared", "-fPIC", "-o", str(tmp), str(source)],
-                check=True,
-                capture_output=True,
-                timeout=120,
-            )
-            os.replace(tmp, so_path)  # atomic under concurrent builders
-            return so_path
-        except (OSError, subprocess.SubprocessError):
-            continue
-    return None
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
@@ -141,53 +71,18 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     return lib
 
 
-def _load_uncached() -> Optional[ctypes.CDLL]:
-    gate = os.environ.get(_ENV_GATE, "").strip().lower()
-    if gate == "off":
-        return None
-    if not _SOURCE.exists():
-        if gate == "require":
-            raise SequiturCoreUnavailable(f"missing C source: {_SOURCE}")
-        return None
-    compiler = _find_compiler()
-    if compiler is None:
-        if gate == "require":
-            raise SequiturCoreUnavailable("no C compiler (cc/gcc/clang) on PATH")
-        return None
-    so_path = _compile(compiler, _SOURCE)
-    if so_path is None:
-        if gate == "require":
-            raise SequiturCoreUnavailable("compiling _sequitur_core.c failed")
-        return None
-    try:
-        return _bind(ctypes.CDLL(str(so_path)))
-    except OSError as exc:
-        if gate == "require":
-            raise SequiturCoreUnavailable(f"loading {so_path} failed: {exc}") from exc
-        return None
+_core = CCore(_SOURCE, _bind)
 
 
 def load() -> Optional[ctypes.CDLL]:
-    """Return the bound C library, or None when unavailable.
+    """Return the bound Sequitur core, or None when unavailable.
 
     The first call compiles (or locates a cached build of) the core; the
-    result — including a failure — is cached for the process lifetime.
-    ``REPRO_SEQUITUR_CORE=require`` turns failures into
-    :class:`SequiturCoreUnavailable` instead.
+    result, a failure included, is cached for the process lifetime.
+    ``REPRO_C_CORE=require`` turns failures into
+    :class:`repro._cbuild.CCoreUnavailable` instead.
     """
-    global _cached, _attempted
-    with _lock:
-        if not _attempted:
-            _cached = _load_uncached()
-            _attempted = True
-        elif _cached is None and os.environ.get(_ENV_GATE, "").strip().lower() == "require":
-            raise SequiturCoreUnavailable("Sequitur C core unavailable (cached failure)")
-        return _cached
+    return _core.load()
 
 
-def reset_for_testing() -> None:
-    """Drop the cached load result (tests flip the env gate)."""
-    global _cached, _attempted
-    with _lock:
-        _cached = None
-        _attempted = False
+reset_for_testing = _core.reset_for_testing

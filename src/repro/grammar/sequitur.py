@@ -21,7 +21,7 @@ bit-identical engines implement that design:
   ``_sequitur_core.c`` when a system compiler is available;
 * :class:`_FastSequitur`, the pure-Python array engine, used as the
   fallback when the C core cannot be built or is disabled via
-  ``REPRO_SEQUITUR_CORE=off``.
+  ``REPRO_C_CORE=off``.
 
 Both produce grammars equal to the original object-based implementation
 preserved in :mod:`repro.grammar.legacy`; the equivalence tests and the

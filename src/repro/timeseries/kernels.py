@@ -425,7 +425,9 @@ def aligned_min_distance(
     The cross terms stay on :func:`numpy.correlate`, which rounds like
     ``np.dot`` (BLAS ``ddot``) offset by offset; a matrix-vector product
     over a sliding-window view rounds differently and would move
-    discords on knife-edge ties.
+    discords on knife-edge ties.  The RRA C core
+    (:mod:`repro.timeseries.eq1core`) reproduces this arithmetic bit for
+    bit, and its parity probe checks that on every first load.
     """
     n = short.size
     window_energy = long_sq_cumsum[n:] - long_sq_cumsum[:-n]

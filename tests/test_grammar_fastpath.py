@@ -71,16 +71,16 @@ ENGINES = ("python", "c") if _C_AVAILABLE else ("python",)
 @contextlib.contextmanager
 def forced_engine(name: str):
     """Run induction on a specific engine, restoring the gate after."""
-    old = os.environ.get("REPRO_SEQUITUR_CORE")
-    os.environ["REPRO_SEQUITUR_CORE"] = "off" if name == "python" else "require"
+    old = os.environ.get("REPRO_C_CORE")
+    os.environ["REPRO_C_CORE"] = "off" if name == "python" else "require"
     ccore.reset_for_testing()
     try:
         yield
     finally:
         if old is None:
-            os.environ.pop("REPRO_SEQUITUR_CORE", None)
+            os.environ.pop("REPRO_C_CORE", None)
         else:
-            os.environ["REPRO_SEQUITUR_CORE"] = old
+            os.environ["REPRO_C_CORE"] = old
         ccore.reset_for_testing()
 
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import math
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,9 +27,36 @@ from repro.resilience.checkpoint import (
     save_checkpoint,
     search_fingerprint,
 )
-from repro.timeseries import kernels
+from repro.timeseries import eq1core, kernels
 from repro.timeseries.distance import DistanceCounter
 from tests.oracles import is_non_self_match
+
+needs_core = pytest.mark.skipif(
+    eq1core.load() is None, reason="the Eq. 1 C core is unavailable on this host"
+)
+
+
+@contextlib.contextmanager
+def c_core_gate(value):
+    """Run the block with ``REPRO_C_CORE=value`` and a fresh core load."""
+    old = os.environ.get("REPRO_C_CORE")
+    os.environ["REPRO_C_CORE"] = value
+    eq1core.reset_for_testing()
+    try:
+        yield
+    finally:
+        if old is None:
+            os.environ.pop("REPRO_C_CORE", None)
+        else:
+            os.environ["REPRO_C_CORE"] = old
+        eq1core.reset_for_testing()
+
+
+@pytest.fixture
+def python_path():
+    """The RRA inner loop on its Python path (``REPRO_C_CORE=off``)."""
+    with c_core_gate("off"):
+        yield
 
 
 def _blip_series(length=800, period=50, blip_at=400, seed=0):
@@ -302,6 +333,7 @@ class TestLazyInnerOrdering:
         assert lazy_rng.bit_generator.state == list_rng.bit_generator.state
 
 
+@pytest.mark.usefixtures("python_path")
 class TestInterruptedInnerLoopAccounting:
     @pytest.mark.parametrize("interrupt_at", [1, 125, 540, 1000])
     def test_interrupt_mid_scan_counts_like_per_pair_counting(
@@ -348,6 +380,173 @@ class TestInterruptedInnerLoopAccounting:
         )
         assert resumed.discords == reference.discords
         assert resumed.distance_calls == reference.distance_calls
+
+
+@needs_core
+class TestInterruptedCoreScanAccounting:
+    @pytest.mark.parametrize("interrupt_after", [1, 2, 90, 200])
+    def test_interrupt_after_core_returns(self, tmp_path, monkeypatch, interrupt_after):
+        """A KeyboardInterrupt right after the core returns for outer
+        candidate *i* counts candidate i's pairs exactly once, while the
+        checkpoint keeps the boundary before it and resumes exactly."""
+        series = _blip_series(length=600)
+        candidates = _candidates_for(series)
+        reference = find_discords(series, candidates, num_discords=2)
+        original = eq1core.Eq1Tables.scan
+        counter = DistanceCounter()
+        through = []  # counter value through each outer candidate
+
+        def interrupting(self, *args):
+            abandoned = original(self, *args)
+            through.append(counter.calls + self.calls.value)
+            if len(through) == interrupt_after:
+                raise KeyboardInterrupt
+            return abandoned
+
+        monkeypatch.setattr(eq1core.Eq1Tables, "scan", interrupting)
+        checkpoint = tmp_path / "ck.json"
+        result = find_discords(
+            series, candidates, num_discords=2,
+            counter=counter, budget=SearchBudget.unlimited(),
+            checkpoint_path=str(checkpoint),
+        )
+        monkeypatch.setattr(eq1core.Eq1Tables, "scan", original)
+
+        assert result.status is SearchStatus.CANCELLED
+        assert len(through) == interrupt_after
+        assert counter.calls == through[-1]
+        assert result.distance_calls == through[-1]
+        boundary = through[-2] if interrupt_after > 1 else 0
+        saved = load_checkpoint(str(checkpoint))
+        assert saved["distance_calls"] == boundary
+        assert saved["ledger"] == {"calls": boundary}
+        resumed = find_discords(
+            series, candidates, num_discords=2, resume_from=str(checkpoint),
+        )
+        assert resumed.discords == reference.discords
+        assert resumed.distance_calls == reference.distance_calls
+
+
+@st.composite
+def _long_series_and_intervals(draw):
+    """Intervals of length 2–1100 over a random walk with flat stretches."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    length = 2400
+    series = np.cumsum(rng.normal(size=length))
+    for _ in range(draw(st.integers(0, 2))):
+        # Near-constant windows: flat up to noise far below the z-norm
+        # flatness threshold, or exactly flat.
+        lo = draw(st.integers(0, length - 200))
+        eps = draw(st.sampled_from([0.0, 1e-12, 1e-6]))
+        series[lo : lo + 200] = series[lo] + eps * rng.normal(size=200)
+    intervals = []
+    for rule_id in range(draw(st.integers(2, 5))):
+        n = draw(st.one_of(st.integers(2, 16), st.integers(2, 1100)))
+        for _ in range(draw(st.integers(1, 2))):  # equal-length partners
+            start = draw(st.integers(0, length - n))
+            intervals.append(RuleInterval(rule_id, start, start + n, usage=1))
+    return series, intervals
+
+
+def _rra_dump(result, rng):
+    return (
+        [
+            (d.start, d.end, d.rank, d.score.hex(), d.nn_distance.hex(), d.rule_id)
+            for d in result.discords
+        ],
+        result.distance_calls,
+        result.status,
+        result.rank_complete,
+        rng.bit_generator.state,
+    )
+
+
+@needs_core
+class TestCoreParity:
+    @given(_long_series_and_intervals(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_core_distance_equals_pair_distance(self, data, order_rng):
+        series, intervals = data
+        reference = _CandidateSet(series, core=False)
+        fast = _CandidateSet(series)
+        assert fast.tables is not None
+        pairs = [(p, q) for p in intervals for q in intervals]
+        order_rng.shuffle(pairs)
+        for p, q in pairs:
+            want = reference.pair_distance(p, q).hex()
+            a, b = fast.idents([p, q]).tolist()
+            # Computed or read from the memo (the reverse pair can come
+            # first); the repeat, the swap and pair_distance always read it.
+            assert fast.tables.distance(a, b).hex() == want
+            assert fast.tables.distance(b, a).hex() == want
+            assert fast.pair_distance(q, p).hex() == want
+            assert _CandidateSet(series).pair_distance(q, p).hex() == want
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(300, 1200),
+        st.sampled_from([(20, 4, 3), (40, 4, 4), (60, 6, 4)]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([None, 50, 700]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_find_discords_core_on_equals_off(
+        self, series_seed, length, params, seed, max_calls
+    ):
+        rng = np.random.default_rng(series_seed)
+        series = np.cumsum(rng.normal(size=length))
+        series[length // 2 : length // 2 + 30] += 4.0
+        candidates = _candidates_for(series, *params)
+
+        def run():
+            search_rng = np.random.default_rng(seed)
+            budget = None if max_calls is None else SearchBudget(max_calls=max_calls)
+            result = find_discords(
+                series, candidates, num_discords=3, rng=search_rng, budget=budget,
+            )
+            return _rra_dump(result, search_rng)
+
+        with c_core_gate("require"):
+            on = run()
+        with c_core_gate("off"):
+            off = run()
+        assert on == off
+
+
+class TestNearestNeighborProfile:
+    @pytest.mark.parametrize("gate", ["", "off"])
+    def test_profile_is_the_pair_distance_minimum(self, gate):
+        """Each profile value is the minimum of ``pair_distance`` over the
+        candidate's non-self matches, bit for bit, and each discord's
+        ``nn_distance`` is the profile value at its interval."""
+        series = _blip_series(length=1200)
+        candidates = _candidates_for(series)
+        with c_core_gate(gate):
+            profile = nearest_neighbor_distances(series, candidates)
+            result = find_discords(series, candidates, num_discords=3)
+        reference = _CandidateSet(series, core=False)
+        for p, value in profile:
+            nearest = math.inf
+            for q in candidates:
+                if is_non_self_match(p, q):
+                    dist = reference.pair_distance(p, q)
+                    if dist < nearest:
+                        nearest = dist
+            assert value.hex() == nearest.hex()
+
+        excluded = []
+        for discord in result.discords:
+            remaining = [
+                iv for iv in candidates
+                if not any(iv.start < e and s < iv.end for s, e in excluded)
+            ]
+            with c_core_gate(gate):
+                values = {
+                    (iv.start, iv.end): d
+                    for iv, d in nearest_neighbor_distances(series, remaining)
+                }
+            assert values[(discord.start, discord.end)].hex() == discord.nn_distance.hex()
+            excluded.append((discord.start, discord.end))
 
 
 class TestCheckpointFingerprint:
