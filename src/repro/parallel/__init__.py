@@ -18,9 +18,12 @@ so a full run is bit-identical to the serial loop for any worker count.
 A caller's :class:`~repro.resilience.budget.CancellationToken` reaches
 the workers through the pool's shared event
 (:mod:`repro.parallel.pool`).
+
+The pool persists across fan-outs: its workers live until
+:func:`shutdown` or interpreter exit.
 """
 
-from repro.parallel.pool import effective_workers
+from repro.parallel.pool import effective_workers, shutdown
 from repro.parallel.shared import SharedArrays, SharedArraySpec, attach
 
 __all__ = [
@@ -28,4 +31,5 @@ __all__ = [
     "SharedArrays",
     "SharedArraySpec",
     "attach",
+    "shutdown",
 ]

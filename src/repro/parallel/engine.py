@@ -1,13 +1,14 @@
 """Coarse fan-outs over the process pool: ensemble members and grid pairs.
 
 * :func:`parallel_ensemble_members` — the ensemble detector's members,
-  one pool task per ``(window, paa_size)`` group;
+  one pool task per member, heaviest first;
 * :func:`parallel_grid_pairs` / :func:`parallel_grid_sweep` — the
   parameter-grid study, one task per ``(window, paa_size)`` pair.
 
 Every task runs ordinary serial searches; the series reaches the
-workers once, through shared memory, and each worker memoizes its
-front-half artifacts in a per-series :class:`~repro.cache.SearchContext`.
+workers once per fan-out, through shared memory, and each worker
+memoizes its front-half artifacts in a per-series
+:class:`~repro.cache.SearchContext`.
 Results come back in canonical order, so a full run is bit-identical to
 the serial loop for any worker count.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.parallel.pool import budget_from_spec, budget_to_spec, run_tasks
-from repro.parallel.shared import SharedArrays, attach
+from repro.parallel.shared import SharedArrays, attach, detach_all
 from repro.resilience.budget import SearchBudget
 
 __all__ = [
@@ -32,12 +33,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-#: Worker-global memoization context for grid-sweep tasks, keyed by the
-#: shared-memory block name of the series it serves.  Pool workers are
-#: reused across tasks, so every (window, paa_size) pair a worker
-#: evaluates for one sweep shares z-normalized windows, discretizations,
-#: and statistics.  One sweep runs at a time per pool, so a new series
-#: simply replaces the old context.
+#: Worker-global ``(series, SearchContext)`` for the series of the current
+#: fan-out, keyed by its shared-memory block name.  Pool workers persist
+#: across tasks and fan-outs, so every member or (window, paa_size) pair
+#: a worker evaluates for one fan-out shares one series copy (and so one
+#: memoized digest), z-normalized windows, discretizations and
+#: statistics.  One fan-out runs at a time per pool, so a new series
+#: replaces the old entry.
 _GRID_CONTEXTS: dict = {}
 
 
@@ -45,13 +47,12 @@ def _grid_pair_task(payload: dict) -> list:
     """Worker: evaluate one (window, paa_size) pair over all alphabets."""
     from repro.core.parameter_grid import ParameterGridStudy
 
-    series = np.array(attach(payload["series"]))
+    series, context = _worker_series(payload["series"])
     study = ParameterGridStudy(
         series,
         tuple(payload["true_anomaly"]),
         min_overlap=payload["min_overlap"],
     )
-    context = _worker_series_context(payload["series"])
     return study._evaluate_pair(
         payload["window"],
         payload["paa_size"],
@@ -92,31 +93,31 @@ def parallel_grid_pairs(study, pairs, *, n_workers: int) -> list:
     return points
 
 
-def _worker_series_context(series_spec):
-    """The worker-global :class:`SearchContext` for one shared series.
+def _worker_series(series_spec):
+    """The worker's copy of one shared series and its :class:`SearchContext`.
 
-    Shared with the grid-sweep tasks: pool workers are reused across
-    tasks, so every member/pair a worker evaluates for one fan-out
-    shares its per-series memoized artifacts.
+    Built on the first task of a fan-out.  A new series drops the
+    previous entry and unmaps the previous fan-out's blocks (the parent
+    has unlinked them; a mapping would keep their memory alive).
     """
     from repro.cache import SearchContext
 
-    ctx_key = series_spec.name
-    context = _GRID_CONTEXTS.get(ctx_key)
-    if context is None:
+    entry = _GRID_CONTEXTS.get(series_spec.name)
+    if entry is None:
         _GRID_CONTEXTS.clear()
-        context = _GRID_CONTEXTS[ctx_key] = SearchContext()
-    return context
+        detach_all()
+        series = np.array(attach(series_spec))
+        entry = _GRID_CONTEXTS[series_spec.name] = (series, SearchContext())
+    return entry
 
 
-def _ensemble_member_task(payload: dict) -> list:
-    """Worker: evaluate one (window, paa_size) group of ensemble members.
+def _ensemble_member_task(payload: dict):
+    """Worker: evaluate one ensemble member; returns its ``MemberOutcome``.
 
-    Returns ``(index, MemberOutcome)`` pairs.  A ``skip`` payload (the
-    parent's budget tripped before this group was submitted) produces
-    ``"skipped"`` outcomes without touching the series.  A ``budget``
-    spec is rebuilt with :func:`budget_from_spec`, so a cancelled
-    parent stops the group's members through the pool's event.
+    A ``skip`` payload (the parent's budget tripped before this member
+    was submitted) produces a ``"skipped"`` outcome without touching the
+    series.  A ``budget`` spec is rebuilt with :func:`budget_from_spec`,
+    so a cancelled parent stops the member through the pool's event.
     """
     from repro.core.ensemble import (
         EnsembleMember,
@@ -124,34 +125,34 @@ def _ensemble_member_task(payload: dict) -> list:
         evaluate_member,
     )
 
-    items = [tuple(item) for item in payload["items"]]
+    member = EnsembleMember(*payload["member"])
     if payload.get("skip"):
-        return [
-            (idx, MemberOutcome(EnsembleMember(w, p, a), "skipped"))
-            for idx, w, p, a in items
-        ]
-    series = np.array(attach(payload["series"]))
-    context = _worker_series_context(payload["series"])
+        return MemberOutcome(member, "skipped")
+    series, context = _worker_series(payload["series"])
     spec = payload.get("budget")
-    budget = budget_from_spec(spec) if spec is not None else None
-    out = []
-    local_calls = 0
-    for idx, w, p, a in items:
-        member = EnsembleMember(w, p, a)
-        if budget is not None and budget.interrupted(local_calls) is not None:
-            out.append((idx, MemberOutcome(member, "skipped")))
-            continue
-        outcome = evaluate_member(
-            series,
-            member,
-            num_discords=payload["num_discords"],
-            seed=payload["seed"],
-            context=context,
-            budget=budget,
-        )
-        local_calls += outcome.distance_calls
-        out.append((idx, outcome))
-    return out
+    return evaluate_member(
+        series,
+        member,
+        num_discords=payload["num_discords"],
+        seed=payload["seed"],
+        context=context,
+        budget=budget_from_spec(spec) if spec is not None else None,
+    )
+
+
+def _dispatch_order(pending: list) -> list:
+    """Heaviest members first: by window, then richest words.
+
+    Within a window, the largest PAA size and alphabet make the most
+    grammar rules and RRA candidates, so they cost the most.  Merging
+    is keyed by grid index, so the order moves wall time only.
+    """
+    return sorted(
+        pending,
+        key=lambda item: (
+            item[1].window, -item[1].paa_size, -item[1].alphabet_size
+        ),
+    )
 
 
 def parallel_ensemble_members(
@@ -163,48 +164,37 @@ def parallel_ensemble_members(
     budget,
     n_workers: int,
 ):
-    """Fan ensemble members out one pool task per (window, paa) group.
+    """Fan ensemble members out one pool task per member, heaviest first.
 
     *pending* is a list of ``(index, EnsembleMember)`` in canonical
     grid order; the returned dict maps each index to its
-    :class:`~repro.core.ensemble.MemberOutcome`.  Grouping by
-    (window, paa_size) preserves the sweep layer's front-half sharing:
-    every alphabet of a pair reuses one discretization pass through the
-    worker's context.
+    :class:`~repro.core.ensemble.MemberOutcome`.  Members that share a
+    (window, paa_size) on one worker share its discretization through
+    the worker's context.
 
-    With a *budget*, groups are dispatched in canonical waves and each
-    payload is resolved at submission time against the calls already
-    merged from delivered groups — so a tripped call ceiling truncates
-    on a group boundary ("skipped" outcomes), while deadlines and
-    cancellation travel into the workers and can truncate an individual
-    member mid-group.  Full (untripped) runs are bit-identical to the
-    serial member loop for any worker count.
+    With a *budget*, members are dispatched in waves of ``n_workers``
+    and each payload is resolved at submission time against the calls
+    already merged from delivered members.  A spent ceiling turns the
+    remaining members into ``"skipped"`` outcomes; otherwise the member
+    ships the calls left under the ceiling and the deadline left, so it
+    truncates itself.  Each member counts only its own calls and the
+    waves are fixed, so a ceiling trips the same way on every run.
+    Full (untripped) runs are bit-identical to the serial member loop
+    for any worker count and any dispatch order.
     """
-    pending = list(pending)
-    if not pending:
+    ordered = _dispatch_order(list(pending))
+    if not ordered:
         return {}
-    group_order: list[tuple[int, int]] = []
-    groups: dict[tuple[int, int], list] = {}
-    for idx, member in pending:
-        key = (member.window, member.paa_size)
-        if key not in groups:
-            groups[key] = []
-            group_order.append(key)
-        groups[key].append((idx, member))
     state = {"calls": 0}
-    outcomes: dict = {}
     with SharedArrays() as arena:
         series_spec = arena.share(
             np.ascontiguousarray(np.asarray(series, dtype=float))
         )
 
-        def make_payload(items):
+        def make_payload(member):
             base = {
                 "series": series_spec,
-                "items": [
-                    (idx, m.window, m.paa_size, m.alphabet_size)
-                    for idx, m in items
-                ],
+                "member": member.triple,
                 "num_discords": int(num_discords),
                 "seed": int(seed),
                 "budget": None,
@@ -213,36 +203,34 @@ def parallel_ensemble_members(
                 return base
 
             def build():
-                if budget.interrupted(state["calls"]) is not None:
+                calls = state["calls"]
+                if budget.interrupted(calls) is not None:
                     return {**base, "skip": True}
-                # The call ceiling stays here (checked between waves);
-                # the worker gets the deadline left.  A budget with
-                # neither limit still ships an (empty) spec, so the
-                # worker's budget binds the pool's cancellation event.
+                max_calls = budget.max_calls
+                # A budget with no limit still ships an (empty) spec, so
+                # the worker's budget binds the pool's cancellation event.
                 spec = budget_to_spec(
-                    SearchBudget(deadline=budget.remaining_deadline())
+                    SearchBudget(
+                        deadline=budget.remaining_deadline(),
+                        max_calls=None if max_calls is None else max_calls - calls,
+                    )
                 )
                 return {**base, "budget": spec or {}}
 
             return build
 
-        def on_result(_index, result):
-            for _idx, outcome in result or []:
-                state["calls"] += outcome.distance_calls
+        def on_result(_index, outcome):
+            state["calls"] += outcome.distance_calls
 
-        payloads = [make_payload(groups[key]) for key in group_order]
         results = run_tasks(
             _ensemble_member_task,
-            payloads,
+            [make_payload(member) for _idx, member in ordered],
             n_workers=n_workers,
             budget=budget,
             on_result=on_result,
             wave_size=n_workers if budget is not None else None,
         )
-    for result in results:
-        for idx, outcome in result or []:
-            outcomes[idx] = outcome
-    return outcomes
+    return {idx: outcome for (idx, _member), outcome in zip(ordered, results)}
 
 
 def parallel_grid_sweep(

@@ -9,8 +9,11 @@ ensemble and grid fan-outs share regardless of what a task computes:
 * an ``Event``-backed cancellation token so a parent-side
   :class:`~repro.resilience.budget.CancellationToken` (or a
   ``KeyboardInterrupt``) reaches every worker mid-search;
+* one persistent pool per process, reused by every :func:`run_tasks`
+  call (a worker loads the C cores once, not once per request) and
+  stopped by :func:`shutdown` or at interpreter exit;
 * :func:`run_tasks`, the dispatch/collect loop with cooperative
-  cancellation and guaranteed pool teardown (no orphaned workers).
+  cancellation; a failed or interrupted run terminates the pool.
 
 Budgets cross the process boundary as plain dicts
 (:func:`budget_to_spec` / :func:`budget_from_spec`); the worker side
@@ -19,8 +22,12 @@ re-binds the cancellation token to the pool's shared event.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
+import os
+import queue
 import signal
+import threading
 import time
 from typing import Any, Callable, Optional
 
@@ -33,6 +40,7 @@ __all__ = [
     "budget_to_spec",
     "budget_from_spec",
     "run_tasks",
+    "shutdown",
 ]
 
 def effective_workers(n_workers: Optional[int]) -> int:
@@ -116,6 +124,79 @@ def pool_context():
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
+class _Workers:
+    """The process-wide pool plus the cancellation event its workers hold."""
+
+    __slots__ = ("pool", "event", "n_workers", "pid")
+
+    def __init__(self, n_workers: int) -> None:
+        ctx = pool_context()
+        self.event = ctx.Event()
+        self.pool = ctx.Pool(
+            processes=n_workers,
+            initializer=_init_worker,
+            initargs=(self.event, ctx.get_start_method() != "fork"),
+        )
+        self.n_workers = n_workers
+        self.pid = os.getpid()
+
+
+#: The persistent pool (None until the first fan-out).  Reused by every
+#: :func:`run_tasks` call with the same ``n_workers`` in the process
+#: that built it; replaced on a different ``n_workers``; dropped after a
+#: failed or interrupted run and by :func:`shutdown`.
+_WORKERS: Optional[_Workers] = None
+
+#: Serializes :func:`run_tasks`: one fan-out per process at a time, which
+#: the pool's single event and the workers' per-series memo
+#: (``repro.parallel.engine._GRID_CONTEXTS``) both assume.
+_LOCK = threading.Lock()
+
+
+def _workers(n_workers: int) -> _Workers:
+    """The persistent pool for *n_workers*, built on first use."""
+    global _WORKERS
+    if _WORKERS is not None and (
+        _WORKERS.n_workers != n_workers or _WORKERS.pid != os.getpid()
+    ):
+        _discard(graceful=True)
+    if _WORKERS is None:
+        _WORKERS = _Workers(n_workers)
+    return _WORKERS
+
+
+def _discard(*, graceful: bool = False) -> None:
+    """Stop and forget the persistent pool.
+
+    *graceful* closes an idle pool, so its workers exit normally and
+    run their exit handlers; otherwise the workers are terminated
+    mid-task.  A pool inherited through ``fork`` belongs to the parent:
+    the child only forgets it.
+    """
+    global _WORKERS
+    workers, _WORKERS = _WORKERS, None
+    if workers is None or workers.pid != os.getpid():
+        return
+    if graceful:
+        workers.pool.close()
+    else:
+        workers.pool.terminate()
+    workers.pool.join()
+
+
+def shutdown() -> None:
+    """Stop the persistent worker pool; the next fan-out builds a new one.
+
+    Workers otherwise live until the interpreter exits, where
+    multiprocessing's own pool finalizer terminates them.  A host that
+    keeps many modules alive into interpreter teardown (a test runner)
+    should call this first: a pool object still running then can print
+    an ignored exception from its ``__del__``.
+    """
+    with _LOCK:
+        _discard(graceful=True)
+
+
 def run_tasks(
     task: Callable[[dict], Any],
     payloads: list,
@@ -127,7 +208,7 @@ def run_tasks(
     grace_seconds: float = 5.0,
     wave_size: Optional[int] = None,
 ) -> list[Any]:
-    """Execute *task* over *payloads* in a worker pool; ordered results.
+    """Execute *task* over *payloads* on the persistent pool; ordered results.
 
     Results are collected as they finish and delivered in payload order.
     ``on_result(index, result)`` fires for the longest completed *prefix*
@@ -140,7 +221,8 @@ def run_tasks(
     fan-out check the calls merged so far against the caller's budget
     before it submits more work.
 
-    Cancellation paths:
+    Cancellation paths (*poll_seconds* is how often the parent checks
+    *budget*'s token while it waits):
 
     * *budget*'s token trips → the shared event is set, workers notice at
       their next outer-loop boundary and return best-so-far results;
@@ -148,82 +230,79 @@ def run_tasks(
       tasks are drained for up to *grace_seconds*, then the pool is
       terminated; the interrupt is re-raised for the caller to handle.
 
-    The pool is always closed and joined — no orphaned workers survive
-    this function, whichever path exits it.
+    The pool outlives a successful call.  Any exception (a task's, or an
+    interrupt) terminates it, and the next call builds a fresh one.
     """
     if not payloads:
         return []
-    ctx = pool_context()
-    event = ctx.Event()
-    results: list[Any] = [None] * len(payloads)
-    done = [False] * len(payloads)
-    delivered = 0
+    wave = wave_size if wave_size is not None else len(payloads)
+    if wave < 1:
+        raise ParameterError(f"wave_size must be >= 1, got {wave}")
+    with _LOCK:
+        workers = _workers(n_workers)
+        event = workers.event
+        event.clear()
+        token = budget.token if budget is not None else None
+        finished: queue.SimpleQueue = queue.SimpleQueue()
+        results: list[Any] = [None] * len(payloads)
+        done = [False] * len(payloads)
+        handles: list = [None] * len(payloads)
+        delivered = 0
 
-    def _deliver_prefix() -> None:
-        nonlocal delivered
-        while delivered < len(payloads) and done[delivered]:
-            if on_result is not None:
-                on_result(delivered, results[delivered])
-            delivered += 1
+        def _deliver_prefix() -> None:
+            nonlocal delivered
+            while delivered < len(payloads) and done[delivered]:
+                if on_result is not None:
+                    on_result(delivered, results[delivered])
+                delivered += 1
 
-    handles: list = []
-    pool = ctx.Pool(
-        processes=min(n_workers, len(payloads)),
-        initializer=_init_worker,
-        initargs=(event, ctx.get_start_method() != "fork"),
-    )
-    try:
-        wave = wave_size if wave_size is not None else len(payloads)
-        if wave < 1:
-            raise ParameterError(f"wave_size must be >= 1, got {wave}")
-        handles = [None] * len(payloads)
-        for lo in range(0, len(payloads), wave):
-            wave_ids = range(lo, min(lo + wave, len(payloads)))
-            for i in wave_ids:
-                payload = payloads[i]
-                if callable(payload):
-                    payload = payload()
-                handles[i] = pool.apply_async(task, (payload,))
-            pending = set(wave_ids)
-            while pending:
-                progressed = False
-                for i in sorted(pending):
-                    if handles[i].ready():
-                        results[i] = handles[i].get()
-                        done[i] = True
-                        pending.discard(i)
-                        progressed = True
-                _deliver_prefix()
-                if not pending:
-                    break
-                if budget is not None and budget.token is not None:
-                    if budget.token.cancelled and not event.is_set():
+        try:
+            for lo in range(0, len(payloads), wave):
+                wave_ids = range(lo, min(lo + wave, len(payloads)))
+                for i in wave_ids:
+                    payload = payloads[i]
+                    if callable(payload):
+                        payload = payload()
+                    notify = functools.partial(_notify, finished, i)
+                    handles[i] = workers.pool.apply_async(
+                        task, (payload,), callback=notify, error_callback=notify
+                    )
+                pending = len(wave_ids)
+                while pending:
+                    if token is not None and token.cancelled:
                         event.set()
-                if not progressed:
-                    time.sleep(poll_seconds)
-        pool.close()
-        pool.join()
-        return results
-    except KeyboardInterrupt:
-        event.set()
-        deadline = time.monotonic() + grace_seconds
-        for i, handle in enumerate(handles):
-            if handle is None:  # never submitted (later wave)
-                break
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                results[i] = handle.get(timeout=remaining)
-                done[i] = True
-            except Exception:
-                break
-        pool.terminate()
-        pool.join()
-        _deliver_prefix()
-        raise
-    except BaseException:
-        event.set()
-        pool.terminate()
-        pool.join()
-        raise
+                    try:
+                        i = finished.get(timeout=poll_seconds)
+                    except queue.Empty:
+                        continue
+                    results[i] = handles[i].get()
+                    done[i] = True
+                    pending -= 1
+                    _deliver_prefix()
+            return results
+        except KeyboardInterrupt:
+            event.set()
+            deadline = time.monotonic() + grace_seconds
+            for i, handle in enumerate(handles):
+                if handle is None:  # never submitted (later wave)
+                    break
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                try:
+                    results[i] = handle.get(timeout=remaining)
+                    done[i] = True
+                except Exception:
+                    break
+            _discard()
+            _deliver_prefix()
+            raise
+        except BaseException:
+            event.set()
+            _discard()
+            raise
+
+
+def _notify(finished: queue.SimpleQueue, index: int, _outcome) -> None:
+    """Pool callback (result-handler thread): report *index* as finished."""
+    finished.put(index)

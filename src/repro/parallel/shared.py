@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["SharedArraySpec", "SharedArrays", "attach"]
+__all__ = ["SharedArraySpec", "SharedArrays", "attach", "detach_all"]
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class SharedArrays:
 
 #: Worker-side cache of attached blocks.  The numpy views handed out by
 #: :func:`attach` borrow the block's buffer, so the SharedMemory objects
-#: must stay alive for the lifetime of the worker process.
+#: must stay alive until :func:`detach_all`.
 _ATTACHED: dict[str, shared_memory.SharedMemory] = {}
 
 #: Whether :func:`attach` must deregister attachments from the resource
@@ -112,6 +112,18 @@ def attach(spec: Optional[SharedArraySpec]) -> Optional[np.ndarray]:
     view = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=block.buf)
     view.flags.writeable = False
     return view
+
+
+def detach_all() -> None:
+    """Unmap every block this process attached (worker side).
+
+    Pool workers outlive a fan-out; the blocks of a finished fan-out are
+    unlinked by the parent but stay in memory while mapped.  Views from
+    :func:`attach` must no longer be in use.
+    """
+    for block in _ATTACHED.values():
+        block.close()
+    _ATTACHED.clear()
 
 
 def _unregister_from_tracker(block: shared_memory.SharedMemory) -> None:

@@ -8,6 +8,20 @@ import pytest
 from repro.datasets import sine_with_anomaly
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _stop_pool_workers():
+    """Stop the persistent worker pool when the session ends.
+
+    Otherwise the pool object can outlive the multiprocessing modules at
+    interpreter teardown, and its ``__del__`` prints an ignored
+    exception after the test summary.
+    """
+    yield
+    from repro.parallel import shutdown
+
+    shutdown()
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A fresh deterministic generator per test."""

@@ -2,35 +2,69 @@
 
 Every discord search runs in one process; the pool serves the coarse
 fan-outs only — parameter-grid pairs and ensemble members.  These tests
-cover the pool plumbing, the grid sweep, and the ensemble member task's
-cancellation.  The headline property of the fan-outs — a parallel run
-returns the same points/aggregate as the serial loop — is asserted
-with equality, not tolerance (the ensemble's is pinned against the
-goldens in ``test_golden_ensemble.py``).
+cover the pool plumbing and lifecycle, the grid sweep, and the ensemble
+member task's dispatch order, budgets and cancellation.  The headline
+property of the fan-outs — a parallel run returns the same
+points/aggregate as the serial loop — is asserted with equality, not
+tolerance (the ensemble's is pinned against the goldens in
+``test_golden_ensemble.py``).
 """
 
 from __future__ import annotations
 
+import glob
+import json
 import multiprocessing
+import os
+import random
+import subprocess
+import sys
+import textwrap
 import threading
+import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.core.ensemble import default_grid
+from repro.core.ensemble import (
+    EnsembleDetector,
+    _member_payload,
+    default_grid,
+    ensemble_grid,
+)
 from repro.core.parameter_grid import ParameterGridStudy
+from repro.core.pipeline import GrammarAnomalyDetector
 from repro.datasets.ecg import synthetic_ecg
+from repro.datasets.registry import table1_rows
 from repro.exceptions import ParameterError
-from repro.parallel import effective_workers, engine, pool
+from repro.parallel import effective_workers, engine, pool, shutdown
 from repro.parallel.pool import budget_from_spec, budget_to_spec, run_tasks
+from repro.parallel.shared import SharedArrays
 from repro.resilience.budget import CancellationToken, SearchBudget
+from tests.test_golden_ensemble import DATASETS, GRIDS, _load_dataset
 
 
 def _no_orphans():
+    """No pool worker outlives :func:`repro.parallel.shutdown`."""
+    shutdown()
     assert multiprocessing.active_children() == []
 
 
 def _square(payload: dict) -> int:
     return payload["x"] ** 2
+
+
+def _pid(_payload) -> int:
+    return os.getpid()
+
+
+def _fail(payload: dict) -> int:
+    raise ValueError(payload["x"])
+
+
+def _worker_pids() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()}
 
 
 # -- pool plumbing unit tests ------------------------------------------
@@ -166,3 +200,277 @@ def test_ensemble_pool_call_ceiling_is_anytime(sine_bump):
     assert "skipped" in statuses
     assert statuses[-1] == "skipped"
     _no_orphans()
+
+
+def test_pool_call_ceiling_bounds_the_spent_calls():
+    """Each member ships the calls left under the ceiling, so it
+    truncates itself: the spent calls stay within ``n_workers`` ceilings
+    plus one outer candidate's inner loop per truncated member."""
+    row = next(r for r in table1_rows() if r.key == "daily_commute")
+    series = row.factory().series
+    max_calls = 500
+    result = EnsembleDetector(n_workers=2).fit(
+        series, budget=SearchBudget(max_calls=max_calls)
+    )
+    ledger = result.ledger()
+    overshoot = sum(
+        len(
+            GrammarAnomalyDetector(
+                e["window"], e["paa_size"], e["alphabet_size"]
+            ).fit(series).candidates
+        )
+        for e in ledger
+        if e["status"] == "truncated"
+    )
+    spent = sum(e["distance_calls"] for e in ledger)
+    assert result.degraded
+    assert spent <= 2 * max_calls + overshoot
+    _no_orphans()
+
+
+# -- dispatch order ------------------------------------------------------
+
+
+def _hex(value):
+    return float(value).hex() if isinstance(value, float) else value
+
+
+def _signature(result) -> tuple:
+    """Aggregate digest, merged discords (float hex) and member ledger."""
+    discords = [
+        (
+            d.start,
+            d.end,
+            d.support,
+            _hex(d.score),
+            tuple(tuple(_hex(x) for x in vote) for vote in d.votes),
+        )
+        for d in result.discords
+    ]
+    return result.score_digest(), discords, result.ledger()
+
+
+DISPATCH_ORDERS = {
+    "canonical": list,
+    "reversed": lambda pending: list(reversed(pending)),
+    "shuffled": lambda pending: random.Random(20).sample(pending, len(pending)),
+}
+
+
+@pytest.mark.parametrize("dataset_name", sorted(DATASETS))
+def test_dispatch_order_cannot_change_the_answer(monkeypatch, dataset_name):
+    """Sub-stream pin: members seed their own searches and merge by grid
+    index, so any dispatch order over two workers gives the serial
+    aggregate, discords and ledger bit for bit."""
+    series = _load_dataset(dataset_name).series
+    grid = ensemble_grid(*GRIDS[dataset_name])
+
+    def fit(n_workers):
+        detector = EnsembleDetector(grid, num_discords=2, n_workers=n_workers)
+        return _signature(detector.fit(series))
+
+    serial = fit(1)
+    assert fit(2) == serial  # the shipped heaviest-first order
+    for name, order in DISPATCH_ORDERS.items():
+        monkeypatch.setattr(engine, "_dispatch_order", order)
+        assert fit(2) == serial, name
+    _no_orphans()
+
+
+def test_member_outcome_independent_of_position_in_worker_context():
+    """A member evaluated first or last in a worker's shared context
+    (after every other member filled it) gives byte-equal outcomes."""
+    series = _load_dataset("ecg").series
+    members = ensemble_grid(*GRIDS["ecg"])
+    probe, others = members[-1], members[:-1]
+
+    def run(order):
+        engine._GRID_CONTEXTS.clear()
+        with SharedArrays() as arena:
+            spec = arena.share(series)
+            outcomes = [
+                engine._ensemble_member_task(
+                    {
+                        "series": spec,
+                        "member": member.triple,
+                        "num_discords": 2,
+                        "seed": 0,
+                        "budget": None,
+                    }
+                )
+                for member in order
+            ]
+        engine._GRID_CONTEXTS.clear()
+        return json.dumps(_member_payload(outcomes[order.index(probe)]))
+
+    assert run([probe, *others]) == run([*others, probe])
+
+
+def test_worker_unmaps_the_previous_series():
+    """Workers outlive a fan-out: a new series unmaps the old blocks,
+    which the parent has unlinked, so their memory is freed."""
+    from repro.parallel import shared
+
+    engine._GRID_CONTEXTS.clear()
+    with SharedArrays() as first, SharedArrays() as second:
+        old = first.share(np.arange(4.0))
+        new = second.share(np.arange(5.0))
+        engine._worker_series(old)
+        series, _context = engine._worker_series(new)
+        assert list(shared._ATTACHED) == [new.name]
+        assert np.array_equal(series, np.arange(5.0))
+    engine._GRID_CONTEXTS.clear()
+    shared.detach_all()
+
+
+def test_dispatch_order_is_heaviest_first():
+    pending = list(enumerate(ensemble_grid([60, 90], [4, 6], [3, 5])))
+    ordered = [m.triple for _, m in engine._dispatch_order(pending)]
+    assert ordered == [
+        (60, 6, 5), (60, 6, 3), (60, 4, 5), (60, 4, 3),
+        (90, 6, 5), (90, 6, 3), (90, 4, 5), (90, 4, 3),
+    ]
+
+
+# -- pool lifecycle ------------------------------------------------------
+
+
+def test_pool_persists_across_fits(sine_bump):
+    shutdown()
+    detector = _pool_ensemble()
+    first = detector.fit(sine_bump.series)
+    pids = _worker_pids()
+    assert len(pids) == 2
+    second = detector.fit(sine_bump.series)
+    assert _worker_pids() == pids
+    assert set(run_tasks(_pid, [{}] * 6, n_workers=2)) <= pids
+    assert _signature(second) == _signature(first)
+    _no_orphans()
+
+
+def test_shutdown_stops_every_worker():
+    assert run_tasks(_square, [{"x": 3}], n_workers=2) == [9]
+    assert len(_worker_pids()) == 2
+    shutdown()
+    assert multiprocessing.active_children() == []
+    shutdown()  # idempotent
+    assert run_tasks(_square, [{"x": 4}], n_workers=2) == [16]
+    _no_orphans()
+
+
+def test_changing_n_workers_replaces_the_pool():
+    run_tasks(_pid, [{}], n_workers=1)
+    one = _worker_pids()
+    assert len(one) == 1
+    run_tasks(_pid, [{}], n_workers=2)
+    two = _worker_pids()
+    assert len(two) == 2 and not (one & two)
+    _no_orphans()
+
+
+def test_task_exception_terminates_the_pool():
+    with pytest.raises(ValueError):
+        run_tasks(_fail, [{"x": 1}, {"x": 2}], n_workers=2)
+    assert multiprocessing.active_children() == []
+    assert run_tasks(_square, [{"x": 2}], n_workers=2) == [4]
+    _no_orphans()
+
+
+def test_keyboard_interrupt_terminates_the_pool():
+    delivered = []
+
+    def interrupt():
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        run_tasks(
+            _square,
+            [{"x": 2}, interrupt],
+            n_workers=2,
+            on_result=lambda i, r: delivered.append((i, r)),
+            wave_size=1,
+        )
+    assert delivered == [(0, 4)]
+    assert multiprocessing.active_children() == []
+    _no_orphans()
+
+
+def test_concurrent_fits_get_the_serial_answer(sine_bump):
+    """``run_tasks`` is serialized per process, so two threads fanning
+    out at once each get the serial answer — even with different worker
+    counts, where one fan-out replaces the pool the other was given."""
+    grid = _pool_ensemble().grid
+    serial = _signature(
+        EnsembleDetector(grid, num_discords=2).fit(sine_bump.series)
+    )
+    answers: list = [None, None]
+
+    def fit(slot):
+        detector = EnsembleDetector(grid, num_discords=2, n_workers=2 + slot)
+        answers[slot] = _signature(detector.fit(sine_bump.series))
+
+    run_tasks(_pid, [{}], n_workers=2)  # the pool the first fit reuses
+    threads = [
+        threading.Thread(target=fit, args=(i,), daemon=True) for i in range(2)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert answers == [serial, serial]
+    _no_orphans()
+
+
+def _process_group(pgid: int) -> list[int]:
+    """Pids whose process group is *pgid* (zombies included)."""
+    found = []
+    for path in glob.glob("/proc/[0-9]*/stat"):
+        try:
+            with open(path) as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:  # the process ended meanwhile
+            continue
+        if int(fields[2]) == pgid:
+            found.append(int(path.split("/")[2]))
+    return found
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="needs /proc to list a process group"
+)
+def test_interpreter_exit_stops_the_workers(tmp_path):
+    """No exit hook: multiprocessing's own pool finalizer stops the
+    workers when the interpreter exits, quietly."""
+    script = tmp_path / "fit.py"
+    script.write_text(textwrap.dedent("""
+        import multiprocessing
+        from repro.core.ensemble import EnsembleDetector, ensemble_grid
+        from repro.datasets.synthetic import sine_with_anomaly
+
+        series = sine_with_anomaly(length=1200, period=100, seed=7).series
+        grid = ensemble_grid([60, 100], [4], [3, 5])
+        EnsembleDetector(grid, num_discords=2, n_workers=2).fit(series)
+        print(sorted(p.pid for p in multiprocessing.active_children()))
+    """))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    proc = subprocess.Popen(
+        [sys.executable, str(script)],
+        start_new_session=True,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert err == ""
+    workers = json.loads(out)
+    assert len(workers) == 2
+    # The resource tracker may linger for a moment after the exit.
+    deadline = time.monotonic() + 30
+    while _process_group(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert _process_group(proc.pid) == []
