@@ -29,6 +29,7 @@ from repro.sax.alphabet import (
     letter_indices,
 )
 from repro.sax.sax import mindist
+from repro.timeseries.kernels import centred_prefix_sums
 from repro.timeseries.paa import paa_batch
 from repro.timeseries.preprocess import nonfinite_spans
 from repro.timeseries.windows import sliding_windows
@@ -224,12 +225,7 @@ def windowed_paa(
             f"series of length {series.size} is shorter than window {window}"
         )
     k = series.size - window + 1
-    centre = series.mean()
-    x = series - centre
-    c = np.zeros(series.size + 1)
-    np.cumsum(x, out=c[1:])
-    c2 = np.zeros(series.size + 1)
-    np.cumsum(x * x, out=c2[1:])
+    centre, x, c, c2 = centred_prefix_sums(series)
 
     mu = (c[window:] - c[:k]) / window
     s2 = c2[window:] - c2[:k]

@@ -10,7 +10,8 @@ the *logical* call accounting bit-identical (see
 
 * **Cumulative-sum window statistics** — mean/std of every sliding
   window (or of any ``[start, end)`` interval, via :class:`SeriesStats`)
-  in O(m) total, replacing per-window ``znorm`` calls.
+  in O(m) total from prefix sums of the centred series, replacing
+  per-window ``znorm`` calls.
 * **One-vs-all squared Euclidean** — the dot-product identity
   ``‖a − b‖² = ‖a‖² + ‖b‖² − 2·a·b`` turns an inner loop of pairwise
   distances into one matrix-vector product.
@@ -42,6 +43,7 @@ from repro.timeseries.windows import num_windows, sliding_windows
 from repro.timeseries.znorm import DEFAULT_FLATNESS_THRESHOLD, znorm_rows
 
 __all__ = [
+    "centred_prefix_sums",
     "SeriesStats",
     "WindowMatrix",
     "sliding_window_stats",
@@ -64,17 +66,41 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def centred_prefix_sums(
+    series: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """``(centre, x, c, c2)`` for a float64 series.
+
+    *centre* is the global mean, ``x = series − centre`` the centred
+    series, and ``c = [0, cumsum(x)]``, ``c2 = [0, cumsum(x²)]`` its
+    prefix sums.  Window statistics taken from raw prefix sums cancel
+    catastrophically far from zero: ``E[x²] − mean²`` at an offset of
+    1e6 keeps only a few digits of a unit variance.  Centred sums keep
+    them independent of the offset (DESIGN.md §5).  The one definition
+    behind :class:`SeriesStats`, :func:`sliding_window_stats` and
+    :func:`repro.sax.discretize.windowed_paa`.
+    """
+    centre = float(series.mean()) if series.size else 0.0
+    x = series - centre
+    c = np.zeros(series.size + 1)
+    np.cumsum(x, out=c[1:])
+    c2 = np.zeros(series.size + 1)
+    np.cumsum(x * x, out=c2[1:])
+    return centre, x, c, c2
+
+
 class SeriesStats:
     """O(1) mean/std/z-normalization of any interval after O(m) setup.
 
-    Precomputes the cumulative sums of the series and of its squares so
-    the statistics of an arbitrary ``[start, end)`` interval come from
-    two subtractions instead of a fresh pass over the values.  This is
-    the batch replacement for calling :func:`repro.timeseries.znorm.znorm`
-    once per candidate window.
+    Precomputes the prefix sums of the centred series and of its squares
+    (:func:`centred_prefix_sums`) so the statistics of an arbitrary
+    ``[start, end)`` interval come from two subtractions instead of a
+    fresh pass over the values.  This is the batch replacement for
+    calling :func:`repro.timeseries.znorm.znorm` once per candidate
+    window.
     """
 
-    __slots__ = ("series", "_cumsum", "_sq_cumsum")
+    __slots__ = ("series", "centre", "centred", "_cumsum", "_sq_cumsum")
 
     def __init__(self, series: np.ndarray):
         series = np.ascontiguousarray(series, dtype=float)
@@ -83,12 +109,13 @@ class SeriesStats:
                 f"SeriesStats expects a 1-d series, got shape {series.shape}"
             )
         self.series = series
-        self._cumsum = np.concatenate(([0.0], np.cumsum(series)))
-        self._sq_cumsum = np.concatenate(([0.0], np.cumsum(series * series)))
+        self.centre, self.centred, self._cumsum, self._sq_cumsum = (
+            centred_prefix_sums(series)
+        )
 
     @property
     def cumsums(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(cumsum, sq_cumsum)`` arrays."""
+        """The centred prefix sums ``(c, c2)``."""
         return self._cumsum, self._sq_cumsum
 
     def _check(self, start: int, end: int) -> None:
@@ -98,18 +125,21 @@ class SeriesStats:
                 f"of length {self.series.size}"
             )
 
+    def _moments(self, start: int, end: int) -> tuple[float, float]:
+        """Centred mean and population std of ``series[start:end]``."""
+        self._check(start, end)
+        n = end - start
+        mean = float(self._cumsum[end] - self._cumsum[start]) / n
+        ex2 = float(self._sq_cumsum[end] - self._sq_cumsum[start]) / n
+        return mean, math.sqrt(max(0.0, ex2 - mean * mean))
+
     def mean(self, start: int, end: int) -> float:
         """Mean of ``series[start:end]``."""
-        self._check(start, end)
-        return float(self._cumsum[end] - self._cumsum[start]) / (end - start)
+        return self.centre + self._moments(start, end)[0]
 
     def std(self, start: int, end: int) -> float:
         """Population standard deviation of ``series[start:end]``."""
-        self._check(start, end)
-        n = end - start
-        mean = (self._cumsum[end] - self._cumsum[start]) / n
-        ex2 = (self._sq_cumsum[end] - self._sq_cumsum[start]) / n
-        return float(np.sqrt(max(0.0, ex2 - mean * mean)))
+        return self._moments(start, end)[1]
 
     def znorm(
         self,
@@ -123,13 +153,31 @@ class SeriesStats:
         standard deviation falls below *threshold* are mean-centered but
         never variance-scaled.
         """
-        self._check(start, end)
-        std = self.std(start, end)
-        mean = self.mean(start, end)
-        values = self.series[start:end] - mean
+        mean, std = self._moments(start, end)
+        values = self.centred[start:end] - mean
         if std >= threshold:
             values /= std
         return values
+
+
+def _centred_window_stats(
+    series: np.ndarray, window: int, stats: Optional[SeriesStats]
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """``(centre, x, means, stds)`` of every sliding window, where *means*
+    are the windows' means of the centred series *x*."""
+    if stats is not None:
+        if stats.series.size != series.size:
+            raise ParameterError(
+                f"stats built over a series of length {stats.series.size}, "
+                f"got one of length {series.size}"
+            )
+        centre, x, (cumsum, sq) = stats.centre, stats.centred, stats.cumsums
+    else:
+        centre, x, cumsum, sq = centred_prefix_sums(series)
+    means = (cumsum[window:] - cumsum[:-window]) / window
+    ex2 = (sq[window:] - sq[:-window]) / window
+    variances = np.clip(ex2 - means * means, 0.0, None)
+    return centre, x, means, np.sqrt(variances)
 
 
 def sliding_window_stats(
@@ -141,29 +189,16 @@ def sliding_window_stats(
     """Mean and population std of every sliding window in O(m).
 
     Returns ``(means, stds)``, each of length ``m - window + 1``,
-    computed from cumulative sums rather than a per-window pass.  Pass a
-    prebuilt :class:`SeriesStats` over the same series to reuse its
-    cumulative sums instead of recomputing them (the results are
+    computed from centred prefix sums rather than a per-window pass.
+    Pass a prebuilt :class:`SeriesStats` over the same series to reuse
+    its prefix sums instead of recomputing them (the results are
     bit-identical either way, since both build the same arrays).
     """
     series = np.ascontiguousarray(series, dtype=float)
-    k = num_windows(series.size, window)
-    if k == 0:
+    if num_windows(series.size, window) == 0:
         return np.empty(0), np.empty(0)
-    if stats is not None:
-        if stats.series.size != series.size:
-            raise ParameterError(
-                f"stats built over a series of length {stats.series.size}, "
-                f"got one of length {series.size}"
-            )
-        cumsum, sq = stats.cumsums
-    else:
-        cumsum = np.concatenate(([0.0], np.cumsum(series)))
-        sq = np.concatenate(([0.0], np.cumsum(series * series)))
-    means = (cumsum[window:] - cumsum[:-window]) / window
-    ex2 = (sq[window:] - sq[:-window]) / window
-    variances = np.clip(ex2 - means * means, 0.0, None)
-    return means, np.sqrt(variances)
+    centre, _, means, stds = _centred_window_stats(series, window, stats)
+    return centre + means, stds
 
 
 def znorm_sliding_windows(
@@ -180,10 +215,12 @@ def znorm_sliding_windows(
     per-window mean/std in O(m) instead of O(m·window).  A prebuilt
     *stats* over the same series skips the cumulative-sum pass entirely.
     """
-    means, stds = sliding_window_stats(series, window, stats=stats)
-    view = sliding_windows(series, window)
+    series = np.ascontiguousarray(series, dtype=float)
+    if num_windows(series.size, window) == 0:
+        return np.empty((0, window))
+    _, x, means, stds = _centred_window_stats(series, window, stats)
     scales = np.where(stds < threshold, 1.0, stds)
-    return (view - means[:, None]) / scales[:, None]
+    return (sliding_windows(x, window) - means[:, None]) / scales[:, None]
 
 
 class WindowMatrix:

@@ -602,3 +602,51 @@ class TestCheckpointFingerprint:
         save_checkpoint(path, data)
         with pytest.raises(CheckpointError):
             find_discords(series, candidates, num_discords=2, resume_from=path)
+
+
+class TestOffsetInvariance:
+    """Adding a constant to the series must not change the answer: every
+    window statistic comes from prefix sums of the centred series."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.sampled_from([1e8, -1e8, 1e6]), st.floats(-1e8, 1e8)),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_discords_and_calls_unchanged_under_offset(self, seed, offset):
+        # The series and the offset sit on a 2**-16 grid and stay below
+        # 2**27 in magnitude, so ``series + offset`` is exact: what is
+        # tested is the search's arithmetic, not the rounding of the
+        # shifted input.
+        rng = np.random.default_rng(seed)
+        series = np.round(np.cumsum(rng.normal(size=600)) * 2**16) / 2**16
+        series[300:330] += 4.0
+        offset = round(offset * 2**16) / 2**16
+        candidates = _candidates_for(series)
+
+        def run(values):
+            result = find_discords(
+                values, candidates, num_discords=3,
+                rng=np.random.default_rng(seed),
+            )
+            return (
+                [(d.start, d.end, d.rank) for d in result.discords],
+                result.distance_calls,
+            )
+
+        assert run(series + offset) == run(series)
+
+    def test_ecg_qtdb_0606_at_offset_1e6(self):
+        """Uncentred window statistics moved this row's discord from
+        ``[1133, 1269)`` to ``[1951, 2075)`` at +1e6."""
+        from repro.core.pipeline import GrammarAnomalyDetector
+        from repro.datasets.registry import get_row
+
+        row = get_row("ecg_qtdb_0606")
+        detector = GrammarAnomalyDetector(
+            window=row.window, paa_size=row.paa_size,
+            alphabet_size=row.alphabet_size,
+        )
+        detector.fit(row.factory().series + 1e6)
+        best = detector.discords().best
+        assert (best.start, best.end) == (1133, 1269)
