@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -117,6 +117,8 @@ class _RankState:
     calls: int = 0
     rng_state: Optional[dict] = None
     complete: bool = False
+    #: The rank's outer order, for the checkpoint's ``visited`` list.
+    outer: list[RuleInterval] = field(default_factory=list, repr=False)
 
 
 class _CandidateSet:
@@ -164,17 +166,13 @@ class _CandidateSet:
         """The cumulative-sum window statistics behind this cache."""
         return self._stats
 
-    def _entry(
-        self, start: int, end: int, *, keep: bool = True
-    ) -> tuple[np.ndarray, float, np.ndarray]:
-        """``(values, sqnorm, sq_cumsum)`` of ``[start, end)``, cached
-        unless *keep* is False."""
+    def _entry(self, start: int, end: int) -> tuple[np.ndarray, float, np.ndarray]:
+        """``(values, sqnorm, sq_cumsum)`` of ``[start, end)``, cached."""
         entry = self._entries.get((start, end))
         if entry is None:
             values = self._stats.znorm(start, end)
             entry = (values, float(np.dot(values, values)), kernels.sq_cumsum(values))
-            if keep:
-                self._entries[(start, end)] = entry
+            self._entries[(start, end)] = entry
         return entry
 
     def values(self, interval: RuleInterval) -> np.ndarray:
@@ -184,10 +182,10 @@ class _CandidateSet:
     def idents(self, intervals: Sequence[RuleInterval]) -> np.ndarray:
         """The core's table ids of *intervals*' spans, as int64.
 
-        Spans seen for the first time are copied from their entries into
-        the core's tables, a few hundred per call.  The copy is the only
-        one kept: the core path never reads the Python entries again, and
-        :meth:`pair_distance` recomputes the same floats if it needs them.
+        Spans seen for the first time get their table entries built in
+        the core, from the centred prefix sums of :attr:`stats`, in one
+        call.  :meth:`pair_distance` computes the same floats in Python
+        if it needs them.
         """
         ids = self._ids
         new = [
@@ -195,13 +193,9 @@ class _CandidateSet:
             for span in dict.fromkeys((iv.start, iv.end) for iv in intervals)
             if span not in ids
         ]
-        for lo in range(0, len(new), 256):
-            spans = new[lo : lo + 256]
-            first = self.tables.add_many(
-                [start for start, _ in spans],
-                [self._entry(*span, keep=False) for span in spans],
-            )
-            ids.update(zip(spans, range(first, first + len(spans))))
+        if new:
+            first = self.tables.add_spans(new, self._stats)
+            ids.update(zip(new, range(first, first + len(new))))
         return np.fromiter(
             (ids[iv.start, iv.end] for iv in intervals), dtype=np.int64,
             count=len(intervals),
@@ -216,19 +210,13 @@ class _CandidateSet:
         The result is memoized per unordered pair (the distance is
         symmetric by construction: the shorter interval always plays the
         query role).  This is the reference the C core reproduces bit
-        for bit; with the core loaded it reads and writes the core's memo.
+        for bit; with the core loaded the core computes it.
         """
+        if self.tables is not None:
+            return self.tables.distance(*self.idents([p, q]).tolist())
         ps, pe, qs, qe = p.start, p.end, q.start, q.end
-        tables = self.tables
-        if tables is not None:
-            a, b = self.idents([p, q]).tolist()
-            distance = tables.memo_get(a, b)
-        else:
-            if ps < qs or (ps == qs and pe <= qe):
-                key = (ps, pe, qs, qe)
-            else:
-                key = (qs, qe, ps, pe)
-            distance = self._pair_distances.get(key)
+        key = (ps, pe, qs, qe) if ps < qs or (ps == qs and pe <= qe) else (qs, qe, ps, pe)
+        distance = self._pair_distances.get(key)
         if distance is not None:
             return distance
         a_values, a_sqnorm, a_cumsum = self._entry(ps, pe)
@@ -241,10 +229,7 @@ class _CandidateSet:
             distance = kernels.aligned_min_distance(a_values, a_sqnorm, b_values, b_cumsum)
         else:
             distance = kernels.aligned_min_distance(b_values, b_sqnorm, a_values, a_cumsum)
-        if tables is not None:
-            tables.memo_put(a, b, distance)
-        else:
-            self._pair_distances[key] = distance
+        self._pair_distances[key] = distance
         return distance
 
 
@@ -300,62 +285,6 @@ class _InnerOrdering:
         return chain(same_rule, map(rest.__getitem__, perm))
 
 
-class _CoreScan:
-    """:func:`find_discord`'s inner loop in the C core, one outer candidate
-    per call.
-
-    The same order as :class:`_InnerOrdering` — the same-rule bucket in
-    candidate order, then the rest permuted — but as table-id arrays
-    whose addresses are taken once per rule, so a call passes nothing it
-    has to compute.  The permutation is ``rng.permutation(len(rest))``
-    written into a per-rule buffer: that call is ``arange`` then
-    ``shuffle``, so resetting the buffer to ``arange`` and shuffling it
-    in place makes the same draws and the same permutation.
-    """
-
-    def __init__(self, cache: _CandidateSet, candidates: list[RuleInterval]):
-        self.tables = cache.tables
-        self._ids = cache.idents(candidates)
-        self._span_ids = cache._ids
-        self._rules = np.asarray([iv.rule_id for iv in candidates], dtype=np.int64)
-        self._buckets: dict[int, tuple] = {}
-
-    def _bucket(self, key: int) -> tuple:
-        if key == _InnerOrdering._GAP:
-            same, rest = self._ids[:0], self._ids
-        else:
-            same = self._ids[self._rules == key]
-            rest = self._ids[self._rules != key]
-        identity = np.arange(rest.size)
-        perm = identity.copy()
-        # The last field keeps the id arrays (and so their addresses) alive.
-        bucket = (
-            same.ctypes.data, same.size, rest.ctypes.data, rest.size,
-            identity, perm, perm.ctypes.data, (same, rest),
-        )
-        self._buckets[key] = bucket
-        return bucket
-
-    def __call__(
-        self, p: RuleInterval, rng: np.random.Generator, best_dist: float
-    ) -> tuple[bool, float]:
-        """``(abandoned, nearest)`` for outer candidate *p*.
-
-        The visited-pair count stays in ``tables.calls`` for the caller
-        to flush.
-        """
-        key = p.rule_id if p.rule_id >= 0 else _InnerOrdering._GAP
-        bucket = self._buckets.get(key) or self._bucket(key)
-        same, n_same, rest, n_rest, identity, perm, perm_ptr, _ = bucket
-        np.copyto(perm, identity)
-        rng.shuffle(perm)
-        abandoned = self.tables.scan(
-            self._span_ids[p.start, p.end], same, n_same, rest, perm_ptr,
-            n_rest, best_dist,
-        )
-        return abandoned, self.tables.nearest.value
-
-
 def find_discord(
     series: np.ndarray,
     intervals: Sequence[RuleInterval],
@@ -367,7 +296,7 @@ def find_discord(
     budget: Optional[SearchBudget] = None,
     metrics=None,
     _state: Optional[_RankState] = None,
-    _on_boundary: Optional[Callable[[_RankState, list[RuleInterval]], None]] = None,
+    _on_boundary: Optional[Callable[[_RankState, int], int]] = None,
 ) -> tuple[Optional[Discord], DistanceCounter]:
     """Find the single best variable-length discord (paper Algorithm 1).
 
@@ -389,11 +318,14 @@ def find_discord(
         reused across the ranks of an iterative extraction so the znorm
         and kernel-statistic caches are computed once.
     budget:
-        Optional :class:`~repro.resilience.budget.SearchBudget` checked
-        once per outer candidate.  When it trips (deadline, call
-        ceiling, cancellation, or a ``KeyboardInterrupt`` during the
-        scan) the function returns its best-so-far discord instead of
-        raising; read the outcome from ``budget.status``.  Without a
+        Optional :class:`~repro.resilience.budget.SearchBudget`.  Its
+        call ceiling is checked before every outer candidate; the whole
+        budget (deadline, cancellation, a ``KeyboardInterrupt``) at
+        every return of the C core, which runs at most
+        :attr:`~repro.timeseries.eq1core.Eq1Tables.MAX_OUTERS` outer
+        candidates per call, and before every outer candidate on the
+        Python path.  When it trips the function returns its
+        best-so-far discord instead of raising; read the outcome from ``budget.status``.  Without a
         budget the search behaves exactly as before (and a
         ``KeyboardInterrupt`` propagates, since there would be no way to
         report the truncation).
@@ -428,34 +360,43 @@ def find_discord(
     state = _state if _state is not None else _RankState()
     capture_rng = _on_boundary is not None
 
-    candidates = [
-        iv
-        for iv in intervals
-        if iv.end <= series.size
-        and iv.length >= 2
-        and not any(iv.start < ex_end and ex_start < iv.end for ex_start, ex_end in exclude)
-    ]
+    candidates = [iv for iv in intervals if iv.end <= series.size and iv.length >= 2]
+    for ex_start, ex_end in exclude:
+        candidates = [iv for iv in candidates if not (iv.start < ex_end and ex_start < iv.end)]
     if not candidates:
         state.complete = True
         return None, counter
 
     if cache is None:
         cache = _CandidateSet(series)
-    if cache.tables is not None:
-        scan: Optional[_CoreScan] = _CoreScan(cache, candidates)
-    else:
-        scan = None
-        ordering = _InnerOrdering(candidates)
-        distance = cache.pair_distance
-
     # Outer ordering: ascending rule usage (gaps first), deterministic
     # tie-break by position.
-    outer = sorted(candidates, key=lambda iv: (iv.usage, iv.start, iv.end))
-    by_key = {(iv.start, iv.end, iv.rule_id): iv for iv in candidates}
+    order = sorted(
+        range(len(candidates)),
+        key=lambda j: (candidates[j].usage, candidates[j].start, candidates[j].end),
+    )
+    outer = state.outer = [candidates[j] for j in order]
+    tables = cache.tables
+    if tables is not None:
+        ids = cache.idents(candidates)
+        keys = np.fromiter(
+            (max(iv.rule_id, _InnerOrdering._GAP) for iv in candidates),
+            dtype=np.int64, count=len(candidates),
+        )
+        order = np.asarray(order, dtype=np.int64)
+        # The first core call of a rank runs one outer candidate and each
+        # later one twice as many, so a tight deadline or a cancelled
+        # token is seen early and a long rank pays few boundaries.
+        span = 1
+    else:
+        ordering = _InnerOrdering(candidates)
+        distance = cache.pair_distance
+    max_calls = budget.max_calls if budget.max_calls is not None else 2**63 - 1
 
     best_dist = state.best_dist
-    best_candidate: Optional[RuleInterval] = (
-        by_key.get(state.best_key) if state.best_key is not None else None
+    best_candidate: Optional[RuleInterval] = next(
+        (iv for iv in candidates if (iv.start, iv.end, iv.rule_id) == state.best_key),
+        None,
     )
 
     instrumented = metrics.enabled
@@ -467,30 +408,43 @@ def find_discord(
         m_best = metrics.counter("search.best_updates")
         m_depth = metrics.histogram("search.abandon_depth")
 
+    i = state.outer_index
+    crossed = 1  # boundaries since the last _on_boundary call
     try:
-        for i in range(state.outer_index, len(outer)):
-            # Record the boundary *before* consuming any randomness or
-            # distance calls for candidate i: this is the deterministic
-            # point a checkpoint resumes from.
+        while True:
+            # A boundary: outer[:i] are done, and no randomness or
+            # distance call of candidate i is spent yet.  It is the
+            # deterministic point a checkpoint resumes from.
             state.outer_index = i
             state.calls = counter.calls
             if capture_rng:
                 state.rng_state = rng_state_to_json(rng)
+            if i == len(outer):
+                state.complete = True
+                if _on_boundary is not None:
+                    _on_boundary(state, crossed - 1)  # the last run's boundaries
+                break
             if budget.interrupted(counter.calls) is not None:
                 break
+            stop = len(outer)
             if _on_boundary is not None:
-                _on_boundary(state, outer)
-            p = outer[i]
-            # Pair visits are tallied per candidate and flushed once; the
-            # flush sits in ``finally`` so an interrupt mid-scan (or right
-            # after the core returns) leaves the counter exactly where
-            # per-pair counting would have, the interrupted pair included.
-            if scan is not None:
+                stop = min(stop, i + _on_boundary(state, crossed))
+            # Pair visits are flushed in ``finally``, so an interrupt that
+            # lands as a run returns leaves the counter exactly where
+            # per-pair counting would have, and the state at the boundary
+            # before the run.
+            if tables is not None:
                 try:
-                    abandoned, nearest = scan(p, rng, best_dist)
+                    end, found, best = tables.rank(
+                        ids, keys, order, i, min(stop, i + span),
+                        max_calls - counter.calls, best_dist, rng,
+                    )
                 finally:
-                    counter.batch(scan.tables.take_calls())
+                    counter.batch(tables.take_calls())
+                span = min(2 * span, tables.MAX_OUTERS)
+                flags, depths = tables.flags, tables.outer_calls
             else:
+                p = outer[i]
                 p_start = p.start
                 p_length = p.end - p_start
                 nearest = math.inf
@@ -511,34 +465,32 @@ def find_discord(
                             nearest = dist
                 finally:
                     counter.batch(kernel_calls)
+                end, found, best = i + 1, nearest, -1
+                if not abandoned and nearest < math.inf and nearest > best_dist:
+                    best = i
+                flags, depths = (2 if best >= 0 else int(abandoned),), (kernel_calls,)
             if instrumented:
-                m_visited.inc()
-                if abandoned:
-                    m_abandoned.inc()
-                    # state.calls still holds the boundary value, so the
-                    # delta is this candidate's inner-loop cost.
-                    m_depth.observe(counter.calls - state.calls)
-                else:
-                    m_survived.inc()
-            if not abandoned and nearest < math.inf and nearest > best_dist:
-                best_dist = nearest
-                best_candidate = p
-                state.best_dist = nearest
+                for flag, depth in zip(flags[: end - i], depths[: end - i]):
+                    m_visited.inc()
+                    if flag == 1:
+                        m_abandoned.inc()
+                        m_depth.observe(int(depth))
+                    else:
+                        m_survived.inc()
+                        if flag == 2:
+                            m_best.inc()
+            if best >= 0:
+                best_dist, best_candidate = found, outer[best]
+                p = best_candidate
+                state.best_dist = best_dist
                 state.best_key = (p.start, p.end, p.rule_id)
-                if instrumented:
-                    m_best.inc()
-        else:
-            state.outer_index = len(outer)
-            state.calls = counter.calls
-            if capture_rng:
-                state.rng_state = rng_state_to_json(rng)
-            state.complete = True
+            crossed, i = end - i, end
     except KeyboardInterrupt:
         if not has_channel:
             raise
-        # The aborted candidate's partial work is discarded: the state
-        # still describes the last completed boundary, so a resumed run
-        # replays candidate i in full and stays bit-identical.
+        # The aborted run's partial work is discarded: the state still
+        # describes the last completed boundary, so a resumed run
+        # replays the run in full and stays bit-identical.
         budget.note_cancelled()
 
     if best_candidate is None:
@@ -713,7 +665,7 @@ def find_discords(
     current_rank = [start_rank]
     boundary_count = [0]
 
-    def _write(state: _RankState, outer: list[RuleInterval], done: bool) -> None:
+    def _write(state: _RankState, done: bool) -> None:
         if metrics.enabled:
             # Emitted before the snapshot so the persisted event stream
             # includes its own save marker.
@@ -737,7 +689,7 @@ def find_discords(
                 "rank": current_rank[0],
                 "outer_index": state.outer_index,
                 "visited": [
-                    [iv.start, iv.end] for iv in outer[: state.outer_index]
+                    [iv.start, iv.end] for iv in state.outer[: state.outer_index]
                 ],
                 "best_dist": state.best_dist,
                 "best_key": list(state.best_key) if state.best_key else None,
@@ -758,13 +710,17 @@ def find_discords(
             },
         )
 
-    def _on_boundary(state: _RankState, outer: list[RuleInterval]) -> None:
-        boundary_count[0] += 1
-        if boundary_count[0] % checkpoint_every == 0:
-            _write(state, outer, done=False)
+    def _on_boundary(state: _RankState, crossed: int) -> int:
+        """Count *crossed* more boundaries; at an open boundary whose count
+        is a multiple of *checkpoint_every*, write a checkpoint.  Returns
+        how many outer candidates may run before the next such boundary,
+        so the core never runs past one."""
+        boundary_count[0] += crossed
+        if not state.complete and boundary_count[0] % checkpoint_every == 0:
+            _write(state, done=False)
+        return checkpoint_every - boundary_count[0] % checkpoint_every
 
     on_boundary = _on_boundary if checkpoint_path is not None else None
-    last_outer: list[RuleInterval] = []
 
     for rank in range(start_rank, num_discords):
         current_rank[0] = rank
@@ -790,59 +746,25 @@ def find_discords(
                 metrics, "rra", rank, rank_ledger, counter, discord,
                 exact=state.complete,
             )
-        if checkpoint_path is not None:
-            # Only needed for the final interruption write below.
-            last_outer = sorted(
-                (
-                    iv
-                    for iv in valid
-                    if not any(
-                        iv.start < ex_end and ex_start < iv.end
-                        for ex_start, ex_end in exclusions
-                    )
-                ),
-                key=lambda iv: (iv.usage, iv.start, iv.end),
-            )
         if not state.complete:
             result.status = budget.status
             if discord is not None:
-                result.discords.append(
-                    Discord(
-                        start=discord.start,
-                        end=discord.end,
-                        score=discord.score,
-                        rank=rank,
-                        nn_distance=discord.nn_distance,
-                        rule_id=discord.rule_id,
-                        source="rra",
-                    )
-                )
+                result.discords.append(replace(discord, rank=rank))
                 result.rank_complete.append(False)
             if checkpoint_path is not None:
-                _write(state, last_outer, done=False)
+                _write(state, done=False)
             break
         if discord is None:
             if checkpoint_path is not None:
-                current_rank[0] = rank
-                _write(state, last_outer, done=True)
+                _write(state, done=True)
             break
-        ranked = Discord(
-            start=discord.start,
-            end=discord.end,
-            score=discord.score,
-            rank=rank,
-            nn_distance=discord.nn_distance,
-            rule_id=discord.rule_id,
-            source="rra",
-        )
-        result.discords.append(ranked)
+        result.discords.append(replace(discord, rank=rank))
         result.rank_complete.append(True)
         exclusions.append((discord.start, discord.end))
         if checkpoint_path is not None:
             current_rank[0] = rank + 1
             _write(
                 _RankState(calls=counter.calls, rng_state=rng_state_to_json(rng)),
-                [],
                 done=(rank + 1 >= num_discords),
             )
     result.distance_calls = counter.calls
@@ -880,10 +802,9 @@ def nearest_neighbor_distances(
         ids = cache.idents(candidates)
         for p, p_id in zip(candidates, ids.tolist()):
             try:
-                tables.scan(p_id, None, 0, ids.ctypes.data, None, ids.size, 0.0)
+                results.append((p, tables.nearest(p_id, ids)))
             finally:
                 counter.batch(tables.take_calls())
-            results.append((p, tables.nearest.value))
         return results
     for p in candidates:
         nearest = math.inf

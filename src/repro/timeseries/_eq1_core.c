@@ -1,22 +1,29 @@
 /*
- * RRA inner loop in C (paper Algorithm 1, lines 5-13, with the Eq. 1
- * distance).  Loaded through ctypes by repro/timeseries/eq1core.py.
+ * One RRA rank in C (paper Algorithm 1 with the Eq. 1 distance): the
+ * outer loop, the per-candidate inner ordering and its shuffle, the
+ * scans, and the candidate table they read.  Loaded through ctypes by
+ * repro/timeseries/eq1core.py.
  *
  * The core owns flat per-interval tables (start, length, z-normalized
  * values, squared cumulative sum, squared norm), indexed by a stable id
  * that the Python side assigns per distinct (start, end), and a memo of
- * pair distances keyed by the unordered id pair.  Every input float is
- * copied from the Python candidate set, so nothing is recomputed here.
+ * pair distances keyed by the unordered id pair.  The tables are built
+ * here from the centred prefix sums that repro.timeseries.kernels.
+ * SeriesStats holds.
  *
- * The arithmetic reproduces repro.core.rra._CandidateSet.pair_distance
- * bit for bit:
+ * The arithmetic reproduces the Python path bit for bit:
+ *   - the table build is SeriesStats.znorm, np.dot and np.cumsum, in
+ *     the same operations and order (eq1_add_spans);
  *   - cross terms go through the cblas_ddot that NumPy itself calls (the
  *     caller passes its address; no BLAS is linked here), accumulated as
  *     NumPy's DOUBLE_dot does (0.0 + ddot);
  *   - np.correlate's unrolled small-kernel loop (kernel length <= 11)
  *     is reproduced as the same left-to-right sum;
  *   - Python's max(sq, 0.0), NumPy's NaN-propagating min and the
- *     best < 0.0 clamp are written literally.
+ *     best < 0.0 clamp are written literally;
+ *   - the shuffle is Generator.shuffle's Fisher-Yates over NumPy's
+ *     random_interval, drawn through the generator's own bitgen_t, so
+ *     the permutation and the generator state afterwards are NumPy's.
  * Build with -ffp-contract=off and no fast-math so that every sub, min,
  * clamp and sqrt rounds like NumPy and math.sqrt.
  */
@@ -46,6 +53,9 @@ typedef struct {
     uint64_t *keys;
     double *dists;
     int64_t memo_used, memo_cap;
+    /* eq1_rank's inner-order scratch */
+    int64_t *order;
+    int64_t order_cap;
 } eq1_set;
 
 static uint64_t hash64(uint64_t x) {
@@ -96,7 +106,7 @@ static int64_t memo_slot(const eq1_set *s, uint64_t key) {
     return (int64_t)slot;
 }
 
-int eq1_memo_get(eq1_set *s, int64_t a, int64_t b, double *out) {
+static int memo_get(eq1_set *s, int64_t a, int64_t b, double *out) {
     int64_t slot = memo_slot(s, pair_key(a, b));
     if (s->keys[slot] == EMPTY_KEY) return 0;
     *out = s->dists[slot];
@@ -104,7 +114,7 @@ int eq1_memo_get(eq1_set *s, int64_t a, int64_t b, double *out) {
 }
 
 /* The memo is only a cache: when it cannot grow, the pair is not stored. */
-void eq1_memo_put(eq1_set *s, int64_t a, int64_t b, double dist) {
+static void memo_put(eq1_set *s, int64_t a, int64_t b, double dist) {
     if (2 * (s->memo_used + 1) > s->memo_cap && memo_alloc(s, 2 * s->memo_cap) != 0)
         return;
     uint64_t key = pair_key(a, b);
@@ -136,6 +146,7 @@ void eq1_free(eq1_set *s) {
     free(s->pool);
     free(s->keys);
     free(s->dists);
+    free(s->order);
     free(s);
 }
 
@@ -147,14 +158,21 @@ static int grow(void **p, int64_t cap, size_t size) {
 }
 
 /*
- * Register count intervals; pool holds, per interval in order, its len
- * values followed by its len + 1 squared cumsums.  Returns the id of the
- * first one (the rest follow consecutively), or -1 when out of memory.
+ * Register count intervals [start, end) of the series, z-normalized as
+ * SeriesStats.znorm does from the centred series x and its prefix sums
+ * c = [0, cumsum(x)] and c2 = [0, cumsum(x^2)]:
+ *   mean = (c[e] - c[s]) / n, var = max(0.0, (c2[e] - c2[s]) / n - mean^2),
+ *   values = x[s:e] - mean, divided by sqrt(var) when that is >= threshold;
+ * then sqnorm = 0.0 + ddot(values, values), as np.dot, and the squared
+ * cumulative sum in the sequential order of np.cumsum.  Returns the id
+ * of the first interval (the rest follow consecutively), or -1 when out
+ * of memory.
  */
-int64_t eq1_add_many(eq1_set *s, int64_t count, const int64_t *start,
-                     const int64_t *len, const double *sqnorm, const double *pool) {
+int64_t eq1_add_spans(eq1_set *s, int64_t count, const int64_t *start,
+                      const int64_t *end, const double *x, const double *c,
+                      const double *c2, double threshold) {
     int64_t need_ids = s->n_ids + count, need_pool = s->pool_used;
-    for (int64_t i = 0; i < count; i++) need_pool += 2 * len[i] + 1;
+    for (int64_t i = 0; i < count; i++) need_pool += 2 * (end[i] - start[i]) + 1;
     if (need_ids > s->cap_ids) {
         int64_t cap = s->cap_ids ? 2 * s->cap_ids : 256;
         while (cap < need_ids) cap *= 2;
@@ -173,15 +191,25 @@ int64_t eq1_add_many(eq1_set *s, int64_t count, const int64_t *start,
         if (grow((void **)&s->pool, cap, sizeof(double))) return -1;
         s->pool_cap = cap;
     }
-    memcpy(s->pool + s->pool_used, pool, (size_t)(need_pool - s->pool_used) * sizeof(double));
     int64_t first = s->n_ids;
     for (int64_t i = 0; i < count; i++) {
-        int64_t id = s->n_ids++;
-        s->start[id] = start[i];
-        s->len[id] = len[i];
+        int64_t a = start[i], n = end[i] - a, id = s->n_ids++;
+        double *values = s->pool + s->pool_used, *cum = values + n;
+        double mean = (c[a + n] - c[a]) / (double)n;
+        double var = (c2[a + n] - c2[a]) / (double)n - mean * mean;
+        double std = sqrt(var > 0.0 ? var : 0.0); /* Python max(0.0, var) */
+        for (int64_t k = 0; k < n; k++) values[k] = x[a + k] - mean;
+        if (std >= threshold)
+            for (int64_t k = 0; k < n; k++) values[k] /= std;
+        double sqnorm = 0.0;
+        sqnorm += s->ddot(n, values, 1, values, 1);
+        cum[0] = 0.0;
+        for (int64_t k = 0; k < n; k++) cum[k + 1] = cum[k] + values[k] * values[k];
+        s->start[id] = a;
+        s->len[id] = n;
         s->off[id] = s->pool_used;
-        s->sqnorm[id] = sqnorm[i];
-        s->pool_used += 2 * len[i] + 1;
+        s->sqnorm[id] = sqnorm;
+        s->pool_used += 2 * n + 1;
     }
     return first;
 }
@@ -230,34 +258,30 @@ static double pair(const eq1_set *s, int64_t a, int64_t b) {
 /* Memoized Eq. 1 distance between ids a and b. */
 double eq1_distance(eq1_set *s, int64_t a, int64_t b) {
     double dist;
-    if (eq1_memo_get(s, a, b, &dist)) return dist;
+    if (memo_get(s, a, b, &dist)) return dist;
     dist = pair(s, a, b);
-    eq1_memo_put(s, a, b, dist);
+    memo_put(s, a, b, dist);
     return dist;
 }
 
 /*
- * One outer candidate p's inner loop: the ids same[0..n_same) first, then
- * rest[perm[j]] for j < n_rest (perm NULL means the identity).  Skips
- * trivial self matches (|p.start - q.start| <= len(p), paper line 7),
- * counts every other pair as one distance call, and stops at the first
- * distance below best_dist.  Writes the nearest distance seen and the
- * call count; returns 1 when the scan abandoned p, else 0.
+ * One outer candidate p's inner loop over ids[0..n).  Skips trivial self
+ * matches (|p.start - q.start| <= len(p), paper line 7), counts every
+ * other pair as one distance call, and stops at the first distance below
+ * best_dist.  Writes the nearest distance seen and adds the call count
+ * to *calls; returns 1 when the scan abandoned p, else 0.
  */
-int eq1_scan(eq1_set *s, int64_t p, const int64_t *same, int64_t n_same,
-             const int64_t *rest, const int64_t *perm, int64_t n_rest,
-             double best_dist, double *nearest_out, int64_t *calls_out) {
-    int64_t p_start = s->start[p], p_len = s->len[p], calls = 0;
+int eq1_scan(eq1_set *s, int64_t p, const int64_t *ids, int64_t n,
+             double best_dist, double *nearest_out, int64_t *calls) {
+    int64_t p_start = s->start[p], p_len = s->len[p], visited = 0;
     double nearest = INFINITY;
     int abandoned = 0;
-    for (int64_t i = 0; i < n_same + n_rest; i++) {
-        int64_t j = i - n_same;
-        int64_t q = i < n_same ? same[i] : rest[perm ? perm[j] : j];
-        int64_t gap = p_start - s->start[q];
+    for (int64_t i = 0; i < n; i++) {
+        int64_t gap = p_start - s->start[ids[i]];
         if (gap < 0) gap = -gap;
         if (gap <= p_len) continue;
-        calls++;
-        double dist = eq1_distance(s, p, q);
+        visited++;
+        double dist = eq1_distance(s, p, ids[i]);
         if (dist < best_dist) {
             abandoned = 1;
             break;
@@ -265,6 +289,100 @@ int eq1_scan(eq1_set *s, int64_t p, const int64_t *same, int64_t n_same,
         if (dist < nearest) nearest = dist;
     }
     *nearest_out = nearest;
-    *calls_out = calls;
+    *calls += visited;
     return abandoned;
+}
+
+/* NumPy's bitgen_t (numpy/random/bitgen.h). */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* NumPy's random_interval (distributions.c): a uniform value in
+ * [0, max] by masking and rejection, on 32-bit draws when max fits. */
+static uint64_t random_interval(bitgen_t *g, uint64_t max) {
+    uint64_t mask = max, value;
+    if (max == 0) return 0;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    mask |= mask >> 32;
+    if (max <= 0xffffffffULL) {
+        while ((value = (g->next_uint32(g->state) & mask)) > max)
+            ;
+    } else {
+        while ((value = (g->next_uint64(g->state) & mask)) > max)
+            ;
+    }
+    return value;
+}
+
+/* Generator.shuffle of a 1-d array: Fisher-Yates from the top, drawing
+ * through the generator's own bitgen_t.  The caller holds its lock. */
+void eq1_shuffle(void *bitgen, int64_t *a, int64_t n) {
+    for (int64_t i = n - 1; i > 0; i--) {
+        int64_t j = (int64_t)random_interval(bitgen, (uint64_t)i);
+        int64_t t = a[j];
+        a[j] = a[i];
+        a[i] = t;
+    }
+}
+
+/*
+ * Outer candidates first, first + 1, ... of one RRA rank (paper
+ * Algorithm 1).  ids and keys give each candidate's table id and rule
+ * key (-1 for gaps) in candidate order; outer[k] is the candidate at
+ * outer position k.  Per outer candidate p the inner order is p's
+ * same-rule ids in candidate order, then the other ids (all of them for
+ * a gap) in candidate order, shuffled as rng.permutation does; the scan
+ * is eq1_scan's.
+ *
+ * Runs up to, not including, outer position stop, and stops earlier
+ * before any position k > first at which the pairs counted by this call
+ * reach calls_left.  Updates *best_dist and *best (the outer position of
+ * a new best, else unchanged) and adds the pairs to *calls.  For each
+ * outer position k run, flags[k - first] is 1 when p was abandoned, 2
+ * when it became the best, else 0, and outer_calls[k - first] is its
+ * pair count.  Returns the position it stopped before, or -1 when out
+ * of memory.
+ */
+int64_t eq1_rank(eq1_set *s, void *bitgen, int64_t n, const int64_t *ids,
+                 const int64_t *keys, const int64_t *outer, int64_t first,
+                 int64_t stop, int64_t calls_left, double *best_dist,
+                 int64_t *best, int64_t *calls, int8_t *flags,
+                 int64_t *outer_calls) {
+    if (n > s->order_cap) {
+        if (grow((void **)&s->order, n, sizeof(int64_t))) return -1;
+        s->order_cap = n;
+    }
+    int64_t *order = s->order, spent = 0, k;
+    for (k = first; k < stop && (k == first || spent < calls_left); k++) {
+        int64_t p = outer[k], key = keys[p], n_same = 0, n_rest = 0;
+        if (key >= 0)
+            for (int64_t i = 0; i < n; i++)
+                if (keys[i] == key) order[n_same++] = ids[i];
+        for (int64_t i = 0; i < n; i++)
+            if (key < 0 || keys[i] != key) order[n_same + n_rest++] = ids[i];
+        eq1_shuffle(bitgen, order + n_same, n_rest);
+        double nearest;
+        int64_t visited = 0;
+        int abandoned = eq1_scan(s, ids[p], order, n_same + n_rest, *best_dist,
+                                 &nearest, &visited);
+        spent += visited;
+        flags[k - first] = (int8_t)abandoned;
+        outer_calls[k - first] = visited;
+        if (!abandoned && nearest < INFINITY && nearest > *best_dist) {
+            *best_dist = nearest;
+            *best = k;
+            flags[k - first] = 2;
+        }
+    }
+    *calls += spent;
+    return k;
 }

@@ -1,20 +1,23 @@
-"""ctypes binding for the RRA inner-loop C core (``_eq1_core.c``).
+"""ctypes binding for the RRA rank C core (``_eq1_core.c``).
 
-One C call runs one outer candidate's whole RRA inner loop (paper
-Algorithm 1, lines 5–13): the inner ordering, the paper line-7 self-match
-skip, the Eq. 1 pair distance, early abandoning and the nearest-neighbour
-update.  The Python loop in :func:`repro.core.rra.find_discord` spends
-most of its time in NumPy dispatch on ~44-element temporaries; the core
-does the same arithmetic without it.
+One C call runs a run of outer candidates of one RRA rank (paper
+Algorithm 1): for each, the inner ordering and its shuffle, the paper
+line-7 self-match skip, the Eq. 1 pair distance, early abandoning and the
+nearest-neighbour and best-so-far updates.  The core also builds the
+candidate table (z-normalized values, norms, squared cumulative sums)
+from the series' centred prefix sums.  :func:`repro.core.rra.find_discord`
+returns to Python only at its boundaries (DESIGN.md §16).
 
 The cross terms call the ILP64 ``cblas_ddot`` that ``np.dot`` and
 ``np.correlate`` call, resolved from the BLAS library the running NumPy
-already mapped, so the floats do not change.  :mod:`repro._cbuild`
-compiles the source on first use.  On first load a parity probe compares
-the core with :meth:`repro.core.rra._CandidateSet.pair_distance` bit for
-bit; a missing symbol, a missing compiler or a failed probe makes
-:func:`load` return None (``REPRO_C_CORE=require`` raises instead), and
-RRA runs its Python loop.
+already mapped, and the shuffle draws through the generator's own
+``bitgen_t``, so neither the floats nor the random stream change.
+:mod:`repro._cbuild` compiles the source on first use.  On first load a
+parity probe compares the core with
+:meth:`repro.core.rra._CandidateSet.pair_distance` and with
+``Generator.shuffle`` bit for bit; a missing symbol, a missing compiler
+or a failed probe makes :func:`load` return None
+(``REPRO_C_CORE=require`` raises instead), and RRA runs its Python loop.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ from __future__ import annotations
 import ctypes
 import os
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from repro._cbuild import CCore, CCoreUnavailable
+from repro.exceptions import ParameterError
+from repro.timeseries.znorm import DEFAULT_FLATNESS_THRESHOLD
 
 _SOURCE = Path(__file__).with_name("_eq1_core.c")
 #: ILP64 ``cblas_ddot`` names, as NumPy wheels (scipy-openblas) and
@@ -70,18 +74,35 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.eq1_new.restype = ptr
     lib.eq1_free.argtypes = [ptr]
     lib.eq1_free.restype = None
-    lib.eq1_add_many.argtypes = [ptr, i64, ptr, ptr, ptr, ptr]
-    lib.eq1_add_many.restype = i64
-    lib.eq1_memo_get.argtypes = [ptr, i64, i64, ctypes.POINTER(f64)]
-    lib.eq1_memo_get.restype = ctypes.c_int
-    lib.eq1_memo_put.argtypes = [ptr, i64, i64, f64]
-    lib.eq1_memo_put.restype = None
+    lib.eq1_add_spans.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, ptr, f64]
+    lib.eq1_add_spans.restype = i64
     lib.eq1_distance.argtypes = [ptr, i64, i64]
     lib.eq1_distance.restype = f64
-    lib.eq1_scan.argtypes = [ptr, i64, ptr, i64, ptr, ptr, i64, f64, ptr, ptr]
+    lib.eq1_scan.argtypes = [ptr, i64, ptr, i64, f64, ptr, ptr]
     lib.eq1_scan.restype = ctypes.c_int
+    lib.eq1_shuffle.argtypes = [ptr, ptr, i64]
+    lib.eq1_shuffle.restype = None
+    lib.eq1_rank.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, i64, i64, i64,
+                             ptr, ptr, ptr, ptr, ptr]
+    lib.eq1_rank.restype = i64
     lib.ddot_address = _numpy_ddot()
     return lib
+
+
+#: Reads the ``bitgen_t*`` out of ``BitGenerator.capsule``.
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
+)(("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def shuffle(lib: ctypes.CDLL, rng: np.random.Generator, ids: np.ndarray) -> None:
+    """``rng.shuffle(ids)`` in the core, for a contiguous int64 *ids*."""
+    bit_generator = rng.bit_generator
+    with bit_generator.lock:
+        lib.eq1_shuffle(
+            _capsule_pointer(bit_generator.capsule, b"BitGenerator"),
+            ids.ctypes.data, ids.size,
+        )
 
 
 class Eq1Tables:
@@ -90,65 +111,93 @@ class Eq1Tables:
     Owned by a :class:`repro.core.rra._CandidateSet`; freed with it.
     """
 
+    #: Most outer candidates one :meth:`rank` call may run.
+    MAX_OUTERS = 64
+
     def __init__(self, lib: ctypes.CDLL):
         self.lib = lib
         self.handle = lib.eq1_new(lib.ddot_address)
         if not self.handle:
             raise MemoryError("eq1 core: allocation failed")
         self._free = lib.eq1_free
-        self._out = ctypes.c_double()
-        # Out-parameters of :meth:`scan`, passed by address.
-        self.nearest = ctypes.c_double()
+        # Out-parameters of :meth:`nearest` and :meth:`rank`, passed by address.
+        self._nearest = ctypes.c_double()
         self.calls = ctypes.c_int64()
-        self._scan = lib.eq1_scan
-        self._outs = (ctypes.addressof(self.nearest), ctypes.addressof(self.calls))
+        self._best_dist = ctypes.c_double()
+        self._best = ctypes.c_int64()
+        #: Per outer candidate of the last :meth:`rank` call: 1 when it
+        #: was abandoned, 2 when it became the best, else 0; its pairs.
+        self.flags = np.zeros(self.MAX_OUTERS, dtype=np.int8)
+        self.outer_calls = np.zeros(self.MAX_OUTERS, dtype=np.int64)
+        self._rank_outs = tuple(
+            ctypes.addressof(v) for v in (self._best_dist, self._best, self.calls)
+        ) + (self.flags.ctypes.data, self.outer_calls.ctypes.data)
 
     def __del__(self):
         if getattr(self, "handle", None):
             self._free(self.handle)
             self.handle = None
 
-    def add_many(self, starts: list[int], entries: list[tuple]) -> int:
-        """Copy intervals' ``(values, sqnorm, sq_cumsum)`` entries into the
-        tables in one call; return the first id (the rest follow)."""
-        lens = np.asarray([values.size for values, _, _ in entries], dtype=np.int64)
-        starts = np.asarray(starts, dtype=np.int64)
-        sqnorms = np.asarray([sqnorm for _, sqnorm, _ in entries], dtype=float)
-        pool = np.concatenate([a for values, _, cumsum in entries for a in (values, cumsum)])
-        first = self.lib.eq1_add_many(
-            self.handle, len(entries), starts.ctypes.data, lens.ctypes.data,
-            sqnorms.ctypes.data, pool.ctypes.data,
+    def add_spans(self, spans: list[tuple[int, int]], stats) -> int:
+        """Build the table entries of *spans* from *stats*' centred prefix
+        sums (a :class:`~repro.timeseries.kernels.SeriesStats`) in one
+        call; return the first id (the rest follow)."""
+        starts, ends = np.asarray(spans, dtype=np.int64).reshape(-1, 2).T.copy()
+        if ((starts < 0) | (ends <= starts) | (ends > stats.series.size)).any():
+            raise ParameterError(f"a span of {spans} is empty or outside the series")
+        cumsum, sq_cumsum = stats.cumsums
+        first = self.lib.eq1_add_spans(
+            self.handle, len(spans), starts.ctypes.data, ends.ctypes.data,
+            stats.centred.ctypes.data, cumsum.ctypes.data, sq_cumsum.ctypes.data,
+            DEFAULT_FLATNESS_THRESHOLD,
         )
         if first < 0:
             raise MemoryError("eq1 core: allocation failed")
         return first
 
-    def memo_get(self, a: int, b: int) -> Optional[float]:
-        if self.lib.eq1_memo_get(self.handle, a, b, ctypes.byref(self._out)):
-            return self._out.value
-        return None
-
-    def memo_put(self, a: int, b: int, distance: float) -> None:
-        self.lib.eq1_memo_put(self.handle, a, b, distance)
-
     def distance(self, a: int, b: int) -> float:
         """The core's memoized Eq. 1 distance between two ids."""
         return self.lib.eq1_distance(self.handle, a, b)
 
-    def scan(
-        self, p: int, same: int, n_same: int, rest: int, perm: Optional[int],
-        n_rest: int, best_dist: float,
-    ) -> bool:
-        """Run outer candidate *p*'s inner loop; True when it abandoned.
+    def nearest(self, p: int, ids: np.ndarray) -> float:
+        """Nearest distance from *p* to its non-self matches among the
+        int64 *ids*; the visited pairs are added to :attr:`calls`."""
+        self.lib.eq1_scan(
+            self.handle, p, ids.ctypes.data, ids.size, 0.0,
+            ctypes.addressof(self._nearest), ctypes.addressof(self.calls),
+        )
+        return self._nearest.value
 
-        *same*, *rest* and *perm* are addresses of int64 arrays (*perm*
-        None for the identity): the ids ``same[:n_same]`` come first,
-        then ``rest[perm[j]]``.  The nearest distance seen is left in
-        :attr:`nearest` and the visited-pair count in :attr:`calls`.
+    def rank(
+        self, ids: np.ndarray, keys: np.ndarray, outer: np.ndarray,
+        first: int, stop: int, calls_left: int, best_dist: float,
+        rng: np.random.Generator,
+    ) -> tuple[int, float, int]:
+        """Run outer positions ``first`` up to *stop* (at most
+        :attr:`MAX_OUTERS`) of one rank; ``(end, best_dist, best)``.
+
+        *ids* and *keys* are the candidates' table ids and rule keys (-1
+        for gaps) and *outer* their outer order, all int64.  The run ends
+        before *stop* at the first later boundary where its pairs reach
+        *calls_left*.  *best* is the outer position of a new best, else
+        -1.  The visited pairs are added to :attr:`calls` and the
+        per-candidate outcomes written to :attr:`flags` and
+        :attr:`outer_calls`.  Holds the generator's lock, as
+        ``Generator.shuffle`` does.
         """
-        return self._scan(
-            self.handle, p, same, n_same, rest, perm, n_rest, best_dist, *self._outs
-        ) == 1
+        self._best_dist.value = best_dist
+        self._best.value = -1
+        bit_generator = rng.bit_generator
+        with bit_generator.lock:
+            end = self.lib.eq1_rank(
+                self.handle, _capsule_pointer(bit_generator.capsule, b"BitGenerator"),
+                ids.size, ids.ctypes.data, keys.ctypes.data, outer.ctypes.data,
+                first, min(stop, first + self.MAX_OUTERS), calls_left,
+                *self._rank_outs,
+            )
+        if end < 0:
+            raise MemoryError("eq1 core: allocation failed")
+        return end, self._best_dist.value, self._best.value
 
     def take_calls(self) -> int:
         """Read :attr:`calls` and reset it to zero."""
@@ -158,11 +207,14 @@ class Eq1Tables:
 
 
 def _probe(lib: ctypes.CDLL) -> bool:
-    """True when the core reproduces ``pair_distance`` bit for bit.
+    """True when the core reproduces ``pair_distance`` and
+    ``Generator.shuffle`` bit for bit.
 
-    Covers the unrolled small-kernel correlate (short length ≤ 11), the
-    BLAS one, equal lengths, a flat (unscaled) window, both argument
-    orders and memo hits.
+    The pairs cover the unrolled small-kernel correlate (short length
+    ≤ 11), the BLAS one, equal lengths, a flat (unscaled) window, both
+    argument orders and memo hits.  The shuffles cover empty and short
+    arrays and a buffered 32-bit half-word, and compare the generator
+    state afterwards.
     """
     from repro.core.rra import _CandidateSet
     from repro.grammar.intervals import RuleInterval
@@ -182,6 +234,15 @@ def _probe(lib: ctypes.CDLL) -> bool:
                 got = fast.tables.distance(int(a), int(b))
                 if want.hex() != got.hex():
                     return False
+    for seed, n in enumerate((0, 1, 2, 3, 70, 1000)):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for generator in (rng, twin)[: seed % 2 * 2]:
+            generator.shuffle(np.arange(2))  # one 32-bit draw
+        got, want = np.arange(n), np.arange(n)
+        shuffle(lib, rng, got)
+        twin.shuffle(want)
+        if not np.array_equal(got, want) or rng.bit_generator.state != twin.bit_generator.state:
+            return False
     return True
 
 

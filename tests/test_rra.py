@@ -24,6 +24,7 @@ from repro.grammar.intervals import RuleInterval
 from repro.resilience.budget import SearchBudget, SearchStatus
 from repro.resilience.checkpoint import (
     load_checkpoint,
+    rng_state_to_json,
     save_checkpoint,
     search_fingerprint,
 )
@@ -384,33 +385,33 @@ class TestInterruptedInnerLoopAccounting:
 
 @needs_core
 class TestInterruptedCoreScanAccounting:
-    @pytest.mark.parametrize("interrupt_after", [1, 2, 90, 200])
+    @pytest.mark.parametrize("interrupt_after", [1, 2, 7, 16])
     def test_interrupt_after_core_returns(self, tmp_path, monkeypatch, interrupt_after):
-        """A KeyboardInterrupt right after the core returns for outer
-        candidate *i* counts candidate i's pairs exactly once, while the
-        checkpoint keeps the boundary before it and resumes exactly."""
+        """A KeyboardInterrupt right after a core rank call returns counts
+        that call's pairs exactly once, while the checkpoint keeps the
+        boundary before the call and resumes exactly."""
         series = _blip_series(length=600)
         candidates = _candidates_for(series)
         reference = find_discords(series, candidates, num_discords=2)
-        original = eq1core.Eq1Tables.scan
+        original = eq1core.Eq1Tables.rank
         counter = DistanceCounter()
-        through = []  # counter value through each outer candidate
+        through = []  # counter value through each core call
 
         def interrupting(self, *args):
-            abandoned = original(self, *args)
+            returned = original(self, *args)
             through.append(counter.calls + self.calls.value)
             if len(through) == interrupt_after:
                 raise KeyboardInterrupt
-            return abandoned
+            return returned
 
-        monkeypatch.setattr(eq1core.Eq1Tables, "scan", interrupting)
+        monkeypatch.setattr(eq1core.Eq1Tables, "rank", interrupting)
         checkpoint = tmp_path / "ck.json"
         result = find_discords(
             series, candidates, num_discords=2,
             counter=counter, budget=SearchBudget.unlimited(),
             checkpoint_path=str(checkpoint),
         )
-        monkeypatch.setattr(eq1core.Eq1Tables, "scan", original)
+        monkeypatch.setattr(eq1core.Eq1Tables, "rank", original)
 
         assert result.status is SearchStatus.CANCELLED
         assert len(through) == interrupt_after
@@ -511,6 +512,103 @@ class TestCoreParity:
         with c_core_gate("off"):
             off = run()
         assert on == off
+
+
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox]
+    )
+    def test_budgets_and_resume_core_on_equals_off(self, tmp_path, bit_generator):
+        """Discords, ``calls``, status, checkpoints and the final generator
+        state are byte-equal with the core on and off, under call budgets
+        and across a checkpoint resume, for bit generators with and
+        without a buffered 32-bit half-word."""
+        series = _blip_series(length=1500)
+        candidates = _candidates_for(series)
+
+        def run(tag):
+            dumps = []
+            for max_calls in (None, 1, 60, 2500):
+                rng = np.random.Generator(bit_generator(7))
+                budget = None if max_calls is None else SearchBudget(max_calls=max_calls)
+                result = find_discords(
+                    series, candidates, num_discords=3, rng=rng, budget=budget,
+                )
+                dumps.append(_rra_dump(result, rng)[:4] + (rng_state_to_json(rng),))
+            path = str(tmp_path / f"{tag}.json")
+            find_discords(
+                series, candidates, num_discords=3,
+                rng=np.random.Generator(bit_generator(7)),
+                budget=SearchBudget(max_calls=3000),
+                checkpoint_path=path, checkpoint_every=5,
+            )
+            saved = load_checkpoint(path)
+            resumed = find_discords(
+                series, candidates, num_discords=3, resume_from=path,
+            )
+            dumps.append(
+                [saved[k] for k in ("rank", "outer_index", "distance_calls", "rng_state")]
+            )
+            dumps.append(_rra_dump(resumed, np.random.default_rng(0))[:4])
+            return dumps
+
+        with c_core_gate("require"):
+            on = run("on")
+        with c_core_gate("off"):
+            off = run("off")
+        assert on == off
+        # The resumed run finishes with the uninterrupted answer.
+        assert on[-1][:2] == on[0][:2]
+
+
+@needs_core
+class TestCoreShuffle:
+    #: Edge lengths first; the other seeds draw n from [0, 70,000].
+    EDGE = (0, 1, 2, 3, 4, 63, 64, 65, 1024, 4097, 70_000)
+    BIT_GENERATORS = (
+        np.random.PCG64, np.random.MT19937, np.random.Philox,
+        np.random.SFC64, np.random.PCG64DXSM,
+    )
+
+    def test_core_shuffle_equals_generator_shuffle(self):
+        """The core's Fisher-Yates gives ``rng.shuffle``'s permutation and
+        leaves the generator in the same state, over 200 seeds.  One seed
+        in three makes an odd number of 32-bit draws first, so the
+        shuffle starts on a buffered half-word."""
+        lib = eq1core.load()
+        for seed in range(200):
+            n = (
+                self.EDGE[seed]
+                if seed < len(self.EDGE)
+                else int(np.random.default_rng(seed).integers(0, 70_001))
+            )
+            bit_generator = self.BIT_GENERATORS[seed % len(self.BIT_GENERATORS)]
+            core, numpy_ = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+            for generator in (core, numpy_):
+                for _ in range(seed % 3):
+                    generator.shuffle(np.arange(2))  # exactly one 32-bit draw
+            got, want = np.arange(n), np.arange(n)
+            eq1core.shuffle(lib, core, got)
+            numpy_.shuffle(want)
+            assert np.array_equal(got, want), (seed, n)
+            assert rng_state_to_json(core) == rng_state_to_json(numpy_), (seed, n)
+
+    def test_shuffled_ids_are_the_permutation_of_the_ids(self):
+        """Shuffling the ids in place is ``ids[rng.permutation(n)]``, the
+        Python path's inner order."""
+        lib = eq1core.load()
+        ids = np.random.default_rng(1).integers(0, 10**6, size=5000)
+        got = ids.copy()
+        eq1core.shuffle(lib, np.random.default_rng(2), got)
+        assert np.array_equal(got, ids[np.random.default_rng(2).permutation(ids.size)])
+
+    def test_probe_rejects_a_shuffle_that_differs(self, monkeypatch):
+        """A core whose shuffle does not match NumPy's fails its probe, so
+        RRA falls back to Python instead of giving other answers."""
+        lib = eq1core.load()
+        monkeypatch.setattr(
+            eq1core, "shuffle", lambda lib, rng, ids: ids.__setitem__(slice(None), ids[::-1])
+        )
+        assert not eq1core._probe(lib)
 
 
 class TestNearestNeighborProfile:
