@@ -188,18 +188,12 @@ class _CandidateSet:
         if it needs them.
         """
         ids = self._ids
-        new = [
-            span
-            for span in dict.fromkeys((iv.start, iv.end) for iv in intervals)
-            if span not in ids
-        ]
+        spans = [(iv.start, iv.end) for iv in intervals]
+        new = [span for span in dict.fromkeys(spans) if span not in ids]
         if new:
             first = self.tables.add_spans(new, self._stats)
             ids.update(zip(new, range(first, first + len(new))))
-        return np.fromiter(
-            (ids[iv.start, iv.end] for iv in intervals), dtype=np.int64,
-            count=len(intervals),
-        )
+        return np.fromiter(map(ids.__getitem__, spans), dtype=np.int64, count=len(spans))
 
     def pair_distance(self, p: RuleInterval, q: RuleInterval) -> float:
         """Vectorized Eq. 1 distance between two cached candidates.
@@ -325,10 +319,10 @@ def find_discord(
         :attr:`~repro.timeseries.eq1core.Eq1Tables.MAX_OUTERS` outer
         candidates per call, and before every outer candidate on the
         Python path.  When it trips the function returns its
-        best-so-far discord instead of raising; read the outcome from ``budget.status``.  Without a
-        budget the search behaves exactly as before (and a
-        ``KeyboardInterrupt`` propagates, since there would be no way to
-        report the truncation).
+        best-so-far discord instead of raising; read the outcome from
+        ``budget.status``.  Without a budget the search behaves exactly
+        as before (and a ``KeyboardInterrupt`` propagates, since there
+        would be no way to report the truncation).
     metrics:
         Optional :class:`~repro.observability.metrics.MetricsRegistry`.
         When enabled, the search counts candidates visited / abandoned /
@@ -360,7 +354,7 @@ def find_discord(
     state = _state if _state is not None else _RankState()
     capture_rng = _on_boundary is not None
 
-    candidates = [iv for iv in intervals if iv.end <= series.size and iv.length >= 2]
+    candidates = [iv for iv in intervals if iv.end <= series.size and iv.end - iv.start >= 2]
     for ex_start, ex_end in exclude:
         candidates = [iv for iv in candidates if not (iv.start < ex_end and ex_start < iv.end)]
     if not candidates:
@@ -373,16 +367,15 @@ def find_discord(
     # tie-break by position.
     order = sorted(
         range(len(candidates)),
-        key=lambda j: (candidates[j].usage, candidates[j].start, candidates[j].end),
+        key=[(iv.usage, iv.start, iv.end) for iv in candidates].__getitem__,
     )
     outer = state.outer = [candidates[j] for j in order]
     tables = cache.tables
     if tables is not None:
         ids = cache.idents(candidates)
         keys = np.fromiter(
-            (max(iv.rule_id, _InnerOrdering._GAP) for iv in candidates),
-            dtype=np.int64, count=len(candidates),
-        )
+            (iv.rule_id for iv in candidates), dtype=np.int64, count=len(candidates)
+        ).clip(_InnerOrdering._GAP)
         order = np.asarray(order, dtype=np.int64)
         # The first core call of a rank runs one outer candidate and each
         # later one twice as many, so a tight deadline or a cancelled
@@ -394,7 +387,7 @@ def find_discord(
     max_calls = budget.max_calls if budget.max_calls is not None else 2**63 - 1
 
     best_dist = state.best_dist
-    best_candidate: Optional[RuleInterval] = next(
+    best_candidate: Optional[RuleInterval] = state.best_key and next(
         (iv for iv in candidates if (iv.start, iv.end, iv.rule_id) == state.best_key),
         None,
     )
@@ -481,9 +474,10 @@ def find_discord(
                             m_best.inc()
             if best >= 0:
                 best_dist, best_candidate = found, outer[best]
-                p = best_candidate
                 state.best_dist = best_dist
-                state.best_key = (p.start, p.end, p.rule_id)
+                state.best_key = (
+                    best_candidate.start, best_candidate.end, best_candidate.rule_id
+                )
             crossed, i = end - i, end
     except KeyboardInterrupt:
         if not has_channel:
@@ -794,7 +788,7 @@ def nearest_neighbor_distances(
     series = np.asarray(series, dtype=float)
     if counter is None:
         counter = DistanceCounter()
-    candidates = [iv for iv in intervals if iv.end <= series.size and iv.length >= 2]
+    candidates = [iv for iv in intervals if iv.end <= series.size and iv.end - iv.start >= 2]
     cache = _CandidateSet(series)
     tables = cache.tables
     results: list[tuple[RuleInterval, float]] = []

@@ -1,6 +1,6 @@
 """ctypes binding for the RRA rank C core (``_eq1_core.c``).
 
-One C call runs a run of outer candidates of one RRA rank (paper
+One C call runs a stretch of outer candidates of one RRA rank (paper
 Algorithm 1): for each, the inner ordering and its shuffle, the paper
 line-7 self-match skip, the Eq. 1 pair distance, early abandoning and the
 nearest-neighbour and best-so-far updates.  The core also builds the

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import os
 
@@ -558,6 +559,39 @@ class TestCoreParity:
         assert on == off
         # The resumed run finishes with the uninterrupted answer.
         assert on[-1][:2] == on[0][:2]
+
+    @pytest.mark.parametrize("every", [1, 3, 7, 32])
+    def test_checkpoint_writes_core_on_equal_off(self, tmp_path, monkeypatch, every):
+        """Checkpoints land at the same boundaries with the same payloads
+        with the core on and off: a core run stops at a checkpoint
+        boundary and counts the boundaries it crosses, across ranks."""
+        from repro.core import rra
+
+        series = _blip_series(length=1500)
+        candidates = _candidates_for(series)
+        writes = []
+        original = rra.save_checkpoint
+
+        def recording(path, payload):
+            writes.append(json.dumps(payload, sort_keys=True))
+            original(path, payload)
+
+        monkeypatch.setattr(rra, "save_checkpoint", recording)
+
+        def run():
+            writes.clear()
+            find_discords(
+                series, candidates, num_discords=3, rng=np.random.default_rng(5),
+                checkpoint_path=str(tmp_path / "ck.json"), checkpoint_every=every,
+            )
+            return list(writes)
+
+        with c_core_gate("require"):
+            on = run()
+        with c_core_gate("off"):
+            off = run()
+        assert on == off
+        assert len(on) > 3
 
 
 @needs_core
