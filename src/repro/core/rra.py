@@ -316,7 +316,7 @@ def find_discord(
         call ceiling is checked before every outer candidate; the whole
         budget (deadline, cancellation, a ``KeyboardInterrupt``) at
         every return of the C core, which runs at most
-        :attr:`~repro.timeseries.eq1core.Eq1Tables.MAX_OUTERS` outer
+        :attr:`~repro.timeseries.eq1core.RankRun.MAX_OUTERS` outer
         candidates per call, and before every outer candidate on the
         Python path.  When it trips the function returns its
         best-so-far discord instead of raising; read the outcome from
@@ -370,13 +370,13 @@ def find_discord(
         key=[(iv.usage, iv.start, iv.end) for iv in candidates].__getitem__,
     )
     outer = state.outer = [candidates[j] for j in order]
-    tables = cache.tables
-    if tables is not None:
-        ids = cache.idents(candidates)
-        keys = np.fromiter(
-            (iv.rule_id for iv in candidates), dtype=np.int64, count=len(candidates)
-        ).clip(_InnerOrdering._GAP)
-        order = np.asarray(order, dtype=np.int64)
+    run = cache.tables and eq1core.RankRun(
+        cache.tables,
+        cache.idents(candidates),
+        np.fromiter((iv.rule_id for iv in candidates), np.int64).clip(_InnerOrdering._GAP),
+        np.asarray(order, dtype=np.int64),
+    )
+    if run is not None:
         # The first core call of a rank runs one outer candidate and each
         # later one twice as many, so a tight deadline or a cancelled
         # token is seen early and a long rank pays few boundaries.
@@ -426,16 +426,15 @@ def find_discord(
             # lands as a run returns leaves the counter exactly where
             # per-pair counting would have, and the state at the boundary
             # before the run.
-            if tables is not None:
+            if run is not None:
                 try:
-                    end, found, best = tables.rank(
-                        ids, keys, order, i, min(stop, i + span),
-                        max_calls - counter.calls, best_dist, rng,
+                    end, found, best = run(
+                        i, min(stop, i + span), max_calls - counter.calls, best_dist, rng
                     )
                 finally:
-                    counter.batch(tables.take_calls())
-                span = min(2 * span, tables.MAX_OUTERS)
-                flags, depths = tables.flags, tables.outer_calls
+                    counter.batch(run.take_calls())
+                span = min(2 * span, run.MAX_OUTERS)
+                flags, depths = run.flags, run.outer_calls
             else:
                 p = outer[i]
                 p_start = p.start
@@ -795,10 +794,9 @@ def nearest_neighbor_distances(
     if tables is not None:
         ids = cache.idents(candidates)
         for p, p_id in zip(candidates, ids.tolist()):
-            try:
-                results.append((p, tables.nearest(p_id, ids)))
-            finally:
-                counter.batch(tables.take_calls())
+            nearest, calls = tables.nearest(p_id, ids)
+            counter.batch(calls)
+            results.append((p, nearest))
         return results
     for p in candidates:
         nearest = math.inf

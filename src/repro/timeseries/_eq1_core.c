@@ -352,8 +352,8 @@ void eq1_shuffle(void *bitgen, int64_t *a, int64_t n) {
  * pair count.  Returns the position it stopped before, or -1 when out
  * of memory.
  */
-int64_t eq1_rank(eq1_set *s, void *bitgen, int64_t n, const int64_t *ids,
-                 const int64_t *keys, const int64_t *outer, int64_t first,
+int64_t eq1_rank(eq1_set *s, int64_t n, const int64_t *ids, const int64_t *keys,
+                 const int64_t *outer, void *bitgen, int64_t first,
                  int64_t stop, int64_t calls_left, double *best_dist,
                  int64_t *best, int64_t *calls, int8_t *flags,
                  int64_t *outer_calls) {

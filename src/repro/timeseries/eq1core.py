@@ -82,7 +82,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.eq1_scan.restype = ctypes.c_int
     lib.eq1_shuffle.argtypes = [ptr, ptr, i64]
     lib.eq1_shuffle.restype = None
-    lib.eq1_rank.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, i64, i64, i64,
+    lib.eq1_rank.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, i64, i64, i64,
                              ptr, ptr, ptr, ptr, ptr]
     lib.eq1_rank.restype = i64
     lib.ddot_address = _numpy_ddot()
@@ -97,6 +97,8 @@ _capsule_pointer = ctypes.PYFUNCTYPE(
 
 def shuffle(lib: ctypes.CDLL, rng: np.random.Generator, ids: np.ndarray) -> None:
     """``rng.shuffle(ids)`` in the core, for a contiguous int64 *ids*."""
+    if ids.dtype != np.int64 or not ids.flags.c_contiguous or ids.ndim != 1:
+        raise ParameterError("the core shuffles contiguous 1-d int64 arrays only")
     bit_generator = rng.bit_generator
     with bit_generator.lock:
         lib.eq1_shuffle(
@@ -111,27 +113,12 @@ class Eq1Tables:
     Owned by a :class:`repro.core.rra._CandidateSet`; freed with it.
     """
 
-    #: Most outer candidates one :meth:`rank` call may run.
-    MAX_OUTERS = 64
-
     def __init__(self, lib: ctypes.CDLL):
         self.lib = lib
         self.handle = lib.eq1_new(lib.ddot_address)
         if not self.handle:
             raise MemoryError("eq1 core: allocation failed")
         self._free = lib.eq1_free
-        # Out-parameters of :meth:`nearest` and :meth:`rank`, passed by address.
-        self._nearest = ctypes.c_double()
-        self.calls = ctypes.c_int64()
-        self._best_dist = ctypes.c_double()
-        self._best = ctypes.c_int64()
-        #: Per outer candidate of the last :meth:`rank` call: 1 when it
-        #: was abandoned, 2 when it became the best, else 0; its pairs.
-        self.flags = np.zeros(self.MAX_OUTERS, dtype=np.int8)
-        self.outer_calls = np.zeros(self.MAX_OUTERS, dtype=np.int64)
-        self._rank_outs = tuple(
-            ctypes.addressof(v) for v in (self._best_dist, self._best, self.calls)
-        ) + (self.flags.ctypes.data, self.outer_calls.ctypes.data)
 
     def __del__(self):
         if getattr(self, "handle", None):
@@ -143,8 +130,12 @@ class Eq1Tables:
         sums (a :class:`~repro.timeseries.kernels.SeriesStats`) in one
         call; return the first id (the rest follow)."""
         starts, ends = np.asarray(spans, dtype=np.int64).reshape(-1, 2).T.copy()
-        if ((starts < 0) | (ends <= starts) | (ends > stats.series.size)).any():
-            raise ParameterError(f"a span of {spans} is empty or outside the series")
+        bad = np.flatnonzero((starts < 0) | (ends <= starts) | (ends > stats.series.size))
+        if bad.size:
+            raise ParameterError(
+                f"interval [{starts[bad[0]]}, {ends[bad[0]]}) out of bounds for "
+                f"series of length {stats.series.size}"
+            )
         cumsum, sq_cumsum = stats.cumsums
         first = self.lib.eq1_add_spans(
             self.handle, len(spans), starts.ctypes.data, ends.ctypes.data,
@@ -159,29 +150,59 @@ class Eq1Tables:
         """The core's memoized Eq. 1 distance between two ids."""
         return self.lib.eq1_distance(self.handle, a, b)
 
-    def nearest(self, p: int, ids: np.ndarray) -> float:
+    def nearest(self, p: int, ids: np.ndarray) -> tuple[float, int]:
         """Nearest distance from *p* to its non-self matches among the
-        int64 *ids*; the visited pairs are added to :attr:`calls`."""
+        int64 *ids*, and the number of pairs visited."""
+        nearest, calls = ctypes.c_double(), ctypes.c_int64()
         self.lib.eq1_scan(
             self.handle, p, ids.ctypes.data, ids.size, 0.0,
-            ctypes.addressof(self._nearest), ctypes.addressof(self.calls),
+            ctypes.addressof(nearest), ctypes.addressof(calls),
         )
-        return self._nearest.value
+        return nearest.value, calls.value
 
-    def rank(
-        self, ids: np.ndarray, keys: np.ndarray, outer: np.ndarray,
-        first: int, stop: int, calls_left: int, best_dist: float,
+
+class RankRun:
+    """The core calls of one RRA rank over one candidate list.
+
+    *ids* and *keys* are the candidates' table ids and rule keys (-1 for
+    gaps) and *outer* their outer order, all int64.  Each
+    :func:`repro.core.rra.find_discord` call owns one, with its own
+    out-parameters, so threads that share the tables (through a
+    ``SearchContext``) share only what the core touches while it holds
+    the GIL.
+    """
+
+    #: Most outer candidates one call may run.
+    MAX_OUTERS = 64
+
+    def __init__(self, tables: Eq1Tables, ids: np.ndarray, keys: np.ndarray,
+                 outer: np.ndarray):
+        self._keep = (tables, ids, keys, outer)  # the handle and pointers stay valid
+        self._rank = tables.lib.eq1_rank
+        self._args = (
+            tables.handle, ids.size, ids.ctypes.data, keys.ctypes.data, outer.ctypes.data
+        )
+        self.calls = ctypes.c_int64()
+        self._best_dist, self._best = ctypes.c_double(), ctypes.c_int64()
+        #: Per outer candidate of the last call: 1 when it was abandoned,
+        #: 2 when it became the best, else 0; and its pairs.
+        self.flags = np.zeros(self.MAX_OUTERS, dtype=np.int8)
+        self.outer_calls = np.zeros(self.MAX_OUTERS, dtype=np.int64)
+        self._outs = tuple(
+            ctypes.addressof(v) for v in (self._best_dist, self._best, self.calls)
+        ) + (self.flags.ctypes.data, self.outer_calls.ctypes.data)
+
+    def __call__(
+        self, first: int, stop: int, calls_left: int, best_dist: float,
         rng: np.random.Generator,
     ) -> tuple[int, float, int]:
         """Run outer positions ``first`` up to *stop* (at most
-        :attr:`MAX_OUTERS`) of one rank; ``(end, best_dist, best)``.
+        :attr:`MAX_OUTERS`); ``(end, best_dist, best)``.
 
-        *ids* and *keys* are the candidates' table ids and rule keys (-1
-        for gaps) and *outer* their outer order, all int64.  The run ends
-        before *stop* at the first later boundary where its pairs reach
-        *calls_left*.  *best* is the outer position of a new best, else
-        -1.  The visited pairs are added to :attr:`calls` and the
-        per-candidate outcomes written to :attr:`flags` and
+        The run ends before *stop* at the first later boundary where its
+        pairs reach *calls_left*.  *best* is the outer position of a new
+        best, else -1.  The visited pairs are added to :attr:`calls` and
+        the per-candidate outcomes written to :attr:`flags` and
         :attr:`outer_calls`.  Holds the generator's lock, as
         ``Generator.shuffle`` does.
         """
@@ -189,11 +210,9 @@ class Eq1Tables:
         self._best.value = -1
         bit_generator = rng.bit_generator
         with bit_generator.lock:
-            end = self.lib.eq1_rank(
-                self.handle, _capsule_pointer(bit_generator.capsule, b"BitGenerator"),
-                ids.size, ids.ctypes.data, keys.ctypes.data, outer.ctypes.data,
-                first, min(stop, first + self.MAX_OUTERS), calls_left,
-                *self._rank_outs,
+            end = self._rank(
+                *self._args, _capsule_pointer(bit_generator.capsule, b"BitGenerator"),
+                first, min(stop, first + self.MAX_OUTERS), calls_left, *self._outs,
             )
         if end < 0:
             raise MemoryError("eq1 core: allocation failed")
@@ -247,8 +266,8 @@ def _probe(lib: ctypes.CDLL) -> bool:
 
 
 # PyDLL: a core call holds the GIL, so two threads sharing one
-# candidate set (through a SearchContext) never run its memo and
-# out-parameters concurrently.
+# candidate set (through a SearchContext) never run its tables and memo
+# concurrently; out-parameters belong to one call or one RankRun.
 _core = CCore(_SOURCE, _bind, _probe, dll=ctypes.PyDLL)
 load = _core.load
 reset_for_testing = _core.reset_for_testing

@@ -20,7 +20,7 @@ from repro.core.rra import (
     find_discords,
     nearest_neighbor_distances,
 )
-from repro.exceptions import CheckpointError, DiscordSearchError
+from repro.exceptions import CheckpointError, DiscordSearchError, ParameterError
 from repro.grammar.intervals import RuleInterval
 from repro.resilience.budget import SearchBudget, SearchStatus
 from repro.resilience.checkpoint import (
@@ -394,7 +394,7 @@ class TestInterruptedCoreScanAccounting:
         series = _blip_series(length=600)
         candidates = _candidates_for(series)
         reference = find_discords(series, candidates, num_discords=2)
-        original = eq1core.Eq1Tables.rank
+        original = eq1core.RankRun.__call__
         counter = DistanceCounter()
         through = []  # counter value through each core call
 
@@ -405,14 +405,14 @@ class TestInterruptedCoreScanAccounting:
                 raise KeyboardInterrupt
             return returned
 
-        monkeypatch.setattr(eq1core.Eq1Tables, "rank", interrupting)
+        monkeypatch.setattr(eq1core.RankRun, "__call__", interrupting)
         checkpoint = tmp_path / "ck.json"
         result = find_discords(
             series, candidates, num_discords=2,
             counter=counter, budget=SearchBudget.unlimited(),
             checkpoint_path=str(checkpoint),
         )
-        monkeypatch.setattr(eq1core.Eq1Tables, "rank", original)
+        monkeypatch.setattr(eq1core.RankRun, "__call__", original)
 
         assert result.status is SearchStatus.CANCELLED
         assert len(through) == interrupt_after
@@ -559,6 +559,14 @@ class TestCoreParity:
         assert on == off
         # The resumed run finishes with the uninterrupted answer.
         assert on[-1][:2] == on[0][:2]
+
+    @pytest.mark.parametrize("core", [True, False])
+    def test_span_past_the_series_end_is_rejected(self, core):
+        """A span outside the series raises before the core reads it, as
+        on the Python path."""
+        cache = _CandidateSet(_blip_series(length=300), core=core)
+        with pytest.raises(ParameterError):
+            cache.pair_distance(RuleInterval(0, 0, 50, usage=1), RuleInterval(0, 280, 320, usage=1))
 
     @pytest.mark.parametrize("every", [1, 3, 7, 32])
     def test_checkpoint_writes_core_on_equal_off(self, tmp_path, monkeypatch, every):
