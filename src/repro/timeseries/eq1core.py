@@ -257,7 +257,7 @@ def _probe(lib: ctypes.CDLL) -> bool:
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         for generator in (rng, twin)[: seed % 2 * 2]:
             generator.shuffle(np.arange(2))  # one 32-bit draw
-        got, want = np.arange(n), np.arange(n)
+        got, want = np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64)
         shuffle(lib, rng, got)
         twin.shuffle(want)
         if not np.array_equal(got, want) or rng.bit_generator.state != twin.bit_generator.state:
