@@ -16,8 +16,9 @@ import numpy as np
 
 from repro.cache import ResultCache, SearchContext
 from repro.core.anomaly import Anomaly, Discord
-from repro.core.rra import RRAResult, find_discords, nearest_neighbor_distances
+from repro.core.rra import find_discords, nearest_neighbor_distances
 from repro.core.rule_density import find_density_anomalies, rule_density_curve
+from repro.discord.search import DiscordSearchResult
 from repro.exceptions import ParameterError
 from repro.grammar.grammar import Grammar
 from repro.grammar.intervals import (
@@ -317,7 +318,7 @@ class GrammarAnomalyDetector:
         checkpoint_every: int = 32,
         resume_from: Optional[str] = None,
         report_path: Optional[str] = None,
-    ) -> RRAResult:
+    ) -> DiscordSearchResult:
         """RRA variable-length discords (paper Section 4.2).
 
         Anytime and fault-tolerant: pass a

@@ -28,19 +28,19 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.core.anomaly import Anomaly, Discord
+from repro.core.anomaly import Discord
 from repro.cache.results import discords_from_json, discords_to_json
-from repro.discord.search import SearchSession, emit_rank_event
+from repro.discord.search import DiscordSearchResult, SearchSession, iterated_search
 from repro.exceptions import CheckpointError, DiscordSearchError
 from repro.grammar.intervals import RuleInterval
 from repro.observability.metrics import ensure_metrics
-from repro.resilience.budget import SearchBudget, SearchStatus
+from repro.resilience.budget import SearchBudget
 from repro.resilience.checkpoint import (
     load_checkpoint,
     restore_rng,
@@ -52,51 +52,13 @@ from repro.timeseries import eq1core, kernels
 from repro.timeseries.distance import DistanceCounter
 
 
-@dataclass
-class RRAResult:
-    """Outcome of an RRA search.
+#: The RRA result type; the name predates the shared result class.
+RRAResult = DiscordSearchResult
 
-    Attributes
-    ----------
-    discords:
-        Ranked discords (strongest first).
-    distance_calls:
-        Total distance-function invocations (Table 1 metric).
-    candidate_count:
-        Number of candidate intervals considered.
-    status:
-        How the search ended — ``COMPLETE`` (exact), or
-        ``BUDGET_EXHAUSTED`` / ``CANCELLED`` with best-so-far contents.
-    rank_complete:
-        One flag per returned discord: True when that rank's scan
-        visited every candidate (the discord is exact), False when the
-        rank was truncated and its discord is only the best seen so far.
-    degraded:
-        True when the pipeline substituted rule-density intervals for
-        missing discord ranks (see
-        :meth:`repro.core.pipeline.GrammarAnomalyDetector.discords`).
-    fallback:
-        Ranked rule-density anomalies supplied as a degraded substitute
-        for the ranks the budget did not allow RRA to compute.
-    """
 
-    discords: list[Discord] = field(default_factory=list)
-    distance_calls: int = 0
-    candidate_count: int = 0
-    status: SearchStatus = SearchStatus.COMPLETE
-    rank_complete: list[bool] = field(default_factory=list)
-    degraded: bool = False
-    fallback: list[Anomaly] = field(default_factory=list)
-    from_cache: bool = False
-
-    @property
-    def best(self) -> Optional[Discord]:
-        return self.discords[0] if self.discords else None
-
-    @property
-    def complete(self) -> bool:
-        """True when the search ran to exact completion."""
-        return self.status is SearchStatus.COMPLETE
+def _admissible(intervals: Iterable[RuleInterval], size: int) -> list[RuleInterval]:
+    """The intervals RRA can search: inside the series, at least 2 long."""
+    return [iv for iv in intervals if iv.end <= size and iv.end - iv.start >= 2]
 
 
 @dataclass
@@ -354,7 +316,7 @@ def find_discord(
     state = _state if _state is not None else _RankState()
     capture_rng = _on_boundary is not None
 
-    candidates = [iv for iv in intervals if iv.end <= series.size and iv.end - iv.start >= 2]
+    candidates = _admissible(intervals, series.size)
     for ex_start, ex_end in exclude:
         candidates = [iv for iv in candidates if not (iv.start < ex_end and ex_start < iv.end)]
     if not candidates:
@@ -514,14 +476,17 @@ def find_discords(
     metrics=None,
     cache=None,
     context=None,
-) -> RRAResult:
+) -> DiscordSearchResult:
     """Iteratively extract up to *num_discords* ranked discords.
 
     After each discovery the found interval is excluded (paper: "when run
     iteratively, excluding the current best discord from Intervals list,
     RRA outputs a ranked list of multiple co-existing discords of
-    variable length").  The candidate cache (z-normalized subsequences
-    and kernel statistics) is built once and shared across ranks.
+    variable length"): each rank is one :func:`find_discord` over the
+    candidates that overlap no discord found so far, run by the shared
+    rank loop :func:`~repro.discord.search.iterated_search`.  The
+    candidate cache (z-normalized subsequences and kernel statistics) is
+    built once and shared across ranks.
 
     The search is *anytime*: give it a
     :class:`~repro.resilience.budget.SearchBudget` and it returns its
@@ -580,25 +545,12 @@ def find_discords(
     series = np.asarray(series, dtype=float)
     if rng is None:
         rng = np.random.default_rng(0)
+    valid = _admissible(intervals, series.size)
 
-    # Materialized once: an iterator would be used up by the count.
-    intervals = list(intervals)
-    result = RRAResult(candidate_count=len(intervals))
-    valid = [
-        iv for iv in intervals if iv.end <= series.size and iv.length >= 2
-    ]
-
-    cached = session.lookup(
-        series, valid, {"num_discords": int(num_discords)}, rng=rng
-    )
-    if cached is not None:
-        # Hit: the stored discords and ledger increments, applied to the
-        # live counter — and no candidate set, no checkpoint writes.
-        result.discords = cached
-        result.rank_complete = [True] * len(cached)
-        result.distance_calls = counter.calls
-        result.from_cache = True
-        return result
+    hit = session.lookup(series, valid, {"num_discords": int(num_discords)}, rng=rng)
+    if hit is not None:
+        # No candidate set and no checkpoint writes on a hit.
+        return hit
 
     if context is not None:
         # The context keeps the whole candidate set (normalized values,
@@ -614,9 +566,10 @@ def find_discords(
             series, valid, {"num_discords": num_discords}
         )
 
-    exclusions: list[tuple[int, int]] = []
-    start_rank = 0
-    resumed_state: Optional[_RankState] = None
+    # The exact discords so far, as a checkpoint records them (their
+    # count is the rank being searched), and the state of that rank.
+    exact: list[Discord] = []
+    state = _RankState()
     if resume_from is not None:
         data = load_checkpoint(resume_from)
         if data.get("fingerprint") != fingerprint:
@@ -624,14 +577,11 @@ def find_discords(
                 f"checkpoint {resume_from} was written for different search "
                 f"inputs (series/candidates/parameters changed)"
             )
-        result.discords = discords_from_json(data.get("discords", []))
-        result.rank_complete = [True] * len(result.discords)
-        exclusions = [tuple(pair) for pair in data.get("exclusions", [])]
+        exact = discords_from_json(data.get("discords", []))
         # restore_ledger is an absolute overwrite: the counter now holds
         # the prior partial run's full tally.
         counter.restore_ledger(data["ledger"])
         session.restart_ledger()
-        start_rank = int(data["rank"])
         if data.get("rng_state") is not None:
             rng = restore_rng(data["rng_state"])
         if metrics.enabled:
@@ -639,15 +589,13 @@ def find_discords(
             metrics.event(
                 "checkpoint.resumed",
                 path=resume_from,
-                rank=start_rank,
+                rank=int(data["rank"]),
                 outer_index=int(data["outer_index"]),
             )
         if data.get("done"):
-            result.distance_calls = counter.calls
-            session.store(result.discords, result.rank_complete, result.status)
-            return result
+            return session.finish(exact, [True] * len(exact))
         best_key = data.get("best_key")
-        resumed_state = _RankState(
+        state = _RankState(
             outer_index=int(data["outer_index"]),
             best_dist=float(data["best_dist"]),
             best_key=tuple(best_key) if best_key is not None else None,
@@ -655,16 +603,17 @@ def find_discords(
         )
 
     # -- checkpoint plumbing -------------------------------------------
-    current_rank = [start_rank]
-    boundary_count = [0]
+    boundaries = 0
 
-    def _write(state: _RankState, done: bool) -> None:
+    def write(done: bool) -> None:
+        if checkpoint_path is None:
+            return
         if metrics.enabled:
             # Emitted before the snapshot so the persisted event stream
             # includes its own save marker.
             metrics.event(
                 "checkpoint.saved",
-                rank=current_rank[0],
+                rank=len(exact),
                 outer_index=state.outer_index,
                 done=done,
             )
@@ -673,13 +622,10 @@ def find_discords(
             {
                 "fingerprint": fingerprint,
                 "num_discords": num_discords,
-                "discords": discords_to_json(
-                    d
-                    for d, ok in zip(result.discords, result.rank_complete)
-                    if ok
-                ),
-                "exclusions": [list(pair) for pair in exclusions],
-                "rank": current_rank[0],
+                "discords": discords_to_json(exact),
+                # Kept for the format; a resume derives them from "discords".
+                "exclusions": [[d.start, d.end] for d in exact],
+                "rank": len(exact),
                 "outer_index": state.outer_index,
                 "visited": [
                     [iv.start, iv.end] for iv in state.outer[: state.outer_index]
@@ -703,66 +649,40 @@ def find_discords(
             },
         )
 
-    def _on_boundary(state: _RankState, crossed: int) -> int:
+    def on_boundary(rank_state: _RankState, crossed: int) -> int:
         """Count *crossed* more boundaries; at an open boundary whose count
         is a multiple of *checkpoint_every*, write a checkpoint.  Returns
         how many outer candidates may run before the next such boundary,
         so the core never runs past one."""
-        boundary_count[0] += crossed
-        if not state.complete and boundary_count[0] % checkpoint_every == 0:
-            _write(state, done=False)
-        return checkpoint_every - boundary_count[0] % checkpoint_every
+        nonlocal boundaries
+        boundaries += crossed
+        if not rank_state.complete and boundaries % checkpoint_every == 0:
+            write(done=False)
+        return checkpoint_every - boundaries % checkpoint_every
 
-    on_boundary = _on_boundary if checkpoint_path is not None else None
-
-    for rank in range(start_rank, num_discords):
-        current_rank[0] = rank
-        state = resumed_state if rank == start_rank and resumed_state else _RankState()
+    def search(exclude: tuple[tuple[int, int], ...]) -> Optional[Discord]:
         if checkpoint_path is not None:
             state.rng_state = rng_state_to_json(rng)
-        rank_ledger = counter.ledger() if metrics.enabled else None
-        with metrics.span("search.rank", source="rra", rank=rank):
-            discord, counter = find_discord(
-                series,
-                valid,
-                counter=counter,
-                rng=rng,
-                exclude=exclusions,
-                cache=candidate_cache,
-                budget=budget,
-                metrics=metrics,
-                _state=state,
-                _on_boundary=on_boundary,
-            )
-        if metrics.enabled:
-            emit_rank_event(
-                metrics, "rra", rank, rank_ledger, counter, discord,
-                exact=state.complete,
-            )
-        if not state.complete:
-            result.status = budget.status
-            if discord is not None:
-                result.discords.append(replace(discord, rank=rank))
-                result.rank_complete.append(False)
-            if checkpoint_path is not None:
-                _write(state, done=False)
-            break
-        if discord is None:
-            if checkpoint_path is not None:
-                _write(state, done=True)
-            break
-        result.discords.append(replace(discord, rank=rank))
-        result.rank_complete.append(True)
-        exclusions.append((discord.start, discord.end))
+        return find_discord(
+            series, valid, counter=counter, rng=rng, exclude=exclude,
+            cache=candidate_cache, budget=budget, metrics=metrics, _state=state,
+            _on_boundary=on_boundary if checkpoint_path is not None else None,
+        )[0]
+
+    def after_rank(found: Optional[Discord], complete: bool) -> None:
+        """Checkpoint the end of a rank: a truncated rank at its last
+        boundary, an exact one as boundary 0 of the next rank."""
+        nonlocal state
+        if found is None or not complete:
+            write(done=complete)
+            return
+        exact.append(found)
+        state = _RankState(calls=counter.calls)
         if checkpoint_path is not None:
-            current_rank[0] = rank + 1
-            _write(
-                _RankState(calls=counter.calls, rng_state=rng_state_to_json(rng)),
-                done=(rank + 1 >= num_discords),
-            )
-    result.distance_calls = counter.calls
-    session.store(result.discords, result.rank_complete, result.status)
-    return result
+            state.rng_state = rng_state_to_json(rng)
+        write(done=len(exact) >= num_discords)
+
+    return iterated_search(session, search, found=exact, after_rank=after_rank)
 
 
 def nearest_neighbor_distances(
@@ -787,7 +707,7 @@ def nearest_neighbor_distances(
     series = np.asarray(series, dtype=float)
     if counter is None:
         counter = DistanceCounter()
-    candidates = [iv for iv in intervals if iv.end <= series.size and iv.end - iv.start >= 2]
+    candidates = _admissible(intervals, series.size)
     cache = _CandidateSet(series)
     tables = cache.tables
     results: list[tuple[RuleInterval, float]] = []

@@ -13,23 +13,24 @@ Haar, brute force) share around their searches:
 * :class:`SearchSession` — ``num_discords`` validation, the counter and
   budget defaults, metrics binding, and the result-cache lookup, ledger
   replay and store;
-* :func:`iterated_search` — top-k extraction by repeated search with
-  window-sized exclusion, the rank loop of the three fixed-length
-  engines (RRA keeps its own, because it checkpoints between ranks);
-* :func:`fixed_length_discords` and :class:`DiscordSearchResult` — the
-  fixed-length engines' top-k driver and its result.
+* :func:`iterated_search` — top-k extraction by repeated search, each
+  rank excluding the candidates that overlap a discord already found:
+  the one rank loop of all four engines;
+* :class:`DiscordSearchResult` — the one search result;
+* :func:`fixed_length_discords` — the fixed-length engines' top-k
+  driver.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.core.anomaly import Discord
+from repro.core.anomaly import Anomaly, Discord
 from repro.exceptions import DiscordSearchError
 from repro.observability.metrics import ensure_metrics
 from repro.resilience.budget import SearchBudget, SearchStatus
@@ -40,26 +41,47 @@ from repro.timeseries.windows import num_windows
 #: A bucketing function: (series, window) -> one hashable key per window.
 BucketFn = Callable[[np.ndarray, int], Sequence[str]]
 
-#: One rank's search: excluded ``(start, end)`` ranges -> best discord.
+#: One rank's search: the ``(start, end)`` spans of the discords found
+#: so far -> the best discord among the candidates overlapping none.
 RankSearch = Callable[[tuple[tuple[int, int], ...]], Optional[Discord]]
 
 
 @dataclass
 class DiscordSearchResult:
-    """Outcome of a fixed-length discord search (HOTSAX, Haar, brute force).
+    """Outcome of a discord search, shared by all four engines.
 
-    ``status`` and the per-rank ``rank_complete`` flags report anytime
-    truncation: with a tripped budget the discords are the best found
-    so far rather than the exact answer.  Sequence-compatible with a
-    plain ``list[Discord]`` (``len`` / indexing / iteration delegate to
-    :attr:`discords`).
+    Attributes
+    ----------
+    discords:
+        Ranked discords (strongest first).  Sequence-compatible with a
+        plain ``list[Discord]``: ``len`` / indexing / iteration delegate
+        to this list.
+    distance_calls:
+        The counter's total distance calls (Table 1 metric).
+    status:
+        How the search ended — ``COMPLETE`` (exact), or
+        ``BUDGET_EXHAUSTED`` / ``CANCELLED`` with best-so-far contents.
+    rank_complete:
+        One flag per returned discord: True when that rank's scan
+        visited every candidate (the discord is exact), False when the
+        rank was truncated and its discord is only the best seen so far.
+    degraded:
+        True when the pipeline substituted rule-density intervals for
+        missing discord ranks (see
+        :meth:`repro.core.pipeline.GrammarAnomalyDetector.discords`).
+    fallback:
+        Ranked rule-density anomalies supplied as a degraded substitute
+        for the ranks the budget did not allow the search to compute.
+    from_cache:
+        True when the result was served from a result cache.
     """
 
     discords: list[Discord] = field(default_factory=list)
     distance_calls: int = 0
-    window: int = 0
     status: SearchStatus = SearchStatus.COMPLETE
     rank_complete: list[bool] = field(default_factory=list)
+    degraded: bool = False
+    fallback: list[Anomaly] = field(default_factory=list)
     from_cache: bool = False
 
     @property
@@ -68,6 +90,7 @@ class DiscordSearchResult:
 
     @property
     def complete(self) -> bool:
+        """True when the search ran to exact completion."""
         return self.status is SearchStatus.COMPLETE
 
     def __len__(self) -> int:
@@ -87,8 +110,9 @@ class SearchSession:
     and binds *metrics* to the budget.  With a *cache* (a
     :class:`~repro.cache.store.ResultCache`), :meth:`lookup` serves an
     identical previous search — its discords, with the stored ledger
-    increments replayed onto :attr:`counter` — and :meth:`store` saves
-    a complete, untruncated result.  Without one, both are no-ops.
+    increments replayed onto :attr:`counter` — and :meth:`finish` saves
+    a complete, untruncated result.  Without one, both only build the
+    result.
     """
 
     def __init__(
@@ -121,8 +145,8 @@ class SearchSession:
         intervals,
         params: dict,
         rng: Optional[np.random.Generator] = None,
-    ) -> Optional[list[Discord]]:
-        """The cached discords of this search, or ``None`` on a miss.
+    ) -> Optional[DiscordSearchResult]:
+        """The cached result of this search, or ``None`` on a miss.
 
         *params* must hold everything besides the series, *intervals*
         and the *rng* state that can change the discords or the ledger.
@@ -140,7 +164,11 @@ class SearchSession:
         entry = self.cache.get(self._key)
         if entry is not None:
             apply_ledger_delta(self.counter, entry["ledger"])
-            return discords_from_json(entry["discords"])
+            discords = discords_from_json(entry["discords"])
+            return DiscordSearchResult(
+                discords, self.counter.calls,
+                rank_complete=[True] * len(discords), from_cache=True,
+            )
         self._ledger_before = self.counter.ledger()
         return None
 
@@ -154,29 +182,23 @@ class SearchSession:
         if self._key is not None:
             self._ledger_before = {name: 0 for name in self.counter.ledger()}
 
-    def store(
-        self,
-        discords: list[Discord],
-        rank_complete: list[bool],
-        status: SearchStatus,
-    ) -> None:
-        """Cache a complete result; truncated ones are never stored."""
-        if (
-            self._key is None
-            or status is not SearchStatus.COMPLETE
-            or not all(rank_complete)
-        ):
-            return
-        from repro.cache.results import discords_to_json, ledger_delta
+    def finish(
+        self, discords: list[Discord], rank_complete: list[bool]
+    ) -> DiscordSearchResult:
+        """The search's result; a complete, untruncated one is cached."""
+        status = self.budget.status
+        if self._key is not None and status is SearchStatus.COMPLETE and all(rank_complete):
+            from repro.cache.results import discords_to_json, ledger_delta
 
-        self.cache.put(
-            self._key,
-            {
-                "engine": self.engine,
-                "discords": discords_to_json(discords),
-                "ledger": ledger_delta(self._ledger_before, self.counter.ledger()),
-            },
-        )
+            self.cache.put(
+                self._key,
+                {
+                    "engine": self.engine,
+                    "discords": discords_to_json(discords),
+                    "ledger": ledger_delta(self._ledger_before, self.counter.ledger()),
+                },
+            )
+        return DiscordSearchResult(discords, self.counter.calls, status, rank_complete)
 
 
 def window_matrix_for(
@@ -222,32 +244,20 @@ def fixed_length_discords(
         engine, num_discords=num_discords, counter=counter,
         budget=budget, metrics=metrics, cache=cache,
     )
-    counter = session.counter
-    cached = session.lookup(
+    hit = session.lookup(
         series,
         (),
         {"window": int(window), "num_discords": int(num_discords), **params},
         rng=rng,
     )
-    if cached is not None:
-        return DiscordSearchResult(
-            discords=cached,
-            distance_calls=counter.calls,
-            window=window,
-            rank_complete=[True] * len(cached),
-            from_cache=True,
-        )
-    discords, rank_complete = iterated_search(
-        session, build_search(session), window
-    )
-    status = session.budget.status
-    session.store(discords, rank_complete, status)
-    return DiscordSearchResult(
-        discords=discords,
-        distance_calls=counter.calls,
-        window=window,
-        status=status,
-        rank_complete=rank_complete,
+    if hit is not None:
+        return hit
+    search = build_search(session)
+    # A window overlaps the span [s, e) of a found discord when it
+    # starts in (s - window, e): the one-rank searches take start ranges.
+    return iterated_search(
+        session,
+        lambda spans: search(tuple((s - window + 1, e) for s, e in spans)),
     )
 
 
@@ -455,53 +465,53 @@ def _inner_sequence(same_bucket: list[int], tail: np.ndarray, p: int):
 
 
 def iterated_search(
-    session: SearchSession, search: RankSearch, window: int
-) -> tuple[list[Discord], list[bool]]:
-    """Top-k discords by repeated *search* with window-sized exclusion.
+    session: SearchSession,
+    search: RankSearch,
+    *,
+    found: Sequence[Discord] = (),
+    after_rank: Optional[Callable[[Optional[Discord], bool], None]] = None,
+) -> DiscordSearchResult:
+    """Top-k discords by repeated *search*, each rank excluding the spans
+    of the discords already found.
 
-    The rank loop of the fixed-length engines: up to
-    ``session.num_discords`` ranks, tagged with ``session.engine``.
-    *search* runs one rank over the candidates outside the given
-    exclusions and must draw its distances through the session's
-    counter and check its budget.  Returns ``(discords, rank_complete)`` — the second list flags, per returned
-    discord, whether its rank scanned every candidate (True) or was
-    truncated by the *budget* and is only the best seen so far (False).
-    Each rank runs in a ``search.rank`` span and, with metrics
-    enabled, emits one ``search.rank_complete`` event carrying that
-    rank's slice of the call ledger (the paper's Table 1 number, per
-    rank).
+    Runs ranks ``len(found)`` up to ``session.num_discords - 1``; *found*
+    seeds the ranking with the exact discords of an interrupted run.
+    *search* runs one rank over the candidates that overlap no found
+    discord, and must draw its distances through the session's counter
+    and check its budget.  The loop stops at the first rank that finds
+    nothing or is truncated by the budget; the result's
+    ``rank_complete`` flags, per returned discord, whether its rank
+    scanned every candidate (True) or is only the best seen so far
+    (False).  A complete result goes to the session's cache.
+
+    Each rank runs in a ``search.rank`` span and, with metrics enabled,
+    emits one ``search.rank_complete`` event carrying that rank's slice
+    of the call ledger (the paper's Table 1 number, per rank).  Then
+    *after_rank* gets the rank's discord (``None`` when it found none)
+    and whether the rank was exact.
     """
-    source, counter, budget, metrics = (
-        session.engine, session.counter, session.budget, session.metrics
-    )
-    discords: list[Discord] = []
-    rank_complete: list[bool] = []
-    exclusions: list[tuple[int, int]] = []
-    for rank in range(session.num_discords):
+    counter, budget, metrics = session.counter, session.budget, session.metrics
+    discords = list(found)
+    rank_complete = [True] * len(discords)
+    for rank in range(len(discords), session.num_discords):
         rank_ledger = counter.ledger() if metrics.enabled else None
-        with metrics.span("search.rank", source=source, rank=rank):
-            found = search(tuple(exclusions))
-        truncated = budget.status is not SearchStatus.COMPLETE
+        with metrics.span("search.rank", source=session.engine, rank=rank):
+            best = search(tuple((d.start, d.end) for d in discords))
+        exact = budget.status is SearchStatus.COMPLETE
         if metrics.enabled:
-            emit_rank_event(
-                metrics, source, rank, rank_ledger, counter, found,
-                exact=not truncated,
+            _emit_rank_event(
+                metrics, session.engine, rank, rank_ledger, counter, best,
+                exact=exact,
             )
-        if found is not None:
-            discords.append(
-                Discord(
-                    start=found.start, end=found.end, score=found.score,
-                    rank=rank, nn_distance=found.nn_distance, rule_id=None,
-                    source=source,
-                )
-            )
-            rank_complete.append(not truncated)
-        if truncated or found is None:
+        if best is not None:
+            best = replace(best, rank=rank)
+            discords.append(best)
+            rank_complete.append(exact)
+        if after_rank is not None:
+            after_rank(best, exact)
+        if not exact or best is None:
             break
-        # Exclude a window-sized neighbourhood around the found discord
-        # so the next rank reports a genuinely different anomaly.
-        exclusions.append((found.start - window + 1, found.start + window))
-    return discords, rank_complete
+    return session.finish(discords, rank_complete)
 
 
 def bucket_ordered_search(
@@ -522,7 +532,7 @@ def bucket_ordered_search(
     )[0]
 
 
-def emit_rank_event(
+def _emit_rank_event(
     metrics,
     source: str,
     rank: int,

@@ -7,6 +7,8 @@ with a useful message, or produces a well-defined degenerate result.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,14 @@ from repro.exceptions import (
     DiscretizationError,
     ReproError,
 )
+from repro.grammar.intervals import rule_intervals, uncovered_intervals
 from repro.grammar.sequitur import induce_grammar
-from repro.resilience import CancellationToken, SearchBudget, SearchStatus
+from repro.resilience import (
+    CancellationToken,
+    SearchBudget,
+    SearchStatus,
+    load_checkpoint,
+)
 from repro.sax.discretize import discretize
 from repro.streaming import StreamingAnomalyDetector
 
@@ -300,6 +308,25 @@ class TestSearchBudgets:
         assert result.status is SearchStatus.BUDGET_EXHAUSTED
 
 
+#: A checkpoint written by the release before RRA moved onto the shared
+#: rank loop: ``find_discords(*_fixture_inputs(), num_discords=3,
+#: budget=SearchBudget(max_calls=2222), checkpoint_path=...,
+#: checkpoint_every=5)``, stopped in rank 1 after 11 outer candidates.
+OLD_CHECKPOINT = Path(__file__).parent / "fixtures" / "rra_checkpoint_rank1.json"
+
+
+def _fixture_inputs():
+    """The series and candidates of :data:`OLD_CHECKPOINT`: an integer
+    random walk with a step, exact in floating point on any platform,
+    so the fingerprint matches."""
+    rng = np.random.default_rng(2015)
+    series = np.cumsum(rng.integers(-3, 4, size=1200)).astype(float)
+    series[600:640] += 40.0
+    disc = discretize(series, 40, 4, 4)
+    grammar = induce_grammar(disc.tokens())
+    return series, rule_intervals(grammar, disc) + uncovered_intervals(grammar, disc)
+
+
 class TestCheckpointResume:
     def test_resume_is_bit_identical(self, tmp_path, sine_bump):
         """Interrupt + resume must equal the uninterrupted run exactly —
@@ -321,6 +348,41 @@ class TestCheckpointResume:
         assert resumed.discords == reference.discords
         assert resumed.distance_calls == reference.distance_calls
         assert resumed.rank_complete == reference.rank_complete
+
+    def test_checkpoint_of_an_earlier_release_resumes(self):
+        """Checkpoints stay readable: resuming the committed mid-rank-1
+        checkpoint gives the uninterrupted run's discords and calls."""
+        series, candidates = _fixture_inputs()
+        saved = load_checkpoint(str(OLD_CHECKPOINT))
+        assert (saved["rank"], saved["outer_index"], saved["done"]) == (1, 11, False)
+        reference = find_discords(series, candidates, num_discords=3)
+        resumed = find_discords(
+            series, candidates, num_discords=3, resume_from=str(OLD_CHECKPOINT)
+        )
+        assert resumed.complete
+        assert resumed.discords == reference.discords
+        assert resumed.distance_calls == reference.distance_calls
+
+    def test_checkpoint_format_is_unchanged(self, tmp_path):
+        """The same interrupted search writes the committed checkpoint's
+        fields in the same order, with the same values."""
+        series, candidates = _fixture_inputs()
+        path = str(tmp_path / "ckpt.json")
+        find_discords(
+            series, candidates, num_discords=3,
+            budget=SearchBudget(max_calls=2222),
+            checkpoint_path=path, checkpoint_every=5,
+        )
+        written, saved = load_checkpoint(path), load_checkpoint(str(OLD_CHECKPOINT))
+        assert list(written) == list(saved)
+        floats = ("best_dist", "discords")
+        assert {k: v for k, v in written.items() if k not in floats} == {
+            k: v for k, v in saved.items() if k not in floats
+        }
+        assert written["best_dist"] == pytest.approx(saved["best_dist"])
+        assert [(d["start"], d["end"], d["rank"]) for d in written["discords"]] == [
+            (d["start"], d["end"], d["rank"]) for d in saved["discords"]
+        ]
 
     def test_resume_rejects_different_inputs(self, tmp_path, sine_bump):
         series, candidates = _fitted(sine_bump.series)

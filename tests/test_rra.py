@@ -202,7 +202,6 @@ class TestFindDiscords:
         assert from_list.discords
         assert from_iter.discords == from_list.discords
         assert from_iter.distance_calls == from_list.distance_calls
-        assert from_iter.candidate_count == from_list.candidate_count
         assert from_iter.status is from_list.status
 
     def test_scores_non_increasing(self):

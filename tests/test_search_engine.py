@@ -5,18 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.anomaly import Discord
+from repro.core.pipeline import GrammarAnomalyDetector
 from repro.core.rra import find_discords
 from repro.discord.brute_force import brute_force_discord, brute_force_discords
 from repro.discord.haar import haar_discords
 from repro.discord.hotsax import hotsax_discords
 from repro.discord.search import (
+    DiscordSearchResult,
     SearchSession,
     bucket_ordered_search,
+    fixed_length_discords,
     iterated_search,
     ordered_discord_search,
     window_matrix_for,
 )
 from repro.exceptions import DiscordSearchError
+from repro.observability.metrics import MetricsRegistry
 from repro.timeseries.distance import DistanceCounter
 
 
@@ -96,14 +101,17 @@ class TestOrderedDiscordSearch:
 
 def _iterated(series, window, num_discords):
     """Top-k single-bucket search through the shared rank loop."""
-    session = SearchSession("t", num_discords=num_discords)
-    search = bucket_ordered_search(
-        session, series, window, _single_bucket,
-        rng=np.random.default_rng(0),
-        windows=window_matrix_for(series, window),
+    counter = DistanceCounter()
+    result = fixed_length_discords(
+        "t", series, window,
+        lambda session: bucket_ordered_search(
+            session, series, window, _single_bucket,
+            rng=np.random.default_rng(0),
+            windows=window_matrix_for(series, window),
+        ),
+        params={}, num_discords=num_discords, counter=counter,
     )
-    discords, rank_complete = iterated_search(session, search, window)
-    return discords, session.counter, rank_complete
+    return result.discords, counter, result.rank_complete
 
 
 class TestIteratedSearch:
@@ -123,9 +131,44 @@ class TestIteratedSearch:
         discords, _, _ = _iterated(series, 25, 10)
         assert 1 <= len(discords) < 10
 
+    def test_seeded_ranks_and_hook_order(self):
+        """*found* seeds the ranking and its spans are excluded; each
+        rank's *after_rank* call follows its ``search.rank_complete``
+        event."""
+        metrics = MetricsRegistry()
+        session = SearchSession("t", num_discords=3, metrics=metrics)
+        seed = Discord(start=10, end=20, score=3.0, rank=0, nn_distance=3.0,
+                       rule_id=7, source="t")
+        spans_seen, hook_calls = [], []
+
+        def search(spans):
+            spans_seen.append(spans)
+            start = 100 * len(spans_seen)
+            return Discord(start=start, end=start + 5, score=1.0, rank=-1,
+                           nn_distance=1.0, rule_id=7, source="t")
+
+        def after_rank(found, exact):
+            hook_calls.append((found.rank, exact, metrics.events[-1]["name"]))
+
+        result = iterated_search(session, search, found=[seed], after_rank=after_rank)
+        assert [(d.start, d.rank, d.rule_id) for d in result] == [
+            (10, 0, 7), (100, 1, 7), (200, 2, 7)
+        ]
+        assert spans_seen == [((10, 20),), ((10, 20), (100, 105))]
+        assert hook_calls == [
+            (1, True, "search.rank_complete"), (2, True, "search.rank_complete")
+        ]
+        assert result.rank_complete == [True, True, True]
+
+
+def _rra_candidates(series):
+    return GrammarAnomalyDetector(30, 4, 4).fit(series).candidates
+
 
 _TOP_K_ENGINES = {
-    "rra": lambda series, k: find_discords(series, [], num_discords=k),
+    "rra": lambda series, k: find_discords(
+        series, _rra_candidates(series), num_discords=k
+    ),
     "hotsax": lambda series, k: hotsax_discords(series, 30, num_discords=k),
     "haar": lambda series, k: haar_discords(series, 30, num_discords=k),
     "brute_force": lambda series, k: brute_force_discords(
@@ -140,3 +183,18 @@ def test_zero_discords_rejected(engine):
     COMPLETE result."""
     with pytest.raises(DiscordSearchError, match="num_discords"):
         _TOP_K_ENGINES[engine](_series(), 0)
+
+
+@pytest.mark.parametrize("engine", sorted(_TOP_K_ENGINES))
+def test_one_result_contract(engine):
+    """Every engine returns the one result type: a sequence of its
+    discords, ranked 0..n-1, no two of them overlapping."""
+    result = _TOP_K_ENGINES[engine](_series(), 3)
+    assert result.discords
+    assert list(result) == result.discords
+    assert len(result) == len(result.discords)
+    assert result[0] is result.discords[0]
+    assert isinstance(result, DiscordSearchResult)
+    assert [d.rank for d in result] == list(range(len(result)))
+    spans = sorted((d.start, d.end) for d in result)
+    assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
