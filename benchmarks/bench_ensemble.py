@@ -58,7 +58,6 @@ import statistics
 import numpy as np
 import pytest
 
-from repro.cache import SearchContext
 from repro.core.ensemble import (
     EnsembleDetector,
     EnsembleMember,
@@ -116,12 +115,9 @@ def score_dataset(row, dataset, *, quick: bool):
     pairs = relative_grid(row.window, dataset.length, quick=quick)
     out = {}
     for variant, series in _variants(dataset, noise_seed=NOISE_SEED):
-        context = SearchContext()
         singles = {}
         for label, member in pairs:
-            outcome = evaluate_member(
-                series, member, num_discords=1, context=context
-            )
+            outcome = evaluate_member(series, member, num_discords=1)
             hit = outcome.status == "ok" and any(
                 dataset.contains_hit(d.start, d.end) for d in outcome.discords
             )
@@ -129,7 +125,6 @@ def score_dataset(row, dataset, *, quick: bool):
         result = EnsembleDetector(
             [member for _, member in pairs],
             num_discords=2,
-            context=context,
         ).fit(series)
         best = result.best
         out[variant] = {

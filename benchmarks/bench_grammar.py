@@ -61,7 +61,6 @@ import time
 
 import numpy as np
 
-from repro.cache import SearchContext
 from repro.core.rule_density import rule_density_curve
 from repro.grammar import ccore
 from repro.grammar.intervals import (
@@ -231,11 +230,10 @@ def bench_density(num_intervals: int, series_length: int, repeats: int) -> dict:
 
     The fast side consumes a :class:`RuleIntervalList` — the type
     :func:`rule_intervals` actually returns — whose endpoint arrays are
-    built once per projection and then shared by the density curve, the
-    gap scan, and every context-memoized refit of the same cell.  The
-    one-off array build is timed separately and reported as
-    ``cold_first_call_seconds``; the speedup ratio covers the
-    steady-state accumulation, which is what repeated fits pay.
+    built once per projection and then shared by the density curve and
+    the gap scan.  The one-off array build is timed separately and
+    reported as ``cold_first_call_seconds``; the speedup ratio covers
+    the steady-state accumulation.
     """
     intervals = RuleIntervalList(_synthetic_intervals(num_intervals, series_length))
     gc.collect()
@@ -306,14 +304,20 @@ def bench_sweep(series_length: int, repeats: int) -> dict:
         return out
 
     def fast_sweep():
-        context = SearchContext()
+        # One windowed_paa per (window, paa_size) pair, shared by its
+        # alphabets, as ParameterGridStudy._evaluate_pair does.
         out = []
-        for w, p, a in cells:
-            disc, grammar, intervals, _gaps = context.grammar_front(
-                series, w, p, a, NumerosityReduction.EXACT
-            )
-            curve = rule_density_curve(intervals, series.size)
-            out.append((disc.tokens(), grammar, intervals, curve))
+        for w in windows:
+            for p in paa_sizes:
+                paa_values = windowed_paa(series, w, p)
+                for a in alphabet_sizes:
+                    disc = discretize(series, w, p, a, paa_values=paa_values)
+                    grammar = induce_grammar_interned(
+                        disc.token_ids, disc.vocabulary, tokens=disc.tokens()
+                    )
+                    intervals = rule_intervals(grammar, disc)
+                    curve = rule_density_curve(intervals, series.size)
+                    out.append((disc.tokens(), grammar, intervals, curve))
         return out
 
     legacy, legacy_s = _best_of(legacy_sweep, repeats)

@@ -61,7 +61,7 @@ from repro.exceptions import (
     ReproError,
     TrajectoryError,
 )
-from repro.cache import ResultCache, SearchContext
+from repro.cache import ResultCache
 from repro.resilience import CancellationToken, SearchBudget, SearchStatus
 from repro.grammar import Grammar, GrammarRule, induce_grammar, repair_grammar
 from repro.sax import Discretization, NumerosityReduction, discretize, sax_word
@@ -101,7 +101,6 @@ __all__ = [
     "StreamingAnomalyDetector",
     # cache
     "ResultCache",
-    "SearchContext",
     # resilience
     "CancellationToken",
     "SearchBudget",

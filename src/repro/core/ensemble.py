@@ -52,7 +52,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.cache import ResultCache, SearchContext, ensemble_member_key
+from repro.cache import ResultCache, ensemble_member_key
 from repro.cache.results import discords_from_json, discords_to_json
 from repro.core.anomaly import Anomaly, Discord
 from repro.core.pipeline import GrammarAnomalyDetector
@@ -319,7 +319,6 @@ def evaluate_member(
     *,
     num_discords: int,
     seed: int = 0,
-    context: Optional[SearchContext] = None,
     metrics=None,
     budget: Optional[SearchBudget] = None,
 ) -> MemberOutcome:
@@ -339,7 +338,6 @@ def evaluate_member(
             member.paa_size,
             member.alphabet_size,
             seed=seed,
-            context=context,
             metrics=metrics,
         )
         fitted = detector.fit(series)
@@ -509,10 +507,6 @@ class EnsembleDetector:
         a warm ensemble run — or one whose grid merely overlaps an
         earlier run's — answers those members from disk, bit-identically.
         Truncated members are never stored.
-    context:
-        Optional :class:`~repro.cache.SearchContext`.  When omitted, a
-        fit-local context is created so members sharing a (window, paa)
-        pair share their discretization front half; purely accelerative.
 
     Examples
     --------
@@ -538,7 +532,6 @@ class EnsembleDetector:
         n_workers: int = 1,
         metrics=None,
         cache=None,
-        context: Optional[SearchContext] = None,
     ) -> None:
         if normalization not in NORMALIZATIONS:
             raise ParameterError(
@@ -571,7 +564,6 @@ class EnsembleDetector:
         self.cache = cache
         if self.metrics.enabled and self.cache is not None:
             self.cache.bind_metrics(self.metrics)
-        self.context = context
         self._result: Optional[EnsembleResult] = None
 
     @staticmethod
@@ -699,7 +691,6 @@ class EnsembleDetector:
         pending: list[tuple[int, EnsembleMember]],
         budget: Optional[SearchBudget],
     ) -> dict[int, MemberOutcome]:
-        context = self.context if self.context is not None else SearchContext()
         outcomes: dict[int, MemberOutcome] = {}
         total_calls = 0
         for idx, member in pending:
@@ -717,7 +708,6 @@ class EnsembleDetector:
                     member,
                     num_discords=self.num_discords,
                     seed=self.seed,
-                    context=context,
                     metrics=self.metrics,
                     budget=budget,
                 )

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.cache import ResultCache, SearchContext, grid_cell_key
+from repro.cache import ResultCache, grid_cell_key
 from repro.core.pipeline import GrammarAnomalyDetector
 from repro.exceptions import GridCellError, ParameterError
 from repro.parallel.pool import effective_workers
@@ -56,45 +56,32 @@ class GridPoint:
     density_hit_enhanced: bool = False
 
 
-def _normalized_sample_rows(
-    series: np.ndarray, window: int, sample_stride: int
-) -> list[np.ndarray]:
-    """Z-normalized sampled window rows — the ``paa_size``-independent
-    half of :func:`approximation_distance`, shareable across a sweep's
-    alphabet and PAA loops for one window."""
-    windows = sliding_windows(series, window)[::sample_stride]
-    if windows.shape[0] == 0:
-        raise ParameterError("series shorter than window")
-    return [znorm(row) for row in windows]
-
-
 def approximation_distance(
     series: np.ndarray,
     window: int,
     paa_size: int,
     *,
     sample_stride: int = 1,
-    normalized_rows: Optional[list] = None,
 ) -> float:
     """Mean Euclidean error of the PAA approximation over all windows.
 
     Each window is z-normalized, reduced to ``paa_size`` segment means,
     reconstructed by repeating each mean over its segment, and compared
     with the original.  ``sample_stride`` lets large sweeps subsample
-    windows; *normalized_rows* accepts the prebuilt
-    :func:`_normalized_sample_rows` output (one z-normalization pass
-    shared across every ``paa_size`` of the same window).
+    windows.
     """
     if sample_stride < 1:
         raise ParameterError(f"sample_stride must be >= 1, got {sample_stride}")
-    if normalized_rows is None:
-        normalized_rows = _normalized_sample_rows(series, window, sample_stride)
+    windows = sliding_windows(series, window)[::sample_stride]
+    if windows.shape[0] == 0:
+        raise ParameterError("series shorter than window")
     total = 0.0
-    for normalized in normalized_rows:
+    for row in windows:
+        normalized = znorm(row)
         means = paa(normalized, paa_size)
         reconstructed = _paa_reconstruct(means, window)
         total += float(np.sqrt(np.sum((normalized - reconstructed) ** 2)))
-    return total / len(normalized_rows)
+    return total / windows.shape[0]
 
 
 def _paa_reconstruct(means: np.ndarray, n: int) -> np.ndarray:
@@ -199,7 +186,6 @@ class ParameterGridStudy:
         *,
         approx_distance: Optional[float] = None,
         paa_values: Optional[np.ndarray] = None,
-        context: Optional[SearchContext] = None,
         cache: Optional[ResultCache] = None,
     ) -> Optional[GridPoint]:
         """Evaluate one parameter combination; None when it is invalid
@@ -209,8 +195,6 @@ class ParameterGridStudy:
         ``(window, paa_size)`` quantities precomputed by
         :meth:`_evaluate_pair`, which are identical for every alphabet
         size and dominate the per-point cost when recomputed.
-        *context* threads a :class:`~repro.cache.SearchContext` through
-        the detector so per-series artifacts are shared across cells;
         *cache* short-circuits the whole cell when an identical one was
         completed before (and stores this one on completion).
         """
@@ -222,9 +206,7 @@ class ParameterGridStudy:
             payload = cache.get(cell_key)
             if payload is not None:
                 return self._point_from_payload(payload)
-        detector = GrammarAnomalyDetector(
-            window, paa_size, alphabet_size, context=context
-        )
+        detector = GrammarAnomalyDetector(window, paa_size, alphabet_size)
         try:
             fitted = detector.fit(self.series, paa_values=paa_values)
         except Exception:
@@ -258,19 +240,11 @@ class ParameterGridStudy:
 
             true_start, true_end = self.true_anomaly
             if approx_distance is None:
-                stride = max(1, window // 4)
                 approx_distance = approximation_distance(
                     self.series,
                     window,
                     paa_size,
-                    sample_stride=stride,
-                    normalized_rows=(
-                        context.approx_normalized_rows(
-                            self.series, window, stride
-                        )
-                        if context is not None
-                        else None
-                    ),
+                    sample_stride=max(1, window // 4),
                 )
         except GridCellError:
             raise
@@ -304,7 +278,6 @@ class ParameterGridStudy:
         paa_size: int,
         alphabet_sizes: Sequence[int],
         *,
-        context: Optional[SearchContext] = None,
         cache: Optional[ResultCache] = None,
     ) -> list[GridPoint]:
         """Evaluate every alphabet size of one ``(window, paa_size)`` pair.
@@ -314,9 +287,7 @@ class ParameterGridStudy:
         once per alphabet — and shared across the alphabet loop, both
         serially and as the unit of work one parallel sweep task
         executes.  They are also computed *lazily*: a pair whose cells
-        all hit the result cache never discretizes at all.  With a
-        *context*, the PAA coefficients are additionally shared with
-        every other consumer of the same series and pair.
+        all hit the result cache never discretizes at all.
         """
         if paa_size > window or window >= self.series.size:
             return []
@@ -332,33 +303,19 @@ class ParameterGridStudy:
                     points.append(self._point_from_payload(payload))
                     continue
             if paa_values is None:
-                stride = max(1, window // 4)
                 approx = approximation_distance(
                     self.series,
                     window,
                     paa_size,
-                    sample_stride=stride,
-                    normalized_rows=(
-                        context.approx_normalized_rows(
-                            self.series, window, stride
-                        )
-                        if context is not None
-                        else None
-                    ),
+                    sample_stride=max(1, window // 4),
                 )
-                if context is not None:
-                    paa_values = context.windowed_paa(
-                        self.series, window, paa_size
-                    )
-                else:
-                    paa_values = windowed_paa(self.series, window, paa_size)
+                paa_values = windowed_paa(self.series, window, paa_size)
             point = self.evaluate_point(
                 window,
                 paa_size,
                 alphabet_size,
                 approx_distance=approx,
                 paa_values=paa_values,
-                context=context,
             )
             if point is not None:
                 points.append(point)
@@ -374,7 +331,6 @@ class ParameterGridStudy:
         *,
         n_workers: Optional[int] = 1,
         cache=None,
-        context: Optional[SearchContext] = None,
     ) -> list[GridPoint]:
         """Evaluate the full cartesian grid (invalid points skipped).
 
@@ -388,11 +344,9 @@ class ParameterGridStudy:
         overlaps an earlier one over the same series — returns the
         stored :class:`GridPoint` for every hit.  In a parallel sweep
         the hits are resolved in the parent *before* dispatch, so fully
-        cached pairs never reach the pool.  *context* memoizes
-        per-series artifacts across cells (serial sweeps only; pool
-        workers build their own per-process context).  Both options are
-        purely accelerative: the returned points are identical with or
-        without them.
+        cached pairs never reach the pool.  The cache is purely
+        accelerative: the returned points are identical with or without
+        it.
         """
         workers = effective_workers(n_workers)
         if cache is not None and not isinstance(cache, ResultCache):
@@ -456,7 +410,6 @@ class ParameterGridStudy:
                         window,
                         paa_size,
                         alphabet_sizes,
-                        context=context,
                         cache=cache,
                     )
                 )

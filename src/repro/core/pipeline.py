@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.cache import ResultCache, SearchContext
+from repro.cache import ResultCache
 from repro.core.anomaly import Anomaly, Discord
 from repro.core.rra import find_discords, nearest_neighbor_distances
 from repro.core.rule_density import find_density_anomalies, rule_density_curve
@@ -112,11 +112,6 @@ class GrammarAnomalyDetector:
         same series content, candidates, and parameters — returns the
         stored discords and ledger flagged ``from_cache=True``,
         bit-identical to a live run.  Disabled by default.
-    context:
-        Optional :class:`~repro.cache.SearchContext` memoizing
-        per-series artifacts (window matrices, discretizations) across
-        fits and queries.  Purely an in-process optimization; results
-        are bit-identical with or without it.  Disabled by default.
 
     Examples
     --------
@@ -145,7 +140,6 @@ class GrammarAnomalyDetector:
         quality_policy: str = "raise",
         metrics=None,
         cache=None,
-        context: Optional[SearchContext] = None,
     ) -> None:
         if grammar_algorithm not in ("sequitur", "repair"):
             raise ParameterError(
@@ -168,12 +162,8 @@ class GrammarAnomalyDetector:
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
         self.cache = cache
-        self.context = context
-        if self.metrics.enabled:
-            if self.cache is not None:
-                self.cache.bind_metrics(self.metrics)
-            if self.context is not None:
-                self.context.bind_metrics(self.metrics)
+        if self.metrics.enabled and self.cache is not None:
+            self.cache.bind_metrics(self.metrics)
         self._result: Optional[PipelineResult] = None
 
     # -- fitting --------------------------------------------------------
@@ -206,54 +196,24 @@ class GrammarAnomalyDetector:
             # The gate repaired the series, so any precomputed PAA matrix
             # describes the wrong data — fall back to recomputing it.
             paa_values = None
-        if self.context is not None and not report.bad_spans:
-            # The context memoizes the whole grammar front half per
-            # (series content, window, paa_size, alphabet_size, strategy,
-            # algorithm): discretization, induced grammar, occurrence
-            # intervals, and uncovered gaps.  Refits, repeated sweep
-            # cells, and the density/RRA queries of one fit all share a
-            # single induction; the build path runs the exact same
-            # arithmetic as the uncontexted branch below.
-            with metrics.span("pipeline.discretize"):
-                disc = self.context.sax_tokens(
-                    series,
-                    self.window,
-                    self.paa_size,
-                    self.alphabet_size,
-                    self.numerosity_reduction,
+        with metrics.span("pipeline.discretize"):
+            disc = discretize(
+                series,
+                self.window,
+                self.paa_size,
+                self.alphabet_size,
+                strategy=self.numerosity_reduction,
+                paa_values=paa_values,
+            )
+        with metrics.span("pipeline.grammar", algorithm=self.grammar_algorithm):
+            if self.grammar_algorithm == "repair":
+                grammar = repair_grammar(disc.tokens())
+            else:
+                grammar = induce_grammar_interned(
+                    disc.token_ids, disc.vocabulary, tokens=disc.tokens()
                 )
-            with metrics.span(
-                "pipeline.grammar", algorithm=self.grammar_algorithm
-            ):
-                disc, grammar, intervals, gaps = self.context.grammar_front(
-                    series,
-                    self.window,
-                    self.paa_size,
-                    self.alphabet_size,
-                    self.numerosity_reduction,
-                    self.grammar_algorithm,
-                )
-        else:
-            with metrics.span("pipeline.discretize"):
-                disc = discretize(
-                    series,
-                    self.window,
-                    self.paa_size,
-                    self.alphabet_size,
-                    strategy=self.numerosity_reduction,
-                    paa_values=paa_values,
-                )
-            with metrics.span(
-                "pipeline.grammar", algorithm=self.grammar_algorithm
-            ):
-                if self.grammar_algorithm == "repair":
-                    grammar = repair_grammar(disc.tokens())
-                else:
-                    grammar = induce_grammar_interned(
-                        disc.token_ids, disc.vocabulary, tokens=disc.tokens()
-                    )
-            intervals = rule_intervals(grammar, disc)
-            gaps = uncovered_intervals(grammar, disc)
+        intervals = rule_intervals(grammar, disc)
+        gaps = uncovered_intervals(grammar, disc)
         density = rule_density_curve(intervals, series.size, metrics=metrics)
         if metrics.enabled:
             metrics.gauge("pipeline.words_reduced").set(len(disc))
@@ -360,7 +320,6 @@ class GrammarAnomalyDetector:
             resume_from=resume_from,
             metrics=metrics,
             cache=self.cache,
-            context=self.context,
         )
         if not rra.complete:
             rra.degraded = True

@@ -96,17 +96,9 @@ class _CandidateSet:
     ranks of an iterative :func:`find_discords` extraction.
     """
 
-    def __init__(
-        self,
-        series: np.ndarray,
-        *,
-        stats: Optional[kernels.SeriesStats] = None,
-        core=True,
-    ):
+    def __init__(self, series: np.ndarray, *, core=True):
         self.series = np.ascontiguousarray(series, dtype=float)
-        # A prebuilt SeriesStats (from a SearchContext) is reused instead
-        # of re-deriving the cumulative sums.
-        self._stats = stats if stats is not None else kernels.SeriesStats(self.series)
+        self._stats = kernels.SeriesStats(self.series)
         self._entries: dict[
             tuple[int, int], tuple[np.ndarray, float, np.ndarray]
         ] = {}
@@ -117,10 +109,8 @@ class _CandidateSet:
         self.tables = eq1core.Eq1Tables(lib) if lib is not None else None
         self._ids: dict[tuple[int, int], int] = {}
         # Pair distances are symmetric and depend only on the interval
-        # positions, so each distinct unordered pair is computed once —
-        # within a search and, when a SearchContext keeps this set
-        # alive, across repeated searches over the same candidates.  With
-        # the core loaded the memo lives in its tables.
+        # positions, so each distinct unordered pair is computed once per
+        # search.  With the core loaded the memo lives in its tables.
         self._pair_distances: dict[tuple[int, int, int, int], float] = {}
 
     @property
@@ -475,7 +465,6 @@ def find_discords(
     resume_from: Optional[str] = None,
     metrics=None,
     cache=None,
-    context=None,
 ) -> DiscordSearchResult:
     """Iteratively extract up to *num_discords* ranked discords.
 
@@ -529,9 +518,6 @@ def find_discords(
         a resumed search that runs to completion populates the cache
         with the full-run ledger, exactly as an uninterrupted run would
         have.
-    context:
-        Optional :class:`~repro.cache.context.SearchContext` sharing the
-        series' cumulative-sum statistics across searches.
     """
     session = SearchSession(
         "rra", num_discords=num_discords, counter=counter,
@@ -552,13 +538,7 @@ def find_discords(
         # No candidate set and no checkpoint writes on a hit.
         return hit
 
-    if context is not None:
-        # The context keeps the whole candidate set (normalized values,
-        # norms, pair distances) alive across searches over the same
-        # grammar — a repeated search recomputes no distances.
-        candidate_cache = context.rra_candidate_set(series, valid)
-    else:
-        candidate_cache = _CandidateSet(series)
+    candidate_cache = _CandidateSet(series)
 
     fingerprint: Optional[str] = None
     if checkpoint_path is not None or resume_from is not None:

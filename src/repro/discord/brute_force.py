@@ -18,11 +18,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.anomaly import Discord
-from repro.discord.search import (
-    DiscordSearchResult,
-    fixed_length_discords,
-    window_matrix_for,
-)
+from repro.discord.search import DiscordSearchResult, fixed_length_discords
 from repro.exceptions import DiscordSearchError
 from repro.observability.metrics import ensure_metrics
 from repro.resilience.budget import SearchBudget
@@ -215,20 +211,15 @@ def brute_force_discords(
     budget: Optional[SearchBudget] = None,
     metrics=None,
     cache=None,
-    context=None,
 ) -> BruteForceResult:
     """Ranked top-k fixed-length discords by exhaustive search (anytime).
 
     *cache* serves an identical previous search from disk (discords +
-    call ledger, ``from_cache=True``); *context* shares the window
-    matrix across searches.  Both default to
-    ``None`` — the unconfigured path is byte-identical to the pre-cache
-    code.
+    call ledger, ``from_cache=True``).
     """
     series = np.asarray(series, dtype=float)
 
-    def build_search(session):
-        windows = window_matrix_for(series, window, context)
+    def build_search(session, windows):
         return lambda exclude: brute_force_discord(
             series,
             window,

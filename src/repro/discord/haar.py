@@ -23,7 +23,6 @@ from repro.discord.search import (
     bucket_ordered_search,
     fixed_length_discords,
     ordered_discord_search,
-    window_matrix_for,
 )
 from repro.exceptions import ParameterError
 from repro.resilience.budget import SearchBudget
@@ -102,31 +101,6 @@ def haar_words(
     return words
 
 
-def _shared_bucketing(
-    series: np.ndarray, window: int, num_coefficients: int, context=None
-):
-    """One WindowMatrix + one Haar-word pass, shared across all ranks
-    (and by searches through *context*).
-
-    The words are a pure function of the (unchanging) windows, so
-    computing them once per search instead of once per rank is
-    result-identical; degenerate inputs fall back to the lazy path so
-    the search's own validation error still fires first.
-    """
-    if context is not None:
-        return context.haar_bucketing(series, window, num_coefficients)
-    windows = window_matrix_for(series, window)
-    if windows is None:
-        return None, (
-            lambda s, w: haar_words(s, w, num_coefficients=num_coefficients)
-        )
-    words = haar_words(
-        series, window,
-        num_coefficients=num_coefficients, normalized=windows.normalized,
-    )
-    return windows, (lambda s, w: words)
-
-
 def haar_discord(
     series: np.ndarray,
     window: int,
@@ -139,18 +113,16 @@ def haar_discord(
     metrics=None,
 ) -> tuple[Optional[Discord], DistanceCounter]:
     """Best fixed-length discord with Haar-word loop ordering (exact)."""
-    series = np.asarray(series, dtype=float)
-    windows, bucket_fn = _shared_bucketing(series, window, num_coefficients)
+    series = np.ascontiguousarray(series, dtype=float)
     return ordered_discord_search(
         series,
         window,
-        bucket_fn,
+        lambda s, w: haar_words(s, w, num_coefficients=num_coefficients),
         source="haar",
         counter=counter,
         rng=rng,
         exclude=exclude,
         budget=budget,
-        windows=windows,
         metrics=metrics,
     )
 
@@ -166,26 +138,24 @@ def haar_discords(
     budget: Optional[SearchBudget] = None,
     metrics=None,
     cache=None,
-    context=None,
 ) -> HaarResult:
     """Ranked top-k discords with Haar-word loop ordering (anytime).
 
-    *cache* serves an identical previous search from disk (discords +
-    call ledger, ``from_cache=True``); *context* shares the window
-    matrix and Haar words across searches.  Both
-    default to ``None`` — the unconfigured path is byte-identical to
-    the pre-cache code.
+    The Haar words are computed once, from the search's window matrix,
+    and shared by every rank.  *cache* serves an identical previous
+    search from disk (discords + call ledger, ``from_cache=True``).
     """
     series = np.asarray(series, dtype=float)
     if rng is None:
         rng = np.random.default_rng(0)
 
-    def build_search(session):
-        windows, bucket_fn = _shared_bucketing(
-            series, window, num_coefficients, context
+    def build_search(session, windows):
+        words = haar_words(
+            series, window,
+            num_coefficients=num_coefficients, normalized=windows.normalized,
         )
         return bucket_ordered_search(
-            session, series, window, bucket_fn, rng=rng, windows=windows
+            session, series, window, lambda s, w: words, rng=rng, windows=windows
         )
 
     return fixed_length_discords(

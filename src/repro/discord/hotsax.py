@@ -27,7 +27,6 @@ from repro.discord.search import (
     bucket_ordered_search,
     fixed_length_discords,
     ordered_discord_search,
-    window_matrix_for,
 )
 from repro.resilience.budget import SearchBudget
 from repro.sax.alphabet import alphabet_letters, letter_indices
@@ -41,54 +40,24 @@ from repro.timeseries.znorm import znorm_rows
 HOTSAXResult = DiscordSearchResult
 
 
-class SAXWindowDiscretization:
-    """One-shot SAX discretization of every sliding window, kept around.
-
-    The per-window SAX words are computed in a single pass and cached on
-    the search, so HOTSAX's bucket ordering discretizes once per search
-    rather than once per rank.
-    """
-
-    __slots__ = ("window", "paa_size", "alphabet_size", "words")
-
-    def __init__(
-        self,
-        series: np.ndarray,
-        window: int,
-        paa_size: int,
-        alphabet_size: int,
-        *,
-        normalized: Optional[np.ndarray] = None,
-    ):
-        if normalized is None:
-            normalized = znorm_rows(sliding_windows(series, window))
-        self.window = window
-        self.paa_size = paa_size
-        self.alphabet_size = alphabet_size
-        letters = letter_indices(paa_batch(normalized, paa_size), alphabet_size)
-        alphabet = alphabet_letters(alphabet_size)
-        self.words = ["".join(alphabet[i] for i in row) for row in letters]
-
-
 def _sax_words_per_window(
-    series: np.ndarray, window: int, paa_size: int, alphabet_size: int
+    series: np.ndarray,
+    window: int,
+    paa_size: int,
+    alphabet_size: int,
+    *,
+    normalized: Optional[np.ndarray] = None,
 ) -> list[str]:
-    """SAX word of every sliding window (no numerosity reduction)."""
-    return SAXWindowDiscretization(series, window, paa_size, alphabet_size).words
+    """SAX word of every sliding window (no numerosity reduction).
 
-
-def _sax_bucketing(series, window, paa_size, alphabet_size, context=None):
-    """The search's ``(windows, bucket_fn)``: one window matrix and one
-    SAX pass, shared by every rank (and by searches through *context*)."""
-    windows = window_matrix_for(series, window, context)
-    if context is not None:
-        disc = context.sax_discretization(series, window, paa_size, alphabet_size)
-    else:
-        disc = SAXWindowDiscretization(
-            series, window, paa_size, alphabet_size,
-            normalized=windows.normalized if windows is not None else None,
-        )
-    return windows, (lambda s, w: disc.words)
+    *normalized* is the z-normalized window matrix when the caller has
+    it already (a search's :class:`~repro.timeseries.kernels.WindowMatrix`).
+    """
+    if normalized is None:
+        normalized = znorm_rows(sliding_windows(series, window))
+    letters = letter_indices(paa_batch(normalized, paa_size), alphabet_size)
+    alphabet = alphabet_letters(alphabet_size)
+    return ["".join(alphabet[i] for i in row) for row in letters]
 
 
 def hotsax_discord(
@@ -130,18 +99,16 @@ def hotsax_discord(
         :func:`repro.discord.search.ordered_discord_search`).  Disabled
         by default; results are byte-identical either way.
     """
-    series = np.asarray(series, dtype=float)
-    windows, bucket_fn = _sax_bucketing(series, window, paa_size, alphabet_size)
+    series = np.ascontiguousarray(series, dtype=float)
     return ordered_discord_search(
         series,
         window,
-        bucket_fn,
+        lambda s, w: _sax_words_per_window(s, w, paa_size, alphabet_size),
         source="hotsax",
         counter=counter,
         rng=rng,
         exclude=exclude,
         budget=budget,
-        windows=windows,
         metrics=metrics,
     )
 
@@ -158,7 +125,6 @@ def hotsax_discords(
     budget: Optional[SearchBudget] = None,
     metrics=None,
     cache=None,
-    context=None,
 ) -> HOTSAXResult:
     """Ranked top-k fixed-length discords with the HOTSAX heuristics.
 
@@ -169,22 +135,19 @@ def hotsax_discords(
     *cache* (a :class:`~repro.cache.store.ResultCache`) serves an
     identical previous search from disk — same discords, same call
     ledger applied to *counter*, flagged ``from_cache=True``; only
-    complete, untruncated results are ever stored.  *context* (a
-    :class:`~repro.cache.context.SearchContext`) shares the window
-    matrix and SAX discretization across searches.
-    Both default to ``None`` — the unconfigured path is byte-identical
-    to the pre-cache code.
+    complete, untruncated results are ever stored.
     """
     series = np.asarray(series, dtype=float)
     if rng is None:
         rng = np.random.default_rng(0)
 
-    def build_search(session):
-        windows, bucket_fn = _sax_bucketing(
-            series, window, paa_size, alphabet_size, context
+    def build_search(session, windows):
+        words = _sax_words_per_window(
+            series, window, paa_size, alphabet_size,
+            normalized=windows.normalized,
         )
         return bucket_ordered_search(
-            session, series, window, bucket_fn, rng=rng, windows=windows
+            session, series, window, lambda s, w: words, rng=rng, windows=windows
         )
 
     return fixed_length_discords(

@@ -201,27 +201,11 @@ class SearchSession:
         return DiscordSearchResult(discords, self.counter.calls, status, rank_complete)
 
 
-def window_matrix_for(
-    series: np.ndarray, window: int, context=None
-) -> Optional[kernels.WindowMatrix]:
-    """The search's shared :class:`~repro.timeseries.kernels.WindowMatrix`.
-
-    Taken from *context* when one is given.  ``None`` for degenerate
-    inputs (< 2 windows), so the single-rank search still raises its own
-    validation error.
-    """
-    if context is not None:
-        return context.window_matrix(series, window)
-    if num_windows(series.size, window) < 2:
-        return None
-    return kernels.WindowMatrix(series, window)
-
-
 def fixed_length_discords(
     engine: str,
     series: np.ndarray,
     window: int,
-    build_search: Callable[[SearchSession], RankSearch],
+    build_search: Callable[[SearchSession, kernels.WindowMatrix], RankSearch],
     *,
     params: dict,
     num_discords: int,
@@ -236,9 +220,11 @@ def fixed_length_discords(
 
     Opens a :class:`SearchSession`, answers from *cache* when it can,
     and otherwise runs :func:`iterated_search` over the one-rank search
-    that *build_search* returns for the session.  The cache key holds
-    *engine*, *window*, *num_discords*, the engine's *params* and the
-    *rng* state (engines that draw no random numbers pass none).
+    that *build_search* returns for the session and the search's one
+    :class:`~repro.timeseries.kernels.WindowMatrix`, shared by every
+    rank.  The cache key holds *engine*, *window*, *num_discords*, the
+    engine's *params* and the *rng* state (engines that draw no random
+    numbers pass none).
     """
     session = SearchSession(
         engine, num_discords=num_discords, counter=counter,
@@ -252,7 +238,11 @@ def fixed_length_discords(
     )
     if hit is not None:
         return hit
-    search = build_search(session)
+    if num_windows(series.size, window) < 2:
+        raise DiscordSearchError(
+            f"series of length {series.size} too short for window {window}"
+        )
+    search = build_search(session, kernels.WindowMatrix(series, window))
     # A window overlaps the span [s, e) of a found discord when it
     # starts in (s - window, e): the one-rank searches take start ranges.
     return iterated_search(

@@ -76,8 +76,7 @@ class RuleIntervalList(list):
     two ``int64`` arrays instead of re-reading per-object attributes on
     each call.  The arrays are built lazily on first use and reused for
     the lifetime of the list — one projected interval list typically
-    serves the density curve, the gap scan, and (under a
-    :class:`~repro.cache.SearchContext`) every refit of the same cell.
+    serves both the density curve and the gap scan.
 
     The cache is invalidated by a length change (append/extend); callers
     that *replace* elements in place should not rely on it.  The arrays

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import warnings
 from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
@@ -81,10 +82,18 @@ def _read_table(path: PathLike) -> np.ndarray:
     ``np.loadtxt`` is the fast path for clean files; anything it
     rejects (missing, non-numeric or ragged cells) goes through
     ``np.genfromtxt``, which turns unparsable cells into NaN and is the
-    arbiter of what a malformed file means.
+    arbiter of what a malformed file means.  An empty or comment-only
+    file parses to an empty array, which :func:`read_series` reports;
+    ``np.loadtxt``'s own warning about it is silenced.
     """
     try:
-        return np.loadtxt(path, dtype=float)
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore",
+                message="loadtxt: (input contained no data|Empty input file)",
+                category=UserWarning,
+            )
+            return np.loadtxt(path, dtype=float)
     except OSError as exc:
         raise ReproError(f"cannot read {path}: {exc}") from exc
     except ValueError:

@@ -12,9 +12,9 @@ independent:
 * parameter-grid pairs — ``ParameterGridStudy.sweep(..., n_workers=...)``
   (:func:`repro.parallel.engine.parallel_grid_sweep`).
 
-Each task runs ordinary serial searches over a series shared once
-through :mod:`repro.parallel.shared`; results merge in canonical order,
-so a full run is bit-identical to the serial loop for any worker count.
+Each task runs ordinary serial searches over the series its payload
+carries; results merge in canonical order, so a full run is
+bit-identical to the serial loop for any worker count.
 A caller's :class:`~repro.resilience.budget.CancellationToken` reaches
 the workers through the pool's shared event
 (:mod:`repro.parallel.pool`).
@@ -24,12 +24,5 @@ The pool persists across fan-outs: its workers live until
 """
 
 from repro.parallel.pool import effective_workers, shutdown
-from repro.parallel.shared import SharedArrays, SharedArraySpec, attach
 
-__all__ = [
-    "effective_workers",
-    "SharedArrays",
-    "SharedArraySpec",
-    "attach",
-    "shutdown",
-]
+__all__ = ["effective_workers", "shutdown"]

@@ -5,20 +5,16 @@
 * :func:`parallel_grid_pairs` / :func:`parallel_grid_sweep` — the
   parameter-grid study, one task per ``(window, paa_size)`` pair.
 
-Every task runs ordinary serial searches; the series reaches the
-workers once per fan-out, through shared memory, and each worker
-memoizes its front-half artifacts in a per-series
-:class:`~repro.cache.SearchContext`.
+Every task runs the same code as the serial loop, over the series its
+payload carries: one pickled copy per task, and no per-series state
+left in a worker between tasks.
 Results come back in canonical order, so a full run is bit-identical to
 the serial loop for any worker count.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.parallel.pool import budget_from_spec, budget_to_spec, run_tasks
-from repro.parallel.shared import SharedArrays, attach, detach_all
 from repro.resilience.budget import SearchBudget
 
 __all__ = [
@@ -33,31 +29,17 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-#: Worker-global ``(series, SearchContext)`` for the series of the current
-#: fan-out, keyed by its shared-memory block name.  Pool workers persist
-#: across tasks and fan-outs, so every member or (window, paa_size) pair
-#: a worker evaluates for one fan-out shares one series copy (and so one
-#: memoized digest), z-normalized windows, discretizations and
-#: statistics.  One fan-out runs at a time per pool, so a new series
-#: replaces the old entry.
-_GRID_CONTEXTS: dict = {}
-
-
 def _grid_pair_task(payload: dict) -> list:
     """Worker: evaluate one (window, paa_size) pair over all alphabets."""
     from repro.core.parameter_grid import ParameterGridStudy
 
-    series, context = _worker_series(payload["series"])
     study = ParameterGridStudy(
-        series,
+        payload["series"],
         tuple(payload["true_anomaly"]),
         min_overlap=payload["min_overlap"],
     )
     return study._evaluate_pair(
-        payload["window"],
-        payload["paa_size"],
-        payload["alphabet_sizes"],
-        context=context,
+        payload["window"], payload["paa_size"], payload["alphabet_sizes"]
     )
 
 
@@ -73,42 +55,22 @@ def parallel_grid_pairs(study, pairs, *, n_workers: int) -> list:
     pairs = list(pairs)
     if not pairs:
         return []
-    with SharedArrays() as arena:
-        series_spec = arena.share(study.series)
-        payloads = [
-            {
-                "series": series_spec,
-                "true_anomaly": list(study.true_anomaly),
-                "min_overlap": study.min_overlap,
-                "window": int(window),
-                "paa_size": int(paa_size),
-                "alphabet_sizes": [int(a) for a in alphabet_sizes],
-            }
-            for window, paa_size, alphabet_sizes in pairs
-        ]
-        results = run_tasks(_grid_pair_task, payloads, n_workers=n_workers)
+    payloads = [
+        {
+            "series": study.series,
+            "true_anomaly": list(study.true_anomaly),
+            "min_overlap": study.min_overlap,
+            "window": int(window),
+            "paa_size": int(paa_size),
+            "alphabet_sizes": [int(a) for a in alphabet_sizes],
+        }
+        for window, paa_size, alphabet_sizes in pairs
+    ]
+    results = run_tasks(_grid_pair_task, payloads, n_workers=n_workers)
     points: list = []
     for pair_points in results:
         points.extend(pair_points or [])
     return points
-
-
-def _worker_series(series_spec):
-    """The worker's copy of one shared series and its :class:`SearchContext`.
-
-    Built on the first task of a fan-out.  A new series drops the
-    previous entry and unmaps the previous fan-out's blocks (the parent
-    has unlinked them; a mapping would keep their memory alive).
-    """
-    from repro.cache import SearchContext
-
-    entry = _GRID_CONTEXTS.get(series_spec.name)
-    if entry is None:
-        _GRID_CONTEXTS.clear()
-        detach_all()
-        series = np.array(attach(series_spec))
-        entry = _GRID_CONTEXTS[series_spec.name] = (series, SearchContext())
-    return entry
 
 
 def _ensemble_member_task(payload: dict):
@@ -128,14 +90,12 @@ def _ensemble_member_task(payload: dict):
     member = EnsembleMember(*payload["member"])
     if payload.get("skip"):
         return MemberOutcome(member, "skipped")
-    series, context = _worker_series(payload["series"])
     spec = payload.get("budget")
     return evaluate_member(
-        series,
+        payload["series"],
         member,
         num_discords=payload["num_discords"],
         seed=payload["seed"],
-        context=context,
         budget=budget_from_spec(spec) if spec is not None else None,
     )
 
@@ -168,9 +128,7 @@ def parallel_ensemble_members(
 
     *pending* is a list of ``(index, EnsembleMember)`` in canonical
     grid order; the returned dict maps each index to its
-    :class:`~repro.core.ensemble.MemberOutcome`.  Members that share a
-    (window, paa_size) on one worker share its discretization through
-    the worker's context.
+    :class:`~repro.core.ensemble.MemberOutcome`.
 
     With a *budget*, members are dispatched in waves of ``n_workers``
     and each payload is resolved at submission time against the calls
@@ -186,50 +144,46 @@ def parallel_ensemble_members(
     if not ordered:
         return {}
     state = {"calls": 0}
-    with SharedArrays() as arena:
-        series_spec = arena.share(
-            np.ascontiguousarray(np.asarray(series, dtype=float))
-        )
 
-        def make_payload(member):
-            base = {
-                "series": series_spec,
-                "member": member.triple,
-                "num_discords": int(num_discords),
-                "seed": int(seed),
-                "budget": None,
-            }
-            if budget is None:
-                return base
+    def make_payload(member):
+        base = {
+            "series": series,
+            "member": member.triple,
+            "num_discords": int(num_discords),
+            "seed": int(seed),
+            "budget": None,
+        }
+        if budget is None:
+            return base
 
-            def build():
-                calls = state["calls"]
-                if budget.interrupted(calls) is not None:
-                    return {**base, "skip": True}
-                max_calls = budget.max_calls
-                # A budget with no limit still ships an (empty) spec, so
-                # the worker's budget binds the pool's cancellation event.
-                spec = budget_to_spec(
-                    SearchBudget(
-                        deadline=budget.remaining_deadline(),
-                        max_calls=None if max_calls is None else max_calls - calls,
-                    )
+        def build():
+            calls = state["calls"]
+            if budget.interrupted(calls) is not None:
+                return {**base, "skip": True}
+            max_calls = budget.max_calls
+            # A budget with no limit still ships an (empty) spec, so
+            # the worker's budget binds the pool's cancellation event.
+            spec = budget_to_spec(
+                SearchBudget(
+                    deadline=budget.remaining_deadline(),
+                    max_calls=None if max_calls is None else max_calls - calls,
                 )
-                return {**base, "budget": spec or {}}
+            )
+            return {**base, "budget": spec or {}}
 
-            return build
+        return build
 
-        def on_result(_index, outcome):
-            state["calls"] += outcome.distance_calls
+    def on_result(_index, outcome):
+        state["calls"] += outcome.distance_calls
 
-        results = run_tasks(
-            _ensemble_member_task,
-            [make_payload(member) for _idx, member in ordered],
-            n_workers=n_workers,
-            budget=budget,
-            on_result=on_result,
-            wave_size=n_workers if budget is not None else None,
-        )
+    results = run_tasks(
+        _ensemble_member_task,
+        [make_payload(member) for _idx, member in ordered],
+        n_workers=n_workers,
+        budget=budget,
+        on_result=on_result,
+        wave_size=n_workers if budget is not None else None,
+    )
     return {idx: outcome for (idx, _member), outcome in zip(ordered, results)}
 
 

@@ -96,22 +96,16 @@ def budget_from_spec(spec: Optional[dict]) -> SearchBudget:
 _WORKER_EVENT = None
 
 
-def _init_worker(event, own_tracker: bool) -> None:
+def _init_worker(event) -> None:
     """Pool initializer: install the cancellation event, mute SIGINT.
 
     Workers ignore SIGINT so a Ctrl-C in the parent's terminal (which
     the OS delivers to the whole process group) doesn't kill them with a
     traceback mid-write; the parent propagates the interrupt through the
-    event instead and tears the pool down in order.  *own_tracker* is
-    True for spawned workers (separate resource-tracker process), where
-    shared-memory attachments must be deregistered to keep the worker's
-    tracker from reaping parent-owned segments on exit.
+    event instead and tears the pool down in order.
     """
     global _WORKER_EVENT
     _WORKER_EVENT = event
-    from repro.parallel.shared import set_unregister_on_attach
-
-    set_unregister_on_attach(own_tracker)
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
@@ -135,7 +129,7 @@ class _Workers:
         self.pool = ctx.Pool(
             processes=n_workers,
             initializer=_init_worker,
-            initargs=(self.event, ctx.get_start_method() != "fork"),
+            initargs=(self.event,),
         )
         self.n_workers = n_workers
         self.pid = os.getpid()
@@ -148,9 +142,16 @@ class _Workers:
 _WORKERS: Optional[_Workers] = None
 
 #: Serializes :func:`run_tasks`: one fan-out per process at a time, which
-#: the pool's single event and the workers' per-series memo
-#: (``repro.parallel.engine._GRID_CONTEXTS``) both assume.
+#: the pool's single event assumes.
 _LOCK = threading.Lock()
+
+#: How often :func:`run_tasks` checks the caller's cancellation token
+#: while it waits for a task.
+POLL_SECONDS = 0.02
+
+#: How long an interrupted :func:`run_tasks` keeps collecting finished
+#: tasks before it terminates the pool.
+GRACE_SECONDS = 5.0
 
 
 def _workers(n_workers: int) -> _Workers:
@@ -204,8 +205,6 @@ def run_tasks(
     n_workers: int,
     budget: Optional[SearchBudget] = None,
     on_result: Optional[Callable[[int, Any], None]] = None,
-    poll_seconds: float = 0.02,
-    grace_seconds: float = 5.0,
     wave_size: Optional[int] = None,
 ) -> list[Any]:
     """Execute *task* over *payloads* on the persistent pool; ordered results.
@@ -221,13 +220,13 @@ def run_tasks(
     fan-out check the calls merged so far against the caller's budget
     before it submits more work.
 
-    Cancellation paths (*poll_seconds* is how often the parent checks
-    *budget*'s token while it waits):
+    Cancellation paths (the parent checks *budget*'s token every
+    :data:`POLL_SECONDS` while it waits):
 
     * *budget*'s token trips → the shared event is set, workers notice at
       their next outer-loop boundary and return best-so-far results;
     * ``KeyboardInterrupt`` in the parent → the event is set, finished
-      tasks are drained for up to *grace_seconds*, then the pool is
+      tasks are drained for up to :data:`GRACE_SECONDS`, then the pool is
       terminated; the interrupt is re-raised for the caller to handle.
 
     The pool outlives a successful call.  Any exception (a task's, or an
@@ -272,7 +271,7 @@ def run_tasks(
                     if token is not None and token.cancelled:
                         event.set()
                     try:
-                        i = finished.get(timeout=poll_seconds)
+                        i = finished.get(timeout=POLL_SECONDS)
                     except queue.Empty:
                         continue
                     results[i] = handles[i].get()
@@ -282,7 +281,7 @@ def run_tasks(
             return results
         except KeyboardInterrupt:
             event.set()
-            deadline = time.monotonic() + grace_seconds
+            deadline = time.monotonic() + GRACE_SECONDS
             for i, handle in enumerate(handles):
                 if handle is None:  # never submitted (later wave)
                     break

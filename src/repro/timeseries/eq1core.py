@@ -167,9 +167,8 @@ class RankRun:
     *ids* and *keys* are the candidates' table ids and rule keys (-1 for
     gaps) and *outer* their outer order, all int64.  Each
     :func:`repro.core.rra.find_discord` call owns one, with its own
-    out-parameters, so threads that share the tables (through a
-    ``SearchContext``) share only what the core touches while it holds
-    the GIL.
+    out-parameters, so threads that share one candidate set's tables
+    share only what the core touches while it holds the GIL.
     """
 
     #: Most outer candidates one call may run.
@@ -266,8 +265,8 @@ def _probe(lib: ctypes.CDLL) -> bool:
 
 
 # PyDLL: a core call holds the GIL, so two threads sharing one
-# candidate set (through a SearchContext) never run its tables and memo
-# concurrently; out-parameters belong to one call or one RankRun.
+# candidate set never run its tables and memo concurrently;
+# out-parameters belong to one call or one RankRun.
 _core = CCore(_SOURCE, _bind, _probe, dll=ctypes.PyDLL)
 load = _core.load
 reset_for_testing = _core.reset_for_testing

@@ -245,13 +245,7 @@ class WindowMatrix:
 
     __slots__ = ("series", "window", "_stats", "_view", "_normalized", "_sqnorms")
 
-    def __init__(
-        self,
-        series: np.ndarray,
-        window: int,
-        *,
-        stats: Optional[SeriesStats] = None,
-    ):
+    def __init__(self, series: np.ndarray, window: int):
         series = np.ascontiguousarray(series, dtype=float)
         if series.ndim != 1:
             raise ParameterError(
@@ -263,7 +257,7 @@ class WindowMatrix:
             )
         self.series = series
         self.window = window
-        self._stats = stats
+        self._stats: Optional[SeriesStats] = None
         self._view: Optional[np.ndarray] = None
         self._normalized: Optional[np.ndarray] = None
         self._sqnorms: Optional[np.ndarray] = None

@@ -1,4 +1,4 @@
-"""Tests for the fingerprint-keyed result cache and memoization layer.
+"""Tests for the fingerprint-keyed result cache.
 
 Three invariants rule this module:
 
@@ -9,9 +9,9 @@ Three invariants rule this module:
 * **Corruption only ever costs a recompute.**  Truncated, garbled,
   version-mismatched, or mislabeled entries are discarded and reported
   as misses; they can never surface a wrong answer.
-* **Disabled means untouched.**  ``cache=None`` / ``context=None``
-  (the defaults) leave every code path byte-identical to the pre-cache
-  behavior — pinned separately by the golden-count suite.
+* **Disabled means untouched.**  ``cache=None`` (the default) leaves
+  every code path byte-identical to the pre-cache behavior — pinned
+  separately by the golden-count suite.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import pytest
 from repro.cache import (
     CACHE_FORMAT,
     ResultCache,
-    SearchContext,
     discord_search_key,
     grid_cell_key,
     rng_fingerprint,
@@ -75,17 +74,10 @@ def run_engine(
     candidates,
     *,
     cache=None,
-    context=None,
     budget=None,
 ):
     counter = DistanceCounter()
-    kwargs = dict(
-        num_discords=2,
-        counter=counter,
-        cache=cache,
-        context=context,
-        budget=budget,
-    )
+    kwargs = dict(num_discords=2, counter=counter, cache=cache, budget=budget)
     if engine == "rra":
         result = find_discords(series, candidates, **kwargs)
     elif engine == "hotsax":
@@ -121,51 +113,24 @@ def test_cache_hit_bit_identical(
     series, rra_candidates, engine, reopen, tmp_path
 ):
     """With ``reopen`` the warm run reads the entry back from disk through
-    a freshly opened store and a fresh context, as a new process would."""
+    a freshly opened store, as a new process would."""
     plain = signature(*run_engine(engine, series, rra_candidates))
     cache = ResultCache(tmp_path / "store")
-    context = SearchContext()
     cold_result, cold_counter = run_engine(
-        engine,
-        series,
-        rra_candidates,
-        cache=cache,
-        context=context,
+        engine, series, rra_candidates, cache=cache
     )
     assert not cold_result.from_cache
     assert signature(cold_result, cold_counter) == plain
     assert cache.hits == 0 and cache.misses == 1
     if reopen:
         cache = ResultCache(tmp_path / "store")
-        context = SearchContext()
     warm_result, warm_counter = run_engine(
-        engine,
-        series,
-        rra_candidates,
-        cache=cache,
-        context=context,
+        engine, series, rra_candidates, cache=cache
     )
     assert warm_result.from_cache
     assert signature(warm_result, warm_counter) == plain
     assert all(warm_result.rank_complete)
     assert cache.hits == 1 and cache.misses == (0 if reopen else 1)
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_context_alone_is_bit_identical(
-    series, rra_candidates, engine
-):
-    """The memoization context never changes results, only work."""
-    plain = signature(*run_engine(engine, series, rra_candidates))
-    context = SearchContext()
-    first = signature(
-        *run_engine(engine, series, rra_candidates, context=context)
-    )
-    again = signature(
-        *run_engine(engine, series, rra_candidates, context=context)
-    )
-    assert first == plain and again == plain
-    assert context.hits > 0  # the second run reused artifacts
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +250,6 @@ def test_cache_metrics_counters(tmp_path):
     assert snapshot["counters"]["cache.hit"] == 1
     assert snapshot["counters"]["cache.evicted"] == 1
     assert snapshot["gauges"]["cache.bytes"] > 0
-
-
-def test_context_metrics_counters(series):
-    registry = MetricsRegistry()
-    context = SearchContext(metrics=registry)
-    context.window_matrix(series, WINDOW)
-    context.window_matrix(series, WINDOW)
-    snapshot = registry.snapshot()
-    assert snapshot["counters"]["context.hit"] >= 1
-    assert snapshot["counters"]["context.miss"] >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -554,22 +509,6 @@ def test_pipeline_cache_path_coercion(series, tmp_path):
         (d.start, d.end, float(d.score).hex()) for d in warm.discords
     ] == [(d.start, d.end, float(d.score).hex()) for d in cold.discords]
     assert warm.distance_calls == cold.distance_calls
-
-
-def test_pipeline_context_shared_across_fits(series):
-    context = SearchContext()
-    plain = GrammarAnomalyDetector(window=WINDOW, paa_size=4, alphabet_size=4)
-    expected = plain.fit(series)
-    for alphabet_size in (3, 4, 5):
-        detector = GrammarAnomalyDetector(
-            window=WINDOW, paa_size=4, alphabet_size=alphabet_size,
-            context=context,
-        )
-        fitted = detector.fit(series)
-        if alphabet_size == 4:
-            assert fitted.discretization.words == expected.discretization.words
-    # windowed_paa for (window, paa) was computed once, then shared.
-    assert context.hits > 0
 
 
 # -- ensemble / cache interplay -------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,15 @@ class TestSeriesRoundTrip:
     def test_missing_file(self):
         with pytest.raises(ReproError):
             load_series("/nonexistent.txt")
+
+    @pytest.mark.parametrize("text", ["", "# header only\n"])
+    def test_empty_file_raises_without_a_warning(self, tmp_path, text):
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ReproError, match="no numeric data"):
+                load_series(path)
 
     def test_bad_column(self, tmp_path):
         path = tmp_path / "one.txt"

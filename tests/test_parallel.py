@@ -24,15 +24,9 @@ import threading
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.core.ensemble import (
-    EnsembleDetector,
-    _member_payload,
-    default_grid,
-    ensemble_grid,
-)
+from repro.core.ensemble import EnsembleDetector, default_grid, ensemble_grid
 from repro.core.parameter_grid import ParameterGridStudy
 from repro.core.pipeline import GrammarAnomalyDetector
 from repro.datasets.ecg import synthetic_ecg
@@ -40,7 +34,6 @@ from repro.datasets.registry import table1_rows
 from repro.exceptions import ParameterError
 from repro.parallel import effective_workers, engine, pool, shutdown
 from repro.parallel.pool import budget_from_spec, budget_to_spec, run_tasks
-from repro.parallel.shared import SharedArrays
 from repro.resilience.budget import CancellationToken, SearchBudget
 from tests.test_golden_ensemble import DATASETS, GRIDS, _load_dataset
 
@@ -125,6 +118,30 @@ def test_grid_sweep_parallel_matches_serial(sine_bump):
     assert parallel == serial
     assert serial  # the grid is not degenerate
     _no_orphans()
+
+
+def test_spawn_start_method_matches_serial(monkeypatch, sine_bump):
+    """Platforms without ``fork`` start the pool with ``spawn``: the
+    ensemble and the grid fan-outs still give the serial answers."""
+    spawn = multiprocessing.get_context("spawn")
+    built = []
+    shutdown()  # the next fan-out builds its pool through the patch
+    monkeypatch.setattr(pool, "pool_context", lambda: built.append(1) or spawn)
+    series = sine_bump.series[:1200]
+    grid = ensemble_grid([60, 90], [4], [3, 4])
+    study = ParameterGridStudy(series, (1000, 1080))
+    sweep = ([40, 60], [3, 4], [3])
+
+    def ensemble(n_workers):
+        detector = EnsembleDetector(grid, num_discords=2, n_workers=n_workers)
+        return _signature(detector.fit(series))
+
+    try:
+        assert ensemble(2) == ensemble(1)
+        assert study.sweep(*sweep, n_workers=2) == study.sweep(*sweep)
+        assert built == [1]  # one spawn pool served both fan-outs
+    finally:
+        shutdown()
 
 
 def test_grid_pair_hoisting_matches_per_point(sine_bump):
@@ -275,52 +292,6 @@ def test_dispatch_order_cannot_change_the_answer(monkeypatch, dataset_name):
         monkeypatch.setattr(engine, "_dispatch_order", order)
         assert fit(2) == serial, name
     _no_orphans()
-
-
-def test_member_outcome_independent_of_position_in_worker_context():
-    """A member evaluated first or last in a worker's shared context
-    (after every other member filled it) gives byte-equal outcomes."""
-    series = _load_dataset("ecg").series
-    members = ensemble_grid(*GRIDS["ecg"])
-    probe, others = members[-1], members[:-1]
-
-    def run(order):
-        engine._GRID_CONTEXTS.clear()
-        with SharedArrays() as arena:
-            spec = arena.share(series)
-            outcomes = [
-                engine._ensemble_member_task(
-                    {
-                        "series": spec,
-                        "member": member.triple,
-                        "num_discords": 2,
-                        "seed": 0,
-                        "budget": None,
-                    }
-                )
-                for member in order
-            ]
-        engine._GRID_CONTEXTS.clear()
-        return json.dumps(_member_payload(outcomes[order.index(probe)]))
-
-    assert run([probe, *others]) == run([*others, probe])
-
-
-def test_worker_unmaps_the_previous_series():
-    """Workers outlive a fan-out: a new series unmaps the old blocks,
-    which the parent has unlinked, so their memory is freed."""
-    from repro.parallel import shared
-
-    engine._GRID_CONTEXTS.clear()
-    with SharedArrays() as first, SharedArrays() as second:
-        old = first.share(np.arange(4.0))
-        new = second.share(np.arange(5.0))
-        engine._worker_series(old)
-        series, _context = engine._worker_series(new)
-        assert list(shared._ATTACHED) == [new.name]
-        assert np.array_equal(series, np.arange(5.0))
-    engine._GRID_CONTEXTS.clear()
-    shared.detach_all()
 
 
 def test_dispatch_order_is_heaviest_first():

@@ -106,14 +106,13 @@ class TestSweepMemoization:
         """Varying only the alphabet must not re-run ``windowed_paa``.
 
         The PAA coefficients depend on ``(window, paa_size)`` alone, so a
-        context-backed sweep over A alphabet sizes performs exactly one
-        discretization pass per valid pair — not one per cell.
+        sweep over A alphabet sizes performs exactly one discretization
+        pass per valid pair — not one per cell.
         """
         import sys
 
         import repro.core.parameter_grid as grid_mod
         import repro.sax.discretize  # noqa: F401 - ensure module is loaded
-        from repro.cache import SearchContext
 
         # ``repro.sax`` re-exports a *function* named ``discretize``,
         # which shadows the submodule on attribute access — go through
@@ -127,8 +126,8 @@ class TestSweepMemoization:
             calls.append((int(window), int(paa_size)))
             return real(series, window, paa_size, **kwargs)
 
-        # The context imports lazily from the module; the grid binds the
-        # name at import time — patch both entry points.
+        # ``discretize`` looks the name up in its module; the grid binds
+        # it at import time — patch both, so a per-cell pass would count.
         monkeypatch.setattr(discretize_mod, "windowed_paa", counting)
         monkeypatch.setattr(grid_mod, "windowed_paa", counting)
 
@@ -137,7 +136,6 @@ class TestSweepMemoization:
             windows=[40, 80],
             paa_sizes=[4, 6],
             alphabet_sizes=[3, 4, 5],
-            context=SearchContext(),
         )
         assert points
         expected_pairs = {(40, 4), (40, 6), (80, 4), (80, 6)}

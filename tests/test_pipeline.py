@@ -109,3 +109,35 @@ class TestConfigurations:
                 [(d.start, d.end, round(d.nn_distance, 12)) for d in result.discords]
             )
         assert runs[0] == runs[1]
+
+
+class TestFrontHalfPath:
+    def test_ensemble_members_call_the_pipeline_module_attributes(
+        self, monkeypatch
+    ):
+        """Every valid member's fit goes through ``discretize`` and
+        ``induce_grammar_interned`` as looked up on
+        :mod:`repro.core.pipeline`, so anything wrapping those names (a
+        tracer, a span) sees each member's front half."""
+        import repro.core.pipeline as pipeline_mod
+        from repro.core.ensemble import EnsembleDetector
+        from repro.datasets.registry import get_row
+
+        calls = {"discretize": 0, "induce_grammar_interned": 0}
+
+        def counting(name):
+            real = getattr(pipeline_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pipeline_mod, name, counting(name))
+        series = get_row("daily_commute").factory().series
+        result = EnsembleDetector(n_workers=1).fit(series)
+        valid = sum(1 for e in result.ledger() if e["status"] != "invalid")
+        assert valid > 1
+        assert calls == {"discretize": valid, "induce_grammar_interned": valid}

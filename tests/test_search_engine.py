@@ -18,7 +18,6 @@ from repro.discord.search import (
     fixed_length_discords,
     iterated_search,
     ordered_discord_search,
-    window_matrix_for,
 )
 from repro.exceptions import DiscordSearchError
 from repro.observability.metrics import MetricsRegistry
@@ -104,10 +103,9 @@ def _iterated(series, window, num_discords):
     counter = DistanceCounter()
     result = fixed_length_discords(
         "t", series, window,
-        lambda session: bucket_ordered_search(
+        lambda session, windows: bucket_ordered_search(
             session, series, window, _single_bucket,
-            rng=np.random.default_rng(0),
-            windows=window_matrix_for(series, window),
+            rng=np.random.default_rng(0), windows=windows,
         ),
         params={}, num_discords=num_discords, counter=counter,
     )
