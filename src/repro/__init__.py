@@ -20,110 +20,56 @@ Quickstart
 True
 """
 
-from repro.core import (
-    Anomaly,
-    Discord,
-    EnsembleDetector,
-    EnsembleDiscord,
-    EnsembleMember,
-    EnsembleResult,
-    GrammarAnomalyDetector,
-    Motif,
-    ParameterGridStudy,
-    ParameterSuggestion,
-    PipelineResult,
-    RRAResult,
-    dominant_period,
-    find_density_anomalies,
-    find_discord,
-    find_discords,
-    find_motifs,
-    rule_density_curve,
-    suggest_parameters,
-)
-from repro.observability import (
-    MetricsRegistry,
-    NullMetrics,
-    deterministic_view,
-    read_run_report,
-    write_run_report,
-)
-from repro.streaming import StreamAlarm, StreamingAnomalyDetector
-from repro.exceptions import (
-    CheckpointError,
-    DataQualityError,
-    DatasetError,
-    DiscordSearchError,
-    DiscretizationError,
-    GrammarError,
-    GridCellError,
-    ParameterError,
-    ReproError,
-    TrajectoryError,
-)
-from repro.cache import ResultCache
-from repro.resilience import CancellationToken, SearchBudget, SearchStatus
-from repro.grammar import Grammar, GrammarRule, induce_grammar, repair_grammar
-from repro.sax import Discretization, NumerosityReduction, discretize, sax_word
+from repro._lazy import lazy_exports
+
+#: Module → the public names taken from it, each imported on first
+#: access (DESIGN §17).  ``__all__`` lists these names.
+_EXPORTS = {
+    "repro.core.anomaly": ("Anomaly", "Discord"),
+    "repro.core.auto_params": (
+        "ParameterSuggestion",
+        "dominant_period",
+        "suggest_parameters",
+    ),
+    "repro.core.ensemble": (
+        "EnsembleDetector",
+        "EnsembleDiscord",
+        "EnsembleMember",
+        "EnsembleResult",
+    ),
+    "repro.core.motifs": ("Motif", "find_motifs"),
+    "repro.core.parameter_grid": ("ParameterGridStudy",),
+    "repro.core.pipeline": ("GrammarAnomalyDetector", "PipelineResult"),
+    "repro.core.rra": ("RRAResult", "find_discord", "find_discords"),
+    "repro.core.rule_density": ("find_density_anomalies", "rule_density_curve"),
+    "repro.observability": (
+        "MetricsRegistry",
+        "NullMetrics",
+        "deterministic_view",
+        "read_run_report",
+        "write_run_report",
+    ),
+    "repro.streaming": ("StreamAlarm", "StreamingAnomalyDetector"),
+    "repro.exceptions": (
+        "CheckpointError",
+        "DataQualityError",
+        "DatasetError",
+        "DiscordSearchError",
+        "DiscretizationError",
+        "GrammarError",
+        "GridCellError",
+        "ParameterError",
+        "ReproError",
+        "TrajectoryError",
+    ),
+    "repro.cache": ("ResultCache",),
+    "repro.resilience": ("CancellationToken", "SearchBudget", "SearchStatus"),
+    "repro.grammar": ("Grammar", "GrammarRule", "induce_grammar", "repair_grammar"),
+    "repro.sax": ("Discretization", "NumerosityReduction", "discretize", "sax_word"),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "Anomaly",
-    "Discord",
-    "EnsembleDetector",
-    "EnsembleDiscord",
-    "EnsembleMember",
-    "EnsembleResult",
-    "GrammarAnomalyDetector",
-    "ParameterGridStudy",
-    "PipelineResult",
-    "RRAResult",
-    "find_density_anomalies",
-    "find_discord",
-    "find_discords",
-    "rule_density_curve",
-    "Motif",
-    "find_motifs",
-    "ParameterSuggestion",
-    "dominant_period",
-    "suggest_parameters",
-    # observability
-    "MetricsRegistry",
-    "NullMetrics",
-    "write_run_report",
-    "read_run_report",
-    "deterministic_view",
-    # streaming
-    "StreamAlarm",
-    "StreamingAnomalyDetector",
-    # cache
-    "ResultCache",
-    # resilience
-    "CancellationToken",
-    "SearchBudget",
-    "SearchStatus",
-    # grammar
-    "Grammar",
-    "GrammarRule",
-    "induce_grammar",
-    "repair_grammar",
-    # sax
-    "Discretization",
-    "NumerosityReduction",
-    "discretize",
-    "sax_word",
-    # exceptions
-    "ReproError",
-    "ParameterError",
-    "DiscretizationError",
-    "GrammarError",
-    "DiscordSearchError",
-    "DatasetError",
-    "GridCellError",
-    "DataQualityError",
-    "CheckpointError",
-    "TrajectoryError",
-]
+__all__ = ["__version__", *(name for names in _EXPORTS.values() for name in names)]

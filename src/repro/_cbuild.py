@@ -36,7 +36,6 @@ import ctypes
 import hashlib
 import os
 import shutil
-import subprocess
 import tempfile
 import threading
 from pathlib import Path
@@ -92,6 +91,11 @@ def _compile(compiler: str, source: Path) -> Optional[Path]:
         so_path = build_dir / soname
         if so_path.exists():
             return so_path
+        # Imported here, not at module level: loading a cached build
+        # never starts a process.  Bound before the ``try`` because its
+        # ``except`` names it.
+        import subprocess
+
         tmp = so_path.with_name(f".{soname}.{os.getpid()}.tmp")
         try:
             build_dir.mkdir(parents=True, exist_ok=True)

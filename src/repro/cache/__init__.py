@@ -9,32 +9,27 @@ returns the stored discords and the stored call ledger flagged
 The cache is opt-in: every entry point defaults to ``cache=None``.
 """
 
-from repro.cache.keys import (
-    CACHE_KEY_VERSION,
-    discord_search_key,
-    ensemble_member_key,
-    grid_cell_key,
-    rng_fingerprint,
-)
-from repro.cache.results import (
-    apply_ledger_delta,
-    discords_from_json,
-    discords_to_json,
-    ledger_delta,
-)
-from repro.cache.store import CACHE_FORMAT, DEFAULT_MAX_BYTES, ResultCache
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_FORMAT",
-    "CACHE_KEY_VERSION",
-    "DEFAULT_MAX_BYTES",
-    "ResultCache",
-    "apply_ledger_delta",
-    "discord_search_key",
-    "discords_from_json",
-    "discords_to_json",
-    "ensemble_member_key",
-    "grid_cell_key",
-    "ledger_delta",
-    "rng_fingerprint",
-]
+#: Module → the public names taken from it, each imported on first
+#: access (DESIGN §17).  ``__all__`` lists these names.
+_EXPORTS = {
+    "repro.cache.keys": (
+        "CACHE_KEY_VERSION",
+        "discord_search_key",
+        "ensemble_member_key",
+        "grid_cell_key",
+        "rng_fingerprint",
+    ),
+    "repro.cache.results": (
+        "apply_ledger_delta",
+        "discords_from_json",
+        "discords_to_json",
+        "ledger_delta",
+    ),
+    "repro.cache.store": ("CACHE_FORMAT", "DEFAULT_MAX_BYTES", "ResultCache"),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = [name for names in _EXPORTS.values() for name in names]

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.ensemble import AGGREGATIONS, NORMALIZATIONS
+from repro.core import AGGREGATIONS, NORMALIZATIONS
 from repro.core.pipeline import GrammarAnomalyDetector
 from repro.exceptions import ReproError
 from repro.io import read_series

@@ -11,55 +11,45 @@ Two algorithms (paper Section 4):
 + both detectors into a one-call API.
 """
 
-from repro.core.anomaly import Anomaly, Discord
-from repro.core.rule_density import (
-    rule_density_curve,
-    density_minima_intervals,
-    find_density_anomalies,
-)
-from repro.core.rra import RRAResult, find_discord, find_discords
-from repro.core.pipeline import GrammarAnomalyDetector, PipelineResult
-from repro.core.parameter_grid import GridPoint, ParameterGridStudy
-from repro.core.ensemble import (
-    EnsembleDetector,
-    EnsembleDiscord,
-    EnsembleMember,
-    EnsembleResult,
-    default_grid,
-    ensemble_grid,
-)
-from repro.core.motifs import Motif, find_motifs, motif_cover_fraction
-from repro.core.auto_params import (
-    ParameterSuggestion,
-    dominant_period,
-    grammar_health,
-    suggest_parameters,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Anomaly",
-    "Discord",
-    "rule_density_curve",
-    "density_minima_intervals",
-    "find_density_anomalies",
-    "RRAResult",
-    "find_discord",
-    "find_discords",
-    "GrammarAnomalyDetector",
-    "PipelineResult",
-    "GridPoint",
-    "ParameterGridStudy",
-    "EnsembleDetector",
-    "EnsembleDiscord",
-    "EnsembleMember",
-    "EnsembleResult",
-    "default_grid",
-    "ensemble_grid",
-    "Motif",
-    "find_motifs",
-    "motif_cover_fraction",
-    "ParameterSuggestion",
-    "dominant_period",
-    "grammar_health",
-    "suggest_parameters",
-]
+#: Supported per-member density-curve normalizers of the ensemble.
+#: Defined here rather than in :mod:`repro.core.ensemble` so the CLI can
+#: offer them as choices without importing the ensemble.
+NORMALIZATIONS = ("minmax", "rank")
+
+#: Supported cross-member aggregators of the ensemble.
+AGGREGATIONS = ("mean", "median", "vote")
+
+#: Module → the public names taken from it, each imported on first
+#: access (DESIGN §17).  ``__all__`` lists these names.
+_EXPORTS = {
+    "repro.core.anomaly": ("Anomaly", "Discord"),
+    "repro.core.rule_density": (
+        "rule_density_curve",
+        "density_minima_intervals",
+        "find_density_anomalies",
+    ),
+    "repro.core.rra": ("RRAResult", "find_discord", "find_discords"),
+    "repro.core.pipeline": ("GrammarAnomalyDetector", "PipelineResult"),
+    "repro.core.parameter_grid": ("GridPoint", "ParameterGridStudy"),
+    "repro.core.ensemble": (
+        "EnsembleDetector",
+        "EnsembleDiscord",
+        "EnsembleMember",
+        "EnsembleResult",
+        "default_grid",
+        "ensemble_grid",
+    ),
+    "repro.core.motifs": ("Motif", "find_motifs", "motif_cover_fraction"),
+    "repro.core.auto_params": (
+        "ParameterSuggestion",
+        "dominant_period",
+        "grammar_health",
+        "suggest_parameters",
+    ),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = [name for names in _EXPORTS.values() for name in names]

@@ -54,6 +54,7 @@ import numpy as np
 
 from repro.cache import ResultCache, ensemble_member_key
 from repro.cache.results import discords_from_json, discords_to_json
+from repro.core import AGGREGATIONS, NORMALIZATIONS
 from repro.core.anomaly import Anomaly, Discord
 from repro.core.pipeline import GrammarAnomalyDetector
 from repro.exceptions import ParameterError, ReproError
@@ -77,12 +78,6 @@ __all__ = [
     "evaluate_member",
     "normalize_density",
 ]
-
-#: Supported per-member density-curve normalizers.
-NORMALIZATIONS = ("minmax", "rank")
-
-#: Supported cross-member aggregators.
-AGGREGATIONS = ("mean", "median", "vote")
 
 #: A member "votes" for a point when its normalized anomaly score
 #: exceeds this threshold (the ``vote`` aggregator's cutoff).

@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.cache import ResultCache
 from repro.core.anomaly import Anomaly, Discord
 from repro.core.rra import find_discords, nearest_neighbor_distances
 from repro.core.rule_density import find_density_anomalies, rule_density_curve
@@ -159,8 +158,12 @@ class GrammarAnomalyDetector:
         self.grammar_algorithm = grammar_algorithm
         self.seed = seed
         self.metrics = ensure_metrics(metrics)
-        if cache is not None and not isinstance(cache, ResultCache):
-            cache = ResultCache(cache)
+        if cache is not None:
+            # Imported here: a detector without a cache never loads it.
+            from repro.cache import ResultCache
+
+            if not isinstance(cache, ResultCache):
+                cache = ResultCache(cache)
         self.cache = cache
         if self.metrics.enabled and self.cache is not None:
             self.cache.bind_metrics(self.metrics)

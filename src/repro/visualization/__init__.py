@@ -6,36 +6,27 @@ rule density.  This subpackage renders the same information as plain
 text: ASCII sparklines, a density-shaded strip, and aligned tables.
 """
 
-from repro.visualization.ascii import (
-    density_strip,
-    marker_line,
-    render_panels,
-    sparkline,
-)
-from repro.visualization.report import (
-    anomaly_table,
-    grammar_report,
-    rule_table,
-)
-from repro.visualization.svg import (
-    FigurePlot,
-    SVGCanvas,
-    hilbert_plot,
-    scatter_plot,
-    trajectory_plot,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "sparkline",
-    "density_strip",
-    "marker_line",
-    "render_panels",
-    "anomaly_table",
-    "rule_table",
-    "grammar_report",
-    "SVGCanvas",
-    "FigurePlot",
-    "scatter_plot",
-    "hilbert_plot",
-    "trajectory_plot",
-]
+#: Module → the public names taken from it, each imported on first
+#: access (DESIGN §17).  ``__all__`` lists these names.
+_EXPORTS = {
+    "repro.visualization.ascii": (
+        "density_strip",
+        "marker_line",
+        "render_panels",
+        "sparkline",
+    ),
+    "repro.visualization.report": ("anomaly_table", "grammar_report", "rule_table"),
+    "repro.visualization.svg": (
+        "FigurePlot",
+        "SVGCanvas",
+        "hilbert_plot",
+        "scatter_plot",
+        "trajectory_plot",
+    ),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = [name for names in _EXPORTS.values() for name in names]

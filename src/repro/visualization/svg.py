@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -35,6 +34,16 @@ COLOR_AXIS = "#6b7280"
 COLOR_TEXT = "#111827"
 COLOR_HIT = "#16a34a"
 COLOR_MISS = "#dc2626"
+
+
+def _escape(text: str) -> str:
+    """Escape character data as ``xml.sax.saxutils.escape`` does.
+
+    ``&`` goes first so the entities the other two produce stay intact.
+    Kept local because importing ``xml.sax`` loads ``urllib`` and
+    ``http.client`` as well.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(value: float) -> str:
@@ -99,7 +108,7 @@ class SVGCanvas:
         self._elements.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" '
             f'fill="{fill}" text-anchor="{anchor}" '
-            f'font-family="sans-serif">{escape(content)}</text>'
+            f'font-family="sans-serif">{_escape(content)}</text>'
         )
 
     def render(self) -> str:

@@ -40,7 +40,8 @@ def _env(build_dir: Path, gate: str, path_prefix: str = "") -> dict:
 def test_concurrent_first_builds_share_one_object_per_source(tmp_path):
     """Two processes start on an empty build directory at once: both load
     both cores, each source is compiled once, and exactly one shared
-    object per source digest remains."""
+    object per source digest remains, which a third process loads
+    without compiling."""
     build_dir = tmp_path / "build"
     # A ``cc`` shim that logs every compile before running the real one.
     shim_dir = tmp_path / "bin"
@@ -65,6 +66,14 @@ def test_concurrent_first_builds_share_one_object_per_source(tmp_path):
     stems = sorted(name.split("-")[0] for name in objects)
     assert stems == ["eq1_core", "sequitur_core"]
     assert all(name.endswith(".so") for name in objects)
+    assert len(log.read_text().splitlines()) == 2
+    # A later process loads the cached objects: no compile, and no
+    # ``subprocess`` import, which only the compile path needs.
+    subprocess.run(
+        [sys.executable, "-c",
+         _LOAD_BOTH + "import sys\nassert 'subprocess' not in sys.modules\n"],
+        env=env, check=True, timeout=120,
+    )
     assert len(log.read_text().splitlines()) == 2
 
 

@@ -50,6 +50,24 @@ class TestSVGCanvas:
         assert "<script>" not in svg
         assert "&lt;script&gt;" in svg
 
+    def test_text_escape_is_byte_identical_to_saxutils(self):
+        """Only ``&``, ``<`` and ``>`` are escaped, ``&`` first, exactly
+        as ``xml.sax.saxutils.escape`` (which the renderer no longer
+        imports) does; quotes pass through."""
+        from xml.sax.saxutils import escape
+
+        content = "a & b < c > d \"e\" 'f' &amp;"
+        canvas = SVGCanvas(10, 10)
+        canvas.text(0, 0, content)
+        expected = (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="10" height="10" '
+            'viewBox="0 0 10 10">\n<rect width="10" height="10" fill="white"/>\n'
+            '<text x="0" y="0" font-size="12" fill="#111827" text-anchor="start" '
+            f'font-family="sans-serif">{escape(content)}</text>\n</svg>\n'
+        )
+        assert canvas.render() == expected
+        assert escape(content) == "a &amp; b &lt; c &gt; d \"e\" 'f' &amp;amp;"
+
     def test_invalid_size(self):
         with pytest.raises(ParameterError):
             SVGCanvas(0, 10)
