@@ -17,10 +17,10 @@ Measures three fast-vs-legacy ratios and records them in
     Rule-density-curve construction from 10,000 rule intervals over a
     50k-point series (paper-scale: the datasets in the paper run
     ~15k–45k points): the vectorized ``bincount``/``cumsum``
-    accumulation over the pipeline's :class:`RuleIntervalList` (cached
-    endpoint arrays) vs the seed implementation's per-interval Python
-    loop (reproduced verbatim here).  The one-off endpoint-array build
-    is reported separately as ``cold_first_call_seconds``.  Target
+    accumulation over the pipeline's :class:`RuleIntervalList` (its
+    endpoint columns) vs the seed implementation's per-interval Python
+    loop (reproduced verbatim here).  The first accumulation is
+    reported separately as ``cold_first_call_seconds``.  Target
     **>= 10x**.
 
 ``sweep_speedup``
@@ -74,7 +74,6 @@ from repro.sax.alphabet import breakpoints_array
 from repro.sax.discretize import (
     Discretization,
     NumerosityReduction,
-    SAXWord,
     _reduce,
     discretize,
     windowed_paa,
@@ -92,21 +91,24 @@ SWEEP_TARGET = 2.0
 # ---------------------------------------------------------------------
 
 
-def _legacy_discretize(series, window, paa_size, alphabet_size):
-    """The seed discretizer: per-window string building + scalar reduce."""
-    paa_values = windowed_paa(series, window, paa_size)
-    cuts = breakpoints_array(alphabet_size)
-    letter_idx = np.searchsorted(cuts, paa_values, side="right")
-    alphabet = [chr(ord("a") + i) for i in range(alphabet_size)]
-    raw_words = ["".join(alphabet[i] for i in row) for row in letter_idx]
-    kept = _reduce(raw_words, NumerosityReduction.EXACT, alphabet_size, window)
-    words = [SAXWord(raw_words[i], i) for i in kept]
+def _legacy_discretization(raw_words, kept, window, paa_size, alphabet_size, series_length):
+    """The seed's kept words as a :class:`Discretization`.
+
+    The seed kept one ``SAXWord`` per surviving window; the arrays here
+    hold the same words (interned against the sorted vocabulary, as
+    :func:`discretize` does) and the same offsets.
+    """
+    kept_words = [raw_words[i] for i in kept]
+    vocabulary = sorted(set(kept_words))
+    index = {word: i for i, word in enumerate(vocabulary)}
     return Discretization(
-        words=words,
+        offsets=np.asarray(kept, dtype=np.int64),
+        token_ids=np.array([index[w] for w in kept_words], dtype=np.int64),
+        vocabulary=vocabulary,
         window=window,
         paa_size=paa_size,
         alphabet_size=alphabet_size,
-        series_length=series.size,
+        series_length=series_length,
         strategy=NumerosityReduction.EXACT,
         raw_word_count=len(raw_words),
     )
@@ -229,11 +231,10 @@ def bench_density(num_intervals: int, series_length: int, repeats: int) -> dict:
     """Density-curve accumulation, measured as the pipeline runs it.
 
     The fast side consumes a :class:`RuleIntervalList` — the type
-    :func:`rule_intervals` actually returns — whose endpoint arrays are
-    built once per projection and then shared by the density curve and
-    the gap scan.  The one-off array build is timed separately and
-    reported as ``cold_first_call_seconds``; the speedup ratio covers
-    the steady-state accumulation.
+    :func:`rule_intervals` actually returns — whose endpoint columns are
+    shared by the density curve and the gap scan.  The first call is
+    timed separately and reported as ``cold_first_call_seconds``; the
+    speedup ratio covers the steady-state accumulation.
     """
     intervals = RuleIntervalList(_synthetic_intervals(num_intervals, series_length))
     gc.collect()
@@ -288,15 +289,7 @@ def bench_sweep(series_length: int, repeats: int) -> dict:
                     alphabet = [chr(ord("a") + i) for i in range(a)]
                     raw = ["".join(alphabet[i] for i in row) for row in letter_idx]
                     kept = _reduce(raw, NumerosityReduction.EXACT, a, w)
-                    disc = Discretization(
-                        words=[SAXWord(raw[i], i) for i in kept],
-                        window=w,
-                        paa_size=p,
-                        alphabet_size=a,
-                        series_length=series.size,
-                        strategy=NumerosityReduction.EXACT,
-                        raw_word_count=len(raw),
-                    )
+                    disc = _legacy_discretization(raw, kept, w, p, a, series.size)
                     grammar = induce_grammar_legacy(disc.tokens())
                     intervals = _legacy_rule_intervals(grammar, disc)
                     curve = _legacy_density_curve(intervals, series.size)

@@ -24,6 +24,7 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -208,10 +209,30 @@ def _cmd_density(args: argparse.Namespace) -> int:
     series = _load_series(args.path, args.column)
     detector = GrammarAnomalyDetector(args.window, args.paa, args.alphabet)
     detector.fit(series)
-    curve = detector.density_curve().astype(np.int64).tolist()
-    if curve:
-        sys.stdout.write("\n".join(map(str, curve)) + "\n")
+    sys.stdout.write(_render_curve(detector.density_curve()))
     return 0
+
+
+def _render_curve(curve: np.ndarray) -> str:
+    """One line ``str(value)`` per point of an integer curve ("" if empty).
+
+    A density curve holds few distinct small counts in runs of several
+    points, so each distinct value is formatted once, into a table
+    indexed by ``value - min``, and each run is one repeated table entry.
+    """
+    if curve.size == 0:
+        return ""
+    values = curve.astype(np.int64, copy=False)
+    low = int(values.min())
+    table = [f"{v}\n" for v in range(low, int(values.max()) + 1)]
+    run_starts = np.flatnonzero(np.diff(values, prepend=values[0] - 1))
+    run_lengths = np.diff(run_starts, append=values.size)
+    return "".join(
+        [
+            table[v] * n
+            for v, n in zip((values[run_starts] - low).tolist(), run_lengths.tolist())
+        ]
+    )
 
 
 def _cmd_motifs(args: argparse.Namespace) -> int:
@@ -465,11 +486,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser (building it costs about a millisecond)."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Look the handler up by name at call time, not through the parser's
+    # ``func`` default: the parser is built once, and a handler replaced
+    # on this module afterwards must still be the one that runs.
+    handler = getattr(sys.modules[__name__], f"_cmd_{args.command}")
     try:
-        return args.func(args)
+        return handler(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

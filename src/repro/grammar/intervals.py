@@ -13,6 +13,7 @@ by no rule at all (frequency-0 candidates, considered first by RRA).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,45 +68,88 @@ class RuleInterval:
         return f"RuleInterval({tag}, [{self.start}, {self.end}), usage={self.usage})"
 
 
-class RuleIntervalList(list):
-    """A list of :class:`RuleInterval` with cached endpoint arrays.
+class RuleIntervalList(Sequence):
+    """An immutable sequence of :class:`RuleInterval`, stored as columns.
 
-    :func:`rule_intervals` returns this type so that the accumulation
-    passes downstream (:func:`repro.core.rule_density.rule_density_curve`,
-    :func:`zero_coverage_gaps`) can read every interval's endpoints as
-    two ``int64`` arrays instead of re-reading per-object attributes on
-    each call.  The arrays are built lazily on first use and reused for
-    the lifetime of the list — one projected interval list typically
-    serves both the density curve and the gap scan.
+    :func:`rule_intervals` returns this type.  It holds one read-only
+    ``(4, n)`` ``int64`` table whose rows are the columns rule id,
+    start, end and usage, so the accumulation passes downstream
+    (:func:`repro.core.rule_density.rule_density_curve`,
+    :func:`zero_coverage_gaps`) read the endpoints through
+    :meth:`endpoint_arrays` without any per-interval Python object.  The
+    :class:`RuleInterval` objects are built once, on first element
+    access (indexing, iteration, ``==`` with a list, ``+``), and cached.
 
-    The cache is invalidated by a length change (append/extend); callers
-    that *replace* elements in place should not rely on it.  The arrays
-    follow the list's element order at build time; the consumers here
-    treat them as an order-independent endpoint multiset.
+    It supports ``len``, iteration, indexing and slicing (a slice is a
+    plain list), ``==`` with any sequence of intervals, and ``+`` with a
+    list (the result is a list).  Construct it from an iterable of
+    :class:`RuleInterval`.
     """
 
-    __slots__ = ("_starts", "_ends")
+    __slots__ = ("_table", "_items")
 
-    def __init__(self, iterable=()):
-        super().__init__(iterable)
-        self._starts: np.ndarray | None = None
-        self._ends: np.ndarray | None = None
+    def __init__(self, iterable: Iterable[RuleInterval] = ()) -> None:
+        items = list(iterable)
+        rows = [(iv.rule_id, iv.start, iv.end, iv.usage) for iv in items]
+        self._table = np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
+        self._table.flags.writeable = False
+        self._items = items
+
+    @classmethod
+    def _from_table(cls, table: np.ndarray) -> "RuleIntervalList":
+        """Wrap a validated ``(4, n)`` table whose rows are rule id,
+        start, end and usage; the objects come later, if at all."""
+        self = cls.__new__(cls)
+        self._table = table
+        self._table.flags.writeable = False
+        self._items = None
+        return self
+
+    def _objects(self) -> list[RuleInterval]:
+        if self._items is None:
+            self._items = [
+                RuleInterval(rule_id, start, end, usage)
+                for rule_id, start, end, usage in zip(*self._table.tolist())
+            ]
+        return self._items
+
+    def __len__(self) -> int:
+        return self._table.shape[1]
+
+    def __getitem__(self, index):
+        return self._objects()[index]
+
+    def __iter__(self) -> Iterator[RuleInterval]:
+        return iter(self._objects())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RuleIntervalList):
+            return np.array_equal(self._table, other._table)
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and self._objects() == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __add__(self, other) -> list[RuleInterval]:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._objects() + list(other)
+
+    def __radd__(self, other) -> list[RuleInterval]:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(other) + self._objects()
 
     def __reduce__(self):
-        # Pickle as the plain element list (works at every protocol
-        # despite __slots__); the receiving side rebuilds the endpoint
-        # arrays lazily on first use.
-        return (type(self), (list(self),))
+        return (RuleIntervalList._from_table, (self._table,))
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"RuleIntervalList({self._objects()!r})"
 
     def endpoint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(starts, ends)`` as ``int64`` arrays, cached."""
-        n = len(self)
-        if self._starts is None or self._starts.size != n:
-            self._starts = np.fromiter(
-                (iv.start for iv in self), np.int64, count=n
-            )
-            self._ends = np.fromiter((iv.end for iv in self), np.int64, count=n)
-        return self._starts, self._ends
+        """``(starts, ends)`` as read-only ``int64`` arrays, in list order."""
+        return self._table[1], self._table[2]
 
 
 def interval_endpoints(intervals) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +168,7 @@ def rule_intervals(
     discretization: Discretization,
     *,
     include_start_rule: bool = False,
-) -> list[RuleInterval]:
+) -> RuleIntervalList:
     """Project every rule occurrence onto the raw series.
 
     Parameters
@@ -139,30 +183,48 @@ def rule_intervals(
 
     Returns
     -------
-    list[RuleInterval]
-        Sorted by (start, end, rule_id).
+    RuleIntervalList
+        Sorted by (start, end, rule_id); ties keep rule-id, then
+        occurrence order.
+
+    Raises
+    ------
+    ValueError
+        If a projected interval is malformed (start < 0 or end <= start,
+        e.g. an offset at or past ``series_length``), naming the first
+        such occurrence in rule-id order.
     """
-    # Inlined span_to_interval: one grammar over a long stream yields
-    # ~1e5 occurrences, so the per-occurrence bounds checks and function
-    # calls dominate.  Occurrence spans come from the freeze and are
-    # in range by construction (grammar.verify() checks this).
-    offs = discretization.offsets.tolist()
-    window = discretization.window
-    series_length = discretization.series_length
-    intervals = RuleIntervalList()
-    append = intervals.append
-    for rule in grammar:
-        rule_id = rule.rule_id
-        if rule_id == START_RULE_ID and not include_start_rule:
-            continue
-        usage = rule.usage
-        for occ in rule.occurrences:
-            end = offs[occ.end] + window
-            if end > series_length:
-                end = series_length
-            append(RuleInterval(rule_id, offs[occ.start], end, usage=usage))
-    intervals.sort(key=lambda iv: (iv.start, iv.end, iv.rule_id))
-    return intervals
+    # An occurrence spanning tokens [i, j] covers the series from word
+    # i's window offset to the end of word j's window, clipped to the
+    # series: the vectorised form of Discretization.span_to_interval.
+    # Occurrence spans come from the freeze and are in range by
+    # construction (grammar.verify() checks this).
+    rules = [
+        rule
+        for rule in grammar
+        if include_start_rule or rule.rule_id != START_RULE_ID
+    ]
+    spans = [rule.occurrences for rule in rules]
+    usages = np.array([len(occs) for occs in spans], dtype=np.int64)
+    count = int(usages.sum())
+    first = np.fromiter([occ.start for occs in spans for occ in occs], np.int64, count)
+    last = np.fromiter([occ.end for occs in spans for occ in occs], np.int64, count)
+
+    offsets = discretization.offsets
+    starts = offsets[first]
+    ends = np.minimum(offsets[last] + discretization.window, discretization.series_length)
+    bad = np.flatnonzero((starts < 0) | (ends <= starts))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"malformed interval [{starts[i]}, {ends[i]})")
+
+    rule_ids = np.repeat(
+        np.array([rule.rule_id for rule in rules], dtype=np.int64), usages
+    )
+    table = np.stack((rule_ids, starts, ends, np.repeat(usages, usages)))
+    # The rows were built in rule-id order, so a stable sort on
+    # (start, end) is the stable sort on (start, end, rule_id).
+    return RuleIntervalList._from_table(table[:, np.lexsort((ends, starts))])
 
 
 def uncovered_intervals(

@@ -16,6 +16,7 @@ This is the front half of both algorithms in the paper (Sections 3.1–3.2):
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,14 +67,23 @@ class SAXWord:
         return f"{self.word}@{self.offset}"
 
 
-@dataclass
+@dataclass(eq=False)
 class Discretization:
-    """The result of discretizing a series.
+    """The result of discretizing a series, as arrays.
 
     Attributes
     ----------
-    words:
-        The numerosity-reduced SAX word sequence, in series order.
+    offsets:
+        Window offset of each surviving word (``int64``, strictly
+        increasing) — what maps grammar rules back onto the series.
+    token_ids:
+        Dense interned id of each surviving word (``int64``, aligned
+        with ``offsets``).  Grammar induction consumes these directly
+        (:func:`repro.grammar.sequitur.induce_grammar_interned`) so the
+        word strings never need re-hashing.
+    vocabulary:
+        The distinct surviving word strings (sorted lexicographically);
+        word ``k`` is ``vocabulary[token_ids[k]]``.
     window, paa_size, alphabet_size:
         The discretization parameters used.
     series_length:
@@ -83,45 +93,60 @@ class Discretization:
     raw_word_count:
         Number of words before numerosity reduction (== number of
         sliding windows).
-    token_ids:
-        Dense interned id of each surviving word (``int64``, aligned
-        with ``words``); ``vocabulary[token_ids[k]] == words[k].word``.
-        Grammar induction consumes these directly
-        (:func:`repro.grammar.sequitur.induce_grammar_interned`) so the
-        word strings never need re-hashing.
-    vocabulary:
-        The distinct surviving word strings (sorted lexicographically).
+
+    Two discretizations are equal when their word sequences
+    (:attr:`words`) and parameters are.
     """
 
-    words: list[SAXWord]
+    offsets: np.ndarray = field(repr=False)
+    token_ids: np.ndarray = field(repr=False)
+    vocabulary: list[str] = field(repr=False)
     window: int
     paa_size: int
     alphabet_size: int
     series_length: int
     strategy: NumerosityReduction
     raw_word_count: int = 0
-    _offsets: np.ndarray = field(default=None, repr=False, compare=False)
-    token_ids: np.ndarray = field(default=None, repr=False, compare=False)
-    vocabulary: list[str] = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.offsets)
 
-    @property
-    def offsets(self) -> np.ndarray:
-        """Array of word offsets, cached."""
-        if self._offsets is None:
-            object.__setattr__(
-                self, "_offsets", np.array([w.offset for w in self.words], dtype=int)
-            )
-        return self._offsets
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Discretization):
+            return NotImplemented
+        return (
+            self._params() == other._params()
+            and np.array_equal(self.offsets, other.offsets)
+            and self.tokens() == other.tokens()
+        )
+
+    __hash__ = None
+
+    def _params(self) -> tuple:
+        return (
+            self.window,
+            self.paa_size,
+            self.alphabet_size,
+            self.series_length,
+            self.strategy,
+            self.raw_word_count,
+        )
+
+    @functools.cached_property
+    def words(self) -> list[SAXWord]:
+        """The surviving words as :class:`SAXWord` objects, built on first use.
+
+        The pipeline itself reads only the arrays; this view is for
+        callers that want one object per word.
+        """
+        return [
+            SAXWord(word, offset)
+            for word, offset in zip(self.tokens(), self.offsets.tolist())
+        ]
 
     def tokens(self) -> list[str]:
         """The plain word strings, in order (Sequitur's input)."""
-        if self.token_ids is not None and self.vocabulary is not None:
-            vocab = self.vocabulary
-            return [vocab[i] for i in self.token_ids.tolist()]
-        return [w.word for w in self.words]
+        return list(map(self.vocabulary.__getitem__, self.token_ids.tolist()))
 
     def span_to_interval(self, first_token: int, last_token: int) -> tuple[int, int]:
         """Map a token span [first, last] to a half-open series interval.
@@ -130,20 +155,20 @@ class Discretization:
         the end of the last token's *window* — i.e. it covers every series
         point any of the spanned windows covers, clipped to the series.
         """
-        if not 0 <= first_token <= last_token < len(self.words):
+        if not 0 <= first_token <= last_token < len(self.offsets):
             raise ParameterError(
                 f"token span [{first_token}, {last_token}] out of range "
-                f"for {len(self.words)} words"
+                f"for {len(self.offsets)} words"
             )
-        start = self.words[first_token].offset
-        end = min(self.words[last_token].offset + self.window, self.series_length)
+        start = int(self.offsets[first_token])
+        end = min(int(self.offsets[last_token]) + self.window, self.series_length)
         return start, end
 
     def reduction_ratio(self) -> float:
         """Fraction of raw words removed by numerosity reduction."""
         if self.raw_word_count == 0:
             return 0.0
-        return 1.0 - len(self.words) / self.raw_word_count
+        return 1.0 - len(self.offsets) / self.raw_word_count
 
 
 #: Every SAX breakpoint of every supported alphabet, sorted.  The
@@ -455,22 +480,16 @@ def discretize(
     # streams that is orders of magnitude fewer joins than one per window.
     alphabet = [chr(ord("a") + i) for i in range(alphabet_size)]
     vocabulary = ["".join(alphabet[i] for i in row) for row in uniq_rows.tolist()]
-
-    words = [
-        SAXWord(vocabulary[tid], off)
-        for tid, off in zip(token_ids.tolist(), kept.tolist())
-    ]
     return Discretization(
-        words=words,
+        offsets=kept,
+        token_ids=token_ids,
+        vocabulary=vocabulary,
         window=window,
         paa_size=paa_size,
         alphabet_size=alphabet_size,
         series_length=series.size,
         strategy=strategy,
         raw_word_count=letter_idx.shape[0],
-        _offsets=kept.astype(int, copy=False),
-        token_ids=token_ids,
-        vocabulary=vocabulary,
     )
 
 

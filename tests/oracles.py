@@ -1,16 +1,22 @@
-"""Per-pair reference searches: the test oracles for the discord engines.
+"""Reference implementations the tests check the engines against.
 
-The engines in ``src/`` evaluate their inner loops in vectorized blocks
-and replay the per-pair early-abandon decisions on the block results.
-The searches here are the plain loops those engines replay: one pair at
-a time, one logical distance call per visited pair, the abandoned pair
-included.  Tests run both on the same input and compare discords, ranks
-and call counts.
+Most of this module is per-pair reference searches, the oracles for the
+discord engines.  The engines in ``src/`` evaluate their inner loops in
+vectorized blocks and replay the per-pair early-abandon decisions on the
+block results.  The searches here are the plain loops those engines
+replay: one pair at a time, one logical distance call per visited pair,
+the abandoned pair included.  Tests run both on the same input and
+compare discords, ranks and call counts.
 
-Every oracle takes its pair distance as a parameter.  The default is the
-scalar reference in :mod:`repro.timeseries.distance`, which agrees with
-the kernels to about 1e-12; passing the kernels' own pair arithmetic
-makes the comparison bit-exact and checks the loop order alone.
+Every search oracle takes its pair distance as a parameter.  The default
+is the scalar reference in :mod:`repro.timeseries.distance`, which
+agrees with the kernels to about 1e-12; passing the kernels' own pair
+arithmetic makes the comparison bit-exact and checks the loop order
+alone.
+
+:func:`rule_intervals_oracle` is the per-occurrence projection of grammar
+rules onto the series that the array projection
+:func:`repro.grammar.intervals.rule_intervals` must reproduce.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.core.anomaly import Discord
+from repro.grammar.grammar import START_RULE_ID
 from repro.grammar.intervals import RuleInterval
 from repro.timeseries import kernels
 from repro.timeseries.distance import euclidean, variable_length_distance
@@ -277,3 +284,28 @@ def nearest_neighbor_oracle(
             nearest = min(nearest, distance(p, q))
         profile.append((p, nearest))
     return profile, calls
+
+
+def rule_intervals_oracle(
+    grammar, discretization, *, include_start_rule: bool = False
+) -> list[RuleInterval]:
+    """One :class:`RuleInterval` per rule occurrence, then a key sort.
+
+    Occurrence ``[i, j]`` maps to ``[offset_i, min(offset_j + W, n))``;
+    each object validates itself, so a malformed interval raises
+    ``ValueError`` for the first bad occurrence in rule-id order.
+    """
+    offs = discretization.offsets.tolist()
+    window = discretization.window
+    series_length = discretization.series_length
+    intervals = []
+    for rule in grammar:
+        if rule.rule_id == START_RULE_ID and not include_start_rule:
+            continue
+        for occ in rule.occurrences:
+            end = min(offs[occ.end] + window, series_length)
+            intervals.append(
+                RuleInterval(rule.rule_id, offs[occ.start], end, usage=rule.usage)
+            )
+    intervals.sort(key=lambda iv: (iv.start, iv.end, iv.rule_id))
+    return intervals

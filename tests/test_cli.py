@@ -5,8 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cli import _load_series, build_parser, main
+import repro.cli
+from repro.cli import _load_series, _render_curve, build_parser, main
 from repro.datasets import sine_with_anomaly
+from repro.datasets.ecg import ecg_record_like
+from repro.datasets.respiration import respiration_like
 from repro.exceptions import ReproError
 
 
@@ -187,3 +190,80 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "dominant period" in out
         assert "score" in out
+
+
+def _reference_render(curve) -> str:
+    return "\n".join(map(str, curve.tolist())) + "\n"
+
+
+class TestDensityRender:
+    """The run-length render is byte-equal to one ``str`` per point."""
+
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            np.full(1, 0),
+            np.full(500, 7),
+            np.array([0, 1, 1, 2, 0, 0, 3]),
+            np.array([999, 1000, 1000, 1001, 250_000, 3, 3]),
+            np.random.default_rng(2).integers(0, 1500, size=2000),
+        ],
+    )
+    def test_equals_str_per_point(self, curve):
+        assert _render_curve(curve) == _reference_render(curve)
+
+    def test_empty_curve_renders_nothing(self):
+        assert _render_curve(np.zeros(0, dtype=np.int64)) == ""
+
+    @pytest.mark.parametrize(
+        "make, window, paa, alphabet",
+        [
+            (lambda: respiration_like(length=35_000, seed=43), 128, 5, 4),
+            (
+                lambda: ecg_record_like(
+                    "300", length=100_000, num_anomalies=3, seed=300
+                ),
+                300, 4, 4,
+            ),
+        ],
+        ids=["respiration_35k", "ecg_100k"],
+    )
+    def test_generated_curves(self, make, window, paa, alphabet):
+        from repro.core.pipeline import GrammarAnomalyDetector
+
+        detector = GrammarAnomalyDetector(window, paa, alphabet)
+        detector.fit(make().series)
+        curve = detector.density_curve()
+        assert curve.size >= 35_000
+        assert _render_curve(curve) == _reference_render(curve)
+
+
+class TestDispatch:
+    def test_parser_is_built_once(self, series_file, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            repro.cli, "build_parser", lambda: calls.append(1) or build_parser()
+        )
+        repro.cli._parser.cache_clear()
+        try:
+            assert main(["density", series_file, "-w", "40"]) == 0
+            assert main(["density", series_file, "-w", "40"]) == 0
+        finally:
+            repro.cli._parser.cache_clear()
+        assert calls == [1]
+
+    def test_handler_patched_after_first_call_is_used(
+        self, series_file, capsys, monkeypatch
+    ):
+        assert main(["density", series_file, "-w", "40"]) == 0
+        assert capsys.readouterr().out
+        seen = []
+
+        def patched(args):
+            seen.append(args.window)
+            return 7
+
+        monkeypatch.setattr(repro.cli, "_cmd_density", patched)
+        assert main(["density", series_file, "-w", "40"]) == 7
+        assert seen == [40]
+        assert capsys.readouterr().out == ""

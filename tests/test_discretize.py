@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 import repro.sax.discretize  # noqa: F401 - the module, for monkeypatching
 from repro.exceptions import DiscretizationError, ParameterError
+from repro.sax.alphabet import letter_indices
 from repro.sax.discretize import (
     _ALL_BREAKPOINTS,
     Discretization,
     NumerosityReduction,
     SAXWord,
+    _reduce,
     discretize,
     windowed_paa,
 )
@@ -162,6 +164,68 @@ class TestSAXWordType:
     def test_tokens_helper(self):
         disc = discretize(_sine(300), 50, 4, 4)
         assert disc.tokens() == [w.word for w in disc.words]
+
+
+class TestArrayRepresentation:
+    """The arrays are the state; ``words`` is a view built on demand."""
+
+    @pytest.mark.parametrize("strategy", list(NumerosityReduction))
+    def test_words_on_demand_equal_the_eager_list(self, strategy):
+        series = _sine(500, noise=0.2, seed=4)
+        disc = discretize(series, 40, 4, 5, strategy=strategy)
+        assert "words" not in vars(disc)
+        # The eager construction: one string per window, reduced over
+        # the strings, one SAXWord per survivor.
+        letters = letter_indices(windowed_paa(series, 40, 4), 5)
+        raw_words = ["".join("abcde"[i] for i in row) for row in letters.tolist()]
+        kept = _reduce(raw_words, strategy, 5, 40)
+        assert disc.words == [SAXWord(raw_words[i], i) for i in kept]
+        assert vars(disc)["words"] is disc.words
+
+    def test_len_offsets_tokens_follow_the_words(self):
+        disc = discretize(_sine(400, noise=0.1, seed=2), 30, 4, 4)
+        words = disc.words
+        assert len(disc) == len(words) == disc.offsets.size
+        assert disc.offsets.dtype == np.int64
+        assert disc.offsets.tolist() == [w.offset for w in words]
+        assert disc.tokens() == [w.word for w in words]
+        assert [disc.vocabulary[i] for i in disc.token_ids] == disc.tokens()
+
+    def test_span_to_interval_reads_offsets(self):
+        disc = discretize(_sine(400, noise=0.1, seed=2), 30, 4, 4)
+        for first, last in ((0, 0), (1, 3), (0, len(disc) - 1)):
+            assert disc.span_to_interval(first, last) == (
+                disc.words[first].offset,
+                min(disc.words[last].offset + 30, 400),
+            )
+        del disc.words
+        disc.span_to_interval(0, len(disc) - 1)
+        assert "words" not in vars(disc)
+
+    def test_equality(self):
+        series = _sine(400, noise=0.1, seed=2)
+        disc = discretize(series, 30, 4, 4)
+        assert disc == discretize(series, 30, 4, 4)
+        disc.words  # a built cache does not change equality
+        assert disc == discretize(series, 30, 4, 4)
+        assert disc != discretize(series, 31, 4, 4)
+        assert disc != discretize(_sine(400, noise=0.1, seed=3), 30, 4, 4)
+        # Same words under a different interning are equal.
+        vocabulary = ["zzzz", *disc.vocabulary]
+        reinterned = Discretization(
+            offsets=disc.offsets.copy(),
+            token_ids=disc.token_ids + 1,
+            vocabulary=vocabulary,
+            window=30,
+            paa_size=4,
+            alphabet_size=4,
+            series_length=400,
+            strategy=NumerosityReduction.EXACT,
+            raw_word_count=disc.raw_word_count,
+        )
+        assert reinterned == disc
+        with pytest.raises(TypeError):
+            hash(disc)
 
 
 # -- windowed PAA: prefix sums vs the window matrix ---------------------------

@@ -2,19 +2,30 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.pipeline import GrammarAnomalyDetector
 from repro.grammar.intervals import (
     RuleInterval,
+    RuleIntervalList,
     rule_intervals,
     uncovered_intervals,
     zero_coverage_gaps,
 )
-from repro.grammar.sequitur import induce_grammar
-from repro.sax.discretize import discretize
+from repro.grammar.repair import repair_grammar
+from repro.grammar.sequitur import (
+    induce_grammar,
+    induce_grammar_interned,
+    intern_tokens,
+)
+from repro.sax.discretize import Discretization, NumerosityReduction, discretize
+from tests.oracles import rule_intervals_oracle
+from tests.test_grammar_fastpath import ENGINES, forced_engine
 
 
 def _pipeline(series, window=40, paa=4, alpha=4):
@@ -98,6 +109,180 @@ class TestRuleIntervals:
         for iv in rule_intervals(grammar, disc):
             assert 0 <= iv.start < iv.end <= series.size
             assert iv.usage >= 2
+
+
+def _hand_discretization(tokens, offsets, window, series_length):
+    """A :class:`Discretization` over *tokens* at the given window offsets."""
+    ids, vocab = intern_tokens(tokens)
+    return Discretization(
+        offsets=np.asarray(offsets, dtype=np.int64),
+        token_ids=ids,
+        vocabulary=vocab,
+        window=window,
+        paa_size=1,
+        alphabet_size=4,
+        series_length=series_length,
+        strategy=NumerosityReduction.EXACT,
+        raw_word_count=len(tokens),
+    )
+
+
+def _induce(algorithm, tokens, disc):
+    if algorithm == "repair":
+        return repair_grammar(tokens)
+    with forced_engine(algorithm):
+        return induce_grammar_interned(disc.token_ids, disc.vocabulary)
+
+
+def _rows(intervals):
+    return [(iv.rule_id, iv.start, iv.end, iv.usage) for iv in intervals]
+
+
+#: Sequitur on each available engine, and Re-Pair.
+ALGORITHMS = (*ENGINES, "repair")
+
+
+class TestProjectionOracle:
+    """The array projection against the per-occurrence loop."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @given(
+        tokens=st.lists(st.sampled_from(["ab", "ba", "cc", "d"]), max_size=120),
+        steps=st.lists(st.integers(1, 9), min_size=120, max_size=120),
+        window=st.integers(2, 30),
+        clip=st.integers(0, 29),
+        include_start_rule=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle(
+        self, algorithm, tokens, steps, window, clip, include_start_rule
+    ):
+        offsets = np.cumsum([0] + steps[: max(len(tokens) - 1, 0)])[: len(tokens)]
+        # Clip the last windows at the series end, never past a start.
+        last = int(offsets[-1]) if tokens else 0
+        series_length = max(last + 1, last + window - clip)
+        disc = _hand_discretization(tokens, offsets, window, series_length)
+        grammar = _induce(algorithm, tokens, disc)
+        got = rule_intervals(grammar, disc, include_start_rule=include_start_rule)
+        want = rule_intervals_oracle(
+            grammar, disc, include_start_rule=include_start_rule
+        )
+        starts, ends = got.endpoint_arrays()
+        assert starts.dtype == ends.dtype == np.int64
+        assert starts.tolist() == [iv.start for iv in want]
+        assert ends.tolist() == [iv.end for iv in want]
+        assert _rows(got) == _rows(want)
+        assert got == want
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_matches_oracle_on_a_series(self, algorithm):
+        series = _periodic_with_blip()
+        disc = discretize(series, 40, 4, 4)
+        tokens = disc.tokens()
+        grammar = _induce(algorithm, tokens, disc)
+        for include_start_rule in (False, True):
+            got = rule_intervals(grammar, disc, include_start_rule=include_start_rule)
+            want = rule_intervals_oracle(
+                grammar, disc, include_start_rule=include_start_rule
+            )
+            assert len(got) > 10
+            assert _rows(got) == _rows(want)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_malformed_span_raises_value_error(self, algorithm):
+        # Word 2 starts at offset 2, at the declared series end: the
+        # occurrence of "ab" over tokens [2, 3] projects to [2, 2).
+        tokens = ["a", "b", "a", "b"]
+        disc = _hand_discretization(tokens, [0, 1, 2, 3], 2, 2)
+        grammar = _induce(algorithm, tokens, disc)
+        with pytest.raises(ValueError, match=r"malformed interval \[2, 2\)"):
+            rule_intervals_oracle(grammar, disc)
+        with pytest.raises(ValueError, match=r"malformed interval \[2, 2\)"):
+            rule_intervals(grammar, disc)
+
+
+def _sample_list():
+    return RuleIntervalList(
+        [
+            RuleInterval(2, 0, 10, usage=2),
+            RuleInterval(1, 5, 15, usage=3),
+            RuleInterval(2, 20, 30, usage=2),
+        ]
+    )
+
+
+class TestRuleIntervalList:
+    def test_sequence_protocol(self):
+        intervals = _sample_list()
+        assert len(intervals) == 3
+        assert intervals[1] == RuleInterval(1, 5, 15, usage=3)
+        assert intervals[-1].start == 20
+        assert intervals[1:] == [
+            RuleInterval(1, 5, 15, usage=3),
+            RuleInterval(2, 20, 30, usage=2),
+        ]
+        assert [iv.rule_id for iv in intervals] == [2, 1, 2]
+        assert RuleInterval(1, 5, 15, usage=3) in intervals
+        assert list(reversed(intervals))[0].start == 20
+
+    def test_equality(self):
+        intervals = _sample_list()
+        assert intervals == list(_sample_list())
+        assert list(_sample_list()) == intervals
+        assert intervals == tuple(_sample_list())
+        assert intervals == _sample_list()
+        assert intervals != _sample_list()[:2]
+        assert intervals != RuleIntervalList()
+        assert RuleIntervalList() == []
+
+    def test_plus_list_is_a_list(self):
+        gap = RuleInterval(-1, 40, 50, usage=0)
+        joined = _sample_list() + [gap]
+        assert type(joined) is list
+        assert joined == list(_sample_list()) + [gap]
+        assert [gap] + _sample_list() == [gap] + list(_sample_list())
+
+    def test_immutable(self):
+        intervals = _sample_list()
+        assert not hasattr(intervals, "append")
+        with pytest.raises(TypeError):
+            intervals[0] = RuleInterval(1, 0, 5, usage=1)
+        starts, ends = intervals.endpoint_arrays()
+        with pytest.raises(ValueError):
+            starts[0] = 7
+        assert ends.tolist() == [10, 15, 30]
+
+    def test_unhashable_like_a_list(self):
+        with pytest.raises(TypeError):
+            hash(_sample_list())
+
+    def test_pickle_round_trip(self):
+        intervals = rule_intervals(*reversed(_pipeline(_periodic_with_blip())))
+        restored = pickle.loads(pickle.dumps(intervals))
+        assert type(restored) is RuleIntervalList
+        assert restored == intervals
+        assert restored._items is None
+        assert not restored.endpoint_arrays()[0].flags.writeable
+
+    def test_objects_built_on_first_element_access(self):
+        disc, grammar = _pipeline(_periodic_with_blip())
+        intervals = rule_intervals(grammar, disc)
+        assert intervals._items is None
+        starts, _ = intervals.endpoint_arrays()
+        assert len(intervals) == starts.size
+        assert intervals._items is None
+        first = intervals[0]
+        assert intervals._items is not None
+        assert intervals[0] is first
+
+
+class TestNothingBuiltOnTheDensityPath:
+    def test_fit_and_density_build_no_words_or_interval_objects(self):
+        detector = GrammarAnomalyDetector(40, 4, 4)
+        result = detector.fit(_periodic_with_blip())
+        detector.density_curve()
+        assert "words" not in vars(result.discretization)
+        assert result.intervals._items is None
 
 
 class TestUncoveredIntervals:
