@@ -1,8 +1,9 @@
 """Compile-on-first-use ctypes loader shared by the package's C cores.
 
-Two hot loops have a C implementation next to their pure-Python
-reference: Sequitur induction (:mod:`repro.grammar.ccore`) and the RRA
-inner loop (:mod:`repro.timeseries.eq1core`).  Each core is one C file.
+Three hot loops have a C implementation next to their Python
+reference: Sequitur induction (:mod:`repro.grammar.ccore`), the RRA
+inner loop (:mod:`repro.timeseries.eq1core`) and the discretize front
+half (:mod:`repro.sax.saxcore`).  Each core is one C file.
 This module compiles it with whatever C compiler the host already ships
 (``cc``/``gcc``/``clang``), caches the shared object keyed by the digest
 of the source and the compiler flags, and loads it through ctypes.

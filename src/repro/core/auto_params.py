@@ -126,9 +126,7 @@ def grammar_health(
         return None
     if len(disc) < 4:
         return None
-    grammar = induce_grammar_interned(
-        disc.token_ids, disc.vocabulary, tokens=disc.tokens()
-    )
+    grammar = induce_grammar_interned(disc.token_ids, disc.vocabulary)
     intervals = rule_intervals(grammar, disc)
     curve = rule_density_curve(intervals, series.size)
 

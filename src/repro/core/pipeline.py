@@ -9,6 +9,7 @@ intermediate state.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,8 +47,8 @@ class PipelineResult:
     series: np.ndarray
     discretization: Discretization
     grammar: Grammar
-    intervals: list[RuleInterval]
-    gaps: list[RuleInterval]
+    intervals: Sequence[RuleInterval]
+    gaps: Sequence[RuleInterval]
     density: np.ndarray = field(repr=False, default=None)
     masked_spans: tuple[tuple[int, int], ...] = ()
 
@@ -212,9 +213,7 @@ class GrammarAnomalyDetector:
             if self.grammar_algorithm == "repair":
                 grammar = repair_grammar(disc.tokens())
             else:
-                grammar = induce_grammar_interned(
-                    disc.token_ids, disc.vocabulary, tokens=disc.tokens()
-                )
+                grammar = induce_grammar_interned(disc.token_ids, disc.vocabulary)
         intervals = rule_intervals(grammar, disc)
         gaps = uncovered_intervals(grammar, disc)
         density = rule_density_curve(intervals, series.size, metrics=metrics)

@@ -10,8 +10,12 @@ built from.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.exceptions import GrammarError
 
@@ -40,6 +44,10 @@ class RuleOccurrence:
     def token_length(self) -> int:
         """Number of input tokens this occurrence spans."""
         return self.end - self.start + 1
+
+
+_NEW_OCC = RuleOccurrence.__new__
+_SET = object.__setattr__
 
 
 @dataclass
@@ -97,21 +105,213 @@ class GrammarRule:
         return f"GrammarRule({self.name} -> {self.rhs_display()!r}, usage={self.usage})"
 
 
-@dataclass
+@dataclass(frozen=True)
+class FrozenRules:
+    """A Sequitur grammar as flat ``int64`` arrays (the freeze).
+
+    Rules are numbered ``0 .. n - 1`` from R0.  Rule ``p``'s right-hand
+    side is ``body[body_off[p] : body_off[p + 1]]``, where terminal id
+    ``t`` is code ``2t`` and a reference to rule ``q`` is ``2q + 1``;
+    its occurrences start at the token positions
+    ``starts[starts_off[p] : starts_off[p + 1]]`` (ascending) and span
+    ``lengths[p]`` tokens each; ``levels[p]`` is its hierarchy level.
+    """
+
+    body: np.ndarray
+    body_off: np.ndarray
+    levels: np.ndarray
+    lengths: np.ndarray
+    starts: np.ndarray
+    starts_off: np.ndarray
+
+    @classmethod
+    def from_lists(cls, bodies, levels, lengths, starts) -> "FrozenRules":
+        """Pack per-rule lists (bodies and starts as lists of lists)."""
+
+        def flat(parts):
+            off = np.zeros(len(parts) + 1, dtype=np.int64)
+            np.cumsum([len(part) for part in parts], out=off[1:])
+            values = [value for part in parts for value in part]
+            return np.array(values, dtype=np.int64), off
+
+        body, body_off = flat(bodies)
+        starts, starts_off = flat(starts)
+        return cls(
+            body, body_off, np.array(levels, dtype=np.int64),
+            np.array(lengths, dtype=np.int64), starts, starts_off,
+        )
+
+
+class _FrozenRuleMap(Mapping):
+    """``Grammar.rules`` of a frozen grammar: rule id -> :class:`GrammarRule`.
+
+    Each rule object is built from the freeze arrays on its first
+    lookup and cached; ``len``, ``in`` and iteration over the ids build
+    nothing.  It holds the grammar's arrays, not the grammar, so the two
+    form no reference cycle.
+    """
+
+    __slots__ = ("_frozen", "_token_ids", "_vocabulary", "_tokens", "_built")
+
+    def __init__(self, frozen: FrozenRules, token_ids, vocabulary, tokens) -> None:
+        self._frozen = frozen
+        self._token_ids = token_ids
+        self._vocabulary = vocabulary
+        self._tokens = tokens
+        self._built: list = [None] * (frozen.body_off.size - 1)
+
+    def _index(self, key) -> int:
+        try:
+            pid = operator.index(key)
+        except TypeError:
+            return -1
+        return pid if 0 <= pid < len(self._built) else -1
+
+    def __contains__(self, key) -> bool:
+        return self._index(key) >= 0
+
+    def __getitem__(self, key) -> GrammarRule:
+        pid = self._index(key)
+        if pid < 0:
+            raise KeyError(key)
+        rule = self._built[pid]
+        if rule is None:
+            rule = self._built[pid] = self._build(pid)
+        return rule
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self._built)))
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"<{len(self)} frozen rules>"
+
+    def _build(self, pid: int) -> GrammarRule:
+        """Rule *pid* as an object."""
+        frozen, vocab = self._frozen, self._vocabulary
+        body = frozen.body[frozen.body_off[pid] : frozen.body_off[pid + 1]]
+        rule = GrammarRule(
+            rule_id=pid,
+            rhs=[c >> 1 if c & 1 else vocab[c >> 1] for c in body.tolist()],
+            level=int(frozen.levels[pid]),
+        )
+        starts = frozen.starts[
+            frozen.starts_off[pid] : frozen.starts_off[pid + 1]
+        ].tolist()
+        length = int(frozen.lengths[pid])
+        if starts:
+            s0 = starts[0]
+            if self._tokens is not None:
+                rule.expansion = self._tokens[s0 : s0 + length]
+            else:
+                ids = self._token_ids[s0 : s0 + length].tolist()
+                rule.expansion = list(map(vocab.__getitem__, ids))
+        occs = []
+        last = length - 1
+        ap = occs.append
+        for s in starts:
+            # RuleOccurrence.__new__ + setattr skips the dataclass
+            # __init__ and its validation: the spans come from the freeze.
+            occ = _NEW_OCC(RuleOccurrence)
+            _SET(occ, "start", s)
+            _SET(occ, "end", s + last)
+            ap(occ)
+        rule.occurrences = occs
+        return rule
+
+
 class Grammar:
     """A context-free grammar produced by an induction algorithm.
 
-    The class validates the core structural invariant on construction:
-    expanding the start rule must reproduce the input token sequence.
+    Built from rule objects (``Grammar(tokens, rules, algorithm)``: Re-Pair,
+    the legacy reference and hand-built grammars) or from Sequitur's
+    freeze arrays (:meth:`from_frozen`).  A frozen grammar keeps the
+    arrays in :attr:`frozen` and builds :attr:`tokens` and each
+    :class:`GrammarRule` (with its ``rhs``, ``expansion`` and
+    occurrences) only on first access; :meth:`occurrence_table`,
+    :meth:`start_body`, ``len`` and :meth:`grammar_size` read the arrays.
+    Two grammars are equal when their tokens, rules and algorithm are.
     """
 
-    tokens: list[str]
-    rules: dict[int, GrammarRule]
-    algorithm: str = "sequitur"
-
-    def __post_init__(self) -> None:
-        if START_RULE_ID not in self.rules:
+    def __init__(
+        self,
+        tokens: list[str],
+        rules: dict[int, GrammarRule],
+        algorithm: str = "sequitur",
+    ) -> None:
+        if START_RULE_ID not in rules:
             raise GrammarError("grammar is missing the start rule R0")
+        self._tokens = tokens
+        self._rules = rules
+        self.algorithm = algorithm
+        #: The freeze arrays (:class:`FrozenRules`), or None for a
+        #: grammar built from rule objects.
+        self.frozen: Optional[FrozenRules] = None
+        self._token_ids: Optional[np.ndarray] = None
+        self._vocabulary: Optional[list[str]] = None
+
+    @classmethod
+    def from_frozen(
+        cls,
+        frozen: FrozenRules,
+        token_ids: np.ndarray,
+        vocabulary: list[str],
+        *,
+        tokens: Optional[list[str]] = None,
+        algorithm: str = "sequitur",
+    ) -> "Grammar":
+        """A grammar over the freeze arrays; *token_ids* index *vocabulary*.
+
+        *tokens*, when the caller already holds the decoded token list,
+        is kept instead of being rebuilt on first access.
+        """
+        self = cls.__new__(cls)
+        self._tokens = tokens
+        self._rules = None
+        self.algorithm = algorithm
+        self.frozen = frozen
+        self._token_ids = token_ids
+        self._vocabulary = vocabulary
+        return self
+
+    @property
+    def tokens(self) -> list[str]:
+        """The input token sequence."""
+        if self._tokens is None:
+            self._tokens = list(
+                map(self._vocabulary.__getitem__, self._token_ids.tolist())
+            )
+        return self._tokens
+
+    @property
+    def rules(self) -> Mapping[int, GrammarRule]:
+        """Rule id -> :class:`GrammarRule` (a read-only lazy mapping on a
+        frozen grammar)."""
+        if self._rules is None:
+            self._rules = _FrozenRuleMap(
+                self.frozen, self._token_ids, self._vocabulary, self._tokens
+            )
+        return self._rules
+
+    @property
+    def token_count(self) -> int:
+        """Number of input tokens."""
+        if self._token_ids is not None:
+            return len(self._token_ids)
+        return len(self._tokens)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.algorithm == other.algorithm
+            and self.tokens == other.tokens
+            and dict(self.rules) == dict(other.rules)
+        )
+
+    __hash__ = None
 
     @property
     def start_rule(self) -> GrammarRule:
@@ -123,10 +323,61 @@ class Grammar:
 
     def __len__(self) -> int:
         """Number of rules, start rule included."""
-        return len(self.rules)
+        if self.frozen is not None:
+            return self.frozen.body_off.size - 1
+        return len(self._rules)
 
     def __iter__(self) -> Iterator[GrammarRule]:
         return iter(self.rules[rid] for rid in sorted(self.rules))
+
+    def occurrence_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rule_ids, first, last)``: every occurrence of every rule.
+
+        ``int64`` arrays, one row per occurrence: rows in rule-id order,
+        each rule's occurrences in stored order; ``first`` and ``last``
+        are inclusive token indices.  Read from :attr:`frozen` when the
+        grammar has it, else from the rule objects.
+        """
+        frozen = self.frozen
+        if frozen is not None:
+            counts = np.diff(frozen.starts_off)
+            rule_ids = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+            return rule_ids, frozen.starts, frozen.starts + (frozen.lengths[rule_ids] - 1)
+        rules = list(self)
+        counts = [len(rule.occurrences) for rule in rules]
+        total = sum(counts)
+        occs = [occ for rule in rules for occ in rule.occurrences]
+        rule_ids = np.repeat(
+            np.array([rule.rule_id for rule in rules], dtype=np.int64), counts
+        )
+        first = np.fromiter([occ.start for occ in occs], np.int64, total)
+        last = np.fromiter([occ.end for occ in occs], np.int64, total)
+        return rule_ids, first, last
+
+    def start_body(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(terminal, span)`` over R0's right-hand side.
+
+        Per item: whether it is a terminal token (``bool``), and how many
+        input tokens it derives (``int64``: 1 for a terminal, the
+        referenced rule's expansion length otherwise).
+        """
+        frozen = self.frozen
+        if frozen is not None:
+            codes = frozen.body[frozen.body_off[0] : frozen.body_off[1]]
+            terminal = (codes & 1) == 0
+            span = np.ones(codes.size, dtype=np.int64)
+            span[~terminal] = frozen.lengths[codes[~terminal] >> 1]
+            return terminal, span
+        rhs = self.start_rule.rhs
+        terminal = np.array([not isinstance(item, int) for item in rhs], dtype=bool)
+        span = np.array(
+            [
+                self.rules[item].expansion_length if isinstance(item, int) else 1
+                for item in rhs
+            ],
+            dtype=np.int64,
+        )
+        return terminal, span
 
     def expand_rule(self, rule_id: int) -> list[str]:
         """Expand a rule (by id) to its terminal token sequence."""
@@ -140,6 +391,8 @@ class Grammar:
         This is the standard grammar-based-compression size measure; it is
         the quantity shown on the y-axis of the paper's Figure 10.
         """
+        if self.frozen is not None:
+            return int(self.frozen.body_off[-1])
         return sum(len(rule.rhs) for rule in self.rules.values())
 
     def compression_ratio(self) -> float:
@@ -147,7 +400,7 @@ class Grammar:
         size = self.grammar_size()
         if size == 0:
             return 0.0
-        return len(self.tokens) / size
+        return self.token_count / size
 
     def verify(self) -> None:
         """Check structural invariants; raise :class:`GrammarError` if broken.

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.exceptions import ParameterError
 from repro.grammar.grammar import Grammar, START_RULE_ID
 from repro.sax.discretize import Discretization
 
@@ -194,22 +195,31 @@ def rule_intervals(
         e.g. an offset at or past ``series_length``), naming the first
         such occurrence in rule-id order.
     """
-    # An occurrence spanning tokens [i, j] covers the series from word
-    # i's window offset to the end of word j's window, clipped to the
-    # series: the vectorised form of Discretization.span_to_interval.
-    # Occurrence spans come from the freeze and are in range by
-    # construction (grammar.verify() checks this).
-    rules = [
-        rule
-        for rule in grammar
-        if include_start_rule or rule.rule_id != START_RULE_ID
-    ]
-    spans = [rule.occurrences for rule in rules]
-    usages = np.array([len(occs) for occs in spans], dtype=np.int64)
-    count = int(usages.sum())
-    first = np.fromiter([occ.start for occs in spans for occ in occs], np.int64, count)
-    last = np.fromiter([occ.end for occs in spans for occ in occs], np.int64, count)
+    rule_ids, first, last = grammar.occurrence_table()
+    usages = np.bincount(rule_ids)[rule_ids] if rule_ids.size else rule_ids
+    if not include_start_rule:
+        keep = rule_ids != START_RULE_ID
+        rule_ids, first, last, usages = (
+            rule_ids[keep], first[keep], last[keep], usages[keep]
+        )
+    starts, ends = _project(first, last, discretization)
+    table = np.stack((rule_ids, starts, ends, usages))
+    # The rows come in rule-id order, so a stable sort on (start, end)
+    # is the stable sort on (start, end, rule_id).
+    return RuleIntervalList._from_table(table[:, np.lexsort((ends, starts))])
 
+
+def _project(
+    first: np.ndarray, last: np.ndarray, discretization: Discretization
+) -> tuple[np.ndarray, np.ndarray]:
+    """Series ``(starts, ends)`` of the token spans ``[first, last]``.
+
+    A span covers the series from word ``first``'s window offset to the
+    end of word ``last``'s window, clipped to the series: the vectorised
+    form of :meth:`Discretization.span_to_interval`.  Raises
+    ``ValueError`` naming the first malformed interval (start < 0 or
+    end <= start, e.g. an offset at or past ``series_length``).
+    """
     offsets = discretization.offsets
     starts = offsets[first]
     ends = np.minimum(offsets[last] + discretization.window, discretization.series_length)
@@ -217,20 +227,13 @@ def rule_intervals(
     if bad.size:
         i = bad[0]
         raise ValueError(f"malformed interval [{starts[i]}, {ends[i]})")
-
-    rule_ids = np.repeat(
-        np.array([rule.rule_id for rule in rules], dtype=np.int64), usages
-    )
-    table = np.stack((rule_ids, starts, ends, np.repeat(usages, usages)))
-    # The rows were built in rule-id order, so a stable sort on
-    # (start, end) is the stable sort on (start, end, rule_id).
-    return RuleIntervalList._from_table(table[:, np.lexsort((ends, starts))])
+    return starts, ends
 
 
 def uncovered_intervals(
     grammar: Grammar,
     discretization: Discretization,
-) -> list[RuleInterval]:
+) -> RuleIntervalList:
     """Subsequences of the discretized series that are part of no rule.
 
     The paper's RRA candidate set is "subsequences that correspond to the
@@ -241,26 +244,25 @@ def uncovered_intervals(
     them in, which makes them frequency-0 (prime discord) candidates.
 
     Each run is projected to the series interval spanned by its tokens'
-    windows, like a rule occurrence.
+    windows, like a rule occurrence, and tagged rule id ``-1`` with
+    usage 0.  Computed from :meth:`Grammar.start_body` in array form.
     """
-    gaps: list[RuleInterval] = []
-    token_pos = 0
-    run_start: int | None = None
-    for item in grammar.start_rule.rhs:
-        if isinstance(item, int):
-            if run_start is not None:
-                start, end = discretization.span_to_interval(run_start, token_pos - 1)
-                gaps.append(RuleInterval(-1, start, end, usage=0))
-                run_start = None
-            token_pos += grammar.rules[item].expansion_length
-        else:
-            if run_start is None:
-                run_start = token_pos
-            token_pos += 1
-    if run_start is not None:
-        start, end = discretization.span_to_interval(run_start, token_pos - 1)
-        gaps.append(RuleInterval(-1, start, end, usage=0))
-    return gaps
+    terminal, span = grammar.start_body()
+    item_end = np.cumsum(span)
+    edges = np.diff(np.concatenate(([0], terminal.view(np.int8), [0])))
+    run_first = np.flatnonzero(edges == 1)
+    run_last = np.flatnonzero(edges == -1) - 1
+    first = item_end[run_first] - span[run_first]
+    last = item_end[run_last] - 1
+    if last.size and last[-1] >= len(discretization):
+        raise ParameterError(
+            f"token span [{first[-1]}, {last[-1]}] out of range "
+            f"for {len(discretization)} words"
+        )
+    starts, ends = _project(first, last, discretization)
+    return RuleIntervalList._from_table(
+        np.stack((np.full_like(starts, -1), starts, ends, np.zeros_like(starts)))
+    )
 
 
 def zero_coverage_gaps(

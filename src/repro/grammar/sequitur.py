@@ -44,6 +44,7 @@ import numpy as np
 from repro.exceptions import GrammarError
 from repro.grammar import ccore
 from repro.grammar.grammar import (
+    FrozenRules,
     Grammar,
     GrammarRule,
     RuleOccurrence,
@@ -51,8 +52,6 @@ from repro.grammar.grammar import (
 )
 
 _KSHIFT = 42
-_NEW_OCC = RuleOccurrence.__new__
-_SET = object.__setattr__
 
 
 class _FastSequitur:
@@ -251,18 +250,17 @@ class _FastSequitur:
 
 
 # ---------------------------------------------------------------------
-# Freeze: array state -> immutable Grammar
+# Freeze: array state -> FrozenRules
 # ---------------------------------------------------------------------
 
 
-def _prep_python(fs: _FastSequitur, n_tokens: int):
-    """Freeze preparation on the pure-Python engine.
+def _freeze_python(fs: _FastSequitur, n_tokens: int) -> FrozenRules:
+    """The freeze arrays of the pure-Python engine's state.
 
-    Returns ``(bodies, levels, lengths, starts)`` in the shared
-    materialization format: rules renumbered BFS-first from R0, each
-    body a list of codes where terminal id ``t`` is ``2t`` and public
-    rule id ``p`` is ``2p + 1``; ``starts[pid]`` lists the sorted
-    occurrence start positions.
+    The same :class:`FrozenRules` the C core's freeze produces: rules
+    renumbered BFS-first from R0, each body a list of codes where
+    terminal id ``t`` is ``2t`` and public rule id ``p`` is ``2p + 1``,
+    and each rule's sorted occurrence start positions.
     """
     code, nxt, guards = fs.code, fs.nxt, fs.guards
 
@@ -352,39 +350,11 @@ def _prep_python(fs: _FastSequitur, n_tokens: int):
             else:
                 cs += mine
 
-    return bodies, levels, lengths, starts
+    return FrozenRules.from_lists(bodies, levels, lengths, starts)
 
 
-def _materialize(bodies, levels, lengths, starts, tokens, vocab) -> Grammar:
-    """Build the immutable Grammar from shared freeze-prep arrays."""
-    rules: dict[int, GrammarRule] = {}
-    for pid in range(len(bodies)):
-        rhs = [c >> 1 if c & 1 else vocab[c >> 1] for c in bodies[pid]]
-        rule = GrammarRule(rule_id=pid, rhs=rhs)
-        rule.level = levels[pid]
-        length = lengths[pid]
-        mine = starts[pid]
-        if mine:
-            s0 = mine[0]
-            rule.expansion = tokens[s0 : s0 + length]
-        occs = []
-        last = length - 1
-        ap = occs.append
-        for s in mine:
-            # RuleOccurrence.__new__ + setattr skips dataclass __init__
-            # overhead; at ~1e5 occurrences per grammar the constructor
-            # dominates the freeze otherwise.
-            occ = _NEW_OCC(RuleOccurrence)
-            _SET(occ, "start", s)
-            _SET(occ, "end", s + last)
-            ap(occ)
-        rule.occurrences = occs
-        rules[pid] = rule
-    return Grammar(tokens=tokens, rules=rules, algorithm="sequitur")
-
-
-def _induce_c(lib, codes: np.ndarray, tokens: list, vocab: list) -> Grammar:
-    """Run push + freeze prep inside the C core, materialize in Python."""
+def _freeze_c(lib, codes: np.ndarray, n_tokens: int) -> FrozenRules:
+    """Run push + freeze prep inside the C core; copy out the arrays."""
     h = lib.seq_new()
     if not h or lib.seq_oom(h):
         if h:
@@ -394,7 +364,7 @@ def _induce_c(lib, codes: np.ndarray, tokens: list, vocab: list) -> Grammar:
         rc = lib.seq_push(h, codes.ctypes.data_as(ctypes.c_void_p), codes.size)
         if rc != 0:
             raise MemoryError("seq_push failed")
-        fz = lib.seq_freeze_prep(h, len(tokens))
+        fz = lib.seq_freeze_prep(h, n_tokens)
         if not fz:
             raise MemoryError("seq_freeze_prep failed")
         try:
@@ -403,47 +373,42 @@ def _induce_c(lib, codes: np.ndarray, tokens: list, vocab: list) -> Grammar:
             n_rules = lib.seq_frozen_n_rules(fz)
             nb = lib.seq_frozen_body_total(fz)
             ns = lib.seq_frozen_starts_total(fz)
-            body_flat = np.ctypeslib.as_array(
-                lib.seq_frozen_body_flat(fz), shape=(max(nb, 1),)
-            ).tolist()
-            body_off = np.ctypeslib.as_array(
-                lib.seq_frozen_body_off(fz), shape=(n_rules + 1,)
-            ).tolist()
-            levels = np.ctypeslib.as_array(
-                lib.seq_frozen_levels(fz), shape=(n_rules,)
-            ).tolist()
-            lengths = np.ctypeslib.as_array(
-                lib.seq_frozen_lengths(fz), shape=(n_rules,)
-            ).tolist()
-            starts_flat = np.ctypeslib.as_array(
-                lib.seq_frozen_starts_flat(fz), shape=(max(ns, 1),)
-            ).tolist()
-            starts_off = np.ctypeslib.as_array(
-                lib.seq_frozen_starts_off(fz), shape=(n_rules + 1,)
-            ).tolist()
+
+            def copy(pointer, size):
+                # The core allocates at least one element per array.
+                return np.ctypeslib.as_array(pointer, shape=(max(size, 1),))[:size].copy()
+
+            return FrozenRules(
+                body=copy(lib.seq_frozen_body_flat(fz), nb),
+                body_off=copy(lib.seq_frozen_body_off(fz), n_rules + 1),
+                levels=copy(lib.seq_frozen_levels(fz), n_rules),
+                lengths=copy(lib.seq_frozen_lengths(fz), n_rules),
+                starts=copy(lib.seq_frozen_starts_flat(fz), ns),
+                starts_off=copy(lib.seq_frozen_starts_off(fz), n_rules + 1),
+            )
         finally:
             lib.seq_frozen_free(fz)
     finally:
         lib.seq_free(h)
 
-    bodies = [body_flat[body_off[p] : body_off[p + 1]] for p in range(n_rules)]
-    starts = [starts_flat[starts_off[p] : starts_off[p + 1]] for p in range(n_rules)]
-    return _materialize(bodies, levels, lengths, starts, tokens, vocab)
 
-
-def _induce_interned(ids: np.ndarray, vocab: list, tokens: list) -> Grammar:
+def _induce_interned(
+    ids: np.ndarray, vocab: list, tokens: Optional[list]
+) -> Grammar:
     """Dispatch interned induction to the C core or the Python engine."""
-    codes = np.ascontiguousarray(ids, dtype=np.int64) * 2
+    codes = ids * 2
+    frozen = None
     lib = ccore.load()
     if lib is not None:
         try:
-            return _induce_c(lib, codes, tokens, vocab)
+            frozen = _freeze_c(lib, codes, ids.size)
         except MemoryError:
             pass  # allocation failure inside the core: retry in Python
-    fs = _FastSequitur()
-    fs.push_many(codes.tolist())
-    bodies, levels, lengths, starts = _prep_python(fs, len(tokens))
-    return _materialize(bodies, levels, lengths, starts, tokens, vocab)
+    if frozen is None:
+        fs = _FastSequitur()
+        fs.push_many(codes.tolist())
+        frozen = _freeze_python(fs, ids.size)
+    return Grammar.from_frozen(frozen, ids, vocab, tokens=tokens)
 
 
 def intern_tokens(tokens: Sequence[str]) -> tuple[np.ndarray, list[str]]:
@@ -502,13 +467,11 @@ def induce_grammar_interned(
         *k*-th input token.
     tokens:
         Optional pre-built token-string list (must equal the decoded
-        sequence); supplied by callers that already hold it.
+        sequence); supplied by callers that already hold it.  Without
+        it the grammar decodes ``grammar.tokens`` on first access.
     """
     ids = np.ascontiguousarray(token_ids, dtype=np.int64)
-    vocab = list(vocabulary)
-    if tokens is None:
-        tokens = [vocab[i] for i in ids.tolist()]
-    return _induce_interned(ids, vocab, tokens)
+    return _induce_interned(ids, list(vocabulary), tokens)
 
 
 # ---------------------------------------------------------------------

@@ -29,6 +29,7 @@ from repro.sax.alphabet import (
     breakpoints_array,
     letter_indices,
 )
+from repro.sax import saxcore
 from repro.sax.sax import mindist
 from repro.timeseries.kernels import centred_prefix_sums
 from repro.timeseries.paa import paa_batch
@@ -215,10 +216,12 @@ def windowed_paa(
 ) -> np.ndarray:
     """Per-window PAA coefficients of the z-normalized sliding windows.
 
-    The expensive front half of :func:`discretize` — everything that
+    The NumPy front half of :func:`discretize` — everything that
     depends only on ``(window, paa_size)`` and not on the alphabet.
     Parameter sweeps compute this once per ``(window, paa_size)`` pair
-    and hand it to :func:`discretize` for each alphabet size.
+    and hand it to :func:`discretize` for each alphabet size; otherwise
+    :func:`discretize` runs the same arithmetic in its C core when it
+    can (:func:`_core_words`).
 
     Works in O(n·P) from prefix sums of the centred series, never
     building the (n − W + 1) × W window matrix: each window's mean and
@@ -438,6 +441,11 @@ def discretize(
         sweeps pass it to amortize the sliding-window/PAA front half
         across alphabet sizes; shape is validated, contents trusted.
 
+    Without *paa_values*, and when a word packs into an int64
+    (``alphabet_size ** paa_size < 2**62``), the work runs in the C core
+    of :mod:`repro.sax.saxcore`; otherwise, or with ``REPRO_C_CORE=off``
+    or no compiler, on NumPy.  Both give the same words (DESIGN.md §15).
+
     Raises
     ------
     DiscretizationError
@@ -459,22 +467,32 @@ def discretize(
         )
     # Validate alphabet early (breakpoints() raises ParameterError).
     breakpoints_array(alphabet_size)
-
-    if paa_values is None:
-        paa_values = windowed_paa(
-            series, window, paa_size, flatness_threshold=flatness_threshold
+    if not isinstance(strategy, NumerosityReduction):
+        raise ParameterError(
+            f"unknown numerosity reduction strategy: {strategy!r}"
         )
-    else:
+
+    if paa_values is not None:
         expected = (series.size - window + 1, paa_size)
         if tuple(paa_values.shape) != expected:
             raise ParameterError(
                 f"precomputed paa_values has shape {tuple(paa_values.shape)}, "
                 f"expected {expected} for window={window}, paa_size={paa_size}"
             )
-    letter_idx = letter_indices(paa_values, alphabet_size)
 
-    kept = _kept_indices(letter_idx, strategy)
-    uniq_rows, token_ids = _unique_rows(letter_idx[kept], alphabet_size)
+    lib = None
+    if paa_values is None and alphabet_size**paa_size < 2**62:
+        lib = saxcore.load()
+    if lib is not None:
+        kept, token_ids, uniq_rows = _core_words(
+            lib, series, window, paa_size, alphabet_size, strategy,
+            flatness_threshold,
+        )
+    else:
+        kept, token_ids, uniq_rows = _numpy_words(
+            series, window, paa_size, alphabet_size, strategy,
+            flatness_threshold, paa_values,
+        )
 
     # Word strings are built once per *distinct* surviving row — on real
     # streams that is orders of magnitude fewer joins than one per window.
@@ -489,8 +507,66 @@ def discretize(
         alphabet_size=alphabet_size,
         series_length=series.size,
         strategy=strategy,
-        raw_word_count=letter_idx.shape[0],
+        raw_word_count=series.size - window + 1,
     )
+
+
+def _numpy_words(
+    series: np.ndarray,
+    window: int,
+    paa_size: int,
+    alphabet_size: int,
+    strategy: NumerosityReduction,
+    flatness_threshold: float,
+    paa_values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(kept, token_ids, distinct rows)`` on the NumPy path.
+
+    :func:`windowed_paa` (unless *paa_values* holds it), the letters of
+    every window, :func:`_kept_indices` and :func:`_unique_rows`.
+    """
+    if paa_values is None:
+        paa_values = windowed_paa(
+            series, window, paa_size, flatness_threshold=flatness_threshold
+        )
+    letter_idx = letter_indices(paa_values, alphabet_size)
+    kept = _kept_indices(letter_idx, strategy)
+    uniq_rows, token_ids = _unique_rows(letter_idx[kept], alphabet_size)
+    return kept, token_ids, uniq_rows
+
+
+def _core_words(
+    lib,
+    series: np.ndarray,
+    window: int,
+    paa_size: int,
+    alphabet_size: int,
+    strategy: NumerosityReduction,
+    flatness_threshold: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_numpy_words` in the C core (:mod:`repro.sax.saxcore`).
+
+    The core computes every window's letters from the centred prefix
+    sums with :func:`windowed_paa`'s arithmetic and flags the windows
+    its near-decision guard cannot vouch for against this alphabet's
+    breakpoints; those are recomputed here with :func:`_two_pass_rows`
+    before the core reduces the letters to kept offsets and word keys.
+    Requires ``alphabet_size ** paa_size < 2**62``.
+    """
+    letters, rows = saxcore.letters(
+        lib, centred_prefix_sums(series), window, paa_size,
+        breakpoints_array(alphabet_size), flatness_threshold,
+    )
+    if rows.size:
+        letters[rows] = letter_indices(
+            _two_pass_rows(series, window, paa_size, rows, flatness_threshold),
+            alphabet_size,
+        )
+    kept, keys = saxcore.reduce(lib, letters, alphabet_size, strategy.value)
+    uniq_keys, token_ids = np.unique(keys, return_inverse=True)
+    place = alphabet_size ** np.arange(paa_size - 1, -1, -1, dtype=np.int64)
+    uniq_rows = uniq_keys[:, None] // place % alphabet_size
+    return kept, token_ids.astype(np.int64, copy=False).ravel(), uniq_rows
 
 
 def _unique_rows(

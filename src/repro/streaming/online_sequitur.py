@@ -17,8 +17,10 @@ same prefix — bit for bit.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.grammar.grammar import Grammar
-from repro.grammar.sequitur import _FastSequitur, _materialize, _prep_python
+from repro.grammar.sequitur import _FastSequitur, _freeze_python
 
 
 class IncrementalSequitur:
@@ -39,6 +41,7 @@ class IncrementalSequitur:
         self._intern: dict[str, int] = {}
         self._vocab: list[str] = []
         self._tokens: list[str] = []
+        self._ids: list[int] = []
 
     def push(self, token: str) -> None:
         """Append one token and restore the Sequitur invariants."""
@@ -48,6 +51,7 @@ class IncrementalSequitur:
         if code is None:
             code = self._intern[token] = 2 * len(self._vocab)
             self._vocab.append(token)
+        self._ids.append(code >> 1)
         self._state.push_code(code)
 
     def push_many(self, tokens) -> None:
@@ -127,9 +131,9 @@ class IncrementalSequitur:
 
         The live state is not consumed — pushing may continue afterwards.
         """
-        bodies, levels, lengths, starts = _prep_python(
-            self._state, len(self._tokens)
-        )
-        return _materialize(
-            bodies, levels, lengths, starts, list(self._tokens), self._vocab
+        return Grammar.from_frozen(
+            _freeze_python(self._state, len(self._tokens)),
+            np.array(self._ids, dtype=np.int64),
+            list(self._vocab),
+            tokens=list(self._tokens),
         )

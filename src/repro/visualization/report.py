@@ -62,10 +62,12 @@ def rule_table(
     One row per rule: id, hierarchy level, usage count, RHS, and a
     truncated expansion preview.
     """
-    rules = [r for r in grammar if r.rule_id != START_RULE_ID]
-    rules.sort(key=lambda r: r.rule_id)
+    # Only the shown rules are looked up: a frozen grammar builds its
+    # rule objects on first access.
+    rule_ids = sorted(rid for rid in grammar.rules if rid != START_RULE_ID)
     if max_rules is not None:
-        rules = rules[:max_rules]
+        rule_ids = rule_ids[:max_rules]
+    rules = [grammar.rules[rid] for rid in rule_ids]
     rows = []
     for rule in rules:
         expansion = rule.expansion_display()

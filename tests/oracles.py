@@ -16,7 +16,9 @@ alone.
 
 :func:`rule_intervals_oracle` is the per-occurrence projection of grammar
 rules onto the series that the array projection
-:func:`repro.grammar.intervals.rule_intervals` must reproduce.
+:func:`repro.grammar.intervals.rule_intervals` must reproduce, and
+:func:`uncovered_intervals_oracle` the walk over R0's right-hand side
+that :func:`repro.grammar.intervals.uncovered_intervals` vectorises.
 """
 
 from __future__ import annotations
@@ -309,3 +311,30 @@ def rule_intervals_oracle(
             )
     intervals.sort(key=lambda iv: (iv.start, iv.end, iv.rule_id))
     return intervals
+
+
+def uncovered_intervals_oracle(grammar, discretization) -> list[RuleInterval]:
+    """One gap per maximal run of terminals in R0's right-hand side.
+
+    Walks R0's items, advancing the token position by 1 per terminal
+    and by the rule's expansion length per reference, and maps each run
+    through :meth:`~repro.sax.discretize.Discretization.span_to_interval`.
+    """
+    gaps: list[RuleInterval] = []
+    token_pos = 0
+    run_start: Optional[int] = None
+    for item in grammar.start_rule.rhs:
+        if isinstance(item, int):
+            if run_start is not None:
+                start, end = discretization.span_to_interval(run_start, token_pos - 1)
+                gaps.append(RuleInterval(-1, start, end, usage=0))
+                run_start = None
+            token_pos += grammar.rules[item].expansion_length
+        else:
+            if run_start is None:
+                run_start = token_pos
+            token_pos += 1
+    if run_start is not None:
+        start, end = discretization.span_to_interval(run_start, token_pos - 1)
+        gaps.append(RuleInterval(-1, start, end, usage=0))
+    return gaps

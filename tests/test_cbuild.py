@@ -11,6 +11,7 @@ import pytest
 
 from repro import _cbuild
 from repro.grammar import ccore
+from repro.sax import saxcore
 from repro.timeseries import eq1core
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -19,10 +20,11 @@ needs_compiler = pytest.mark.skipif(
     _cbuild._find_compiler() is None, reason="no C compiler on PATH"
 )
 
-_LOAD_BOTH = (
+_LOAD_ALL = (
     "from repro.grammar import ccore\n"
+    "from repro.sax import saxcore\n"
     "from repro.timeseries import eq1core\n"
-    "assert ccore.load() is not None and eq1core.load() is not None\n"
+    "assert None not in (ccore.load(), eq1core.load(), saxcore.load())\n"
 )
 
 
@@ -39,7 +41,7 @@ def _env(build_dir: Path, gate: str, path_prefix: str = "") -> dict:
 @needs_compiler
 def test_concurrent_first_builds_share_one_object_per_source(tmp_path):
     """Two processes start on an empty build directory at once: both load
-    both cores, each source is compiled once, and exactly one shared
+    every core, each source is compiled once, and exactly one shared
     object per source digest remains, which a third process loads
     without compiling."""
     build_dir = tmp_path / "build"
@@ -54,7 +56,7 @@ def test_concurrent_first_builds_share_one_object_per_source(tmp_path):
     shim.chmod(0o755)
     env = _env(build_dir, "require", path_prefix=str(shim_dir))
     procs = [
-        subprocess.Popen([sys.executable, "-c", _LOAD_BOTH], env=env,
+        subprocess.Popen([sys.executable, "-c", _LOAD_ALL], env=env,
                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         for _ in range(2)
     ]
@@ -62,26 +64,30 @@ def test_concurrent_first_builds_share_one_object_per_source(tmp_path):
         _, err = proc.communicate(timeout=300)
         assert proc.returncode == 0, err.decode()
     objects = sorted(p.name for p in build_dir.iterdir() if p.name != ".lock")
-    assert len(objects) == 2, objects
+    assert len(objects) == 3, objects
     stems = sorted(name.split("-")[0] for name in objects)
-    assert stems == ["eq1_core", "sequitur_core"]
+    assert stems == ["eq1_core", "sax_core", "sequitur_core"]
     assert all(name.endswith(".so") for name in objects)
-    assert len(log.read_text().splitlines()) == 2
+    assert len(log.read_text().splitlines()) == 3
     # A later process loads the cached objects: no compile, and no
     # ``subprocess`` import, which only the compile path needs.
     subprocess.run(
         [sys.executable, "-c",
-         _LOAD_BOTH + "import sys\nassert 'subprocess' not in sys.modules\n"],
+         _LOAD_ALL + "import sys\nassert 'subprocess' not in sys.modules\n"],
         env=env, check=True, timeout=120,
     )
-    assert len(log.read_text().splitlines()) == 2
+    assert len(log.read_text().splitlines()) == 3
 
 
 def test_off_gate_loads_nothing(tmp_path):
     code = (
         "from repro.grammar import ccore\n"
+        "from repro.sax import saxcore\n"
         "from repro.timeseries import eq1core\n"
         "assert ccore.load() is None and eq1core.load() is None\n"
+        "assert saxcore.load() is None\n"
+        "from repro.sax.discretize import discretize\n"
+        "assert len(discretize(list(range(50)), 10, 2, 3)) == 1\n"
     )
     build_dir = tmp_path / "build"
     subprocess.run([sys.executable, "-c", code], env=_env(build_dir, "off"), check=True)
@@ -116,3 +122,8 @@ def test_sequitur_loader_keeps_its_entry_points():
     # perfbench/child.py reports ``ccore.load() is not None``.
     assert callable(ccore.load) and callable(ccore.reset_for_testing)
     assert ccore._SOURCE.name == "_sequitur_core.c"
+
+
+def test_sax_loader_keeps_its_entry_points():
+    assert callable(saxcore.load) and callable(saxcore.reset_for_testing)
+    assert saxcore._SOURCE.name == "_sax_core.c"

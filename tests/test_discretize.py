@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
 import sys
 
 import numpy as np
@@ -10,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.sax.discretize  # noqa: F401 - the module, for monkeypatching
+from repro import _cbuild
 from repro.exceptions import DiscretizationError, ParameterError
+from repro.sax import saxcore
 from repro.sax.alphabet import letter_indices
 from repro.sax.discretize import (
     _ALL_BREAKPOINTS,
@@ -389,3 +393,159 @@ class TestUniqueRows:
         np.testing.assert_array_equal(uniq, expected)
         np.testing.assert_array_equal(ids, inverse.ravel())
         assert ids.dtype == np.int64
+
+
+# -- the fused C core against the NumPy path ----------------------------------
+
+#: ``"on"`` requires the discretize C core, ``"off"`` pins the NumPy path.
+CORE_GATES = ("on", "off") if _cbuild._find_compiler() is not None else ("off",)
+
+
+@contextlib.contextmanager
+def forced_core(gate: str):
+    """Run discretize with the C core required or switched off."""
+    old = os.environ.get("REPRO_C_CORE")
+    os.environ["REPRO_C_CORE"] = "require" if gate == "on" else "off"
+    saxcore.reset_for_testing()
+    try:
+        yield
+    finally:
+        if old is None:
+            os.environ.pop("REPRO_C_CORE", None)
+        else:
+            os.environ["REPRO_C_CORE"] = old
+        saxcore.reset_for_testing()
+
+
+def _oracle_words(series, window, paa_size, alphabet_size):
+    """Every window's word under the window-matrix arithmetic."""
+    letters = letter_indices(window_matrix_paa(series, window, paa_size), alphabet_size)
+    return ["".join(chr(ord("a") + i) for i in row) for row in letters.tolist()]
+
+
+def _mirrored_blocks(length):
+    """Blocks mirrored with a sign flip, offset by 1e3."""
+    block = np.array([3.0, -1.0, 2.0, -2.0, 1.0, -3.0])
+    return np.resize(np.concatenate([block, -block[::-1]]), length) + 1e3
+
+
+def _arrays(disc):
+    return (disc.offsets.tolist(), disc.token_ids.tolist(), disc.vocabulary,
+            disc.raw_word_count)
+
+
+needs_core = pytest.mark.skipif("on" not in CORE_GATES, reason="no C compiler on PATH")
+
+
+class TestFusedCore:
+    @pytest.mark.parametrize("gate", CORE_GATES)
+    @given(_windowed_cases(), st.sampled_from([2, 3, 4, 5, 6, 9, 10, 26]))
+    @settings(max_examples=300, deadline=None)
+    def test_property_words_equal_window_matrix_oracle(self, gate, case, alphabet_size):
+        series, window, paa_size = case
+        with forced_core(gate):
+            disc = discretize(
+                series, window, paa_size, alphabet_size,
+                strategy=NumerosityReduction.NONE,
+            )
+        assert disc.tokens() == _oracle_words(series, window, paa_size, alphabet_size)
+        assert disc.offsets.tolist() == list(range(series.size - window + 1))
+
+    @needs_core
+    @pytest.mark.parametrize(
+        "series, window, paa_size, alphabet_size",
+        [
+            # Exact-zero segment means on the even-alphabet breakpoint 0.
+            (_mirrored_blocks(400), 36, 6, 4),
+            # σ exactly at the flatness threshold on every even-length window.
+            (np.where(np.arange(300) % 2, 1.0, -1.0) * DEFAULT_FLATNESS_THRESHOLD,
+             20, 4, 3),
+        ],
+        ids=["zero-segments", "sigma-at-threshold"],
+    )
+    def test_flagged_rows_are_recomputed(
+        self, monkeypatch, series, window, paa_size, alphabet_size
+    ):
+        real = discretize_mod._two_pass_rows
+        recomputed = []
+
+        def spy(series_, window_, paa_size_, rows, threshold):
+            out = real(series_, window_, paa_size_, rows, threshold)
+            recomputed.append((rows.copy(), out.copy()))
+            return out
+
+        with forced_core("on"):
+            saxcore.load()  # the parity probe runs before the spy is in place
+            monkeypatch.setattr(discretize_mod, "_two_pass_rows", spy)
+            disc = discretize(
+                series, window, paa_size, alphabet_size,
+                strategy=NumerosityReduction.NONE,
+            )
+        assert len(recomputed) == 1
+        rows, values = recomputed[0]
+        assert rows.size > 0
+        np.testing.assert_array_equal(
+            values, window_matrix_paa(series, window, paa_size)[rows]
+        )
+        assert disc.tokens() == _oracle_words(series, window, paa_size, alphabet_size)
+
+    @needs_core
+    @pytest.mark.parametrize("strategy", list(NumerosityReduction))
+    @pytest.mark.parametrize(
+        "window, paa_size, alphabet_size", [(40, 4, 4), (37, 5, 7), (60, 6, 26), (9, 9, 2)]
+    )
+    def test_strategies_match_the_numpy_path(
+        self, strategy, window, paa_size, alphabet_size
+    ):
+        series = _sine(1500, period=53, noise=0.3, seed=9) * 1e3 + 1e6
+        series[700:820] = series[700]
+        results = {}
+        for gate in ("on", "off"):
+            with forced_core(gate):
+                results[gate] = discretize(
+                    series, window, paa_size, alphabet_size, strategy=strategy
+                )
+        assert _arrays(results["on"]) == _arrays(results["off"])
+        assert results["on"] == results["off"]
+
+    @needs_core
+    def test_overflow_gives_the_same_flat_word(self):
+        series = _sine(300, period=29) * 1e160
+        results = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for gate in ("on", "off"):
+                with forced_core(gate):
+                    results[gate] = discretize(series, 40, 4, 4)
+        assert _arrays(results["on"]) == _arrays(results["off"])
+        assert results["on"].vocabulary == ["cccc"]
+
+    @needs_core
+    def test_failed_parity_probe_falls_back(self, monkeypatch):
+        series = _sine(800, period=41, noise=0.2, seed=6)
+        with forced_core("on"):
+            want = discretize(series, 40, 5, 6)
+        core = _cbuild.CCore(saxcore._SOURCE, saxcore._bind, lambda lib: False)
+        monkeypatch.setattr(saxcore, "load", core.load)
+        monkeypatch.setenv("REPRO_C_CORE", "")
+        got = discretize(series, 40, 5, 6)
+        assert core.load() is None
+        assert _arrays(got) == _arrays(want)
+        monkeypatch.setenv("REPRO_C_CORE", "require")
+        core.reset_for_testing()
+        with pytest.raises(_cbuild.CCoreUnavailable, match="parity probe"):
+            discretize(series, 40, 5, 6)
+
+    def test_words_too_long_to_pack_stay_on_numpy(self, monkeypatch):
+        monkeypatch.setattr(
+            saxcore, "load", lambda: pytest.fail("the core cannot pack A^P >= 2^62")
+        )
+        disc = discretize(_sine(400, noise=0.1), 40, 14, 26)
+        assert len(disc.vocabulary[0]) == 14
+
+    def test_precomputed_paa_values_stay_on_numpy(self, monkeypatch):
+        series = _sine(400, noise=0.1)
+        values = windowed_paa(series, 40, 4)
+        monkeypatch.setattr(
+            saxcore, "load", lambda: pytest.fail("paa_values runs the NumPy path")
+        )
+        assert discretize(series, 40, 4, 5, paa_values=values).tokens()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import GrammarError
@@ -12,7 +13,9 @@ from repro.grammar.grammar import (
     START_RULE_ID,
     compute_levels,
 )
-from repro.grammar.sequitur import induce_grammar
+from repro.grammar.legacy import induce_grammar_legacy
+from repro.grammar.sequitur import induce_grammar, induce_grammar_interned
+from tests.test_grammar_fastpath import ENGINES
 
 
 def _toy_grammar() -> Grammar:
@@ -122,3 +125,71 @@ class TestComputeLevels:
         }
         with pytest.raises(GrammarError):
             compute_levels(rules)
+
+
+class TestFrozenGrammar:
+    """A Sequitur grammar keeps its freeze arrays and builds objects lazily;
+    every view equals that of the same grammar rebuilt from rule objects."""
+
+    @staticmethod
+    def _pair(engine):
+        from repro.sax.discretize import discretize
+        from tests.test_grammar_fastpath import forced_engine
+        from tests.test_intervals import _periodic_with_blip
+
+        disc = discretize(_periodic_with_blip(), 40, 4, 4)
+        with forced_engine(engine):
+            frozen = induce_grammar_interned(disc.token_ids, disc.vocabulary)
+        objects = induce_grammar_legacy(disc.tokens())
+        return disc, frozen, objects
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_views_equal_the_object_grammar(self, engine):
+        disc, frozen, objects = self._pair(engine)
+        assert frozen.frozen is not None and objects.frozen is None
+        assert len(frozen) == len(objects)
+        assert frozen.grammar_size() == objects.grammar_size()
+        assert frozen.compression_ratio() == objects.compression_ratio()
+        assert frozen._rules is None
+        for got, want in zip(frozen.occurrence_table(), objects.occurrence_table()):
+            assert got.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(frozen.start_body(), objects.start_body()):
+            np.testing.assert_array_equal(got, want)
+        assert frozen._rules is None and frozen._tokens is None
+        assert frozen.non_start_rules() == objects.non_start_rules()
+        assert dict(frozen.rules) == objects.rules
+        assert frozen.tokens == objects.tokens == disc.tokens()
+        assert frozen == objects
+        frozen.verify()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_motifs_and_postprocess_equal_the_object_grammar(self, engine):
+        from repro.core.motifs import find_motifs
+        from repro.grammar.postprocess import prune_rules, rule_periodicity
+
+        disc, frozen, objects = self._pair(engine)
+        for analysis in (find_motifs, prune_rules, rule_periodicity):
+            assert analysis(frozen, disc) == analysis(objects, disc)
+
+    def test_rules_are_built_one_at_a_time(self):
+        grammar = induce_grammar(list("abcabdabcabd"))
+        rules = grammar.rules
+        assert 1 in rules and 0 in rules and len(grammar) not in rules
+        assert "1" not in rules and 1.5 not in rules
+        assert rules._built.count(None) == len(rules)
+        rule = rules[1]
+        assert rules[1] is rule
+        assert rules._built.count(None) == len(rules) - 1
+        with pytest.raises(KeyError):
+            rules[len(rules)]
+        assert list(rules) == list(range(len(rules)))
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        grammar = induce_grammar(list("abcabdabcabd"))
+        grammar.rules[1]
+        restored = pickle.loads(pickle.dumps(grammar))
+        assert restored.frozen is not None
+        assert restored == grammar

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pipeline import GrammarAnomalyDetector
+from repro.grammar.grammar import Grammar, _FrozenRuleMap
 from repro.grammar.intervals import (
     RuleInterval,
     RuleIntervalList,
@@ -24,7 +25,7 @@ from repro.grammar.sequitur import (
     intern_tokens,
 )
 from repro.sax.discretize import Discretization, NumerosityReduction, discretize
-from tests.oracles import rule_intervals_oracle
+from tests.oracles import rule_intervals_oracle, uncovered_intervals_oracle
 from tests.test_grammar_fastpath import ENGINES, forced_engine
 
 
@@ -130,6 +131,11 @@ def _hand_discretization(tokens, offsets, window, series_length):
 def _induce(algorithm, tokens, disc):
     if algorithm == "repair":
         return repair_grammar(tokens)
+    if algorithm == "hand":
+        # The Sequitur grammar rebuilt from its rule objects: no freeze
+        # arrays, so every projection reads the objects.
+        frozen = induce_grammar_interned(disc.token_ids, disc.vocabulary)
+        return Grammar(tokens=list(frozen.tokens), rules=dict(frozen.rules))
     with forced_engine(algorithm):
         return induce_grammar_interned(disc.token_ids, disc.vocabulary)
 
@@ -138,8 +144,8 @@ def _rows(intervals):
     return [(iv.rule_id, iv.start, iv.end, iv.usage) for iv in intervals]
 
 
-#: Sequitur on each available engine, and Re-Pair.
-ALGORITHMS = (*ENGINES, "repair")
+#: Sequitur on each available engine, Re-Pair, and a hand-built grammar.
+ALGORITHMS = (*ENGINES, "repair", "hand")
 
 
 class TestProjectionOracle:
@@ -283,6 +289,29 @@ class TestNothingBuiltOnTheDensityPath:
         detector.density_curve()
         assert "words" not in vars(result.discretization)
         assert result.intervals._items is None
+        assert result.gaps._items is None
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_fit_and_density_build_no_rule_token_or_occurrence_objects(
+        self, engine, monkeypatch
+    ):
+        built = []
+        real = _FrozenRuleMap._build
+        monkeypatch.setattr(
+            _FrozenRuleMap, "_build", lambda self, pid: built.append(pid) or real(self, pid)
+        )
+        monkeypatch.setattr(
+            Discretization, "tokens", lambda self: pytest.fail("tokens() built")
+        )
+        detector = GrammarAnomalyDetector(40, 4, 4)
+        with forced_engine(engine):
+            result = detector.fit(_periodic_with_blip())
+        detector.density_curve()
+        grammar = result.grammar
+        assert built == []
+        assert grammar._rules is None and grammar._tokens is None
+        assert len(grammar) > 10 and grammar.grammar_size() > len(grammar)
+        assert built == []
 
 
 class TestUncoveredIntervals:
@@ -322,6 +351,35 @@ class TestUncoveredIntervals:
         # tolerate tiny head/tail runs, but the bulk must be covered
         uncovered_points = sum(g.length for g in gaps)
         assert uncovered_points < 0.2 * series.size
+
+
+class TestUncoveredOracle:
+    """The array gaps against the walk over R0's right-hand side."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @given(
+        tokens=st.lists(st.sampled_from(["ab", "ba", "cc", "d", "e"]), max_size=120),
+        steps=st.lists(st.integers(1, 9), min_size=120, max_size=120),
+        window=st.integers(2, 30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle(self, algorithm, tokens, steps, window):
+        offsets = np.cumsum([0] + steps[: max(len(tokens) - 1, 0)])[: len(tokens)]
+        last = int(offsets[-1]) if tokens else 0
+        disc = _hand_discretization(tokens, offsets, window, last + window)
+        grammar = _induce(algorithm, tokens, disc)
+        got = uncovered_intervals(grammar, disc)
+        want = uncovered_intervals_oracle(grammar, disc)
+        assert _rows(got) == _rows(want)
+        assert got == want
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_matches_oracle_on_a_series(self, algorithm):
+        disc = discretize(_periodic_with_blip(), 40, 4, 4)
+        grammar = _induce(algorithm, disc.tokens(), disc)
+        got = uncovered_intervals(grammar, disc)
+        assert len(got) > 0
+        assert _rows(got) == _rows(uncovered_intervals_oracle(grammar, disc))
 
 
 class TestZeroCoverageGaps:

@@ -1,11 +1,13 @@
-"""Both C cores under AddressSanitizer and UndefinedBehaviorSanitizer.
+"""Every C core under AddressSanitizer and UndefinedBehaviorSanitizer.
 
-A child process builds ``_sequitur_core.c`` and ``_eq1_core.c`` with
-``-fsanitize=address,undefined`` into a temporary build directory, with
-the ASan runtime preloaded, and fuzzes each core against its Python path:
-Sequitur grammars, the RRA rank loop (budgets, checkpoint resume, the
-nearest-neighbour scan) and the core's shuffle.  Any sanitizer report
-aborts the child.  Skipped when the system gcc has no ``libasan``.
+A child process builds ``_sequitur_core.c``, ``_eq1_core.c`` and
+``_sax_core.c`` with ``-fsanitize=address,undefined`` into a temporary
+build directory, with the ASan runtime preloaded, and fuzzes each core
+against its Python path: Sequitur grammars, the RRA rank loop (budgets,
+checkpoint resume, the nearest-neighbour scan), the core's shuffle, and
+discretize (random offsets and scales, flat stretches, fractional
+segment edges, every numerosity strategy).  Any sanitizer report aborts
+the child.  Skipped when the system gcc has no ``libasan``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from repro.grammar import ccore
 from repro.grammar.intervals import RuleInterval
 from repro.grammar.sequitur import induce_grammar
 from repro.resilience.budget import SearchBudget
+from repro.sax import saxcore
+from repro.sax.discretize import NumerosityReduction, discretize
 from repro.timeseries import eq1core
 
 
@@ -41,6 +45,7 @@ def gate(value):
     os.environ["REPRO_C_CORE"] = value
     ccore.reset_for_testing()
     eq1core.reset_for_testing()
+    saxcore.reset_for_testing()
 
 
 def both(run):
@@ -59,11 +64,26 @@ def dump(result, rng):
 
 
 fuzz = np.random.default_rng(int(sys.argv[1]))
+def words(disc):
+    return disc.offsets.tolist(), disc.token_ids.tolist(), disc.vocabulary
+
+
 gate("require")
-assert ccore.load() is not None and eq1core.load() is not None
+assert None not in (ccore.load(), eq1core.load(), saxcore.load())
 for trial in range(int(sys.argv[2])):
     tokens = [str(t) for t in fuzz.integers(0, fuzz.integers(2, 6), size=fuzz.integers(0, 400))]
     both(lambda: induce_grammar(tokens))
+
+    window = int(fuzz.integers(2, 60))
+    paa = int(fuzz.integers(1, min(window, 10) + 1))
+    alphabet = int(fuzz.integers(2, 27))
+    raw = np.cumsum(fuzz.normal(size=int(fuzz.integers(window, 500))))
+    raw = raw * 10.0 ** fuzz.uniform(-3, 3) + fuzz.uniform(-1e6, 1e6)
+    if fuzz.random() < 0.3:
+        lo = int(fuzz.integers(0, raw.size))
+        raw[lo : lo + int(fuzz.integers(1, 2 * window))] = raw[lo]
+    for strategy in NumerosityReduction:
+        both(lambda: words(discretize(raw, window, paa, alphabet, strategy=strategy)))
 
     length = int(fuzz.integers(50, 700))
     series = np.cumsum(fuzz.normal(size=length)) + fuzz.uniform(-1e6, 1e6)
@@ -143,4 +163,4 @@ def test_c_cores_fuzzed_under_asan_and_ubsan(tmp_path):
     assert "Sanitizer" not in done.stderr, done.stderr[-4000:]
     assert "runtime error" not in done.stderr, done.stderr[-4000:]
     built = sorted(p.name for p in (tmp_path / "build").glob("*.so"))
-    assert [name.split("-")[0] for name in built] == ["eq1_core", "sequitur_core"]
+    assert [name.split("-")[0] for name in built] == ["eq1_core", "sax_core", "sequitur_core"]
