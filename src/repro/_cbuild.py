@@ -1,9 +1,10 @@
 """Compile-on-first-use ctypes loader shared by the package's C cores.
 
-Three hot loops have a C implementation next to their Python
+Four hot loops have a C implementation next to their Python
 reference: Sequitur induction (:mod:`repro.grammar.ccore`), the RRA
-inner loop (:mod:`repro.timeseries.eq1core`) and the discretize front
-half (:mod:`repro.sax.saxcore`).  Each core is one C file.
+inner loop (:mod:`repro.timeseries.eq1core`), the discretize front
+half (:mod:`repro.sax.saxcore`) and the series reader
+(``_io_core.c``, bound in :mod:`repro.io`).  Each core is one C file.
 This module compiles it with whatever C compiler the host already ships
 (``cc``/``gcc``/``clang``), caches the shared object keyed by the digest
 of the source and the compiler flags, and loads it through ctypes.

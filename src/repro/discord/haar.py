@@ -23,6 +23,7 @@ from repro.discord.search import (
     bucket_ordered_search,
     fixed_length_discords,
     ordered_discord_search,
+    search_windows,
 )
 from repro.exceptions import ParameterError
 from repro.resilience.budget import SearchBudget
@@ -114,15 +115,21 @@ def haar_discord(
 ) -> tuple[Optional[Discord], DistanceCounter]:
     """Best fixed-length discord with Haar-word loop ordering (exact)."""
     series = np.ascontiguousarray(series, dtype=float)
+    windows = search_windows(series, window)
+    words = haar_words(
+        series, window,
+        num_coefficients=num_coefficients, normalized=windows.normalized,
+    )
     return ordered_discord_search(
         series,
         window,
-        lambda s, w: haar_words(s, w, num_coefficients=num_coefficients),
+        lambda s, w: words,
         source="haar",
         counter=counter,
         rng=rng,
         exclude=exclude,
         budget=budget,
+        windows=windows,
         metrics=metrics,
     )
 

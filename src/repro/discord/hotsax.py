@@ -27,6 +27,7 @@ from repro.discord.search import (
     bucket_ordered_search,
     fixed_length_discords,
     ordered_discord_search,
+    search_windows,
 )
 from repro.resilience.budget import SearchBudget
 from repro.sax.alphabet import alphabet_letters, letter_indices
@@ -100,15 +101,20 @@ def hotsax_discord(
         by default; results are byte-identical either way.
     """
     series = np.ascontiguousarray(series, dtype=float)
+    windows = search_windows(series, window)
+    words = _sax_words_per_window(
+        series, window, paa_size, alphabet_size, normalized=windows.normalized
+    )
     return ordered_discord_search(
         series,
         window,
-        lambda s, w: _sax_words_per_window(s, w, paa_size, alphabet_size),
+        lambda s, w: words,
         source="hotsax",
         counter=counter,
         rng=rng,
         exclude=exclude,
         budget=budget,
+        windows=windows,
         metrics=metrics,
     )
 

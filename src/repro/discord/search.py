@@ -201,6 +201,20 @@ class SearchSession:
         return DiscordSearchResult(discords, self.counter.calls, status, rank_complete)
 
 
+def search_windows(series: np.ndarray, window: int) -> kernels.WindowMatrix:
+    """The one :class:`~repro.timeseries.kernels.WindowMatrix` of a
+    fixed-length search, which its bucketing and its distances share.
+
+    Raises :class:`DiscordSearchError` when the series has fewer than
+    two windows.
+    """
+    if num_windows(series.size, window) < 2:
+        raise DiscordSearchError(
+            f"series of length {series.size} too short for window {window}"
+        )
+    return kernels.WindowMatrix(series, window)
+
+
 def fixed_length_discords(
     engine: str,
     series: np.ndarray,
@@ -238,11 +252,7 @@ def fixed_length_discords(
     )
     if hit is not None:
         return hit
-    if num_windows(series.size, window) < 2:
-        raise DiscordSearchError(
-            f"series of length {series.size} too short for window {window}"
-        )
-    search = build_search(session, kernels.WindowMatrix(series, window))
+    search = build_search(session, search_windows(series, window))
     # A window overlaps the span [s, e) of a found discord when it
     # starts in (s - window, e): the one-rank searches take start ranges.
     return iterated_search(

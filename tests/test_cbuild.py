@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.io
 from repro import _cbuild
 from repro.grammar import ccore
 from repro.sax import saxcore
@@ -21,10 +22,12 @@ needs_compiler = pytest.mark.skipif(
 )
 
 _LOAD_ALL = (
+    "import repro.io\n"
     "from repro.grammar import ccore\n"
     "from repro.sax import saxcore\n"
     "from repro.timeseries import eq1core\n"
-    "assert None not in (ccore.load(), eq1core.load(), saxcore.load())\n"
+    "assert None not in (ccore.load(), eq1core.load(), saxcore.load(),\n"
+    "                    repro.io._io_core.load())\n"
 )
 
 
@@ -64,11 +67,11 @@ def test_concurrent_first_builds_share_one_object_per_source(tmp_path):
         _, err = proc.communicate(timeout=300)
         assert proc.returncode == 0, err.decode()
     objects = sorted(p.name for p in build_dir.iterdir() if p.name != ".lock")
-    assert len(objects) == 3, objects
+    assert len(objects) == 4, objects
     stems = sorted(name.split("-")[0] for name in objects)
-    assert stems == ["eq1_core", "sax_core", "sequitur_core"]
+    assert stems == ["eq1_core", "io_core", "sax_core", "sequitur_core"]
     assert all(name.endswith(".so") for name in objects)
-    assert len(log.read_text().splitlines()) == 3
+    assert len(log.read_text().splitlines()) == 4
     # A later process loads the cached objects: no compile, and no
     # ``subprocess`` import, which only the compile path needs.
     subprocess.run(
@@ -76,18 +79,22 @@ def test_concurrent_first_builds_share_one_object_per_source(tmp_path):
          _LOAD_ALL + "import sys\nassert 'subprocess' not in sys.modules\n"],
         env=env, check=True, timeout=120,
     )
-    assert len(log.read_text().splitlines()) == 3
+    assert len(log.read_text().splitlines()) == 4
 
 
 def test_off_gate_loads_nothing(tmp_path):
+    series = tmp_path / "series.txt"
+    series.write_text("1.5 2\n-3e2 4\n")
     code = (
+        "import repro.io\n"
         "from repro.grammar import ccore\n"
         "from repro.sax import saxcore\n"
         "from repro.timeseries import eq1core\n"
         "assert ccore.load() is None and eq1core.load() is None\n"
-        "assert saxcore.load() is None\n"
+        "assert saxcore.load() is None and repro.io._io_core.load() is None\n"
         "from repro.sax.discretize import discretize\n"
         "assert len(discretize(list(range(50)), 10, 2, 3)) == 1\n"
+        f"assert repro.io.read_series({str(series)!r}).tolist() == [1.5, -300.0]\n"
     )
     build_dir = tmp_path / "build"
     subprocess.run([sys.executable, "-c", code], env=_env(build_dir, "off"), check=True)
@@ -127,3 +134,8 @@ def test_sequitur_loader_keeps_its_entry_points():
 def test_sax_loader_keeps_its_entry_points():
     assert callable(saxcore.load) and callable(saxcore.reset_for_testing)
     assert saxcore._SOURCE.name == "_sax_core.c"
+
+
+def test_reader_core_keeps_its_source():
+    assert callable(repro.io._io_core.load)
+    assert repro.io._io_core.source.name == "_io_core.c"

@@ -14,8 +14,11 @@ from repro.discord.brute_force import (
     brute_force_discord,
     brute_force_discords,
 )
+from repro.discord import haar, hotsax
+from repro.discord.haar import haar_discord, haar_discords
 from repro.discord.hotsax import hotsax_discord, hotsax_discords
 from repro.exceptions import DiscordSearchError
+from repro.timeseries import kernels
 from repro.timeseries.distance import DistanceCounter
 from repro.timeseries.windows import num_windows
 
@@ -158,3 +161,35 @@ class TestHotsax:
         d2, c2 = hotsax_discord(series, 40, paa_size=6, alphabet_size=5)
         assert (d1.start, d1.end) == (d2.start, d2.end)
         assert d1.nn_distance == pytest.approx(d2.nn_distance)
+
+
+@pytest.mark.parametrize(
+    "single, ranked",
+    [(hotsax_discord, hotsax_discords), (haar_discord, haar_discords)],
+)
+def test_single_rank_engines_normalize_once(monkeypatch, single, ranked):
+    """``hotsax_discord`` / ``haar_discord`` z-normalize the window matrix
+    once, for the bucketing and the search together, and answer as the
+    ranked entry point's first rank does (discord, calls, RNG state)."""
+    series = _series_with_blip()
+    calls = []
+
+    def counting(znorm):
+        def wrapper(matrix, *args, **kwargs):
+            calls.append(matrix.shape)
+            return znorm(matrix, *args, **kwargs)
+        return wrapper
+
+    for module in (kernels, hotsax, haar):
+        monkeypatch.setattr(module, "znorm_rows", counting(module.znorm_rows))
+    rng = np.random.default_rng(3)
+    discord, counter = single(series, 40, rng=rng)
+    assert len(calls) == 1
+    ranked_rng = np.random.default_rng(3)
+    result = ranked(series, 40, num_discords=1, rng=ranked_rng)
+    top = result.discords[0]
+    assert (discord.start, discord.end, discord.score.hex()) == (
+        top.start, top.end, top.score.hex()
+    )
+    assert counter.calls == result.distance_calls
+    assert rng.bit_generator.state == ranked_rng.bit_generator.state

@@ -1,13 +1,17 @@
 """Every C core under AddressSanitizer and UndefinedBehaviorSanitizer.
 
-A child process builds ``_sequitur_core.c``, ``_eq1_core.c`` and
-``_sax_core.c`` with ``-fsanitize=address,undefined`` into a temporary
-build directory, with the ASan runtime preloaded, and fuzzes each core
-against its Python path: Sequitur grammars, the RRA rank loop (budgets,
-checkpoint resume, the nearest-neighbour scan), the core's shuffle, and
-discretize (random offsets and scales, flat stretches, fractional
-segment edges, every numerosity strategy).  Any sanitizer report aborts
-the child.  Skipped when the system gcc has no ``libasan``.
+A child process builds ``_sequitur_core.c``, ``_eq1_core.c``,
+``_sax_core.c`` and ``_io_core.c`` with ``-fsanitize=address,undefined``
+into a temporary build directory, with the ASan runtime preloaded, and
+fuzzes each core against its Python path: Sequitur grammars, the RRA
+rank loop (budgets, checkpoint resume, the nearest-neighbour scan), the
+core's shuffle, discretize (random offsets and scales, flat stretches,
+fractional segment edges, every numerosity strategy) and the series
+reader (random byte buffers, each in an exactly sized ``malloc`` block
+so that a read past its end is caught, among them buffers that end
+mid-token, mid-exponent or after a lone sign, and 10k-digit tokens).
+Any sanitizer report aborts the child.  Skipped when the system gcc has
+no ``libasan``.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 _FUZZ = r"""
-import os, sys, tempfile
+import ctypes, io, os, sys, tempfile, warnings
 import numpy as np
+import repro.io
 from repro import _cbuild
 _cbuild.CFLAGS = _cbuild.CFLAGS + (
     "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
@@ -46,6 +51,7 @@ def gate(value):
     ccore.reset_for_testing()
     eq1core.reset_for_testing()
     saxcore.reset_for_testing()
+    repro.io._io_core.reset_for_testing()
 
 
 def both(run):
@@ -69,7 +75,7 @@ def words(disc):
 
 
 gate("require")
-assert None not in (ccore.load(), eq1core.load(), saxcore.load())
+assert None not in (ccore.load(), eq1core.load(), saxcore.load(), repro.io._io_core.load())
 for trial in range(int(sys.argv[2])):
     tokens = [str(t) for t in fuzz.integers(0, fuzz.integers(2, 6), size=fuzz.integers(0, 400))]
     both(lambda: induce_grammar(tokens))
@@ -128,6 +134,49 @@ for trial in range(int(sys.argv[2])):
     numpy_.shuffle(ids)
     assert np.array_equal(got, ids)
     assert core.bit_generator.state == numpy_.bit_generator.state
+
+libc = ctypes.CDLL(None)
+libc.malloc.restype = ctypes.c_void_p
+libc.malloc.argtypes = [ctypes.c_size_t]
+libc.free.argtypes = [ctypes.c_void_p]
+reader = repro.io._io_core.load()
+
+
+# io_parse on an exactly sized copy of *data*; None when declined.
+def read(data, comma):
+    cap = (len(data) + 1) // 2
+    buf, out = libc.malloc(max(len(data), 1)), libc.malloc(8 * max(cap, 1))
+    shape = np.zeros(2, dtype=np.int64)
+    try:
+        ctypes.memmove(buf, data, len(data))
+        n = reader.io_parse(buf, len(data), comma, out, cap, shape.ctypes.data)
+        if n <= 0:
+            return None
+        values = np.frombuffer(ctypes.string_at(out, 8 * n), dtype=float)
+        return np.squeeze(values.reshape(shape))
+    finally:
+        libc.free(buf)
+        libc.free(out)
+
+
+pieces = [b"1", b"-", b"+", b".", b"e", b"E", b"0", b"9", b"5.25", b"1e-3", b"7e+",
+          b" ", b"\t", b"\n", b"\r\n", b"\r", b",", b"#", b"x", b"\x00", b"\xff",
+          b"1" * 10000, b"0." + b"0" * 10000 + b"1", b"1e" + b"9" * 10000,
+          b"12345678901234567890123", b"4.9e-324", b"1.7976931348623157e308"]
+accepted = 0
+for trial in range(3000):
+    data = b"".join(fuzz.choice(pieces, size=int(fuzz.integers(0, 12))))
+    data = data[: int(fuzz.integers(0, len(data) + 1))]  # often mid-token
+    delimiter = repro.io._delimiter(data)
+    got = read(data, delimiter == ",")
+    if got is None:
+        continue
+    accepted += 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = np.loadtxt(io.StringIO(data.decode()), delimiter=delimiter)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), data
+assert accepted > 100, accepted
 print("fuzzed", trial + 1)
 """
 
@@ -159,8 +208,10 @@ def test_c_cores_fuzzed_under_asan_and_ubsan(tmp_path):
         env=env, capture_output=True, text=True, timeout=900,
     )
     assert done.returncode == 0, done.stderr[-4000:]
-    assert "fuzzed 60" in done.stdout
+    assert "fuzzed 3000" in done.stdout
     assert "Sanitizer" not in done.stderr, done.stderr[-4000:]
     assert "runtime error" not in done.stderr, done.stderr[-4000:]
     built = sorted(p.name for p in (tmp_path / "build").glob("*.so"))
-    assert [name.split("-")[0] for name in built] == ["eq1_core", "sax_core", "sequitur_core"]
+    assert [name.split("-")[0] for name in built] == [
+        "eq1_core", "io_core", "sax_core", "sequitur_core"
+    ]
