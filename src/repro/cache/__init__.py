@@ -1,8 +1,8 @@
 """Fingerprint-keyed persistent result cache.
 
 :class:`~repro.cache.store.ResultCache` is a content-addressed on-disk
-store of *completed* search results, ensemble members and grid cells,
-keyed by the checkpoint layer's SHA-256 input fingerprint.  A hit
+store of *completed* search results and ensemble members (a grid
+sweep's cells are members), keyed by the checkpoint layer's SHA-256 input fingerprint.  A hit
 returns the stored discords and the stored call ledger flagged
 ``from_cache=True``, byte-identical to a live run.
 
@@ -18,7 +18,6 @@ _EXPORTS = {
         "CACHE_KEY_VERSION",
         "discord_search_key",
         "ensemble_member_key",
-        "grid_cell_key",
         "rng_fingerprint",
     ),
     "repro.cache.results": (

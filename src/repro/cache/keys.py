@@ -29,7 +29,6 @@ __all__ = [
     "rng_fingerprint",
     "discord_search_key",
     "ensemble_member_key",
-    "grid_cell_key",
 ]
 
 #: Version of the key derivation + stored-payload schema.  Part of every
@@ -100,24 +99,3 @@ def ensemble_member_key(
     )
     return search_fingerprint(series, (), merged)
 
-
-def grid_cell_key(
-    series: np.ndarray,
-    *,
-    window: int,
-    paa_size: int,
-    alphabet_size: int,
-    params: Optional[dict] = None,
-) -> str:
-    """Cache key for one ``ParameterGridStudy`` sweep cell."""
-    merged = dict(params or {})
-    merged.update(
-        {
-            "__cache_engine__": "grid_cell",
-            "__cache_key_version__": CACHE_KEY_VERSION,
-            "window": int(window),
-            "paa_size": int(paa_size),
-            "alphabet_size": int(alphabet_size),
-        }
-    )
-    return search_fingerprint(series, (), merged)

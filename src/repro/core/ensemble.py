@@ -32,8 +32,10 @@ A member that cannot contribute never takes the ensemble down:
 
 * geometrically impossible members (window longer than the series, PAA
   larger than the window) are recorded as ``"invalid"`` and skipped;
-* a member whose pipeline raises is recorded as ``"error"`` with the
-  exception text;
+* a member whose pipeline raises a :class:`~repro.exceptions.ReproError`
+  is recorded as ``"error"`` with the exception text; any other
+  exception is a bug, raised as :class:`~repro.exceptions.GridCellError`
+  naming the member's triple;
 * under a :class:`~repro.resilience.budget.SearchBudget`, a member
   whose discord search was truncated is ``"truncated"`` and members the
   budget never reached are ``"skipped"``.
@@ -57,7 +59,7 @@ from repro.cache.results import discords_from_json, discords_to_json
 from repro.core import AGGREGATIONS, NORMALIZATIONS
 from repro.core.anomaly import Anomaly, Discord
 from repro.core.pipeline import GrammarAnomalyDetector
-from repro.exceptions import ParameterError, ReproError
+from repro.exceptions import GridCellError, ParameterError, ReproError
 from repro.observability.metrics import ensure_metrics
 from repro.parallel.pool import effective_workers
 from repro.resilience.budget import SearchBudget
@@ -77,6 +79,7 @@ __all__ = [
     "ensemble_grid",
     "evaluate_member",
     "normalize_density",
+    "run_members",
 ]
 
 #: A member "votes" for a point when its normalized anomaly score
@@ -320,9 +323,11 @@ def evaluate_member(
     """Run one member through the single-parameterization pipeline.
 
     Shared verbatim by the serial member loop and the pool workers, so
-    a member's arithmetic cannot depend on where it executes.  Never
-    raises for a bad member: geometry problems come back ``"invalid"``
-    and pipeline exceptions come back ``"error"``.
+    a member's arithmetic cannot depend on where it executes.  Geometry
+    problems come back ``"invalid"`` and a
+    :class:`~repro.exceptions.ReproError` comes back ``"error"``; any
+    other exception is re-raised as a
+    :class:`~repro.exceptions.GridCellError` that names the triple.
     """
     series = np.asarray(series, dtype=float)
     if member.window >= series.size or member.paa_size > member.window:
@@ -341,6 +346,8 @@ def evaluate_member(
         return MemberOutcome(
             member, "error", error=f"{type(exc).__name__}: {exc}"
         )
+    except Exception as exc:
+        raise GridCellError.from_exception(member.triple, exc) from exc
     if not rra.complete:
         return MemberOutcome(
             member,
@@ -386,6 +393,110 @@ def _member_from_payload(member: EnsembleMember, payload: dict) -> MemberOutcome
         distance_calls=int(payload["distance_calls"]),
         from_cache=True,
     )
+
+
+def run_members(
+    series: np.ndarray,
+    members: Sequence[EnsembleMember],
+    *,
+    num_discords: int,
+    seed: int = 0,
+    n_workers: int = 1,
+    cache: Optional[ResultCache] = None,
+    budget: Optional[SearchBudget] = None,
+    metrics=None,
+) -> list[MemberOutcome]:
+    """Evaluate *members* over *series*: one outcome each, in member order.
+
+    The parent side of every member run, shared by
+    :meth:`EnsembleDetector.fit` and
+    :meth:`~repro.core.parameter_grid.ParameterGridStudy.sweep`.
+    Members impossible for this series come back ``"invalid"``; *cache*
+    hits are resolved before any dispatch; the rest run serially or one
+    pool task each
+    (:func:`~repro.parallel.engine.parallel_ensemble_members`), and
+    every ``"ok"`` outcome is stored in *cache*.
+    """
+    series = np.asarray(series, dtype=float)
+    metrics = ensure_metrics(metrics)
+    n_workers = effective_workers(n_workers)
+    outcomes: dict[int, MemberOutcome] = {}
+    pending: list[tuple[int, EnsembleMember]] = []
+    keys: dict[int, str] = {}
+    for idx, member in enumerate(members):
+        if member.window >= series.size or member.paa_size > member.window:
+            outcomes[idx] = MemberOutcome(member, "invalid")
+            continue
+        if cache is not None:
+            keys[idx] = ensemble_member_key(
+                series,
+                window=member.window,
+                paa_size=member.paa_size,
+                alphabet_size=member.alphabet_size,
+                params={"num_discords": int(num_discords), "seed": int(seed)},
+            )
+            payload = cache.get(keys[idx])
+            if payload is not None:
+                outcomes[idx] = _member_from_payload(member, payload)
+                continue
+        pending.append((idx, member))
+    if pending:
+        with metrics.span(
+            "ensemble.members", pending=len(pending), n_workers=n_workers
+        ):
+            if n_workers > 1 and len(pending) > 1:
+                from repro.parallel.engine import parallel_ensemble_members
+
+                evaluated = parallel_ensemble_members(
+                    series,
+                    pending,
+                    num_discords=num_discords,
+                    seed=seed,
+                    budget=budget,
+                    n_workers=n_workers,
+                )
+            else:
+                evaluated = _run_serial(
+                    series, pending, num_discords, seed, budget, metrics
+                )
+        for idx, outcome in evaluated.items():
+            outcomes[idx] = outcome
+            if outcome.status == "ok" and idx in keys:
+                cache.put(keys[idx], _member_payload(outcome))
+    return [outcomes[idx] for idx in range(len(members))]
+
+
+def _run_serial(
+    series: np.ndarray,
+    pending: list[tuple[int, EnsembleMember]],
+    num_discords: int,
+    seed: int,
+    budget: Optional[SearchBudget],
+    metrics,
+) -> dict[int, MemberOutcome]:
+    outcomes: dict[int, MemberOutcome] = {}
+    total_calls = 0
+    for idx, member in pending:
+        if budget is not None and budget.interrupted(total_calls) is not None:
+            outcomes[idx] = MemberOutcome(member, "skipped")
+            continue
+        with metrics.span(
+            "ensemble.member",
+            window=member.window,
+            paa_size=member.paa_size,
+            alphabet_size=member.alphabet_size,
+        ):
+            outcome = evaluate_member(
+                series,
+                member,
+                num_discords=num_discords,
+                seed=seed,
+                metrics=metrics,
+                budget=budget,
+            )
+        total_calls += outcome.distance_calls
+        outcomes[idx] = outcome
+    return outcomes
 
 
 # -- results --------------------------------------------------------------
@@ -579,18 +690,6 @@ class EnsembleDetector:
 
     # -- fitting --------------------------------------------------------
 
-    def _member_key(self, series: np.ndarray, member: EnsembleMember) -> str:
-        return ensemble_member_key(
-            series,
-            window=member.window,
-            paa_size=member.paa_size,
-            alphabet_size=member.alphabet_size,
-            params={
-                "num_discords": int(self.num_discords),
-                "seed": int(self.seed),
-            },
-        )
-
     def fit(
         self,
         series: np.ndarray,
@@ -608,49 +707,22 @@ class EnsembleDetector:
         metrics = self.metrics
         series = np.asarray(series, dtype=float)
         members = self.grid if self.grid is not None else default_grid(series.size)
-        outcomes: dict[int, MemberOutcome] = {}
-        pending: list[tuple[int, EnsembleMember]] = []
-        keys: dict[int, str] = {}
-        for idx, member in enumerate(members):
-            if member.window >= series.size or member.paa_size > member.window:
-                outcomes[idx] = MemberOutcome(member, "invalid")
-                continue
-            if self.cache is not None:
-                keys[idx] = self._member_key(series, member)
-                payload = self.cache.get(keys[idx])
-                if payload is not None:
-                    outcomes[idx] = _member_from_payload(member, payload)
-                    continue
-            pending.append((idx, member))
-        if len(outcomes) == len(members) and not any(
-            o.status != "invalid" for o in outcomes.values()
-        ):
+        ordered = run_members(
+            series,
+            members,
+            num_discords=self.num_discords,
+            seed=self.seed,
+            n_workers=self.n_workers,
+            cache=self.cache,
+            budget=budget,
+            metrics=metrics,
+        )
+        if all(outcome.status == "invalid" for outcome in ordered):
             raise ParameterError(
                 f"no valid ensemble member for a series of "
                 f"{series.size} points (grid windows: "
                 f"{sorted({m.window for m in members})})"
             )
-
-        if pending:
-            with metrics.span(
-                "ensemble.members",
-                pending=len(pending),
-                n_workers=self.n_workers,
-            ):
-                if self.n_workers > 1 and len(pending) > 1:
-                    evaluated = self._run_parallel(series, pending, budget)
-                else:
-                    evaluated = self._run_serial(series, pending, budget)
-            for idx, outcome in evaluated.items():
-                outcomes[idx] = outcome
-                if (
-                    outcome.status == "ok"
-                    and self.cache is not None
-                    and idx in keys
-                ):
-                    self.cache.put(keys[idx], _member_payload(outcome))
-
-        ordered = [outcomes[idx] for idx in range(len(members))]
         result = self._aggregate(series, ordered)
         if metrics.enabled:
             counts = result.member_counts()
@@ -679,53 +751,6 @@ class EnsembleDetector:
             )
         self._result = result
         return result
-
-    def _run_serial(
-        self,
-        series: np.ndarray,
-        pending: list[tuple[int, EnsembleMember]],
-        budget: Optional[SearchBudget],
-    ) -> dict[int, MemberOutcome]:
-        outcomes: dict[int, MemberOutcome] = {}
-        total_calls = 0
-        for idx, member in pending:
-            if budget is not None and budget.interrupted(total_calls) is not None:
-                outcomes[idx] = MemberOutcome(member, "skipped")
-                continue
-            with self.metrics.span(
-                "ensemble.member",
-                window=member.window,
-                paa_size=member.paa_size,
-                alphabet_size=member.alphabet_size,
-            ):
-                outcome = evaluate_member(
-                    series,
-                    member,
-                    num_discords=self.num_discords,
-                    seed=self.seed,
-                    metrics=self.metrics,
-                    budget=budget,
-                )
-            total_calls += outcome.distance_calls
-            outcomes[idx] = outcome
-        return outcomes
-
-    def _run_parallel(
-        self,
-        series: np.ndarray,
-        pending: list[tuple[int, EnsembleMember]],
-        budget: Optional[SearchBudget],
-    ) -> dict[int, MemberOutcome]:
-        from repro.parallel.engine import parallel_ensemble_members
-
-        return parallel_ensemble_members(
-            series,
-            pending,
-            num_discords=self.num_discords,
-            seed=self.seed,
-            budget=budget,
-            n_workers=self.n_workers,
-        )
 
     # -- aggregation ----------------------------------------------------
 

@@ -172,18 +172,11 @@ class GrammarAnomalyDetector:
 
     # -- fitting --------------------------------------------------------
 
-    def fit(
-        self, series: np.ndarray, *, paa_values: Optional[np.ndarray] = None
-    ) -> PipelineResult:
+    def fit(self, series: np.ndarray) -> PipelineResult:
         """Run discretization + grammar induction + interval projection.
 
         The input passes through the data-quality gate first; see the
-        *quality_policy* constructor argument.  *paa_values* optionally
-        carries precomputed :func:`repro.sax.discretize.windowed_paa`
-        output for this series and (window, paa_size) — parameter sweeps
-        use it to amortize the discretization front half across alphabet
-        sizes.  Only pass it for series the quality gate leaves
-        untouched (the default ``"raise"`` policy guarantees that).
+        *quality_policy* constructor argument.
         """
         metrics = self.metrics
         report = quality_gate(
@@ -196,10 +189,6 @@ class GrammarAnomalyDetector:
                 policy=self.quality_policy,
                 bad_spans=[list(span) for span in report.bad_spans],
             )
-        if report.bad_spans:
-            # The gate repaired the series, so any precomputed PAA matrix
-            # describes the wrong data — fall back to recomputing it.
-            paa_values = None
         with metrics.span("pipeline.discretize"):
             disc = discretize(
                 series,
@@ -207,7 +196,6 @@ class GrammarAnomalyDetector:
                 self.paa_size,
                 self.alphabet_size,
                 strategy=self.numerosity_reduction,
-                paa_values=paa_values,
             )
         with metrics.span("pipeline.grammar", algorithm=self.grammar_algorithm):
             if self.grammar_algorithm == "repair":

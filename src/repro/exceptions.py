@@ -32,7 +32,7 @@ class DatasetError(ReproError):
 
 
 class GridCellError(ReproError):
-    """One parameter-grid sweep cell failed; the message names the
+    """One grid cell or ensemble member failed; the message names the
     failing ``(window, paa_size, alphabet_size)`` triple so a single bad
     cell in a thousand-cell sweep is immediately localizable.
 
@@ -44,6 +44,17 @@ class GridCellError(ReproError):
     def __init__(self, message: str, cell: tuple = ()) -> None:
         super().__init__(message)
         self.cell = tuple(cell)
+
+    @classmethod
+    def from_exception(cls, cell: tuple, exc: BaseException) -> "GridCellError":
+        """The error for *cell* failing with *exc* (raise it ``from exc``)."""
+        window, paa_size, alphabet_size = (int(v) for v in cell)
+        return cls(
+            f"grid cell (window={window}, paa_size={paa_size}, "
+            f"alphabet_size={alphabet_size}) failed: "
+            f"{type(exc).__name__}: {exc}",
+            (window, paa_size, alphabet_size),
+        )
 
     def __reduce__(self):
         return (type(self), (self.args[0], self.cell))

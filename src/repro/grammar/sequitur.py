@@ -24,7 +24,7 @@ bit-identical engines implement that design:
   ``REPRO_C_CORE=off``.
 
 Both produce grammars equal to the original object-based implementation
-preserved in :mod:`repro.grammar.legacy`; the equivalence tests and the
+preserved in ``tests/legacy_sequitur.py``; the equivalence tests and the
 golden grammar fingerprints enforce this.
 
 Symbol encoding shared by both engines: terminal token id ``t`` is code
@@ -62,7 +62,7 @@ class _FastSequitur:
     that serial (``-1`` once the rule has been inlined), and
     ``refcount[serial]`` its use count.  The layout and the order of
     every index/refcount update mirror the reference implementation in
-    :mod:`repro.grammar.legacy` exactly, so both engines build the same
+    ``tests/legacy_sequitur.py`` exactly, so both engines build the same
     rules in the same serial order.
     """
 

@@ -3,14 +3,12 @@
 Every discord search (RRA, HOTSAX, Haar, brute force) runs in one
 process: RRA's pruning against the best-so-far distance makes its outer
 loop serial, and sharding it lost wall time (DESIGN.md §7).  The pool
-serves the two fan-outs one level up instead, where tasks are
-independent:
-
-* ensemble members — ``EnsembleDetector(..., n_workers=...)`` or
-  ``repro ensemble --workers N``
-  (:func:`repro.parallel.engine.parallel_ensemble_members`);
-* parameter-grid pairs — ``ParameterGridStudy.sweep(..., n_workers=...)``
-  (:func:`repro.parallel.engine.parallel_grid_sweep`).
+serves one fan-out one level up instead, where tasks are
+independent: ensemble members
+(:func:`repro.parallel.engine.parallel_ensemble_members`), reached
+through ``EnsembleDetector(..., n_workers=...)``, ``repro ensemble
+--workers N`` and ``ParameterGridStudy.sweep(..., n_workers=...)``,
+whose grid cells are members.
 
 Each task runs ordinary serial searches over the series its payload
 carries; results merge in canonical order, so a full run is

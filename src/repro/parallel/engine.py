@@ -1,9 +1,9 @@
-"""Coarse fan-outs over the process pool: ensemble members and grid pairs.
+"""The member fan-out over the process pool.
 
-* :func:`parallel_ensemble_members` — the ensemble detector's members,
-  one pool task per member, heaviest first;
-* :func:`parallel_grid_pairs` / :func:`parallel_grid_sweep` — the
-  parameter-grid study, one task per ``(window, paa_size)`` pair.
+:func:`parallel_ensemble_members` runs ensemble members one pool task
+per member, heaviest first.  It serves both the ensemble detector and
+the parameter-grid sweep, whose cells are members too
+(:func:`repro.core.ensemble.run_members`).
 
 Every task runs the same code as the serial loop, over the series its
 payload carries: one pickled copy per task, and no per-series state
@@ -17,60 +17,7 @@ from __future__ import annotations
 from repro.parallel.pool import budget_from_spec, budget_to_spec, run_tasks
 from repro.resilience.budget import SearchBudget
 
-__all__ = [
-    "parallel_grid_pairs",
-    "parallel_grid_sweep",
-    "parallel_ensemble_members",
-]
-
-
-# ---------------------------------------------------------------------------
-# Parameter-grid sweep
-# ---------------------------------------------------------------------------
-
-
-def _grid_pair_task(payload: dict) -> list:
-    """Worker: evaluate one (window, paa_size) pair over all alphabets."""
-    from repro.core.parameter_grid import ParameterGridStudy
-
-    study = ParameterGridStudy(
-        payload["series"],
-        tuple(payload["true_anomaly"]),
-        min_overlap=payload["min_overlap"],
-    )
-    return study._evaluate_pair(
-        payload["window"], payload["paa_size"], payload["alphabet_sizes"]
-    )
-
-
-def parallel_grid_pairs(study, pairs, *, n_workers: int) -> list:
-    """Fan explicit ``(window, paa_size, alphabet_sizes)`` work units out
-    one pool task each.
-
-    The generalized form of :func:`parallel_grid_sweep`: the cached
-    sweep path uses it to dispatch only the cells the result cache
-    could not answer, with a per-pair alphabet subset.  Point order
-    matches the serial evaluation of *pairs* in the given order.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        return []
-    payloads = [
-        {
-            "series": study.series,
-            "true_anomaly": list(study.true_anomaly),
-            "min_overlap": study.min_overlap,
-            "window": int(window),
-            "paa_size": int(paa_size),
-            "alphabet_sizes": [int(a) for a in alphabet_sizes],
-        }
-        for window, paa_size, alphabet_sizes in pairs
-    ]
-    results = run_tasks(_grid_pair_task, payloads, n_workers=n_workers)
-    points: list = []
-    for pair_points in results:
-        points.extend(pair_points or [])
-    return points
+__all__ = ["parallel_ensemble_members"]
 
 
 def _ensemble_member_task(payload: dict):
@@ -186,23 +133,3 @@ def parallel_ensemble_members(
     )
     return {idx: outcome for (idx, _member), outcome in zip(ordered, results)}
 
-
-def parallel_grid_sweep(
-    study,
-    windows,
-    paa_sizes,
-    alphabet_sizes,
-    *,
-    n_workers: int,
-) -> list:
-    """Fan the grid sweep out one pool task per (window, paa_size) pair.
-
-    Pair order (and alphabet order within a pair) matches the serial
-    triple loop, so the concatenated result list is identical to
-    ``ParameterGridStudy.sweep`` run serially.
-    """
-    return parallel_grid_pairs(
-        study,
-        [(w, p, alphabet_sizes) for w in windows for p in paa_sizes],
-        n_workers=n_workers,
-    )

@@ -1,7 +1,7 @@
 """Process-pool plumbing: worker lifecycle and budget transport.
 
-This module owns everything about *running* pool tasks — the pieces the
-ensemble and grid fan-outs share regardless of what a task computes:
+This module owns everything about *running* pool tasks, whatever a
+task computes:
 
 * a fork-preferring multiprocessing context (fork inherits the parent's
   imported modules, making worker dispatch cheap; spawn is the fallback

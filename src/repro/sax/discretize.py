@@ -416,7 +416,6 @@ def discretize(
     *,
     strategy: NumerosityReduction = NumerosityReduction.EXACT,
     flatness_threshold: float = DEFAULT_FLATNESS_THRESHOLD,
-    paa_values: np.ndarray = None,
 ) -> Discretization:
     """Discretize *series* into a numerosity-reduced SAX word sequence.
 
@@ -435,13 +434,8 @@ def discretize(
     flatness_threshold:
         Windows whose standard deviation falls below this are treated as
         flat and discretized as the all-middle-symbol word.
-    paa_values:
-        Optional precomputed output of :func:`windowed_paa` for the same
-        ``(series, window, paa_size, flatness_threshold)``.  Parameter
-        sweeps pass it to amortize the sliding-window/PAA front half
-        across alphabet sizes; shape is validated, contents trusted.
 
-    Without *paa_values*, and when a word packs into an int64
+    When a word packs into an int64
     (``alphabet_size ** paa_size < 2**62``), the work runs in the C core
     of :mod:`repro.sax.saxcore`; otherwise, or with ``REPRO_C_CORE=off``
     or no compiler, on NumPy.  Both give the same words (DESIGN.md §15).
@@ -472,16 +466,8 @@ def discretize(
             f"unknown numerosity reduction strategy: {strategy!r}"
         )
 
-    if paa_values is not None:
-        expected = (series.size - window + 1, paa_size)
-        if tuple(paa_values.shape) != expected:
-            raise ParameterError(
-                f"precomputed paa_values has shape {tuple(paa_values.shape)}, "
-                f"expected {expected} for window={window}, paa_size={paa_size}"
-            )
-
     lib = None
-    if paa_values is None and alphabet_size**paa_size < 2**62:
+    if alphabet_size**paa_size < 2**62:
         lib = saxcore.load()
     if lib is not None:
         kept, token_ids, uniq_rows = _core_words(
@@ -491,7 +477,7 @@ def discretize(
     else:
         kept, token_ids, uniq_rows = _numpy_words(
             series, window, paa_size, alphabet_size, strategy,
-            flatness_threshold, paa_values,
+            flatness_threshold,
         )
 
     # Word strings are built once per *distinct* surviving row — on real
@@ -518,17 +504,15 @@ def _numpy_words(
     alphabet_size: int,
     strategy: NumerosityReduction,
     flatness_threshold: float,
-    paa_values: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(kept, token_ids, distinct rows)`` on the NumPy path.
 
-    :func:`windowed_paa` (unless *paa_values* holds it), the letters of
-    every window, :func:`_kept_indices` and :func:`_unique_rows`.
+    :func:`windowed_paa`, the letters of every window,
+    :func:`_kept_indices` and :func:`_unique_rows`.
     """
-    if paa_values is None:
-        paa_values = windowed_paa(
-            series, window, paa_size, flatness_threshold=flatness_threshold
-        )
+    paa_values = windowed_paa(
+        series, window, paa_size, flatness_threshold=flatness_threshold
+    )
     letter_idx = letter_indices(paa_values, alphabet_size)
     kept = _kept_indices(letter_idx, strategy)
     uniq_rows, token_ids = _unique_rows(letter_idx[kept], alphabet_size)

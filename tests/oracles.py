@@ -19,6 +19,12 @@ rules onto the series that the array projection
 :func:`repro.grammar.intervals.rule_intervals` must reproduce, and
 :func:`uncovered_intervals_oracle` the walk over R0's right-hand side
 that :func:`repro.grammar.intervals.uncovered_intervals` vectorises.
+
+:func:`approximation_distance_oracle` is the per-window loop that
+:func:`repro.core.parameter_grid.approximation_distance` vectorises, and
+:func:`grid_point_oracle` scores one parameter-grid cell with its own
+detector, which ``ParameterGridStudy.sweep`` replaces with an ensemble
+member scored after the fact.
 """
 
 from __future__ import annotations
@@ -30,10 +36,17 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.core.anomaly import Discord
+from repro.core.parameter_grid import GridPoint, _hit
+from repro.core.pipeline import GrammarAnomalyDetector
+from repro.core.rule_density import find_density_anomalies
+from repro.exceptions import ReproError
 from repro.grammar.grammar import START_RULE_ID
 from repro.grammar.intervals import RuleInterval
 from repro.timeseries import kernels
 from repro.timeseries.distance import euclidean, variable_length_distance
+from repro.timeseries.paa import paa
+from repro.timeseries.windows import sliding_windows
+from repro.timeseries.znorm import znorm
 
 #: Fixed-length pair distance over window positions ``(p, q)``.
 PositionDistance = Callable[[int, int], float]
@@ -338,3 +351,61 @@ def uncovered_intervals_oracle(grammar, discretization) -> list[RuleInterval]:
         start, end = discretization.span_to_interval(run_start, token_pos - 1)
         gaps.append(RuleInterval(-1, start, end, usage=0))
     return gaps
+
+
+def approximation_distance_oracle(
+    series: np.ndarray, window: int, paa_size: int, *, sample_stride: int = 1
+) -> float:
+    """Mean PAA reconstruction error, one window at a time, summed in order."""
+    windows = sliding_windows(series, window)[::sample_stride]
+    stretch = np.minimum((np.arange(window) * paa_size) // window, paa_size - 1)
+    total = 0.0
+    for row in windows:
+        normalized = znorm(row)
+        reconstructed = paa(normalized, paa_size)[stretch]
+        total += float(np.sqrt(np.sum((normalized - reconstructed) ** 2)))
+    return total / windows.shape[0]
+
+
+def grid_point_oracle(
+    series: np.ndarray,
+    true_anomaly: tuple[int, int],
+    window: int,
+    paa_size: int,
+    alphabet_size: int,
+    *,
+    min_overlap: float = 0.5,
+) -> Optional[GridPoint]:
+    """One grid cell from its own detector; None for a skipped cell.
+
+    Fits ``GrammarAnomalyDetector(window, paa_size, alphabet_size)``,
+    asks it for the top density anomaly (with and without edge
+    exclusion) and the top RRA discord, and scores each against the
+    truth.
+    """
+    if paa_size > window or window >= series.size:
+        return None
+    detector = GrammarAnomalyDetector(window, paa_size, alphabet_size)
+    try:
+        fitted = detector.fit(series)
+        rra = detector.discords(num_discords=1)
+    except ReproError:
+        return None
+
+    def hit(found) -> bool:
+        return _hit([(a.start, a.end) for a in found], *true_anomaly, min_overlap)
+
+    return GridPoint(
+        window=window,
+        paa_size=paa_size,
+        alphabet_size=alphabet_size,
+        approximation_distance=approximation_distance_oracle(
+            series, window, paa_size, sample_stride=max(1, window // 4)
+        ),
+        grammar_size=fitted.grammar.grammar_size(),
+        density_hit=hit(
+            find_density_anomalies(fitted.density, max_anomalies=1, edge_exclusion=0)
+        ),
+        rra_hit=hit(rra.discords),
+        density_hit_enhanced=hit(detector.density_anomalies(max_anomalies=1)),
+    )

@@ -27,7 +27,6 @@ from repro.cache import (
     CACHE_FORMAT,
     ResultCache,
     discord_search_key,
-    grid_cell_key,
     rng_fingerprint,
 )
 from repro.cache.results import (
@@ -301,13 +300,6 @@ def test_rng_fingerprint_tracks_state():
     assert rng_fingerprint(a) == rng_fingerprint(b)
     a.random()
     assert rng_fingerprint(a) != rng_fingerprint(b)
-
-
-def test_grid_cell_key_distinguishes_cells(series):
-    k1 = grid_cell_key(series, window=40, paa_size=4, alphabet_size=3)
-    k2 = grid_cell_key(series, window=40, paa_size=4, alphabet_size=4)
-    k3 = grid_cell_key(series, window=40, paa_size=5, alphabet_size=3)
-    assert len({k1, k2, k3}) == 3
 
 
 def test_ledger_delta_roundtrip():

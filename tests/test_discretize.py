@@ -541,11 +541,3 @@ class TestFusedCore:
         )
         disc = discretize(_sine(400, noise=0.1), 40, 14, 26)
         assert len(disc.vocabulary[0]) == 14
-
-    def test_precomputed_paa_values_stay_on_numpy(self, monkeypatch):
-        series = _sine(400, noise=0.1)
-        values = windowed_paa(series, 40, 4)
-        monkeypatch.setattr(
-            saxcore, "load", lambda: pytest.fail("paa_values runs the NumPy path")
-        )
-        assert discretize(series, 40, 4, 5, paa_values=values).tokens()

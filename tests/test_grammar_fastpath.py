@@ -6,7 +6,7 @@ density accumulation all promise **bit-identical** outputs to the
 preserved reference implementations.  This suite pins that promise:
 
 * Hypothesis property tests check ``induce_grammar`` against the
-  object-based :func:`repro.grammar.legacy.induce_grammar_legacy` on
+  object-based :func:`tests.legacy_sequitur.induce_grammar_legacy` on
   random token sequences, separately for each available engine, and
   the streaming :class:`~repro.streaming.online_sequitur.
   IncrementalSequitur` against offline induction at every checked
@@ -48,7 +48,6 @@ from repro.datasets import synthetic_ecg
 from repro.datasets.synthetic import sine_with_anomaly
 from repro.grammar import ccore
 from repro.grammar.intervals import RuleInterval, RuleIntervalList
-from repro.grammar.legacy import induce_grammar_legacy
 from repro.grammar.sequitur import induce_grammar
 from repro.sax.discretize import (
     NumerosityReduction,
@@ -56,6 +55,7 @@ from repro.sax.discretize import (
     _reduce,
 )
 from repro.streaming.online_sequitur import IncrementalSequitur
+from tests.legacy_sequitur import induce_grammar_legacy
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "grammar_fingerprints.json"
 GOLDEN_FORMAT = "repro-grammar-fingerprints/1"

@@ -13,8 +13,8 @@ from repro.grammar.grammar import (
     START_RULE_ID,
     compute_levels,
 )
-from repro.grammar.legacy import induce_grammar_legacy
 from repro.grammar.sequitur import induce_grammar, induce_grammar_interned
+from tests.legacy_sequitur import induce_grammar_legacy
 from tests.test_grammar_fastpath import ENGINES
 
 

@@ -1,9 +1,10 @@
 """Tests for the process-pool execution layer (:mod:`repro.parallel`).
 
-Every discord search runs in one process; the pool serves the coarse
-fan-outs only — parameter-grid pairs and ensemble members.  These tests
-cover the pool plumbing and lifecycle, the grid sweep, and the ensemble
-member task's dispatch order, budgets and cancellation.  The headline
+Every discord search runs in one process; the pool serves one coarse
+fan-out only — ensemble members, which are also the parameter grid's
+cells.  These tests cover the pool plumbing and lifecycle, the grid
+sweep, and the member task's dispatch order, budgets, cancellation and
+errors.  The headline
 property of the fan-outs — a parallel run returns the same
 points/aggregate as the serial loop — is asserted with equality, not
 tolerance (the ensemble's is pinned against the goldens in
@@ -31,7 +32,7 @@ from repro.core.parameter_grid import ParameterGridStudy
 from repro.core.pipeline import GrammarAnomalyDetector
 from repro.datasets.ecg import synthetic_ecg
 from repro.datasets.registry import table1_rows
-from repro.exceptions import ParameterError
+from repro.exceptions import GridCellError, ParameterError
 from repro.parallel import effective_workers, engine, pool, shutdown
 from repro.parallel.pool import budget_from_spec, budget_to_spec, run_tasks
 from repro.resilience.budget import CancellationToken, SearchBudget
@@ -144,14 +145,34 @@ def test_spawn_start_method_matches_serial(monkeypatch, sine_bump):
         shutdown()
 
 
-def test_grid_pair_hoisting_matches_per_point(sine_bump):
-    study = ParameterGridStudy(sine_bump.series[:1200], (1000, 1080))
-    legacy = [
-        point
-        for a in (3, 4, 5)
-        if (point := study.evaluate_point(60, 4, a)) is not None
-    ]
-    assert study._evaluate_pair(60, 4, (3, 4, 5)) == legacy
+def test_pooled_member_failure_names_the_cell(monkeypatch, sine_bump):
+    """A member that raises a non-library exception in a worker reaches
+    the parent as a GridCellError naming its triple, from a sweep and
+    from an ensemble alike."""
+    original = GrammarAnomalyDetector.discords
+
+    def boom_at_w60(self, **kwargs):
+        if self.window == 60:
+            raise RuntimeError("synthetic member failure")
+        return original(self, **kwargs)
+
+    shutdown()  # the next fan-out forks workers that see the patch
+    monkeypatch.setattr(GrammarAnomalyDetector, "discords", boom_at_w60)
+    series = sine_bump.series[:1200]
+    try:
+        with pytest.raises(GridCellError) as excinfo:
+            ParameterGridStudy(series, (1000, 1080)).sweep(
+                [40, 60], [4], [3], n_workers=2
+            )
+        assert excinfo.value.cell == (60, 4, 3)
+        detector = EnsembleDetector(
+            ensemble_grid([60, 90], [4], [3]), num_discords=1, n_workers=2
+        )
+        with pytest.raises(GridCellError) as excinfo:
+            detector.fit(series)
+        assert excinfo.value.cell == (60, 4, 3)
+    finally:
+        _no_orphans()  # no later fan-out reuses a patched worker
 
 
 # -- ensemble member task ----------------------------------------------

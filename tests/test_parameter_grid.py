@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cache import ResultCache
+from repro.core.ensemble import EnsembleDetector, ensemble_grid
 from repro.core.parameter_grid import (
     GridPoint,
     ParameterGridStudy,
@@ -12,8 +16,10 @@ from repro.core.parameter_grid import (
     _paa_reconstruct,
     approximation_distance,
 )
-from repro.datasets import sine_with_anomaly
+from repro.datasets import ecg_subtle_st_like, sine_with_anomaly
 from repro.exceptions import ParameterError
+from repro.parallel import shutdown
+from tests.oracles import approximation_distance_oracle, grid_point_oracle
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +48,35 @@ class TestApproximationDistance:
     def test_series_too_short(self):
         with pytest.raises(ParameterError):
             approximation_distance(np.zeros(10), 20, 4)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_property_equals_the_per_window_loop(self, data):
+        window = data.draw(st.integers(2, 48), label="window")
+        divisors = [p for p in range(1, window + 1) if window % p == 0]
+        fractional = [p for p in range(1, window) if window % p]
+        shapes = [st.sampled_from(divisors), st.just(window)]
+        if fractional:
+            shapes.append(st.sampled_from(fractional))
+        paa_size = data.draw(st.one_of(shapes), label="paa_size")
+        length = window + data.draw(st.integers(0, 120), label="extra")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        kind = data.draw(st.sampled_from(["walk", "flat", "near-flat", "tiny"]))
+        if kind == "walk":
+            series = rng.standard_normal(length).cumsum()
+        elif kind == "flat":
+            series = np.full(length, 2.5)
+        elif kind == "near-flat":
+            # Window stds straddle the flatness threshold (0.01).
+            series = 7.0 + 0.01 * rng.standard_normal(length)
+        else:
+            series = 1e-3 * rng.standard_normal(length)
+        stride = data.draw(st.integers(1, window), label="stride")
+        got = approximation_distance(series, window, paa_size, sample_stride=stride)
+        want = approximation_distance_oracle(
+            series, window, paa_size, sample_stride=stride
+        )
+        assert got.hex() == want.hex()
 
 
 class TestPaaReconstruct:
@@ -102,45 +137,6 @@ class TestStudy:
 
 
 class TestSweepMemoization:
-    def test_one_discretization_pass_per_pair(self, bump, monkeypatch):
-        """Varying only the alphabet must not re-run ``windowed_paa``.
-
-        The PAA coefficients depend on ``(window, paa_size)`` alone, so a
-        sweep over A alphabet sizes performs exactly one discretization
-        pass per valid pair — not one per cell.
-        """
-        import sys
-
-        import repro.core.parameter_grid as grid_mod
-        import repro.sax.discretize  # noqa: F401 - ensure module is loaded
-
-        # ``repro.sax`` re-exports a *function* named ``discretize``,
-        # which shadows the submodule on attribute access — go through
-        # sys.modules to reach the module itself.
-        discretize_mod = sys.modules["repro.sax.discretize"]
-
-        real = discretize_mod.windowed_paa
-        calls: list[tuple[int, int]] = []
-
-        def counting(series, window, paa_size, **kwargs):
-            calls.append((int(window), int(paa_size)))
-            return real(series, window, paa_size, **kwargs)
-
-        # ``discretize`` looks the name up in its module; the grid binds
-        # it at import time — patch both, so a per-cell pass would count.
-        monkeypatch.setattr(discretize_mod, "windowed_paa", counting)
-        monkeypatch.setattr(grid_mod, "windowed_paa", counting)
-
-        study = ParameterGridStudy(bump.series, bump.anomalies[0], min_overlap=0.3)
-        points = study.sweep(
-            windows=[40, 80],
-            paa_sizes=[4, 6],
-            alphabet_sizes=[3, 4, 5],
-        )
-        assert points
-        expected_pairs = {(40, 4), (40, 6), (80, 4), (80, 6)}
-        assert sorted(calls) == sorted(expected_pairs)
-
     def test_sweep_cache_warm_equals_cold(self, bump, tmp_path):
         from repro.cache import ResultCache
 
@@ -161,6 +157,27 @@ class TestSweepMemoization:
         )
         assert all(point in wider for point in plain)
 
+    def test_sweep_after_ensemble_is_answered_from_the_cache(self, bump, tmp_path):
+        """A grid cell and an ensemble member with ``num_discords=1``
+        share one cache entry."""
+        grid = dict(windows=[40, 80], paa_sizes=[4, 6], alphabet_sizes=[3, 4])
+        study = ParameterGridStudy(bump.series, bump.anomalies[0], min_overlap=0.3)
+        plain = study.sweep(**grid)
+        cache = ResultCache(tmp_path / "store")
+        members = ensemble_grid(*grid.values())
+        EnsembleDetector(members, num_discords=1, cache=cache).fit(bump.series)
+        assert cache.hits == 0
+        assert study.sweep(**grid, cache=cache) == plain
+        assert cache.hits == len(members) == len(plain)
+
+    def test_new_truth_reuses_every_cell(self, bump, tmp_path):
+        grid = dict(windows=[40, 80], paa_sizes=[4], alphabet_sizes=[3, 4])
+        cache = ResultCache(tmp_path / "store")
+        ParameterGridStudy(bump.series, bump.anomalies[0]).sweep(**grid, cache=cache)
+        other = ParameterGridStudy(bump.series, (100, 250), min_overlap=0.8)
+        assert other.sweep(**grid, cache=cache) == other.sweep(**grid)
+        assert cache.hits == 4
+
     @pytest.mark.slow
     def test_parallel_sweep_cache_matches_serial(self, bump, tmp_path):
         from repro.cache import ResultCache
@@ -176,6 +193,38 @@ class TestSweepMemoization:
         warm = study.sweep(**grid, cache=cache, n_workers=2)
         assert warm == plain
         assert cache.hits >= len(plain)
+
+
+class TestGridPointOracle:
+    """The sweep scores ensemble members; the oracle fits one detector
+    per cell.  Both must give the same points."""
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_sweep_equals_per_cell_detectors(self, bump, n_workers):
+        ecg = ecg_subtle_st_like()
+        cases = [
+            (bump.series, bump.anomalies[0], 0.3, [40, 90, 2000], [3, 4, 40]),
+            (ecg.series, ecg.anomalies[0], 0.5, [60, 120], [4, 7]),
+        ]
+        try:
+            for series, truth, overlap, windows, paa_sizes in cases:
+                study = ParameterGridStudy(series, truth, min_overlap=overlap)
+                got = study.sweep(windows, paa_sizes, [3, 5], n_workers=n_workers)
+                want = [
+                    point
+                    for w in windows
+                    for p in paa_sizes
+                    for a in [3, 5]
+                    if (
+                        point := grid_point_oracle(
+                            series, truth, w, p, a, min_overlap=overlap
+                        )
+                    )
+                    is not None
+                ]
+                assert got == want
+        finally:
+            shutdown()
 
 
 class TestGridCellError:
