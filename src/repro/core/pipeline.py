@@ -23,6 +23,7 @@ from repro.exceptions import ParameterError
 from repro.grammar.grammar import Grammar
 from repro.grammar.intervals import (
     RuleInterval,
+    RuleIntervalList,
     rule_intervals,
     uncovered_intervals,
 )
@@ -53,24 +54,19 @@ class PipelineResult:
     masked_spans: tuple[tuple[int, int], ...] = ()
 
     @property
-    def candidates(self) -> list[RuleInterval]:
+    def candidates(self) -> RuleIntervalList:
         """RRA candidate set: rule intervals plus zero-coverage gaps.
 
-        Under the ``mask`` quality policy, candidates overlapping a
-        masked (originally non-finite) span are excluded — an anomaly
-        must never be reported from interpolated filler data.
+        One :class:`~repro.grammar.intervals.RuleIntervalList`: the
+        interval table followed by the gap table.  Under the ``mask``
+        quality policy, candidates overlapping a masked (originally
+        non-finite) span are excluded — an anomaly must never be
+        reported from interpolated filler data.
         """
-        pool = self.intervals + self.gaps
+        pool = RuleIntervalList.of(self.intervals) + RuleIntervalList.of(self.gaps)
         if not self.masked_spans:
             return pool
-        return [
-            iv
-            for iv in pool
-            if not any(
-                iv.start < end and start < iv.end
-                for start, end in self.masked_spans
-            )
-        ]
+        return pool.subset(~pool.overlapping(self.masked_spans))
 
 
 class GrammarAnomalyDetector:

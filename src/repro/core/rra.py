@@ -38,7 +38,7 @@ from repro.core.anomaly import Discord
 from repro.cache.results import discords_from_json, discords_to_json
 from repro.discord.search import DiscordSearchResult, SearchSession, iterated_search
 from repro.exceptions import CheckpointError, DiscordSearchError
-from repro.grammar.intervals import RuleInterval
+from repro.grammar.intervals import RuleInterval, RuleIntervalList, interval_endpoints
 from repro.observability.metrics import ensure_metrics
 from repro.resilience.budget import SearchBudget
 from repro.resilience.checkpoint import (
@@ -56,9 +56,29 @@ from repro.timeseries.distance import DistanceCounter
 RRAResult = DiscordSearchResult
 
 
-def _admissible(intervals: Iterable[RuleInterval], size: int) -> list[RuleInterval]:
-    """The intervals RRA can search: inside the series, at least 2 long."""
-    return [iv for iv in intervals if iv.end <= size and iv.end - iv.start >= 2]
+def _admissible(intervals: Iterable[RuleInterval], size: int) -> RuleIntervalList:
+    """The intervals RRA can search: inside the series, at least 2 long.
+
+    Any iterable is converted to a :class:`RuleIntervalList` once.  A
+    :class:`RuleIntervalList` whose intervals all qualify is returned
+    as is, so a search that passes its admissible set on to each rank
+    keeps one table (and one :meth:`_CandidateSet.idents` result) for
+    all of them.
+    """
+    intervals = RuleIntervalList.of(intervals)
+    _, starts, ends, _ = intervals.table
+    keep = (ends <= size) & (ends - starts >= 2)
+    return intervals if keep.all() else intervals.subset(keep)
+
+
+def _outer_order(table: np.ndarray) -> np.ndarray:
+    """RRA's outer order of the ``(4, n)`` candidate *table*: ascending
+    rule usage (gaps first), ties by start, then end, then table row.
+
+    ``np.lexsort`` is stable, so this is the stable ``sorted`` on the key
+    ``(usage, start, end)``.
+    """
+    return np.lexsort((table[2], table[1], table[3]))
 
 
 @dataclass
@@ -79,8 +99,11 @@ class _RankState:
     calls: int = 0
     rng_state: Optional[dict] = None
     complete: bool = False
-    #: The rank's outer order, for the checkpoint's ``visited`` list.
-    outer: list[RuleInterval] = field(default_factory=list, repr=False)
+    #: The rank's ``(start, end)`` columns in outer order, a ``(2, n)``
+    #: int64 array, for the checkpoint's ``visited`` list.
+    outer: np.ndarray = field(
+        default_factory=lambda: np.empty((2, 0), dtype=np.int64), repr=False
+    )
 
 
 class _CandidateSet:
@@ -108,6 +131,9 @@ class _CandidateSet:
         lib = eq1core.load() if core is True else (core or None)
         self.tables = eq1core.Eq1Tables(lib) if lib is not None else None
         self._ids: dict[tuple[int, int], int] = {}
+        # The last interval sequence given to idents() and its ids: every
+        # rank of one search passes the same admissible table.
+        self._last_idents: tuple[object, Optional[np.ndarray]] = (None, None)
         # Pair distances are symmetric and depend only on the interval
         # positions, so each distinct unordered pair is computed once per
         # search.  With the core loaded the memo lives in its tables.
@@ -137,10 +163,21 @@ class _CandidateSet:
         Spans seen for the first time get their table entries built in
         the core, from the centred prefix sums of :attr:`stats`, in one
         call.  :meth:`pair_distance` computes the same floats in Python
-        if it needs them.
+        if it needs them.  A :class:`RuleIntervalList` is immutable, so
+        asking again with the same one returns the ids computed the
+        first time.
         """
+        last, last_ids = self._last_idents
+        if intervals is last:
+            return last_ids
+        starts, ends = interval_endpoints(intervals)
+        ids = self._span_ids(list(zip(starts.tolist(), ends.tolist())))
+        if isinstance(intervals, RuleIntervalList):
+            self._last_idents = (intervals, ids)
+        return ids
+
+    def _span_ids(self, spans: list[tuple[int, int]]) -> np.ndarray:
         ids = self._ids
-        spans = [(iv.start, iv.end) for iv in intervals]
         new = [span for span in dict.fromkeys(spans) if span not in ids]
         if new:
             first = self.tables.add_spans(new, self._stats)
@@ -159,7 +196,9 @@ class _CandidateSet:
         for bit; with the core loaded the core computes it.
         """
         if self.tables is not None:
-            return self.tables.distance(*self.idents([p, q]).tolist())
+            return self.tables.distance(
+                *self._span_ids([(p.start, p.end), (q.start, q.end)]).tolist()
+            )
         ps, pe, qs, qe = p.start, p.end, q.start, q.end
         key = (ps, pe, qs, qe) if ps < qs or (ps == qs and pe <= qe) else (qs, qe, ps, pe)
         distance = self._pair_distances.get(key)
@@ -251,7 +290,9 @@ def find_discord(
     series:
         The raw time series.
     intervals:
-        Candidate intervals: rule intervals plus zero-coverage gaps.
+        Candidate intervals: rule intervals plus zero-coverage gaps, a
+        :class:`~repro.grammar.intervals.RuleIntervalList` or any
+        iterable of :class:`~repro.grammar.intervals.RuleInterval`.
     counter:
         Distance counter to accumulate into; a fresh one by default.
     rng:
@@ -306,27 +347,27 @@ def find_discord(
     state = _state if _state is not None else _RankState()
     capture_rng = _on_boundary is not None
 
-    candidates = _admissible(intervals, series.size)
-    for ex_start, ex_end in exclude:
-        candidates = [iv for iv in candidates if not (iv.start < ex_end and ex_start < iv.end)]
-    if not candidates:
+    # The rank's candidates are rows of the admissible table: the search
+    # reads its columns, and only the Python path builds objects.
+    valid = _admissible(intervals, series.size)
+    rows = np.flatnonzero(~valid.overlapping(exclude))
+    if not rows.size:
         state.complete = True
         return None, counter
 
     if cache is None:
         cache = _CandidateSet(series)
-    # Outer ordering: ascending rule usage (gaps first), deterministic
-    # tie-break by position.
-    order = sorted(
-        range(len(candidates)),
-        key=[(iv.usage, iv.start, iv.end) for iv in candidates].__getitem__,
-    )
-    outer = state.outer = [candidates[j] for j in order]
+    candidates = valid.subset(rows)
+    table = candidates.table
+    rule_ids, starts, ends, _ = table
+    order = _outer_order(table)
+    state.outer = table[1:3, order]
+    n_outer = order.size
     run = cache.tables and eq1core.RankRun(
         cache.tables,
-        cache.idents(candidates),
-        np.fromiter((iv.rule_id for iv in candidates), np.int64).clip(_InnerOrdering._GAP),
-        np.asarray(order, dtype=np.int64),
+        cache.idents(valid)[rows],
+        rule_ids.clip(_InnerOrdering._GAP),
+        order.astype(np.int64),
     )
     if run is not None:
         # The first core call of a rank runs one outer candidate and each
@@ -334,19 +375,26 @@ def find_discord(
         # token is seen early and a long rank pays few boundaries.
         span = 1
     else:
-        ordering = _InnerOrdering(candidates)
+        objects = list(candidates)
+        outer = [objects[j] for j in order.tolist()]
+        ordering = _InnerOrdering(objects)
         distance = cache.pair_distance
     max_calls = budget.max_calls if budget.max_calls is not None else 2**63 - 1
 
     best_dist = state.best_dist
-    best_candidate: Optional[RuleInterval] = state.best_key and next(
-        (iv for iv in candidates if (iv.start, iv.end, iv.rule_id) == state.best_key),
-        None,
-    )
+    # The candidate row of the best-so-far discord, found by its key on
+    # a resume.
+    best_row: Optional[int] = None
+    if state.best_key:
+        key_start, key_end, key_rule = state.best_key
+        match = np.flatnonzero(
+            (starts == key_start) & (ends == key_end) & (rule_ids == key_rule)
+        )
+        best_row = int(match[0]) if match.size else None
 
     instrumented = metrics.enabled
     if instrumented:
-        metrics.gauge("search.candidate_count").set(len(outer))
+        metrics.gauge("search.candidate_count").set(n_outer)
         m_visited = metrics.counter("search.candidates_visited")
         m_abandoned = metrics.counter("search.candidates_abandoned")
         m_survived = metrics.counter("search.candidates_survived")
@@ -364,14 +412,14 @@ def find_discord(
             state.calls = counter.calls
             if capture_rng:
                 state.rng_state = rng_state_to_json(rng)
-            if i == len(outer):
+            if i == n_outer:
                 state.complete = True
                 if _on_boundary is not None:
                     _on_boundary(state, crossed - 1)  # the last run's boundaries
                 break
             if budget.interrupted(counter.calls) is not None:
                 break
-            stop = len(outer)
+            stop = n_outer
             if _on_boundary is not None:
                 stop = min(stop, i + _on_boundary(state, crossed))
             # Pair visits are flushed in ``finally``, so an interrupt that
@@ -424,11 +472,10 @@ def find_discord(
                         if flag == 2:
                             m_best.inc()
             if best >= 0:
-                best_dist, best_candidate = found, outer[best]
+                best_dist, best_row = found, int(order[best])
                 state.best_dist = best_dist
-                state.best_key = (
-                    best_candidate.start, best_candidate.end, best_candidate.rule_id
-                )
+                best_rule, best_start, best_end, _ = table[:, best_row].tolist()
+                state.best_key = (best_start, best_end, best_rule)
             crossed, i = end - i, end
     except KeyboardInterrupt:
         if not has_channel:
@@ -438,15 +485,16 @@ def find_discord(
         # replays the run in full and stays bit-identical.
         budget.note_cancelled()
 
-    if best_candidate is None:
+    if best_row is None:
         return None, counter
+    rule_id, start, end, _ = table[:, best_row].tolist()
     discord = Discord(
-        start=best_candidate.start,
-        end=best_candidate.end,
+        start=start,
+        end=end,
         score=best_dist,
         rank=0,
         nn_distance=best_dist,
-        rule_id=best_candidate.rule_id,
+        rule_id=rule_id,
         source="rra",
     )
     return discord, counter
@@ -531,6 +579,8 @@ def find_discords(
     series = np.asarray(series, dtype=float)
     if rng is None:
         rng = np.random.default_rng(0)
+    # One table for the whole search: the cache key, the fingerprint and
+    # every rank read it.
     valid = _admissible(intervals, series.size)
 
     hit = session.lookup(series, valid, {"num_discords": int(num_discords)}, rng=rng)
@@ -607,9 +657,7 @@ def find_discords(
                 "exclusions": [[d.start, d.end] for d in exact],
                 "rank": len(exact),
                 "outer_index": state.outer_index,
-                "visited": [
-                    [iv.start, iv.end] for iv in state.outer[: state.outer_index]
-                ],
+                "visited": state.outer[:, : state.outer_index].T.tolist(),
                 "best_dist": state.best_dist,
                 "best_key": list(state.best_key) if state.best_key else None,
                 "distance_calls": state.calls,

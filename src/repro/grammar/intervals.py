@@ -82,9 +82,12 @@ class RuleIntervalList(Sequence):
     access (indexing, iteration, ``==`` with a list, ``+``), and cached.
 
     It supports ``len``, iteration, indexing and slicing (a slice is a
-    plain list), ``==`` with any sequence of intervals, and ``+`` with a
-    list (the result is a list).  Construct it from an iterable of
-    :class:`RuleInterval`.
+    plain list), ``==`` with any sequence of intervals, and ``+``: with
+    another :class:`RuleIntervalList` the tables are concatenated (the
+    result is a :class:`RuleIntervalList`), with a list the result is a
+    list.  :attr:`table`, :meth:`subset` and :meth:`overlapping` read
+    and filter the columns without building objects.  Construct it from
+    an iterable of :class:`RuleInterval`.
     """
 
     __slots__ = ("_table", "_items")
@@ -105,6 +108,12 @@ class RuleIntervalList(Sequence):
         self._table.flags.writeable = False
         self._items = None
         return self
+
+    @classmethod
+    def of(cls, intervals: Iterable[RuleInterval]) -> "RuleIntervalList":
+        """*intervals* itself when it is a :class:`RuleIntervalList`, else
+        a new one over its items (read once, so an iterator works)."""
+        return intervals if isinstance(intervals, cls) else cls(intervals)
 
     def _objects(self) -> list[RuleInterval]:
         if self._items is None:
@@ -132,7 +141,11 @@ class RuleIntervalList(Sequence):
 
     __hash__ = None
 
-    def __add__(self, other) -> list[RuleInterval]:
+    def __add__(self, other):
+        if isinstance(other, RuleIntervalList):
+            return RuleIntervalList._from_table(
+                np.concatenate((self._table, other._table), axis=1)
+            )
         if not isinstance(other, Sequence):
             return NotImplemented
         return self._objects() + list(other)
@@ -148,9 +161,27 @@ class RuleIntervalList(Sequence):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RuleIntervalList({self._objects()!r})"
 
+    @property
+    def table(self) -> np.ndarray:
+        """The read-only ``(4, n)`` ``int64`` table; its rows are rule id,
+        start, end and usage."""
+        return self._table
+
     def endpoint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(starts, ends)`` as read-only ``int64`` arrays, in list order."""
         return self._table[1], self._table[2]
+
+    def subset(self, index) -> "RuleIntervalList":
+        """The intervals at *index* (a boolean mask or row indices), in
+        that order."""
+        return RuleIntervalList._from_table(self._table[:, index])
+
+    def overlapping(self, spans: Iterable[tuple[int, int]]) -> np.ndarray:
+        """Boolean mask of the intervals that share a point with any of
+        the half-open ``(start, end)`` *spans*."""
+        bounds = np.asarray(list(spans), dtype=np.int64).reshape(-1, 2)
+        starts, ends = self._table[1, :, None], self._table[2, :, None]
+        return ((starts < bounds[:, 1]) & (bounds[:, 0] < ends)).any(axis=1)
 
 
 def interval_endpoints(intervals) -> tuple[np.ndarray, np.ndarray]:

@@ -121,13 +121,22 @@ def search_fingerprint(
     every candidate interval's ``(rule_id, start, end, usage)`` tuple,
     and the search parameters — anything that could change the
     visitation order or the distances.
+
+    The intervals enter as the text ``"r,s,e,u;"`` per interval, all
+    formatted in one pass over the rows of their
+    :class:`~repro.grammar.intervals.RuleIntervalList` table (a list or
+    tuple is converted first), so no interval object is needed.
     """
+    # Imported here: the checkpoint layer does not otherwise depend on
+    # the grammar package.
+    from repro.grammar.intervals import RuleIntervalList
+
+    table = RuleIntervalList.of(intervals).table
     digest = hashlib.sha256()
     digest.update(series_digest(series).encode())
-    for iv in intervals:
-        digest.update(
-            f"{iv.rule_id},{iv.start},{iv.end},{iv.usage};".encode()
-        )
+    digest.update(
+        (("%d,%d,%d,%d;" * table.shape[1]) % tuple(table.T.ravel().tolist())).encode()
+    )
     digest.update(json.dumps(params, sort_keys=True).encode())
     return digest.hexdigest()
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.exceptions import ParameterError
 
@@ -13,19 +14,27 @@ _SHADES = " ░▒▓█"
 
 
 def _bin_series(values: np.ndarray, width: int) -> np.ndarray:
-    """Downsample *values* to *width* bins by averaging."""
+    """Downsample *values* to *width* bins by averaging.
+
+    Each bin is bit for bit ``values[lo:hi].mean()``: the bins of one
+    length are rows of a window view, summed along the row (the same
+    pairwise sum as the slice's) and divided by the length.  An empty
+    bin (``width`` above the length) holds the value at its left edge.
+    """
     values = np.asarray(values, dtype=float)
     if width <= 0:
         raise ParameterError(f"width must be positive, got {width}")
     if values.size == 0:
         return np.zeros(width)
     edges = np.linspace(0, values.size, width + 1).astype(int)
-    return np.array(
-        [
-            values[lo:hi].mean() if hi > lo else values[min(lo, values.size - 1)]
-            for lo, hi in zip(edges[:-1], edges[1:])
-        ]
-    )
+    starts, lengths = edges[:-1], np.diff(edges)
+    binned = values[np.minimum(starts, values.size - 1)]
+    # The bins have at most two lengths, so this is one or two passes.
+    for length in set(lengths.tolist()) - {0}:
+        of_length = lengths == length
+        rows = sliding_window_view(values, length)[starts[of_length]]
+        binned[of_length] = rows.sum(axis=1) / length
+    return binned
 
 
 def sparkline(values: np.ndarray, width: int = 80) -> str:
@@ -37,7 +46,7 @@ def sparkline(values: np.ndarray, width: int = 80) -> str:
     binned = _bin_series(np.asarray(values, dtype=float), width)
     lo = float(binned.min())
     hi = float(binned.max())
-    if hi - lo < 1e-12:
+    if not hi > lo:
         return _BLOCKS[0] * width
     idx = ((binned - lo) / (hi - lo) * (len(_BLOCKS) - 1)).round().astype(int)
     return "".join(_BLOCKS[i] for i in idx)
@@ -52,7 +61,7 @@ def density_strip(curve: np.ndarray, width: int = 80) -> str:
     binned = _bin_series(np.asarray(curve, dtype=float), width)
     lo = float(binned.min())
     hi = float(binned.max())
-    if hi - lo < 1e-12:
+    if not hi > lo:
         return _SHADES[-1] * width
     idx = ((binned - lo) / (hi - lo) * (len(_SHADES) - 1)).round().astype(int)
     return "".join(_SHADES[i] for i in idx)

@@ -242,7 +242,7 @@ class FigurePlot:
         else:
             lo = float(np.min(panel.values))
             hi = float(np.max(panel.values))
-        if hi - lo < 1e-12:
+        if not hi > lo:
             hi = lo + 1.0
 
         def y_of(value: float) -> float:
@@ -307,9 +307,9 @@ def scatter_plot(
     ys = [p[1] for p in points]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
-    if x_hi - x_lo < 1e-12:
+    if not x_hi > x_lo:
         x_hi = x_lo + 1.0
-    if y_hi - y_lo < 1e-12:
+    if not y_hi > y_lo:
         y_hi = y_lo + 1.0
 
     canvas = SVGCanvas(width, height)

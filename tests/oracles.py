@@ -25,10 +25,17 @@ that :func:`repro.grammar.intervals.uncovered_intervals` vectorises.
 :func:`grid_point_oracle` scores one parameter-grid cell with its own
 detector, which ``ParameterGridStudy.sweep`` replaces with an ensemble
 member scored after the fact.
+
+:func:`outer_order_oracle`, :func:`search_fingerprint_oracle` and
+:func:`bin_series_oracle` are the per-object and per-bin loops that RRA's
+outer order, :func:`repro.resilience.checkpoint.search_fingerprint` and
+the report's sparkline binning replace with reads of a table's columns.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from collections import defaultdict
 from typing import Callable, Optional, Sequence
@@ -42,6 +49,7 @@ from repro.core.rule_density import find_density_anomalies
 from repro.exceptions import ReproError
 from repro.grammar.grammar import START_RULE_ID
 from repro.grammar.intervals import RuleInterval
+from repro.resilience.checkpoint import series_digest
 from repro.timeseries import kernels
 from repro.timeseries.distance import euclidean, variable_length_distance
 from repro.timeseries.paa import paa
@@ -408,4 +416,40 @@ def grid_point_oracle(
         ),
         rra_hit=hit(rra.discords),
         density_hit_enhanced=hit(detector.density_anomalies(max_anomalies=1)),
+    )
+
+
+def outer_order_oracle(candidates: Sequence[RuleInterval]) -> list[int]:
+    """RRA's outer order as positions into *candidates*: the stable sort
+    on ``(usage, start, end)``, ties in list order."""
+    return sorted(
+        range(len(candidates)),
+        key=[(iv.usage, iv.start, iv.end) for iv in candidates].__getitem__,
+    )
+
+
+def search_fingerprint_oracle(
+    series: np.ndarray, intervals: Sequence[RuleInterval], params: dict
+) -> str:
+    """The search fingerprint with one ``update`` per interval object."""
+    digest = hashlib.sha256()
+    digest.update(series_digest(series).encode())
+    for iv in intervals:
+        digest.update(f"{iv.rule_id},{iv.start},{iv.end},{iv.usage};".encode())
+    digest.update(json.dumps(params, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def bin_series_oracle(values: np.ndarray, width: int) -> np.ndarray:
+    """*width* bin means, one ``slice.mean()`` per bin; an empty bin takes
+    the value at its left edge."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return np.zeros(width)
+    edges = np.linspace(0, values.size, width + 1).astype(int)
+    return np.array(
+        [
+            values[lo:hi].mean() if hi > lo else values[min(lo, values.size - 1)]
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]
     )

@@ -138,6 +138,34 @@ class TestFigurePlot:
         with pytest.raises(ParameterError):
             FigurePlot(1)
 
+    def test_coordinates_do_not_depend_on_units(self):
+        """The path of a line panel is the same at every power-of-two
+        scale; only the min/max labels show the raw values."""
+        series = self._series(300) + np.linspace(0, 1, 300)
+
+        def rendered(scale):
+            fig = FigurePlot(series.size)
+            fig.add_line_panel("series", series * scale)
+            fig.add_line_panel("steps", np.abs(series) * scale, steps=True)
+            root = _parse(fig.render())
+            paths = [el.get("points") for el in root.iter() if el.tag.endswith("polyline")]
+            labels = [el.text for el in root.iter() if el.tag.endswith("text")]
+            return paths, labels
+
+        paths, labels = rendered(1.0)
+        for exponent in range(-60, 61):
+            scaled_paths, scaled_labels = rendered(2.0**exponent)
+            assert scaled_paths == paths, exponent
+            if exponent:
+                assert scaled_labels != labels
+
+    def test_constant_panel_is_flat(self):
+        fig = FigurePlot(50)
+        fig.add_line_panel("flat", np.full(50, 1e-13))
+        root = _parse(fig.render())
+        (line,) = [el for el in root.iter() if el.tag.endswith("polyline")]
+        assert len({pair.split(",")[1] for pair in line.get("points").split()}) == 1
+
 
 class TestScatterPlot:
     def test_hit_miss_colors(self):
@@ -153,6 +181,23 @@ class TestScatterPlot:
         svg = scatter_plot([(1.0, 1.0, True)], title="t", x_label="x",
                            y_label="y")
         _parse(svg)
+
+    def test_coordinates_do_not_depend_on_units(self):
+        points = [(1.0, 3.0, True), (2.5, -1.0, False), (4.0, 0.5, True)]
+
+        def circles(scale):
+            svg = scatter_plot(
+                [(x * scale, y * scale, hit) for x, y, hit in points],
+                title="t", x_label="x", y_label="y",
+            )
+            return [
+                (el.get("cx"), el.get("cy"))
+                for el in _parse(svg).iter() if el.tag.endswith("circle")
+            ]
+
+        reference = circles(1.0)
+        for exponent in range(-60, 61):
+            assert circles(2.0**exponent) == reference, exponent
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):

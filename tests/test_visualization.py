@@ -4,17 +4,55 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.anomaly import Anomaly, Discord
 from repro.core.pipeline import GrammarAnomalyDetector
 from repro.exceptions import ParameterError
 from repro.visualization.ascii import (
+    _bin_series,
     density_strip,
     marker_line,
     render_panels,
     sparkline,
 )
 from repro.visualization.report import anomaly_table, grammar_report, rule_table
+from tests.oracles import bin_series_oracle
+
+#: Values across the whole double range: any float (NaN, ±inf and
+#: subnormals included), and mantissas scaled by 1e-300 … 1e300.
+_values = st.lists(
+    st.one_of(
+        st.floats(),
+        st.builds(
+            lambda m, e: m * 10.0**e,
+            st.floats(-10.0, 10.0),
+            st.integers(-300, 300),
+        ),
+    ),
+    min_size=1,
+    max_size=300,
+)
+
+
+class TestBinSeries:
+    @settings(max_examples=300, deadline=None)
+    @given(_values, st.integers(1, 400))
+    def test_equals_the_per_bin_mean(self, values, width):
+        want = bin_series_oracle(np.array(values), width)
+        got = _bin_series(np.array(values), width)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+    @pytest.mark.parametrize("n, width", [(1, 1), (1, 80), (3, 80), (79, 80), (81, 80)])
+    def test_short_series_and_wide_rows(self, n, width):
+        values = np.random.default_rng(n).normal(size=n) * 1e200
+        assert np.array_equal(
+            _bin_series(values, width), bin_series_oracle(values, width)
+        )
+
+    def test_empty_series(self):
+        assert np.array_equal(_bin_series(np.array([]), 5), np.zeros(5))
 
 
 class TestSparkline:
@@ -36,6 +74,20 @@ class TestSparkline:
         # more cells than points still renders full width
         assert len(sparkline([1.0, 5.0], width=20)) == 20
 
+    def test_no_dependence_on_units(self):
+        """Only a range that is not positive is flat: at every power-of-two
+        scale the bins and the cell heights scale exactly."""
+        values = np.sin(np.arange(700) / 9.0) + np.linspace(0, 0.5, 700)
+        reference = sparkline(values)
+        assert len(set(reference)) == 8
+        for exponent in range(-60, 61):
+            assert sparkline(np.ldexp(values, exponent)) == reference, exponent
+
+    def test_tiny_wave_is_drawn(self):
+        wave = np.sin(np.arange(200) / 5.0)
+        assert sparkline(wave * 1e-13, width=40) == sparkline(wave, width=40)
+        assert sparkline(np.full(30, 1e-13), width=10) == "▁" * 10
+
 
 class TestDensityStrip:
     def test_low_density_is_light(self):
@@ -47,6 +99,12 @@ class TestDensityStrip:
 
     def test_constant_curve(self):
         assert density_strip(np.full(20, 3.0), width=5) == "█████"
+
+    def test_no_dependence_on_units(self):
+        curve = np.array([10.0] * 40 + [0.0] * 10 + [10.0] * 40 + [4.0] * 30)
+        reference = density_strip(curve, width=45)
+        for exponent in range(-60, 61):
+            assert density_strip(np.ldexp(curve, exponent), width=45) == reference
 
 
 class TestMarkerLine:
