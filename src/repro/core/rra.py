@@ -400,6 +400,10 @@ def find_discord(
         m_survived = metrics.counter("search.candidates_survived")
         m_best = metrics.counter("search.best_updates")
         m_depth = metrics.histogram("search.abandon_depth")
+        m_work = (
+            metrics.counter("search.pairs_evaluated"),
+            metrics.counter("search.offsets_evaluated"),
+        )
 
     i = state.outer_index
     crossed = 1  # boundaries since the last _on_boundary call
@@ -433,6 +437,9 @@ def find_discord(
                     )
                 finally:
                     counter.batch(run.take_calls())
+                    if instrumented:
+                        for m, done in zip(m_work, run.take_work()):
+                            m.inc(done)
                 span = min(2 * span, run.MAX_OUTERS)
                 flags, depths = run.flags, run.outer_calls
             else:

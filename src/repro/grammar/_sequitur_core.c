@@ -22,19 +22,23 @@ typedef struct {
     int64_t n_rules, cap_rules;
     int64_t *hkeys, *hvals;
     int64_t hcap, hlive, hused; /* live entries; live + tombstones */
+    int hbits;                  /* hcap == 1 << hbits */
     int oom;
 } Seq;
 
 /* ---------------- hash map: packed digram key -> left node -------- */
 
-static uint64_t hash_key(int64_t key)
+/* Fibonacci hashing: the top bits of the product with 2^64 / phi, which
+ * depend on every bit of the key.  (Low bits of a product depend only on
+ * the key's low bits, which hold just the right symbol of a digram.) */
+static uint64_t hash_key(int64_t key, int bits)
 {
-    uint64_t h = (uint64_t)key * 0x9E3779B97F4A7C15ULL;
-    return h ^ (h >> 29);
+    return ((uint64_t)key * 0x9E3779B97F4A7C15ULL) >> (64 - bits);
 }
 
-static int map_rehash(Seq *s, int64_t newcap)
+static int map_rehash(Seq *s, int newbits)
 {
+    int64_t newcap = (int64_t)1 << newbits;
     int64_t *nk = malloc(newcap * sizeof(int64_t));
     int64_t *nv = malloc(newcap * sizeof(int64_t));
     int64_t i;
@@ -48,7 +52,7 @@ static int map_rehash(Seq *s, int64_t newcap)
         nv[i] = EMPTY;
     for (i = 0; i < s->hcap; i++) {
         if (s->hvals[i] >= 0) {
-            uint64_t j = hash_key(s->hkeys[i]) & (newcap - 1);
+            uint64_t j = hash_key(s->hkeys[i], newbits);
             while (nv[j] >= 0)
                 j = (j + 1) & (newcap - 1);
             nk[j] = s->hkeys[i];
@@ -60,6 +64,7 @@ static int map_rehash(Seq *s, int64_t newcap)
     s->hkeys = nk;
     s->hvals = nv;
     s->hcap = newcap;
+    s->hbits = newbits;
     s->hused = s->hlive;
     return 0;
 }
@@ -68,7 +73,7 @@ static int map_rehash(Seq *s, int64_t newcap)
 static int64_t map_find(const Seq *s, int64_t key)
 {
     uint64_t mask = (uint64_t)s->hcap - 1;
-    uint64_t j = hash_key(key) & mask;
+    uint64_t j = hash_key(key, s->hbits);
     for (;;) {
         int64_t v = s->hvals[j];
         if (v == EMPTY)
@@ -88,7 +93,7 @@ static int64_t map_get(const Seq *s, int64_t key)
 static void map_put(Seq *s, int64_t key, int64_t val)
 {
     uint64_t mask = (uint64_t)s->hcap - 1;
-    uint64_t j = hash_key(key) & mask;
+    uint64_t j = hash_key(key, s->hbits);
     int64_t tomb = -1;
     for (;;) {
         int64_t v = s->hvals[j];
@@ -102,7 +107,7 @@ static void map_put(Seq *s, int64_t key, int64_t val)
             s->hvals[j] = val;
             s->hlive++;
             if (s->hused * 4 >= s->hcap * 3)
-                map_rehash(s, s->hcap * 2);
+                map_rehash(s, s->hbits + 1);
             return;
         }
         if (v == TOMB) {
@@ -361,7 +366,8 @@ Seq *seq_new(void)
     s->cap_rules = 64;
     s->guards = malloc(s->cap_rules * sizeof(int64_t));
     s->refcount = malloc(s->cap_rules * sizeof(int64_t));
-    s->hcap = 1024;
+    s->hbits = 10;
+    s->hcap = (int64_t)1 << s->hbits;
     s->hkeys = malloc(s->hcap * sizeof(int64_t));
     s->hvals = malloc(s->hcap * sizeof(int64_t));
     if (!s->code || !s->prv || !s->nxt || !s->guards || !s->refcount

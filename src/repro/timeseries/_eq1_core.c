@@ -21,6 +21,10 @@
  *     is reproduced as the same left-to-right sum;
  *   - Python's max(sq, 0.0), NumPy's NaN-propagating min and the
  *     best < 0.0 clamp are written literally;
+ *   - a pair or an alignment offset is skipped only where a PAA lower
+ *     bound, less a rigorous rounding margin, proves that its distance
+ *     cannot change the scan's outcome or the pair's minimum (DESIGN.md
+ *     section 20); every distance that is computed is computed as above;
  *   - the shuffle is Generator.shuffle's Fisher-Yates over NumPy's
  *     random_interval, drawn through the generator's own bitgen_t, so
  *     the permutation and the generator state afterwards are NumPy's.
@@ -32,6 +36,7 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/mman.h>
 
 typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx,
                           const double *y, int64_t incy);
@@ -40,13 +45,36 @@ typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx,
 #define SMALL_KERNEL 11
 #define EMPTY_KEY UINT64_MAX
 
+/* The lower bound (DESIGN.md section 20): PAA segments of the shorter
+ * candidate, the unit roundoffs of float64 and float32, the split
+ * (a + d)^2 <= (1 + ETA) a^2 + (1 + 1/ETA) d^2 of a rounding error d off
+ * a segment difference a, and the largest absolute value sum of an id
+ * that gets a bound (larger ones, and non-finite ones, get none). */
+#define SEGMENTS 32
+#define U64 0x1p-53
+#define U32 0x1p-24
+#define ETA 0x1p-8
+#define L1_MAX 0x1p50
+/* Offsets whose bounds are computed together. */
+#define LANES 8
+/* The bounds get an AVX2 clone beside the baseline one where GCC can
+ * dispatch between them at load time (ifunc, x86-64 glibc). */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__GLIBC__)
+#define BOUND_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define BOUND_CLONES
+#endif
+
 typedef struct {
     ddot_fn ddot;
     /* per-id tables */
     int64_t n_ids, cap_ids;
     int64_t *start, *len, *off;
     double *sqnorm;
-    /* value pool: len values then len + 1 squared cumsums per id */
+    /* error scale of the id's float32 window sums; -1 when unbounded */
+    double *sum_err;
+    /* value pool per id: len values, len + 1 squared cumsums, then the
+     * len + 1 float32 prefix sums of the values (in whole doubles) */
     double *pool;
     int64_t pool_used, pool_cap;
     /* pair-distance memo: open addressing, linear probing */
@@ -56,6 +84,9 @@ typedef struct {
     /* eq1_rank's inner-order scratch */
     int64_t *order;
     int64_t order_cap;
+    /* the bound's scratch: window sums and per-offset bounds */
+    float *window_sums, *bounds;
+    int64_t bound_cap;
 } eq1_set;
 
 static uint64_t hash64(uint64_t x) {
@@ -126,6 +157,28 @@ static void memo_put(eq1_set *s, int64_t a, int64_t b, double dist) {
     s->dists[slot] = dist;
 }
 
+/*
+ * The value pool is mapped from the system directly, not taken from
+ * malloc: glibc raises its mmap threshold to the size of every mapped
+ * block that is freed, after which later pools of that size come from
+ * the heap and stay resident once freed, so a process that runs many
+ * searches would keep its largest pools.  Under AddressSanitizer the
+ * pool is malloc'd, so that its bounds are checked.
+ */
+#if defined(MAP_ANONYMOUS) && !defined(__SANITIZE_ADDRESS__)
+static double *pool_alloc(int64_t words) {
+    void *p = mmap(NULL, (size_t)words * sizeof(double), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    return p == MAP_FAILED ? NULL : p;
+}
+static void pool_free(double *pool, int64_t words) {
+    if (pool) munmap(pool, (size_t)words * sizeof(double));
+}
+#else
+static double *pool_alloc(int64_t words) { return malloc((size_t)words * sizeof(double)); }
+static void pool_free(double *pool, int64_t words) { (void)words; free(pool); }
+#endif
+
 void *eq1_new(void *ddot) {
     eq1_set *s = calloc(1, sizeof *s);
     if (!s) return NULL;
@@ -143,10 +196,13 @@ void eq1_free(eq1_set *s) {
     free(s->len);
     free(s->off);
     free(s->sqnorm);
-    free(s->pool);
+    pool_free(s->pool, s->pool_cap);
     free(s->keys);
     free(s->dists);
     free(s->order);
+    free(s->sum_err);
+    free(s->window_sums);
+    free(s->bounds);
     free(s);
 }
 
@@ -164,22 +220,27 @@ static int grow(void **p, int64_t cap, size_t size) {
  *   mean = (c[e] - c[s]) / n, var = max(0.0, (c2[e] - c2[s]) / n - mean^2),
  *   values = x[s:e] - mean, divided by sqrt(var) when that is >= threshold;
  * then sqnorm = 0.0 + ddot(values, values), as np.dot, and the squared
- * cumulative sum in the sequential order of np.cumsum.  Returns the id
- * of the first interval (the rest follow consecutively), or -1 when out
- * of memory.
+ * cumulative sum in the sequential order of np.cumsum.  The bound's
+ * inputs follow: the prefix sums of the values, summed in double and
+ * stored as float32, and the error scale of window sums taken from them
+ * (DESIGN.md section 20).  Returns the id of the first interval (the
+ * rest follow consecutively), or -1 when out of memory.
  */
+static int64_t pool_words(int64_t n) { return 2 * n + 1 + (n + 2) / 2; }
+
 int64_t eq1_add_spans(eq1_set *s, int64_t count, const int64_t *start,
                       const int64_t *end, const double *x, const double *c,
                       const double *c2, double threshold) {
     int64_t need_ids = s->n_ids + count, need_pool = s->pool_used;
-    for (int64_t i = 0; i < count; i++) need_pool += 2 * (end[i] - start[i]) + 1;
+    for (int64_t i = 0; i < count; i++) need_pool += pool_words(end[i] - start[i]);
     if (need_ids > s->cap_ids) {
         int64_t cap = s->cap_ids ? 2 * s->cap_ids : 256;
         while (cap < need_ids) cap *= 2;
         if (grow((void **)&s->start, cap, sizeof(int64_t)) ||
             grow((void **)&s->len, cap, sizeof(int64_t)) ||
             grow((void **)&s->off, cap, sizeof(int64_t)) ||
-            grow((void **)&s->sqnorm, cap, sizeof(double)))
+            grow((void **)&s->sqnorm, cap, sizeof(double)) ||
+            grow((void **)&s->sum_err, cap, sizeof(double)))
             return -1;
         s->cap_ids = cap;
     }
@@ -188,7 +249,11 @@ int64_t eq1_add_spans(eq1_set *s, int64_t count, const int64_t *start,
          * candidate of a search; geometric after that. */
         int64_t cap = s->pool_cap + s->pool_cap / 2;
         if (cap < need_pool) cap = need_pool;
-        if (grow((void **)&s->pool, cap, sizeof(double))) return -1;
+        double *pool = pool_alloc(cap);
+        if (!pool) return -1;
+        if (s->pool_used) memcpy(pool, s->pool, (size_t)s->pool_used * sizeof(double));
+        pool_free(s->pool, s->pool_cap);
+        s->pool = pool;
         s->pool_cap = cap;
     }
     int64_t first = s->n_ids;
@@ -205,11 +270,22 @@ int64_t eq1_add_spans(eq1_set *s, int64_t count, const int64_t *start,
         sqnorm += s->ddot(n, values, 1, values, 1);
         cum[0] = 0.0;
         for (int64_t k = 0; k < n; k++) cum[k + 1] = cum[k] + values[k] * values[k];
+        float *prefix = (float *)(cum + n + 1);
+        double l1 = 0.0, sum = 0.0;
+        for (int64_t k = 0; k < n; k++) l1 += fabs(values[k]);
+        int bounded = l1 <= L1_MAX; /* false for inf and NaN */
+        prefix[0] = 0.0f;
+        for (int64_t k = 0; k < n; k++) {
+            sum += values[k];
+            prefix[k + 1] = bounded ? (float)sum : 0.0f;
+        }
         s->start[id] = a;
         s->len[id] = n;
         s->off[id] = s->pool_used;
         s->sqnorm[id] = sqnorm;
-        s->pool_used += 2 * n + 1;
+        s->sum_err[id] = bounded
+            ? (2.1 * (double)(n + 2) * U64 + 4.2 * U32) * l1 + 0x1p-140 : -1.0;
+        s->pool_used += pool_words(n);
     }
     return first;
 }
@@ -225,42 +301,192 @@ static double cross(const eq1_set *s, const double *x, const double *k, int64_t 
     return sum;
 }
 
-/* Eq. 1 distance between ids a and b (no memo). */
-static double pair(const eq1_set *s, int64_t a, int64_t b) {
-    int64_t na = s->len[a], nb = s->len[b];
-    const double *va = s->pool + s->off[a], *vb = s->pool + s->off[b];
-    if (na == nb) {
-        double dot = 0.0;
-        dot += s->ddot(na, va, 1, vb, 1);
-        double sq = s->sqnorm[a] + s->sqnorm[b] - 2.0 * dot;
-        if (0.0 > sq) sq = 0.0; /* Python max(sq, 0.0): keeps NaN */
-        return sqrt(sq / (double)na);
+/* Squared Eq. 1 distance of short k (n values, squared norm k_sqnorm) and
+ * long x (squared cumsum cum) at offset o, as NumPy evaluates it. */
+static double offset_sq(const eq1_set *s, const double *k, double k_sqnorm,
+                        const double *x, const double *cum, int64_t n, int64_t o) {
+    return (k_sqnorm + (cum[o + n] - cum[o])) - 2.0 * cross(s, x + o, k, n);
+}
+
+/* The id's float32 prefix sums of its values (after its squared cumsum). */
+static const float *prefix_of(const eq1_set *s, int64_t id) {
+    return (const float *)(s->pool + s->off[id] + 2 * s->len[id] + 1);
+}
+
+/* Room for the bound's scratch of a longer candidate of length n. */
+static int bound_scratch(eq1_set *s, int64_t n) {
+    n += LANES;
+    if (n <= s->bound_cap) return 0;
+    if (grow((void **)&s->window_sums, n, sizeof(float)) ||
+        grow((void **)&s->bounds, n, sizeof(float)))
+        return -1;
+    s->bound_cap = n;
+    return 0;
+}
+
+/* LANES float32s in one vector (GCC and Clang vector extensions; the
+ * compiler splits or scalarizes it where the target has no such unit). */
+typedef float lanes_t __attribute__((vector_size(4 * LANES)));
+typedef int32_t lane_mask_t __attribute__((vector_size(4 * LANES)));
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wpsabi" /* lanes_t never crosses a call */
+#endif
+
+static inline __attribute__((always_inline)) lanes_t load_lanes(const float *p) {
+    lanes_t v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/*
+ * The float32 PAA bounds of one pair (DESIGN.md section 20).  The
+ * shorter candidate's first SEGMENTS * w values form SEGMENTS segments of
+ * width w; sk holds their sums and ws the longer candidate's width-w
+ * window sums, both differences of float32 prefix sums, and
+ *   bounds[o] = sum_g (ws[o + g w] - sk[g])^2,
+ * which is at most w times the pair's exact squared distance at offset o
+ * (Cauchy-Schwarz on each segment), up to the margin pair() adds.
+ * LANES offsets are bounded at once, each as four interleaved partial
+ * sums; ws is zero-padded so that the last group reads no garbage, and
+ * bounds past the last offset are never read.  Returns the least bound.
+ */
+BOUND_CLONES
+static float paa_bounds(const float *restrict short_prefix,
+                        const float *restrict long_prefix, int64_t w,
+                        int64_t offsets, float *restrict ws,
+                        float *restrict bounds) {
+    float sk[SEGMENTS];
+    for (int64_t g = 0; g < SEGMENTS; g++)
+        sk[g] = short_prefix[(g + 1) * w] - short_prefix[g * w];
+    int64_t n_ws = offsets + (SEGMENTS - 1) * w, t = 0;
+    for (; t + LANES <= n_ws; t += LANES) {
+        lanes_t v = load_lanes(long_prefix + t + w) - load_lanes(long_prefix + t);
+        memcpy(ws + t, &v, sizeof v);
     }
+    for (; t < n_ws; t++) ws[t] = long_prefix[t + w] - long_prefix[t];
+    for (; t < n_ws + LANES - 1; t++) ws[t] = 0.0f;
+    lanes_t least = (lanes_t){0.0f} + INFINITY;
+    float tail = INFINITY;
+    for (int64_t o = 0; o < offsets; o += LANES) {
+        lanes_t a0 = {0.0f}, a1 = {0.0f}, a2 = {0.0f}, a3 = {0.0f};
+        for (int64_t g = 0; g < SEGMENTS; g += 4) {
+            const float *wg = ws + o + g * w;
+            lanes_t d0 = load_lanes(wg) - sk[g];
+            lanes_t d1 = load_lanes(wg + w) - sk[g + 1];
+            lanes_t d2 = load_lanes(wg + 2 * w) - sk[g + 2];
+            lanes_t d3 = load_lanes(wg + 3 * w) - sk[g + 3];
+            a0 += d0 * d0;
+            a1 += d1 * d1;
+            a2 += d2 * d2;
+            a3 += d3 * d3;
+        }
+        lanes_t sum = (a0 + a1) + (a2 + a3);
+        memcpy(bounds + o, &sum, sizeof sum);
+        if (o + LANES <= offsets) {
+            lane_mask_t lower = sum < least;
+            least = (lanes_t)(((lane_mask_t)sum & lower) | ((lane_mask_t)least & ~lower));
+        } else {
+            for (int64_t j = o; j < offsets; j++)
+                if (bounds[j] < tail) tail = bounds[j];
+        }
+    }
+    for (int j = 0; j < LANES; j++)
+        if (least[j] < tail) tail = least[j];
+    return tail;
+}
+
+/*
+ * Eq. 1 distance between ids a and b (no memo) into *out; returns 1.
+ * Counts the pair in work[0] and each offset it evaluates in work[1].
+ *
+ * With a bound (the shorter length is at least SEGMENTS and both ids
+ * are bounded), a bound b[o] above k1 * t + k0 proves that the computed
+ * squared distance at offset o exceeds t >= 0.  So the call returns 0,
+ * computing nothing, when that holds at every offset for
+ * t = nearest^2 n (1 + 8u), whose distance rounds to at least nearest;
+ * otherwise it evaluates the offset of the least bound first and then
+ * only the offsets whose bound does not exceed the running minimum.
+ * The minimum, and so the distance, is the one of all offsets.
+ */
+static int pair(eq1_set *s, int64_t a, int64_t b, double nearest, double *out,
+                int64_t *work) {
+    int64_t na = s->len[a], nb = s->len[b];
     int64_t shrt = na < nb ? a : b, lng = na < nb ? b : a;
-    int64_t n = s->len[shrt], offsets = s->len[lng] - n + 1;
+    int64_t n = s->len[shrt], n_long = s->len[lng], offsets = n_long - n + 1;
     const double *k = s->pool + s->off[shrt];
     const double *x = s->pool + s->off[lng];
-    const double *cum = x + s->len[lng];
+    const double *cum = x + n_long;
     double short_sqnorm = s->sqnorm[shrt];
-    double best = 0.0;
-    for (int64_t o = 0; o < offsets; o++) {
-        double sq = (short_sqnorm + (cum[o + n] - cum[o])) - 2.0 * cross(s, x + o, k, n);
-        if (isnan(sq)) { /* np.min propagates NaN */
+    const float *bounds = NULL;
+    float least = 0.0f;
+    double k1 = 0.0, k0 = 0.0;
+    if (n >= SEGMENTS && s->sum_err[shrt] >= 0.0 && s->sum_err[lng] >= 0.0 &&
+        (offsets > 1 || nearest < INFINITY) && bound_scratch(s, n_long) == 0) {
+        int64_t w = n / SEGMENTS;
+        least = paa_bounds(prefix_of(s, shrt), prefix_of(s, lng), w, offsets,
+                           s->window_sums, s->bounds);
+        bounds = s->bounds;
+        double err = 6.0 * (double)(n_long + 3) * U64 * (short_sqnorm + cum[n_long]);
+        double delta = s->sum_err[shrt] + s->sum_err[lng];
+        double rho = 1.0 + 2.0 * (SEGMENTS + 3) * U32, pad = 1.0 + 64.0 * U64;
+        k1 = pad * rho * (1.0 + ETA) * (double)w;
+        k0 = pad * (rho * ((1.0 + ETA) * (double)w * err +
+                           SEGMENTS * (1.0 + 1.0 / ETA) * delta * delta) + 0x1p-130);
+        if (nearest >= 0x1p-500 && nearest < INFINITY &&
+            (double)least > k1 * (nearest * nearest * (double)n * (1.0 + 8.0 * U64)) + k0)
+            return 0;
+    }
+    work[0]++;
+    if (na == nb) {
+        const double *va = s->pool + s->off[a], *vb = s->pool + s->off[b];
+        double dot = 0.0;
+        dot += s->ddot(na, va, 1, vb, 1);
+        work[1]++;
+        double sq = s->sqnorm[a] + s->sqnorm[b] - 2.0 * dot;
+        if (0.0 > sq) sq = 0.0; /* Python max(sq, 0.0): keeps NaN */
+        *out = sqrt(sq / (double)na);
+        return 1;
+    }
+    int64_t first = 0;
+    if (bounds)
+        while (bounds[first] != least) first++;
+    double best = offset_sq(s, k, short_sqnorm, x, cum, n, first);
+    double limit = k1 * (best > 0.0 ? best : 0.0) + k0;
+    work[1]++;
+    for (int64_t o = 0; o < offsets && !isnan(best); o++) {
+        if (o == first || (bounds && (double)bounds[o] > limit)) continue;
+        double sq = offset_sq(s, k, short_sqnorm, x, cum, n, o);
+        work[1]++;
+        if (isnan(sq) || sq < best) { /* np.min propagates NaN */
             best = sq;
-            break;
+            limit = k1 * (best > 0.0 ? best : 0.0) + k0;
         }
-        if (o == 0 || sq < best) best = sq;
     }
     if (best < 0.0) best = 0.0;
-    return sqrt(best / (double)n);
+    *out = sqrt(best / (double)n);
+    return 1;
+}
+
+/*
+ * The memoized Eq. 1 distance between ids a and b into *dist, and 1; or
+ * 0 when it is proved to be at least nearest and so cannot lower it: no
+ * distance is below 0.0, and pair() may prove it from the bound.  Such
+ * a pair is neither computed nor memoized.
+ */
+static int distance_below(eq1_set *s, int64_t a, int64_t b, double nearest,
+                          double *dist, int64_t *work) {
+    if (nearest == 0.0) return 0;
+    if (memo_get(s, a, b, dist)) return 1;
+    if (!pair(s, a, b, nearest, dist, work)) return 0;
+    memo_put(s, a, b, *dist);
+    return 1;
 }
 
 /* Memoized Eq. 1 distance between ids a and b. */
 double eq1_distance(eq1_set *s, int64_t a, int64_t b) {
     double dist;
-    if (memo_get(s, a, b, &dist)) return dist;
-    dist = pair(s, a, b);
-    memo_put(s, a, b, dist);
+    int64_t work[2] = {0, 0};
+    distance_below(s, a, b, INFINITY, &dist, work);
     return dist;
 }
 
@@ -269,10 +495,14 @@ double eq1_distance(eq1_set *s, int64_t a, int64_t b) {
  * matches (|p.start - q.start| <= len(p), paper line 7), counts every
  * other pair as one distance call, and stops at the first distance below
  * best_dist.  Writes the nearest distance seen and adds the call count
- * to *calls; returns 1 when the scan abandoned p, else 0.
+ * to *calls; returns 1 when the scan abandoned p, else 0.  A pair proved
+ * to be at least the nearest so far is counted but not computed: since
+ * nearest >= best_dist, it could neither abandon p nor lower nearest.
+ * The pairs and offsets computed are added to work[0] and work[1].
  */
 int eq1_scan(eq1_set *s, int64_t p, const int64_t *ids, int64_t n,
-             double best_dist, double *nearest_out, int64_t *calls) {
+             double best_dist, double *nearest_out, int64_t *calls,
+             int64_t *work) {
     int64_t p_start = s->start[p], p_len = s->len[p], visited = 0;
     double nearest = INFINITY;
     int abandoned = 0;
@@ -281,7 +511,8 @@ int eq1_scan(eq1_set *s, int64_t p, const int64_t *ids, int64_t n,
         if (gap < 0) gap = -gap;
         if (gap <= p_len) continue;
         visited++;
-        double dist = eq1_distance(s, p, ids[i]);
+        double dist;
+        if (!distance_below(s, p, ids[i], nearest, &dist, work)) continue;
         if (dist < best_dist) {
             abandoned = 1;
             break;
@@ -349,14 +580,15 @@ void eq1_shuffle(void *bitgen, int64_t *a, int64_t n) {
  * a new best, else unchanged) and adds the pairs to *calls.  For each
  * outer position k run, flags[k - first] is 1 when p was abandoned, 2
  * when it became the best, else 0, and outer_calls[k - first] is its
- * pair count.  Returns the position it stopped before, or -1 when out
- * of memory.
+ * pair count.  The pairs and offsets computed are added to work[0] and
+ * work[1].  Returns the position it stopped before, or -1 when out of
+ * memory.
  */
 int64_t eq1_rank(eq1_set *s, int64_t n, const int64_t *ids, const int64_t *keys,
                  const int64_t *outer, void *bitgen, int64_t first,
                  int64_t stop, int64_t calls_left, double *best_dist,
                  int64_t *best, int64_t *calls, int8_t *flags,
-                 int64_t *outer_calls) {
+                 int64_t *outer_calls, int64_t *work) {
     if (n > s->order_cap) {
         if (grow((void **)&s->order, n, sizeof(int64_t))) return -1;
         s->order_cap = n;
@@ -373,7 +605,7 @@ int64_t eq1_rank(eq1_set *s, int64_t n, const int64_t *ids, const int64_t *keys,
         double nearest;
         int64_t visited = 0;
         int abandoned = eq1_scan(s, ids[p], order, n_same + n_rest, *best_dist,
-                                 &nearest, &visited);
+                                 &nearest, &visited, work);
         spent += visited;
         flags[k - first] = (int8_t)abandoned;
         outer_calls[k - first] = visited;

@@ -3,7 +3,9 @@
 One C call runs a stretch of outer candidates of one RRA rank (paper
 Algorithm 1): for each, the inner ordering and its shuffle, the paper
 line-7 self-match skip, the Eq. 1 pair distance, early abandoning and the
-nearest-neighbour and best-so-far updates.  The core also builds the
+nearest-neighbour and best-so-far updates.  A lower bound lets it skip the
+pairs and alignment offsets that provably cannot change the answer
+(DESIGN.md §20).  The core also builds the
 candidate table (z-normalized values, norms, squared cumulative sums)
 from the series' centred prefix sums.  :func:`repro.core.rra.find_discord`
 returns to Python only at its boundaries (DESIGN.md §16).
@@ -23,6 +25,7 @@ or a failed probe makes :func:`load` return None
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 from pathlib import Path
 
@@ -78,12 +81,12 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.eq1_add_spans.restype = i64
     lib.eq1_distance.argtypes = [ptr, i64, i64]
     lib.eq1_distance.restype = f64
-    lib.eq1_scan.argtypes = [ptr, i64, ptr, i64, f64, ptr, ptr]
+    lib.eq1_scan.argtypes = [ptr, i64, ptr, i64, f64, ptr, ptr, ptr]
     lib.eq1_scan.restype = ctypes.c_int
     lib.eq1_shuffle.argtypes = [ptr, ptr, i64]
     lib.eq1_shuffle.restype = None
     lib.eq1_rank.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, i64, i64, i64,
-                             ptr, ptr, ptr, ptr, ptr]
+                             ptr, ptr, ptr, ptr, ptr, ptr]
     lib.eq1_rank.restype = i64
     lib.ddot_address = _numpy_ddot()
     return lib
@@ -119,6 +122,8 @@ class Eq1Tables:
         if not self.handle:
             raise MemoryError("eq1 core: allocation failed")
         self._free = lib.eq1_free
+        #: Pair distances and alignment offsets :meth:`nearest` computed.
+        self.work = np.zeros(2, dtype=np.int64)
 
     def __del__(self):
         if getattr(self, "handle", None):
@@ -156,7 +161,7 @@ class Eq1Tables:
         nearest, calls = ctypes.c_double(), ctypes.c_int64()
         self.lib.eq1_scan(
             self.handle, p, ids.ctypes.data, ids.size, 0.0,
-            ctypes.addressof(nearest), ctypes.addressof(calls),
+            ctypes.addressof(nearest), ctypes.addressof(calls), self.work.ctypes.data,
         )
         return nearest.value, calls.value
 
@@ -187,9 +192,12 @@ class RankRun:
         #: 2 when it became the best, else 0; and its pairs.
         self.flags = np.zeros(self.MAX_OUTERS, dtype=np.int8)
         self.outer_calls = np.zeros(self.MAX_OUTERS, dtype=np.int64)
+        #: Pair distances and alignment offsets the calls computed: the
+        #: physical work behind :attr:`calls`, less what the bounds skip.
+        self.work = np.zeros(2, dtype=np.int64)
         self._outs = tuple(
             ctypes.addressof(v) for v in (self._best_dist, self._best, self.calls)
-        ) + (self.flags.ctypes.data, self.outer_calls.ctypes.data)
+        ) + (self.flags.ctypes.data, self.outer_calls.ctypes.data, self.work.ctypes.data)
 
     def __call__(
         self, first: int, stop: int, calls_left: int, best_dist: float,
@@ -200,10 +208,10 @@ class RankRun:
 
         The run ends before *stop* at the first later boundary where its
         pairs reach *calls_left*.  *best* is the outer position of a new
-        best, else -1.  The visited pairs are added to :attr:`calls` and
-        the per-candidate outcomes written to :attr:`flags` and
-        :attr:`outer_calls`.  Holds the generator's lock, as
-        ``Generator.shuffle`` does.
+        best, else -1.  The visited pairs are added to :attr:`calls`, the
+        computed pairs and offsets to :attr:`work`, and the per-candidate
+        outcomes written to :attr:`flags` and :attr:`outer_calls`.  Holds
+        the generator's lock, as ``Generator.shuffle`` does.
         """
         self._best_dist.value = best_dist
         self._best.value = -1
@@ -223,6 +231,12 @@ class RankRun:
         self.calls.value = 0
         return calls
 
+    def take_work(self) -> list[int]:
+        """Read :attr:`work` and reset it to zero."""
+        work = self.work.tolist()
+        self.work[:] = 0
+        return work
+
 
 def _probe(lib: ctypes.CDLL) -> bool:
     """True when the core reproduces ``pair_distance`` and
@@ -230,9 +244,12 @@ def _probe(lib: ctypes.CDLL) -> bool:
 
     The pairs cover the unrolled small-kernel correlate (short length
     ≤ 11), the BLAS one, equal lengths, a flat (unscaled) window, both
-    argument orders and memo hits.  The shuffles cover empty and short
-    arrays and a buffered 32-bit half-word, and compare the generator
-    state afterwards.
+    argument orders, memo hits and offsets pruned by the bound.  The
+    scans run over repeated integer-level motifs: the bound is tight on
+    them and the distances are near-ties, so pairs are skipped and
+    offsets pruned at the margin (DESIGN.md §20).  The shuffles cover
+    empty and short arrays and a buffered 32-bit half-word, and compare
+    the generator state afterwards.
     """
     from repro.core.rra import _CandidateSet
     from repro.grammar.intervals import RuleInterval
@@ -252,6 +269,23 @@ def _probe(lib: ctypes.CDLL) -> bool:
                 got = fast.tables.distance(int(a), int(b))
                 if want.hex() != got.hex():
                     return False
+    rng = np.random.default_rng(5)
+    motif = rng.integers(0, 4, size=24)
+    levels = np.concatenate([motif + (rng.random(24) < 0.05) for _ in range(8)])
+    ties = np.repeat(levels.astype(float), 2)
+    spans = zip(rng.integers(0, 136, size=12) * 2, rng.choice([64, 80, 96, 112], size=12))
+    intervals = [RuleInterval(0, int(s), int(s + n), usage=1) for s, n in spans]
+    reference = _CandidateSet(ties, core=False)
+    fast = _CandidateSet(ties, core=lib)
+    ids = fast.idents(intervals)
+    for p, p_id in zip(intervals, ids.tolist()):
+        want = min(
+            (reference.pair_distance(p, q) for q in intervals
+             if abs(p.start - q.start) > p.length),
+            default=math.inf,
+        )
+        if want.hex() != fast.tables.nearest(p_id, ids)[0].hex():
+            return False
     for seed, n in enumerate((0, 1, 2, 3, 70, 1000)):
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         for generator in (rng, twin)[: seed % 2 * 2]:

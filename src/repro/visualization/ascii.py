@@ -11,6 +11,8 @@ from repro.exceptions import ParameterError
 _BLOCKS = "▁▂▃▄▅▆▇█"
 #: Shades used by the density strip: light = low density (anomalous).
 _SHADES = " ░▒▓█"
+#: The cell of a bin whose mean is NaN: there is no value to draw.
+_MISSING = "·"
 
 
 def _bin_series(values: np.ndarray, width: int) -> np.ndarray:
@@ -37,19 +39,49 @@ def _bin_series(values: np.ndarray, width: int) -> np.ndarray:
     return binned
 
 
+def _glyph_row(binned: np.ndarray, glyphs: str, flat: str) -> str:
+    """One glyph per bin, on a linear scale from the least finite bin
+    (``glyphs[0]``) to the greatest (``glyphs[-1]``).
+
+    A ``-inf`` bin takes ``glyphs[0]``, a ``+inf`` bin ``glyphs[-1]`` and
+    a NaN bin :data:`_MISSING`.  When the finite bins span no range they
+    all take *flat*.  A range wider than the largest double is scaled by
+    its halves, which are exact, so it does not overflow.
+    """
+    top = len(glyphs) - 1
+    finite = np.isfinite(binned)
+    values = binned[finite]
+    lo = float(values.min()) if values.size else 0.0
+    hi = float(values.max()) if values.size else 0.0
+    idx = np.where(binned > 0, top, 0)  # the infinite bins' ends
+    if hi > lo:
+        if np.isinf(hi - lo):
+            scaled = (values / 2 - lo / 2) / (hi / 2 - lo / 2)
+        else:
+            scaled = (values - lo) / (hi - lo)
+        idx[finite] = (scaled * top).round().astype(int)
+    cells = [glyphs[i] for i in idx.tolist()]
+    if not hi > lo:
+        for i in np.flatnonzero(finite).tolist():
+            cells[i] = flat
+    for i in np.flatnonzero(np.isnan(binned)).tolist():
+        cells[i] = _MISSING
+    return "".join(cells)
+
+
 def sparkline(values: np.ndarray, width: int = 80) -> str:
     """One-line block-character sparkline of *values*.
 
+    Bins holding ``±inf`` draw as the lowest or highest block and NaN
+    bins as :data:`_MISSING`.
+
     >>> sparkline([0, 1, 2, 3], width=4)
     '▁▃▆█'
+    >>> sparkline([0.0, float("inf"), float("nan")], width=3)
+    '▁█·'
     """
     binned = _bin_series(np.asarray(values, dtype=float), width)
-    lo = float(binned.min())
-    hi = float(binned.max())
-    if not hi > lo:
-        return _BLOCKS[0] * width
-    idx = ((binned - lo) / (hi - lo) * (len(_BLOCKS) - 1)).round().astype(int)
-    return "".join(_BLOCKS[i] for i in idx)
+    return _glyph_row(binned, _BLOCKS, _BLOCKS[0])
 
 
 def density_strip(curve: np.ndarray, width: int = 80) -> str:
@@ -57,14 +89,10 @@ def density_strip(curve: np.ndarray, width: int = 80) -> str:
 
     Light/blank cells mark the algorithmically anomalous regions — this
     is the textual equivalent of GrammarViz's blue shading (Figure 12).
+    Non-finite bins follow :func:`sparkline`.
     """
     binned = _bin_series(np.asarray(curve, dtype=float), width)
-    lo = float(binned.min())
-    hi = float(binned.max())
-    if not hi > lo:
-        return _SHADES[-1] * width
-    idx = ((binned - lo) / (hi - lo) * (len(_SHADES) - 1)).round().astype(int)
-    return "".join(_SHADES[i] for i in idx)
+    return _glyph_row(binned, _SHADES, _SHADES[-1])
 
 
 def marker_line(

@@ -4,9 +4,12 @@ A child process builds ``_sequitur_core.c``, ``_eq1_core.c``,
 ``_sax_core.c`` and ``_io_core.c`` with ``-fsanitize=address,undefined``
 into a temporary build directory, with the ASan runtime preloaded, and
 fuzzes each core against its Python path: Sequitur grammars, the RRA
-rank loop (budgets, checkpoint resume, the nearest-neighbour scan), the
-core's shuffle, discretize (random offsets and scales, flat stretches,
-fractional segment edges, every numerosity strategy) and the series
+rank loop (budgets, checkpoint resume, the nearest-neighbour scan, and
+repeated integer-level motifs on which the lower bound skips pairs and
+prunes offsets at its margin, with candidates up to the whole series so
+that the bound's scratch grows), the core's shuffle, discretize (random
+offsets and scales, flat stretches, fractional segment edges, every
+numerosity strategy) and the series
 reader (random byte buffers, each in an exactly sized ``malloc`` block
 so that a read past its end is caught, among them buffers that end
 mid-token, mid-exponent or after a lone sign, and 10k-digit tokens).
@@ -36,7 +39,7 @@ _cbuild.CFLAGS = _cbuild.CFLAGS + (
     "-fno-omit-frame-pointer",
 )
 _cbuild._find_compiler = lambda: sys.argv[3]  # the gcc whose libasan is preloaded
-from repro.core.rra import find_discords, nearest_neighbor_distances
+from repro.core.rra import _CandidateSet, find_discords, nearest_neighbor_distances
 from repro.grammar import ccore
 from repro.grammar.intervals import RuleInterval
 from repro.grammar.sequitur import induce_grammar
@@ -72,6 +75,24 @@ def dump(result, rng):
 fuzz = np.random.default_rng(int(sys.argv[1]))
 def words(disc):
     return disc.offsets.tolist(), disc.token_ids.tolist(), disc.vocabulary
+
+
+# The bound's work over the motif scans: pairs visited and evaluated,
+# offsets of the visited pairs and offsets evaluated.
+bound_work = np.zeros(4, dtype=np.int64)
+
+
+def motif_scans(series, intervals):
+    gate("require")
+    cache = _CandidateSet(series)
+    ids = cache.idents(intervals)
+    for p, p_id in zip(intervals, ids.tolist()):
+        bound_work[0] += cache.tables.nearest(p_id, ids)[1]
+        bound_work[2] += sum(
+            abs(q.length - p.length) + 1 for q in intervals
+            if abs(p.start - q.start) > p.length
+        )
+    bound_work[[1, 3]] += cache.tables.work
 
 
 gate("require")
@@ -126,6 +147,18 @@ for trial in range(int(sys.argv[2])):
     both(resume)
     both(lambda: [(iv.start, iv.end, d.hex()) for iv, d in nearest_neighbor_distances(series, intervals)])
 
+    motif = fuzz.integers(0, 4, size=int(fuzz.integers(8, 40))).astype(float)
+    series = np.repeat(np.tile(motif, int(fuzz.integers(4, 12))), int(fuzz.choice([1, 2, 4])))
+    intervals = []
+    for _ in range(int(fuzz.integers(2, 24))):
+        n = int(fuzz.integers(2, series.size))
+        start = int(fuzz.integers(0, series.size - n + 1))
+        rule = int(fuzz.integers(-1, 3))
+        intervals.append(RuleInterval(rule, start, start + n, usage=int(fuzz.integers(0, 3))))
+    both(search)
+    both(lambda: [(iv.start, iv.end, d.hex()) for iv, d in nearest_neighbor_distances(series, intervals)])
+    motif_scans(series, intervals)
+
     gate("require")
     ids = fuzz.integers(0, 10**9, size=int(fuzz.integers(0, 5000)))
     core, numpy_ = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -134,6 +167,9 @@ for trial in range(int(sys.argv[2])):
     numpy_.shuffle(ids)
     assert np.array_equal(got, ids)
     assert core.bit_generator.state == numpy_.bit_generator.state
+
+visited, evaluated, offsets, offsets_evaluated = bound_work.tolist()
+assert 0 < evaluated < visited and 0 < offsets_evaluated < offsets, bound_work
 
 libc = ctypes.CDLL(None)
 libc.malloc.restype = ctypes.c_void_p

@@ -107,6 +107,58 @@ class TestDensityStrip:
             assert density_strip(np.ldexp(curve, exponent), width=45) == reference
 
 
+def _finite_row(binned, glyphs, flat):
+    """The row of finite bins whose range does not overflow, as the
+    report drew it before non-finite bins had glyphs."""
+    lo, hi = float(binned.min()), float(binned.max())
+    if not hi > lo:
+        return flat * binned.size
+    idx = ((binned - lo) / (hi - lo) * (len(glyphs) - 1)).round().astype(int)
+    return "".join(glyphs[i] for i in idx)
+
+
+class TestNonFiniteBins:
+    @pytest.mark.parametrize("draw", [sparkline, density_strip])
+    @pytest.mark.parametrize("values", [
+        [0.0, np.inf, 1.0], [0.0, 1e308, -1e308], [0.0, np.nan, 1.0],
+        [-np.inf, np.inf], [np.nan, np.nan], [np.inf, 2.0, 2.0],
+    ])
+    def test_no_crash_and_one_cell_per_bin(self, draw, values):
+        assert len(draw(values, width=len(values))) == len(values)
+
+    def test_glyphs(self):
+        assert sparkline([0.0, np.inf, 1.0], width=3) == "▁██"
+        assert sparkline([0.0, -np.inf, 1.0], width=3) == "▁▁█"
+        assert sparkline([0.0, np.nan, 1.0], width=3) == "▁·█"
+        assert density_strip([0.0, np.nan, 1.0], width=3) == " ·█"
+        assert density_strip([np.inf, -np.inf, np.nan], width=3) == "█ ·"
+
+    def test_nan_is_not_drawn_flat(self):
+        assert sparkline([0.0, np.nan, 1.0, 2.0], width=4) == "▁·▅█"
+        assert sparkline([np.nan] * 3, width=3) == "···"
+
+    def test_overflowing_range_is_scaled_by_halves(self):
+        assert sparkline([-1e308, 0.0, 1e308], width=3) == "▁▅█"
+        assert density_strip([-1e308, 0.0, 1e308], width=3) == " ▒█"
+        huge = np.ldexp(np.sin(np.arange(64) / 4.0), 1023)
+        assert sparkline(huge, width=64) == sparkline(np.sin(np.arange(64) / 4.0), width=64)
+
+    @given(_values, st.integers(1, 100))
+    @settings(max_examples=300, deadline=None)
+    def test_any_values(self, values, width):
+        """Every input gives *width* cells; finite bins whose range fits a
+        double draw as before."""
+        binned = _bin_series(np.asarray(values, dtype=float), width)
+        with np.errstate(all="ignore"):
+            in_range = np.isfinite(binned).all() and np.isfinite(binned.max() - binned.min())
+        for draw, glyphs, flat in ((sparkline, "▁▂▃▄▅▆▇█", "▁"),
+                                   (density_strip, " ░▒▓█", "█")):
+            row = draw(values, width=width)
+            assert len(row) == width and set(row) <= set(glyphs + "·")
+            if in_range:
+                assert row == _finite_row(binned, glyphs, flat)
+
+
 class TestMarkerLine:
     def test_marks_scaled_interval(self):
         line = marker_line(100, [(50, 60)], width=10)
