@@ -153,6 +153,10 @@ POLL_SECONDS = 0.02
 #: tasks before it terminates the pool.
 GRACE_SECONDS = 5.0
 
+#: How long :func:`_discard` waits for the pool to stop, and then for
+#: its workers to exit, before it kills the workers that are left.
+STOP_SECONDS = 5.0
+
 
 def _workers(n_workers: int) -> _Workers:
     """The persistent pool for *n_workers*, built on first use."""
@@ -167,22 +171,38 @@ def _workers(n_workers: int) -> _Workers:
 
 
 def _discard(*, graceful: bool = False) -> None:
-    """Stop and forget the persistent pool.
+    """Stop and forget the persistent pool, in bounded time.
 
     *graceful* closes an idle pool, so its workers exit normally and
     run their exit handlers; otherwise the workers are terminated
-    mid-task.  A pool inherited through ``fork`` belongs to the parent:
-    the child only forgets it.
+    mid-task.  ``multiprocessing``'s own stop joins its handler threads
+    and workers without a timeout, so it runs in a daemon thread that is
+    given :data:`STOP_SECONDS`; then each worker gets what is left of
+    another :data:`STOP_SECONDS` to exit, and is killed if it has not.
+    No worker outlives this call.  A pool inherited through ``fork``
+    belongs to the parent: the child only forgets it.
     """
     global _WORKERS
     workers, _WORKERS = _WORKERS, None
     if workers is None or workers.pid != os.getpid():
         return
+    pool = workers.pool
+    processes = list(pool._pool)
     if graceful:
-        workers.pool.close()
-    else:
-        workers.pool.terminate()
-    workers.pool.join()
+        pool.close()
+    stopper = threading.Thread(
+        target=pool.join if graceful else pool.terminate, daemon=True
+    )
+    stopper.start()
+    stopper.join(STOP_SECONDS)
+    # The worker handler may have replaced a worker before it stopped.
+    processes += [p for p in pool._pool if p not in processes]
+    deadline = time.monotonic() + STOP_SECONDS
+    for process in processes:
+        process.join(max(0.0, deadline - time.monotonic()))
+        if process.exitcode is None:
+            process.kill()
+            process.join()
 
 
 def shutdown() -> None:

@@ -37,6 +37,7 @@
 #include <stdlib.h>
 #include <string.h>
 #include <sys/mman.h>
+#include <unistd.h>
 
 typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx,
                           const double *y, int64_t incy);
@@ -164,20 +165,81 @@ static void memo_put(eq1_set *s, int64_t a, int64_t b, double dist) {
  * the heap and stay resident once freed, so a process that runs many
  * searches would keep its largest pools.  Under AddressSanitizer the
  * pool is malloc'd, so that its bounds are checked.
+ *
+ * The pool of the last freed table stays parked for the next search,
+ * which would otherwise fault in every page of a fresh mapping.  A
+ * parked pool is MADV_FREE'd, so the kernel may reclaim it under memory
+ * pressure (its pages then read as zero; a pool is written before it is
+ * read), and MADV_WIPEONFORK'd, so a forked child does not share its
+ * pages.  A child never reuses it either: the pool is stamped with the
+ * parking process's pid.  A pool in use is kept on fork.  The core's
+ * calls hold the GIL, so these statics need no lock.
  */
 #if defined(MAP_ANONYMOUS) && !defined(__SANITIZE_ADDRESS__)
-static double *pool_alloc(int64_t words) {
+static double *pool_map(int64_t words) {
     void *p = mmap(NULL, (size_t)words * sizeof(double), PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     return p == MAP_FAILED ? NULL : p;
 }
-static void pool_free(double *pool, int64_t words) {
+static void pool_unmap(double *pool, int64_t words) {
     if (pool) munmap(pool, (size_t)words * sizeof(double));
 }
-#else
-static double *pool_alloc(int64_t words) { return malloc((size_t)words * sizeof(double)); }
-static void pool_free(double *pool, int64_t words) { (void)words; free(pool); }
+/* Advice for a pool being parked (1) or taken back into use (0); a
+ * kernel without some advice just keeps the pages. */
+static void pool_advise(double *pool, int64_t words, int parking) {
+    size_t bytes = (size_t)words * sizeof(double);
+#ifdef MADV_FREE
+    if (parking) madvise(pool, bytes, MADV_FREE);
 #endif
+#if defined(MADV_WIPEONFORK) && defined(MADV_KEEPONFORK)
+    madvise(pool, bytes, parking ? MADV_WIPEONFORK : MADV_KEEPONFORK);
+#endif
+    (void)bytes;
+}
+#else
+static double *pool_map(int64_t words) { return malloc((size_t)words * sizeof(double)); }
+static void pool_unmap(double *pool, int64_t words) { (void)words; free(pool); }
+static void pool_advise(double *pool, int64_t words, int parking) {
+    (void)pool, (void)words, (void)parking;
+}
+#endif
+
+static double *parked;
+static int64_t parked_words;
+static pid_t parked_pid;
+
+/* A pool of at least words doubles, its size in *cap: the parked one
+ * when this process parked it and it is large enough, else a new one,
+ * mapped after any parked one is unmapped. */
+static double *pool_take(int64_t words, int64_t *cap) {
+    if (parked && (parked_pid != getpid() || parked_words < words)) {
+        pool_unmap(parked, parked_words);
+        parked = NULL;
+    }
+    double *pool = parked;
+    if (pool) {
+        parked = NULL;
+        pool_advise(pool, parked_words, 0);
+        *cap = parked_words;
+        return pool;
+    }
+    pool = pool_map(words);
+    if (pool) *cap = words;
+    return pool;
+}
+
+/* Park a freed table's pool in place of the parked one. */
+static void pool_park(double *pool, int64_t words) {
+    if (!pool) return;
+    pool_unmap(parked, parked_words);
+    pool_advise(pool, words, 1);
+    parked = pool;
+    parked_words = words;
+    parked_pid = getpid();
+}
+
+/* The size in doubles of the pool this process parked, else 0. */
+int64_t eq1_parked(void) { return parked && parked_pid == getpid() ? parked_words : 0; }
 
 void *eq1_new(void *ddot) {
     eq1_set *s = calloc(1, sizeof *s);
@@ -196,7 +258,7 @@ void eq1_free(eq1_set *s) {
     free(s->len);
     free(s->off);
     free(s->sqnorm);
-    pool_free(s->pool, s->pool_cap);
+    pool_park(s->pool, s->pool_cap);
     free(s->keys);
     free(s->dists);
     free(s->order);
@@ -249,10 +311,10 @@ int64_t eq1_add_spans(eq1_set *s, int64_t count, const int64_t *start,
          * candidate of a search; geometric after that. */
         int64_t cap = s->pool_cap + s->pool_cap / 2;
         if (cap < need_pool) cap = need_pool;
-        double *pool = pool_alloc(cap);
+        double *pool = pool_take(cap, &cap);
         if (!pool) return -1;
         if (s->pool_used) memcpy(pool, s->pool, (size_t)s->pool_used * sizeof(double));
-        pool_free(s->pool, s->pool_cap);
+        pool_unmap(s->pool, s->pool_cap);
         s->pool = pool;
         s->pool_cap = cap;
     }
@@ -268,17 +330,22 @@ int64_t eq1_add_spans(eq1_set *s, int64_t count, const int64_t *start,
             for (int64_t k = 0; k < n; k++) values[k] /= std;
         double sqnorm = 0.0;
         sqnorm += s->ddot(n, values, 1, values, 1);
-        cum[0] = 0.0;
-        for (int64_t k = 0; k < n; k++) cum[k + 1] = cum[k] + values[k] * values[k];
+        /* Three independent sequential sums in one loop, each in its own
+         * order: the squared cumsum, the absolute sum and the prefix. */
         float *prefix = (float *)(cum + n + 1);
-        double l1 = 0.0, sum = 0.0;
-        for (int64_t k = 0; k < n; k++) l1 += fabs(values[k]);
-        int bounded = l1 <= L1_MAX; /* false for inf and NaN */
+        double sq = 0.0, l1 = 0.0, sum = 0.0;
+        cum[0] = 0.0;
         prefix[0] = 0.0f;
         for (int64_t k = 0; k < n; k++) {
-            sum += values[k];
-            prefix[k + 1] = bounded ? (float)sum : 0.0f;
+            double v = values[k];
+            sq += v * v;
+            cum[k + 1] = sq;
+            l1 += fabs(v);
+            sum += v;
+            prefix[k + 1] = (float)sum;
         }
+        int bounded = l1 <= L1_MAX; /* false for inf and NaN */
+        if (!bounded) memset(prefix, 0, (size_t)(n + 1) * sizeof(float));
         s->start[id] = a;
         s->len[id] = n;
         s->off[id] = s->pool_used;
@@ -396,17 +463,22 @@ static float paa_bounds(const float *restrict short_prefix,
 }
 
 /*
- * Eq. 1 distance between ids a and b (no memo) into *out; returns 1.
- * Counts the pair in work[0] and each offset it evaluates in work[1].
+ * Eq. 1 distance between ids a and b (no memo) into *out and 1; or 0
+ * when the distance is proved to be at least nearest.  Counts the pair
+ * in work[0] when it evaluates any offset, and each offset in work[1].
  *
  * With a bound (the shorter length is at least SEGMENTS and both ids
  * are bounded), a bound b[o] above k1 * t + k0 proves that the computed
- * squared distance at offset o exceeds t >= 0.  So the call returns 0,
- * computing nothing, when that holds at every offset for
- * t = nearest^2 n (1 + 8u), whose distance rounds to at least nearest;
- * otherwise it evaluates the offset of the least bound first and then
- * only the offsets whose bound does not exceed the running minimum.
- * The minimum, and so the distance, is the one of all offsets.
+ * squared distance at offset o exceeds t >= 0.  Let T = nearest^2 n
+ * (1 + 8u), a squared distance above which rounds to a distance of at
+ * least nearest (T is infinite unless nearest is finite and at least
+ * 2^-500).  The call returns 0, computing nothing, when the bound
+ * exceeds k1 T + k0 at every offset.  Otherwise it evaluates the offset
+ * of the least bound first, then only the offsets whose bound does not
+ * exceed k1 min(m, T) + k0 for the running minimum m.  If the minimum
+ * ends at most T, every skipped offset lies above it and the distance
+ * is the one of all offsets; else every offset lies above T and the
+ * call returns 0 (DESIGN.md section 20).
  */
 static int pair(eq1_set *s, int64_t a, int64_t b, double nearest, double *out,
                 int64_t *work) {
@@ -419,7 +491,7 @@ static int pair(eq1_set *s, int64_t a, int64_t b, double nearest, double *out,
     double short_sqnorm = s->sqnorm[shrt];
     const float *bounds = NULL;
     float least = 0.0f;
-    double k1 = 0.0, k0 = 0.0;
+    double k1 = 0.0, k0 = 0.0, cap = INFINITY;
     if (n >= SEGMENTS && s->sum_err[shrt] >= 0.0 && s->sum_err[lng] >= 0.0 &&
         (offsets > 1 || nearest < INFINITY) && bound_scratch(s, n_long) == 0) {
         int64_t w = n / SEGMENTS;
@@ -432,9 +504,10 @@ static int pair(eq1_set *s, int64_t a, int64_t b, double nearest, double *out,
         k1 = pad * rho * (1.0 + ETA) * (double)w;
         k0 = pad * (rho * ((1.0 + ETA) * (double)w * err +
                            SEGMENTS * (1.0 + 1.0 / ETA) * delta * delta) + 0x1p-130);
-        if (nearest >= 0x1p-500 && nearest < INFINITY &&
-            (double)least > k1 * (nearest * nearest * (double)n * (1.0 + 8.0 * U64)) + k0)
-            return 0;
+        if (nearest >= 0x1p-500 && nearest < INFINITY) {
+            cap = nearest * nearest * (double)n * (1.0 + 8.0 * U64);
+            if ((double)least > k1 * cap + k0) return 0;
+        }
     }
     work[0]++;
     if (na == nb) {
@@ -451,7 +524,8 @@ static int pair(eq1_set *s, int64_t a, int64_t b, double nearest, double *out,
     if (bounds)
         while (bounds[first] != least) first++;
     double best = offset_sq(s, k, short_sqnorm, x, cum, n, first);
-    double limit = k1 * (best > 0.0 ? best : 0.0) + k0;
+    double t = best > 0.0 ? best : 0.0;
+    double limit = k1 * (t < cap ? t : cap) + k0;
     work[1]++;
     for (int64_t o = 0; o < offsets && !isnan(best); o++) {
         if (o == first || (bounds && (double)bounds[o] > limit)) continue;
@@ -459,9 +533,11 @@ static int pair(eq1_set *s, int64_t a, int64_t b, double nearest, double *out,
         work[1]++;
         if (isnan(sq) || sq < best) { /* np.min propagates NaN */
             best = sq;
-            limit = k1 * (best > 0.0 ? best : 0.0) + k0;
+            t = best > 0.0 ? best : 0.0;
+            limit = k1 * (t < cap ? t : cap) + k0;
         }
     }
+    if (best > cap) return 0;
     if (best < 0.0) best = 0.0;
     *out = sqrt(best / (double)n);
     return 1;
@@ -471,7 +547,7 @@ static int pair(eq1_set *s, int64_t a, int64_t b, double nearest, double *out,
  * The memoized Eq. 1 distance between ids a and b into *dist, and 1; or
  * 0 when it is proved to be at least nearest and so cannot lower it: no
  * distance is below 0.0, and pair() may prove it from the bound.  Such
- * a pair is neither computed nor memoized.
+ * a pair yields no distance and is not memoized.
  */
 static int distance_below(eq1_set *s, int64_t a, int64_t b, double nearest,
                           double *dist, int64_t *work) {
@@ -496,9 +572,10 @@ double eq1_distance(eq1_set *s, int64_t a, int64_t b) {
  * other pair as one distance call, and stops at the first distance below
  * best_dist.  Writes the nearest distance seen and adds the call count
  * to *calls; returns 1 when the scan abandoned p, else 0.  A pair proved
- * to be at least the nearest so far is counted but not computed: since
- * nearest >= best_dist, it could neither abandon p nor lower nearest.
- * The pairs and offsets computed are added to work[0] and work[1].
+ * to be at least the nearest so far is counted but yields no distance:
+ * since nearest >= best_dist, it could neither abandon p nor lower
+ * nearest.  The pairs and offsets computed are added to work[0] and
+ * work[1].
  */
 int eq1_scan(eq1_set *s, int64_t p, const int64_t *ids, int64_t n,
              double best_dist, double *nearest_out, int64_t *calls,
@@ -567,12 +644,15 @@ void eq1_shuffle(void *bitgen, int64_t *a, int64_t n) {
 
 /*
  * Outer candidates first, first + 1, ... of one RRA rank (paper
- * Algorithm 1).  ids and keys give each candidate's table id and rule
- * key (-1 for gaps) in candidate order; outer[k] is the candidate at
- * outer position k.  Per outer candidate p the inner order is p's
- * same-rule ids in candidate order, then the other ids (all of them for
- * a gap) in candidate order, shuffled as rng.permutation does; the scan
- * is eq1_scan's.
+ * Algorithm 1).  ids gives each candidate's table id in candidate
+ * order, and the key index its same-rule candidates: same lists the
+ * candidate positions grouped by rule key and ascending within a key,
+ * and candidate i's group is same[lo[i] .. hi[i]) (empty for a gap).
+ * outer[k] is the candidate at outer position k.  Per outer candidate p
+ * the inner order is p's same-rule ids in candidate order, then the
+ * other ids (all of them for a gap) in candidate order, copied as the
+ * runs between p's group, shuffled as rng.permutation does; the scan is
+ * eq1_scan's.
  *
  * Runs up to, not including, outer position stop, and stops earlier
  * before any position k > first at which the pairs counted by this call
@@ -584,7 +664,8 @@ void eq1_shuffle(void *bitgen, int64_t *a, int64_t n) {
  * work[1].  Returns the position it stopped before, or -1 when out of
  * memory.
  */
-int64_t eq1_rank(eq1_set *s, int64_t n, const int64_t *ids, const int64_t *keys,
+int64_t eq1_rank(eq1_set *s, int64_t n, const int64_t *ids, const int64_t *same,
+                 const int64_t *lo, const int64_t *hi,
                  const int64_t *outer, void *bitgen, int64_t first,
                  int64_t stop, int64_t calls_left, double *best_dist,
                  int64_t *best, int64_t *calls, int8_t *flags,
@@ -595,17 +676,20 @@ int64_t eq1_rank(eq1_set *s, int64_t n, const int64_t *ids, const int64_t *keys,
     }
     int64_t *order = s->order, spent = 0, k;
     for (k = first; k < stop && (k == first || spent < calls_left); k++) {
-        int64_t p = outer[k], key = keys[p], n_same = 0, n_rest = 0;
-        if (key >= 0)
-            for (int64_t i = 0; i < n; i++)
-                if (keys[i] == key) order[n_same++] = ids[i];
-        for (int64_t i = 0; i < n; i++)
-            if (key < 0 || keys[i] != key) order[n_same + n_rest++] = ids[i];
-        eq1_shuffle(bitgen, order + n_same, n_rest);
+        int64_t p = outer[k], n_same = hi[p] - lo[p], *rest = order + n_same, done = 0;
+        for (int64_t j = lo[p]; j < hi[p]; j++) {
+            int64_t at = same[j];
+            order[j - lo[p]] = ids[at];
+            memcpy(rest, ids + done, (size_t)(at - done) * sizeof *ids);
+            rest += at - done;
+            done = at + 1;
+        }
+        memcpy(rest, ids + done, (size_t)(n - done) * sizeof *ids);
+        eq1_shuffle(bitgen, order + n_same, n - n_same);
         double nearest;
         int64_t visited = 0;
-        int abandoned = eq1_scan(s, ids[p], order, n_same + n_rest, *best_dist,
-                                 &nearest, &visited, work);
+        int abandoned = eq1_scan(s, ids[p], order, n, *best_dist, &nearest, &visited,
+                                 work);
         spent += visited;
         flags[k - first] = (int8_t)abandoned;
         outer_calls[k - first] = visited;

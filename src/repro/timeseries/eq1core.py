@@ -85,9 +85,11 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.eq1_scan.restype = ctypes.c_int
     lib.eq1_shuffle.argtypes = [ptr, ptr, i64]
     lib.eq1_shuffle.restype = None
-    lib.eq1_rank.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, i64, i64, i64,
+    lib.eq1_rank.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, i64,
                              ptr, ptr, ptr, ptr, ptr, ptr]
     lib.eq1_rank.restype = i64
+    lib.eq1_parked.argtypes = []
+    lib.eq1_parked.restype = i64
     lib.ddot_address = _numpy_ddot()
     return lib
 
@@ -170,7 +172,10 @@ class RankRun:
     """The core calls of one RRA rank over one candidate list.
 
     *ids* and *keys* are the candidates' table ids and rule keys (-1 for
-    gaps) and *outer* their outer order, all int64.  Each
+    gaps) and *outer* their outer order, all int64.  The rank's key
+    index is built here, once: the candidate positions sorted by key
+    (stable, so ascending within a key) and each candidate's range of
+    same-key positions in that list, empty for a gap.  Each
     :func:`repro.core.rra.find_discord` call owns one, with its own
     out-parameters, so threads that share one candidate set's tables
     share only what the core touches while it holds the GIL.
@@ -181,10 +186,16 @@ class RankRun:
 
     def __init__(self, tables: Eq1Tables, ids: np.ndarray, keys: np.ndarray,
                  outer: np.ndarray):
-        self._keep = (tables, ids, keys, outer)  # the handle and pointers stay valid
+        same = np.argsort(keys, kind="stable")
+        grouped = keys[same]
+        lo = np.searchsorted(grouped, keys, "left")
+        hi = np.where(keys < 0, lo, np.searchsorted(grouped, keys, "right"))
+        index = tuple(np.ascontiguousarray(a, dtype=np.int64) for a in (same, lo, hi))
+        self._keep = (tables, ids, index, outer)  # the handle and pointers stay valid
         self._rank = tables.lib.eq1_rank
         self._args = (
-            tables.handle, ids.size, ids.ctypes.data, keys.ctypes.data, outer.ctypes.data
+            tables.handle, ids.size, ids.ctypes.data,
+            *(a.ctypes.data for a in index), outer.ctypes.data,
         )
         self.calls = ctypes.c_int64()
         self._best_dist, self._best = ctypes.c_double(), ctypes.c_int64()
@@ -247,7 +258,9 @@ def _probe(lib: ctypes.CDLL) -> bool:
     argument orders, memo hits and offsets pruned by the bound.  The
     scans run over repeated integer-level motifs: the bound is tight on
     them and the distances are near-ties, so pairs are skipped and
-    offsets pruned at the margin (DESIGN.md §20).  The shuffles cover
+    offsets pruned at the margin, against the pair's minimum and against
+    the scan's nearest (DESIGN.md §20); every pair's distance is then
+    read back from the memo those scans left.  The shuffles cover
     empty and short arrays and a buffered 32-bit half-word, and compare
     the generator state afterwards.
     """
@@ -286,6 +299,12 @@ def _probe(lib: ctypes.CDLL) -> bool:
         )
         if want.hex() != fast.tables.nearest(p_id, ids)[0].hex():
             return False
+    # A pair the scans proved to be at least their nearest yields no
+    # distance and must not be memoized as one: every read is exact.
+    for p, p_id in zip(intervals, ids.tolist()):
+        for q, q_id in zip(intervals, ids.tolist()):
+            if reference.pair_distance(p, q).hex() != fast.tables.distance(p_id, q_id).hex():
+                return False
     for seed, n in enumerate((0, 1, 2, 3, 70, 1000)):
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         for generator in (rng, twin)[: seed % 2 * 2]:

@@ -125,6 +125,35 @@ def test_failed_parity_probe_falls_back(monkeypatch):
         core.load()
 
 
+#: Every core's loader, by the name a failure report uses.
+CORES = {
+    "sequitur": ccore._core,
+    "eq1": eq1core._core,
+    "sax": saxcore._core,
+    "io": repro.io._io_core,
+}
+
+
+@pytest.mark.skipif(
+    _cbuild._gate() == "off" or _cbuild._find_compiler() is None,
+    reason="the C cores are off or cannot be built on this host",
+)
+@pytest.mark.parametrize("name", CORES)
+def test_core_loads_wherever_it_can_be_built(name, monkeypatch):
+    """With a compiler and the gate not ``off``, each core builds, binds
+    and passes its parity probe: a regression there fails this test
+    instead of turning the core's checks into skips."""
+    core = CORES[name]
+    monkeypatch.setenv("REPRO_C_CORE", "require")
+    core.reset_for_testing()
+    try:
+        assert core.load() is not None
+    except _cbuild.CCoreUnavailable as exc:  # names the failed step or probe
+        pytest.fail(f"the {name} core does not load: {exc}")
+    finally:
+        core.reset_for_testing()
+
+
 def test_sequitur_loader_keeps_its_entry_points():
     # perfbench/child.py reports ``ccore.load() is not None``.
     assert callable(ccore.load) and callable(ccore.reset_for_testing)

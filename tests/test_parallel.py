@@ -13,11 +13,13 @@ tolerance (the ensemble's is pinned against the goldens in
 
 from __future__ import annotations
 
+import faulthandler
 import glob
 import json
 import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 import textwrap
@@ -361,11 +363,61 @@ def test_changing_n_workers_replaces_the_pool():
 
 
 def test_task_exception_terminates_the_pool():
-    with pytest.raises(ValueError):
-        run_tasks(_fail, [{"x": 1}, {"x": 2}], n_workers=2)
+    # A hang in the terminate path dumps every thread's stack and exits
+    # instead of stalling the run.
+    faulthandler.dump_traceback_later(120, exit=True)
+    try:
+        with pytest.raises(ValueError):
+            run_tasks(_fail, [{"x": 1}, {"x": 2}], n_workers=2)
+        assert multiprocessing.active_children() == []
+        assert run_tasks(_square, [{"x": 2}], n_workers=2) == [4]
+        _no_orphans()
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
+def _ignore_sigterm_and_sleep(ready):
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    ready.set()
+    time.sleep(60)
+
+
+def test_discard_kills_workers_a_hung_stop_left(monkeypatch):
+    """When ``multiprocessing``'s stop hangs and the workers ignore
+    SIGTERM, the pool is still gone within the stop deadlines, with no
+    worker left."""
+    ctx = pool.pool_context()
+    ready = [ctx.Event() for _ in range(2)]
+    workers = [
+        ctx.Process(target=_ignore_sigterm_and_sleep, args=(event,), daemon=True)
+        for event in ready
+    ]
+    for worker, event in zip(workers, ready):
+        worker.start()
+        assert event.wait(30)
+    release = threading.Event()
+
+    class HungPool:
+        _pool = workers
+
+        def terminate(self):
+            for worker in workers:
+                worker.terminate()
+            release.wait()
+
+    stuck = object.__new__(pool._Workers)
+    stuck.pool, stuck.pid = HungPool(), os.getpid()
+    monkeypatch.setattr(pool, "_WORKERS", stuck)
+    monkeypatch.setattr(pool, "STOP_SECONDS", 0.3)
+    started = time.monotonic()
+    try:
+        pool._discard()
+    finally:
+        release.set()
+    assert time.monotonic() - started < 5
+    assert pool._WORKERS is None
+    assert [w.exitcode for w in workers] == [-signal.SIGKILL] * 2
     assert multiprocessing.active_children() == []
-    assert run_tasks(_square, [{"x": 2}], n_workers=2) == [4]
-    _no_orphans()
 
 
 def test_keyboard_interrupt_terminates_the_pool():

@@ -9,7 +9,9 @@ is tight (each segment difference is constant, so Cauchy–Schwarz holds
 with equality) and many distances are ties or near-ties.  A core whose
 margin is zero skips or prunes some of those and gives other floats; the
 parity probe then rejects it, and with the probe bypassed these
-comparisons fail.
+comparisons fail.  The same comparisons cover the rest of the core's
+waste cuts, whose only observable effect must be speed: pruning against
+the scan's nearest, the rank's key index and the parked value pool.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import _cbuild
 from repro.core.rra import _CandidateSet, find_discords, nearest_neighbor_distances
 from repro.grammar.intervals import RuleInterval
 from repro.observability.metrics import MetricsRegistry
@@ -30,15 +31,7 @@ from repro.resilience.budget import SearchBudget
 from repro.timeseries import eq1core
 from repro.timeseries.distance import DistanceCounter
 from tests.oracles import is_non_self_match
-from tests.test_rra import c_core_gate
-
-#: Skipped where the core is switched off or cannot be compiled; a core
-#: that builds but fails its parity probe fails these tests.
-needs_core = pytest.mark.skipif(
-    os.environ.get("REPRO_C_CORE", "").strip().lower() == "off"
-    or _cbuild._find_compiler() is None,
-    reason="the Eq. 1 C core is off or cannot be built on this host",
-)
+from tests.test_rra import c_core_gate, needs_core
 
 #: The core's PAA segment count: shorter candidates get no bound.
 SEGMENTS = 32
@@ -268,3 +261,223 @@ class TestBoundsSkipWork:
         for seed in range(40):
             series, intervals, _ = adversarial("short", seed)
             assert_core_equals_python(series, intervals, seed)
+
+
+def _scan_reference(reference, p, subset):
+    """The nearest distance of *p* over *subset*, as the Python loop's
+    ``min`` takes it."""
+    nearest = math.inf
+    for q in subset:
+        if is_non_self_match(p, q):
+            dist = reference.pair_distance(p, q)
+            if dist < nearest:
+                nearest = dist
+    return nearest
+
+
+def _assert_memo_exact(cache, reference, intervals):
+    """Every pair's distance read through the core's memo after the scans
+    is the Python path's."""
+    ids = cache.idents(intervals).tolist()
+    for p, a in zip(intervals, ids):
+        for q, b in zip(intervals, ids):
+            assert cache.tables.distance(a, b).hex() == reference.pair_distance(p, q).hex()
+
+
+@needs_core
+class TestCappedPruning:
+    """Offsets are pruned against ``min(m, T)``, ``T`` the scan's nearest
+    squared and scaled, and a pair whose evaluation ends above ``T`` is
+    proved to be at least ``nearest``: it yields no distance and is not
+    memoized (DESIGN.md §20)."""
+
+    def test_revisits_with_smaller_and_larger_nearest(self):
+        """Scans of random subsets in random orders share one memo: a
+        pair proved against one scan's nearest is revisited by scans whose
+        nearest is smaller or larger, and by distance reads, and every
+        scan's nearest is the Python minimum over its subset.  A build
+        that kept a capped minimum as the pair's distance fails here."""
+        draws = np.random.default_rng(11)
+        with c_core_gate("require"):
+            for seed in range(40):
+                series, intervals, _ = adversarial("ties", seed)
+                cache, reference = _CandidateSet(series), _CandidateSet(series, core=False)
+                ids = cache.idents(intervals)
+                for _ in range(4 * len(intervals)):
+                    at = draws.permutation(len(intervals))[: int(draws.integers(1, len(intervals) + 1))]
+                    p = int(draws.integers(0, len(intervals)))
+                    got, _ = cache.tables.nearest(int(ids[p]), np.ascontiguousarray(ids[at]))
+                    want = _scan_reference(reference, intervals[p], [intervals[j] for j in at])
+                    assert got.hex() == want.hex()
+                _assert_memo_exact(cache, reference, intervals)
+
+    def test_proved_pairs_are_not_memoized(self):
+        """Repeating the same scans evaluates again only the pairs that
+        were proved after evaluating offsets (every other evaluated pair
+        is memoized, and a skipped one is not counted), with the same
+        answers; the proved pairs read back exact afterwards."""
+        proved = 0
+        with c_core_gate("require"):
+            for seed in range(40):
+                series, intervals, _ = adversarial("ratio", seed)
+                cache, reference = _CandidateSet(series), _CandidateSet(series, core=False)
+                ids = cache.idents(intervals)
+                first = [cache.tables.nearest(p, ids) for p in ids.tolist()]
+                before = cache.tables.work.tolist()
+                again = [cache.tables.nearest(p, ids) for p in ids.tolist()]
+                assert again == first
+                repeated = cache.tables.work[0] - before[0]
+                assert 0 <= repeated <= before[0]
+                proved += repeated
+                _assert_memo_exact(cache, reference, intervals)
+        assert proved > 0
+
+    def test_ties_at_the_cap(self):
+        """Exact repeats of one window tie the scan's nearest, so their
+        capped evaluations end within rounding of ``T``: whichever side of
+        ``T`` they land, the nearest, the discords and the memo are
+        exact.  (A pair that ends exactly at ``T`` is taken as exact; had
+        it been proved instead, its distance would still be at least the
+        nearest, so no decision could differ.)"""
+        rng = np.random.default_rng(4)
+        motif = rng.integers(0, 4, size=40).astype(float)
+        series = np.tile(motif, 8)
+        series[200] += 2.0**-20
+        intervals = [
+            RuleInterval(int(rng.integers(-1, 2)), s, s + n, usage=1)
+            for s, n in ((0, 40), (40, 40), (80, 120), (120, 80), (160, 80),
+                         (200, 40), (240, 48), (0, 96), (5, 64), (185, 90))
+        ]
+        with c_core_gate("require"):
+            cache, reference = _CandidateSet(series), _CandidateSet(series, core=False)
+            ids = cache.idents(intervals)
+            for p, p_id in zip(intervals, ids.tolist()):
+                for order in (ids, ids[::-1].copy()):
+                    got, _ = cache.tables.nearest(p_id, order)
+                    assert got.hex() == _scan_reference(reference, p, intervals).hex()
+            _assert_memo_exact(cache, reference, intervals)
+        for seed in range(10):
+            assert_core_equals_python(series, intervals, seed)
+
+    def test_zero_distances(self):
+        """Flat windows are left unscaled and identical ones are at
+        distance +0.0, after which a scan computes nothing more (no
+        distance is below it)."""
+        # The mean is exactly 0.0, so the flat stretches centre to zeros.
+        wave = np.tile([1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 0.5, -0.5, 1.5, -1.5], 20)
+        series = np.concatenate([np.zeros(120), wave, np.zeros(120)])
+        intervals = [RuleInterval(0, s, s + n, usage=1)
+                     for s, n in ((0, 40), (60, 40), (330, 40), (380, 60), (130, 64), (200, 90))]
+        with c_core_gate("require"):
+            cache, reference = _CandidateSet(series), _CandidateSet(series, core=False)
+            ids = cache.idents(intervals)
+            got, _ = cache.tables.nearest(int(ids[0]), ids)
+            assert got.hex() == _scan_reference(reference, intervals[0], intervals).hex() == "0x0.0p+0"
+            _assert_memo_exact(cache, reference, intervals)
+        for seed in range(5):
+            assert_core_equals_python(series, intervals, seed)
+
+
+@needs_core
+class TestKeyIndex:
+    def test_gaps_and_rules_of_one_or_many_ids(self):
+        """Gap outers (every other candidate, shuffled) and rules with one
+        or many same-key candidates, interleaved in candidate order: the
+        core's inner orders give the Python loop's discords, ``calls``
+        and RNG state."""
+        for seed in range(30):
+            series, intervals, max_calls = adversarial("ties", seed)
+            rng = np.random.default_rng(seed)
+            keys = rng.choice([-1, -1, 0, 1, 2, 5, 9], size=len(intervals))
+            keys[rng.integers(0, len(intervals))] = 7  # a rule with one id
+            intervals = [
+                RuleInterval(int(k), iv.start, iv.end, usage=iv.usage)
+                for k, iv in zip(keys, intervals)
+            ]
+            assert_core_equals_python(series, intervals, seed, max_calls)
+
+    def test_one_rule_and_only_gaps(self):
+        """All candidates of one rule (the rest is empty) and all gaps
+        (no same-rule ids)."""
+        series, intervals, _ = adversarial("ties", 3)
+        for key in (0, -1):
+            same = [RuleInterval(key, iv.start, iv.end, usage=1) for iv in intervals]
+            assert_core_equals_python(series, same, 3)
+
+
+def _parked():
+    return eq1core.load().eq1_parked()
+
+
+def _in_child(run):
+    """``run()`` in a forked child, which starts with no pool of its own
+    parked; returns its result (a ``repr``-able value)."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            os.write(write, repr(run()).encode())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    with os.fdopen(read) as pipe:
+        report = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, report
+    return eval(report)
+
+
+def _pool_case(seed, length):
+    rng = np.random.default_rng(seed)
+    series = np.cumsum(rng.normal(size=length))
+    intervals = [
+        RuleInterval(int(rng.integers(-1, 3)), int(s), int(s + n), usage=int(rng.integers(0, 3)))
+        for s, n in zip(rng.integers(0, length // 2, size=20),
+                        rng.integers(20, length // 2, size=20))
+    ]
+    return series, intervals
+
+
+@needs_core
+class TestParkedPool:
+    LENGTHS = (300, 1200, 200, 2400, 600, 2400, 100)
+
+    def test_reuse_across_growing_and_shrinking_searches(self):
+        """The pool of the last freed table serves the next search when it
+        is large enough and is replaced by a larger one otherwise; every
+        search is the Python loop's."""
+        cases = [_pool_case(seed, n) for seed, n in enumerate(self.LENGTHS)]
+        with c_core_gate("off"):
+            want = [_answers(s, iv, seed, None) for seed, (s, iv) in enumerate(cases)]
+
+        def searches():
+            sizes = []
+            for seed, (series, intervals) in enumerate(cases):
+                assert _answers(series, intervals, seed, None) == want[seed]
+                sizes.append(_parked())
+            return sizes
+
+        with c_core_gate("require"):
+            eq1core.load()
+            sizes = _in_child(searches)
+        assert all(sizes)
+        # A pool is replaced only by a larger one, and kept otherwise.
+        assert sizes == list(np.maximum.accumulate(sizes))
+        assert 1 < len(set(sizes)) < len(sizes)
+
+    def test_search_in_a_forked_child(self):
+        """A child forked after the parent parked a pool neither sees nor
+        reuses it, and its search is the parent's."""
+        series, intervals, _ = adversarial("ratio", 5)
+        with c_core_gate("require"):
+            want = _answers(series, intervals, 5, None)
+            parked = _parked()
+            assert parked > 0
+            seen, same = _in_child(
+                lambda: (_parked(), _answers(series, intervals, 5, None) == want)
+            )
+            assert (seen, same) == (0, True)
+            assert _parked() == parked

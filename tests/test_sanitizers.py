@@ -4,10 +4,14 @@ A child process builds ``_sequitur_core.c``, ``_eq1_core.c``,
 ``_sax_core.c`` and ``_io_core.c`` with ``-fsanitize=address,undefined``
 into a temporary build directory, with the ASan runtime preloaded, and
 fuzzes each core against its Python path: Sequitur grammars, the RRA
-rank loop (budgets, checkpoint resume, the nearest-neighbour scan, and
-repeated integer-level motifs on which the lower bound skips pairs and
-prunes offsets at its margin, with candidates up to the whole series so
-that the bound's scratch grows), the core's shuffle, discretize (random
+rank loop (budgets, checkpoint resume, the nearest-neighbour scan, gap
+and rule keys through the key index's id lists, the value pool parked
+and reused across searches of every size, and repeated integer-level
+motifs on which the lower bound skips pairs and prunes offsets at its
+margin, against the pair's minimum and the scan's nearest, with
+candidates up to the whole series so that the bound's scratch grows,
+and whose proved pairs later scans and distance reads revisit), the
+core's shuffle, discretize (random
 offsets and scales, flat stretches, fractional segment edges, every
 numerosity strategy) and the series
 reader (random byte buffers, each in an exactly sized ``malloc`` block
@@ -86,13 +90,34 @@ def motif_scans(series, intervals):
     gate("require")
     cache = _CandidateSet(series)
     ids = cache.idents(intervals)
+    first = []
     for p, p_id in zip(intervals, ids.tolist()):
-        bound_work[0] += cache.tables.nearest(p_id, ids)[1]
+        first.append(cache.tables.nearest(p_id, ids))
+        bound_work[0] += first[-1][1]
         bound_work[2] += sum(
             abs(q.length - p.length) + 1 for q in intervals
             if abs(p.start - q.start) > p.length
         )
     bound_work[[1, 3]] += cache.tables.work
+    # Pairs proved against a scan's nearest are not memoized: the same
+    # scans again and scans of subsets revisit them with other nearests,
+    # and every distance reads back exact.
+    assert [cache.tables.nearest(p_id, ids) for p_id in ids.tolist()] == first
+    reference = _CandidateSet(series, core=False)
+    for _ in range(len(intervals)):
+        at = fuzz.permutation(len(intervals))[: int(fuzz.integers(1, len(intervals) + 1))]
+        p = int(fuzz.integers(0, len(intervals)))
+        want = min(
+            (reference.pair_distance(intervals[p], intervals[j]) for j in at
+             if abs(intervals[p].start - intervals[j].start) > intervals[p].length),
+            default=np.inf,
+        )
+        got = cache.tables.nearest(int(ids[p]), np.ascontiguousarray(ids[at]))[0]
+        assert got.hex() == want.hex(), (got, want)
+    for p, a in zip(intervals, ids.tolist()):
+        for q, b in zip(intervals, ids.tolist()):
+            assert cache.tables.distance(a, b).hex() == reference.pair_distance(p, q).hex()
+
 
 
 gate("require")
@@ -170,6 +195,32 @@ for trial in range(int(sys.argv[2])):
 
 visited, evaluated, offsets, offsets_evaluated = bound_work.tolist()
 assert 0 < evaluated < visited and 0 < offsets_evaluated < offsets, bound_work
+
+# Searches of growing and shrinking size in one process: each takes the
+# pool the last one parked when it is large enough, else a larger one.
+# Under ASan the pool is malloc'd, and parking, reuse and replacement run
+# as they do on mapped pools.
+def pool_search(length, seed):
+    rng = np.random.default_rng(seed)
+    series = np.cumsum(rng.normal(size=length))
+    intervals = [
+        RuleInterval(int(rng.integers(-1, 3)), int(s), int(s + n), usage=int(rng.integers(0, 3)))
+        for s, n in zip(rng.integers(0, length // 2, size=16), rng.integers(2, length // 2, size=16))
+    ]
+    return dump(find_discords(series, intervals, num_discords=2, rng=np.random.default_rng(seed)),
+                np.random.default_rng(0))[:3]
+
+
+lengths = [int(n) for n in fuzz.integers(40, 8000, size=24)]
+gate("off")
+want = [pool_search(n, seed) for seed, n in enumerate(lengths)]
+gate("require")
+lib, parked = eq1core.load(), []
+for seed, n in enumerate(lengths):
+    assert pool_search(n, seed) == want[seed], n
+    parked.append(lib.eq1_parked())
+assert all(parked) and parked == list(np.maximum.accumulate(parked)), parked
+assert 1 < len(set(parked)) < len(parked), parked
 
 libc = ctypes.CDLL(None)
 libc.malloc.restype = ctypes.c_void_p
