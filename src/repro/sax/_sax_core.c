@@ -6,8 +6,8 @@
  * repro/sax/saxcore.py.  The core holds no state.
  *
  * sax_letters reads the centred prefix sums of
- * repro.timeseries.kernels.centred_prefix_sums and evaluates the
- * operations of repro.sax.discretize.windowed_paa, in the same order:
+ * repro.timeseries.kernels.centred_prefix_sums and evaluates, in this
+ * order (DESIGN.md section 15):
  *   - mu = (c[i+W] - c[i]) / W and s2 = c2[i+W] - c2[i];
  *   - var = max(s2/W - mu*mu, 0) written as a compare that keeps a NaN,
  *     like np.maximum (fmax would drop it);
@@ -16,15 +16,17 @@
  *   - z = ((edge[j+1] - edge[j])*(P/W) - mu) / sigma, and z = 0 on flat
  *     or sigma == 0 rows.
  * Build with -ffp-contract=off and no fast-math so that each of these
- * rounds like the NumPy expression.
+ * rounds as written.
  *
- * The guard is _near_decision_rows with its tolerances e_num and e_var,
- * checked against the breakpoints of the requested alphabet only: a
+ * The near-decision guard (DESIGN.md section 15) bounds the error of
+ * var by e_var and of each coefficient's numerator by e_num, and checks
+ * them against the breakpoints of the requested alphabet only: a
  * coefficient further than its tolerance from every one of those
  * breakpoints has the same letter under the two-pass window-matrix
  * arithmetic.  Flagged rows are listed for the caller, who recomputes
- * them with that arithmetic.  Letters follow
- * np.searchsorted(cuts, z, side="right"), a NaN sorting last.
+ * them with that arithmetic (repro.sax.discretize._two_pass_rows).
+ * Letters follow np.searchsorted(cuts, z, side="right"), a NaN sorting
+ * last.
  */
 #include <math.h>
 #include <stdint.h>

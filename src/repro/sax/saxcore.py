@@ -9,11 +9,13 @@ per-window NumPy temporary is built, and the core holds no state, so it
 is loaded as a :class:`ctypes.CDLL` and its calls release the GIL.
 
 :mod:`repro._cbuild` compiles the source on first use.  On first load a
-parity probe compares the core's letters and reductions with the NumPy
-path of :func:`~repro.sax.discretize.discretize` on a small series; a missing
-compiler or a failed probe makes :func:`load` return None
-(``REPRO_C_CORE=require`` raises instead), and discretize runs its NumPy
-path, which gives the same words.
+parity probe compares the core's letters with the window-matrix
+arithmetic of :func:`~repro.sax.discretize._two_pass_rows` and its
+reductions with :func:`~repro.sax.discretize._kept_indices` on a small
+series; a missing compiler or a failed probe makes :func:`load` return
+None (``REPRO_C_CORE=require`` raises instead), and discretize computes
+every window with :func:`~repro.sax.discretize._two_pass_rows`, which
+gives the same words (DESIGN.md §15).
 """
 
 from __future__ import annotations
@@ -91,20 +93,19 @@ def reduce(
 
 
 def _probe(lib: ctypes.CDLL) -> bool:
-    """True when the core's letters and reductions are the NumPy path's.
+    """True when the core's letters and reductions are the Python path's.
 
-    One :func:`~repro.sax.discretize.windowed_paa` matrix serves both
-    checks.  The series has a flat stretch, sign-mirrored blocks whose
-    segment means sit on the even-alphabet breakpoint 0, a 1e3 offset
-    and fractional segment edges (W = 30, P = 4).  At an even and an odd
+    The series has a flat stretch, sign-mirrored blocks whose segment
+    means sit on the even-alphabet breakpoint 0, a 1e3 offset and
+    fractional segment edges (W = 30, P = 4).  At an even and an odd
     alphabet the core must flag some windows (the flat stretch, and at
     the even alphabet the windows near 0) and give every window it does
-    not flag the letters of the NumPy path, and each strategy
-    must keep the windows :func:`~repro.sax.discretize._kept_indices`
-    keeps, with their keys.
+    not flag the letters of :func:`~repro.sax.discretize._two_pass_rows`,
+    and each strategy must keep the windows
+    :func:`~repro.sax.discretize._kept_indices` keeps, with their keys.
     """
     from repro.sax.alphabet import breakpoints_array, letter_indices
-    from repro.sax.discretize import NumerosityReduction, _kept_indices, windowed_paa
+    from repro.sax.discretize import NumerosityReduction, _kept_indices, _two_pass_rows
     from repro.timeseries.kernels import centred_prefix_sums
     from repro.timeseries.znorm import DEFAULT_FLATNESS_THRESHOLD
 
@@ -113,7 +114,10 @@ def _probe(lib: ctypes.CDLL) -> bool:
     series[:120] += np.sin(np.arange(120) / 5.0)
     series[150:180] = series[150]
     window, paa_size = 30, 4
-    values = windowed_paa(series, window, paa_size)
+    values = _two_pass_rows(
+        series, window, paa_size, np.arange(series.size - window + 1),
+        DEFAULT_FLATNESS_THRESHOLD,
+    )
     sums = centred_prefix_sums(series)
     for alphabet_size in (4, 5):
         got, flagged = letters(

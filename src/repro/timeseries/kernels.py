@@ -77,8 +77,8 @@ def centred_prefix_sums(
     catastrophically far from zero: ``E[x²] − mean²`` at an offset of
     1e6 keeps only a few digits of a unit variance.  Centred sums keep
     them independent of the offset (DESIGN.md §5).  The one definition
-    behind :class:`SeriesStats`, :func:`sliding_window_stats` and
-    :func:`repro.sax.discretize.windowed_paa`.
+    behind :class:`SeriesStats`, :func:`sliding_window_stats` and the
+    discretize core's letters (:func:`repro.sax.saxcore.letters`).
     """
     centre = float(series.mean()) if series.size else 0.0
     x = series - centre

@@ -26,6 +26,10 @@ that :func:`repro.grammar.intervals.uncovered_intervals` vectorises.
 detector, which ``ParameterGridStudy.sweep`` replaces with an ensemble
 member scored after the fact.
 
+:func:`reduce_oracle` is numerosity reduction over the word strings,
+which :func:`repro.sax.discretize._kept_indices` and the discretize
+core's ``sax_reduce`` run on integer letter rows.
+
 :func:`outer_order_oracle`, :func:`search_fingerprint_oracle` and
 :func:`bin_series_oracle` are the per-object and per-bin loops that RRA's
 outer order, :func:`repro.resilience.checkpoint.search_fingerprint` and
@@ -50,6 +54,8 @@ from repro.exceptions import ReproError
 from repro.grammar.grammar import START_RULE_ID
 from repro.grammar.intervals import RuleInterval
 from repro.resilience.checkpoint import series_digest
+from repro.sax.discretize import NumerosityReduction
+from repro.sax.sax import mindist
 from repro.timeseries import kernels
 from repro.timeseries.distance import euclidean, variable_length_distance
 from repro.timeseries.paa import paa
@@ -307,6 +313,34 @@ def nearest_neighbor_oracle(
             nearest = min(nearest, distance(p, q))
         profile.append((p, nearest))
     return profile, calls
+
+
+def reduce_oracle(
+    raw_words: list[str],
+    strategy: NumerosityReduction,
+    alphabet_size: int,
+    window: int,
+) -> list[int]:
+    """Indices of the words that survive numerosity reduction.
+
+    EXACT keeps a word that differs from the last kept one, MINDIST one
+    whose SAX MINDIST to the last kept one is positive, NONE every word.
+    """
+    if strategy is NumerosityReduction.NONE or not raw_words:
+        return list(range(len(raw_words)))
+    kept = [0]
+    if strategy is NumerosityReduction.EXACT:
+        for i in range(1, len(raw_words)):
+            if raw_words[i] != raw_words[kept[-1]]:
+                kept.append(i)
+        return kept
+    if strategy is NumerosityReduction.MINDIST:
+        for i in range(1, len(raw_words)):
+            dist = mindist(raw_words[i], raw_words[kept[-1]], alphabet_size, window)
+            if dist > 0.0:
+                kept.append(i)
+        return kept
+    raise ValueError(f"unknown numerosity reduction strategy: {strategy!r}")
 
 
 def rule_intervals_oracle(

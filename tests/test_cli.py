@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 
 import repro.cli
+import repro.io
+from repro import _cbuild
 from repro.cli import _load_series, _render_curve, build_parser, main
 from repro.datasets import sine_with_anomaly
 from repro.datasets.ecg import ecg_record_like
 from repro.datasets.respiration import respiration_like
 from repro.exceptions import ReproError
+from repro.grammar import ccore
+from repro.sax import saxcore
+from repro.timeseries import eq1core
 
 
 @pytest.fixture
@@ -144,6 +149,23 @@ class TestCommands:
     def test_error_path_returns_1(self, capsys):
         assert main(["find", "/nonexistent.csv"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gate", ["require", "off"])
+    @pytest.mark.parametrize("paa", ["0", "-1"])
+    def test_find_rejects_paa_below_one(
+        self, series_file, capsys, monkeypatch, request, gate, paa
+    ):
+        if gate == "require" and _cbuild._find_compiler() is None:
+            pytest.skip("no C compiler on PATH")
+        monkeypatch.setenv("REPRO_C_CORE", gate)
+        for core in (ccore, eq1core, saxcore, repro.io._io_core):
+            core.reset_for_testing()
+            request.addfinalizer(core.reset_for_testing)
+        argv = ["find", series_file, "-w", "50", "-p", paa, "-a", "4"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: PAA size must be in [1, 50], got {paa}\n"
 
     def test_table1_single_row(self, capsys):
         assert main(["table1", "--only", "ecg_qtdb_0606"]) == 0

@@ -12,7 +12,7 @@ preserved reference implementations.  This suite pins that promise:
   IncrementalSequitur` against offline induction at every checked
   prefix.
 * The vectorized :func:`repro.sax.discretize._kept_indices` is checked
-  against the scalar word-string :func:`repro.sax.discretize._reduce`
+  against the scalar word-string :func:`tests.oracles.reduce_oracle`
   for all three numerosity strategies.
 * The vectorized density-minima run extraction is checked against a
   per-point reference scan.
@@ -49,13 +49,10 @@ from repro.datasets.synthetic import sine_with_anomaly
 from repro.grammar import ccore
 from repro.grammar.intervals import RuleInterval, RuleIntervalList
 from repro.grammar.sequitur import induce_grammar
-from repro.sax.discretize import (
-    NumerosityReduction,
-    _kept_indices,
-    _reduce,
-)
+from repro.sax.discretize import NumerosityReduction, _kept_indices
 from repro.streaming.online_sequitur import IncrementalSequitur
 from tests.legacy_sequitur import induce_grammar_legacy
+from tests.oracles import reduce_oracle
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "grammar_fingerprints.json"
 GOLDEN_FORMAT = "repro-grammar-fingerprints/1"
@@ -175,7 +172,7 @@ class TestNumerosityReduction:
         ]
         for strategy in NumerosityReduction:
             fast = _kept_indices(letter_idx, strategy).tolist()
-            reference = _reduce(raw_words, strategy, _ALPHABET_SIZE, 16)
+            reference = reduce_oracle(raw_words, strategy, _ALPHABET_SIZE, 16)
             assert fast == reference, strategy
 
 

@@ -13,7 +13,7 @@ candidates up to the whole series so that the bound's scratch grows,
 and whose proved pairs later scans and distance reads revisit), the
 core's shuffle, discretize (random
 offsets and scales, flat stretches, fractional segment edges, every
-numerosity strategy) and the series
+numerosity strategy, words too long to pack into keys) and the series
 reader (random byte buffers, each in an exactly sized ``malloc`` block
 so that a read past its end is caught, among them buffers that end
 mid-token, mid-exponent or after a lone sign, and 10k-digit tokens).
@@ -122,6 +122,7 @@ def motif_scans(series, intervals):
 
 gate("require")
 assert None not in (ccore.load(), eq1core.load(), saxcore.load(), repro.io._io_core.load())
+unpacked = 0  # discretize cases with A^P >= 2^62
 for trial in range(int(sys.argv[2])):
     tokens = [str(t) for t in fuzz.integers(0, fuzz.integers(2, 6), size=fuzz.integers(0, 400))]
     both(lambda: induce_grammar(tokens))
@@ -129,6 +130,13 @@ for trial in range(int(sys.argv[2])):
     window = int(fuzz.integers(2, 60))
     paa = int(fuzz.integers(1, min(window, 10) + 1))
     alphabet = int(fuzz.integers(2, 27))
+    if fuzz.random() < 0.25:
+        # A^P >= 2^62: too long to pack into keys, so the core gives the
+        # letters and the Python path reduces them.
+        paa = next(p for p in range(1, 63) if alphabet**p >= 2**62)
+        paa += int(fuzz.integers(0, 4))
+        window = int(fuzz.integers(paa, paa + 60))
+        unpacked += 1
     raw = np.cumsum(fuzz.normal(size=int(fuzz.integers(window, 500))))
     raw = raw * 10.0 ** fuzz.uniform(-3, 3) + fuzz.uniform(-1e6, 1e6)
     if fuzz.random() < 0.3:
@@ -193,6 +201,7 @@ for trial in range(int(sys.argv[2])):
     assert np.array_equal(got, ids)
     assert core.bit_generator.state == numpy_.bit_generator.state
 
+assert unpacked > 0
 visited, evaluated, offsets, offsets_evaluated = bound_work.tolist()
 assert 0 < evaluated < visited and 0 < offsets_evaluated < offsets, bound_work
 
