@@ -172,22 +172,23 @@ class CCore:
     def load(self) -> Optional[ctypes.CDLL]:
         """Return the bound library, or None when unavailable.
 
-        The first call compiles (or finds a cached build of) the core;
-        the outcome, a failure included, is kept for the process
-        lifetime.  ``REPRO_C_CORE=require`` turns every failure into
-        :class:`CCoreUnavailable`.
+        The first call outside ``REPRO_C_CORE=off`` compiles (or finds a
+        cached build of) the core; the outcome, a failure included, is
+        kept for the process lifetime.  A call under ``off`` returns
+        None without trying, so a later call under another gate still
+        loads the core.  ``REPRO_C_CORE=require`` turns every failure
+        into :class:`CCoreUnavailable`.
         """
         with self._lock:
             mode = _gate()
-            if not self._attempted:
+            if not self._attempted and mode != "off":
                 self._attempted = True
-                if mode != "off":
-                    try:
-                        self._cached = self._load_uncached()
-                    except CCoreUnavailable:
-                        if mode == "require":
-                            raise
-            elif self._cached is None and mode == "require":
+                try:
+                    self._cached = self._load_uncached()
+                except CCoreUnavailable:
+                    if mode == "require":
+                        raise
+            elif self._attempted and self._cached is None and mode == "require":
                 raise CCoreUnavailable(
                     f"{self.source.name} core unavailable (cached failure)"
                 )

@@ -51,9 +51,9 @@ class OnlineDiscretizer:
     ) -> None:
         if window < 2:
             raise ParameterError(f"window must be at least 2, got {window}")
-        if paa_size > window:
+        if not 1 <= paa_size <= window:
             raise ParameterError(
-                f"PAA size {paa_size} exceeds window length {window}"
+                f"PAA size must be in [1, {window}], got {paa_size}"
             )
         self.window = window
         self.paa_size = paa_size

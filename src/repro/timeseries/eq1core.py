@@ -261,8 +261,10 @@ def _probe(lib: ctypes.CDLL) -> bool:
     offsets pruned at the margin, against the pair's minimum and against
     the scan's nearest (DESIGN.md §20); every pair's distance is then
     read back from the memo those scans left.  The shuffles cover
-    empty and short arrays and a buffered 32-bit half-word, and compare
-    the generator state afterwards.
+    empty and short arrays, lengths that start the draw loop at the top
+    (64) and at the bottom (65, 1025) of a power-of-two block, and a
+    buffered 32-bit half-word, and compare the generator state
+    afterwards.
     """
     from repro.core.rra import _CandidateSet
     from repro.grammar.intervals import RuleInterval
@@ -305,7 +307,7 @@ def _probe(lib: ctypes.CDLL) -> bool:
         for q, q_id in zip(intervals, ids.tolist()):
             if reference.pair_distance(p, q).hex() != fast.tables.distance(p_id, q_id).hex():
                 return False
-    for seed, n in enumerate((0, 1, 2, 3, 70, 1000)):
+    for seed, n in enumerate((0, 1, 2, 3, 64, 65, 70, 1000, 1025)):
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         for generator in (rng, twin)[: seed % 2 * 2]:
             generator.shuffle(np.arange(2))  # one 32-bit draw

@@ -115,6 +115,31 @@ def test_require_raises_when_the_source_is_missing(tmp_path, monkeypatch):
 
 
 @needs_compiler
+def test_a_load_skipped_under_off_is_not_cached(monkeypatch):
+    """A load under ``REPRO_C_CORE=off`` tries nothing and caches
+    nothing: in the same process a later ``require`` loads the core, and
+    so does the default gate after an ``off``."""
+    for then in ("require", ""):
+        core = _cbuild.CCore(eq1core._SOURCE, lambda lib: lib)
+        monkeypatch.setenv("REPRO_C_CORE", "off")
+        assert core.load() is None
+        monkeypatch.setenv("REPRO_C_CORE", then)
+        lib = core.load()
+        assert lib is not None, then
+        monkeypatch.setenv("REPRO_C_CORE", "")
+        assert core.load() is lib
+
+
+def test_require_after_off_reports_the_real_failure(tmp_path, monkeypatch):
+    core = _cbuild.CCore(tmp_path / "missing.c", lambda lib: lib)
+    monkeypatch.setenv("REPRO_C_CORE", "off")
+    assert core.load() is None
+    monkeypatch.setenv("REPRO_C_CORE", "require")
+    with pytest.raises(_cbuild.CCoreUnavailable, match="missing C source"):
+        core.load()
+
+
+@needs_compiler
 def test_failed_parity_probe_falls_back(monkeypatch):
     core = _cbuild.CCore(eq1core._SOURCE, eq1core._bind, lambda lib: False)
     monkeypatch.setenv("REPRO_C_CORE", "")

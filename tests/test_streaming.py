@@ -112,6 +112,17 @@ class TestOnlineDiscretizer:
         with pytest.raises(ParameterError):
             OnlineDiscretizer(10, 20, 3)
 
+    @pytest.mark.parametrize("paa_size", [0, -1, 11])
+    def test_paa_size_is_checked_at_construction(self, paa_size):
+        """A PAA size outside ``[1, window]`` fails when the discretizer is
+        built, with ``discretize``'s message, not on the first full
+        window."""
+        with pytest.raises(ParameterError) as online:
+            OnlineDiscretizer(10, paa_size, 3)
+        with pytest.raises(ParameterError) as offline:
+            discretize(np.arange(20.0), 10, paa_size, 3)
+        assert str(online.value) == str(offline.value)
+
     @given(
         st.integers(0, 10_000),
         st.integers(8, 40),
