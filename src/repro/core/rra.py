@@ -36,7 +36,14 @@ import numpy as np
 
 from repro.core.anomaly import Discord
 from repro.cache.results import discords_from_json, discords_to_json
-from repro.discord.search import DiscordSearchResult, SearchSession, iterated_search
+from repro.discord.search import (
+    DiscordSearchResult,
+    RankState,
+    ScanRun,
+    SearchSession,
+    iterated_search,
+    rank_search,
+)
 from repro.exceptions import CheckpointError, DiscordSearchError
 from repro.grammar.intervals import RuleInterval, RuleIntervalList, interval_endpoints
 from repro.observability.metrics import ensure_metrics
@@ -82,28 +89,18 @@ def _outer_order(table: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class _RankState:
-    """Mutable per-rank search state at an outer-loop boundary.
-
-    The boundary before outer candidate *outer_index* is a deterministic
-    point of the search: candidates ``outer[:outer_index]`` are fully
-    processed, the counter reads *calls*, and the RNG (captured *before*
-    the candidate's inner-loop shuffle) is in *rng_state*.  Restoring
-    these four values and re-entering the loop reproduces the
-    uninterrupted run bit-for-bit.
+class _RankState(RankState):
+    """:class:`~repro.discord.search.RankState` with what an RRA
+    checkpoint records besides: the rank's ``(start, end, rule)``
+    columns in outer order, a ``(3, n)`` int64 array, for its
+    ``visited`` list and ``best_key``; and a resumed rank's
+    ``best_key``, which :func:`find_discord` turns into ``best``.
     """
 
-    outer_index: int = 0
-    best_dist: float = 0.0
-    best_key: Optional[tuple[int, int, int]] = None
-    calls: int = 0
-    rng_state: Optional[dict] = None
-    complete: bool = False
-    #: The rank's ``(start, end)`` columns in outer order, a ``(2, n)``
-    #: int64 array, for the checkpoint's ``visited`` list.
     outer: np.ndarray = field(
-        default_factory=lambda: np.empty((2, 0), dtype=np.int64), repr=False
+        default_factory=lambda: np.empty((3, 0), dtype=np.int64), repr=False
     )
+    best_key: Optional[tuple[int, int, int]] = None
 
 
 class _CandidateSet:
@@ -270,6 +267,60 @@ class _InnerOrdering:
         return chain(same_rule, map(rest.__getitem__, perm))
 
 
+class _PythonRankRun(ScanRun):
+    """An outer candidate of a rank without the C core: paper Algorithm 1's
+    per-pair inner loop over :class:`_InnerOrdering`, with
+    :meth:`_CandidateSet.pair_distance` as the distance."""
+
+    def __init__(self, cache: _CandidateSet, candidates, order: np.ndarray, rng):
+        super().__init__()
+        objects = list(candidates)
+        self._outer = [objects[j] for j in order.tolist()]
+        self._ordering = _InnerOrdering(objects)
+        self._distance = cache.pair_distance
+        self._rng = rng
+
+    def scan(self, i: int, best_dist: float) -> tuple[float, bool]:
+        p = self._outer[i]
+        p_start, p_length = p.start, p.end - p.start
+        nearest, visited = math.inf, 0
+        try:
+            for q in self._ordering.order(p, self._rng):
+                # Paper line 7: skip p itself and trivial self matches.
+                if abs(p_start - q.start) <= p_length:
+                    continue
+                visited += 1
+                dist = self._distance(p, q)
+                if dist < best_dist:
+                    return nearest, True  # p cannot beat the current best discord
+                if dist < nearest:
+                    nearest = dist
+            return nearest, False
+        finally:
+            self.calls += visited
+
+    def take_work(self) -> list[int]:
+        """The core's work counters, which the Python loop leaves at zero."""
+        return [0, 0]
+
+
+def _rank_run(cache: _CandidateSet, valid: RuleIntervalList, rows: np.ndarray,
+              order: np.ndarray, rng: np.random.Generator):
+    """The stretch runner of the rank over *valid*'s *rows* in outer
+    *order*: the C core's when *cache* has its tables, else the Python
+    loop."""
+    candidates = valid.subset(rows)
+    if cache.tables is None:
+        return _PythonRankRun(cache, candidates, order, rng)
+    return eq1core.RankRun(
+        cache.tables,
+        cache.idents(valid)[rows],
+        candidates.table[0].clip(_InnerOrdering._GAP),
+        order.astype(np.int64),
+        rng,
+    )
+
+
 def find_discord(
     series: np.ndarray,
     intervals: Sequence[RuleInterval],
@@ -324,6 +375,9 @@ def find_discord(
         adds no work to the hot loop: results and logical call counts
         are byte-identical with or without it.
 
+    The rank runs in :func:`~repro.discord.search.rank_search`, the
+    outer-candidate loop of every engine.
+
     Returns
     -------
     (discord or None, counter)
@@ -332,179 +386,32 @@ def find_discord(
     series = np.asarray(series, dtype=float)
     if series.ndim != 1:
         raise DiscordSearchError(f"series must be 1-d, got shape {series.shape}")
-    if counter is None:
-        counter = DistanceCounter()
     if rng is None:
         rng = np.random.default_rng(0)
-    # A budget or an externally owned state object gives the caller a
-    # channel to observe truncation; only then may interrupts be
-    # swallowed into a best-so-far return.
-    has_channel = budget is not None or _state is not None
-    if budget is None:
-        budget = SearchBudget.unlimited()
-    metrics = ensure_metrics(metrics)
-    budget.bind_metrics(metrics)
-    state = _state if _state is not None else _RankState()
-    capture_rng = _on_boundary is not None
-
-    # The rank's candidates are rows of the admissible table: the search
-    # reads its columns, and only the Python path builds objects.
-    valid = _admissible(intervals, series.size)
-    rows = np.flatnonzero(~valid.overlapping(exclude))
-    if not rows.size:
-        state.complete = True
-        return None, counter
-
     if cache is None:
         cache = _CandidateSet(series)
-    candidates = valid.subset(rows)
-    table = candidates.table
-    rule_ids, starts, ends, _ = table
+    # The rank's candidates are rows of the admissible table: the search
+    # reads its columns, and only the Python runner builds objects.
+    valid = _admissible(intervals, series.size)
+    rows = np.flatnonzero(~valid.overlapping(exclude))
+    table = valid.table[:, rows]
     order = _outer_order(table)
-    state.outer = table[1:3, order]
-    n_outer = order.size
-    run = cache.tables and eq1core.RankRun(
-        cache.tables,
-        cache.idents(valid)[rows],
-        rule_ids.clip(_InnerOrdering._GAP),
-        order.astype(np.int64),
+    outer = table[[1, 2, 0]][:, order]
+    if _state is not None:
+        _state.outer = outer
+        if _state.best_key is not None:
+            match = np.flatnonzero((outer.T == _state.best_key).all(axis=1))
+            _state.best = int(match[0]) if match.size else None
+    if rows.size:
+        ensure_metrics(metrics).gauge("search.candidate_count").set(rows.size)
+    run = _rank_run(cache, valid, rows, order, rng)
+    return rank_search(
+        outer[:2], run, source="rra", best_dist=0.0, rule_ids=outer[2],
+        counter=counter, budget=budget, metrics=metrics,
+        state=_state, on_boundary=_on_boundary,
+        capture_rng=(lambda: rng_state_to_json(rng)) if _on_boundary is not None else None,
+        take_work=run.take_work,
     )
-    if run is not None:
-        # The first core call of a rank runs one outer candidate and each
-        # later one twice as many, so a tight deadline or a cancelled
-        # token is seen early and a long rank pays few boundaries.
-        span = 1
-    else:
-        objects = list(candidates)
-        outer = [objects[j] for j in order.tolist()]
-        ordering = _InnerOrdering(objects)
-        distance = cache.pair_distance
-    max_calls = budget.max_calls if budget.max_calls is not None else 2**63 - 1
-
-    best_dist = state.best_dist
-    # The candidate row of the best-so-far discord, found by its key on
-    # a resume.
-    best_row: Optional[int] = None
-    if state.best_key:
-        key_start, key_end, key_rule = state.best_key
-        match = np.flatnonzero(
-            (starts == key_start) & (ends == key_end) & (rule_ids == key_rule)
-        )
-        best_row = int(match[0]) if match.size else None
-
-    instrumented = metrics.enabled
-    if instrumented:
-        metrics.gauge("search.candidate_count").set(n_outer)
-        m_visited = metrics.counter("search.candidates_visited")
-        m_abandoned = metrics.counter("search.candidates_abandoned")
-        m_survived = metrics.counter("search.candidates_survived")
-        m_best = metrics.counter("search.best_updates")
-        m_depth = metrics.histogram("search.abandon_depth")
-        m_work = (
-            metrics.counter("search.pairs_evaluated"),
-            metrics.counter("search.offsets_evaluated"),
-        )
-
-    i = state.outer_index
-    crossed = 1  # boundaries since the last _on_boundary call
-    try:
-        while True:
-            # A boundary: outer[:i] are done, and no randomness or
-            # distance call of candidate i is spent yet.  It is the
-            # deterministic point a checkpoint resumes from.
-            state.outer_index = i
-            state.calls = counter.calls
-            if capture_rng:
-                state.rng_state = rng_state_to_json(rng)
-            if i == n_outer:
-                state.complete = True
-                if _on_boundary is not None:
-                    _on_boundary(state, crossed - 1)  # the last run's boundaries
-                break
-            if budget.interrupted(counter.calls) is not None:
-                break
-            stop = n_outer
-            if _on_boundary is not None:
-                stop = min(stop, i + _on_boundary(state, crossed))
-            # Pair visits are flushed in ``finally``, so an interrupt that
-            # lands as a run returns leaves the counter exactly where
-            # per-pair counting would have, and the state at the boundary
-            # before the run.
-            if run is not None:
-                try:
-                    end, found, best = run(
-                        i, min(stop, i + span), max_calls - counter.calls, best_dist, rng
-                    )
-                finally:
-                    counter.batch(run.take_calls())
-                    if instrumented:
-                        for m, done in zip(m_work, run.take_work()):
-                            m.inc(done)
-                span = min(2 * span, run.MAX_OUTERS)
-                flags, depths = run.flags, run.outer_calls
-            else:
-                p = outer[i]
-                p_start = p.start
-                p_length = p.end - p_start
-                nearest = math.inf
-                abandoned = False
-                kernel_calls = 0
-                try:
-                    for q in ordering.order(p, rng):
-                        # Paper line 7: skip p itself and trivial self matches.
-                        if abs(p_start - q.start) <= p_length:
-                            continue
-                        kernel_calls += 1
-                        dist = distance(p, q)
-                        if dist < best_dist:
-                            # p cannot beat the current best discord.
-                            abandoned = True
-                            break
-                        if dist < nearest:
-                            nearest = dist
-                finally:
-                    counter.batch(kernel_calls)
-                end, found, best = i + 1, nearest, -1
-                if not abandoned and nearest < math.inf and nearest > best_dist:
-                    best = i
-                flags, depths = (2 if best >= 0 else int(abandoned),), (kernel_calls,)
-            if instrumented:
-                for flag, depth in zip(flags[: end - i], depths[: end - i]):
-                    m_visited.inc()
-                    if flag == 1:
-                        m_abandoned.inc()
-                        m_depth.observe(int(depth))
-                    else:
-                        m_survived.inc()
-                        if flag == 2:
-                            m_best.inc()
-            if best >= 0:
-                best_dist, best_row = found, int(order[best])
-                state.best_dist = best_dist
-                best_rule, best_start, best_end, _ = table[:, best_row].tolist()
-                state.best_key = (best_start, best_end, best_rule)
-            crossed, i = end - i, end
-    except KeyboardInterrupt:
-        if not has_channel:
-            raise
-        # The aborted run's partial work is discarded: the state still
-        # describes the last completed boundary, so a resumed run
-        # replays the run in full and stays bit-identical.
-        budget.note_cancelled()
-
-    if best_row is None:
-        return None, counter
-    rule_id, start, end, _ = table[:, best_row].tolist()
-    discord = Discord(
-        start=start,
-        end=end,
-        score=best_dist,
-        rank=0,
-        nn_distance=best_dist,
-        rule_id=rule_id,
-        source="rra",
-    )
-    return discord, counter
 
 
 def find_discords(
@@ -664,9 +571,11 @@ def find_discords(
                 "exclusions": [[d.start, d.end] for d in exact],
                 "rank": len(exact),
                 "outer_index": state.outer_index,
-                "visited": state.outer[:, : state.outer_index].T.tolist(),
+                "visited": state.outer[:2, : state.outer_index].T.tolist(),
                 "best_dist": state.best_dist,
-                "best_key": list(state.best_key) if state.best_key else None,
+                "best_key": (
+                    state.outer[:, state.best].tolist() if state.best is not None else None
+                ),
                 "distance_calls": state.calls,
                 "ledger": {"calls": state.calls},
                 "rng_state": state.rng_state,

@@ -13,14 +13,21 @@ also provides the closed-form call count that the paper tabulates.
 
 from __future__ import annotations
 
+import math
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from repro.core.anomaly import Discord
-from repro.discord.search import DiscordSearchResult, fixed_length_discords
-from repro.exceptions import DiscordSearchError
-from repro.observability.metrics import ensure_metrics
+from repro.discord.search import (
+    DiscordSearchResult,
+    ScanRun,
+    fixed_length_discords,
+    rank_search,
+    search_windows,
+    starts_outside,
+)
 from repro.resilience.budget import SearchBudget
 from repro.timeseries import kernels
 from repro.timeseries.distance import DistanceCounter
@@ -52,7 +59,6 @@ def brute_force_discord(
     early_abandon: bool = False,
     exclude: tuple[tuple[int, int], ...] = (),
     budget: Optional[SearchBudget] = None,
-    windows: Optional[kernels.WindowMatrix] = None,
     metrics=None,
 ) -> tuple[Optional[Discord], DistanceCounter]:
     """Exact fixed-length discord by exhaustive search.
@@ -77,124 +83,65 @@ def brute_force_discord(
         Optional anytime budget, checked once per outer candidate.  On
         exhaustion (or ``KeyboardInterrupt`` while one was supplied) the
         best-so-far discord is returned and ``budget.status`` says why.
-    windows:
-        Prebuilt :class:`~repro.timeseries.kernels.WindowMatrix` to
-        reuse across ranks (one normalization + row-norm pass per
-        search); built on the fly when absent.
     metrics:
         Optional :class:`~repro.observability.MetricsRegistry` recording
         search telemetry (candidates visited / abandoned, abandon
         depths, budget trips).  Disabled by default; results and logical
         call counts are byte-identical either way.
     """
-    series = np.asarray(series, dtype=float)
-    k = num_windows(series.size, window)
-    if k < 2:
-        raise DiscordSearchError(
-            f"series of length {series.size} too short for window {window}"
-        )
-    if counter is None:
-        counter = DistanceCounter()
-    has_channel = budget is not None
-    if budget is None:
-        budget = SearchBudget.unlimited()
-    metrics = ensure_metrics(metrics)
-    budget.bind_metrics(metrics)
-
-    if windows is None:
-        windows = kernels.WindowMatrix(series, window)
-    normalized = windows.normalized
-    sqnorms = windows.sqnorms
-
-    best_dist = -1.0
-    best_pos = None
-    try:
-        best_dist, best_pos = _brute_force_scan(
-            normalized, sqnorms, k, window, counter, budget,
-            early_abandon=early_abandon, exclude=exclude, metrics=metrics,
-        )
-    except KeyboardInterrupt:
-        if not has_channel:
-            raise
-        budget.note_cancelled()
-
-    if best_pos is None:
-        return None, counter
-    discord = Discord(
-        start=best_pos,
-        end=best_pos + window,
-        score=best_dist,
-        rank=0,
-        nn_distance=best_dist,
-        rule_id=None,
-        source="brute_force",
+    return brute_force_rank(
+        search_windows(np.asarray(series, dtype=float), window),
+        counter=counter, early_abandon=early_abandon, exclude=exclude,
+        budget=budget, metrics=metrics,
     )
-    return discord, counter
 
 
-def _brute_force_scan(
-    normalized: np.ndarray,
-    sqnorms: np.ndarray,
-    k: int,
-    window: int,
-    counter: DistanceCounter,
-    budget: SearchBudget,
+def brute_force_rank(
+    windows: kernels.WindowMatrix,
     *,
-    early_abandon: bool,
-    exclude: tuple[tuple[int, int], ...],
+    counter: Optional[DistanceCounter] = None,
+    early_abandon: bool = False,
+    exclude: tuple[tuple[int, int], ...] = (),
+    budget: Optional[SearchBudget] = None,
     metrics=None,
-) -> tuple[float, Optional[int]]:
-    """The exhaustive outer/inner loop; returns (best_dist, best_pos)."""
-    metrics = ensure_metrics(metrics)
-    instrumented = metrics.enabled
-    if instrumented:
-        m_visited = metrics.counter("search.candidates_visited")
-        m_abandoned = metrics.counter("search.candidates_abandoned")
-        m_survived = metrics.counter("search.candidates_survived")
-        m_best = metrics.counter("search.best_updates")
-        m_depth = metrics.histogram("search.abandon_depth")
-    best_dist = -1.0
-    best_pos = None
-    for p in range(k):
-        if any(ex_start <= p < ex_end for ex_start, ex_end in exclude):
-            continue
-        if budget.interrupted(counter.calls) is not None:
-            break
-        if instrumented:
-            calls_at_entry = counter.calls
-        nearest = float("inf")
-        abandoned = False
-        # One matrix-vector product yields the candidate's entire
-        # distance row; the per-pair early-abandon logic is replayed on
-        # it so the logical call count stays identical.
+) -> tuple[Optional[Discord], DistanceCounter]:
+    """One rank of :func:`brute_force_discord` over the search's window
+    matrix, its only source of series and window."""
+    outer = starts_outside(np.arange(num_windows(windows.series.size, windows.window)), exclude)
+    return rank_search(
+        np.stack((outer, outer + windows.window)),
+        _RowScan(windows, outer, early_abandon),
+        source="brute_force", best_dist=-1.0,
+        counter=counter, budget=budget, metrics=metrics,
+    )
+
+
+class _RowScan(ScanRun):
+    """An outer window of brute force: one matrix-vector product yields
+    its whole distance row, and the per-pair early-abandon logic is
+    replayed on it so the logical call count stays identical."""
+
+    def __init__(self, windows, outer, early_abandon):
+        super().__init__()
+        self._normalized, self._sqnorms = windows.normalized, windows.sqnorms
+        self._window, self._outer, self._early_abandon = windows.window, outer, early_abandon
+
+    def scan(self, i: int, best_dist: float) -> tuple[float, bool]:
+        p, window = int(self._outer[i]), self._window
         sq_row = kernels.one_vs_all_sq_euclidean(
-            normalized[p], normalized, query_sqnorm=sqnorms[p], sqnorms=sqnorms
+            self._normalized[p], self._normalized,
+            query_sqnorm=self._sqnorms[p], sqnorms=self._sqnorms,
         )
-        valid = np.ones(k, dtype=bool)
+        valid = np.ones(sq_row.size, dtype=bool)
         valid[max(0, p - window) : p + window + 1] = False
         dists = np.sqrt(sq_row[valid])
-        if early_abandon:
+        if self._early_abandon:
             hit = kernels.first_below(dists, best_dist)
             if hit >= 0:
-                counter.batch(hit + 1)
-                abandoned = True
-        if not abandoned:
-            counter.batch(dists.size)
-            if dists.size:
-                nearest = float(dists.min())
-        if instrumented:
-            m_visited.inc()
-            if abandoned:
-                m_abandoned.inc()
-                m_depth.observe(counter.calls - calls_at_entry)
-            else:
-                m_survived.inc()
-        if not abandoned and np.isfinite(nearest) and nearest > best_dist:
-            best_dist = nearest
-            best_pos = p
-            if instrumented:
-                m_best.inc()
-    return best_dist, best_pos
+                self.calls += hit + 1
+                return math.inf, True
+        self.calls += dists.size
+        return (float(dists.min()) if dists.size else math.inf), False
 
 
 #: The brute-force result type; the name predates the shared result class.
@@ -217,25 +164,11 @@ def brute_force_discords(
     *cache* serves an identical previous search from disk (discords +
     call ledger, ``from_cache=True``).
     """
-    series = np.asarray(series, dtype=float)
-
-    def build_search(session, windows):
-        return lambda exclude: brute_force_discord(
-            series,
-            window,
-            counter=session.counter,
-            early_abandon=early_abandon,
-            exclude=exclude,
-            budget=session.budget,
-            windows=windows,
-            metrics=session.metrics,
-        )[0]
-
     return fixed_length_discords(
         "brute_force",
-        series,
+        np.asarray(series, dtype=float),
         window,
-        build_search,
+        lambda windows: partial(brute_force_rank, windows, early_abandon=early_abandon),
         params={"early_abandon": bool(early_abandon)},
         num_discords=num_discords,
         counter=counter,

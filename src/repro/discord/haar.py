@@ -13,6 +13,7 @@ well the Haar words group similar windows.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -20,9 +21,8 @@ import numpy as np
 from repro.core.anomaly import Discord
 from repro.discord.search import (
     DiscordSearchResult,
-    bucket_ordered_search,
+    bucket_rank,
     fixed_length_discords,
-    ordered_discord_search,
     search_windows,
 )
 from repro.exceptions import ParameterError
@@ -120,17 +120,9 @@ def haar_discord(
         series, window,
         num_coefficients=num_coefficients, normalized=windows.normalized,
     )
-    return ordered_discord_search(
-        series,
-        window,
-        lambda s, w: words,
-        source="haar",
-        counter=counter,
-        rng=rng,
-        exclude=exclude,
-        budget=budget,
-        windows=windows,
-        metrics=metrics,
+    return bucket_rank(
+        windows, words, source="haar", counter=counter, rng=rng,
+        exclude=exclude, budget=budget, metrics=metrics,
     )
 
 
@@ -156,20 +148,18 @@ def haar_discords(
     if rng is None:
         rng = np.random.default_rng(0)
 
-    def build_search(session, windows):
+    def build_rank(windows):
         words = haar_words(
             series, window,
             num_coefficients=num_coefficients, normalized=windows.normalized,
         )
-        return bucket_ordered_search(
-            session, series, window, lambda s, w: words, rng=rng, windows=windows
-        )
+        return partial(bucket_rank, windows, words, source="haar", rng=rng)
 
     return fixed_length_discords(
         "haar",
         series,
         window,
-        build_search,
+        build_rank,
         params={"num_coefficients": int(num_coefficients)},
         num_discords=num_discords,
         counter=counter,

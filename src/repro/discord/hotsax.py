@@ -17,6 +17,7 @@ the SAX-word bucketing.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -24,9 +25,8 @@ import numpy as np
 from repro.core.anomaly import Discord
 from repro.discord.search import (
     DiscordSearchResult,
-    bucket_ordered_search,
+    bucket_rank,
     fixed_length_discords,
-    ordered_discord_search,
     search_windows,
 )
 from repro.resilience.budget import SearchBudget
@@ -105,17 +105,9 @@ def hotsax_discord(
     words = _sax_words_per_window(
         series, window, paa_size, alphabet_size, normalized=windows.normalized
     )
-    return ordered_discord_search(
-        series,
-        window,
-        lambda s, w: words,
-        source="hotsax",
-        counter=counter,
-        rng=rng,
-        exclude=exclude,
-        budget=budget,
-        windows=windows,
-        metrics=metrics,
+    return bucket_rank(
+        windows, words, source="hotsax", counter=counter, rng=rng,
+        exclude=exclude, budget=budget, metrics=metrics,
     )
 
 
@@ -147,20 +139,18 @@ def hotsax_discords(
     if rng is None:
         rng = np.random.default_rng(0)
 
-    def build_search(session, windows):
+    def build_rank(windows):
         words = _sax_words_per_window(
             series, window, paa_size, alphabet_size,
             normalized=windows.normalized,
         )
-        return bucket_ordered_search(
-            session, series, window, lambda s, w: words, rng=rng, windows=windows
-        )
+        return partial(bucket_rank, windows, words, source="hotsax", rng=rng)
 
     return fixed_length_discords(
         "hotsax",
         series,
         window,
-        build_search,
+        build_rank,
         params={"paa_size": int(paa_size), "alphabet_size": int(alphabet_size)},
         num_discords=num_discords,
         counter=counter,

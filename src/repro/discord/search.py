@@ -15,7 +15,13 @@ Haar, brute force) share around their searches:
   replay and store;
 * :func:`iterated_search` — top-k extraction by repeated search, each
   rank excluding the candidates that overlap a discord already found:
-  the one rank loop of all four engines;
+  the one loop over ranks of all four engines;
+* :func:`rank_search` — one rank, the one outer-candidate loop of all
+  four engines: budget checks, interrupts, call accounting, search
+  metrics, the best-so-far update and the returned discord.  Each
+  engine hands it its outer candidates and a stretch runner: the RRA
+  core's :class:`~repro.timeseries.eq1core.RankRun`, or a
+  :class:`ScanRun` over a Python inner loop;
 * :class:`DiscordSearchResult` — the one search result;
 * :func:`fixed_length_discords` — the fixed-length engines' top-k
   driver.
@@ -23,6 +29,7 @@ Haar, brute force) share around their searches:
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -219,7 +226,7 @@ def fixed_length_discords(
     engine: str,
     series: np.ndarray,
     window: int,
-    build_search: Callable[[SearchSession, kernels.WindowMatrix], RankSearch],
+    build_rank: Callable[[kernels.WindowMatrix], Callable[..., tuple]],
     *,
     params: dict,
     num_discords: int,
@@ -233,10 +240,11 @@ def fixed_length_discords(
     ``brute_force_discords``.
 
     Opens a :class:`SearchSession`, answers from *cache* when it can,
-    and otherwise runs :func:`iterated_search` over the one-rank search
-    that *build_search* returns for the session and the search's one
+    and otherwise runs :func:`iterated_search` over the engine's
+    one-rank function that *build_rank* returns for the search's one
     :class:`~repro.timeseries.kernels.WindowMatrix`, shared by every
-    rank.  The cache key holds *engine*, *window*, *num_discords*, the
+    rank; each rank calls it with the session's counter, budget and
+    metrics and the start ranges to exclude.  The cache key holds *engine*, *window*, *num_discords*, the
     engine's *params* and the *rng* state (engines that draw no random
     numbers pass none).
     """
@@ -252,13 +260,245 @@ def fixed_length_discords(
     )
     if hit is not None:
         return hit
-    search = build_search(session, search_windows(series, window))
+    rank = build_rank(search_windows(series, window))
     # A window overlaps the span [s, e) of a found discord when it
     # starts in (s - window, e): the one-rank searches take start ranges.
     return iterated_search(
         session,
-        lambda spans: search(tuple((s - window + 1, e) for s, e in spans)),
+        lambda spans: rank(
+            exclude=tuple((s - window + 1, e) for s, e in spans),
+            counter=session.counter, budget=session.budget, metrics=session.metrics,
+        )[0],
     )
+
+
+#: The runner's physical work behind its logical calls, in the order
+#: its ``take_work`` reports them.
+WORK_METRICS = ("search.pairs_evaluated", "search.offsets_evaluated")
+
+
+@dataclass
+class RankState:
+    """One rank's search state at a boundary of :func:`rank_search`.
+
+    The boundary before outer candidate *outer_index* is a deterministic
+    point of the search: candidates ``[0, outer_index)`` are done, the
+    counter reads *calls*, the best-so-far discord is outer candidate
+    *best* at distance *best_dist* (``None`` before there is one), and
+    the RNG state, when it is captured, is *rng_state*, taken before
+    the candidate's inner-loop shuffle.  Restoring these values and
+    re-entering the loop reproduces the uninterrupted run bit for bit.
+    """
+
+    outer_index: int = 0
+    best_dist: float = 0.0
+    best: Optional[int] = None
+    calls: int = 0
+    rng_state: Optional[dict] = None
+    complete: bool = False
+
+
+class ScanRun:
+    """A stretch runner over a one-candidate scan, with
+    :class:`~repro.timeseries.eq1core.RankRun`'s contract: the engines'
+    Python inner loops.
+
+    A subclass implements :meth:`scan`.  :func:`rank_search` asks for one
+    outer candidate per call (:attr:`MAX_OUTERS`), so the budget is
+    checked before every candidate; called directly, a run takes any
+    stretch.
+    """
+
+    #: Most outer candidates :func:`rank_search` asks of one call.
+    MAX_OUTERS = 1
+
+    def __init__(self):
+        self.calls = 0
+        self.flags: list[int] = []
+        self.outer_calls: list[int] = []
+
+    def scan(self, i: int, best_dist: float) -> tuple[float, bool]:
+        """``(nearest, abandoned)`` of outer candidate *i* against
+        *best_dist*; adds the pairs it visits to :attr:`calls`, also
+        when it raises."""
+        raise NotImplementedError
+
+    def __call__(
+        self, first: int, stop: int, calls_left: int, best_dist: float
+    ) -> tuple[int, float, int]:
+        """Run outer positions ``first`` up to *stop*; ``(end, best_dist,
+        best)``, as :meth:`RankRun.__call__ <repro.timeseries.eq1core.
+        RankRun.__call__>`."""
+        self.flags, self.outer_calls = [], []
+        best, spent = -1, 0
+        for i in range(first, stop):
+            before = self.calls
+            nearest, abandoned = self.scan(i, best_dist)
+            visited = self.calls - before
+            flag = int(abandoned)
+            if not abandoned and nearest < math.inf and nearest > best_dist:
+                best_dist, best, flag = nearest, i, 2
+            self.flags.append(flag)
+            self.outer_calls.append(visited)
+            spent += visited
+            if spent >= calls_left:
+                return i + 1, best_dist, best
+        return stop, best_dist, best
+
+    def take_calls(self) -> int:
+        """Read :attr:`calls` and reset it to zero."""
+        calls, self.calls = self.calls, 0
+        return calls
+
+
+def rank_search(
+    spans: np.ndarray,
+    run,
+    *,
+    source: str,
+    best_dist: float,
+    rule_ids: Optional[np.ndarray] = None,
+    counter: Optional[DistanceCounter] = None,
+    budget: Optional[SearchBudget] = None,
+    metrics=None,
+    state: Optional[RankState] = None,
+    on_boundary: Optional[Callable[[RankState, int], int]] = None,
+    capture_rng: Optional[Callable[[], dict]] = None,
+    take_work: Optional[Callable[[], Sequence[int]]] = None,
+) -> tuple[Optional[Discord], DistanceCounter]:
+    """One rank of any engine: the outer-candidate loop all four share.
+
+    *spans* is the ``(2, n)`` array of the outer candidates' ``(start,
+    end)``, in outer order, with the engine's exclusions already
+    applied, and *rule_ids* their rule ids (``None`` for fixed-length
+    candidates).  *run* scans stretches of them with
+    :class:`~repro.timeseries.eq1core.RankRun`'s contract:
+    ``run(first, stop, calls_left, best_dist) -> (end, best_dist,
+    best)``, per-candidate ``flags`` and ``outer_calls`` (depths),
+    ``take_calls()`` and ``MAX_OUTERS``.  The first call of a rank runs
+    one outer candidate and each later one twice as many, up to
+    ``run.MAX_OUTERS``, so a tight deadline or a cancelled token is seen
+    early and a long rank pays few boundaries.
+
+    At every boundary the loop records *state*, checks the budget, and
+    lets *on_boundary(state, crossed)* (a checkpoint hook) see the
+    boundaries the last run crossed and cap the next run.  Visited pairs
+    are flushed into *counter* even when a run raises.  With metrics
+    enabled it counts candidates visited, abandoned and survived and
+    best-so-far updates, histograms abandon depths, and adds *take_work*'s
+    figures to :data:`WORK_METRICS`.  *best_dist* is the engine's
+    initial best, which a given *state* replaces with its own: a
+    candidate becomes the discord only with a nearest neighbour strictly
+    farther than it.  *capture_rng* is called at each boundary for
+    :attr:`RankState.rng_state`.
+
+    A ``KeyboardInterrupt`` becomes a best-so-far return when a *budget*
+    or a *state* lets the caller see the truncation, and propagates
+    otherwise.  Returns ``(discord or None, counter)``.
+    """
+    if counter is None:
+        counter = DistanceCounter()
+    has_channel = budget is not None or state is not None
+    if budget is None:
+        budget = SearchBudget.unlimited()
+    metrics = ensure_metrics(metrics)
+    budget.bind_metrics(metrics)
+    if state is None:
+        state = RankState(best_dist=best_dist)
+    n_outer = spans.shape[1]
+    if not n_outer:
+        state.complete = True
+        return None, counter
+
+    instrumented = metrics.enabled
+    m_work = []
+    if instrumented:
+        m_visited, m_abandoned, m_survived, m_best = (
+            metrics.counter(f"search.{name}")
+            for name in (
+                "candidates_visited", "candidates_abandoned",
+                "candidates_survived", "best_updates",
+            )
+        )
+        m_depth = metrics.histogram("search.abandon_depth")
+        if take_work is not None:
+            m_work = [metrics.counter(name) for name in WORK_METRICS]
+    max_calls = budget.max_calls if budget.max_calls is not None else 2**63 - 1
+
+    best_dist, best = state.best_dist, state.best
+    i, span, crossed = state.outer_index, 1, 1
+    try:
+        while True:
+            # A boundary: outer candidates [0, i) are done, and no
+            # randomness or distance call of candidate i is spent yet.
+            state.outer_index, state.calls = i, counter.calls
+            state.best_dist, state.best = best_dist, best
+            if capture_rng is not None:
+                state.rng_state = capture_rng()
+            if i == n_outer:
+                state.complete = True
+                if on_boundary is not None:
+                    on_boundary(state, crossed - 1)  # the last run's boundaries
+                break
+            if budget.interrupted(counter.calls) is not None:
+                break
+            stop = min(n_outer, i + span)
+            if on_boundary is not None:
+                stop = min(stop, i + on_boundary(state, crossed))
+            # Pair visits are flushed in ``finally``, so an interrupt that
+            # lands as a run returns leaves the counter exactly where
+            # per-pair counting would have, and the state at the boundary
+            # before the run.
+            try:
+                end, found, new_best = run(i, stop, max_calls - counter.calls, best_dist)
+            finally:
+                counter.batch(run.take_calls())
+                for m, done in zip(m_work, take_work() if m_work else ()):
+                    m.inc(done)
+            span = min(2 * span, run.MAX_OUTERS)
+            if instrumented:
+                for flag, depth in zip(run.flags[: end - i], run.outer_calls[: end - i]):
+                    m_visited.inc()
+                    if flag == 1:
+                        m_abandoned.inc()
+                        m_depth.observe(int(depth))
+                    else:
+                        m_survived.inc()
+                        if flag == 2:
+                            m_best.inc()
+            if new_best >= 0:
+                best_dist, best = found, new_best
+            crossed, i = end - i, end
+    except KeyboardInterrupt:
+        if not has_channel:
+            raise
+        # The aborted run's partial work is discarded: the state still
+        # describes the last completed boundary, so a resumed run
+        # replays the run in full and stays bit-identical.
+        budget.note_cancelled()
+
+    if best is None:
+        return None, counter
+    start, stop = spans[:, best].tolist()
+    discord = Discord(
+        start=start,
+        end=stop,
+        score=best_dist,
+        rank=0,
+        nn_distance=best_dist,
+        rule_id=None if rule_ids is None else int(rule_ids[best]),
+        source=source,
+    )
+    return discord, counter
+
+
+def starts_outside(starts: np.ndarray, exclude: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The entries of *starts* outside every half-open ``(start, end)``
+    range of *exclude*, in their order."""
+    keep = np.ones(starts.size, dtype=bool)
+    for ex_start, ex_end in exclude:
+        keep &= (starts < ex_start) | (starts >= ex_end)
+    return starts[keep]
 
 
 def ordered_discord_search(
@@ -271,7 +511,6 @@ def ordered_discord_search(
     rng: Optional[np.random.Generator] = None,
     exclude: tuple[tuple[int, int], ...] = (),
     budget: Optional[SearchBudget] = None,
-    windows: Optional[kernels.WindowMatrix] = None,
     metrics=None,
 ) -> tuple[Optional[Discord], DistanceCounter]:
     """Exact fixed-length discord via bucket-driven loop orderings.
@@ -299,12 +538,6 @@ def ordered_discord_search(
         ``KeyboardInterrupt`` arrives while one was supplied) the
         best-so-far discord is returned and ``budget.status`` reports
         why the scan stopped early.
-    windows:
-        A prebuilt :class:`~repro.timeseries.kernels.WindowMatrix` over
-        the same series/window, so repeated ranks (and callers that
-        already normalized the windows for bucketing) reuse one window
-        matrix, one set of row norms, and one statistics pass.  Built on
-        the fly when absent; results are identical either way.
     metrics:
         Optional :class:`~repro.observability.MetricsRegistry`.  When
         given, the scan records candidate/abandon counters, the
@@ -313,143 +546,93 @@ def ordered_discord_search(
         through the no-op sink: results and logical call counts are
         byte-identical either way.
     """
-    series = np.asarray(series, dtype=float)
-    k = num_windows(series.size, window)
-    if k < 2:
-        raise DiscordSearchError(
-            f"series of length {series.size} too short for window {window}"
-        )
-    if counter is None:
-        counter = DistanceCounter()
-    if rng is None:
-        rng = np.random.default_rng(0)
-    has_channel = budget is not None
-    if budget is None:
-        budget = SearchBudget.unlimited()
-    metrics = ensure_metrics(metrics)
-    budget.bind_metrics(metrics)
+    windows = search_windows(np.asarray(series, dtype=float), window)
+    return bucket_rank(
+        windows, list(bucket_fn(windows.series, window)), source=source,
+        counter=counter, rng=rng, exclude=exclude, budget=budget, metrics=metrics,
+    )
 
-    keys = list(bucket_fn(series, window))
+
+def bucket_rank(
+    windows: kernels.WindowMatrix,
+    keys: Sequence,
+    *,
+    source: str,
+    counter: Optional[DistanceCounter] = None,
+    rng: Optional[np.random.Generator] = None,
+    exclude: tuple[tuple[int, int], ...] = (),
+    budget: Optional[SearchBudget] = None,
+    metrics=None,
+) -> tuple[Optional[Discord], DistanceCounter]:
+    """One rank of :func:`ordered_discord_search` over the search's
+    window matrix, its only source of series and window, and *keys*,
+    one bucket key per window."""
+    k = num_windows(windows.series.size, windows.window)
     if len(keys) != k:
         raise DiscordSearchError(
             f"bucket_fn produced {len(keys)} keys for {k} windows"
         )
+    if rng is None:
+        rng = np.random.default_rng(0)
     buckets: dict[str, list[int]] = defaultdict(list)
     for pos, key in enumerate(keys):
         buckets[key].append(pos)
-
-    if windows is None:
-        windows = kernels.WindowMatrix(series, window)
-    normalized = windows.normalized
-    sqnorms = windows.sqnorms
-
-    outer = sorted(range(k), key=lambda p: (len(buckets[keys[p]]), p))
-
-    best_dist = -1.0
-    best_pos = None
-    # Metric handles are hoisted out of the loop; with the disabled
-    # sink they are inert null objects and the `instrumented` guard
-    # keeps the hot path free of even their method calls.
-    instrumented = metrics.enabled
-    if instrumented:
-        m_visited = metrics.counter("search.candidates_visited")
-        m_abandoned = metrics.counter("search.candidates_abandoned")
-        m_survived = metrics.counter("search.candidates_survived")
-        m_best = metrics.counter("search.best_updates")
-        m_depth = metrics.histogram("search.abandon_depth")
-    try:
-        for p in outer:
-            if any(ex_start <= p < ex_end for ex_start, ex_end in exclude):
-                continue
-            if budget.interrupted(counter.calls) is not None:
-                break
-            if instrumented:
-                calls_at_entry = counter.calls
-            same_bucket = [q for q in buckets[keys[p]] if q != p]
-            tail = rng.permutation(k)
-            order = (
-                q
-                for q in _inner_sequence(same_bucket, tail, p)
-                if abs(p - q) > window
-            )
-            nearest, consumed, abandoned = _kernel_inner_scan(
-                normalized, sqnorms, p, order, best_dist
-            )
-            counter.batch(consumed)
-            if instrumented:
-                m_visited.inc()
-                if abandoned:
-                    m_abandoned.inc()
-                    m_depth.observe(counter.calls - calls_at_entry)
-                else:
-                    m_survived.inc()
-            if not abandoned and np.isfinite(nearest) and nearest > best_dist:
-                best_dist = nearest
-                best_pos = p
-                if instrumented:
-                    m_best.inc()
-    except KeyboardInterrupt:
-        if not has_channel:
-            raise
-        budget.note_cancelled()
-
-    if best_pos is None:
-        return None, counter
-    discord = Discord(
-        start=best_pos,
-        end=best_pos + window,
-        score=best_dist,
-        rank=0,
-        nn_distance=best_dist,
-        rule_id=None,
-        source=source,
+    # Ascending bucket size, ties by start: a stable sort of the sizes.
+    sizes = np.fromiter((len(buckets[key]) for key in keys), dtype=np.int64, count=k)
+    outer = starts_outside(np.argsort(sizes, kind="stable"), exclude)
+    return rank_search(
+        np.stack((outer, outer + windows.window)),
+        _BucketScan(windows, keys, buckets, outer, rng),
+        source=source, best_dist=-1.0,
+        counter=counter, budget=budget, metrics=metrics,
     )
-    return discord, counter
 
 
-def _kernel_inner_scan(
-    normalized: np.ndarray,
-    sqnorms: np.ndarray,
-    p: int,
-    order,
-    best_dist: float,
-) -> tuple[float, int, bool]:
-    """Replay the per-pair inner loop over lazy *order* in vectorized blocks.
+class _BucketScan(ScanRun):
+    """An outer window of a bucket-ordered rank: same-bucket windows
+    first, then the rest in a fresh random order.
 
-    Pulls candidate positions from the *order* iterator in geometrically
-    growing blocks, evaluates each block's distances to window *p* with
-    one matrix-vector product, and applies the exact per-pair
-    early-abandon logic to the block results in sequence.  Returns
-    ``(nearest, consumed, abandoned)`` where *consumed* is the number of
-    pairs the per-pair loop would have visited — the logical call count.
-
-    Laziness matters as much as vectorization: a candidate abandoned after
-    a handful of same-bucket comparisons (the common HOTSAX case) must
-    not pay for materializing its full O(k) inner ordering, so only the
-    pairs actually scanned — plus bounded block speculation — are ever
-    pulled from the iterator.
+    The scan pulls positions from that lazy order in geometrically
+    growing blocks, evaluates each block's distances with one
+    matrix-vector product, and replays the per-pair early abandon on
+    them, so the logical call count is that of the pair-by-pair loop.
+    Laziness matters as much as vectorization: a candidate abandoned
+    after a handful of same-bucket comparisons (the common HOTSAX case)
+    must not pay for materializing its full O(k) inner ordering.
     """
-    nearest = float("inf")
-    consumed = 0
-    block = 8
-    p_row = normalized[p]
-    p_sq = sqnorms[p]
-    while True:
-        idx = np.fromiter(islice(order, block), dtype=np.intp)
-        if idx.size == 0:
-            return nearest, consumed, False
-        sq = kernels.one_vs_all_sq_euclidean(
-            p_row, normalized[idx], query_sqnorm=p_sq, sqnorms=sqnorms[idx]
+
+    def __init__(self, windows, keys, buckets, outer, rng):
+        super().__init__()
+        self._normalized, self._sqnorms = windows.normalized, windows.sqnorms
+        self._window = windows.window
+        self._keys, self._buckets, self._outer, self._rng = keys, buckets, outer, rng
+
+    def scan(self, i: int, best_dist: float) -> tuple[float, bool]:
+        p = int(self._outer[i])
+        normalized, sqnorms = self._normalized, self._sqnorms
+        same_bucket = [q for q in self._buckets[self._keys[p]] if q != p]
+        tail = self._rng.permutation(len(self._keys))
+        order = (
+            q
+            for q in _inner_sequence(same_bucket, tail, p)
+            if abs(p - q) > self._window
         )
-        dists = np.sqrt(sq)
-        hit = kernels.first_below(dists, best_dist)
-        if hit >= 0:
-            return nearest, consumed + hit + 1, True
-        consumed += idx.size
-        block_min = float(dists.min())
-        if block_min < nearest:
-            nearest = block_min
-        block = min(block * 4, 2048)
+        nearest, block = math.inf, 8
+        while True:
+            idx = np.fromiter(islice(order, block), dtype=np.intp)
+            if idx.size == 0:
+                return nearest, False
+            sq = kernels.one_vs_all_sq_euclidean(
+                normalized[p], normalized[idx], query_sqnorm=sqnorms[p], sqnorms=sqnorms[idx]
+            )
+            dists = np.sqrt(sq)
+            hit = kernels.first_below(dists, best_dist)
+            if hit >= 0:
+                self.calls += hit + 1
+                return nearest, True
+            self.calls += idx.size
+            nearest = min(nearest, float(dists.min()))
+            block = min(block * 4, 2048)
 
 
 def _inner_sequence(same_bucket: list[int], tail: np.ndarray, p: int):
@@ -512,24 +695,6 @@ def iterated_search(
         if not exact or best is None:
             break
     return session.finish(discords, rank_complete)
-
-
-def bucket_ordered_search(
-    session: SearchSession,
-    series: np.ndarray,
-    window: int,
-    bucket_fn: BucketFn,
-    *,
-    rng: np.random.Generator,
-    windows: Optional[kernels.WindowMatrix],
-) -> RankSearch:
-    """One rank of :func:`ordered_discord_search`, bound to *session*."""
-    return lambda exclude: ordered_discord_search(
-        series, window, bucket_fn,
-        source=session.engine, counter=session.counter, rng=rng,
-        exclude=exclude, budget=session.budget,
-        windows=windows, metrics=session.metrics,
-    )[0]
 
 
 def _emit_rank_event(

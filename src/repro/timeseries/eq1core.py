@@ -7,8 +7,9 @@ nearest-neighbour and best-so-far updates.  A lower bound lets it skip the
 pairs and alignment offsets that provably cannot change the answer
 (DESIGN.md §20).  The core also builds the
 candidate table (z-normalized values, norms, squared cumulative sums)
-from the series' centred prefix sums.  :func:`repro.core.rra.find_discord`
-returns to Python only at its boundaries (DESIGN.md §16).
+from the series' centred prefix sums.  The rank loop
+(:func:`repro.discord.search.rank_search`) returns to Python only at its
+boundaries (DESIGN.md §16).
 
 The cross terms call the ILP64 ``cblas_ddot`` that ``np.dot`` and
 ``np.correlate`` call, resolved from the BLAS library the running NumPy
@@ -172,20 +173,22 @@ class RankRun:
     """The core calls of one RRA rank over one candidate list.
 
     *ids* and *keys* are the candidates' table ids and rule keys (-1 for
-    gaps) and *outer* their outer order, all int64.  The rank's key
-    index is built here, once: the candidate positions sorted by key
-    (stable, so ascending within a key) and each candidate's range of
-    same-key positions in that list, empty for a gap.  Each
-    :func:`repro.core.rra.find_discord` call owns one, with its own
-    out-parameters, so threads that share one candidate set's tables
-    share only what the core touches while it holds the GIL.
+    gaps) and *outer* their outer order, all int64; *rng* draws the
+    inner-loop shuffles.  The rank's key index is built here, once: the
+    candidate positions sorted by key (stable, so ascending within a
+    key) and each candidate's range of same-key positions in that list,
+    empty for a gap.  Each :func:`repro.core.rra.find_discord` call owns
+    one, with its own out-parameters, so threads that share one
+    candidate set's tables share only what the core touches while it
+    holds the GIL.  It is the stretch runner of
+    :func:`repro.discord.search.rank_search`.
     """
 
     #: Most outer candidates one call may run.
     MAX_OUTERS = 64
 
     def __init__(self, tables: Eq1Tables, ids: np.ndarray, keys: np.ndarray,
-                 outer: np.ndarray):
+                 outer: np.ndarray, rng: np.random.Generator):
         same = np.argsort(keys, kind="stable")
         grouped = keys[same]
         lo = np.searchsorted(grouped, keys, "left")
@@ -197,6 +200,7 @@ class RankRun:
             tables.handle, ids.size, ids.ctypes.data,
             *(a.ctypes.data for a in index), outer.ctypes.data,
         )
+        self._bit_generator = rng.bit_generator
         self.calls = ctypes.c_int64()
         self._best_dist, self._best = ctypes.c_double(), ctypes.c_int64()
         #: Per outer candidate of the last call: 1 when it was abandoned,
@@ -211,8 +215,7 @@ class RankRun:
         ) + (self.flags.ctypes.data, self.outer_calls.ctypes.data, self.work.ctypes.data)
 
     def __call__(
-        self, first: int, stop: int, calls_left: int, best_dist: float,
-        rng: np.random.Generator,
+        self, first: int, stop: int, calls_left: int, best_dist: float
     ) -> tuple[int, float, int]:
         """Run outer positions ``first`` up to *stop* (at most
         :attr:`MAX_OUTERS`); ``(end, best_dist, best)``.
@@ -226,7 +229,7 @@ class RankRun:
         """
         self._best_dist.value = best_dist
         self._best.value = -1
-        bit_generator = rng.bit_generator
+        bit_generator = self._bit_generator
         with bit_generator.lock:
             end = self._rank(
                 *self._args, _capsule_pointer(bit_generator.capsule, b"BitGenerator"),

@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.core.anomaly import Discord
 from repro.core.pipeline import GrammarAnomalyDetector
 from repro.core.rra import find_discords
-from repro.discord.brute_force import brute_force_discord, brute_force_discords
+from repro.datasets.synthetic import sine_with_anomaly
+from repro.discord.brute_force import (
+    brute_force_discord,
+    brute_force_discords,
+    brute_force_rank,
+)
 from repro.discord.haar import haar_discords
 from repro.discord.hotsax import hotsax_discords
 from repro.discord.search import (
     DiscordSearchResult,
     SearchSession,
-    bucket_ordered_search,
+    bucket_rank,
     fixed_length_discords,
     iterated_search,
     ordered_discord_search,
@@ -22,6 +29,7 @@ from repro.discord.search import (
 from repro.exceptions import DiscordSearchError
 from repro.observability.metrics import MetricsRegistry
 from repro.timeseries.distance import DistanceCounter
+from repro.timeseries.kernels import WindowMatrix
 
 
 def _series(length=300, period=30, blip_at=150, seed=0):
@@ -98,14 +106,53 @@ class TestOrderedDiscordSearch:
         assert found.source == "custom"
 
 
+class TestWindowMatrixSource:
+    """A rank reads its series and window from one window matrix; the
+    single-rank entry points build that matrix themselves."""
+
+    @staticmethod
+    def _series():
+        return sine_with_anomaly(length=1200, period=100, seed=7).series
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda s, w, **kw: ordered_discord_search(s, w, _single_bucket, source="t", **kw),
+            lambda s, w, **kw: brute_force_discord(s, w, **kw),
+        ],
+        ids=["ordered", "brute_force"],
+    )
+    def test_single_rank_functions_take_no_matrix(self, search):
+        """A matrix over another window or series cannot reach a search
+        over (series, window): it used to answer 575 (ordered) or raise
+        IndexError (brute force) instead of 559."""
+        series = self._series()
+        found, _ = search(series, 100)
+        assert (found.start, round(found.score, 2)) == (559, 12.33)
+        for other in (WindowMatrix(series, 80), WindowMatrix(series[::-1], 100)):
+            with pytest.raises(TypeError, match="windows"):
+                search(series, 100, windows=other)
+
+    @pytest.mark.parametrize("window", [80, 100])
+    def test_rank_functions_search_their_matrix(self, window):
+        series = self._series()
+        windows = WindowMatrix(series, window)
+        want, _ = brute_force_discord(series, window)
+        ordered, _ = bucket_rank(
+            windows, _single_bucket(series, window), source="brute_force"
+        )
+        brute, _ = brute_force_rank(windows)
+        assert ordered == brute == want
+
+
 def _iterated(series, window, num_discords):
     """Top-k single-bucket search through the shared rank loop."""
     counter = DistanceCounter()
     result = fixed_length_discords(
         "t", series, window,
-        lambda session, windows: bucket_ordered_search(
-            session, series, window, _single_bucket,
-            rng=np.random.default_rng(0), windows=windows,
+        lambda windows: partial(
+            bucket_rank, windows, _single_bucket(series, window),
+            source="t", rng=np.random.default_rng(0),
         ),
         params={}, num_discords=num_discords, counter=counter,
     )
