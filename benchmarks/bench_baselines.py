@@ -11,22 +11,22 @@ from __future__ import annotations
 
 from repro.core.pipeline import GrammarAnomalyDetector
 from repro.datasets import ecg_qtdb_0606_like
-from repro.discord.brute_force import brute_force_call_count, brute_force_discord
-from repro.discord.haar import haar_discord
-from repro.discord.hotsax import hotsax_discord
+from repro.discord.brute_force import brute_force_call_count, brute_force_discords
+from repro.discord.haar import haar_discords
+from repro.discord.hotsax import hotsax_discords
 from repro.evaluation import overlap_fraction
 
 
 def _run():
     dataset = ecg_qtdb_0606_like()
-    brute, brute_counter = brute_force_discord(
-        dataset.series, dataset.window, early_abandon=True
+    brute = brute_force_discords(
+        dataset.series, dataset.window, num_discords=1, early_abandon=True
     )
-    hotsax, hotsax_counter = hotsax_discord(
-        dataset.series, dataset.window,
+    hotsax = hotsax_discords(
+        dataset.series, dataset.window, num_discords=1,
         paa_size=dataset.paa_size, alphabet_size=dataset.alphabet_size,
     )
-    haar, haar_counter = haar_discord(dataset.series, dataset.window)
+    haar = haar_discords(dataset.series, dataset.window, num_discords=1)
     detector = GrammarAnomalyDetector(
         dataset.window, dataset.paa_size, dataset.alphabet_size
     )
@@ -34,9 +34,9 @@ def _run():
     rra = detector.discords(num_discords=1)
     return (
         dataset,
-        (brute, brute_counter.calls),
-        (hotsax, hotsax_counter.calls),
-        (haar, haar_counter.calls),
+        (brute.best, brute.distance_calls),
+        (hotsax.best, hotsax.distance_calls),
+        (haar.best, haar.distance_calls),
         rra,
     )
 

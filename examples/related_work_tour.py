@@ -19,8 +19,8 @@ Run:  python examples/related_work_tour.py
 from repro import GrammarAnomalyDetector
 from repro.baselines import SAXTrie, bitmap_anomalies, wcad_anomalies
 from repro.datasets import ecg_qtdb_0606_like
-from repro.discord.haar import haar_discord
-from repro.discord.hotsax import hotsax_discord
+from repro.discord.haar import haar_discords
+from repro.discord.hotsax import hotsax_discords
 
 
 def main() -> None:
@@ -33,18 +33,19 @@ def main() -> None:
         return "HIT" if dataset.contains_hit(start, end, min_overlap=0.3) else "miss"
 
     # --- exact searches with different ordering heuristics
-    hotsax, hotsax_counter = hotsax_discord(
-        dataset.series, dataset.window,
+    hotsax_result = hotsax_discords(
+        dataset.series, dataset.window, num_discords=1,
         paa_size=dataset.paa_size, alphabet_size=dataset.alphabet_size,
     )
-    haar, haar_counter = haar_discord(dataset.series, dataset.window)
+    haar_result = haar_discords(dataset.series, dataset.window, num_discords=1)
+    hotsax, haar = hotsax_result.best, haar_result.best
     print("exact discord searches (identical result, different call counts):")
     print(f"  HOTSAX: [{hotsax.start}, {hotsax.end}) "
           f"{verdict(hotsax.start, hotsax.end)}  "
-          f"({hotsax_counter.calls} calls)")
+          f"({hotsax_result.distance_calls} calls)")
     print(f"  Haar:   [{haar.start}, {haar.end}) "
           f"{verdict(haar.start, haar.end)}  "
-          f"({haar_counter.calls} calls)")
+          f"({haar_result.distance_calls} calls)")
 
     # --- compression scoring (WCAD)
     wcad = wcad_anomalies(dataset.series, dataset.window, num_anomalies=1)[0]

@@ -40,7 +40,7 @@ _EXPORTS = {
     "repro.core.motifs": ("Motif", "find_motifs"),
     "repro.core.parameter_grid": ("ParameterGridStudy",),
     "repro.core.pipeline": ("GrammarAnomalyDetector", "PipelineResult"),
-    "repro.core.rra": ("RRAResult", "find_discord", "find_discords"),
+    "repro.core.rra": ("find_discords",),
     "repro.core.rule_density": ("find_density_anomalies", "rule_density_curve"),
     "repro.observability": (
         "MetricsRegistry",

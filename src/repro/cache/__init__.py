@@ -3,7 +3,7 @@
 :class:`~repro.cache.store.ResultCache` is a content-addressed on-disk
 store of *completed* search results and ensemble members (a grid
 sweep's cells are members), keyed by the checkpoint layer's SHA-256 input fingerprint.  A hit
-returns the stored discords and the stored call ledger flagged
+returns the stored discords and adds the stored call count, flagged
 ``from_cache=True``, byte-identical to a live run.
 
 The cache is opt-in: every entry point defaults to ``cache=None``.
@@ -20,12 +20,7 @@ _EXPORTS = {
         "ensemble_member_key",
         "rng_fingerprint",
     ),
-    "repro.cache.results": (
-        "apply_ledger_delta",
-        "discords_from_json",
-        "discords_to_json",
-        "ledger_delta",
-    ),
+    "repro.cache.results": ("discords_from_json", "discords_to_json"),
     "repro.cache.store": ("CACHE_FORMAT", "DEFAULT_MAX_BYTES", "ResultCache"),
 }
 

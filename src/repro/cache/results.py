@@ -1,12 +1,12 @@
-"""(De)serialization of cached search results and ledger deltas.
+"""(De)serialization of the discords a cache entry or a checkpoint stores.
 
-A cached entry stores the search's *ledger delta* — what the search
-added to its :class:`~repro.timeseries.distance.DistanceCounter` — not
-the counter's absolute state, because callers routinely thread one
-counter through several searches (the sweep, the pipeline's fallback
-path).  Applying the delta on a hit reproduces exactly the increments
-the live search would have made, so downstream call accounting is
-unchanged.
+Besides its discords, a cached search entry stores ``"ledger": {"calls":
+n}``: the distance calls the search *added* to its
+:class:`~repro.timeseries.distance.DistanceCounter`, not the counter's
+absolute reading, because callers routinely thread one counter through
+several searches (the sweep, the pipeline's fallback path).  Adding it
+on a hit reproduces exactly the increment the live search would have
+made (:class:`repro.discord.search.SearchSession`).
 """
 
 from __future__ import annotations
@@ -14,30 +14,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.core.anomaly import Discord
-from repro.timeseries.distance import DistanceCounter
 
-__all__ = [
-    "LEDGER_FIELDS",
-    "ledger_delta",
-    "apply_ledger_delta",
-    "discords_to_json",
-    "discords_from_json",
-]
-
-LEDGER_FIELDS = ("calls",)
-
-
-def ledger_delta(before: dict, after: dict) -> dict:
-    """What a search added to its counter between two ledger snapshots."""
-    return {
-        field: int(after[field]) - int(before[field])
-        for field in LEDGER_FIELDS
-    }
-
-
-def apply_ledger_delta(counter: DistanceCounter, delta: dict) -> None:
-    """Replay a stored ledger delta onto a live counter (cache hit)."""
-    counter.calls += int(delta.get("calls", 0))
+__all__ = ["discords_to_json", "discords_from_json"]
 
 
 def discords_to_json(discords: Iterable[Discord]) -> list:

@@ -30,7 +30,7 @@ _EXPORTS = {
         "density_minima_intervals",
         "find_density_anomalies",
     ),
-    "repro.core.rra": ("RRAResult", "find_discord", "find_discords"),
+    "repro.core.rra": ("find_discords",),
     "repro.core.pipeline": ("GrammarAnomalyDetector", "PipelineResult"),
     "repro.core.parameter_grid": ("GridPoint", "ParameterGridStudy"),
     "repro.core.ensemble": (

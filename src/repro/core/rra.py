@@ -46,7 +46,6 @@ from repro.discord.search import (
 )
 from repro.exceptions import CheckpointError, DiscordSearchError
 from repro.grammar.intervals import RuleInterval, RuleIntervalList, interval_endpoints
-from repro.observability.metrics import ensure_metrics
 from repro.resilience.budget import SearchBudget
 from repro.resilience.checkpoint import (
     load_checkpoint,
@@ -57,10 +56,6 @@ from repro.resilience.checkpoint import (
 )
 from repro.timeseries import eq1core, kernels
 from repro.timeseries.distance import DistanceCounter
-
-
-#: The RRA result type; the name predates the shared result class.
-RRAResult = DiscordSearchResult
 
 
 def _admissible(intervals: Iterable[RuleInterval], size: int) -> RuleIntervalList:
@@ -94,7 +89,7 @@ class _RankState(RankState):
     checkpoint records besides: the rank's ``(start, end, rule)``
     columns in outer order, a ``(3, n)`` int64 array, for its
     ``visited`` list and ``best_key``; and a resumed rank's
-    ``best_key``, which :func:`find_discord` turns into ``best``.
+    ``best_key``, which :func:`_rra_rank` turns into ``best``.
     """
 
     outer: np.ndarray = field(
@@ -218,7 +213,7 @@ class _CandidateSet:
 class _InnerOrdering:
     """Precomputed same-rule buckets for the RRA inner-loop ordering.
 
-    Built once per :func:`find_discord` invocation over the (exclusion-
+    Built once per :func:`_rra_rank` invocation over the (exclusion-
     filtered) candidate list, so ordering a candidate's inner loop no
     longer rescans all candidates with a Python predicate per outer
     iteration — it chains a cached bucket with a lazily permuted cached
@@ -321,95 +316,54 @@ def _rank_run(cache: _CandidateSet, valid: RuleIntervalList, rows: np.ndarray,
     )
 
 
-def find_discord(
+def _rra_rank(
     series: np.ndarray,
-    intervals: Sequence[RuleInterval],
+    valid: RuleIntervalList,
+    spans: Sequence[tuple[int, int]],
     *,
-    counter: Optional[DistanceCounter] = None,
-    rng: Optional[np.random.Generator] = None,
-    exclude: Sequence[tuple[int, int]] = (),
-    cache: Optional[_CandidateSet] = None,
-    budget: Optional[SearchBudget] = None,
-    metrics=None,
-    _state: Optional[_RankState] = None,
-    _on_boundary: Optional[Callable[[_RankState, int], int]] = None,
-) -> tuple[Optional[Discord], DistanceCounter]:
-    """Find the single best variable-length discord (paper Algorithm 1).
+    cache: _CandidateSet,
+    rng: np.random.Generator,
+    counter: DistanceCounter,
+    budget: SearchBudget,
+    metrics,
+    state: _RankState,
+    on_boundary: Optional[Callable[[_RankState, int], int]] = None,
+) -> Optional[Discord]:
+    """One rank of :func:`find_discords` (paper Algorithm 1): the best
+    discord among the admissible candidates *valid* that overlap no
+    found discord's span in *spans*.
 
-    Parameters
-    ----------
-    series:
-        The raw time series.
-    intervals:
-        Candidate intervals: rule intervals plus zero-coverage gaps, a
-        :class:`~repro.grammar.intervals.RuleIntervalList` or any
-        iterable of :class:`~repro.grammar.intervals.RuleInterval`.
-    counter:
-        Distance counter to accumulate into; a fresh one by default.
-    rng:
-        Source of randomness for the inner-loop ordering.
-    exclude:
-        Half-open ``(start, end)`` ranges; candidates overlapping any of
-        them are skipped (used for iterative multi-discord extraction).
-    cache:
-        Prebuilt :class:`_CandidateSet` over *series*,
-        reused across the ranks of an iterative extraction so the znorm
-        and kernel-statistic caches are computed once.
-    budget:
-        Optional :class:`~repro.resilience.budget.SearchBudget`.  Its
-        call ceiling is checked before every outer candidate; the whole
-        budget (deadline, cancellation, a ``KeyboardInterrupt``) at
-        every return of the C core, which runs at most
-        :attr:`~repro.timeseries.eq1core.RankRun.MAX_OUTERS` outer
-        candidates per call, and before every outer candidate on the
-        Python path.  When it trips the function returns its
-        best-so-far discord instead of raising; read the outcome from
-        ``budget.status``.  Without a budget the search behaves exactly
-        as before (and a ``KeyboardInterrupt`` propagates, since there
-        would be no way to report the truncation).
-    metrics:
-        Optional :class:`~repro.observability.metrics.MetricsRegistry`.
-        When enabled, the search counts candidates visited / abandoned /
-        survived, histograms early-abandon depths, and routes budget
-        trips into the trace-event stream.  The default (disabled) sink
-        adds no work to the hot loop: results and logical call counts
-        are byte-identical with or without it.
-
+    *cache* is the search's :class:`_CandidateSet` over *series*, shared
+    by every rank so the znorm and kernel-statistic caches are computed
+    once; *counter*, *budget* and *metrics* are the search session's.
     The rank runs in :func:`~repro.discord.search.rank_search`, the
-    outer-candidate loop of every engine.
-
-    Returns
-    -------
-    (discord or None, counter)
-        None when no candidate has a non-self match (degenerate input).
+    outer-candidate loop of every engine, which records its boundaries
+    in *state* and calls *on_boundary* (the checkpoint hook) at them.
+    The budget's call ceiling is checked before every outer candidate;
+    the whole budget (deadline, cancellation, a ``KeyboardInterrupt``)
+    at every return of the C core, which runs at most
+    :attr:`~repro.timeseries.eq1core.RankRun.MAX_OUTERS` outer
+    candidates per call, and before every outer candidate on the Python
+    path.  Returns ``None`` when no candidate has a non-self match.
     """
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 1:
-        raise DiscordSearchError(f"series must be 1-d, got shape {series.shape}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if cache is None:
-        cache = _CandidateSet(series)
     # The rank's candidates are rows of the admissible table: the search
     # reads its columns, and only the Python runner builds objects.
-    valid = _admissible(intervals, series.size)
-    rows = np.flatnonzero(~valid.overlapping(exclude))
+    rows = np.flatnonzero(~valid.overlapping(spans))
     table = valid.table[:, rows]
     order = _outer_order(table)
     outer = table[[1, 2, 0]][:, order]
-    if _state is not None:
-        _state.outer = outer
-        if _state.best_key is not None:
-            match = np.flatnonzero((outer.T == _state.best_key).all(axis=1))
-            _state.best = int(match[0]) if match.size else None
+    state.outer = outer
+    if state.best_key is not None:
+        match = np.flatnonzero((outer.T == state.best_key).all(axis=1))
+        state.best = int(match[0]) if match.size else None
     if rows.size:
-        ensure_metrics(metrics).gauge("search.candidate_count").set(rows.size)
+        metrics.gauge("search.candidate_count").set(rows.size)
     run = _rank_run(cache, valid, rows, order, rng)
     return rank_search(
         outer[:2], run, source="rra", best_dist=0.0, rule_ids=outer[2],
         counter=counter, budget=budget, metrics=metrics,
-        state=_state, on_boundary=_on_boundary,
-        capture_rng=(lambda: rng_state_to_json(rng)) if _on_boundary is not None else None,
+        state=state, on_boundary=on_boundary,
+        capture_rng=(lambda: rng_state_to_json(rng)) if on_boundary is not None else None,
         take_work=run.take_work,
     )
 
@@ -430,14 +384,19 @@ def find_discords(
 ) -> DiscordSearchResult:
     """Iteratively extract up to *num_discords* ranked discords.
 
-    After each discovery the found interval is excluded (paper: "when run
-    iteratively, excluding the current best discord from Intervals list,
-    RRA outputs a ranked list of multiple co-existing discords of
-    variable length"): each rank is one :func:`find_discord` over the
+    Paper Algorithm 1 finds one discord among the candidate *intervals*
+    (rule intervals plus zero-coverage gaps, a
+    :class:`~repro.grammar.intervals.RuleIntervalList` or any iterable
+    of :class:`~repro.grammar.intervals.RuleInterval`) of the 1-d
+    *series*.  After each discovery the found interval is excluded
+    (paper: "when run iteratively, excluding the current best discord
+    from Intervals list, RRA outputs a ranked list of multiple
+    co-existing discords of variable length"): each rank searches the
     candidates that overlap no discord found so far, run by the shared
     rank loop :func:`~repro.discord.search.iterated_search`.  The
     candidate cache (z-normalized subsequences and kernel statistics) is
-    built once and shared across ranks.
+    built once and shared across ranks.  *rng* orders each inner loop's
+    tail; *counter* accumulates the distance calls.
 
     The search is *anytime*: give it a
     :class:`~repro.resilience.budget.SearchBudget` and it returns its
@@ -448,7 +407,9 @@ def find_discords(
     ----------
     budget:
         Wall-clock / distance-call / cancellation budget, checked at
-        every outer-loop boundary.
+        every outer-loop boundary.  Without one a ``KeyboardInterrupt``
+        also ends the search with its best-so-far list, status
+        ``CANCELLED``.
     checkpoint_path:
         When set, the search state is autosaved to this JSON file every
         *checkpoint_every* outer candidates, after every completed rank,
@@ -474,11 +435,11 @@ def find_discords(
         Optional :class:`~repro.cache.store.ResultCache`.  An identical
         previous search (same series, candidates, parameters and RNG
         state) is served from disk: same discords, same
-        call-ledger increments applied to *counter*, flagged
+        call increment added to *counter*, flagged
         ``from_cache=True`` — and the hit short-circuits checkpointing
         entirely.  Only complete, untruncated results are ever stored;
         a resumed search that runs to completion populates the cache
-        with the full-run ledger, exactly as an uninterrupted run would
+        with the full run's calls, exactly as an uninterrupted run would
         have.
     """
     session = SearchSession(
@@ -491,6 +452,8 @@ def find_discords(
         )
     counter, budget, metrics = session.counter, session.budget, session.metrics
     series = np.asarray(series, dtype=float)
+    if series.ndim != 1:
+        raise DiscordSearchError(f"series must be 1-d, got shape {series.shape}")
     if rng is None:
         rng = np.random.default_rng(0)
     # One table for the whole search: the cache key, the fingerprint and
@@ -522,10 +485,10 @@ def find_discords(
                 f"inputs (series/candidates/parameters changed)"
             )
         exact = discords_from_json(data.get("discords", []))
-        # restore_ledger is an absolute overwrite: the counter now holds
-        # the prior partial run's full tally.
-        counter.restore_ledger(data["ledger"])
-        session.restart_ledger()
+        # An absolute overwrite: the counter now holds the prior partial
+        # run's full tally, all of which the cache entry must count.
+        counter.calls = int(data["ledger"]["calls"])
+        session.calls_before = 0
         if data.get("rng_state") is not None:
             rng = restore_rng(data["rng_state"])
         if metrics.enabled:
@@ -604,14 +567,14 @@ def find_discords(
             write(done=False)
         return checkpoint_every - boundaries % checkpoint_every
 
-    def search(exclude: tuple[tuple[int, int], ...]) -> Optional[Discord]:
+    def search(spans: tuple[tuple[int, int], ...]) -> Optional[Discord]:
         if checkpoint_path is not None:
             state.rng_state = rng_state_to_json(rng)
-        return find_discord(
-            series, valid, counter=counter, rng=rng, exclude=exclude,
-            cache=candidate_cache, budget=budget, metrics=metrics, _state=state,
-            _on_boundary=on_boundary if checkpoint_path is not None else None,
-        )[0]
+        return _rra_rank(
+            series, valid, spans, cache=candidate_cache, rng=rng,
+            counter=counter, budget=budget, metrics=metrics, state=state,
+            on_boundary=on_boundary if checkpoint_path is not None else None,
+        )
 
     def after_rank(found: Optional[Discord], complete: bool) -> None:
         """Checkpoint the end of a rank: a truncated rank at its last

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from repro.discord.search import (
     ScanRun,
     fixed_length_discords,
     rank_search,
-    search_windows,
-    starts_outside,
+    starts_clear_of,
 )
 from repro.resilience.budget import SearchBudget
 from repro.timeseries import kernels
@@ -51,63 +50,20 @@ def brute_force_call_count(series_length: int, window: int) -> int:
     return d * (d + 1) if d > 0 else 0
 
 
-def brute_force_discord(
-    series: np.ndarray,
-    window: int,
-    *,
-    counter: Optional[DistanceCounter] = None,
-    early_abandon: bool = False,
-    exclude: tuple[tuple[int, int], ...] = (),
-    budget: Optional[SearchBudget] = None,
-    metrics=None,
-) -> tuple[Optional[Discord], DistanceCounter]:
-    """Exact fixed-length discord by exhaustive search.
-
-    Parameters
-    ----------
-    series:
-        Raw time series.
-    window:
-        Discord length n.
-    counter:
-        Distance counter to accumulate into.
-    early_abandon:
-        When True, the inner loop breaks once a distance below the
-        running best is seen (the candidate is disqualified).  The
-        paper's brute-force column counts the non-abandoning variant;
-        tests use the abandoning one for speed.
-    exclude:
-        Candidate start positions falling in any of these half-open
-        ranges are skipped (multi-discord extraction).
-    budget:
-        Optional anytime budget, checked once per outer candidate.  On
-        exhaustion (or ``KeyboardInterrupt`` while one was supplied) the
-        best-so-far discord is returned and ``budget.status`` says why.
-    metrics:
-        Optional :class:`~repro.observability.MetricsRegistry` recording
-        search telemetry (candidates visited / abandoned, abandon
-        depths, budget trips).  Disabled by default; results and logical
-        call counts are byte-identical either way.
-    """
-    return brute_force_rank(
-        search_windows(np.asarray(series, dtype=float), window),
-        counter=counter, early_abandon=early_abandon, exclude=exclude,
-        budget=budget, metrics=metrics,
-    )
-
-
-def brute_force_rank(
+def _brute_force_rank(
     windows: kernels.WindowMatrix,
+    spans: Sequence[tuple[int, int]],
     *,
-    counter: Optional[DistanceCounter] = None,
-    early_abandon: bool = False,
-    exclude: tuple[tuple[int, int], ...] = (),
-    budget: Optional[SearchBudget] = None,
-    metrics=None,
-) -> tuple[Optional[Discord], DistanceCounter]:
-    """One rank of :func:`brute_force_discord` over the search's window
-    matrix, its only source of series and window."""
-    outer = starts_outside(np.arange(num_windows(windows.series.size, windows.window)), exclude)
+    early_abandon: bool,
+    counter: DistanceCounter,
+    budget: SearchBudget,
+    metrics,
+) -> Optional[Discord]:
+    """One rank of :func:`brute_force_discords` over the search's window
+    matrix, its only source of series and window: every window that
+    overlaps no found discord's span in *spans*, in start order."""
+    starts = np.arange(num_windows(windows.series.size, windows.window))
+    outer = starts_clear_of(starts, spans, windows.window)
     return rank_search(
         np.stack((outer, outer + windows.window)),
         _RowScan(windows, outer, early_abandon),
@@ -144,10 +100,6 @@ class _RowScan(ScanRun):
         return (float(dists.min()) if dists.size else math.inf), False
 
 
-#: The brute-force result type; the name predates the shared result class.
-BruteForceResult = DiscordSearchResult
-
-
 def brute_force_discords(
     series: np.ndarray,
     window: int,
@@ -158,17 +110,24 @@ def brute_force_discords(
     budget: Optional[SearchBudget] = None,
     metrics=None,
     cache=None,
-) -> BruteForceResult:
+) -> DiscordSearchResult:
     """Ranked top-k fixed-length discords by exhaustive search (anytime).
 
+    Every sliding window of length *window* is a candidate, scanned
+    against every non-self match.  *early_abandon* breaks a candidate's
+    scan at the first distance below the running best (the candidate
+    cannot be the discord); the paper's brute-force column counts the
+    non-abandoning search, ``early_abandon=False``, whose call count is
+    :func:`brute_force_call_count`.  With a *budget* the result may be
+    truncated: check ``result.status`` and ``result.rank_complete``.
     *cache* serves an identical previous search from disk (discords +
-    call ledger, ``from_cache=True``).
+    call count, ``from_cache=True``).
     """
     return fixed_length_discords(
         "brute_force",
         np.asarray(series, dtype=float),
         window,
-        lambda windows: partial(brute_force_rank, windows, early_abandon=early_abandon),
+        lambda windows: partial(_brute_force_rank, windows, early_abandon=early_abandon),
         params={"early_abandon": bool(early_abandon)},
         num_discords=num_discords,
         counter=counter,

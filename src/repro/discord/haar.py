@@ -18,22 +18,16 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.anomaly import Discord
 from repro.discord.search import (
     DiscordSearchResult,
     bucket_rank,
     fixed_length_discords,
-    search_windows,
 )
 from repro.exceptions import ParameterError
 from repro.resilience.budget import SearchBudget
 from repro.timeseries.distance import DistanceCounter
 from repro.timeseries.windows import sliding_windows
 from repro.timeseries.znorm import znorm_rows
-
-
-#: The Haar result type; the name predates the shared result class.
-HaarResult = DiscordSearchResult
 
 
 def haar_transform(values: np.ndarray) -> np.ndarray:
@@ -102,30 +96,6 @@ def haar_words(
     return words
 
 
-def haar_discord(
-    series: np.ndarray,
-    window: int,
-    *,
-    num_coefficients: int = 4,
-    counter: Optional[DistanceCounter] = None,
-    rng: Optional[np.random.Generator] = None,
-    exclude: tuple[tuple[int, int], ...] = (),
-    budget: Optional[SearchBudget] = None,
-    metrics=None,
-) -> tuple[Optional[Discord], DistanceCounter]:
-    """Best fixed-length discord with Haar-word loop ordering (exact)."""
-    series = np.ascontiguousarray(series, dtype=float)
-    windows = search_windows(series, window)
-    words = haar_words(
-        series, window,
-        num_coefficients=num_coefficients, normalized=windows.normalized,
-    )
-    return bucket_rank(
-        windows, words, source="haar", counter=counter, rng=rng,
-        exclude=exclude, budget=budget, metrics=metrics,
-    )
-
-
 def haar_discords(
     series: np.ndarray,
     window: int,
@@ -137,12 +107,13 @@ def haar_discords(
     budget: Optional[SearchBudget] = None,
     metrics=None,
     cache=None,
-) -> HaarResult:
-    """Ranked top-k discords with Haar-word loop ordering (anytime).
+) -> DiscordSearchResult:
+    """Ranked top-k discords with Haar-word loop ordering (anytime, exact).
 
-    The Haar words are computed once, from the search's window matrix,
-    and shared by every rank.  *cache* serves an identical previous
-    search from disk (discords + call ledger, ``from_cache=True``).
+    The Haar words (:func:`haar_words`) are computed once, from the
+    search's window matrix, and shared by every rank.  *cache* serves an
+    identical previous search from disk (discords + call count,
+    ``from_cache=True``).
     """
     series = np.asarray(series, dtype=float)
     if rng is None:

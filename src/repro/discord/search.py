@@ -1,17 +1,10 @@
 """The shared discord-search driver.
 
-HOTSAX (SAX words) and the Haar-transform variant (paper related work:
-Fu et al. 2006, Bu et al. 2007) differ only in *how candidate windows
-are grouped into buckets*; the search itself — outer loop over
-candidates in ascending bucket size, inner loop visiting same-bucket
-windows first with early abandoning — is identical.  This module hosts
-that engine so each baseline supplies only its bucketing function.
-
-It also holds what all four ``*_discords`` entry points (RRA, HOTSAX,
-Haar, brute force) share around their searches:
+Each engine has one entry point, its ``*_discords`` top-k search (RRA,
+HOTSAX, Haar, brute force).  This module holds what the four share:
 
 * :class:`SearchSession` — ``num_discords`` validation, the counter and
-  budget defaults, metrics binding, and the result-cache lookup, ledger
+  budget defaults, metrics binding, and the result-cache lookup, call
   replay and store;
 * :func:`iterated_search` — top-k extraction by repeated search, each
   rank excluding the candidates that overlap a discord already found:
@@ -24,7 +17,12 @@ Haar, brute force) share around their searches:
   :class:`ScanRun` over a Python inner loop;
 * :class:`DiscordSearchResult` — the one search result;
 * :func:`fixed_length_discords` — the fixed-length engines' top-k
-  driver.
+  search, and :func:`bucket_rank`, the one rank of HOTSAX (SAX words)
+  and the Haar-transform variant (paper related work: Fu et al. 2006,
+  Bu et al. 2007), which differ only in *how candidate windows are
+  grouped into buckets*: outer loop over candidates in ascending bucket
+  size, inner loop visiting same-bucket windows first with early
+  abandoning.
 """
 
 from __future__ import annotations
@@ -44,9 +42,6 @@ from repro.resilience.budget import SearchBudget, SearchStatus
 from repro.timeseries import kernels
 from repro.timeseries.distance import DistanceCounter
 from repro.timeseries.windows import num_windows
-
-#: A bucketing function: (series, window) -> one hashable key per window.
-BucketFn = Callable[[np.ndarray, int], Sequence[str]]
 
 #: One rank's search: the ``(start, end)`` spans of the discords found
 #: so far -> the best discord among the candidates overlapping none.
@@ -116,10 +111,17 @@ class SearchSession:
     Validates *num_discords*, supplies the default counter and budget,
     and binds *metrics* to the budget.  With a *cache* (a
     :class:`~repro.cache.store.ResultCache`), :meth:`lookup` serves an
-    identical previous search — its discords, with the stored ledger
-    increments replayed onto :attr:`counter` — and :meth:`finish` saves
+    identical previous search — its discords, with the stored call
+    increment replayed onto :attr:`counter` — and :meth:`finish` saves
     a complete, untruncated result.  Without one, both only build the
     result.
+
+    A cache entry's ``"ledger"`` is ``{"calls": counter.calls -
+    calls_before}``: what the search added to a counter that callers
+    may thread through several searches.  :meth:`lookup` sets
+    :attr:`calls_before` to the counter's reading; a resumed search,
+    whose counter holds the interrupted run's whole tally, sets it to 0
+    so the entry equals an uninterrupted run's.
     """
 
     def __init__(
@@ -144,7 +146,7 @@ class SearchSession:
         self.budget.bind_metrics(self.metrics)
         self.cache = cache
         self._key: Optional[str] = None
-        self._ledger_before: Optional[dict] = None
+        self.calls_before = 0
 
     def lookup(
         self,
@@ -163,31 +165,21 @@ class SearchSession:
         # Imported here, and called through the module attribute, so the
         # cache layer stays off the import path of uncached searches.
         from repro.cache import keys
-        from repro.cache.results import apply_ledger_delta, discords_from_json
+        from repro.cache.results import discords_from_json
 
         self._key = keys.discord_search_key(
             series, intervals, engine=self.engine, params=params, rng=rng
         )
         entry = self.cache.get(self._key)
         if entry is not None:
-            apply_ledger_delta(self.counter, entry["ledger"])
+            self.counter.calls += int(entry["ledger"]["calls"])
             discords = discords_from_json(entry["discords"])
             return DiscordSearchResult(
                 discords, self.counter.calls,
                 rank_complete=[True] * len(discords), from_cache=True,
             )
-        self._ledger_before = self.counter.ledger()
+        self.calls_before = self.counter.calls
         return None
-
-    def restart_ledger(self) -> None:
-        """Store the counter's whole tally, not its growth since lookup.
-
-        A resumed search restores the interrupted run's ledger into the
-        counter, so counting from zero makes the stored delta equal to
-        what an uninterrupted search would have cached.
-        """
-        if self._key is not None:
-            self._ledger_before = {name: 0 for name in self.counter.ledger()}
 
     def finish(
         self, discords: list[Discord], rank_complete: list[bool]
@@ -195,14 +187,14 @@ class SearchSession:
         """The search's result; a complete, untruncated one is cached."""
         status = self.budget.status
         if self._key is not None and status is SearchStatus.COMPLETE and all(rank_complete):
-            from repro.cache.results import discords_to_json, ledger_delta
+            from repro.cache.results import discords_to_json
 
             self.cache.put(
                 self._key,
                 {
                     "engine": self.engine,
                     "discords": discords_to_json(discords),
-                    "ledger": ledger_delta(self._ledger_before, self.counter.ledger()),
+                    "ledger": {"calls": self.counter.calls - self.calls_before},
                 },
             )
         return DiscordSearchResult(discords, self.counter.calls, status, rank_complete)
@@ -226,7 +218,7 @@ def fixed_length_discords(
     engine: str,
     series: np.ndarray,
     window: int,
-    build_rank: Callable[[kernels.WindowMatrix], Callable[..., tuple]],
+    build_rank: Callable[[kernels.WindowMatrix], Callable[..., Optional[Discord]]],
     *,
     params: dict,
     num_discords: int,
@@ -243,15 +235,17 @@ def fixed_length_discords(
     and otherwise runs :func:`iterated_search` over the engine's
     one-rank function that *build_rank* returns for the search's one
     :class:`~repro.timeseries.kernels.WindowMatrix`, shared by every
-    rank; each rank calls it with the session's counter, budget and
-    metrics and the start ranges to exclude.  The cache key holds *engine*, *window*, *num_discords*, the
-    engine's *params* and the *rng* state (engines that draw no random
-    numbers pass none).
+    rank; each rank calls it with the spans of the discords found so
+    far and the session's counter, budget and metrics.  The cache key
+    holds *engine*, *window*, *num_discords*, the engine's *params* and
+    the *rng* state (engines that draw no random numbers pass none).
     """
     session = SearchSession(
         engine, num_discords=num_discords, counter=counter,
         budget=budget, metrics=metrics, cache=cache,
     )
+    if series.ndim != 1:
+        raise DiscordSearchError(f"series must be 1-d, got shape {series.shape}")
     hit = session.lookup(
         series,
         (),
@@ -261,14 +255,11 @@ def fixed_length_discords(
     if hit is not None:
         return hit
     rank = build_rank(search_windows(series, window))
-    # A window overlaps the span [s, e) of a found discord when it
-    # starts in (s - window, e): the one-rank searches take start ranges.
     return iterated_search(
         session,
         lambda spans: rank(
-            exclude=tuple((s - window + 1, e) for s, e in spans),
-            counter=session.counter, budget=session.budget, metrics=session.metrics,
-        )[0],
+            spans, counter=session.counter, budget=session.budget, metrics=session.metrics
+        ),
     )
 
 
@@ -357,15 +348,15 @@ def rank_search(
     *,
     source: str,
     best_dist: float,
+    counter: DistanceCounter,
+    budget: SearchBudget,
+    metrics,
     rule_ids: Optional[np.ndarray] = None,
-    counter: Optional[DistanceCounter] = None,
-    budget: Optional[SearchBudget] = None,
-    metrics=None,
     state: Optional[RankState] = None,
     on_boundary: Optional[Callable[[RankState, int], int]] = None,
     capture_rng: Optional[Callable[[], dict]] = None,
     take_work: Optional[Callable[[], Sequence[int]]] = None,
-) -> tuple[Optional[Discord], DistanceCounter]:
+) -> Optional[Discord]:
     """One rank of any engine: the outer-candidate loop all four share.
 
     *spans* is the ``(2, n)`` array of the outer candidates' ``(start,
@@ -380,6 +371,7 @@ def rank_search(
     ``run.MAX_OUTERS``, so a tight deadline or a cancelled token is seen
     early and a long rank pays few boundaries.
 
+    *counter*, *budget* and *metrics* are the :class:`SearchSession`'s.
     At every boundary the loop records *state*, checks the budget, and
     lets *on_boundary(state, crossed)* (a checkpoint hook) see the
     boundaries the last run crossed and cap the next run.  Visited pairs
@@ -392,23 +384,16 @@ def rank_search(
     farther than it.  *capture_rng* is called at each boundary for
     :attr:`RankState.rng_state`.
 
-    A ``KeyboardInterrupt`` becomes a best-so-far return when a *budget*
-    or a *state* lets the caller see the truncation, and propagates
-    otherwise.  Returns ``(discord or None, counter)``.
+    A ``KeyboardInterrupt`` becomes a best-so-far return, with
+    ``budget.status`` saying the search was cancelled.  Returns the
+    rank's discord, or ``None`` when no candidate has a non-self match.
     """
-    if counter is None:
-        counter = DistanceCounter()
-    has_channel = budget is not None or state is not None
-    if budget is None:
-        budget = SearchBudget.unlimited()
-    metrics = ensure_metrics(metrics)
-    budget.bind_metrics(metrics)
     if state is None:
         state = RankState(best_dist=best_dist)
     n_outer = spans.shape[1]
     if not n_outer:
         state.complete = True
-        return None, counter
+        return None
 
     instrumented = metrics.enabled
     m_work = []
@@ -470,17 +455,15 @@ def rank_search(
                 best_dist, best = found, new_best
             crossed, i = end - i, end
     except KeyboardInterrupt:
-        if not has_channel:
-            raise
         # The aborted run's partial work is discarded: the state still
         # describes the last completed boundary, so a resumed run
         # replays the run in full and stays bit-identical.
         budget.note_cancelled()
 
     if best is None:
-        return None, counter
+        return None
     start, stop = spans[:, best].tolist()
-    discord = Discord(
+    return Discord(
         start=start,
         end=stop,
         score=best_dist,
@@ -489,97 +472,42 @@ def rank_search(
         rule_id=None if rule_ids is None else int(rule_ids[best]),
         source=source,
     )
-    return discord, counter
 
 
-def starts_outside(starts: np.ndarray, exclude: Sequence[tuple[int, int]]) -> np.ndarray:
-    """The entries of *starts* outside every half-open ``(start, end)``
-    range of *exclude*, in their order."""
+def starts_clear_of(
+    starts: np.ndarray, spans: Sequence[tuple[int, int]], window: int
+) -> np.ndarray:
+    """The entries of *starts* whose windows overlap no ``(start, end)``
+    span of *spans*, in their order: a window overlaps ``[s, e)`` when
+    it starts in ``(s - window, e)``."""
     keep = np.ones(starts.size, dtype=bool)
-    for ex_start, ex_end in exclude:
-        keep &= (starts < ex_start) | (starts >= ex_end)
+    for start, end in spans:
+        keep &= (starts <= start - window) | (starts >= end)
     return starts[keep]
-
-
-def ordered_discord_search(
-    series: np.ndarray,
-    window: int,
-    bucket_fn: BucketFn,
-    *,
-    source: str,
-    counter: Optional[DistanceCounter] = None,
-    rng: Optional[np.random.Generator] = None,
-    exclude: tuple[tuple[int, int], ...] = (),
-    budget: Optional[SearchBudget] = None,
-    metrics=None,
-) -> tuple[Optional[Discord], DistanceCounter]:
-    """Exact fixed-length discord via bucket-driven loop orderings.
-
-    The inner loop is evaluated in vectorized blocks via
-    :mod:`repro.timeseries.kernels`, replaying the per-pair
-    early-abandon decisions so the logical call count is that of the
-    pair-by-pair loop.
-
-    Parameters
-    ----------
-    series, window:
-        The input and the discord length.
-    bucket_fn:
-        Maps every sliding window to a bucket key; windows sharing a
-        key are presumed similar.  Rare keys are searched first (outer),
-        same-key windows are compared first (inner).
-    source:
-        Tag recorded on the returned :class:`Discord`.
-    counter, rng, exclude:
-        As in :func:`repro.discord.hotsax.hotsax_discord`.
-    budget:
-        Optional :class:`~repro.resilience.budget.SearchBudget` checked
-        once per outer candidate; when it trips (or a
-        ``KeyboardInterrupt`` arrives while one was supplied) the
-        best-so-far discord is returned and ``budget.status`` reports
-        why the scan stopped early.
-    metrics:
-        Optional :class:`~repro.observability.MetricsRegistry`.  When
-        given, the scan records candidate/abandon counters, the
-        early-abandon depth histogram, and trace events (budget trips
-        travel through the bound budget).  The default (``None``) routes
-        through the no-op sink: results and logical call counts are
-        byte-identical either way.
-    """
-    windows = search_windows(np.asarray(series, dtype=float), window)
-    return bucket_rank(
-        windows, list(bucket_fn(windows.series, window)), source=source,
-        counter=counter, rng=rng, exclude=exclude, budget=budget, metrics=metrics,
-    )
 
 
 def bucket_rank(
     windows: kernels.WindowMatrix,
     keys: Sequence,
+    spans: Sequence[tuple[int, int]],
     *,
     source: str,
-    counter: Optional[DistanceCounter] = None,
-    rng: Optional[np.random.Generator] = None,
-    exclude: tuple[tuple[int, int], ...] = (),
-    budget: Optional[SearchBudget] = None,
-    metrics=None,
-) -> tuple[Optional[Discord], DistanceCounter]:
-    """One rank of :func:`ordered_discord_search` over the search's
-    window matrix, its only source of series and window, and *keys*,
-    one bucket key per window."""
-    k = num_windows(windows.series.size, windows.window)
-    if len(keys) != k:
-        raise DiscordSearchError(
-            f"bucket_fn produced {len(keys)} keys for {k} windows"
-        )
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng: np.random.Generator,
+    counter: DistanceCounter,
+    budget: SearchBudget,
+    metrics,
+) -> Optional[Discord]:
+    """One rank of a bucket-ordered search (HOTSAX, Haar) over the
+    search's window matrix, its only source of series and window, and
+    *keys*, one bucket key per window: rare keys are searched first
+    (outer), same-key windows are compared first (inner).  Windows that
+    overlap a found discord's span in *spans* are no candidates."""
     buckets: dict[str, list[int]] = defaultdict(list)
     for pos, key in enumerate(keys):
         buckets[key].append(pos)
     # Ascending bucket size, ties by start: a stable sort of the sizes.
-    sizes = np.fromiter((len(buckets[key]) for key in keys), dtype=np.int64, count=k)
-    outer = starts_outside(np.argsort(sizes, kind="stable"), exclude)
+    sizes = np.fromiter((len(buckets[key]) for key in keys), dtype=np.int64, count=len(keys))
+    outer = starts_clear_of(np.argsort(sizes, kind="stable"), spans, windows.window)
     return rank_search(
         np.stack((outer, outer + windows.window)),
         _BucketScan(windows, keys, buckets, outer, rng),
@@ -677,13 +605,13 @@ def iterated_search(
     discords = list(found)
     rank_complete = [True] * len(discords)
     for rank in range(len(discords), session.num_discords):
-        rank_ledger = counter.ledger() if metrics.enabled else None
+        calls_before = counter.calls
         with metrics.span("search.rank", source=session.engine, rank=rank):
             best = search(tuple((d.start, d.end) for d in discords))
         exact = budget.status is SearchStatus.COMPLETE
         if metrics.enabled:
             _emit_rank_event(
-                metrics, session.engine, rank, rank_ledger, counter, best,
+                metrics, session.engine, rank, counter.calls - calls_before, best,
                 exact=exact,
             )
         if best is not None:
@@ -701,24 +629,19 @@ def _emit_rank_event(
     metrics,
     source: str,
     rank: int,
-    ledger_before: Optional[dict],
-    counter: DistanceCounter,
+    calls: int,
     found: Optional[Discord],
     *,
     exact: bool,
 ) -> None:
     """Emit one ``search.rank_complete`` event with the rank's ledger slice.
 
-    The attrs carry the per-rank delta of the call ledger (``calls``) —
-    the paper's Table 1 metric broken down by rank — plus the discord
-    the rank produced.  Shared by all four engines so run reports have one
-    schema.
+    The attrs carry the rank's distance *calls* as ``ledger: {"calls":
+    n}`` — the paper's Table 1 metric broken down by rank — plus the
+    discord the rank produced.  Shared by all four engines so run
+    reports have one schema.
     """
-    after = counter.ledger()
-    delta = {
-        key: after[key] - (ledger_before or {}).get(key, 0) for key in after
-    }
-    attrs = {"source": source, "rank": rank, "exact": exact, "ledger": delta}
+    attrs = {"source": source, "rank": rank, "exact": exact, "ledger": {"calls": calls}}
     if found is not None:
         attrs["start"] = found.start
         attrs["end"] = found.end

@@ -13,18 +13,10 @@ from repro.timeseries.windows import (
     windows_iter,
 )
 from repro.timeseries.paa import paa, paa_segment_bounds
-from repro.timeseries.distance import (
-    DistanceCounter,
-    euclidean,
-    euclidean_early_abandon,
-    normalized_euclidean,
-    variable_length_distance,
-)
+from repro.timeseries.distance import DistanceCounter
 from repro.timeseries.kernels import (
     SeriesStats,
-    one_vs_all_euclidean,
     one_vs_all_sq_euclidean,
-    sliding_min_normalized_distance,
     sliding_window_stats,
     znorm_sliding_windows,
 )
@@ -48,16 +40,10 @@ __all__ = [
     "paa",
     "paa_segment_bounds",
     "DistanceCounter",
-    "euclidean",
-    "euclidean_early_abandon",
-    "normalized_euclidean",
-    "variable_length_distance",
     "SeriesStats",
     "sliding_window_stats",
     "znorm_sliding_windows",
     "one_vs_all_sq_euclidean",
-    "one_vs_all_euclidean",
-    "sliding_min_normalized_distance",
     "fill_missing",
     "detrend",
     "downsample",

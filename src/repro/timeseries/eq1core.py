@@ -177,7 +177,7 @@ class RankRun:
     inner-loop shuffles.  The rank's key index is built here, once: the
     candidate positions sorted by key (stable, so ascending within a
     key) and each candidate's range of same-key positions in that list,
-    empty for a gap.  Each :func:`repro.core.rra.find_discord` call owns
+    empty for a gap.  Each RRA rank (:func:`repro.core.rra._rra_rank`) owns
     one, with its own out-parameters, so threads that share one
     candidate set's tables share only what the core touches while it
     holds the GIL.  It is the stretch runner of

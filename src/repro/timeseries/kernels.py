@@ -1,34 +1,29 @@
 """Vectorized batch distance kernels for the discord searches.
 
 The paper measures every algorithm in *distance-function calls* because
-distance computation is ≥99 % of runtime.  The scalar reference
-implementations in :mod:`repro.timeseries.distance` make each of those
-calls a round-trip through Python; this module provides the batched
-numpy primitives that the discord searches use instead, while keeping
-the *logical* call accounting bit-identical (see
-:meth:`repro.timeseries.distance.DistanceCounter.batch`):
+distance computation is ≥99 % of runtime.  This module holds the one
+definition of each distance a search computes, in batched numpy form,
+while the *logical* call accounting stays that of the per-pair loops
+(see :meth:`repro.timeseries.distance.DistanceCounter.batch`):
 
 * **Cumulative-sum window statistics** — mean/std of every sliding
   window (or of any ``[start, end)`` interval, via :class:`SeriesStats`)
   in O(m) total from prefix sums of the centred series, replacing
   per-window ``znorm`` calls.
-* **One-vs-all squared Euclidean** — the dot-product identity
-  ``‖a − b‖² = ‖a‖² + ‖b‖² − 2·a·b`` turns an inner loop of pairwise
-  distances into one matrix-vector product.
-* **Sliding-alignment profile** — the variable-length Eq. 1 distance
-  (shorter subsequence slid along the longer) for *all* offsets at once
-  via :func:`numpy.correlate` plus a squared cumulative sum, replacing
-  the per-offset Python loop.
-* **Batch early-abandon filtering** — distances above a cutoff are
-  mapped to ``inf`` wholesale, matching the scalar early-abandon
-  contract (the caller only needs to know the true distance exceeds the
-  cutoff).
+* **One-vs-all squared Euclidean** — the fixed-length distance: the
+  dot-product identity ``‖a − b‖² = ‖a‖² + ‖b‖² − 2·a·b`` turns an
+  inner loop of pairwise distances into one matrix-vector product, and
+  :func:`first_below` replays the per-pair early abandon on its row.
+* **Aligned minimum** — the variable-length Eq. 1 distance (shorter
+  subsequence slid along the longer) for *all* offsets at once via
+  :func:`numpy.correlate` plus a squared cumulative sum
+  (:func:`aligned_min_distance`; DESIGN.md §5).
 
-Every kernel is an exact (to floating-point roundoff) replacement for
-its scalar counterpart; ``tests/test_kernels.py`` asserts agreement to
-1e-9 on random inputs, and checks every discord engine against the
-per-pair reference searches in ``tests/oracles.py`` for identical
-discords, ranks and ``DistanceCounter`` accounting.
+The scalar per-pair references live with the tests
+(``tests/oracles.py``); ``tests/test_kernels.py`` checks the kernels
+against them to 1e-9 on random inputs, and checks every discord engine
+against the per-pair reference searches there for identical discords,
+ranks and ``DistanceCounter`` accounting.
 """
 
 from __future__ import annotations
@@ -51,13 +46,8 @@ __all__ = [
     "row_sqnorms",
     "sq_cumsum",
     "one_vs_all_sq_euclidean",
-    "one_vs_all_euclidean",
-    "early_abandon_filter",
-    "sliding_alignment_sq_profile",
-    "aligned_min_distance",
-    "sliding_min_normalized_distance",
-    "variable_length_kernel",
     "first_below",
+    "aligned_min_distance",
 ]
 
 
@@ -342,39 +332,6 @@ def one_vs_all_sq_euclidean(
     return np.clip(sq, 0.0, None)
 
 
-def one_vs_all_euclidean(
-    query: np.ndarray,
-    matrix: np.ndarray,
-    *,
-    cutoff: float = float("inf"),
-    query_sqnorm: Optional[float] = None,
-    sqnorms: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Euclidean distances from *query* to every row, with batch abandoning.
-
-    Distances strictly above *cutoff* come back as ``inf`` — the batch
-    analogue of :func:`repro.timeseries.distance.euclidean_early_abandon`,
-    whose callers only need to know the true distance exceeds the cutoff.
-    """
-    sq = one_vs_all_sq_euclidean(
-        query, matrix, query_sqnorm=query_sqnorm, sqnorms=sqnorms
-    )
-    dists = np.sqrt(sq)
-    return early_abandon_filter(dists, cutoff)
-
-
-def early_abandon_filter(dists: np.ndarray, cutoff: float) -> np.ndarray:
-    """Map every distance strictly above *cutoff* to ``inf``.
-
-    Mirrors the scalar early-abandon contract: an abandoned computation
-    reports ``inf``, a surviving one reports its true value.
-    """
-    dists = np.asarray(dists, dtype=float)
-    if not np.isfinite(cutoff):
-        return dists
-    return np.where(dists > cutoff, np.inf, dists)
-
-
 def first_below(values: np.ndarray, threshold: float) -> int:
     """Index of the first entry strictly below *threshold*, or -1.
 
@@ -387,54 +344,8 @@ def first_below(values: np.ndarray, threshold: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Sliding-alignment (variable-length, Eq. 1) kernels
+# Sliding-alignment (variable-length, Eq. 1) kernel
 # ---------------------------------------------------------------------------
-
-
-def _alignment_inputs(
-    short: np.ndarray,
-    long_: np.ndarray,
-    short_sqnorm: Optional[float],
-    long_sq_cumsum: Optional[np.ndarray],
-) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """Validate an alignment pair and fill in the precomputable pieces."""
-    short = np.asarray(short, dtype=float)
-    long_ = np.asarray(long_, dtype=float)
-    if short.size == 0 or long_.size < short.size:
-        raise ParameterError(
-            f"alignment needs 0 < len(short) <= len(long), "
-            f"got {short.size} vs {long_.size}"
-        )
-    if short_sqnorm is None:
-        short_sqnorm = float(np.dot(short, short))
-    if long_sq_cumsum is None:
-        long_sq_cumsum = sq_cumsum(long_)
-    return short, short_sqnorm, long_, long_sq_cumsum
-
-
-def sliding_alignment_sq_profile(
-    short: np.ndarray,
-    long_: np.ndarray,
-    *,
-    short_sqnorm: Optional[float] = None,
-    long_sq_cumsum: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Squared Euclidean distance of *short* against every alignment of *long_*.
-
-    Entry ``o`` is ``‖short − long_[o : o + n]‖²`` for each of the
-    ``len(long_) − n + 1`` offsets, computed in one shot: the cross
-    terms via :func:`numpy.correlate` and the window energies via a
-    squared cumulative sum.  Pass the precomputed pieces when scanning
-    many pairs against the same sequences.
-    """
-    short, short_sqnorm, long_, long_sq_cumsum = _alignment_inputs(
-        short, long_, short_sqnorm, long_sq_cumsum
-    )
-    n = short.size
-    window_energy = long_sq_cumsum[n:] - long_sq_cumsum[:-n]
-    cross = np.correlate(long_, short, mode="valid")
-    sq = short_sqnorm + window_energy - 2.0 * cross
-    return np.clip(sq, 0.0, None)
 
 
 def aligned_min_distance(
@@ -445,13 +356,15 @@ def aligned_min_distance(
 ) -> float:
     """Eq. 1 min-distance from precomputed pieces, with no argument checks.
 
-    The one definition of the sliding-alignment minimum, shared by
-    :func:`sliding_min_normalized_distance` and the RRA pair distance:
-    ``(short_sqnorm + window_energy) − 2·correlate(long_, short)``,
-    minimized over offsets, clamped at zero, then ``sqrt(· / n)``.
-    Clamping the minimum gives the same float as minimizing the clamped
-    :func:`sliding_alignment_sq_profile`.  Callers guarantee
-    ``0 < len(short) <= len(long_)`` and float64 contiguous inputs.
+    The one definition of the sliding-alignment minimum, which the RRA
+    pair distance (:meth:`repro.core.rra._CandidateSet.pair_distance`)
+    calls for unequal lengths: ``(short_sqnorm + window_energy) −
+    2·correlate(long_, short)``, minimized over offsets, clamped at
+    zero, then ``sqrt(· / n)``, where *long_sq_cumsum* is
+    :func:`sq_cumsum` of *long_*.  Clamping the minimum gives the same
+    float as minimizing the clamped per-offset profile.  Callers
+    guarantee ``0 < len(short) <= len(long_)`` and float64 contiguous
+    inputs.
 
     The cross terms stay on :func:`numpy.correlate`, which rounds like
     ``np.dot`` (BLAS ``ddot``) offset by offset; a matrix-vector product
@@ -467,34 +380,3 @@ def aligned_min_distance(
     if best < 0.0:
         best = 0.0
     return math.sqrt(best / n)
-
-
-def sliding_min_normalized_distance(
-    short: np.ndarray,
-    long_: np.ndarray,
-    *,
-    short_sqnorm: Optional[float] = None,
-    long_sq_cumsum: Optional[np.ndarray] = None,
-) -> float:
-    """Best (minimum) length-normalized distance over all alignments.
-
-    The kernel form of the paper's Eq. 1 distance for already-normalized
-    inputs: ``min over offsets of sqrt(‖short − segment‖² / len(short))``.
-    """
-    return aligned_min_distance(
-        *_alignment_inputs(short, long_, short_sqnorm, long_sq_cumsum)
-    )
-
-
-def variable_length_kernel(p: np.ndarray, q: np.ndarray) -> float:
-    """Kernel equivalent of ``variable_length_distance(normalize_inputs=False)``.
-
-    Orders the pair by length and evaluates the full alignment profile
-    in vectorized form; equal lengths degenerate to a single offset.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.size == 0 or q.size == 0:
-        raise ParameterError("variable_length_kernel requires non-empty inputs")
-    short, long_ = (p, q) if p.size <= q.size else (q, p)
-    return sliding_min_normalized_distance(short, long_)

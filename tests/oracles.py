@@ -9,10 +9,14 @@ the abandoned pair included.  Tests run both on the same input and
 compare discords, ranks and call counts.
 
 Every search oracle takes its pair distance as a parameter.  The default
-is the scalar reference in :mod:`repro.timeseries.distance`, which
-agrees with the kernels to about 1e-12; passing the kernels' own pair
-arithmetic makes the comparison bit-exact and checks the loop order
-alone.
+is one of the scalar reference distances defined here (:func:`euclidean`
+for fixed-length windows, :func:`variable_length_distance` for Eq. 1),
+which agree with the kernels in :mod:`repro.timeseries.kernels` to
+about 1e-12; passing the kernels' own pair arithmetic makes the
+comparison bit-exact and checks the loop order alone.
+:func:`sliding_alignment_sq_profile` is the per-offset profile whose
+clamped minimum :func:`repro.timeseries.kernels.aligned_min_distance`
+computes.
 
 :func:`rule_intervals_oracle` is the per-occurrence projection of grammar
 rules onto the series that the array projection
@@ -50,17 +54,93 @@ from repro.core.anomaly import Discord
 from repro.core.parameter_grid import GridPoint, _hit
 from repro.core.pipeline import GrammarAnomalyDetector
 from repro.core.rule_density import find_density_anomalies
-from repro.exceptions import ReproError
+from repro.exceptions import ParameterError, ReproError
 from repro.grammar.grammar import START_RULE_ID
 from repro.grammar.intervals import RuleInterval
 from repro.resilience.checkpoint import series_digest
 from repro.sax.discretize import NumerosityReduction
 from repro.sax.sax import mindist
 from repro.timeseries import kernels
-from repro.timeseries.distance import euclidean, variable_length_distance
 from repro.timeseries.paa import paa
 from repro.timeseries.windows import sliding_windows
 from repro.timeseries.znorm import znorm
+
+
+def euclidean(a: np.ndarray, b: np.ndarray) -> float:
+    """Plain Euclidean distance between two equal-length vectors."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ParameterError(
+            f"euclidean requires equal shapes, got {a.shape} vs {b.shape}"
+        )
+    return float(np.sqrt(np.sum((a - b) ** 2)))
+
+
+def normalized_euclidean(a: np.ndarray, b: np.ndarray) -> float:
+    """Euclidean distance divided by the square root of the length.
+
+    This is the paper's Eq. (1):
+    ``Dist(p, q) = sqrt( sum (p_i - q_i)^2 / Length(p) )``.
+    Both inputs must have the same length.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        raise ParameterError("normalized_euclidean requires non-empty input")
+    return euclidean(a, b) / float(np.sqrt(a.size))
+
+
+def variable_length_distance(
+    p: np.ndarray,
+    q: np.ndarray,
+    *,
+    normalize_inputs: bool = True,
+) -> float:
+    """Eq. 1 between possibly unequal subsequences, offset by offset.
+
+    The shorter subsequence slides along the longer one, each alignment
+    is scored with :func:`normalized_euclidean`, and the minimum is
+    returned (DESIGN.md §5).  With *normalize_inputs* both subsequences
+    are z-normalized first (the paper always compares z-normalized
+    shapes).
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.size == 0 or q.size == 0:
+        raise ParameterError("variable_length_distance requires non-empty inputs")
+    if normalize_inputs:
+        p = znorm(p)
+        q = znorm(q)
+    if p.size == q.size:
+        return normalized_euclidean(p, q)
+    short, long_ = (p, q) if p.size < q.size else (q, p)
+    n = short.size
+    best = float("inf")
+    for offset in range(long_.size - n + 1):
+        dist = normalized_euclidean(short, long_[offset : offset + n])
+        if dist < best:
+            best = dist
+    return best
+
+
+def sliding_alignment_sq_profile(short: np.ndarray, long_: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance of *short* against every alignment of *long_*.
+
+    Entry ``o`` is ``‖short − long_[o : o + n]‖²``, clamped at zero,
+    with the cross terms from :func:`numpy.correlate` and the window
+    energies from :func:`repro.timeseries.kernels.sq_cumsum`: the
+    arithmetic of :func:`repro.timeseries.kernels.aligned_min_distance`
+    before its minimum.
+    """
+    short = np.asarray(short, dtype=float)
+    long_ = np.asarray(long_, dtype=float)
+    n = short.size
+    long_sq_cumsum = kernels.sq_cumsum(long_)
+    window_energy = long_sq_cumsum[n:] - long_sq_cumsum[:-n]
+    cross = np.correlate(long_, short, mode="valid")
+    sq = float(np.dot(short, short)) + window_energy - 2.0 * cross
+    return np.clip(sq, 0.0, None)
+
 
 #: Fixed-length pair distance over window positions ``(p, q)``.
 PositionDistance = Callable[[int, int], float]

@@ -29,18 +29,14 @@ from repro.cache import (
     discord_search_key,
     rng_fingerprint,
 )
-from repro.cache.results import (
-    apply_ledger_delta,
-    discords_from_json,
-    discords_to_json,
-    ledger_delta,
-)
+from repro.cache.results import discords_from_json, discords_to_json
 from repro.core.anomaly import Discord
 from repro.core.pipeline import GrammarAnomalyDetector
 from repro.core.rra import find_discords
 from repro.discord.brute_force import brute_force_discords
 from repro.discord.haar import haar_discords
 from repro.discord.hotsax import hotsax_discords
+from repro.exceptions import DiscordSearchError
 from repro.observability.metrics import MetricsRegistry
 from repro.resilience.budget import SearchBudget
 from repro.resilience.checkpoint import series_digest
@@ -302,14 +298,34 @@ def test_rng_fingerprint_tracks_state():
     assert rng_fingerprint(a) != rng_fingerprint(b)
 
 
-def test_ledger_delta_roundtrip():
-    before, after = {"calls": 10}, {"calls": 25}
-    delta = ledger_delta(before, after)
-    assert delta == {"calls": 15}
-    counter = DistanceCounter()
-    counter.calls = 10
-    apply_ledger_delta(counter, delta)
-    assert counter.ledger() == after
+def test_ledger_delta_roundtrip(series, rra_candidates, tmp_path):
+    """An entry stores what the search added to its counter, and a hit
+    adds exactly that to the caller's counter, whatever it held."""
+    cache = ResultCache(tmp_path)
+    cold = DistanceCounter()
+    cold.calls = 10
+    find_discords(series, rra_candidates, num_discords=2, counter=cold, cache=cache)
+    added = cold.calls - 10
+    assert added > 0
+    warm = DistanceCounter()
+    warm.calls = 25
+    result = find_discords(
+        series, rra_candidates, num_discords=2, counter=warm, cache=cache
+    )
+    assert result.from_cache
+    assert warm.calls == result.distance_calls == 25 + added
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_2d_series_refused_before_a_cache_hit(engine, series, rra_candidates, tmp_path):
+    """A 2-d series is refused before the cache is read: its bytes equal
+    a cached 1-d search's, so a lookup first would serve that search's
+    discords."""
+    cache = ResultCache(tmp_path)
+    run_engine(engine, series, rra_candidates, cache=cache)
+    assert run_engine(engine, series, rra_candidates, cache=cache)[0].from_cache
+    with pytest.raises(DiscordSearchError, match="1-d"):
+        run_engine(engine, series.reshape(20, 30), rra_candidates, cache=cache)
 
 
 def test_version_one_entries_are_misses(

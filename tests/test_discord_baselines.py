@@ -9,14 +9,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.discord.brute_force import (
-    brute_force_call_count,
-    brute_force_discord,
-    brute_force_discords,
-)
-from repro.discord import haar, hotsax
-from repro.discord.haar import haar_discord, haar_discords
-from repro.discord.hotsax import hotsax_discord, hotsax_discords
+from repro.discord.brute_force import brute_force_call_count, brute_force_discords
+from repro.discord import haar
+from repro.discord.haar import haar_discords
+from repro.discord.hotsax import hotsax_discords
 from repro.exceptions import DiscordSearchError
 from repro.timeseries import kernels
 from repro.timeseries.distance import DistanceCounter
@@ -52,7 +48,9 @@ class TestBruteForceCallCount:
     def test_matches_actual_run(self):
         series = _series_with_blip(length=120)
         counter = DistanceCounter()
-        brute_force_discord(series, 20, counter=counter, early_abandon=False)
+        brute_force_discords(
+            series, 20, num_discords=1, counter=counter, early_abandon=False
+        )
         assert counter.calls == brute_force_call_count(120, 20)
 
     @staticmethod
@@ -78,30 +76,34 @@ class TestBruteForceCallCount:
 class TestBruteForceDiscord:
     def test_finds_planted_blip(self):
         series = _series_with_blip()
-        discord, _ = brute_force_discord(series, 40)
+        discord = brute_force_discords(
+            series, 40, num_discords=1, early_abandon=False
+        ).best
         assert 160 <= discord.start <= 235
 
     def test_early_abandon_same_answer_fewer_calls(self):
         series = _series_with_blip()
-        plain, c_plain = brute_force_discord(series, 40, early_abandon=False)
-        fast, c_fast = brute_force_discord(series, 40, early_abandon=True)
-        assert (plain.start, plain.end) == (fast.start, fast.end)
-        assert plain.nn_distance == pytest.approx(fast.nn_distance)
-        assert c_fast.calls <= c_plain.calls
+        plain = brute_force_discords(series, 40, num_discords=1, early_abandon=False)
+        fast = brute_force_discords(series, 40, num_discords=1, early_abandon=True)
+        assert (plain.best.start, plain.best.end) == (fast.best.start, fast.best.end)
+        assert plain.best.nn_distance == pytest.approx(fast.best.nn_distance)
+        assert fast.distance_calls <= plain.distance_calls
 
     def test_too_short_series(self):
         with pytest.raises(DiscordSearchError):
-            brute_force_discord(np.zeros(10), 10)
+            brute_force_discords(np.zeros(10), 10, num_discords=1, early_abandon=False)
 
     def test_multi_discords_distinct(self):
         series = _series_with_blip()
-        discords = brute_force_discords(series, 40, num_discords=2)
+        discords = brute_force_discords(series, 40, num_discords=2, early_abandon=True)
         assert len(discords) == 2
         assert abs(discords[0].start - discords[1].start) > 40
 
     def test_fixed_length_output(self):
         series = _series_with_blip()
-        discord, _ = brute_force_discord(series, 40)
+        discord = brute_force_discords(
+            series, 40, num_discords=1, early_abandon=False
+        ).best
         assert discord.length == 40
         assert discord.source == "brute_force"
 
@@ -109,23 +111,25 @@ class TestBruteForceDiscord:
 class TestHotsax:
     def test_finds_planted_blip(self):
         series = _series_with_blip()
-        discord, _ = hotsax_discord(series, 40)
+        discord = hotsax_discords(series, 40, num_discords=1).best
         assert 160 <= discord.start <= 235
 
     def test_agrees_with_brute_force(self):
         """HOTSAX is exact: same discord location and distance."""
         for seed in range(4):
             series = _series_with_blip(seed=seed, blip_at=80 + 40 * seed)
-            brute, _ = brute_force_discord(series, 32)
-            hot, _ = hotsax_discord(series, 32)
+            brute = brute_force_discords(
+                series, 32, num_discords=1, early_abandon=False
+            ).best
+            hot = hotsax_discords(series, 32, num_discords=1).best
             assert (hot.start, hot.end) == (brute.start, brute.end), f"seed {seed}"
             assert hot.nn_distance == pytest.approx(brute.nn_distance)
 
     def test_fewer_calls_than_brute_force(self):
         series = _series_with_blip(length=600)
-        _, hot_counter = hotsax_discord(series, 40)
+        hot = hotsax_discords(series, 40, num_discords=1)
         full = brute_force_call_count(600, 40)
-        assert hot_counter.calls < full / 3
+        assert hot.distance_calls < full / 3
 
     def test_multi_discords(self):
         series = _series_with_blip()
@@ -142,7 +146,7 @@ class TestHotsax:
 
     def test_too_short_series(self):
         with pytest.raises(DiscordSearchError):
-            hotsax_discord(np.zeros(5), 10)
+            hotsax_discords(np.zeros(5), 10, num_discords=1)
 
     def test_invalid_num_discords(self):
         with pytest.raises(DiscordSearchError):
@@ -150,27 +154,23 @@ class TestHotsax:
 
     def test_deterministic_given_seed(self):
         series = _series_with_blip()
-        a, ca = hotsax_discord(series, 40, rng=np.random.default_rng(5))
-        b, cb = hotsax_discord(series, 40, rng=np.random.default_rng(5))
-        assert (a.start, a.nn_distance) == (b.start, b.nn_distance)
-        assert ca.calls == cb.calls
+        a = hotsax_discords(series, 40, num_discords=1, rng=np.random.default_rng(5))
+        b = hotsax_discords(series, 40, num_discords=1, rng=np.random.default_rng(5))
+        assert (a.best.start, a.best.nn_distance) == (b.best.start, b.best.nn_distance)
+        assert a.distance_calls == b.distance_calls
 
     def test_sax_parameters_change_calls_not_result(self):
         series = _series_with_blip()
-        d1, c1 = hotsax_discord(series, 40, paa_size=3, alphabet_size=3)
-        d2, c2 = hotsax_discord(series, 40, paa_size=6, alphabet_size=5)
+        d1 = hotsax_discords(series, 40, num_discords=1, paa_size=3, alphabet_size=3).best
+        d2 = hotsax_discords(series, 40, num_discords=1, paa_size=6, alphabet_size=5).best
         assert (d1.start, d1.end) == (d2.start, d2.end)
         assert d1.nn_distance == pytest.approx(d2.nn_distance)
 
 
-@pytest.mark.parametrize(
-    "single, ranked",
-    [(hotsax_discord, hotsax_discords), (haar_discord, haar_discords)],
-)
-def test_single_rank_engines_normalize_once(monkeypatch, single, ranked):
-    """``hotsax_discord`` / ``haar_discord`` z-normalize the window matrix
-    once, for the bucketing and the search together, and answer as the
-    ranked entry point's first rank does (discord, calls, RNG state)."""
+@pytest.mark.parametrize("search", [hotsax_discords, haar_discords])
+def test_engines_normalize_once(monkeypatch, search):
+    """``hotsax_discords`` / ``haar_discords`` z-normalize the window
+    matrix once, for the bucketing and the search together."""
     series = _series_with_blip()
     calls = []
 
@@ -180,16 +180,8 @@ def test_single_rank_engines_normalize_once(monkeypatch, single, ranked):
             return znorm(matrix, *args, **kwargs)
         return wrapper
 
-    for module in (kernels, hotsax, haar):
+    for module in (kernels, haar):
         monkeypatch.setattr(module, "znorm_rows", counting(module.znorm_rows))
-    rng = np.random.default_rng(3)
-    discord, counter = single(series, 40, rng=rng)
+    result = search(series, 40, num_discords=1, rng=np.random.default_rng(3))
+    assert result.best is not None
     assert len(calls) == 1
-    ranked_rng = np.random.default_rng(3)
-    result = ranked(series, 40, num_discords=1, rng=ranked_rng)
-    top = result.discords[0]
-    assert (discord.start, discord.end, discord.score.hex()) == (
-        top.start, top.end, top.score.hex()
-    )
-    assert counter.calls == result.distance_calls
-    assert rng.bit_generator.state == ranked_rng.bit_generator.state

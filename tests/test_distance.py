@@ -1,4 +1,9 @@
-"""Tests for repro.timeseries.distance."""
+"""Tests for the scalar reference distances and the distance counter.
+
+The scalar distances are the per-pair references in ``tests/oracles.py``
+that the search oracles use by default; the searches themselves compute
+the kernels in :mod:`repro.timeseries.kernels`.
+"""
 
 from __future__ import annotations
 
@@ -9,14 +14,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.exceptions import ParameterError
-from repro.timeseries.distance import (
-    DistanceCounter,
-    euclidean,
-    euclidean_early_abandon,
-    normalized_euclidean,
-    variable_length_distance,
-)
+from repro.timeseries.distance import DistanceCounter
 from repro.timeseries.znorm import znorm
+from tests.oracles import euclidean, normalized_euclidean, variable_length_distance
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -48,41 +48,6 @@ class TestEuclidean:
     def test_property_non_negative(self, a):
         b = a[::-1].copy()
         assert euclidean(a, b) >= 0.0
-
-
-class TestEarlyAbandon:
-    def test_matches_exact_when_under_cutoff(self, rng):
-        a = rng.normal(size=200)
-        b = rng.normal(size=200)
-        exact = euclidean(a, b)
-        assert euclidean_early_abandon(a, b, exact + 1.0) == pytest.approx(exact)
-
-    def test_abandons_above_cutoff(self, rng):
-        a = rng.normal(size=200)
-        b = a + 10.0 + rng.normal(size=200)
-        assert euclidean_early_abandon(a, b, 1.0) == float("inf")
-
-    def test_infinite_cutoff_is_exact(self, rng):
-        a = rng.normal(size=50)
-        b = rng.normal(size=50)
-        assert euclidean_early_abandon(a, b, float("inf")) == pytest.approx(
-            euclidean(a, b)
-        )
-
-    @given(
-        arrays(np.float64, st.integers(4, 128), elements=finite),
-        st.floats(min_value=0.0, max_value=100.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_property_abandon_only_above_cutoff(self, a, cutoff):
-        b = np.roll(a, 1)
-        result = euclidean_early_abandon(a, b, cutoff)
-        exact = euclidean(a, b)
-        if np.isfinite(result):
-            assert result == pytest.approx(exact)
-            assert exact <= cutoff + 1e-9 or result == pytest.approx(exact)
-        else:
-            assert exact > cutoff - 1e-9
 
 
 class TestNormalizedEuclidean:
@@ -151,34 +116,11 @@ class TestVariableLengthDistance:
 
 
 class TestDistanceCounter:
-    def test_counts_euclidean(self, rng):
-        counter = DistanceCounter()
-        a, b = rng.normal(size=8), rng.normal(size=8)
-        counter.euclidean(a, b)
-        counter.euclidean(a, b)
-        assert counter.calls == 2
-
-    def test_counts_variable_length(self, rng):
-        counter = DistanceCounter()
-        counter.variable_length(rng.normal(size=8), rng.normal(size=12))
-        assert counter.calls == 1
-
-    def test_abandoned_calls_count(self, rng):
-        counter = DistanceCounter()
-        a = rng.normal(size=100)
-        counter.euclidean(a, a + 100.0, cutoff=0.1)
-        assert counter.calls == 1
-
     def test_reset(self):
         counter = DistanceCounter()
-        counter.euclidean(np.zeros(4), np.ones(4))
+        counter.batch(4)
         counter.reset()
         assert counter.calls == 0
-
-    def test_result_matches_plain_function(self, rng):
-        counter = DistanceCounter()
-        a, b = rng.normal(size=16), rng.normal(size=16)
-        assert counter.euclidean(a, b) == pytest.approx(euclidean(a, b))
 
 
 class TestVariableLengthAlignmentEdgeCases:

@@ -8,13 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.discord.brute_force import brute_force_discord
-from repro.discord.haar import (
-    haar_discord,
-    haar_discords,
-    haar_transform,
-    haar_words,
-)
+from repro.discord.brute_force import brute_force_discords
+from repro.discord.haar import haar_discords, haar_transform, haar_words
 from repro.exceptions import DiscordSearchError, ParameterError
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False,
@@ -103,15 +98,17 @@ class TestHaarWords:
 class TestHaarDiscord:
     def test_finds_planted_blip(self):
         series = _series_with_blip()
-        discord, _ = haar_discord(series, 40)
+        discord = haar_discords(series, 40, num_discords=1).best
         assert 160 <= discord.start <= 235
 
     def test_agrees_with_brute_force(self):
         """Haar ordering is a heuristic; the search stays exact."""
         for seed in range(3):
             series = _series_with_blip(seed=seed, blip_at=100 + 60 * seed)
-            brute, _ = brute_force_discord(series, 32)
-            haar, _ = haar_discord(series, 32)
+            brute = brute_force_discords(
+                series, 32, num_discords=1, early_abandon=False
+            ).best
+            haar = haar_discords(series, 32, num_discords=1).best
             assert (haar.start, haar.end) == (brute.start, brute.end)
             assert haar.nn_distance == pytest.approx(brute.nn_distance)
 
@@ -119,12 +116,12 @@ class TestHaarDiscord:
         from repro.discord.brute_force import brute_force_call_count
 
         series = _series_with_blip(length=600)
-        _, counter = haar_discord(series, 40)
-        assert counter.calls < brute_force_call_count(600, 40) / 3
+        result = haar_discords(series, 40, num_discords=1)
+        assert result.distance_calls < brute_force_call_count(600, 40) / 3
 
     def test_source_tag(self):
         series = _series_with_blip()
-        discord, _ = haar_discord(series, 40)
+        discord = haar_discords(series, 40, num_discords=1).best
         assert discord.source == "haar"
 
     def test_multi_discords(self):
@@ -135,7 +132,7 @@ class TestHaarDiscord:
 
     def test_too_short(self):
         with pytest.raises(DiscordSearchError):
-            haar_discord(np.zeros(5), 10)
+            haar_discords(np.zeros(5), 10, num_discords=1)
 
     def test_invalid_count(self):
         with pytest.raises(DiscordSearchError):

@@ -3,8 +3,9 @@
 Two families of guarantees:
 
 * **Numeric equivalence** — every kernel in ``repro.timeseries.kernels``
-  matches its scalar reference to 1e-9 on random inputs (property-style
-  sweeps over shapes, offsets, and flat segments).
+  matches its scalar reference in ``tests/oracles.py`` to 1e-9 on
+  random inputs (property-style sweeps over shapes, offsets, and flat
+  segments).
 * **Accounting equivalence** — RRA, HOTSAX, Haar and brute force
   report the same discords, ranks and ``DistanceCounter.calls`` as the
   per-pair reference searches in ``tests/oracles.py`` on the seed
@@ -18,30 +19,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.rra import (
-    _CandidateSet,
-    find_discord,
-    find_discords,
-    nearest_neighbor_distances,
-)
-from repro.discord.brute_force import brute_force_discord, brute_force_discords
-from repro.discord.haar import haar_discord, haar_discords, haar_words
-from repro.discord.hotsax import (
-    _sax_words_per_window,
-    hotsax_discord,
-    hotsax_discords,
-)
+from repro.core.rra import _CandidateSet, find_discords, nearest_neighbor_distances
+from repro.discord.brute_force import brute_force_discords
+from repro.discord.haar import haar_discords, haar_words
+from repro.discord.hotsax import _sax_words_per_window, hotsax_discords
 from repro.exceptions import ParameterError
 from repro.timeseries import kernels
-from repro.timeseries.distance import (
-    DistanceCounter,
-    euclidean,
-    euclidean_early_abandon,
-    variable_length_distance,
-)
+from repro.timeseries.distance import DistanceCounter
 from repro.timeseries.windows import sliding_windows
 from repro.timeseries.znorm import znorm, znorm_rows
 from tests import oracles
+from tests.oracles import euclidean, variable_length_distance
 
 
 def _random_series(rng, length, *, offset=0.0, flat_span=None):
@@ -132,28 +120,20 @@ class TestOneVsAll:
             kernels.one_vs_all_sq_euclidean(np.zeros(3), np.zeros((2, 4)))
 
     def test_cutoff_matches_scalar_early_abandon(self, rng):
+        """The searches' early abandon, :func:`kernels.first_below` over
+        the square-rooted row, stops at the pair where the scalar
+        per-pair loop would break: the first distance below the cutoff."""
         matrix = rng.normal(size=(50, 16))
-        query = rng.normal(size=16)
-        cutoff = 4.0
-        batch = kernels.one_vs_all_euclidean(query, matrix, cutoff=cutoff)
-        for row, got in zip(matrix, batch):
-            expected = euclidean_early_abandon(query, row, cutoff)
-            if np.isinf(expected):
-                assert np.isinf(got)
-            else:
-                assert got == pytest.approx(expected, abs=1e-9)
+        for cutoff in (4.0, 5.0, 6.0, 0.0, np.inf):
+            query = rng.normal(size=16)
+            dists = np.sqrt(kernels.one_vs_all_sq_euclidean(query, matrix))
+            scalar = next(
+                (j for j, row in enumerate(matrix) if euclidean(query, row) < cutoff), -1
+            )
+            assert kernels.first_below(dists, cutoff) == scalar
 
 
 class TestEarlyAbandonFilter:
-    def test_above_cutoff_becomes_inf(self):
-        dists = np.array([0.5, 2.0, 3.5])
-        out = kernels.early_abandon_filter(dists, 2.0)
-        assert out[0] == 0.5 and out[1] == 2.0 and np.isinf(out[2])
-
-    def test_infinite_cutoff_is_identity(self):
-        dists = np.array([1.0, 9.0])
-        assert np.array_equal(kernels.early_abandon_filter(dists, np.inf), dists)
-
     def test_first_below(self):
         assert kernels.first_below(np.array([3.0, 2.0, 0.5, 0.1]), 1.0) == 2
         assert kernels.first_below(np.array([3.0, 2.0]), 1.0) == -1
@@ -165,7 +145,7 @@ class TestSlidingAlignment:
     def test_profile_matches_offset_loop(self, rng, short_len, long_len):
         short = rng.normal(size=short_len)
         long_ = rng.normal(size=long_len)
-        profile = kernels.sliding_alignment_sq_profile(short, long_)
+        profile = oracles.sliding_alignment_sq_profile(short, long_)
         expected = np.array(
             [
                 np.sum((short - long_[o : o + short_len]) ** 2)
@@ -181,14 +161,10 @@ class TestSlidingAlignment:
             p = rng.normal(size=n)
             q = rng.normal(size=m)
             expected = variable_length_distance(p, q, normalize_inputs=False)
-            got = kernels.variable_length_kernel(p, q)
+            got = kernels.aligned_min_distance(
+                p, float(np.dot(p, p)), q, kernels.sq_cumsum(q)
+            )
             assert got == pytest.approx(expected, abs=1e-9)
-
-    def test_empty_inputs_rejected(self):
-        with pytest.raises(ParameterError):
-            kernels.variable_length_kernel(np.array([]), np.ones(3))
-        with pytest.raises(ParameterError):
-            kernels.sliding_alignment_sq_profile(np.ones(5), np.ones(3))
 
 
 class TestCounterBatch:
@@ -260,12 +236,13 @@ class TestBackendCallCountIdentity:
         series = _blip_series()
         candidates = _candidates_for(series)
         counter = DistanceCounter()
-        discord, _ = find_discord(
-            series, candidates, counter=counter, rng=np.random.default_rng(11)
+        result = find_discords(
+            series, candidates, num_discords=1, counter=counter,
+            rng=np.random.default_rng(11),
         )
         assert counter.calls > 0
         _assert_matches_oracle(
-            [discord], counter.calls,
+            [result.best], counter.calls,
             lambda **kw: oracles.rra_oracle(
                 series, candidates, rng=np.random.default_rng(11), **kw
             ),
@@ -307,7 +284,7 @@ class TestBackendCallCountIdentity:
         result = hotsax_discords(
             series, 100, num_discords=2, rng=np.random.default_rng(0)
         )
-        words = _sax_words_per_window(series, 100, 3, 3)
+        words = _sax_words_per_window(kernels.WindowMatrix(series, 100).normalized, 3, 3)
         _assert_matches_oracle(
             result.discords, result.distance_calls,
             lambda **kw: oracles.bucket_ordered_oracle(
@@ -367,13 +344,9 @@ class TestBackendCallCountIdentity:
     def test_unknown_backend_rejected_everywhere(self, short_series):
         """No engine takes a ``backend`` keyword any more."""
         engines = [
-            lambda **kw: brute_force_discord(short_series, 40, **kw),
             lambda **kw: brute_force_discords(short_series, 40, **kw),
-            lambda **kw: hotsax_discord(short_series, 40, **kw),
             lambda **kw: hotsax_discords(short_series, 40, **kw),
-            lambda **kw: haar_discord(short_series, 40, **kw),
             lambda **kw: haar_discords(short_series, 40, **kw),
-            lambda **kw: find_discord(short_series, [], **kw),
             lambda **kw: find_discords(short_series, [], **kw),
             lambda **kw: nearest_neighbor_distances(short_series, [], **kw),
         ]

@@ -14,13 +14,12 @@ from hypothesis import strategies as st
 
 from repro import _cbuild
 from repro.core.rra import (
-    RRAResult,
     _CandidateSet,
     _InnerOrdering,
-    find_discord,
     find_discords,
     nearest_neighbor_distances,
 )
+from repro.discord.search import DiscordSearchResult
 from repro.exceptions import CheckpointError, DiscordSearchError, ParameterError
 from repro.grammar.intervals import RuleInterval
 from repro.resilience.budget import SearchBudget, SearchStatus
@@ -32,7 +31,7 @@ from repro.resilience.checkpoint import (
 )
 from repro.timeseries import eq1core, kernels
 from repro.timeseries.distance import DistanceCounter
-from tests.oracles import is_non_self_match
+from tests.oracles import is_non_self_match, sliding_alignment_sq_profile
 
 #: Skipped only where the core is switched off or cannot be compiled; a
 #: core that builds but fails its parity probe fails these tests.
@@ -102,56 +101,56 @@ class TestNonSelfMatch:
 
 
 class TestFindDiscord:
+    """The single discord, ``find_discords(..., num_discords=1)``."""
+
     def test_finds_planted_blip(self):
         series = _blip_series()
-        discord, counter = find_discord(series, _candidates_for(series))
+        result = find_discords(series, _candidates_for(series), num_discords=1)
+        discord = result.best
         assert discord is not None
         assert discord.start < 470 and discord.end > 390
-        assert counter.calls > 0
+        assert result.distance_calls > 0
 
     def test_no_candidates(self):
-        discord, _ = find_discord(np.zeros(100), [])
-        assert discord is None
+        assert find_discords(np.zeros(100), [], num_discords=1).best is None
 
     def test_single_candidate_has_no_match(self):
-        discord, _ = find_discord(
+        result = find_discords(
             np.random.default_rng(0).normal(size=100),
             [RuleInterval(1, 10, 40, usage=1)],
+            num_discords=1,
         )
-        assert discord is None
+        assert result.best is None
 
     def test_exclusion_removes_winner(self):
         series = _blip_series()
         candidates = _candidates_for(series)
-        first, _ = find_discord(series, candidates)
-        second, _ = find_discord(
-            series, candidates, exclude=[(first.start, first.end)]
-        )
-        assert second is not None
+        first, second = find_discords(series, candidates, num_discords=2)
         assert (second.start, second.end) != (first.start, first.end)
+        assert second.end <= first.start or second.start >= first.end
 
     def test_rejects_2d_series(self):
         with pytest.raises(DiscordSearchError):
-            find_discord(np.zeros((5, 5)), [])
+            find_discords(np.zeros((5, 5)), [], num_discords=1)
 
     def test_counter_accumulates(self):
         series = _blip_series()
         counter = DistanceCounter()
-        find_discord(series, _candidates_for(series), counter=counter)
+        find_discords(series, _candidates_for(series), num_discords=1, counter=counter)
         before = counter.calls
-        find_discord(series, _candidates_for(series), counter=counter)
+        find_discords(series, _candidates_for(series), num_discords=1, counter=counter)
         assert counter.calls > before
 
     def test_deterministic_given_seed(self):
         series = _blip_series()
         candidates = _candidates_for(series)
-        d1, _ = find_discord(series, candidates, rng=np.random.default_rng(3))
-        d2, _ = find_discord(series, candidates, rng=np.random.default_rng(3))
+        d1 = find_discords(series, candidates, rng=np.random.default_rng(3)).best
+        d2 = find_discords(series, candidates, rng=np.random.default_rng(3)).best
         assert (d1.start, d1.end, d1.nn_distance) == (d2.start, d2.end, d2.nn_distance)
 
     def test_discord_metadata(self):
         series = _blip_series()
-        discord, _ = find_discord(series, _candidates_for(series))
+        discord = find_discords(series, _candidates_for(series), num_discords=1).best
         assert discord.source == "rra"
         assert discord.score == discord.nn_distance > 0
 
@@ -159,7 +158,7 @@ class TestFindDiscord:
         """The reported discord maximizes NN distance over candidates."""
         series = _blip_series(length=500)
         candidates = _candidates_for(series)
-        discord, _ = find_discord(series, candidates)
+        discord = find_discords(series, candidates, num_discords=1).best
         profile = nearest_neighbor_distances(series, candidates)
         finite = [(iv, d) for iv, d in profile if np.isfinite(d)]
         best_iv, best_d = max(finite, key=lambda x: x[1])
@@ -171,7 +170,7 @@ class TestFindDiscords:
     def test_requested_count(self):
         series = _blip_series()
         result = find_discords(series, _candidates_for(series), num_discords=3)
-        assert isinstance(result, RRAResult)
+        assert isinstance(result, DiscordSearchResult)
         assert 1 <= len(result.discords) <= 3
         assert result.distance_calls > 0
 
@@ -194,7 +193,7 @@ class TestFindDiscords:
         series = _blip_series()
         result = find_discords(series, _candidates_for(series), num_discords=2)
         assert result.best is result.discords[0]
-        assert RRAResult().best is None
+        assert DiscordSearchResult().best is None
 
     def test_iterator_input_equals_list_input(self):
         """*intervals* is read once, so an iterator gives the list result
@@ -241,7 +240,7 @@ def _reference_pair_distance(values_p, values_q):
     """Eq. 1 distance as the pre-fusion code computed it.
 
     Equal lengths: the dot-product identity.  Unequal lengths: the
-    minimum of the clamped :func:`kernels.sliding_alignment_sq_profile`.
+    minimum of the clamped :func:`tests.oracles.sliding_alignment_sq_profile`.
     """
     if values_p.size == values_q.size:
         sq = (
@@ -253,7 +252,7 @@ def _reference_pair_distance(values_p, values_q):
     short, long_ = (
         (values_p, values_q) if values_p.size < values_q.size else (values_q, values_p)
     )
-    profile = kernels.sliding_alignment_sq_profile(short, long_)
+    profile = sliding_alignment_sq_profile(short, long_)
     return float(np.sqrt(profile.min() / short.size))
 
 
@@ -303,8 +302,8 @@ class TestFusedPairDistance:
             for q in intervals:
                 a, b = cache.values(p), cache.values(q)
                 if a.size < b.size:
-                    assert kernels.sliding_min_normalized_distance(
-                        a, b
+                    assert kernels.aligned_min_distance(
+                        a, float(np.dot(a, a)), b, kernels.sq_cumsum(b)
                     ) == _reference_pair_distance(a, b)
 
 

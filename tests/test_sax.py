@@ -10,8 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from repro.exceptions import ParameterError
 from repro.sax.sax import mindist, sax_word, symbol_distance_matrix
-from repro.timeseries.distance import euclidean
 from repro.timeseries.znorm import znorm
+from tests.oracles import euclidean
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 

@@ -11,11 +11,7 @@ from repro.core.anomaly import Discord
 from repro.core.pipeline import GrammarAnomalyDetector
 from repro.core.rra import find_discords
 from repro.datasets.synthetic import sine_with_anomaly
-from repro.discord.brute_force import (
-    brute_force_discord,
-    brute_force_discords,
-    brute_force_rank,
-)
+from repro.discord.brute_force import _brute_force_rank, brute_force_discords
 from repro.discord.haar import haar_discords
 from repro.discord.hotsax import hotsax_discords
 from repro.discord.search import (
@@ -24,10 +20,10 @@ from repro.discord.search import (
     bucket_rank,
     fixed_length_discords,
     iterated_search,
-    ordered_discord_search,
 )
 from repro.exceptions import DiscordSearchError
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import NULL_METRICS, MetricsRegistry
+from repro.resilience.budget import SearchBudget
 from repro.timeseries.distance import DistanceCounter
 from repro.timeseries.kernels import WindowMatrix
 
@@ -52,63 +48,58 @@ def _unique_buckets(series, window):
     return [str(i) for i in range(k)]
 
 
+def _bucket_search(series, window, bucket_fn, *, num_discords=1, source="t", counter=None):
+    """Top-k bucket-ordered search through the shared rank loop, one
+    bucket key per window from *bucket_fn(series, window)*."""
+    return fixed_length_discords(
+        source, series, window,
+        lambda windows: partial(
+            bucket_rank, windows, bucket_fn(windows.series, window),
+            source=source, rng=np.random.default_rng(0),
+        ),
+        params={}, num_discords=num_discords, counter=counter,
+    )
+
+
+def _brute_force(series, window):
+    return brute_force_discords(series, window, num_discords=1, early_abandon=False).best
+
+
 class TestOrderedDiscordSearch:
     @pytest.mark.parametrize("bucket_fn", [_single_bucket, _unique_buckets])
     def test_exact_regardless_of_bucketing(self, bucket_fn):
         """Any bucketing yields the brute-force discord (exactness)."""
         series = _series()
-        brute, _ = brute_force_discord(series, 30)
-        found, _ = ordered_discord_search(
-            series, 30, bucket_fn, source="test"
-        )
+        brute = _brute_force(series, 30)
+        found = _bucket_search(series, 30, bucket_fn).best
         assert (found.start, found.end) == (brute.start, brute.end)
         assert found.nn_distance == pytest.approx(brute.nn_distance)
 
-    def test_bad_bucket_count_rejected(self):
-        series = _series()
-        with pytest.raises(DiscordSearchError):
-            ordered_discord_search(
-                series, 30, lambda s, w: ["x"], source="test"
-            )
-
     def test_too_short_series(self):
         with pytest.raises(DiscordSearchError):
-            ordered_discord_search(
-                np.zeros(5), 10, _single_bucket, source="test"
-            )
+            _bucket_search(np.zeros(5), 10, _single_bucket)
 
     def test_exclusion(self):
-        series = _series()
-        first, _ = ordered_discord_search(
-            series, 30, _single_bucket, source="test"
-        )
-        second, _ = ordered_discord_search(
-            series, 30, _single_bucket, source="test",
-            exclude=((first.start - 29, first.start + 30),),
-        )
+        """The second rank's window overlaps no window of the first."""
+        first, second = _bucket_search(_series(), 30, _single_bucket, num_discords=2)
         assert abs(second.start - first.start) > 29
 
     def test_counter_shared(self):
         series = _series()
         counter = DistanceCounter()
-        ordered_discord_search(series, 30, _single_bucket, source="t",
-                               counter=counter)
+        _bucket_search(series, 30, _single_bucket, counter=counter)
         first = counter.calls
-        ordered_discord_search(series, 30, _single_bucket, source="t",
-                               counter=counter)
-        assert counter.calls > first
+        _bucket_search(series, 30, _single_bucket, counter=counter)
+        assert counter.calls == 2 * first > 0
 
     def test_source_tag_propagates(self):
-        series = _series()
-        found, _ = ordered_discord_search(
-            series, 30, _single_bucket, source="custom"
-        )
+        found = _bucket_search(_series(), 30, _single_bucket, source="custom").best
         assert found.source == "custom"
 
 
 class TestWindowMatrixSource:
     """A rank reads its series and window from one window matrix; the
-    single-rank entry points build that matrix themselves."""
+    entry points build that matrix themselves."""
 
     @staticmethod
     def _series():
@@ -117,17 +108,20 @@ class TestWindowMatrixSource:
     @pytest.mark.parametrize(
         "search",
         [
-            lambda s, w, **kw: ordered_discord_search(s, w, _single_bucket, source="t", **kw),
-            lambda s, w, **kw: brute_force_discord(s, w, **kw),
+            lambda s, w, **kw: hotsax_discords(s, w, num_discords=1, **kw),
+            lambda s, w, **kw: brute_force_discords(
+                s, w, num_discords=1, early_abandon=True, **kw
+            ),
         ],
         ids=["ordered", "brute_force"],
     )
     def test_single_rank_functions_take_no_matrix(self, search):
-        """A matrix over another window or series cannot reach a search
-        over (series, window): it used to answer 575 (ordered) or raise
-        IndexError (brute force) instead of 559."""
+        """A matrix over another window or series cannot reach a
+        single-rank search (``num_discords=1``) over (series, window):
+        the bucket-ordered rank once answered 575 given one, and brute
+        force raised IndexError, instead of 559."""
         series = self._series()
-        found, _ = search(series, 100)
+        found = search(series, 100).best
         assert (found.start, round(found.score, 2)) == (559, 12.33)
         for other in (WindowMatrix(series, 80), WindowMatrix(series[::-1], 100)):
             with pytest.raises(TypeError, match="windows"):
@@ -137,24 +131,24 @@ class TestWindowMatrixSource:
     def test_rank_functions_search_their_matrix(self, window):
         series = self._series()
         windows = WindowMatrix(series, window)
-        want, _ = brute_force_discord(series, window)
-        ordered, _ = bucket_rank(
-            windows, _single_bucket(series, window), source="brute_force"
+        want = _brute_force(series, window)
+        session = dict(
+            counter=DistanceCounter(), budget=SearchBudget.unlimited(),
+            metrics=NULL_METRICS,
         )
-        brute, _ = brute_force_rank(windows)
+        ordered = bucket_rank(
+            windows, _single_bucket(series, window), (), source="brute_force",
+            rng=np.random.default_rng(0), **session,
+        )
+        brute = _brute_force_rank(windows, (), early_abandon=False, **session)
         assert ordered == brute == want
 
 
 def _iterated(series, window, num_discords):
     """Top-k single-bucket search through the shared rank loop."""
     counter = DistanceCounter()
-    result = fixed_length_discords(
-        "t", series, window,
-        lambda windows: partial(
-            bucket_rank, windows, _single_bucket(series, window),
-            source="t", rng=np.random.default_rng(0),
-        ),
-        params={}, num_discords=num_discords, counter=counter,
+    result = _bucket_search(
+        series, window, _single_bucket, num_discords=num_discords, counter=counter
     )
     return result.discords, counter, result.rank_complete
 
