@@ -16,8 +16,6 @@ pipeline on the ECG stand-in:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.pipeline import GrammarAnomalyDetector
 from repro.core.rra import find_discords
 from repro.datasets import ecg_qtdb_0606_like
@@ -40,11 +38,11 @@ def test_ablation_gap_candidates(benchmark, results):
         fitted = detector.fit(dataset.series)
         with_gaps = find_discords(
             dataset.series, fitted.candidates, num_discords=1,
-            rng=np.random.default_rng(0),
+            seed=0,
         )
         without_gaps = find_discords(
             dataset.series, fitted.intervals, num_discords=1,
-            rng=np.random.default_rng(0),
+            seed=0,
         )
         return fitted, with_gaps, without_gaps
 
@@ -173,7 +171,7 @@ def test_ablation_loop_orderings(benchmark, results):
         fitted = detector.fit(dataset.series)
         paper = find_discords(
             dataset.series, fitted.candidates, num_discords=1,
-            rng=np.random.default_rng(0),
+            seed=0,
         )
         # Ablate the inner heuristic: unique rule ids -> no same-rule group.
         ungrouped = [
@@ -182,7 +180,7 @@ def test_ablation_loop_orderings(benchmark, results):
         ]
         no_inner = find_discords(
             dataset.series, ungrouped, num_discords=1,
-            rng=np.random.default_rng(0),
+            seed=0,
         )
         # Invert the outer ordering: frequent rules first.
         inverted = [
@@ -191,7 +189,7 @@ def test_ablation_loop_orderings(benchmark, results):
         ]
         frequent_first = find_discords(
             dataset.series, inverted, num_discords=1,
-            rng=np.random.default_rng(0),
+            seed=0,
         )
         return paper, no_inner, frequent_first
 

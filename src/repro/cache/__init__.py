@@ -18,7 +18,6 @@ _EXPORTS = {
         "CACHE_KEY_VERSION",
         "discord_search_key",
         "ensemble_member_key",
-        "rng_fingerprint",
     ),
     "repro.cache.results": ("discords_from_json", "discords_to_json"),
     "repro.cache.store": ("CACHE_FORMAT", "DEFAULT_MAX_BYTES", "ResultCache"),

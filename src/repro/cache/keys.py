@@ -1,9 +1,10 @@
 """Cache-key derivation for the fingerprint-keyed result cache.
 
 Every key is the checkpoint layer's :func:`search_fingerprint` over the
-series content, the candidate intervals, and a parameter dict — plus
-two cache-private entries folded into the params: the engine name and
-:data:`CACHE_KEY_VERSION`.  Bumping the version orphans (never
+series content, the candidate intervals, and a parameter dict (the
+search's seed included, for the engines whose inner loops have a random
+tail) — plus two cache-private entries folded into the params: the
+engine name and :data:`CACHE_KEY_VERSION`.  Bumping the version orphans (never
 corrupts) every existing entry when the result schema or the search
 semantics change.
 
@@ -16,39 +17,21 @@ the ensemble golden suite).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Optional
 
 import numpy as np
 
-from repro.resilience.checkpoint import rng_state_to_json, search_fingerprint
+from repro.resilience.checkpoint import search_fingerprint
 
 __all__ = [
     "CACHE_KEY_VERSION",
-    "rng_fingerprint",
     "discord_search_key",
     "ensemble_member_key",
 ]
 
 #: Version of the key derivation + stored-payload schema.  Part of every
 #: key, so a bump silently invalidates (misses) all prior entries.
-CACHE_KEY_VERSION = 3
-
-
-def rng_fingerprint(rng: Optional[np.random.Generator]) -> str:
-    """Digest of a Generator's full state (``"none"`` when absent).
-
-    Engines that consume random draws (tie-breaking visit orders) fold
-    this into their cache key so two searches are only considered
-    identical when they would draw the same stream.
-    """
-    if rng is None:
-        return "none"
-    state = rng_state_to_json(rng)
-    return hashlib.sha256(
-        json.dumps(state, sort_keys=True).encode()
-    ).hexdigest()
+CACHE_KEY_VERSION = 4
 
 
 def discord_search_key(
@@ -57,17 +40,16 @@ def discord_search_key(
     *,
     engine: str,
     params: dict,
-    rng: Optional[np.random.Generator] = None,
 ) -> str:
     """Cache key for one complete discord search.
 
     *params* must contain everything that can change the discords or
-    the logical ledger (num_discords, window geometry, ...).
+    the logical ledger (num_discords, window geometry, the seed of a
+    random inner tail, ...).
     """
     merged = dict(params)
     merged["__cache_engine__"] = engine
     merged["__cache_key_version__"] = CACHE_KEY_VERSION
-    merged["__cache_rng__"] = rng_fingerprint(rng)
     return search_fingerprint(series, intervals, merged)
 
 

@@ -85,7 +85,8 @@ class GrammarAnomalyDetector:
     grammar_algorithm:
         ``"sequitur"`` (the paper) or ``"repair"`` (ablation).
     seed:
-        Seed for the RRA inner-loop shuffle; fixed for reproducibility.
+        Seed of the RRA inner loops' random tails (an int in ``[0, 2**64)``);
+        it can change the distance calls, never the discords.
     quality_policy:
         How :meth:`fit` treats NaN/Inf values in the input series:
         ``"raise"`` (default) refuses dirty data with
@@ -299,7 +300,7 @@ class GrammarAnomalyDetector:
             result.series,
             result.candidates,
             num_discords=num_discords,
-            rng=np.random.default_rng(self.seed),
+            seed=self.seed,
             budget=budget,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,

@@ -12,7 +12,8 @@ that never made it into any rule):
 * **Inner loop** — for a candidate from rule R, other subsequences of the
   same rule R are visited first (they are near-identical, so a small
   distance is found quickly and the candidate is abandoned early); the
-  remaining candidates follow in random order.
+  remaining candidates follow in random order, drawn lazily from a
+  substream of the search's seed (:mod:`repro.discord.inner_order`).
 * **Distance** — Euclidean normalized by subsequence length (paper
   Eq. 1), computed between z-normalized subsequences; unequal lengths are
   aligned by sliding the shorter inside the longer (see DESIGN.md §5).
@@ -30,12 +31,13 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.core.anomaly import Discord
 from repro.cache.results import discords_from_json, discords_to_json
+from repro.discord.inner_order import TailOrder, check_seed, inner_key
 from repro.discord.search import (
     DiscordSearchResult,
     RankState,
@@ -43,17 +45,12 @@ from repro.discord.search import (
     SearchSession,
     iterated_search,
     rank_search,
+    search_series,
 )
 from repro.exceptions import CheckpointError, DiscordSearchError
 from repro.grammar.intervals import RuleInterval, RuleIntervalList, interval_endpoints
 from repro.resilience.budget import SearchBudget
-from repro.resilience.checkpoint import (
-    load_checkpoint,
-    restore_rng,
-    rng_state_to_json,
-    save_checkpoint,
-    search_fingerprint,
-)
+from repro.resilience.checkpoint import load_checkpoint, save_checkpoint, search_fingerprint
 from repro.timeseries import eq1core, kernels
 from repro.timeseries.distance import DistanceCounter
 
@@ -88,8 +85,8 @@ class _RankState(RankState):
     """:class:`~repro.discord.search.RankState` with what an RRA
     checkpoint records besides: the rank's ``(start, end, rule)``
     columns in outer order, a ``(3, n)`` int64 array, for its
-    ``visited`` list and ``best_key``; and a resumed rank's
-    ``best_key``, which :func:`_rra_rank` turns into ``best``.
+    ``best_key``; and a resumed rank's ``best_key``, which
+    :func:`_rra_rank` turns into ``best``.
     """
 
     outer: np.ndarray = field(
@@ -210,77 +207,41 @@ class _CandidateSet:
         return distance
 
 
-class _InnerOrdering:
-    """Precomputed same-rule buckets for the RRA inner-loop ordering.
-
-    Built once per :func:`_rra_rank` invocation over the (exclusion-
-    filtered) candidate list, so ordering a candidate's inner loop no
-    longer rescans all candidates with a Python predicate per outer
-    iteration — it chains a cached bucket with a lazily permuted cached
-    complement.
-    """
-
-    #: Bucket key for gap candidates (any negative rule id).
-    _GAP = -1
-
-    def __init__(self, candidates: list[RuleInterval]):
-        self._candidates = candidates
-        self._same_rule: dict[int, list[RuleInterval]] = defaultdict(list)
-        for iv in candidates:
-            if iv.rule_id >= 0:
-                self._same_rule[iv.rule_id].append(iv)
-        self._rest: dict[int, list[RuleInterval]] = {}
-
-    def _rest_for(self, candidate: RuleInterval) -> list[RuleInterval]:
-        key = candidate.rule_id if candidate.rule_id >= 0 else self._GAP
-        rest = self._rest.get(key)
-        if rest is None:
-            if key == self._GAP:
-                rest = self._candidates
-            else:
-                rest = [iv for iv in self._candidates if iv.rule_id != key]
-            self._rest[key] = rest
-        return rest
-
-    def order(
-        self, candidate: RuleInterval, rng: np.random.Generator
-    ) -> Iterator[RuleInterval]:
-        """Same-rule intervals first, then the rest shuffled.
-
-        The shuffle is one ``Generator.permutation(len(rest))`` draw
-        (vectorized index permutation rather than an in-place Python-list
-        Fisher–Yates): faster, and its RNG consumption depends only on
-        the tail *length*.
-        The permutation is drawn here, on the call; the returned iterator
-        then maps indices to intervals lazily, since most candidates are
-        abandoned after the first pair or two.
-        """
-        key = candidate.rule_id if candidate.rule_id >= 0 else self._GAP
-        rest = self._rest_for(candidate)
-        same_rule = self._same_rule[key] if key != self._GAP else ()
-        perm = rng.permutation(len(rest))
-        return chain(same_rule, map(rest.__getitem__, perm))
+#: Rule key of gap candidates (any negative rule id): they have no group.
+_GAP = -1
 
 
 class _PythonRankRun(ScanRun):
     """An outer candidate of a rank without the C core: paper Algorithm 1's
-    per-pair inner loop over :class:`_InnerOrdering`, with
-    :meth:`_CandidateSet.pair_distance` as the distance."""
+    per-pair inner loop, with :meth:`_CandidateSet.pair_distance` as the
+    distance.  Outer position *k*'s inner loop visits its same-rule
+    candidates in candidate order, then the rest (all of them for a gap)
+    in the order of :class:`~repro.discord.inner_order.TailOrder` keyed by
+    ``(seed, rank, k)``, the C core's order."""
 
-    def __init__(self, cache: _CandidateSet, candidates, order: np.ndarray, rng):
+    def __init__(self, cache: _CandidateSet, candidates, order: np.ndarray,
+                 seed: int, rank: int):
         super().__init__()
-        objects = list(candidates)
-        self._outer = [objects[j] for j in order.tolist()]
-        self._ordering = _InnerOrdering(objects)
+        self._objects = list(candidates)
+        self._outer = order.tolist()
+        groups: dict[int, list[int]] = defaultdict(list)
+        for position, iv in enumerate(self._objects):
+            if iv.rule_id >= 0:
+                groups[iv.rule_id].append(position)
+        self._groups = groups
         self._distance = cache.pair_distance
-        self._rng = rng
+        self._seed, self._rank = seed, rank
 
     def scan(self, i: int, best_dist: float) -> tuple[float, bool]:
-        p = self._outer[i]
+        objects = self._objects
+        p = objects[self._outer[i]]
         p_start, p_length = p.start, p.end - p.start
+        group = self._groups.get(p.rule_id, ()) if p.rule_id >= 0 else ()
+        tail = TailOrder(len(objects), group, inner_key(self._seed, self._rank, i))
         nearest, visited = math.inf, 0
         try:
-            for q in self._ordering.order(p, self._rng):
+            for position in chain(group, tail):
+                q = objects[position]
                 # Paper line 7: skip p itself and trivial self matches.
                 if abs(p_start - q.start) <= p_length:
                     continue
@@ -300,19 +261,20 @@ class _PythonRankRun(ScanRun):
 
 
 def _rank_run(cache: _CandidateSet, valid: RuleIntervalList, rows: np.ndarray,
-              order: np.ndarray, rng: np.random.Generator):
-    """The stretch runner of the rank over *valid*'s *rows* in outer
+              order: np.ndarray, seed: int, rank: int):
+    """The stretch runner of rank *rank* over *valid*'s *rows* in outer
     *order*: the C core's when *cache* has its tables, else the Python
     loop."""
     candidates = valid.subset(rows)
     if cache.tables is None:
-        return _PythonRankRun(cache, candidates, order, rng)
+        return _PythonRankRun(cache, candidates, order, seed, rank)
     return eq1core.RankRun(
         cache.tables,
         cache.idents(valid)[rows],
-        candidates.table[0].clip(_InnerOrdering._GAP),
+        candidates.table[0].clip(_GAP),
         order.astype(np.int64),
-        rng,
+        seed,
+        rank,
     )
 
 
@@ -322,7 +284,7 @@ def _rra_rank(
     spans: Sequence[tuple[int, int]],
     *,
     cache: _CandidateSet,
-    rng: np.random.Generator,
+    seed: int,
     counter: DistanceCounter,
     budget: SearchBudget,
     metrics,
@@ -331,7 +293,8 @@ def _rra_rank(
 ) -> Optional[Discord]:
     """One rank of :func:`find_discords` (paper Algorithm 1): the best
     discord among the admissible candidates *valid* that overlap no
-    found discord's span in *spans*.
+    found discord's span in *spans*, rank ``len(spans)`` of the search
+    with *seed*, which keys its inner loops' random tails.
 
     *cache* is the search's :class:`_CandidateSet` over *series*, shared
     by every rank so the znorm and kernel-statistic caches are computed
@@ -358,13 +321,11 @@ def _rra_rank(
         state.best = int(match[0]) if match.size else None
     if rows.size:
         metrics.gauge("search.candidate_count").set(rows.size)
-    run = _rank_run(cache, valid, rows, order, rng)
+    run = _rank_run(cache, valid, rows, order, seed, len(spans))
     return rank_search(
         outer[:2], run, source="rra", best_dist=0.0, rule_ids=outer[2],
         counter=counter, budget=budget, metrics=metrics,
-        state=state, on_boundary=on_boundary,
-        capture_rng=(lambda: rng_state_to_json(rng)) if on_boundary is not None else None,
-        take_work=run.take_work,
+        state=state, on_boundary=on_boundary, take_work=run.take_work,
     )
 
 
@@ -374,7 +335,7 @@ def find_discords(
     *,
     num_discords: int = 1,
     counter: Optional[DistanceCounter] = None,
-    rng: Optional[np.random.Generator] = None,
+    seed: int = 0,
     budget: Optional[SearchBudget] = None,
     checkpoint_path: Optional[str] = None,
     checkpoint_every: int = 32,
@@ -395,8 +356,10 @@ def find_discords(
     candidates that overlap no discord found so far, run by the shared
     rank loop :func:`~repro.discord.search.iterated_search`.  The
     candidate cache (z-normalized subsequences and kernel statistics) is
-    built once and shared across ranks.  *rng* orders each inner loop's
-    tail; *counter* accumulates the distance calls.
+    built once and shared across ranks.  *seed* (an int in ``[0,
+    2**64)``) keys each inner loop's random tail
+    (:mod:`repro.discord.inner_order`): it can change the distance calls,
+    never the discords.  *counter* accumulates the distance calls.
 
     The search is *anytime*: give it a
     :class:`~repro.resilience.budget.SearchBudget` and it returns its
@@ -418,10 +381,11 @@ def find_discords(
         Autosave cadence in outer-loop boundaries.
     resume_from:
         Path of a checkpoint written by a previous (interrupted) run
-        over the *same* series, intervals, and parameters.  The run
-        continues from the recorded boundary and its final output —
-        discords and distance-call count — is bit-identical to an
-        uninterrupted run.  Raises
+        over the *same* series, intervals, and parameters (the seed
+        included).  The run continues from the recorded boundary, the
+        point ``(seed, rank, outer_index)`` of the search, and its final
+        output — discords and distance-call count — is bit-identical to
+        an uninterrupted run.  Raises
         :class:`~repro.exceptions.CheckpointError` on a fingerprint
         mismatch.
     metrics:
@@ -433,8 +397,8 @@ def find_discords(
         resumed run's report reads as one continuous stream.
     cache:
         Optional :class:`~repro.cache.store.ResultCache`.  An identical
-        previous search (same series, candidates, parameters and RNG
-        state) is served from disk: same discords, same
+        previous search (same series, candidates, parameters and seed)
+        is served from disk: same discords, same
         call increment added to *counter*, flagged
         ``from_cache=True`` — and the hit short-circuits checkpointing
         entirely.  Only complete, untruncated results are ever stored;
@@ -451,16 +415,14 @@ def find_discords(
             f"checkpoint_every must be >= 1, got {checkpoint_every}"
         )
     counter, budget, metrics = session.counter, session.budget, session.metrics
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 1:
-        raise DiscordSearchError(f"series must be 1-d, got shape {series.shape}")
-    if rng is None:
-        rng = np.random.default_rng(0)
+    series = search_series(series)
+    seed = check_seed(seed)
     # One table for the whole search: the cache key, the fingerprint and
     # every rank read it.
     valid = _admissible(intervals, series.size)
+    params = {"num_discords": int(num_discords), "seed": seed}
 
-    hit = session.lookup(series, valid, {"num_discords": int(num_discords)}, rng=rng)
+    hit = session.lookup(series, valid, params)
     if hit is not None:
         # No candidate set and no checkpoint writes on a hit.
         return hit
@@ -469,9 +431,7 @@ def find_discords(
 
     fingerprint: Optional[str] = None
     if checkpoint_path is not None or resume_from is not None:
-        fingerprint = search_fingerprint(
-            series, valid, {"num_discords": num_discords}
-        )
+        fingerprint = search_fingerprint(series, valid, params)
 
     # The exact discords so far, as a checkpoint records them (their
     # count is the rank being searched), and the state of that rank.
@@ -489,8 +449,6 @@ def find_discords(
         # run's full tally, all of which the cache entry must count.
         counter.calls = int(data["ledger"]["calls"])
         session.calls_before = 0
-        if data.get("rng_state") is not None:
-            rng = restore_rng(data["rng_state"])
         if metrics.enabled:
             metrics.restore(data.get("metrics"), data.get("metric_events"))
             metrics.event(
@@ -530,18 +488,14 @@ def find_discords(
                 "fingerprint": fingerprint,
                 "num_discords": num_discords,
                 "discords": discords_to_json(exact),
-                # Kept for the format; a resume derives them from "discords".
-                "exclusions": [[d.start, d.end] for d in exact],
                 "rank": len(exact),
                 "outer_index": state.outer_index,
-                "visited": state.outer[:2, : state.outer_index].T.tolist(),
                 "best_dist": state.best_dist,
                 "best_key": (
                     state.outer[:, state.best].tolist() if state.best is not None else None
                 ),
                 "distance_calls": state.calls,
                 "ledger": {"calls": state.calls},
-                "rng_state": state.rng_state,
                 "candidate_count": len(valid),
                 "done": done,
                 "status": budget.status.value,
@@ -568,10 +522,8 @@ def find_discords(
         return checkpoint_every - boundaries % checkpoint_every
 
     def search(spans: tuple[tuple[int, int], ...]) -> Optional[Discord]:
-        if checkpoint_path is not None:
-            state.rng_state = rng_state_to_json(rng)
         return _rra_rank(
-            series, valid, spans, cache=candidate_cache, rng=rng,
+            series, valid, spans, cache=candidate_cache, seed=seed,
             counter=counter, budget=budget, metrics=metrics, state=state,
             on_boundary=on_boundary if checkpoint_path is not None else None,
         )
@@ -585,8 +537,6 @@ def find_discords(
             return
         exact.append(found)
         state = _RankState(calls=counter.calls)
-        if checkpoint_path is not None:
-            state.rng_state = rng_state_to_json(rng)
         write(done=len(exact) >= num_discords)
 
     return iterated_search(session, search, found=exact, after_rank=after_rank)
@@ -611,7 +561,7 @@ def nearest_neighbor_distances(
     each candidate is one core scan with ``best_dist = 0.0``, which never
     abandons.  Accounting is one logical call per non-self-match pair.
     """
-    series = np.asarray(series, dtype=float)
+    series = search_series(series)
     if counter is None:
         counter = DistanceCounter()
     candidates = _admissible(intervals, series.size)

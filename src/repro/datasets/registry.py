@@ -2,10 +2,8 @@
 
 Each :class:`TableRow` records the paper's published values (length,
 discretization parameters, distance-call counts, discord lengths and
-overlap) next to a factory that builds the synthetic stand-in — at a
-reduced default scale so the whole table can be regenerated in minutes,
-or at the paper's scale when ``paper_scale=True`` (only sensible for the
-rows that are small enough to run).
+overlap) next to a factory that builds the synthetic stand-in, at a
+reduced scale so the whole table can be regenerated in minutes.
 """
 
 from __future__ import annotations

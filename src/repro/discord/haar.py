@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.discord.inner_order import check_seed
 from repro.discord.search import (
     DiscordSearchResult,
     bucket_rank,
@@ -103,7 +104,7 @@ def haar_discords(
     num_discords: int = 1,
     num_coefficients: int = 4,
     counter: Optional[DistanceCounter] = None,
-    rng: Optional[np.random.Generator] = None,
+    seed: int = 0,
     budget: Optional[SearchBudget] = None,
     metrics=None,
     cache=None,
@@ -116,25 +117,23 @@ def haar_discords(
     ``from_cache=True``).
     """
     series = np.asarray(series, dtype=float)
-    if rng is None:
-        rng = np.random.default_rng(0)
+    seed = check_seed(seed)
 
     def build_rank(windows):
         words = haar_words(
             series, window,
             num_coefficients=num_coefficients, normalized=windows.normalized,
         )
-        return partial(bucket_rank, windows, words, source="haar", rng=rng)
+        return partial(bucket_rank, windows, words, source="haar", seed=seed)
 
     return fixed_length_discords(
         "haar",
         series,
         window,
         build_rank,
-        params={"num_coefficients": int(num_coefficients)},
+        params={"num_coefficients": int(num_coefficients), "seed": seed},
         num_discords=num_discords,
         counter=counter,
-        rng=rng,
         budget=budget,
         metrics=metrics,
         cache=cache,

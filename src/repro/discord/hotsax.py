@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.discord.inner_order import check_seed
 from repro.discord.search import (
     DiscordSearchResult,
     bucket_rank,
@@ -51,7 +52,7 @@ def hotsax_discords(
     paa_size: int = 3,
     alphabet_size: int = 3,
     counter: Optional[DistanceCounter] = None,
-    rng: Optional[np.random.Generator] = None,
+    seed: int = 0,
     budget: Optional[SearchBudget] = None,
     metrics=None,
     cache=None,
@@ -76,22 +77,22 @@ def hotsax_discords(
     complete, untruncated results are ever stored.
     """
     series = np.asarray(series, dtype=float)
-    if rng is None:
-        rng = np.random.default_rng(0)
+    seed = check_seed(seed)
 
     def build_rank(windows):
         words = _sax_words_per_window(windows.normalized, paa_size, alphabet_size)
-        return partial(bucket_rank, windows, words, source="hotsax", rng=rng)
+        return partial(bucket_rank, windows, words, source="hotsax", seed=seed)
 
     return fixed_length_discords(
         "hotsax",
         series,
         window,
         build_rank,
-        params={"paa_size": int(paa_size), "alphabet_size": int(alphabet_size)},
+        params={
+            "paa_size": int(paa_size), "alphabet_size": int(alphabet_size), "seed": seed,
+        },
         num_discords=num_discords,
         counter=counter,
-        rng=rng,
         budget=budget,
         metrics=metrics,
         cache=cache,

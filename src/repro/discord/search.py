@@ -15,6 +15,7 @@ HOTSAX, Haar, brute force).  This module holds what the four share:
   engine hands it its outer candidates and a stretch runner: the RRA
   core's :class:`~repro.timeseries.eq1core.RankRun`, or a
   :class:`ScanRun` over a Python inner loop;
+* :func:`search_series` — the one check of a searched series;
 * :class:`DiscordSearchResult` — the one search result;
 * :func:`fixed_length_discords` — the fixed-length engines' top-k
   search, and :func:`bucket_rank`, the one rank of HOTSAX (SAX words)
@@ -22,7 +23,8 @@ HOTSAX, Haar, brute force).  This module holds what the four share:
   Bu et al. 2007), which differ only in *how candidate windows are
   grouped into buckets*: outer loop over candidates in ascending bucket
   size, inner loop visiting same-bucket windows first with early
-  abandoning.
+  abandoning, then the rest in the random order of
+  :mod:`repro.discord.inner_order`.
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.core.anomaly import Anomaly, Discord
+from repro.discord.inner_order import TailOrder, inner_key
 from repro.exceptions import DiscordSearchError
 from repro.observability.metrics import ensure_metrics
 from repro.resilience.budget import SearchBudget, SearchStatus
@@ -149,16 +151,12 @@ class SearchSession:
         self.calls_before = 0
 
     def lookup(
-        self,
-        series: np.ndarray,
-        intervals,
-        params: dict,
-        rng: Optional[np.random.Generator] = None,
+        self, series: np.ndarray, intervals, params: dict
     ) -> Optional[DiscordSearchResult]:
         """The cached result of this search, or ``None`` on a miss.
 
-        *params* must hold everything besides the series, *intervals*
-        and the *rng* state that can change the discords or the ledger.
+        *params* must hold everything besides the series and *intervals*
+        that can change the discords or the ledger, the seed included.
         """
         if self.cache is None:
             return None
@@ -168,7 +166,7 @@ class SearchSession:
         from repro.cache.results import discords_from_json
 
         self._key = keys.discord_search_key(
-            series, intervals, engine=self.engine, params=params, rng=rng
+            series, intervals, engine=self.engine, params=params
         )
         entry = self.cache.get(self._key)
         if entry is not None:
@@ -200,6 +198,26 @@ class SearchSession:
         return DiscordSearchResult(discords, self.counter.calls, status, rank_complete)
 
 
+def search_series(series) -> np.ndarray:
+    """*series* as the float array every search reads.
+
+    Raises :class:`DiscordSearchError` unless it is 1-d and finite: a
+    NaN spreads through the centred window statistics to every
+    distance, and an infinity to every window it falls in, so the
+    search would answer without having compared anything.
+    """
+    series = np.asarray(series, dtype=float)
+    if series.ndim != 1:
+        raise DiscordSearchError(f"series must be 1-d, got shape {series.shape}")
+    finite = np.isfinite(series)
+    if not finite.all():
+        at = int(np.argmin(finite))
+        raise DiscordSearchError(
+            f"series must be finite: value {series[at]!r} at index {at}"
+        )
+    return series
+
+
 def search_windows(series: np.ndarray, window: int) -> kernels.WindowMatrix:
     """The one :class:`~repro.timeseries.kernels.WindowMatrix` of a
     fixed-length search, which its bucketing and its distances share.
@@ -223,7 +241,6 @@ def fixed_length_discords(
     params: dict,
     num_discords: int,
     counter: Optional[DistanceCounter] = None,
-    rng: Optional[np.random.Generator] = None,
     budget: Optional[SearchBudget] = None,
     metrics=None,
     cache=None,
@@ -231,26 +248,23 @@ def fixed_length_discords(
     """The driver behind ``hotsax_discords``, ``haar_discords`` and
     ``brute_force_discords``.
 
-    Opens a :class:`SearchSession`, answers from *cache* when it can,
-    and otherwise runs :func:`iterated_search` over the engine's
-    one-rank function that *build_rank* returns for the search's one
+    Opens a :class:`SearchSession`, checks the series
+    (:func:`search_series`), answers from *cache* when it can, and
+    otherwise runs :func:`iterated_search` over the engine's one-rank
+    function that *build_rank* returns for the search's one
     :class:`~repro.timeseries.kernels.WindowMatrix`, shared by every
     rank; each rank calls it with the spans of the discords found so
     far and the session's counter, budget and metrics.  The cache key
-    holds *engine*, *window*, *num_discords*, the engine's *params* and
-    the *rng* state (engines that draw no random numbers pass none).
+    holds *engine*, *window*, *num_discords* and the engine's *params*
+    (its seed, for an engine with a random inner tail).
     """
     session = SearchSession(
         engine, num_discords=num_discords, counter=counter,
         budget=budget, metrics=metrics, cache=cache,
     )
-    if series.ndim != 1:
-        raise DiscordSearchError(f"series must be 1-d, got shape {series.shape}")
+    series = search_series(series)
     hit = session.lookup(
-        series,
-        (),
-        {"window": int(window), "num_discords": int(num_discords), **params},
-        rng=rng,
+        series, (), {"window": int(window), "num_discords": int(num_discords), **params}
     )
     if hit is not None:
         return hit
@@ -275,17 +289,16 @@ class RankState:
     The boundary before outer candidate *outer_index* is a deterministic
     point of the search: candidates ``[0, outer_index)`` are done, the
     counter reads *calls*, the best-so-far discord is outer candidate
-    *best* at distance *best_dist* (``None`` before there is one), and
-    the RNG state, when it is captured, is *rng_state*, taken before
-    the candidate's inner-loop shuffle.  Restoring these values and
-    re-entering the loop reproduces the uninterrupted run bit for bit.
+    *best* at distance *best_dist* (``None`` before there is one).  Each
+    candidate's inner tail is keyed by its own outer position, so
+    restoring these values and re-entering the loop reproduces the
+    uninterrupted run bit for bit.
     """
 
     outer_index: int = 0
     best_dist: float = 0.0
     best: Optional[int] = None
     calls: int = 0
-    rng_state: Optional[dict] = None
     complete: bool = False
 
 
@@ -354,7 +367,6 @@ def rank_search(
     rule_ids: Optional[np.ndarray] = None,
     state: Optional[RankState] = None,
     on_boundary: Optional[Callable[[RankState, int], int]] = None,
-    capture_rng: Optional[Callable[[], dict]] = None,
     take_work: Optional[Callable[[], Sequence[int]]] = None,
 ) -> Optional[Discord]:
     """One rank of any engine: the outer-candidate loop all four share.
@@ -381,8 +393,7 @@ def rank_search(
     figures to :data:`WORK_METRICS`.  *best_dist* is the engine's
     initial best, which a given *state* replaces with its own: a
     candidate becomes the discord only with a nearest neighbour strictly
-    farther than it.  *capture_rng* is called at each boundary for
-    :attr:`RankState.rng_state`.
+    farther than it.
 
     A ``KeyboardInterrupt`` becomes a best-so-far return, with
     ``budget.status`` saying the search was cancelled.  Returns the
@@ -415,11 +426,9 @@ def rank_search(
     try:
         while True:
             # A boundary: outer candidates [0, i) are done, and no
-            # randomness or distance call of candidate i is spent yet.
+            # distance call of candidate i is spent yet.
             state.outer_index, state.calls = i, counter.calls
             state.best_dist, state.best = best_dist, best
-            if capture_rng is not None:
-                state.rng_state = capture_rng()
             if i == n_outer:
                 state.complete = True
                 if on_boundary is not None:
@@ -492,7 +501,7 @@ def bucket_rank(
     spans: Sequence[tuple[int, int]],
     *,
     source: str,
-    rng: np.random.Generator,
+    seed: int,
     counter: DistanceCounter,
     budget: SearchBudget,
     metrics,
@@ -500,56 +509,66 @@ def bucket_rank(
     """One rank of a bucket-ordered search (HOTSAX, Haar) over the
     search's window matrix, its only source of series and window, and
     *keys*, one bucket key per window: rare keys are searched first
-    (outer), same-key windows are compared first (inner).  Windows that
-    overlap a found discord's span in *spans* are no candidates."""
-    buckets: dict[str, list[int]] = defaultdict(list)
+    (outer), same-key windows are compared first (inner), then the rest
+    in the random tail keyed by *seed*, the rank ``len(spans)`` and the
+    outer position.  Windows that overlap a found discord's span in
+    *spans* are no outer candidates."""
+    grouped: dict[str, list[int]] = defaultdict(list)
     for pos, key in enumerate(keys):
-        buckets[key].append(pos)
+        grouped[key].append(pos)
+    # Each bucket's ascending positions, one array per rank.
+    buckets = {key: np.array(members, dtype=np.intp) for key, members in grouped.items()}
     # Ascending bucket size, ties by start: a stable sort of the sizes.
-    sizes = np.fromiter((len(buckets[key]) for key in keys), dtype=np.int64, count=len(keys))
+    sizes = np.fromiter((buckets[key].size for key in keys), dtype=np.int64, count=len(keys))
     outer = starts_clear_of(np.argsort(sizes, kind="stable"), spans, windows.window)
     return rank_search(
         np.stack((outer, outer + windows.window)),
-        _BucketScan(windows, keys, buckets, outer, rng),
+        _BucketScan(windows, keys, buckets, outer, seed, len(spans)),
         source=source, best_dist=-1.0,
         counter=counter, budget=budget, metrics=metrics,
     )
 
 
 class _BucketScan(ScanRun):
-    """An outer window of a bucket-ordered rank: same-bucket windows
-    first, then the rest in a fresh random order.
+    """An outer window of a bucket-ordered rank: the other windows of its
+    bucket in position order, then every window outside its bucket in
+    the random order of :class:`~repro.discord.inner_order.TailOrder`,
+    each past the trivial-match zone of the outer window.
 
-    The scan pulls positions from that lazy order in geometrically
-    growing blocks, evaluates each block's distances with one
-    matrix-vector product, and replays the per-pair early abandon on
-    them, so the logical call count is that of the pair-by-pair loop.
-    Laziness matters as much as vectorization: a candidate abandoned
-    after a handful of same-bucket comparisons (the common HOTSAX case)
-    must not pay for materializing its full O(k) inner ordering.
+    The scan pulls positions from that order in geometrically growing
+    blocks, evaluates each block's distances with one matrix-vector
+    product, and replays the per-pair early abandon on them, so the
+    logical call count is that of the pair-by-pair loop.  The tail is
+    drawn block by block as the scan reaches it: a candidate abandoned
+    within its bucket (the common HOTSAX case) draws nothing.
     """
 
-    def __init__(self, windows, keys, buckets, outer, rng):
+    def __init__(self, windows, keys, buckets, outer, seed, rank):
         super().__init__()
         self._normalized, self._sqnorms = windows.normalized, windows.sqnorms
         self._window = windows.window
-        self._keys, self._buckets, self._outer, self._rng = keys, buckets, outer, rng
+        self._keys, self._buckets, self._outer = keys, buckets, outer
+        self._seed, self._rank = seed, rank
 
     def scan(self, i: int, best_dist: float) -> tuple[float, bool]:
-        p = int(self._outer[i])
+        p, window = int(self._outer[i]), self._window
         normalized, sqnorms = self._normalized, self._sqnorms
-        same_bucket = [q for q in self._buckets[self._keys[p]] if q != p]
-        tail = self._rng.permutation(len(self._keys))
-        order = (
-            q
-            for q in _inner_sequence(same_bucket, tail, p)
-            if abs(p - q) > self._window
-        )
-        nearest, block = math.inf, 8
+        bucket = self._buckets[self._keys[p]]
+        same = bucket[np.abs(bucket - p) > window]
+        tail = TailOrder(len(self._keys), bucket, inner_key(self._seed, self._rank, i))
+        nearest, block, at = math.inf, 8, 0
         while True:
-            idx = np.fromiter(islice(order, block), dtype=np.intp)
+            if at < same.size:
+                idx = same[at : at + block]
+                at += idx.size
+            else:
+                idx = tail.take(block)
+                if idx.size == 0:
+                    return nearest, False
+                idx = idx[np.abs(idx - p) > window]
+            block = min(block * 4, 2048)
             if idx.size == 0:
-                return nearest, False
+                continue
             sq = kernels.one_vs_all_sq_euclidean(
                 normalized[p], normalized[idx], query_sqnorm=sqnorms[p], sqnorms=sqnorms[idx]
             )
@@ -560,19 +579,6 @@ class _BucketScan(ScanRun):
                 return nearest, True
             self.calls += idx.size
             nearest = min(nearest, float(dists.min()))
-            block = min(block * 4, 2048)
-
-
-def _inner_sequence(same_bucket: list[int], tail: np.ndarray, p: int):
-    """Same-bucket positions first, then the shuffled remainder."""
-    seen = set(same_bucket)
-    seen.add(p)
-    for q in same_bucket:
-        yield q
-    for q in tail:
-        q = int(q)
-        if q not in seen:
-            yield q
 
 
 def iterated_search(

@@ -11,9 +11,9 @@ the library *anytime*:
   returns its best-so-far answer, tagged with a
   :class:`~repro.resilience.budget.SearchStatus` instead of raising.
 * :mod:`~repro.resilience.checkpoint` — JSON snapshots of RRA search
-  state (visited candidates, best-so-far discords, distance-call count,
-  RNG state) with atomic writes, so a killed run resumes where it left
-  off with bit-identical final output.
+  state (the rank and outer position reached, best-so-far discords,
+  distance-call count) with atomic writes, so a killed run resumes where
+  it left off with bit-identical final output.
 
 See DESIGN.md §6 for the budget semantics, the checkpoint format, and
 the degradation ladder.
@@ -27,8 +27,6 @@ from repro.resilience.budget import (
 from repro.resilience.checkpoint import (
     CHECKPOINT_FORMAT,
     load_checkpoint,
-    restore_rng,
-    rng_state_to_json,
     save_checkpoint,
     search_fingerprint,
 )
@@ -39,8 +37,6 @@ __all__ = [
     "SearchStatus",
     "CHECKPOINT_FORMAT",
     "load_checkpoint",
-    "restore_rng",
-    "rng_state_to_json",
     "save_checkpoint",
     "search_fingerprint",
 ]

@@ -1,15 +1,17 @@
 """JSON checkpointing of discord-search state.
 
 A checkpoint is a plain JSON document capturing everything an RRA run
-needs to resume bit-identically: which candidates the outer loop has
-visited, the best-so-far discords, the distance-call count, and the
-exact NumPy RNG state.  Writes are atomic (temp file + ``os.replace``),
-so a crash mid-save leaves the previous checkpoint intact.
+needs to resume bit-identically: the rank and the outer position it
+reached, the best-so-far discords and the distance-call count.  The
+inner loops' random tails are keyed by ``(seed, rank, outer position)``,
+so no generator state is stored.  Writes are atomic (temp file +
+``os.replace``), so a crash mid-save leaves the previous checkpoint
+intact.
 
 The checkpoint carries a *fingerprint* of the search inputs (series
-bytes, candidate intervals, parameters); resuming against different
-inputs raises :class:`~repro.exceptions.CheckpointError` instead of
-silently producing garbage.
+bytes, candidate intervals, parameters, the seed among them); resuming
+against different inputs raises :class:`~repro.exceptions.
+CheckpointError` instead of silently producing garbage.
 """
 
 from __future__ import annotations
@@ -19,58 +21,22 @@ import json
 import os
 import tempfile
 import weakref
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import CheckpointError
 
 #: Format tag written into (and required from) every checkpoint file.
-CHECKPOINT_FORMAT = "repro-search-checkpoint/1"
+CHECKPOINT_FORMAT = "repro-search-checkpoint/2"
 
-
-# -- RNG state (de)serialization ----------------------------------------
-
-
-def _encode(value: Any) -> Any:
-    """Recursively make a bit_generator state dict JSON-serializable."""
-    if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
-    if isinstance(value, np.ndarray):
-        return {"__ndarray__": value.tolist(), "dtype": str(value.dtype)}
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
-
-
-def _decode(value: Any) -> Any:
-    if isinstance(value, dict):
-        if "__ndarray__" in value:
-            return np.asarray(value["__ndarray__"], dtype=value["dtype"])
-        return {k: _decode(v) for k, v in value.items()}
-    return value
-
-
-def rng_state_to_json(rng: np.random.Generator) -> dict:
-    """Capture a Generator's full state as a JSON-serializable dict."""
-    return {
-        "bit_generator": type(rng.bit_generator).__name__,
-        "state": _encode(rng.bit_generator.state),
-    }
-
-
-def restore_rng(state: dict) -> np.random.Generator:
-    """Rebuild a Generator from :func:`rng_state_to_json` output."""
-    name = state.get("bit_generator")
-    factory = getattr(np.random, str(name), None)
-    if factory is None:
-        raise CheckpointError(f"unknown bit generator {name!r} in checkpoint")
-    bit_generator = factory()
-    try:
-        bit_generator.state = _decode(state["state"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed RNG state in checkpoint: {exc}") from exc
-    return np.random.Generator(bit_generator)
+#: Formats that cannot be resumed, and why.
+_RETIRED_FORMATS = {
+    "repro-search-checkpoint/1": (
+        "its inner loops drew from a NumPy generator whose stream the "
+        "search no longer uses, so it cannot be resumed"
+    ),
+}
 
 
 # -- input fingerprinting ----------------------------------------------
@@ -185,9 +151,14 @@ def load_checkpoint(path: str) -> dict:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
-    if not isinstance(data, dict) or data.get("format") != CHECKPOINT_FORMAT:
+    found = data.get("format") if isinstance(data, dict) else None
+    if found in _RETIRED_FORMATS:
         raise CheckpointError(
-            f"{path} is not a {CHECKPOINT_FORMAT} checkpoint "
-            f"(format={data.get('format') if isinstance(data, dict) else None!r})"
+            f"{path} is a {found} checkpoint: {_RETIRED_FORMATS[found]}; "
+            f"restart the search"
+        )
+    if found != CHECKPOINT_FORMAT:
+        raise CheckpointError(
+            f"{path} is not a {CHECKPOINT_FORMAT} checkpoint (format={found!r})"
         )
     return data

@@ -1,7 +1,7 @@
 /*
  * One RRA rank in C (paper Algorithm 1 with the Eq. 1 distance): the
- * outer loop, the per-candidate inner ordering and its shuffle, the
- * scans, and the candidate table they read.  Loaded through ctypes by
+ * outer loop, the per-candidate inner ordering and its lazy random tail,
+ * the scans, and the candidate table they read.  Loaded through ctypes by
  * repro/timeseries/eq1core.py.
  *
  * The core owns flat per-interval tables (start, length, z-normalized
@@ -25,12 +25,10 @@
  *     bound, less a rigorous rounding margin, proves that its distance
  *     cannot change the scan's outcome or the pair's minimum (DESIGN.md
  *     section 20); every distance that is computed is computed as above;
- *   - the shuffle is Generator.shuffle's Fisher-Yates over NumPy's
- *     random_interval, drawn through the generator's own bitgen_t, so
- *     the permutation and the generator state afterwards are NumPy's;
- *     its rejection loop runs branch-free, one draw per iteration and
- *     a self-swap on a rejection, which makes the same draws in the
- *     same order (eq1_shuffle).
+ * The inner loop's random tail is repro/discord/inner_order.py's, draw
+ * for draw: a SplitMix64 substream per outer candidate, Lemire's exact
+ * bounded draws and a forward sparse Fisher-Yates over the candidates
+ * outside the same-rule group (eq1_key, eq1_draw, eq1_tail).
  * Build with -ffp-contract=off and no fast-math so that every sub, min,
  * clamp and sqrt rounds like NumPy and math.sqrt.
  */
@@ -85,9 +83,13 @@ typedef struct {
     uint64_t *keys;
     double *dists;
     int64_t memo_used, memo_cap;
-    /* eq1_rank's inner-order scratch */
-    int64_t *order;
-    int64_t order_cap;
+    /* the lazy tail's scratch: the displaced slot values, stamped with
+     * the generation of the tail that wrote them, so a new tail needs
+     * no clearing */
+    int64_t *slot_value;
+    uint64_t *slot_stamp;
+    int64_t slot_cap;
+    uint64_t generation;
     /* the bound's scratch: window sums and per-offset bounds */
     float *window_sums, *bounds;
     int64_t bound_cap;
@@ -264,7 +266,8 @@ void eq1_free(eq1_set *s) {
     pool_park(s->pool, s->pool_cap);
     free(s->keys);
     free(s->dists);
-    free(s->order);
+    free(s->slot_value);
+    free(s->slot_stamp);
     free(s->sum_err);
     free(s->window_sums);
     free(s->bounds);
@@ -569,103 +572,147 @@ double eq1_distance(eq1_set *s, int64_t a, int64_t b) {
     return dist;
 }
 
+
 /*
- * One outer candidate p's inner loop over ids[0..n).  Skips trivial self
- * matches (|p.start - q.start| <= len(p), paper line 7), counts every
- * other pair as one distance call, and stops at the first distance below
- * best_dist.  Writes the nearest distance seen and adds the call count
- * to *calls; returns 1 when the scan abandoned p, else 0.  A pair proved
- * to be at least the nearest so far is counted but yields no distance:
- * since nearest >= best_dist, it could neither abandon p nor lower
- * nearest.  The pairs and offsets computed are added to work[0] and
+ * One pair (p, q) of p's inner loop.  Skips a trivial self match
+ * (|p.start - q.start| <= len(p), paper line 7); counts any other pair in
+ * *visited and returns 1 when its distance is below best_dist (the scan
+ * abandons p), else lowers *nearest to it.  A pair proved to be at least
+ * *nearest is counted but yields no distance: since nearest >= best_dist,
+ * it could neither abandon p nor lower nearest.
+ */
+static inline int visit(eq1_set *s, int64_t p, int64_t q, double best_dist,
+                        double *nearest, int64_t *visited, int64_t *work) {
+    int64_t gap = s->start[p] - s->start[q];
+    if (gap < 0) gap = -gap;
+    if (gap <= s->len[p]) return 0;
+    ++*visited;
+    double dist;
+    if (!distance_below(s, p, q, *nearest, &dist, work)) return 0;
+    if (dist < best_dist) return 1;
+    if (dist < *nearest) *nearest = dist;
+    return 0;
+}
+
+/*
+ * One outer candidate p's inner loop over ids[0..n): visit() per id, up
+ * to the first pair that abandons p.  Writes the nearest distance seen
+ * and adds the call count to *calls; returns 1 when the scan abandoned
+ * p, else 0.  The pairs and offsets computed are added to work[0] and
  * work[1].
  */
 int eq1_scan(eq1_set *s, int64_t p, const int64_t *ids, int64_t n,
              double best_dist, double *nearest_out, int64_t *calls,
              int64_t *work) {
-    int64_t p_start = s->start[p], p_len = s->len[p], visited = 0;
     double nearest = INFINITY;
+    int64_t visited = 0;
     int abandoned = 0;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t gap = p_start - s->start[ids[i]];
-        if (gap < 0) gap = -gap;
-        if (gap <= p_len) continue;
-        visited++;
-        double dist;
-        if (!distance_below(s, p, ids[i], nearest, &dist, work)) continue;
-        if (dist < best_dist) {
-            abandoned = 1;
-            break;
-        }
-        if (dist < nearest) nearest = dist;
-    }
+    for (int64_t i = 0; i < n && !abandoned; i++)
+        abandoned = visit(s, p, ids[i], best_dist, &nearest, &visited, work);
     *nearest_out = nearest;
     *calls += visited;
     return abandoned;
 }
 
-/* NumPy's bitgen_t (numpy/random/bitgen.h). */
-typedef struct {
-    void *state;
-    uint64_t (*next_uint64)(void *st);
-    uint32_t (*next_uint32)(void *st);
-    double (*next_double)(void *st);
-    uint64_t (*next_raw)(void *st);
-} bitgen_t;
+/* SplitMix64 (repro/discord/inner_order.py): its increment, its
+ * finalizer, and the stream state of the tail of outer position k in
+ * rank rank of a search with seed. */
+#define GAMMA 0x9e3779b97f4a7c15ULL
 
-/* The smallest all-ones mask that covers x. */
-static uint64_t smear(uint64_t x) {
-    x |= x >> 1;
-    x |= x >> 2;
-    x |= x >> 4;
-    x |= x >> 8;
-    x |= x >> 16;
-    x |= x >> 32;
-    return x;
+static inline uint64_t mix64(uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
 }
 
-/* Generator.shuffle of a 1-d array: Fisher-Yates from the top, each
- * swap partner drawn by NumPy's random_interval(i) (distributions.c),
- * through the generator's own bitgen_t.  The caller holds its lock.
- *
- * random_interval masks draws to the smallest all-ones mask covering i
- * and rejects those above i, on 32-bit draws when the mask fits in 32
- * bits and 64-bit ones otherwise.  Here its rejection loop runs
- * branch-free: i walks down through power-of-two blocks, in each of
- * which the mask and the draw width are fixed, and one iteration is one
- * draw.  A draw above i is a rejection: the iteration swaps a[i] with
- * itself and i stays, so the next draw is random_interval's retry.  The
- * draws, their order and their number are random_interval's, and so are
- * the permutation and the generator state afterwards; only the
- * unpredictable exit branch is gone. */
-void eq1_shuffle(void *bitgen, int64_t *a, int64_t n) {
-    bitgen_t *g = bitgen;
-    uint64_t i = n > 1 ? (uint64_t)n - 1 : 0;
-    while (i > 0) {
-        uint64_t mask = smear(i), low = mask >> 1;
-        int wide = mask > 0xffffffffULL;
-        while (i > low) {
-            uint64_t v = (wide ? g->next_uint64(g->state) : g->next_uint32(g->state)) & mask;
-            uint64_t ok = v <= i, j = ok ? v : i;
-            int64_t t = a[j];
-            a[j] = a[i];
-            a[i] = t;
-            i -= ok;
-        }
+uint64_t eq1_key(uint64_t seed, uint64_t rank, uint64_t k) {
+    uint64_t h = mix64(seed + GAMMA);
+    h = mix64(h ^ (rank + GAMMA));
+    return mix64(h ^ (k + GAMMA));
+}
+
+/* A uniform draw in [0, n), 1 <= n, from the stream at *state, which it
+ * advances: Lemire's multiply with rejection, the high word of x * n,
+ * rejected while the low word is below 2^64 mod n. */
+uint64_t eq1_draw(uint64_t *state, uint64_t n) {
+    unsigned __int128 product = (unsigned __int128)mix64(*state += GAMMA) * n;
+    if ((uint64_t)product < n) {
+        uint64_t threshold = -n % n;
+        while ((uint64_t)product < threshold)
+            product = (unsigned __int128)mix64(*state += GAMMA) * n;
     }
+    return (uint64_t)(product >> 64);
+}
+
+/* The lazy tail of one outer candidate: the virtual indices [0, m) of
+ * the candidate positions outside its ascending group[0..g) (m = n - g),
+ * in a forward sparse Fisher-Yates driven by the stream at state.  Step
+ * i swaps slot i with a slot drawn from [i, m) and yields it; a slot
+ * holds its own index unless its stamp is the tail's generation. */
+typedef struct {
+    const int64_t *group;
+    int64_t g, m, i;
+    uint64_t state, generation;
+} tail_t;
+
+/* Room for the tail scratch of n candidates; a new generation. */
+static int tail_start(eq1_set *s, tail_t *t, int64_t n, const int64_t *group,
+                      int64_t g, uint64_t key) {
+    if (n > s->slot_cap) {
+        if (grow((void **)&s->slot_value, n, sizeof(int64_t)) ||
+            grow((void **)&s->slot_stamp, n, sizeof(uint64_t)))
+            return -1;
+        memset(s->slot_stamp, 0, (size_t)n * sizeof(uint64_t));
+        s->slot_cap = n;
+    }
+    *t = (tail_t){group, g, n - g, 0, key, ++s->generation};
+    return 0;
+}
+
+/* The next position of the tail (t->i < t->m): the drawn slot's virtual
+ * index v, plus the group members at or below the v-th non-member (a
+ * binary search over group[j] - j, which does not decrease). */
+static inline int64_t tail_next(eq1_set *s, tail_t *t) {
+    int64_t i = t->i++;
+    int64_t j = i + (int64_t)eq1_draw(&t->state, (uint64_t)(t->m - i));
+    int64_t v = s->slot_stamp[i] == t->generation ? s->slot_value[i] : i;
+    if (j != i) {
+        int64_t w = s->slot_stamp[j] == t->generation ? s->slot_value[j] : j;
+        s->slot_value[j] = v;
+        s->slot_stamp[j] = t->generation;
+        v = w;
+    }
+    int64_t lo = 0, hi = t->g;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (t->group[mid] - mid <= v) lo = mid + 1;
+        else hi = mid;
+    }
+    return v + lo;
+}
+
+/* The first take positions of the tail of key over n candidates less the
+ * ascending group[0..g), into out (take <= n - g); 0, or -1 when out of
+ * memory.  The parity probe's and the tests' view of eq1_rank's tails. */
+int64_t eq1_tail(eq1_set *s, int64_t n, const int64_t *group, int64_t g,
+                 uint64_t key, int64_t take, int64_t *out) {
+    tail_t t;
+    if (tail_start(s, &t, n, group, g, key)) return -1;
+    for (int64_t i = 0; i < take; i++) out[i] = tail_next(s, &t);
+    return 0;
 }
 
 /*
- * Outer candidates first, first + 1, ... of one RRA rank (paper
- * Algorithm 1).  ids gives each candidate's table id in candidate
- * order, and the key index its same-rule candidates: same lists the
- * candidate positions grouped by rule key and ascending within a key,
- * and candidate i's group is same[lo[i] .. hi[i]) (empty for a gap).
- * outer[k] is the candidate at outer position k.  Per outer candidate p
- * the inner order is p's same-rule ids in candidate order, then the
- * other ids (all of them for a gap) in candidate order, copied as the
- * runs between p's group, shuffled as rng.permutation does; the scan is
- * eq1_scan's.
+ * Outer candidates first, first + 1, ... of rank rank of an RRA search
+ * with seed (paper Algorithm 1).  ids gives each candidate's table id in
+ * candidate order, and the key index its same-rule candidates: same
+ * lists the candidate positions grouped by rule key and ascending within
+ * a key, and candidate i's group is same[lo[i] .. hi[i]) (empty for a
+ * gap).  outer[k] is the candidate at outer position k.  Per outer
+ * candidate p the inner loop visits p's same-rule ids in candidate
+ * order, then the other ids (all of them for a gap) in the random order
+ * of the tail keyed by (seed, rank, k), drawn one at a time: a candidate
+ * abandoned within its group draws nothing.
  *
  * Runs up to, not including, outer position stop, and stops earlier
  * before any position k > first at which the pairs counted by this call
@@ -679,30 +726,26 @@ void eq1_shuffle(void *bitgen, int64_t *a, int64_t n) {
  */
 int64_t eq1_rank(eq1_set *s, int64_t n, const int64_t *ids, const int64_t *same,
                  const int64_t *lo, const int64_t *hi,
-                 const int64_t *outer, void *bitgen, int64_t first,
+                 const int64_t *outer, uint64_t seed, uint64_t rank, int64_t first,
                  int64_t stop, int64_t calls_left, double *best_dist,
                  int64_t *best, int64_t *calls, int8_t *flags,
                  int64_t *outer_calls, int64_t *work) {
-    if (n > s->order_cap) {
-        if (grow((void **)&s->order, n, sizeof(int64_t))) return -1;
-        s->order_cap = n;
-    }
-    int64_t *order = s->order, spent = 0, k;
+    int64_t spent = 0, k;
     for (k = first; k < stop && (k == first || spent < calls_left); k++) {
-        int64_t p = outer[k], n_same = hi[p] - lo[p], *rest = order + n_same, done = 0;
-        for (int64_t j = lo[p]; j < hi[p]; j++) {
-            int64_t at = same[j];
-            order[j - lo[p]] = ids[at];
-            memcpy(rest, ids + done, (size_t)(at - done) * sizeof *ids);
-            rest += at - done;
-            done = at + 1;
+        int64_t p = outer[k], p_id = ids[p], visited = 0;
+        double nearest = INFINITY;
+        int abandoned = 0;
+        for (int64_t j = lo[p]; j < hi[p] && !abandoned; j++)
+            abandoned = visit(s, p_id, ids[same[j]], *best_dist, &nearest, &visited, work);
+        if (!abandoned) {
+            tail_t t;
+            if (tail_start(s, &t, n, same + lo[p], hi[p] - lo[p],
+                           eq1_key(seed, rank, (uint64_t)k)))
+                return -1;
+            while (t.i < t.m && !abandoned)
+                abandoned = visit(s, p_id, ids[tail_next(s, &t)], *best_dist, &nearest,
+                                  &visited, work);
         }
-        memcpy(rest, ids + done, (size_t)(n - done) * sizeof *ids);
-        eq1_shuffle(bitgen, order + n_same, n - n_same);
-        double nearest;
-        int64_t visited = 0;
-        int abandoned = eq1_scan(s, ids[p], order, n, *best_dist, &nearest, &visited,
-                                 work);
         spent += visited;
         flags[k - first] = (int8_t)abandoned;
         outer_calls[k - first] = visited;

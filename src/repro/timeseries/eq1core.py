@@ -1,26 +1,27 @@
 """ctypes binding for the RRA rank C core (``_eq1_core.c``).
 
 One C call runs a stretch of outer candidates of one RRA rank (paper
-Algorithm 1): for each, the inner ordering and its shuffle, the paper
-line-7 self-match skip, the Eq. 1 pair distance, early abandoning and the
-nearest-neighbour and best-so-far updates.  A lower bound lets it skip the
-pairs and alignment offsets that provably cannot change the answer
-(DESIGN.md §20).  The core also builds the
-candidate table (z-normalized values, norms, squared cumulative sums)
-from the series' centred prefix sums.  The rank loop
-(:func:`repro.discord.search.rank_search`) returns to Python only at its
-boundaries (DESIGN.md §16).
+Algorithm 1): for each, the same-rule candidates and then the lazily
+drawn random tail of its inner loop, the paper line-7 self-match skip,
+the Eq. 1 pair distance, early abandoning and the nearest-neighbour and
+best-so-far updates.  A lower bound lets it skip the pairs and alignment
+offsets that provably cannot change the answer (DESIGN.md §20).  The
+core also builds the candidate table (z-normalized values, norms,
+squared cumulative sums) from the series' centred prefix sums.  The
+rank loop (:func:`repro.discord.search.rank_search`) returns to Python
+only at its boundaries (DESIGN.md §16).
 
 The cross terms call the ILP64 ``cblas_ddot`` that ``np.dot`` and
 ``np.correlate`` call, resolved from the BLAS library the running NumPy
-already mapped, and the shuffle draws through the generator's own
-``bitgen_t``, so neither the floats nor the random stream change.
+already mapped, so the floats do not change, and the tail is
+:mod:`repro.discord.inner_order`'s, draw for draw.
 :mod:`repro._cbuild` compiles the source on first use.  On first load a
 parity probe compares the core with
 :meth:`repro.core.rra._CandidateSet.pair_distance` and with
-``Generator.shuffle`` bit for bit; a missing symbol, a missing compiler
-or a failed probe makes :func:`load` return None
-(``REPRO_C_CORE=require`` raises instead), and RRA runs its Python loop.
+:mod:`~repro.discord.inner_order`'s keys, draws and tails; a missing
+symbol, a missing compiler or a failed probe makes :func:`load` return
+None (``REPRO_C_CORE=require`` raises instead), and RRA runs its Python
+loop.
 """
 
 from __future__ import annotations
@@ -84,33 +85,20 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.eq1_distance.restype = f64
     lib.eq1_scan.argtypes = [ptr, i64, ptr, i64, f64, ptr, ptr, ptr]
     lib.eq1_scan.restype = ctypes.c_int
-    lib.eq1_shuffle.argtypes = [ptr, ptr, i64]
-    lib.eq1_shuffle.restype = None
-    lib.eq1_rank.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, i64,
+    u64 = ctypes.c_uint64
+    lib.eq1_key.argtypes = [u64, u64, u64]
+    lib.eq1_key.restype = u64
+    lib.eq1_draw.argtypes = [ptr, u64]
+    lib.eq1_draw.restype = u64
+    lib.eq1_tail.argtypes = [ptr, i64, ptr, i64, u64, i64, ptr]
+    lib.eq1_tail.restype = i64
+    lib.eq1_rank.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, ptr, u64, u64, i64, i64, i64,
                              ptr, ptr, ptr, ptr, ptr, ptr]
     lib.eq1_rank.restype = i64
     lib.eq1_parked.argtypes = []
     lib.eq1_parked.restype = i64
     lib.ddot_address = _numpy_ddot()
     return lib
-
-
-#: Reads the ``bitgen_t*`` out of ``BitGenerator.capsule``.
-_capsule_pointer = ctypes.PYFUNCTYPE(
-    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
-)(("PyCapsule_GetPointer", ctypes.pythonapi))
-
-
-def shuffle(lib: ctypes.CDLL, rng: np.random.Generator, ids: np.ndarray) -> None:
-    """``rng.shuffle(ids)`` in the core, for a contiguous int64 *ids*."""
-    if ids.dtype != np.int64 or not ids.flags.c_contiguous or ids.ndim != 1:
-        raise ParameterError("the core shuffles contiguous 1-d int64 arrays only")
-    bit_generator = rng.bit_generator
-    with bit_generator.lock:
-        lib.eq1_shuffle(
-            _capsule_pointer(bit_generator.capsule, b"BitGenerator"),
-            ids.ctypes.data, ids.size,
-        )
 
 
 class Eq1Tables:
@@ -168,16 +156,31 @@ class Eq1Tables:
         )
         return nearest.value, calls.value
 
+    def tail(self, n: int, group: np.ndarray, key: int, take: int) -> np.ndarray:
+        """The first *take* positions of the core's lazy tail of *key*
+        over *n* candidates less the ascending int64 *group*: what
+        :class:`repro.discord.inner_order.TailOrder` yields."""
+        group = np.ascontiguousarray(group, dtype=np.int64)
+        if not 0 <= take <= n - group.size:
+            raise ParameterError(f"take must be in [0, {n - group.size}], got {take}")
+        out = np.empty(take, dtype=np.int64)
+        if self.lib.eq1_tail(
+            self.handle, n, group.ctypes.data, group.size, key, take, out.ctypes.data
+        ) < 0:
+            raise MemoryError("eq1 core: allocation failed")
+        return out
+
 
 class RankRun:
     """The core calls of one RRA rank over one candidate list.
 
     *ids* and *keys* are the candidates' table ids and rule keys (-1 for
-    gaps) and *outer* their outer order, all int64; *rng* draws the
-    inner-loop shuffles.  The rank's key index is built here, once: the
-    candidate positions sorted by key (stable, so ascending within a
-    key) and each candidate's range of same-key positions in that list,
-    empty for a gap.  Each RRA rank (:func:`repro.core.rra._rra_rank`) owns
+    gaps) and *outer* their outer order, all int64; *seed* and *rank* key
+    the inner loops' random tails.  The rank's key index is built here,
+    once: the candidate positions sorted by key (stable, so ascending
+    within a key) and each candidate's range of same-key positions in
+    that list, empty for a gap, which is also the group its tail leaves
+    out.  Each RRA rank (:func:`repro.core.rra._rra_rank`) owns
     one, with its own out-parameters, so threads that share one
     candidate set's tables share only what the core touches while it
     holds the GIL.  It is the stretch runner of
@@ -188,7 +191,7 @@ class RankRun:
     MAX_OUTERS = 64
 
     def __init__(self, tables: Eq1Tables, ids: np.ndarray, keys: np.ndarray,
-                 outer: np.ndarray, rng: np.random.Generator):
+                 outer: np.ndarray, seed: int, rank: int):
         same = np.argsort(keys, kind="stable")
         grouped = keys[same]
         lo = np.searchsorted(grouped, keys, "left")
@@ -198,9 +201,8 @@ class RankRun:
         self._rank = tables.lib.eq1_rank
         self._args = (
             tables.handle, ids.size, ids.ctypes.data,
-            *(a.ctypes.data for a in index), outer.ctypes.data,
+            *(a.ctypes.data for a in index), outer.ctypes.data, seed, rank,
         )
-        self._bit_generator = rng.bit_generator
         self.calls = ctypes.c_int64()
         self._best_dist, self._best = ctypes.c_double(), ctypes.c_int64()
         #: Per outer candidate of the last call: 1 when it was abandoned,
@@ -224,17 +226,13 @@ class RankRun:
         pairs reach *calls_left*.  *best* is the outer position of a new
         best, else -1.  The visited pairs are added to :attr:`calls`, the
         computed pairs and offsets to :attr:`work`, and the per-candidate
-        outcomes written to :attr:`flags` and :attr:`outer_calls`.  Holds
-        the generator's lock, as ``Generator.shuffle`` does.
+        outcomes written to :attr:`flags` and :attr:`outer_calls`.
         """
         self._best_dist.value = best_dist
         self._best.value = -1
-        bit_generator = self._bit_generator
-        with bit_generator.lock:
-            end = self._rank(
-                *self._args, _capsule_pointer(bit_generator.capsule, b"BitGenerator"),
-                first, min(stop, first + self.MAX_OUTERS), calls_left, *self._outs,
-            )
+        end = self._rank(
+            *self._args, first, min(stop, first + self.MAX_OUTERS), calls_left, *self._outs,
+        )
         if end < 0:
             raise MemoryError("eq1 core: allocation failed")
         return end, self._best_dist.value, self._best.value
@@ -253,8 +251,8 @@ class RankRun:
 
 
 def _probe(lib: ctypes.CDLL) -> bool:
-    """True when the core reproduces ``pair_distance`` and
-    ``Generator.shuffle`` bit for bit.
+    """True when the core reproduces ``pair_distance`` bit for bit and
+    :mod:`~repro.discord.inner_order`'s keys, draws and tails exactly.
 
     The pairs cover the unrolled small-kernel correlate (short length
     ≤ 11), the BLAS one, equal lengths, a flat (unscaled) window, both
@@ -263,13 +261,13 @@ def _probe(lib: ctypes.CDLL) -> bool:
     them and the distances are near-ties, so pairs are skipped and
     offsets pruned at the margin, against the pair's minimum and against
     the scan's nearest (DESIGN.md §20); every pair's distance is then
-    read back from the memo those scans left.  The shuffles cover
-    empty and short arrays, lengths that start the draw loop at the top
-    (64) and at the bottom (65, 1025) of a power-of-two block, and a
-    buffered 32-bit half-word, and compare the generator state
-    afterwards.
+    read back from the memo those scans left.  The draws cover bounds
+    from 1 to ``2**64 - 1``, those above ``2**63`` rejecting about half
+    their raw draws, and compare the stream state afterwards; the tails
+    cover no, one and many group members, and are drained in full.
     """
     from repro.core.rra import _CandidateSet
+    from repro.discord import inner_order
     from repro.grammar.intervals import RuleInterval
 
     series = np.cumsum(np.random.default_rng(20150323).normal(size=400))
@@ -310,14 +308,23 @@ def _probe(lib: ctypes.CDLL) -> bool:
         for q, q_id in zip(intervals, ids.tolist()):
             if reference.pair_distance(p, q).hex() != fast.tables.distance(p_id, q_id).hex():
                 return False
-    for seed, n in enumerate((0, 1, 2, 3, 64, 65, 70, 1000, 1025)):
-        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        for generator in (rng, twin)[: seed % 2 * 2]:
-            generator.shuffle(np.arange(2))  # one 32-bit draw
-        got, want = np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64)
-        shuffle(lib, rng, got)
-        twin.shuffle(want)
-        if not np.array_equal(got, want) or rng.bit_generator.state != twin.bit_generator.state:
+    for seed, rank, k in ((0, 0, 0), (2**64 - 1, 3, 17), (12345, 2**40, 2**63)):
+        if lib.eq1_key(seed, rank, k) != inner_order.inner_key(seed, rank, k):
+            return False
+    state = ctypes.c_uint64()
+    for n in (1, 2, 3, 1000, 2**32 - 1, 2**32 + 1, 3 * 2**62, 2**63 + 1, 2**64 - 1):
+        state.value = want_state = inner_order.inner_key(7, 0, n)
+        for _ in range(16):
+            want, want_state = inner_order.draw_below(want_state, n)
+            got = lib.eq1_draw(ctypes.addressof(state), n)
+            if got != want or state.value != want_state:
+                return False
+    members = np.flatnonzero(rng.random(300) < 0.4)
+    for n, group in ((0, []), (1, []), (1, [0]), (6, [0, 5]), (40, [3, 4, 9, 39]),
+                     (300, members.tolist())):
+        key = inner_order.inner_key(n, len(group), 5)
+        want = list(inner_order.TailOrder(n, group, key))
+        if fast.tables.tail(n, np.asarray(group), key, len(want)).tolist() != want:
             return False
     return True
 

@@ -54,6 +54,7 @@ from repro.core.anomaly import Discord
 from repro.core.parameter_grid import GridPoint, _hit
 from repro.core.pipeline import GrammarAnomalyDetector
 from repro.core.rule_density import find_density_anomalies
+from repro.discord.inner_order import TailOrder, inner_key
 from repro.exceptions import ParameterError, ReproError
 from repro.grammar.grammar import START_RULE_ID
 from repro.grammar.intervals import RuleInterval
@@ -241,16 +242,17 @@ def bucket_ordered_oracle(
     words: Sequence[str],
     *,
     num_discords: int = 1,
-    rng: np.random.Generator,
+    seed: int,
     source: str,
     distance: Optional[PositionDistance] = None,
 ) -> tuple[list[Discord], int]:
     """HOTSAX-style per-pair search over bucket keys *words*.
 
     Outer loop: windows in ascending bucket size, then position.  Inner
-    loop: same-bucket windows first, then one ``rng.permutation(k)``
-    draw per candidate for the rest, always abandoning on a distance
-    below the best so far.  Returns ``(discords, calls)``.
+    loop: same-bucket windows first, then every other window in the
+    drained :class:`~repro.discord.inner_order.TailOrder` of the outer
+    position's key, always abandoning on a distance below the best so
+    far.  Returns ``(discords, calls)``.
     """
     windows = kernels.WindowMatrix(np.asarray(series, dtype=float), window)
     if distance is None:
@@ -263,13 +265,12 @@ def bucket_ordered_oracle(
 
     def search(exclude):
         best_dist, best_pos, calls = -1.0, None, 0
-        for p in outer:
-            if any(lo <= p < hi for lo, hi in exclude):
-                continue
+        rank = len(exclude)
+        clear = [p for p in outer if not any(lo <= p < hi for lo, hi in exclude)]
+        for position, p in enumerate(clear):
             same = [q for q in buckets[words[p]] if q != p]
-            tail = [int(q) for q in rng.permutation(k)]
-            seen = set(same) | {p}
-            order = same + [q for q in tail if q not in seen]
+            key = inner_key(seed, rank, position)
+            order = same + list(TailOrder(k, buckets[words[p]], key))
             nearest = math.inf
             abandoned = False
             for q in order:
@@ -312,16 +313,17 @@ def rra_oracle(
     intervals: Sequence[RuleInterval],
     *,
     num_discords: int = 1,
-    rng: np.random.Generator,
+    seed: int,
     distance: Optional[IntervalDistance] = None,
 ) -> tuple[list[Discord], int]:
     """Per-pair RRA (paper Algorithm 1) with iterative extraction.
 
     Outer loop: candidates by ascending rule usage, then position.
     Inner loop: a rule candidate visits its own rule's occurrences
-    first, then every other-rule candidate and gap in the order of one
-    ``rng.permutation`` draw; a gap visits every candidate in that
-    order.  Returns ``(discords, calls)``.
+    first, then every other-rule candidate and gap in the drained
+    :class:`~repro.discord.inner_order.TailOrder` of the outer
+    position's key; a gap visits every candidate in that order.
+    Returns ``(discords, calls)``.
     """
     series = np.asarray(series, dtype=float)
     if distance is None:
@@ -337,13 +339,13 @@ def rra_oracle(
         ]
         outer = sorted(candidates, key=lambda iv: (iv.usage, iv.start, iv.end))
         best_dist, best = 0.0, None
-        for p in outer:
-            if p.rule_id >= 0:
-                same = [iv for iv in candidates if iv.rule_id == p.rule_id]
-                rest = [iv for iv in candidates if iv.rule_id != p.rule_id]
-            else:
-                same, rest = [], candidates
-            order = same + [rest[i] for i in rng.permutation(len(rest))]
+        for position, p in enumerate(outer):
+            group = [
+                j for j, iv in enumerate(candidates)
+                if p.rule_id >= 0 and iv.rule_id == p.rule_id
+            ]
+            tail = TailOrder(len(candidates), group, inner_key(seed, rank, position))
+            order = [candidates[j] for j in group + list(tail)]
             nearest = math.inf
             abandoned = False
             for q in order:

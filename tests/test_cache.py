@@ -27,7 +27,6 @@ from repro.cache import (
     CACHE_FORMAT,
     ResultCache,
     discord_search_key,
-    rng_fingerprint,
 )
 from repro.cache.results import discords_from_json, discords_to_json
 from repro.core.anomaly import Discord
@@ -284,18 +283,29 @@ def test_discord_search_key_sensitivity(series):
     assert key != discord_search_key(
         series, (), engine="hotsax", params={**base, "num_discords": 3}
     )
-    rng = np.random.default_rng(0)
     assert key != discord_search_key(
-        series, (), engine="hotsax", params=base, rng=rng
+        series, (), engine="hotsax", params={**base, "seed": 0}
     )
 
 
-def test_rng_fingerprint_tracks_state():
-    assert rng_fingerprint(None) == "none"
-    a, b = np.random.default_rng(0), np.random.default_rng(0)
-    assert rng_fingerprint(a) == rng_fingerprint(b)
-    a.random()
-    assert rng_fingerprint(a) != rng_fingerprint(b)
+@pytest.mark.parametrize("engine", ["rra", "hotsax", "haar"])
+def test_an_entry_serves_only_its_own_seed(engine, series, rra_candidates, tmp_path):
+    """The seed keys the inner loops' random tails, so it is in the key:
+    an entry of seed 0 does not serve seed 1, which has its own calls."""
+    cache = ResultCache(tmp_path)
+    searches = {
+        "rra": lambda **kw: find_discords(series, rra_candidates, num_discords=2, **kw),
+        "hotsax": lambda **kw: hotsax_discords(series, WINDOW, num_discords=2, **kw),
+        "haar": lambda **kw: haar_discords(series, WINDOW, num_discords=2, **kw),
+    }
+    search = searches[engine]
+    search(seed=0, cache=cache)
+    assert search(seed=0, cache=cache).from_cache
+    live = search(seed=1)
+    cold = search(seed=1, cache=cache)
+    assert not cold.from_cache and cache.hits == 1 and cache.misses == 2
+    assert cold.distance_calls == live.distance_calls
+    assert search(seed=1, cache=cache).from_cache
 
 
 def test_ledger_delta_roundtrip(series, rra_candidates, tmp_path):
@@ -351,10 +361,7 @@ def test_version_one_entries_are_misses(
         {"num_discords": 2, "backend": "kernel"},
     ):
         cache.put(
-            discord_search_key(
-                series, valid, engine="rra", params=params,
-                rng=np.random.default_rng(0),
-            ),
+            discord_search_key(series, valid, engine="rra", params=params),
             stale,
         )
     monkeypatch.undo()
@@ -385,10 +392,7 @@ def test_version_two_entries_are_misses(
         {"num_discords": 2},
     ):
         cache.put(
-            discord_search_key(
-                series, valid, engine="rra", params=params,
-                rng=np.random.default_rng(0),
-            ),
+            discord_search_key(series, valid, engine="rra", params=params),
             stale,
         )
     monkeypatch.undo()
@@ -651,3 +655,28 @@ def test_ensemble_member_key_sensitivity(series):
         ),
     ):
         assert other != base
+
+
+def test_version_three_entries_are_misses(
+    series, rra_candidates, tmp_path, monkeypatch
+):
+    """Entries stored under key version 3, whose calls came from the
+    inner order of a NumPy generator, are never read back — not even one
+    stored under today's parameters."""
+    from repro.cache import keys
+
+    valid = [
+        iv for iv in rra_candidates if iv.end <= series.size and iv.length >= 2
+    ]
+    stale = {"engine": "rra", "discords": [], "ledger": {"calls": 1}}
+    cache = ResultCache(tmp_path / "store")
+    monkeypatch.setattr(keys, "CACHE_KEY_VERSION", 3)
+    for params in ({"num_discords": 2}, {"num_discords": 2, "seed": 0}):
+        cache.put(discord_search_key(series, valid, engine="rra", params=params), stale)
+    monkeypatch.undo()
+    result, counter = run_engine("rra", series, rra_candidates, cache=cache)
+    assert not result.from_cache
+    assert cache.hits == 0 and cache.misses == 1
+    assert signature(result, counter) == signature(
+        *run_engine("rra", series, rra_candidates)
+    )

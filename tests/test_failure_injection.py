@@ -308,11 +308,14 @@ class TestSearchBudgets:
         assert result.status is SearchStatus.BUDGET_EXHAUSTED
 
 
-#: A checkpoint written by the release before RRA moved onto the shared
-#: rank loop: ``find_discords(*_fixture_inputs(), num_discords=3,
-#: budget=SearchBudget(max_calls=2222), checkpoint_path=...,
-#: checkpoint_every=5)``, stopped in rank 1 after 11 outer candidates.
+#: A ``repro-search-checkpoint/2`` checkpoint: ``find_discords(
+#: *_fixture_inputs(), num_discords=3, budget=SearchBudget(max_calls=2222),
+#: checkpoint_path=..., checkpoint_every=5)``, stopped in rank 1 after 4
+#: outer candidates.
 OLD_CHECKPOINT = Path(__file__).parent / "fixtures" / "rra_checkpoint_rank1.json"
+#: The same search's checkpoint in format ``/1``, written while the inner
+#: loops drew from a NumPy generator (rank 1, after 11 outer candidates).
+FORMAT1_CHECKPOINT = Path(__file__).parent / "fixtures" / "rra_checkpoint_format1.json"
 
 
 def _fixture_inputs():
@@ -354,7 +357,7 @@ class TestCheckpointResume:
         checkpoint gives the uninterrupted run's discords and calls."""
         series, candidates = _fixture_inputs()
         saved = load_checkpoint(str(OLD_CHECKPOINT))
-        assert (saved["rank"], saved["outer_index"], saved["done"]) == (1, 11, False)
+        assert (saved["rank"], saved["outer_index"], saved["done"]) == (1, 4, False)
         reference = find_discords(series, candidates, num_discords=3)
         resumed = find_discords(
             series, candidates, num_discords=3, resume_from=str(OLD_CHECKPOINT)
@@ -383,6 +386,16 @@ class TestCheckpointResume:
         assert [(d["start"], d["end"], d["rank"]) for d in written["discords"]] == [
             (d["start"], d["end"], d["rank"]) for d in saved["discords"]
         ]
+
+    def test_format_one_checkpoint_is_refused(self):
+        """A ``/1`` checkpoint's generator state belongs to a stream the
+        search no longer draws, so resuming it raises, naming its format,
+        instead of continuing on another stream."""
+        series, candidates = _fixture_inputs()
+        with pytest.raises(CheckpointError, match="repro-search-checkpoint/1"):
+            find_discords(
+                series, candidates, num_discords=3, resume_from=str(FORMAT1_CHECKPOINT)
+            )
 
     def test_resume_rejects_different_inputs(self, tmp_path, sine_bump):
         series, candidates = _fitted(sine_bump.series)

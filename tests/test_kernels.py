@@ -238,13 +238,13 @@ class TestBackendCallCountIdentity:
         counter = DistanceCounter()
         result = find_discords(
             series, candidates, num_discords=1, counter=counter,
-            rng=np.random.default_rng(11),
+            seed=11,
         )
         assert counter.calls > 0
         _assert_matches_oracle(
             [result.best], counter.calls,
             lambda **kw: oracles.rra_oracle(
-                series, candidates, rng=np.random.default_rng(11), **kw
+                series, candidates, seed=11, **kw
             ),
             _rra_kernel_distance(series),
         )
@@ -253,14 +253,14 @@ class TestBackendCallCountIdentity:
         series = _blip_series()
         candidates = _candidates_for(series)
         result = find_discords(
-            series, candidates, num_discords=3, rng=np.random.default_rng(5)
+            series, candidates, num_discords=3, seed=5
         )
         assert len(result.discords) == 3
         _assert_matches_oracle(
             result.discords, result.distance_calls,
             lambda **kw: oracles.rra_oracle(
                 series, candidates, num_discords=3,
-                rng=np.random.default_rng(5), **kw
+                seed=5, **kw
             ),
             _rra_kernel_distance(series),
         )
@@ -270,10 +270,10 @@ class TestBackendCallCountIdentity:
         series = _blip_series(length=600)
         candidates = _candidates_for(series)
         result = find_discords(
-            series, candidates, num_discords=2, rng=np.random.default_rng(2)
+            series, candidates, num_discords=2, seed=2
         )
         reference, _ = oracles.rra_oracle(
-            series, candidates, num_discords=2, rng=np.random.default_rng(2)
+            series, candidates, num_discords=2, seed=2
         )
         assert [d.nn_distance for d in result.discords] == pytest.approx(
             [d.nn_distance for d in reference], abs=1e-9
@@ -282,28 +282,28 @@ class TestBackendCallCountIdentity:
     def test_hotsax(self, sine_bump):
         series = sine_bump.series
         result = hotsax_discords(
-            series, 100, num_discords=2, rng=np.random.default_rng(0)
+            series, 100, num_discords=2, seed=0
         )
         words = _sax_words_per_window(kernels.WindowMatrix(series, 100).normalized, 3, 3)
         _assert_matches_oracle(
             result.discords, result.distance_calls,
             lambda **kw: oracles.bucket_ordered_oracle(
                 series, 100, words, num_discords=2,
-                rng=np.random.default_rng(0), source="hotsax", **kw
+                seed=0, source="hotsax", **kw
             ),
             oracles.kernel_position_distance(kernels.WindowMatrix(series, 100)),
         )
 
     def test_haar(self, short_series):
         result = haar_discords(
-            short_series, 40, num_discords=2, rng=np.random.default_rng(0)
+            short_series, 40, num_discords=2, seed=0
         )
         words = haar_words(short_series, 40)
         _assert_matches_oracle(
             result.discords, result.distance_calls,
             lambda **kw: oracles.bucket_ordered_oracle(
                 short_series, 40, words, num_discords=2,
-                rng=np.random.default_rng(0), source="haar", **kw
+                seed=0, source="haar", **kw
             ),
             oracles.kernel_position_distance(
                 kernels.WindowMatrix(short_series, 40)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
@@ -15,8 +14,6 @@ from repro.resilience import (
     SearchBudget,
     SearchStatus,
     load_checkpoint,
-    restore_rng,
-    rng_state_to_json,
     save_checkpoint,
     search_fingerprint,
 )
@@ -70,23 +67,6 @@ class TestSearchBudget:
             SearchBudget(max_calls=-1)
 
 
-class TestRngRoundtrip:
-    def test_state_roundtrip_through_json(self):
-        rng = np.random.default_rng(42)
-        rng.permutation(100)  # advance past the seed state
-        clone = restore_rng(json.loads(json.dumps(rng_state_to_json(rng))))
-        assert np.array_equal(rng.permutation(50), clone.permutation(50))
-        assert rng.random() == clone.random()
-
-    def test_unknown_bit_generator_rejected(self):
-        with pytest.raises(CheckpointError):
-            restore_rng({"bit_generator": "NoSuchGenerator", "state": {}})
-
-    def test_malformed_state_rejected(self):
-        with pytest.raises(CheckpointError):
-            restore_rng({"bit_generator": "PCG64", "state": {"bogus": 1}})
-
-
 class TestFingerprint:
     class _Interval:
         def __init__(self, rule_id, start, end, usage):
@@ -131,6 +111,15 @@ class TestCheckpointPersistence:
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
+    def test_load_refuses_a_format_one_checkpoint(self, tmp_path):
+        """A ``/1`` checkpoint recorded a NumPy generator state for its
+        inner loops; it is refused by name, not resumed on another
+        stream."""
+        path = tmp_path / "old.json"
+        path.write_text('{"format": "repro-search-checkpoint/1", "rank": 0}')
+        with pytest.raises(CheckpointError, match="repro-search-checkpoint/1"):
             load_checkpoint(str(path))
 
     def test_load_rejects_missing_file(self, tmp_path):

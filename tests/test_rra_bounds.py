@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.rra import _CandidateSet, find_discords, nearest_neighbor_distances
+from repro.exceptions import DiscordSearchError
 from repro.grammar.intervals import RuleInterval
 from repro.observability.metrics import MetricsRegistry
 from repro.resilience.budget import SearchBudget
@@ -88,11 +89,10 @@ def _answers(series, intervals, seed, max_calls, metrics=None):
 
 
 def _search(series, intervals, seed, max_calls, metrics):
-    rng = np.random.default_rng(seed)
     counter = DistanceCounter()
     budget = SearchBudget(max_calls=max_calls) if max_calls is not None else None
     result = find_discords(
-        series, intervals, num_discords=3, rng=rng, counter=counter, budget=budget,
+        series, intervals, num_discords=3, seed=seed, counter=counter, budget=budget,
         metrics=metrics,
     )
     discords = [
@@ -105,7 +105,6 @@ def _search(series, intervals, seed, max_calls, metrics):
         "discords": discords,
         "status": result.status,
         "calls": counter.calls,
-        "rng": rng.bit_generator.state,
         "profile": [(p.start, p.end, value.hex()) for p, value in profile],
         "profile_calls": nn_counter.calls,
     }
@@ -174,13 +173,30 @@ class TestCoreEqualsPython:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300])
     def test_non_finite_values(self, value):
         """A non-finite value (or one whose square overflows) gives no
-        bound and the Python loop's NaN distances; the same series without
-        it stays exact."""
+        bound: the core's scans then give the Python pair distances (NaN
+        ones included) bit for bit.  A search refuses a non-finite series
+        on either path; one whose square overflows it runs, and the same
+        series without the value stays exact."""
         for seed in range(20):
             series, intervals, max_calls = adversarial("ties", seed)
             assert_core_equals_python(series, intervals, seed, max_calls)
-            series[np.random.default_rng(seed).integers(0, series.size)] = value
-            assert_core_equals_python(series, intervals, seed, max_calls)
+            at = int(np.random.default_rng(seed).integers(0, series.size))
+            series[at] = value
+            if np.isfinite(value):
+                assert_core_equals_python(series, intervals, seed, max_calls)
+                continue
+            for gate in ("require", "off"):
+                with c_core_gate(gate), pytest.raises(DiscordSearchError, match=f"index {at}"):
+                    find_discords(series, intervals, seed=seed)
+            with np.errstate(all="ignore"), c_core_gate("require"):
+                cache, reference = _CandidateSet(series), _CandidateSet(series, core=False)
+                ids = cache.idents(intervals)
+                for p, p_id in zip(intervals, ids.tolist()):
+                    nearest = math.inf  # the scan's update: a NaN never lowers it
+                    for q in intervals:
+                        if is_non_self_match(p, q) and reference.pair_distance(p, q) < nearest:
+                            nearest = reference.pair_distance(p, q)
+                    assert cache.tables.nearest(p_id, ids)[0].hex() == nearest.hex()
 
 
 def _reference_nearest(series, intervals):

@@ -11,8 +11,10 @@ motifs on which the lower bound skips pairs and prunes offsets at its
 margin, against the pair's minimum and the scan's nearest, with
 candidates up to the whole series so that the bound's scratch grows,
 and whose proved pairs later scans and distance reads revisit), the
-core's shuffle (lengths at the edges of its power-of-two draw blocks
-and anywhere below 5000, PCG64 and MT19937, buffered 32-bit starts), discretize (random
+core's generator against its Python twin (keys, bounded draws near
+2^32, 2^63 and 2^64, and lazy tails over up to 5000 candidates with no,
+few or most of them in the group, cut short or drained, from one
+stamped scratch that grows and is reused), discretize (random
 offsets and scales, flat stretches, fractional segment edges, every
 numerosity strategy, words too long to pack into keys) and the series
 reader (random byte buffers, each in an exactly sized ``malloc`` block
@@ -45,11 +47,11 @@ _cbuild.CFLAGS = _cbuild.CFLAGS + (
 )
 _cbuild._find_compiler = lambda: sys.argv[3]  # the gcc whose libasan is preloaded
 from repro.core.rra import _CandidateSet, find_discords, nearest_neighbor_distances
+from repro.discord import inner_order
 from repro.grammar import ccore
 from repro.grammar.intervals import RuleInterval
 from repro.grammar.sequitur import induce_grammar
 from repro.resilience.budget import SearchBudget
-from repro.resilience.checkpoint import rng_state_to_json
 from repro.sax import saxcore
 from repro.sax.discretize import NumerosityReduction, discretize
 from repro.timeseries import eq1core
@@ -71,10 +73,10 @@ def both(run):
     assert on == off, (on, off)
 
 
-def dump(result, rng):
+def dump(result):
     return (
         [(d.start, d.end, d.score.hex(), d.rule_id) for d in result.discords],
-        result.distance_calls, result.status, repr(rng.bit_generator.state),
+        result.distance_calls, result.status,
     )
 
 
@@ -162,21 +164,19 @@ for trial in range(int(sys.argv[2])):
     max_calls = [None, 0, 1, int(fuzz.integers(1, 300))][trial % 4]
 
     def search():
-        rng = np.random.default_rng(seed)
         budget = None if max_calls is None else SearchBudget(max_calls=max_calls)
-        return dump(find_discords(series, intervals, num_discords=3, rng=rng, budget=budget), rng)
+        return dump(find_discords(series, intervals, num_discords=3, seed=seed, budget=budget))
 
     starve_at, every = int(fuzz.integers(1, 200)), int(fuzz.integers(1, 8))
 
     def resume():
         path = os.path.join(tempfile.mkdtemp(), "ck.json")
         find_discords(
-            series, intervals, num_discords=3, rng=np.random.default_rng(seed),
+            series, intervals, num_discords=3, seed=seed,
             budget=SearchBudget(max_calls=starve_at),
             checkpoint_path=path, checkpoint_every=every,
         )
-        result = find_discords(series, intervals, num_discords=3, resume_from=path)
-        return dump(result, np.random.default_rng(0))[:3]
+        return dump(find_discords(series, intervals, num_discords=3, seed=seed, resume_from=path))
 
     both(search)
     both(resume)
@@ -195,25 +195,29 @@ for trial in range(int(sys.argv[2])):
     motif_scans(series, intervals)
 
     gate("require")
-    # Half the lengths one below, at or one past a power of two, where
-    # the core's draw loop starts at a block edge, the rest anywhere in
-    # [0, 5000).  PCG64 and MT19937, from an even start or after one or
-    # two buffered 32-bit draws.
-    if trial % 4 < 2:
-        size = 2 ** int(fuzz.integers(0, 13)) + int(fuzz.integers(-1, 2))
-    else:
-        size = int(fuzz.integers(0, 5000))
-    ids = fuzz.integers(0, 10**9, size=size)
-    bit_generator = (np.random.PCG64, np.random.MT19937)[trial % 2]
-    core, numpy_ = (np.random.Generator(bit_generator(seed)) for _ in range(2))
-    for generator in (core, numpy_):
-        for _ in range(trial // 2 % 3):
-            generator.shuffle(np.arange(2))
-    got = ids.copy()
-    eq1core.shuffle(eq1core.load(), core, got)
-    numpy_.shuffle(ids)
-    assert np.array_equal(got, ids)
-    assert rng_state_to_json(core) == rng_state_to_json(numpy_)
+    # The lazy tail: keys, bounded draws and tails of the core against
+    # the Python twin.  Tails over up to 5000 candidates with no, few or
+    # most of them in the group, cut after a random prefix or drained,
+    # all from one scratch, which grows with n and is reused by stamps.
+    lib = eq1core.load()
+    tables = eq1core.Eq1Tables(lib)
+    rank, k = int(fuzz.integers(0, 4)), int(fuzz.integers(0, 2**40))
+    assert lib.eq1_key(seed, rank, k) == inner_order.inner_key(seed, rank, k)
+    for n in (int(fuzz.integers(1, 2**32)), 2**63 + int(fuzz.integers(0, 2**62)), 2**64 - 1):
+        state = ctypes.c_uint64(inner_order.inner_key(seed, rank, k))
+        want_state = state.value
+        for _ in range(8):
+            want, want_state = inner_order.draw_below(want_state, n)
+            assert lib.eq1_draw(ctypes.addressof(state), n) == want
+            assert state.value == want_state
+    for _ in range(4):
+        size = int(fuzz.integers(0, 5000)) if trial % 2 else 2 ** int(fuzz.integers(0, 13))
+        share = (0.0, 0.01, 0.5, 0.99)[int(fuzz.integers(0, 4))]
+        group = np.flatnonzero(fuzz.random(size) < share)
+        key = inner_order.inner_key(seed, rank, int(fuzz.integers(0, 2**40)))
+        want = list(inner_order.TailOrder(size, group, key))
+        take = len(want) if fuzz.random() < 0.5 else int(fuzz.integers(0, len(want) + 1))
+        assert tables.tail(size, group, key, take).tolist() == want[:take]
 
 assert unpacked > 0
 visited, evaluated, offsets, offsets_evaluated = bound_work.tolist()
@@ -230,8 +234,7 @@ def pool_search(length, seed):
         RuleInterval(int(rng.integers(-1, 3)), int(s), int(s + n), usage=int(rng.integers(0, 3)))
         for s, n in zip(rng.integers(0, length // 2, size=16), rng.integers(2, length // 2, size=16))
     ]
-    return dump(find_discords(series, intervals, num_discords=2, rng=np.random.default_rng(seed)),
-                np.random.default_rng(0))[:3]
+    return dump(find_discords(series, intervals, num_discords=2, seed=seed))
 
 
 lengths = [int(n) for n in fuzz.integers(40, 8000, size=24)]

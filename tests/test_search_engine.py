@@ -55,7 +55,7 @@ def _bucket_search(series, window, bucket_fn, *, num_discords=1, source="t", cou
         source, series, window,
         lambda windows: partial(
             bucket_rank, windows, bucket_fn(windows.series, window),
-            source=source, rng=np.random.default_rng(0),
+            source=source, seed=0,
         ),
         params={}, num_discords=num_discords, counter=counter,
     )
@@ -138,7 +138,7 @@ class TestWindowMatrixSource:
         )
         ordered = bucket_rank(
             windows, _single_bucket(series, window), (), source="brute_force",
-            rng=np.random.default_rng(0), **session,
+            seed=0, **session,
         )
         brute = _brute_force_rank(windows, (), early_abandon=False, **session)
         assert ordered == brute == want
@@ -237,3 +237,38 @@ def test_one_result_contract(engine):
     assert [d.rank for d in result] == list(range(len(result)))
     spans = sorted((d.start, d.end) for d in result)
     assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+
+
+class TestNonFiniteSeries:
+    """One NaN or infinity in the series used to give silent answers: an
+    empty COMPLETE RRA result, an all-``inf`` nearest-neighbour profile
+    (the NaN reached every window through the global-mean centring), and
+    COMPLETE fixed-length discords at other positions.  Every search now
+    refuses the series, naming the first bad index, before any cache
+    lookup."""
+
+    @staticmethod
+    def _searches(series):
+        from repro.core.rra import nearest_neighbor_distances
+
+        candidates = GrammarAnomalyDetector(40, 4, 4).fit(_series(400)).candidates
+        return {
+            "rra": lambda **kw: find_discords(series, candidates, **kw),
+            "hotsax": lambda **kw: hotsax_discords(series, 40, **kw),
+            "haar": lambda **kw: haar_discords(series, 40, **kw),
+            "brute_force": lambda **kw: brute_force_discords(series, 40, **kw),
+            "nearest": lambda **kw: nearest_neighbor_distances(series, candidates),
+        }
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("engine", ["rra", "hotsax", "haar", "brute_force", "nearest"])
+    def test_refused_with_the_first_bad_index(self, engine, value, tmp_path):
+        from repro.cache import ResultCache
+
+        series = _series(400)
+        series[[123, 250]] = value
+        cache = ResultCache(tmp_path)
+        kwargs = {} if engine == "nearest" else {"cache": cache}
+        with pytest.raises(DiscordSearchError, match=r"index 123\b"):
+            self._searches(series)[engine](**kwargs)
+        assert cache.hits == cache.misses == 0
